@@ -1,15 +1,14 @@
 package fmmfam
 
-// Async serving: MulAddAsync submits one C += A·B to a bounded queue drained
-// by a fixed worker pool and returns a Future immediately, so
-// latency-insensitive callers submit many products and collect results when
-// they need them. The queue bound is the backpressure: when QueueDepth jobs
-// are waiting, submitters block until a worker frees a slot, so a burst of
-// traffic cannot queue unbounded work. Jobs execute single-threaded through
-// the multiplier's serial twin — the same contract as MulAddBatch — so the
-// machine never runs more than QueueWorkers concurrent products. Each
-// multiplier instantiation (float64 or float32) owns its own queue and
-// workers.
+// Async serving: MulAddAsync submits one C += A·B to a bounded queue and
+// returns a Future immediately, so latency-insensitive callers submit many
+// products and collect results when they need them. The queue bound is the
+// backpressure: when QueueDepth jobs are waiting, submitters block until a
+// drainer frees a slot, so a burst of traffic cannot queue unbounded work.
+// The queue is only a queue: its Threads drainers are ordinary callers of
+// the multiplier (each job runs its width-1 plan, as a MulAddBatch job
+// does) and schedule nothing themselves. Each multiplier instantiation
+// (float64 or float32) owns its own queue.
 
 import (
 	"errors"
@@ -51,38 +50,36 @@ type asyncJob[E matrix.Element] struct {
 	f       *Future
 }
 
-// asyncPool is the lazily-started queue + worker pool behind MulAddAsync.
-// The RWMutex orders submissions against Close: submitters hold the read
-// lock across the channel send, Close takes the write lock to flip closed
-// and close the queue, so a send never races a close.
-type asyncPool[E matrix.Element] struct {
-	q  chan asyncJob[E]
-	wg sync.WaitGroup
+// asyncQueue is the bounded queue behind MulAddAsync; its channel and
+// drainers start with the first submission. The RWMutex orders submissions
+// against Close: submitters hold the read lock across the channel send,
+// Close takes the write lock to flip closed and close the queue, so a send
+// never races a close.
+type asyncQueue[E matrix.Element] struct {
+	start sync.Once
+	q     chan asyncJob[E] // nil until the first submission
+	wg    sync.WaitGroup
 
 	mu     sync.RWMutex
 	closed bool
 }
 
-// asyncState lazily starts the pool: QueueWorkers goroutines draining a
-// QueueDepth-bounded channel, executing through the serial twin.
-func (mu *GenericMultiplier[E]) asyncState() *asyncPool[E] {
-	mu.asyncOnce.Do(func() {
-		p := &asyncPool[E]{q: make(chan asyncJob[E], mu.cfg.queueDepth())}
-		exec := mu.serialMultiplier()
-		workers := mu.cfg.queueWorkers()
-		p.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer p.wg.Done()
-				for j := range p.q {
-					j.f.err = exec.MulAdd(j.c, j.a, j.b)
-					close(j.f.done)
-				}
-			}()
-		}
-		mu.async = p
-	})
-	return mu.async
+// startAsync makes the QueueDepth-bounded channel and starts the Threads
+// drainers — the library's only goroutines outside internal/sched: a drainer
+// waits on the queue, which a pool job cannot do.
+func (mu *GenericMultiplier[E]) startAsync() {
+	p := &mu.async
+	p.q = make(chan asyncJob[E], mu.cfg.queueDepth())
+	p.wg.Add(mu.cfg.Threads)
+	for w := 0; w < mu.cfg.Threads; w++ {
+		go func() { //fmm:go-ok queue drainer: blocks on the channel until Close, computes only through mulAdd
+			defer p.wg.Done()
+			for j := range p.q {
+				j.f.err = mu.mulAdd(j.c, j.a, j.b, 1)
+				close(j.f.done)
+			}
+		}()
+	}
 }
 
 // MulAddAsync submits c += a·b to the multiplier's bounded queue and returns
@@ -99,34 +96,37 @@ func (mu *GenericMultiplier[E]) MulAddAsync(c, a, b matrix.Mat[E]) *Future {
 	if err := checkMulDims(c, a, b); err != nil {
 		return resolvedFuture(err)
 	}
-	p := mu.asyncState()
+	p := &mu.async
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return resolvedFuture(ErrClosed)
 	}
+	p.start.Do(mu.startAsync)
 	f := &Future{done: make(chan struct{})}
 	p.q <- asyncJob[E]{c: c, a: a, b: b, f: f}
 	return f
 }
 
-// Close drains the async queue and stops its workers: it waits for every
+// Close drains the async queue and stops its drainers: it waits for every
 // already-submitted Future to complete, then returns. Submissions after
 // Close resolve immediately with ErrClosed — including on a multiplier
-// whose async path was never used, since Close materializes the pool just
-// to mark it closed (its workers exit immediately). Close is idempotent and
-// safe to call concurrently with MulAddAsync submitters and with other
-// Close calls: the pool's RWMutex orders every submission against the
-// close, so each racing Future either executes and resolves normally or
-// resolves with ErrClosed — never hangs or panics on a closed queue — and
-// no worker goroutine outlives Close. The synchronous MulAdd/MulAddBatch
-// paths are unaffected and remain usable after Close.
+// whose async path was never used, which Close only marks closed (nothing
+// was started, so there is nothing to stop). Close is idempotent and safe to
+// call concurrently with MulAddAsync submitters and with other Close calls:
+// the queue's RWMutex orders every submission against the close, so each
+// racing Future either executes and resolves normally or resolves with
+// ErrClosed — never hangs or panics on a closed queue — and no drainer
+// outlives Close. The synchronous MulAdd/MulAddBatch paths are unaffected
+// and remain usable after Close.
 func (mu *GenericMultiplier[E]) Close() error {
-	p := mu.asyncState()
+	p := &mu.async
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		close(p.q)
+		if p.q != nil {
+			close(p.q)
+		}
 	}
 	p.mu.Unlock()
 	p.wg.Wait()

@@ -27,7 +27,7 @@ import (
 func TestAsyncSubmittersRacingClose(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		before := runtime.NumGoroutine()
-		cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, QueueWorkers: 2, QueueDepth: 1}
+		cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, QueueDepth: 1}
 		mu := NewMultiplier(cfg, PaperArch())
 
 		rng := rand.New(rand.NewSource(int64(round)))

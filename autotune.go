@@ -37,13 +37,13 @@ type planArm[E matrix.Element] struct {
 }
 
 // planTuner is the autotune state of one plan-cache entry: the bandit and
-// its arms, plus the shape-class identity the arms were built for. arms is
-// immutable after construction, so the serving path reads it lock-free.
+// its arms, plus the cache key (shape class and width) the arms were built
+// for. arms is immutable after construction, so the serving path reads it
+// lock-free.
 type planTuner[E matrix.Element] struct {
-	tuner      *autotune.Tuner
-	arms       map[string]planArm[E]
-	shape      string
-	bm, bk, bn int // bucketed dims the arms were built for
+	tuner *autotune.Tuner
+	arms  map[string]planArm[E]
+	key   planKey
 }
 
 // trLabel names an arm's traversal for plan keys: "dfs" or "bfs<depth>".
@@ -54,12 +54,14 @@ func trLabel(depth int) string {
 	return fmt.Sprintf("%s%d", TraversalBFS, depth)
 }
 
-// buildArm constructs one arm: cand executed with the given traversal steps
-// and kernel backend (empty kern = the multiplier's configured backend). The
-// returned key encodes candidate, traversal, and backend, so two arms never
-// collide unless they would execute identically.
-func (mu *GenericMultiplier[E]) buildArm(cand Candidate, steps []fmmexec.Step, kern string) (string, planArm[E], error) {
+// buildArm builds every plan the multiplier caches, tuned or not, on the
+// multiplier's pool: cand executed with the given traversal steps and kernel
+// backend (empty kern = the configured backend) at the given width. The
+// returned key encodes candidate, traversal, and backend, so two arms of one
+// tuner never collide unless they would execute identically.
+func (mu *GenericMultiplier[E]) buildArm(cand Candidate, steps []fmmexec.Step, kern string, threads int) (string, planArm[E], error) {
 	gcfg := mu.cfg.gemmConfig()
+	gcfg.Threads = threads
 	if kern != "" {
 		gcfg.Kernel = kern
 	}
@@ -74,37 +76,33 @@ func (mu *GenericMultiplier[E]) buildArm(cand Candidate, steps []fmmexec.Step, k
 		kname = gcfg.Kernel
 	}
 	key := cand.Name() + "|tr=" + trLabel(depth) + "|kern=" + kname
-	p, err := fmmexec.NewPlanTraversal[E](gcfg, cand.Variant, steps, cand.Levels...)
+	p, err := fmmexec.NewPlanOn[E](mu.pool, gcfg, cand.Variant, steps, cand.Levels...)
 	if err != nil {
 		return key, planArm[E]{}, err
 	}
 	return key, planArm[E]{plan: p, cand: cand, depth: depth}, nil
 }
 
-// newPlanTuner builds the bandit for one shape class. The incumbent is the
+// newPlanTuner builds the bandit for one plan-cache key. The incumbent is the
 // model's pick exactly as untuned serving would build it; the challenger
-// queue explores, in order, the opposite term traversal (auto mode with ≥ 2
-// workers only — a forced Config.Traversal is a user decision the tuner
+// queue explores, in order, the opposite term traversal (auto mode at width
+// ≥ 2 only — a forced Config.Traversal is a user decision the tuner
 // respects), the model's next two candidates under their own auto traversal,
 // and the first alternative kernel backend registered for this dtype. A
 // challenger whose plan cannot be built (e.g. blocking below the alternative
 // backend's micro-tile) is skipped rather than failing serving; only an
 // unbuildable incumbent is an error.
-func (mu *GenericMultiplier[E]) newPlanTuner(shape string, m, k, n int) (*planTuner[E], error) {
-	top := model.TopK(mu.arch, defaultCandidates(), m, k, n, 3, mu.feedback, shape)
-	incSteps := mu.traversalFor(top[0], m, k, n)
-	incKey, incArm, err := mu.buildArm(top[0], incSteps, "")
+func (mu *GenericMultiplier[E]) newPlanTuner(key planKey, m, k, n int) (*planTuner[E], error) {
+	top := model.TopK(mu.arch, defaultCandidates(), m, k, n, 3, mu.feedback, key.String())
+	incSteps := mu.traversalFor(top[0], m, k, n, key.threads)
+	incKey, incArm, err := mu.buildArm(top[0], incSteps, "", key.threads)
 	if err != nil {
 		return nil, err
 	}
-	pt := &planTuner[E]{
-		arms:  map[string]planArm[E]{incKey: incArm},
-		shape: shape,
-		bm:    bucket(m), bk: bucket(k), bn: bucket(n),
-	}
+	pt := &planTuner[E]{arms: map[string]planArm[E]{incKey: incArm}, key: key}
 	var chalKeys []string
 	addChallenger := func(cand Candidate, steps []fmmexec.Step, kern string) {
-		key, a, err := mu.buildArm(cand, steps, kern)
+		key, a, err := mu.buildArm(cand, steps, kern, pt.key.threads)
 		if err != nil {
 			return
 		}
@@ -114,7 +112,7 @@ func (mu *GenericMultiplier[E]) newPlanTuner(shape string, m, k, n int) (*planTu
 		pt.arms[key] = a
 		chalKeys = append(chalKeys, key)
 	}
-	if mu.traversal == TraversalAuto && mu.cfg.Threads >= 2 {
+	if mu.traversal == TraversalAuto && key.threads >= 2 {
 		flipped := []fmmexec.Step(nil) // incumbent went BFS: try the serial loop
 		if incArm.depth == 0 {
 			flipped = make([]fmmexec.Step, len(top[0].Levels))
@@ -123,7 +121,7 @@ func (mu *GenericMultiplier[E]) newPlanTuner(shape string, m, k, n int) (*planTu
 		addChallenger(top[0], flipped, "")
 	}
 	for _, cand := range top[1:] {
-		addChallenger(cand, mu.traversalFor(cand, m, k, n), "")
+		addChallenger(cand, mu.traversalFor(cand, m, k, n, key.threads), "")
 	}
 	for _, name := range kernel.BackendsFor(matrix.DtypeOf[E]()) {
 		if resolved, ok := kernel.ResolveNameFor(name, matrix.DtypeOf[E]()); ok && resolved != incKeyKernel(incKey) {
@@ -175,8 +173,9 @@ func (pt *planTuner[E]) mulAdd(mu *GenericMultiplier[E], c, a, b matrix.Mat[E]) 
 // TraversalPlan fold-cost from measured runs") for every plan built after.
 func (mu *GenericMultiplier[E]) tunePromoted(pt *planTuner[E], promo autotune.Promotion) {
 	from, to := pt.arms[promo.From], pt.arms[promo.To]
-	mu.feedback.Record(pt.shape, from.cand.Name(), promo.FromMedian)
-	mu.feedback.Record(pt.shape, to.cand.Name(), promo.ToMedian)
+	shape := pt.key.String()
+	mu.feedback.Record(shape, from.cand.Name(), promo.FromMedian)
+	mu.feedback.Record(shape, to.cand.Name(), promo.ToMedian)
 	if from.depth == to.depth {
 		return
 	}
@@ -185,14 +184,14 @@ func (mu *GenericMultiplier[E]) tunePromoted(pt *planTuner[E], promo autotune.Pr
 		bfs, measured = from, promo.FromMedian
 	}
 	if bfs.depth > 0 {
-		scale := model.FitFoldScale(mu.arch, bfs.cand.Variant, pt.bm, pt.bk, pt.bn, bfs.cand.Levels, mu.cfg.Threads, bfs.depth, measured)
+		scale := model.FitFoldScale(mu.arch, bfs.cand.Variant, pt.key.bm, pt.key.bk, pt.key.bn, bfs.cand.Levels, pt.key.threads, bfs.depth, measured)
 		mu.foldScale.Store(math.Float64bits(scale))
 	}
 }
 
 // shardTuner is the bandit of one sharded shape class: arms are shard grids
-// rather than plans (the tile products below still go through the serial
-// twin, which runs its own plan-level tuner). grids is immutable after
+// rather than plans (the tile products below still run their width-1 plans,
+// each under its own plan-level tuner). grids is immutable after
 // construction.
 type shardTuner struct {
 	tuner *autotune.Tuner
@@ -210,11 +209,11 @@ func gridArmKey(gm, gn, gk int) string {
 // exists. Returns nil (serve untuned) once the tuner map has reached the
 // plan-cache cap, so diverse-shape servers stay bounded.
 func (mu *GenericMultiplier[E]) shardTunerFor(spec shard.Spec, m, k, n int) *shardTuner {
-	key := shapeClass(m, k, n)
+	key := shapeClass(m, k, n, mu.cfg.Threads)
 	mu.shardTuns.Lock()
 	defer mu.shardTuns.Unlock()
 	if mu.shardTuns.m == nil {
-		mu.shardTuns.m = make(map[string]*shardTuner)
+		mu.shardTuns.m = make(map[planKey]*shardTuner)
 	}
 	if st, ok := mu.shardTuns.m[key]; ok {
 		return st
@@ -281,8 +280,8 @@ type ShapeTuning struct {
 	Shape string
 	// Kind is "plan" for plan-arm tuners, "shard" for grid tuners.
 	Kind string
-	// Serial marks tuners of the internal serial twin — the engine behind
-	// MulAddBatch, sharded tiles, and MulAddAsync jobs.
+	// Serial marks tuners of width-1 plans — the ones MulAddBatch jobs,
+	// shard tiles, K-split slabs and MulAddAsync jobs run.
 	Serial bool
 	autotune.Snapshot
 }
@@ -307,7 +306,7 @@ type MultiplierStats struct {
 	// FoldScale is the current traversal fold-cost calibration: 1 until a
 	// promotion crossing traversal modes fits a measured scale.
 	FoldScale float64
-	// CachedPlans mirrors CachedPlans() for one-stop observability.
+	// CachedPlans mirrors CachedPlans(): every cached plan, both widths.
 	CachedPlans int
 	// Shapes holds one entry per tuned shape class, sorted by (Serial, Kind,
 	// Shape). Empty when autotuning is off or no traffic has been served.
@@ -326,10 +325,16 @@ func (mu *GenericMultiplier[E]) Stats() MultiplierStats {
 		FoldScale:   mu.foldScaleVal(),
 		CachedPlans: mu.plans.len(),
 	}
-	s.Shapes = mu.shapeTunings(false)
-	if tw := mu.serial.Load(); tw != nil {
-		s.Shapes = append(s.Shapes, tw.shapeTunings(true)...)
+	for key, e := range mu.plans.entries() {
+		if e.tun != nil {
+			s.Shapes = append(s.Shapes, ShapeTuning{Shape: key.String(), Kind: "plan", Serial: key.threads == 1, Snapshot: e.tun.tuner.Snapshot()})
+		}
 	}
+	mu.shardTuns.Lock()
+	for key, st := range mu.shardTuns.m {
+		s.Shapes = append(s.Shapes, ShapeTuning{Shape: key.String(), Kind: "shard", Snapshot: st.tuner.Snapshot()})
+	}
+	mu.shardTuns.Unlock()
 	sortShapeTunings(s.Shapes)
 	return s
 }
@@ -342,21 +347,6 @@ func (mu *GenericMultiplier[E]) resolvedKernel() string {
 		return name + " (unavailable)"
 	}
 	return name
-}
-
-func (mu *GenericMultiplier[E]) shapeTunings(serial bool) []ShapeTuning {
-	var out []ShapeTuning
-	for key, e := range mu.plans.entries() {
-		if e.tun != nil {
-			out = append(out, ShapeTuning{Shape: key, Kind: "plan", Serial: serial, Snapshot: e.tun.tuner.Snapshot()})
-		}
-	}
-	mu.shardTuns.Lock()
-	for key, st := range mu.shardTuns.m {
-		out = append(out, ShapeTuning{Shape: key, Kind: "shard", Serial: serial, Snapshot: st.tuner.Snapshot()})
-	}
-	mu.shardTuns.Unlock()
-	return out
 }
 
 func sortShapeTunings(s []ShapeTuning) {

@@ -158,7 +158,7 @@ func TestAutotunePromotionLifecycle(t *testing.T) {
 	if err := mu.MulAdd(c, a, b); err != nil {
 		t.Fatal(err)
 	}
-	e, err := mu.entryFor(192, 192, 192)
+	e, err := mu.entryFor(192, 192, 192, cfg.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,12 @@ type errDiff float64
 
 func (e errDiff) Error() string { return "result diverged" }
 
-// TestAutotuneSerialTwinInheritsResolvedState: the serial twin behind
-// MulAddBatch is built lazily, but it must execute under the parent's
-// construction-time autotune resolution — an env change between
-// construction and first batch call must not split parent and twin.
-func TestAutotuneSerialTwinInheritsResolvedState(t *testing.T) {
+// TestAutotuneBatchUsesConstructionTimeState: batch jobs plan lazily, at
+// width 1, but under the multiplier's construction-time autotune resolution
+// — an env change between construction and first batch call must not split
+// direct and batch traffic — and Stats reports their tuners as Serial with
+// every job routed.
+func TestAutotuneBatchUsesConstructionTimeState(t *testing.T) {
 	t.Setenv("FMMFAM_AUTOTUNE", "0.25")
 	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2}
 	mu := NewMultiplier(cfg, PaperArch())
@@ -302,18 +303,27 @@ func TestAutotuneSerialTwinInheritsResolvedState(t *testing.T) {
 	if err := mu.MulAddBatch(jobs); err != nil {
 		t.Fatal(err)
 	}
+	// One direct call of the same shape class: a second, non-Serial tuner.
+	if err := mu.MulAdd(NewMatrix(96, 96), a, b); err != nil {
+		t.Fatal(err)
+	}
 	s := mu.Stats()
 	if !s.Autotune || s.Fraction != 0.25 {
-		t.Fatalf("parent knobs: %+v", s)
+		t.Fatalf("resolved knobs: %+v", s)
 	}
-	var serialRouted uint64
+	var serialRouted, directRouted uint64
 	for _, sh := range s.Shapes {
 		if sh.Serial {
 			serialRouted += sh.Served + sh.Shadowed
+		} else {
+			directRouted += sh.Served + sh.Shadowed
 		}
 	}
 	if serialRouted != uint64(len(jobs)) {
-		t.Fatalf("serial twin routed %d of %d batch jobs — twin re-resolved the env instead of inheriting", serialRouted, len(jobs))
+		t.Fatalf("width-1 tuners routed %d of %d batch jobs — batch planning re-resolved the env", serialRouted, len(jobs))
+	}
+	if directRouted != 1 {
+		t.Fatalf("full-width tuners routed %d calls, want the 1 direct MulAdd", directRouted)
 	}
 }
 

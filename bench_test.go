@@ -1,8 +1,8 @@
 package fmmfam
 
 // Benchmarks regenerating the paper's tables and figures as testing.B
-// targets, one family per table/figure (see DESIGN.md §4 for the mapping and
-// cmd/experiments for the full sweeps). Sizes are scaled down from the
+// targets, one family per table/figure (each benchmark's comment names its
+// figure; cmd/experiments runs the full sweeps). Sizes are scaled down from the
 // paper's m=n=14400 — the pure-Go kernel is ~10× slower than the paper's
 // assembly — but keep the paper's *shape* ratios: rank-k updates use
 // k ≈ base/3, near-square uses k = base. Every benchmark reports effective

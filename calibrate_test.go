@@ -9,8 +9,7 @@ import (
 // TestCalibrateOptIn: Config.Calibrate replaces the provided Arch with
 // measured constants — recorded against the (kernel, dtype) pair in use —
 // and the process-wide cache hands every later multiplier of the same pair
-// the identical measurement instead of re-probing (the serial twins depend
-// on this staying cheap).
+// the identical measurement instead of re-probing.
 func TestCalibrateOptIn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probes take ~100ms per (kernel, dtype) pair")

@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.Threads = *threads
 	}
 	cfg.Autotune = *autotune
-	cfg.Kernel = os.Getenv("FMMFAM_KERNEL")
+	cfg.Kernel = fmmfam.EnvKernel()
 	if *kernelName != "" {
 		cfg.Kernel = *kernelName
 	}

@@ -6,7 +6,9 @@ package fmmfam
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fmmfam/internal/matrix"
@@ -150,6 +152,117 @@ func TestMulAddBatch(t *testing.T) {
 	}
 	if d := c.MaxAbsDiff(good.want); d > 1e-9 {
 		t.Fatalf("good job skipped after bad job: diff %g", d)
+	}
+}
+
+// TestGoroutineCeiling pins the multiplier's goroutine invariant — live
+// compute goroutines ≤ callers + Threads − 1 helpers, plus the Threads queue
+// drainers once MulAddAsync has been used — under the worst mix: concurrent
+// callers of unsharded MulAdd on distinct shape classes (intra-GEMM fan-out),
+// sharded MulAdd (2-D tiles and K-split slabs) and MulAddBatch, all on one
+// Threads=4 multiplier, while a sampler polls runtime.NumGoroutine.
+func TestGoroutineCeiling(t *testing.T) {
+	const threads = 4
+	cfg := servingCfg() // Threads 4, shards from 128 up with tiles ≥ 48
+	mu := NewMultiplier(cfg, PaperArch())
+	defer mu.Close()
+
+	type problem struct {
+		a, b, want Matrix
+		batch      bool
+	}
+	rng := rand.New(rand.NewSource(21))
+	mk := func(m, k, n int, batch bool) problem {
+		a, b := NewMatrix(m, k), NewMatrix(k, n)
+		a.FillRand(rng)
+		b.FillRand(rng)
+		want := NewMatrix(m, n)
+		matrix.MulAdd(want, a, b)
+		return problem{a: a, b: b, want: want, batch: batch}
+	}
+	problems := []problem{
+		mk(100, 100, 100, false), mk(60, 120, 90, false), mk(120, 40, 30, false), // unsharded, three shape classes
+		mk(256, 96, 256, false), mk(192, 64, 160, false), // 2-D sharded
+		mk(48, 512, 48, false),                      // K-split
+		mk(90, 70, 80, true), mk(40, 100, 60, true), // batches of these
+	}
+	for i, p := range problems[3:6] {
+		spec, ok := mu.shardSpec(p.a.Rows, p.a.Cols, p.b.Cols)
+		if !ok || (i == 2) != (spec.GridK > 1) {
+			t.Fatalf("problem %d: shardSpec = %v, %v; the mix needs two 2-D shards and one K-split", 3+i, spec, ok)
+		}
+	}
+
+	// run starts one goroutine per problem, each making iters calls, and
+	// returns the highest goroutine count seen above the count before it
+	// started anything. A sample is the least of three reads: a helper that
+	// has handed back its token but not yet exited is not a live compute
+	// goroutine, and is gone by the next read; a real excess stays for the
+	// length of a job.
+	run := func(iters int, async bool) int {
+		base := runtime.NumGoroutine()
+		var stop atomic.Bool
+		peak := make(chan int)
+		go func() {
+			hi := 0
+			for !stop.Load() {
+				n := runtime.NumGoroutine()
+				for i := 0; i < 2; i++ {
+					runtime.Gosched()
+					n = min(n, runtime.NumGoroutine())
+				}
+				hi = max(hi, n)
+			}
+			peak <- hi
+		}()
+		var wg sync.WaitGroup
+		for g, p := range problems {
+			wg.Add(1)
+			go func(g int, p problem) {
+				defer wg.Done()
+				for it := 0; it < iters; it++ {
+					cs := []Matrix{NewMatrix(p.want.Rows, p.want.Cols)}
+					var err error
+					switch {
+					case async && g%2 == 0:
+						err = mu.MulAddAsync(cs[0], p.a, p.b).Wait()
+					case p.batch:
+						jobs := make([]BatchJob, 6)
+						for i := range jobs {
+							if i > 0 {
+								cs = append(cs, NewMatrix(p.want.Rows, p.want.Cols))
+							}
+							jobs[i] = BatchJob{C: cs[i], A: p.a, B: p.b}
+						}
+						err = mu.MulAddBatch(jobs)
+					default:
+						err = mu.MulAdd(cs[0], p.a, p.b)
+					}
+					if err != nil {
+						t.Errorf("caller %d iter %d: %v", g, it, err)
+						return
+					}
+					for _, c := range cs {
+						if d := c.MaxAbsDiff(p.want); d > 1e-9 {
+							t.Errorf("caller %d iter %d: diff %g", g, it, d)
+							return
+						}
+					}
+				}
+			}(g, p)
+		}
+		wg.Wait()
+		stop.Store(true)
+		return <-peak - base - 1 // less the sampler itself
+	}
+
+	callers := len(problems)
+	if got, limit := run(12, false), callers+threads-1; got > limit {
+		t.Fatalf("%d concurrent callers peaked at %d goroutines, want ≤ callers + Threads − 1 = %d", callers, got, limit)
+	}
+	// With the async queue in use its Threads drainers join, as callers.
+	if got, limit := run(12, true), callers+2*threads-1; got > limit {
+		t.Fatalf("%d callers with MulAddAsync peaked at %d goroutines, want ≤ callers + 2·Threads − 1 = %d", callers, got, limit)
 	}
 }
 

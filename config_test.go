@@ -24,7 +24,7 @@ func TestConfigValidate(t *testing.T) {
 		{"explicit default kernel", func(c *Config) { c.Kernel = "go4x4" }, true},
 		{"go8x4 kernel", func(c *Config) { c.Kernel = "go8x4" }, true},
 		{"serving knobs at defaults", func(c *Config) {
-			c.ShardThreshold, c.ShardMinTile, c.QueueWorkers, c.QueueDepth, c.PlanCacheCap = 0, 0, 0, 0, 0
+			c.ShardThreshold, c.ShardMinTile, c.QueueDepth, c.PlanCacheCap = 0, 0, 0, 0
 		}, true},
 		{"negative sentinels allowed", func(c *Config) {
 			c.ShardThreshold, c.ShardKSplit, c.PlanCacheCap = -1, -1, -1
@@ -41,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		{"MC=4 ok for go4x4", func(c *Config) { c.MC = 4; c.Kernel = "go4x4" }, true},
 		{"MC=4 below go8x4 MR", func(c *Config) { c.MC = 4; c.Kernel = "go8x4" }, false},
 		{"negative ShardMinTile", func(c *Config) { c.ShardMinTile = -1 }, false},
-		{"negative QueueWorkers", func(c *Config) { c.QueueWorkers = -1 }, false},
 		{"negative QueueDepth", func(c *Config) { c.QueueDepth = -2 }, false},
 		{"serve knobs set", func(c *Config) {
 			c.ServeAddr, c.CoalesceWindow, c.CoalesceMaxJobs, c.AdmissionDepth = "127.0.0.1:0", 250e3, 16, 8

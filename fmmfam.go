@@ -31,20 +31,22 @@
 // all mutable per-call state (packing buffers, variant temporaries) is
 // rented from bounded pools per call. Multiply, Multiplier.MulAdd,
 // Multiplier.MulAddBatch, Multiplier.MulAddAsync, and Plan.MulAdd are all
-// safe for unlimited concurrent callers, and each call also parallelizes
-// internally across the configured worker count.
+// safe for unlimited concurrent callers. A Multiplier owns one worker pool
+// of Config.Threads that every layer submits to (the goroutine invariant is
+// stated on GenericMultiplier).
 //
 // Serving layer: above Config.ShardThreshold a MulAdd is automatically split
-// into independent block products scheduled across a work-stealing pool
-// (internal/shard + internal/sched) — cutting the M×N output into full-K
-// tiles (bit-identical results), or, for K-dominant problems with
-// Config.ShardKSplit enabled, the inner dimension into reduction slabs
-// (run-to-run deterministic results, fixed fold order); MulAddAsync submits
-// work to a bounded queue and returns a Future; the plan cache is
-// LRU-bounded so servers with diverse shapes stay bounded.
+// into independent block products scheduled on that pool (internal/shard +
+// internal/sched) — cutting the M×N output into full-K tiles (bit-identical
+// results), or, for K-dominant problems with Config.ShardKSplit enabled, the
+// inner dimension into reduction slabs (run-to-run deterministic results,
+// fixed fold order); MulAddAsync submits work to a bounded queue and returns
+// a Future; the plan cache is LRU-bounded so servers with diverse shapes
+// stay bounded.
 package fmmfam
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
@@ -101,17 +103,17 @@ const (
 type Config struct {
 	// MC, KC, NC are the cache blocking parameters of Figure 1.
 	MC, KC, NC int
-	// Threads is the worker count: within one MulAdd it parallelizes the
-	// driver's ic loop; for MulAddBatch and sharded calls it is the width of
-	// the cross-job pool.
+	// Threads is the worker budget: the size of the one pool a Multiplier
+	// (or a directly built Plan) runs everything on, within one MulAdd and
+	// across batch jobs and shard tiles, and the MulAddAsync drainer count.
 	Threads int
 
 	// Kernel selects the micro-kernel backend by registry name (see
 	// Kernels). Empty selects the default backend ("go4x4", the original
 	// bit-stable pure-Go kernel); "go8x4" is the wider-tile pure-Go backend.
 	// The package-level Multiply family reads the FMMFAM_KERNEL environment
-	// variable instead. The blocking must satisfy the backend's tile shape
-	// (MC ≥ MR, NC ≥ NR); Validate checks this.
+	// variable instead (EnvKernel). The blocking must satisfy the backend's
+	// tile shape (MC ≥ MR, NC ≥ NR); Validate checks this.
 	Kernel string
 
 	// ShardThreshold is the problem size at or above which MulAdd
@@ -150,10 +152,8 @@ type Config struct {
 	// selection happens.
 	Traversal string
 
-	// QueueWorkers is the MulAddAsync worker-pool size. 0 means Threads.
-	QueueWorkers int
 	// QueueDepth bounds the MulAddAsync submission queue; submitters block
-	// when it is full (backpressure). 0 means 4×QueueWorkers.
+	// when it is full (backpressure). 0 means 4×Threads.
 	QueueDepth int
 
 	// PlanCacheCap bounds the number of cached plans per Multiplier,
@@ -175,7 +175,8 @@ type Config struct {
 	// deterministic plan runs — per-call determinism guarantees are those of
 	// whichever plan served the call. The FMMFAM_AUTOTUNE environment
 	// variable overrides this field and AutotuneFraction without recompiling
-	// (see resolveAutotune's accepted values).
+	// ("0"/"off"/"false": off; "1"/"on"/"true": on at the Config or default
+	// fraction; a bare float in (0, 0.5]: on at that fraction; else an error).
 	Autotune bool
 	// AutotuneFraction is the share of each shape class's calls routed to
 	// the challenger arm, in (0, 0.5]. 0 means the default (0.05 — one call
@@ -218,8 +219,8 @@ type Config struct {
 	// machine constants measured at construction time (model.Calibrate:
 	// a GEMM probe for τa through the configured kernel and a bandwidth
 	// sweep for τb, both at this multiplier's element type), cached
-	// process-wide per (kernel, dtype) so repeated constructions — including
-	// the internal serial twins — measure once. The FMMFAM_CALIBRATE=1
+	// process-wide per (kernel, dtype) so repeated constructions measure
+	// once. The FMMFAM_CALIBRATE=1
 	// environment variable enables the same behavior without recompiling.
 	// First-time calibration of a pair costs ~100ms.
 	Calibrate bool
@@ -236,58 +237,6 @@ const (
 	// TraversalBFS forces term fan-out at every recursion level.
 	TraversalBFS = "bfs"
 )
-
-// resolveTraversal returns the effective traversal mode: the
-// FMMFAM_TRAVERSAL environment variable when set (the no-recompile escape
-// hatch the golden-fingerprint pins rely on), cfg.Traversal otherwise, with
-// unknown values rejected.
-func resolveTraversal(cfg Config) (string, error) {
-	t := os.Getenv("FMMFAM_TRAVERSAL")
-	if t == "" {
-		t = cfg.Traversal
-	}
-	switch t {
-	case "", TraversalAuto:
-		return TraversalAuto, nil
-	case TraversalDFS, TraversalBFS:
-		return t, nil
-	}
-	return "", fmt.Errorf("fmmfam: Traversal=%q, need %q, %q, %q, or empty", t, TraversalAuto, TraversalDFS, TraversalBFS)
-}
-
-// resolveAutotune returns the effective autotuning state: enabled and the
-// challenger traffic fraction. The FMMFAM_AUTOTUNE environment variable wins
-// over the Config fields when set — "0"/"off"/"false" force it off,
-// "1"/"on"/"true" force it on with the Config (or default) fraction, and a
-// bare float in (0, 0.5] forces it on at that fraction; anything else is an
-// error. With the variable unset, Config.Autotune and Config.AutotuneFraction
-// decide. fraction is 0 when disabled, and the concrete share otherwise.
-func resolveAutotune(cfg Config) (enabled bool, fraction float64, err error) {
-	frac := cfg.AutotuneFraction
-	if frac < 0 || frac > 0.5 {
-		return false, 0, fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", frac, autotune.DefaultFraction)
-	}
-	if frac == 0 {
-		frac = autotune.DefaultFraction
-	}
-	switch v := os.Getenv("FMMFAM_AUTOTUNE"); v {
-	case "":
-		if !cfg.Autotune {
-			return false, 0, nil
-		}
-		return true, frac, nil
-	case "0", "off", "false":
-		return false, 0, nil
-	case "1", "on", "true":
-		return true, frac, nil
-	default:
-		f, perr := strconv.ParseFloat(v, 64)
-		if perr != nil || f <= 0 || f > 0.5 {
-			return false, 0, fmt.Errorf("fmmfam: FMMFAM_AUTOTUNE=%q, need 0/off/false, 1/on/true, or a fraction in (0, 0.5]", v)
-		}
-		return true, f, nil
-	}
-}
 
 // Serving-layer defaults for the zero Config knobs.
 const (
@@ -341,9 +290,75 @@ func (p ServeParams) Coalesce() bool { return p.CoalesceWindow > 0 }
 // defaults. A malformed mirror value is an error here and from Validate, so
 // a deployment typo fails at startup rather than silently serving defaults.
 func (c Config) ServeParams() (ServeParams, error) {
-	return resolveServe(c)
+	s := resolveEnv(c)
+	return s.serve, s.serveErr
 }
 
+// settings is a Config with every FMMFAM_* override applied and every
+// default filled: what a construction runs under. Each group keeps its own
+// error, because a consumer answers only for the groups it uses — NewPlan
+// for the traversal, ServeParams for the serve knobs, Validate and
+// NewMultiplier for all three.
+type settings struct {
+	traversal string  // TraversalAuto, TraversalDFS or TraversalBFS
+	tune      bool    // autotuning on,
+	tuneFrac  float64 // at this challenger share (0 when off)
+	calibrate bool    // Config.Calibrate or FMMFAM_CALIBRATE=1
+	serve     ServeParams
+
+	traversalErr, tuneErr, serveErr error
+}
+
+// resolveEnv is the one reader of the FMMFAM_* variables that mirror Config
+// fields (EnvKernel reads the one that does not), called once per
+// construction. A set variable wins over its field — the no-recompile switch
+// deployments and the golden-fingerprint pins rely on — and a value outside
+// its accepted set is that group's error, never a silent fallback.
+func resolveEnv(c Config) settings {
+	var s settings
+	t := os.Getenv("FMMFAM_TRAVERSAL")
+	if t == "" {
+		t = c.Traversal
+	}
+	switch t {
+	case "", TraversalAuto:
+		s.traversal = TraversalAuto
+	case TraversalDFS, TraversalBFS:
+		s.traversal = t
+	default:
+		s.traversalErr = fmt.Errorf("fmmfam: Traversal=%q, need %q, %q, %q, or empty", t, TraversalAuto, TraversalDFS, TraversalBFS)
+	}
+	frac := c.AutotuneFraction
+	if frac == 0 {
+		frac = autotune.DefaultFraction
+	}
+	switch v := os.Getenv("FMMFAM_AUTOTUNE"); v {
+	case "":
+		s.tune = c.Autotune
+	case "0", "off", "false":
+	case "1", "on", "true":
+		s.tune = true
+	default:
+		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 && f <= 0.5 {
+			s.tune, frac = true, f
+		} else {
+			s.tuneErr = fmt.Errorf("fmmfam: FMMFAM_AUTOTUNE=%q, need 0/off/false, 1/on/true, or a fraction in (0, 0.5]", v)
+		}
+	}
+	// The Config fraction is checked even when nothing turns tuning on: a
+	// later deployment's FMMFAM_AUTOTUNE=on would run with it.
+	if c.AutotuneFraction < 0 || c.AutotuneFraction > 0.5 {
+		s.tune, s.tuneErr = false, fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", c.AutotuneFraction, autotune.DefaultFraction)
+	}
+	if s.tune {
+		s.tuneFrac = frac
+	}
+	s.calibrate = c.Calibrate || os.Getenv("FMMFAM_CALIBRATE") == "1"
+	s.serve, s.serveErr = resolveServe(c)
+	return s
+}
+
+// resolveServe is resolveEnv's serve group.
 func resolveServe(c Config) (ServeParams, error) {
 	p := ServeParams{
 		Addr:            c.ServeAddr,
@@ -419,42 +434,35 @@ func (c Config) gemmConfig() gemm.Config {
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
 // source — and the serving knobs that have no negative sentinel
-// (ShardMinTile, QueueWorkers, QueueDepth, CoalesceMaxJobs, AdmissionDepth)
-// must be non-negative, with the serve knobs' environment mirrors required
-// to parse (see Config.ServeParams).
+// (ShardMinTile, QueueDepth, CoalesceMaxJobs, AdmissionDepth) must be
+// non-negative, with every FMMFAM_* environment mirror required to parse
+// (see the Traversal and Autotune fields and Config.ServeParams).
 // NewMultiplier (and NewMultiplier32, which validates against the float32
 // registry instead) records the result and surfaces it from every entry
 // point, so an invalid config fails fast instead of computing with nonsense
 // parameters.
 func (c Config) Validate() error {
-	return validateConfig[float64](c)
+	return validateConfig[float64](c, resolveEnv(c))
 }
 
-// validateConfig is Validate for one element type; see Config.Validate.
-func validateConfig[E matrix.Element](c Config) error {
+// validateConfig is Validate for one element type, given c's settings.
+func validateConfig[E matrix.Element](c Config, s settings) error {
 	if err := gemm.ValidateFor[E](c.gemmConfig()); err != nil {
 		return fmt.Errorf("fmmfam: %w", err)
 	}
 	if c.ShardMinTile < 0 {
 		return fmt.Errorf("fmmfam: ShardMinTile=%d, need ≥ 0 (0 = model break-even floor)", c.ShardMinTile)
 	}
-	if c.QueueWorkers < 0 {
-		return fmt.Errorf("fmmfam: QueueWorkers=%d, need ≥ 0 (0 = Threads)", c.QueueWorkers)
-	}
 	if c.QueueDepth < 0 {
-		return fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×workers)", c.QueueDepth)
+		return fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
 	}
-	if _, err := resolveTraversal(c); err != nil {
-		return err
-	}
-	if _, _, err := resolveAutotune(c); err != nil {
-		return err
-	}
-	if _, err := resolveServe(c); err != nil {
-		return err
-	}
-	return nil
+	return cmp.Or(s.traversalErr, s.tuneErr, s.serveErr)
 }
+
+// EnvKernel returns the backend the FMMFAM_KERNEL environment variable
+// selects ("" when unset): the Config.Kernel the package-level Multiply
+// family runs with and cmd/fmmserve starts from. No other Config reads it.
+func EnvKernel() string { return os.Getenv("FMMFAM_KERNEL") }
 
 // Kernels lists the registered micro-kernel backend names, sorted; any of
 // them is a valid Config.Kernel / FMMFAM_KERNEL value. See
@@ -519,21 +527,11 @@ func (c Config) shardThreshold() int {
 
 func (c Config) shardKSplit() bool { return c.ShardKSplit >= 0 }
 
-func (c Config) queueWorkers() int {
-	if c.QueueWorkers > 0 {
-		return c.QueueWorkers
-	}
-	if c.Threads > 1 {
-		return c.Threads
-	}
-	return 1
-}
-
 func (c Config) queueDepth() int {
 	if c.QueueDepth > 0 {
 		return c.QueueDepth
 	}
-	return 4 * c.queueWorkers()
+	return 4 * c.Threads
 }
 
 func (c Config) planCacheCap() int {
@@ -557,7 +555,8 @@ type Plan32 = fmmexec.Plan[float32]
 func Strassen() Algorithm { return core.Strassen() }
 
 // Generate returns the lowest-rank verified algorithm for partition ⟨m,k,n⟩
-// reachable from the built-in seeds (see DESIGN.md for rank provenance).
+// reachable from the built-in seeds (internal/core/generate.go lists which
+// of the paper's ranks the seed closure reproduces).
 func Generate(m, k, n int) Algorithm { return core.Generate(m, k, n) }
 
 // CatalogEntry is one row of the paper's Figure-2 family.
@@ -573,22 +572,22 @@ func Catalog() []CatalogEntry { return core.Catalog() }
 // has no problem size for the model — auto selection happens on the
 // Multiplier path).
 func NewPlan(cfg Config, v Variant, levels ...Algorithm) (*Plan, error) {
-	tr, err := resolveTraversal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return fmmexec.NewPlanTraversal[float64](cfg.gemmConfig(), v, forcedSteps(tr, len(levels)), levels...)
+	return newPlan[float64](cfg, v, levels)
 }
 
 // NewPlan32 builds an executable multi-level float32 FMM plan — the same
 // ⟦U,V,W⟧ evaluation over float32 operands (the generated coefficients are
 // small exact rationals, so their float32 conversion is exact); see NewPlan.
 func NewPlan32(cfg Config, v Variant, levels ...Algorithm) (*Plan32, error) {
-	tr, err := resolveTraversal(cfg)
-	if err != nil {
-		return nil, err
+	return newPlan[float32](cfg, v, levels)
+}
+
+func newPlan[E matrix.Element](cfg Config, v Variant, levels []Algorithm) (*fmmexec.Plan[E], error) {
+	s := resolveEnv(cfg)
+	if s.traversalErr != nil {
+		return nil, s.traversalErr
 	}
-	return fmmexec.NewPlanTraversal[float32](cfg.gemmConfig(), v, forcedSteps(tr, len(levels)), levels...)
+	return fmmexec.NewPlanTraversal[E](cfg.gemmConfig(), v, forcedSteps(s.traversal, len(levels)), levels...)
 }
 
 // forcedSteps maps a forced traversal mode to explicit per-level steps: nil

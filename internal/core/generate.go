@@ -15,7 +15,7 @@ import (
 // This is the "generating families" substrate of the paper: the paper takes
 // its ⟦U,V,W⟧ inputs from the searches of Benson–Ballard [1] and Smirnov
 // [12]; those coefficient files are external data, so we reconstruct a family
-// from first principles (see DESIGN.md §3/§5). Ranks that the closure
+// from first principles. Ranks that the closure
 // reproduces exactly include ⟨2,2,2⟩;7, ⟨2,3,2⟩;11, ⟨2,5,2⟩;18, ⟨4,2,2⟩;14
 // and all their permutations; for the Smirnov shapes our ranks are higher
 // (e.g. ⟨3,3,3⟩;26 vs 23) and EXPERIMENTS.md reports both.

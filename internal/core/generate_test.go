@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// Ranks the seed closure is expected to reach (see DESIGN.md §3): exact
+// Ranks the seed closure is expected to reach (see generate.go): exact
 // matches with Figure 2 where the paper's rank is achievable by direct sums
 // and Kronecker products of Strassen, and the best-reachable rank elsewhere.
 func TestGenerateRanks(t *testing.T) {

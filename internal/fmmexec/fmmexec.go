@@ -118,8 +118,9 @@ type coefIdx struct {
 // reduction buffers from a bounded pool, so concurrent MulAdd calls never
 // share state. Each call additionally parallelizes internally — across the
 // configured worker count inside one term's GEMM (DFS levels) and across
-// terms (BFS levels) — with all in-call parallelism drawing helpers from
-// one shared sched.Pool budget of Threads goroutines.
+// terms (BFS levels) — with all in-call parallelism (term jobs, row-split
+// adds, the gemm contexts' ic loop and packing) drawing helpers from the one
+// sched.Pool the plan was built on (NewPlanOn), or a private one of Threads.
 type Plan[E matrix.Element] struct {
 	Levels  []core.Algorithm
 	Flat    core.Algorithm
@@ -133,18 +134,11 @@ type Plan[E matrix.Element] struct {
 	traversal []Step
 	fanout    int
 
-	// serialCtx is the Threads=1 twin context BFS term jobs execute in:
-	// cross-term parallelism comes from the pool, so each term runs
-	// single-threaded with its own rented workspace (the pool's span is
-	// provisioned for the fan-out). nil when fanout == 1.
+	// serialCtx is the Threads=1 context BFS term jobs execute in, on ctx's
+	// pool: cross-term parallelism comes from the pool, so each term runs
+	// single-threaded with its own rented workspace (the workspace pool's
+	// span is provisioned for the fan-out). nil when fanout == 1.
 	serialCtx *gemm.Context[E]
-
-	// pool is the shared worker budget for all in-call parallelism: BFS term
-	// jobs and the row-split submatrix additions of addScaled draw helpers
-	// from it, so term-level and row-level work compose under one Threads
-	// budget instead of oversubscribing (nested submissions degrade to
-	// serial, never deadlock).
-	pool *sched.Pool
 
 	uCols, vCols, wCols [][]coefIdx
 
@@ -224,6 +218,14 @@ func NewPlan[E matrix.Element](cfg gemm.Config, variant Variant, levels ...core.
 // submits to its worker pool; model.TraversalPlan chooses a traversal from
 // the performance model.
 func NewPlanTraversal[E matrix.Element](cfg gemm.Config, variant Variant, traversal []Step, levels ...core.Algorithm) (*Plan[E], error) {
+	return NewPlanOn[E](nil, cfg, variant, traversal, levels...)
+}
+
+// NewPlanOn is NewPlanTraversal on a caller-owned worker pool: the plan's
+// term jobs and row-split adds, and both of its gemm contexts, draw helpers
+// from it, so every plan built on one pool shares one goroutine budget. A
+// nil pool means a private one of cfg.Threads.
+func NewPlanOn[E matrix.Element](pool *sched.Pool, cfg gemm.Config, variant Variant, traversal []Step, levels ...core.Algorithm) (*Plan[E], error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("fmmexec: no levels")
 	}
@@ -253,7 +255,7 @@ func NewPlanTraversal[E matrix.Element](cfg gemm.Config, variant Variant, traver
 			}
 		}
 	}
-	ctx, err := gemm.NewContext[E](cfg)
+	ctx, err := gemm.NewContextOn[E](cfg, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -264,13 +266,12 @@ func NewPlanTraversal[E matrix.Element](cfg gemm.Config, variant Variant, traver
 		ctx:       ctx,
 		traversal: append([]Step(nil), traversal...),
 		fanout:    fanout,
-		pool:      sched.NewPool(cfg.Threads),
 	}
 	if fanout > 1 {
 		scfg := cfg
 		scfg.Threads = 1
 		scfg.WorkspacePoolSpan = fanout
-		p.serialCtx, err = gemm.NewContext[E](scfg)
+		p.serialCtx, err = gemm.NewContextOn[E](scfg, ctx.Pool())
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +342,7 @@ func (p *Plan[E]) MulAdd(c, a, b matrix.Mat[E]) {
 	// One packing workspace serves the whole call: the per-term loop and the
 	// peeling fringes run sequentially, so renting once avoids hitting the
 	// pool (or allocating, under heavy concurrency) once per recursion term.
-	// (BFS term jobs rent their own workspaces from the serial twin context.)
+	// (BFS term jobs rent their own workspaces from the Threads=1 context.)
 	ws := p.ctx.GetWorkspace()
 	defer p.ctx.PutWorkspace(ws)
 	mt, kt, nt := p.Flat.M, p.Flat.K, p.Flat.N
@@ -477,7 +478,7 @@ func (p *Plan[E]) mulCoreDFS(ws *gemm.Workspace[E], c, a, b matrix.Mat[E]) {
 //     run-to-run deterministic (fixed chunking, fixed fold order, schedule-
 //     independent) but not bit-identical to DFS.
 //
-// Term jobs execute in the Threads=1 twin context — cross-term parallelism
+// Term jobs execute in the Threads=1 context — cross-term parallelism
 // comes from the pool, and gemm results are bit-identical across its worker
 // counts — with every job renting its own workspace and exec state.
 func (p *Plan[E]) mulCoreBFS(c, a, b matrix.Mat[E]) {
@@ -506,7 +507,7 @@ func (p *Plan[E]) mulCoreBFS(c, a, b matrix.Mat[E]) {
 				}
 			}}
 		}
-		p.pool.Run(jobs)
+		p.ctx.Pool().Run(jobs)
 		// Ordered fold: ascending term order replays the serial path's
 		// per-element addition sequence exactly.
 		for r := 0; r < R; r++ {
@@ -540,7 +541,7 @@ func (p *Plan[E]) mulCoreBFS(c, a, b matrix.Mat[E]) {
 				}
 			}}
 		}
-		p.pool.Run(jobs)
+		p.ctx.Pool().Run(jobs)
 		// Fixed ascending chunk order keeps repeated runs bit-identical.
 		for j := 0; j < F; j++ {
 			p.addScaled(c, 1, shadows[j])
@@ -552,7 +553,7 @@ func (p *Plan[E]) mulCoreBFS(c, a, b matrix.Mat[E]) {
 }
 
 // termProduct computes term r's explicit product Mr into prod (zeroing it
-// first) for the Naive and AB variants, single-threaded in the serial twin
+// first) for the Naive and AB variants, single-threaded in the Threads=1
 // context — the BFS parallel-phase body.
 //
 //fmm:hotpath
@@ -645,7 +646,7 @@ func (p *Plan[E]) addScaled(dst matrix.Mat[E], coef E, src matrix.Mat[E]) {
 			dst.View(r0, 0, rows, dst.Cols).AddScaled(coef, src.View(r0, 0, rows, src.Cols))
 		}})
 	}
-	p.pool.Run(jobs)
+	p.ctx.Pool().Run(jobs)
 }
 
 // grow returns a matrix of exactly r×c, reusing ws's backing array when it is

@@ -8,6 +8,7 @@ import (
 	"fmmfam/internal/core"
 	"fmmfam/internal/gemm"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/sched"
 )
 
 // allBFS builds an n-level all-BFS traversal.
@@ -283,4 +284,27 @@ func TestBFSWithThreadsOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTraversal(t, p, 20, 20, 20, 900, 1e-9)
+}
+
+// TestPlanOnSharedPool: a plan built on a caller's pool hands that same pool
+// to both of its gemm contexts, and a plan built without one shares a single
+// private pool between them — a plan never holds two worker budgets.
+func TestPlanOnSharedPool(t *testing.T) {
+	cfg := gemm.Config{MC: 16, KC: 16, NC: 32, Threads: 4}
+	shared := sched.NewPool(4)
+	for _, pool := range []*sched.Pool{shared, nil} {
+		p, err := NewPlanOn[float64](pool, cfg, AB, []Step{BFS}, core.Strassen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.serialCtx == nil {
+			t.Fatal("BFS plan has no Threads=1 context")
+		}
+		if p.ctx.Pool() == nil || p.ctx.Pool() != p.serialCtx.Pool() {
+			t.Fatal("plan's two contexts run on different pools")
+		}
+		if pool != nil && p.ctx.Pool() != pool {
+			t.Fatal("plan ignored the pool it was built on")
+		}
+	}
 }

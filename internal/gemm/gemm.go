@@ -16,8 +16,10 @@
 // hot path.
 //
 // Parallelism mirrors the paper (§5.1): the third loop around the
-// micro-kernel (the ic loop over mC-sized row panels of A) is divided among
-// goroutines, the Go analogue of the OpenMP data parallelism of [20].
+// micro-kernel (the ic loop over mC-sized row panels of A) and the packing of
+// B̃ are divided into jobs on a sched.Pool, the Go analogue of the OpenMP
+// data parallelism of [20] — the pool the context was built on (NewContextOn;
+// a Multiplier builds every context on its one pool) or a private one.
 //
 // Concurrency contract: a Context is immutable after construction and safe
 // for unlimited concurrent callers. All mutable state (the Ã/B̃ packing
@@ -126,11 +128,12 @@ type Context[E matrix.Element] struct {
 	cfg  Config
 	bk   kernel.Backend[E]
 	pool *workspacePool[E]
-	// sp is the context's bounded worker budget for packing and ic-loop
-	// fan-out. All goroutine fan-out rides internal/sched (the detorder
-	// analyzer enforces this): the pool's non-blocking token budget keeps
-	// concurrent callers from oversubscribing the machine, and nested calls
-	// degrade to serial instead of deadlocking.
+	// sp is the worker budget packing and the ic loop fan out on: the pool
+	// the context was built on, or a private one of Threads. All goroutine
+	// fan-out rides internal/sched (the detorder analyzer enforces this): the
+	// pool's non-blocking token budget keeps concurrent callers from
+	// oversubscribing the machine, and nested calls degrade to serial instead
+	// of deadlocking.
 	sp *sched.Pool
 
 	// fast marks the default backend, whose inner loops run through the
@@ -145,11 +148,22 @@ type Context[E matrix.Element] struct {
 // type E, and prepares the workspace pool (one workspace is pre-allocated so
 // the first call does not pay the allocation).
 func NewContext[E matrix.Element](cfg Config) (*Context[E], error) {
+	return NewContextOn[E](cfg, nil)
+}
+
+// NewContextOn is NewContext on a caller-owned worker pool, so that every
+// context (and plan) built on one pool shares one goroutine budget;
+// cfg.Threads still sizes this context's fan-out (jobs per call, Ã buffers
+// per workspace). A nil pool means a private one of cfg.Threads.
+func NewContextOn[E matrix.Element](cfg Config, pool *sched.Pool) (*Context[E], error) {
 	bk, err := resolveBackend[E](cfg)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context[E]{cfg: cfg, bk: bk, pool: newWorkspacePool[E](cfg, bk), sp: sched.NewPool(cfg.Threads), fast: bk.Name() == kernel.DefaultBackend}
+	if pool == nil {
+		pool = sched.NewPool(cfg.Threads)
+	}
+	ctx := &Context[E]{cfg: cfg, bk: bk, pool: newWorkspacePool[E](cfg, bk), sp: pool, fast: bk.Name() == kernel.DefaultBackend}
 	ctx.pool.put(newWorkspace[E](cfg, bk))
 	return ctx, nil
 }
@@ -168,6 +182,9 @@ func (ctx *Context[E]) Config() Config { return ctx.cfg }
 
 // Backend returns the micro-kernel backend the context drives.
 func (ctx *Context[E]) Backend() kernel.Backend[E] { return ctx.bk }
+
+// Pool returns the worker pool the context fans out on.
+func (ctx *Context[E]) Pool() *sched.Pool { return ctx.sp }
 
 // MulAdd computes c += a·b (plain GEMM through the fused path). Safe for
 // concurrent callers.

@@ -9,8 +9,9 @@
 //     can be scattered, with weights, into several submatrices of C (the ABC
 //     variant's fused micro-kernel).
 //
-// The kernel is pure Go (the paper uses SSE2/AVX assembly; see DESIGN.md §5
-// for why the substitution preserves the experiments' shape) and generic over
+// The kernel is pure Go (the paper uses SSE2/AVX assembly; the substitution
+// slows every variant by the same factor, so the experiments keep their
+// shape — the avx2 backend is the assembly counterpart) and generic over
 // the element type (float32 or float64): each instantiation compiles to
 // fully specialized scalar code, so the float64 loops are the same machine
 // code as the historical non-generic kernel (pinned by golden tests) and the

@@ -3,14 +3,14 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
 // DetOrder enforces the engine's determinism contract in the packages where
 // floating-point results are folded: fmmexec's term loops, gemm's blocked
-// loops, shard's tile fold, the multiplier's sharded reduction, and the
-// serve package's coalescing/dispatch layer.
+// loops, shard's tile fold, the root fmmfam package (the multiplier's
+// sharded reduction, batch dispatch and async queue), and the serve
+// package's coalescing/dispatch layer.
 //
 // Two rules:
 //
@@ -27,14 +27,14 @@ import (
 //     cost-sorted seeding. PR 6 removed exactly such a fan-out; this rule
 //     keeps it out. A go statement whose line carries an //fmm:go-ok
 //     comment is waived — that is for bounded service-lifecycle goroutines
-//     (a shutdown watcher, a listener loop), never for compute fan-out, and
-//     the comment must say why.
+//     (a shutdown watcher, a listener loop, the async queue's drainers),
+//     never for compute fan-out, and the comment must say why.
 var DetOrder = &Analyzer{
 	Name: "detorder",
 	Doc: `forbid nondeterministic fold order and bare goroutine fan-out
 
-In internal/fmmexec, internal/gemm, internal/shard, serve, and
-multiplier.go: ranging over a map while the loop body writes slice/array
+In internal/fmmexec, internal/gemm, internal/shard, serve, and the root
+fmmfam package: ranging over a map while the loop body writes slice/array
 elements or calls matrix mutators is forbidden (map order is random; fold
 order into C is part of the bit-reproducibility contract — iterate a sorted
 key slice instead), and bare go statements are forbidden (all fan-out goes
@@ -47,6 +47,7 @@ why).`,
 // detOrderPkgs are the determinism-critical packages, matched by final
 // import-path element so fixtures exercise the same scoping.
 var detOrderPkgs = map[string]bool{
+	"fmmfam":  true, // the module root: multiplier, async queue, autotune wiring
 	"fmmexec": true,
 	"gemm":    true,
 	"shard":   true,
@@ -80,13 +81,10 @@ var matMutators = map[string]bool{
 }
 
 func runDetOrder(pass *Pass) error {
-	pkgScoped := detOrderPkgs[lastElem(pass.Path)]
+	if !detOrderPkgs[lastElem(pass.Path)] {
+		return nil
+	}
 	for _, file := range pass.Files {
-		scoped := pkgScoped ||
-			filepath.Base(pass.Fset.Position(file.Pos()).Filename) == "multiplier.go"
-		if !scoped {
-			continue
-		}
 		goOK := goOKLines(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {

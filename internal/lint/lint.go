@@ -11,7 +11,7 @@
 //	               constructs: non-constant make, append growth, new, slice/map
 //	               literals, closures, conversions to interfaces, or fmt.
 //	detorder     — in the determinism-critical packages (internal/fmmexec,
-//	               internal/gemm, internal/shard) and multiplier.go, ranging
+//	               internal/gemm, internal/shard, serve, the root fmmfam), ranging
 //	               over a map must not write output matrices or reduction
 //	               buffers (map order is random; fold order into C is part of
 //	               the bit-reproducibility contract), and all goroutine fan-out

@@ -16,9 +16,10 @@ func TestFixtures(t *testing.T) {
 	}{
 		{RentRelease, "rentrelease"},
 		{HotPathAlloc, "hotpathalloc"},
-		{DetOrder, "gemm"},  // in scope: final path element matches
-		{DetOrder, "serve"}, // in scope: serving front-end, with //fmm:go-ok waivers
-		{DetOrder, "other"}, // out of scope: same constructs, no diagnostics
+		{DetOrder, "gemm"},   // in scope: final path element matches
+		{DetOrder, "serve"},  // in scope: serving front-end, with //fmm:go-ok waivers
+		{DetOrder, "fmmfam"}, // in scope: every file of the root library package
+		{DetOrder, "other"},  // out of scope: same constructs, no diagnostics
 		{LockSafe, "locksafe"},
 	}
 	for _, tc := range cases {

@@ -117,6 +117,20 @@ func seededServeFanout(jobs []func()) {
 			wantSubs: []string{"seeded_violation.go", "bare go statement", "internal/sched"},
 		},
 		{
+			name:     "detorder-root",
+			analyzer: "detorder",
+			file:     "seeded_violation.go",
+			src: `package fmmfam
+
+func seededAsyncFanout(jobs []func()) {
+	for _, j := range jobs {
+		go j()
+	}
+}
+`,
+			wantSubs: []string{"seeded_violation.go", "bare go statement", "internal/sched"},
+		},
+		{
 			name: "locksafe",
 			file: "internal/fmmexec/seeded_violation.go",
 			src: `package fmmexec

@@ -6,12 +6,13 @@
 // ⌈jobs/workers⌉ round-robin schedule models — the realized schedule tracks
 // LPT (longest processing time first) list scheduling instead.
 //
-// Two entry points share the deque machinery: the package-level Run spawns a
-// fresh worker set per batch (the sharding and batch layers, whose callers
-// are not themselves workers), while Pool.Run draws helpers from a shared
-// bounded budget with the caller participating — the nesting-safe form used
-// for parallelism inside one multiplication (term fan-out, row-split adds),
-// where submissions can come from goroutines that are already pool workers.
+// There is one implementation: Pool.Run draws helpers from a bounded token
+// budget with the caller participating — the nesting-safe form every layer
+// of the library submits through (batch jobs, shard tiles, K-split slabs,
+// BFS term jobs, row-split adds, the gemm ic loop and B̃ packing), so jobs
+// that are themselves pool workers can submit more work. The package-level
+// Run is the same call on a throwaway Pool, for callers outside the library's
+// worker budget (benchmarks, tests).
 package sched
 
 import (
@@ -27,44 +28,12 @@ type Job struct {
 	Run  func()
 }
 
-// Run executes every job exactly once on min(workers, len(jobs))
-// goroutines and returns when all jobs have finished. Jobs are sorted
-// costliest-first (stable, so equal costs keep submission order — Run is
-// deterministic in which worker deque each job lands in, though not in
-// execution interleaving) and seeded round-robin across per-worker deques;
-// each worker drains its own deque front to back (its costliest first) and,
-// when empty, steals from the back of the first non-empty victim — half the
-// victim's deque at once when it is backlogged (≥ stealHalfMin jobs), one
-// job otherwise. Jobs must
-// not enqueue further jobs; with a fixed job set, one empty-handed sweep of
-// every deque means no work remains and the worker exits.
-//
-// With workers ≤ 1 the jobs run serially on the calling goroutine in
-// submission order.
+// Run executes every job exactly once on a private Pool of workers and
+// returns when all jobs have finished: NewPool(workers).Run(jobs). Library
+// code submits to its Multiplier's (or context's) long-lived Pool instead, so
+// it stays inside one worker budget.
 func Run(workers int, jobs []Job) {
-	n := len(jobs)
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			jobs[i].Run()
-		}
-		return
-	}
-	deques := seedDeques(jobs, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(self int) {
-			defer wg.Done()
-			drain(deques, jobs, self)
-		}(w)
-	}
-	wg.Wait()
+	NewPool(workers).Run(jobs)
 }
 
 // seedDeques sorts jobs costliest-first (stable, so equal costs keep
@@ -145,11 +114,19 @@ func NewPool(workers int) *Pool {
 }
 
 // Run executes every job exactly once and returns when all have finished.
-// The calling goroutine participates as a worker (jobs are seeded across the
-// caller plus however many helper tokens were free — work stealing balances
-// exactly as in the package-level Run), so Run is safe to call from inside a
-// job running on this same Pool. With no free tokens (or a single job) the
-// jobs run serially on the caller in submission order.
+// The calling goroutine participates as a worker, joined by however many
+// helper tokens were free, so Run is safe to call from inside a job running
+// on this same Pool. Jobs are sorted costliest-first (stable, so equal costs
+// keep submission order — Run is deterministic in which worker deque each job
+// lands in, though not in execution interleaving) and seeded round-robin
+// across per-worker deques; each worker drains its own deque front to back
+// (its costliest first) and, when empty, steals from the back of the first
+// non-empty victim — half the victim's deque at once when it is backlogged
+// (≥ stealHalfMin jobs), one job otherwise. Jobs must not enqueue further
+// jobs into the same Run; with a fixed job set, one empty-handed sweep of
+// every deque means no work remains and the worker exits. With no free
+// tokens (or a single job) the jobs run serially on the caller in submission
+// order.
 func (p *Pool) Run(jobs []Job) {
 	n := len(jobs)
 	if n == 0 {

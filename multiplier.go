@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -36,12 +35,32 @@ import (
 // a float32 buffer can never be handed to a float64 call, however the two
 // surfaces interleave.
 //
+// One worker budget: a multiplier owns exactly one sched.Pool of
+// Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
+// works too) and builds every plan and gemm context on it. Batch jobs, shard
+// tiles, K-split slabs, BFS term jobs, row-split adds, the gemm ic loop and
+// B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
+// run the jobs serially on the caller — is what bounds goroutines, for any
+// mix and nesting of concurrent callers:
+//
+//	live compute goroutines ≤ callers + (Threads − 1) helpers,
+//
+// the MulAddAsync queue counting as at most Threads callers (its drainers).
+//
+// One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
+// runs its class's width-Threads plan (intra-GEMM fan-out, model-chosen
+// traversal); shard tiles, K-split slabs, batch and async jobs run the
+// width-1 plan, their parallelism being across jobs. The determinism
+// contracts depend on which plan runs and on the fixed fold orders, never on
+// who runs a job: batch and tile results do not depend on Threads, and a 2-D
+// sharded result equals the sequential execution of its tiles on a Threads=1
+// multiplier bit for bit.
+//
 // Serving behavior: problems at or above Config.ShardThreshold (with
 // Threads ≥ 2) are split into independent block products — cutting the M×N
 // output and, for K-dominant shapes with Config.ShardKSplit enabled, the
-// inner dimension too — and scheduled across a work-stealing pool;
-// MulAddAsync submits work to a bounded queue and returns a Future; the
-// plan cache is LRU-bounded by Config.PlanCacheCap.
+// inner dimension too; MulAddAsync submits work to a bounded queue and
+// returns a Future; the plan cache is LRU-bounded by Config.PlanCacheCap.
 type GenericMultiplier[E matrix.Element] struct {
 	cfg  Config
 	arch Arch
@@ -67,6 +86,7 @@ type GenericMultiplier[E matrix.Element] struct {
 	feedback  *model.Feedback
 	foldScale atomic.Uint64
 
+	pool  *sched.Pool // the one worker budget
 	plans *planCache[E]
 
 	// shardTuns holds the per-shape-class shard-grid tuners (the sharded
@@ -75,7 +95,7 @@ type GenericMultiplier[E matrix.Element] struct {
 	// growing without bound.
 	shardTuns struct {
 		sync.Mutex
-		m map[string]*shardTuner
+		m map[planKey]*shardTuner
 	}
 
 	// redBufs is the bounded free list of K-split reduction buffers, rented
@@ -85,22 +105,11 @@ type GenericMultiplier[E matrix.Element] struct {
 	// allocate nothing.
 	redBufs chan []E
 
-	// serial is a lazily-built Threads=1 twin that executes every batch,
-	// sharded, and async job: cross-job parallelism comes from the pool, so
-	// running each job single-threaded keeps total goroutines ≈ Threads
-	// instead of Threads², and makes job results independent of the parent's
-	// Threads setting.
-	serialOnce sync.Once
-	serial     atomic.Pointer[GenericMultiplier[E]]
-
 	// minTile is the lazily-computed shard tile floor (model break-even).
 	minTileOnce sync.Once
 	minTile     int
 
-	// async is the lazily-started MulAddAsync queue + worker pool; written
-	// only inside asyncOnce, so all access goes through asyncState.
-	asyncOnce sync.Once
-	async     *asyncPool[E]
+	async asyncQueue[E]
 }
 
 // Multiplier is the float64 multiplier — the historical public surface,
@@ -114,8 +123,8 @@ type Multiplier32 = GenericMultiplier[float32]
 // archCache memoizes measured machine constants per (kernel, dtype) pair,
 // process-wide: every multiplier constructed with calibration enabled for
 // the same pair reuses one measurement (the probes cost ~100ms and allocate
-// a bandwidth-sweep buffer, so per-construction measurement would make the
-// serial twins and tests pay repeatedly for identical numbers).
+// a bandwidth-sweep buffer, so per-construction measurement would make
+// servers and tests pay repeatedly for identical numbers).
 var archCache = struct {
 	sync.Mutex
 	m map[archKey]Arch
@@ -156,13 +165,6 @@ func calibratedArch[E matrix.Element](gcfg gemm.Config) (Arch, error) {
 	return a, nil
 }
 
-// calibrateEnabled reports whether construction-time calibration is on:
-// the Config flag, or the FMMFAM_CALIBRATE=1 environment variable (the
-// no-recompile switch for deployed binaries).
-func calibrateEnabled(cfg Config) bool {
-	return cfg.Calibrate || os.Getenv("FMMFAM_CALIBRATE") == "1"
-}
-
 // NewGenericMultiplier returns a multiplier for element type E using the
 // given blocking/threads and machine parameters for selection. The arch is
 // re-priced for E (model.ArchForDtype — float32 halves the per-element
@@ -174,37 +176,27 @@ func calibrateEnabled(cfg Config) bool {
 // by measured ones, cached process-wide per (kernel, dtype). An invalid cfg
 // is reported by every entry point's first call (see Config.Validate).
 func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMultiplier[E] {
-	workers := cfg.Threads
-	if workers < 1 {
-		workers = 1
-	}
-	cfgErr := validateConfig[E](cfg)
-	if cfgErr == nil && calibrateEnabled(cfg) {
+	set := resolveEnv(cfg)
+	cfgErr := validateConfig[E](cfg, set)
+	if cfgErr == nil && set.calibrate {
 		if measured, err := calibratedArch[E](cfg.gemmConfig()); err == nil {
 			arch = measured
 		} else {
 			cfgErr = err
 		}
 	}
-	traversal, trErr := resolveTraversal(cfg)
-	if cfgErr == nil {
-		cfgErr = trErr
-	}
-	tune, tuneFrac, tuneErr := resolveAutotune(cfg)
-	if cfgErr == nil {
-		cfgErr = tuneErr
-	}
 	mu := &GenericMultiplier[E]{
 		cfg:       cfg,
 		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
 		cfgErr:    cfgErr,
-		traversal: traversal,
-		tune:      tune,
-		tuneFrac:  tuneFrac,
+		traversal: set.traversal,
+		tune:      set.tune,
+		tuneFrac:  set.tuneFrac,
+		pool:      sched.NewPool(cfg.Threads),
 		plans:     newPlanCache[E](cfg.planCacheCap()),
-		redBufs:   make(chan []E, 2*workers),
+		redBufs:   make(chan []E, 2*max(cfg.Threads, 1)),
 	}
-	if tune {
+	if mu.tune {
 		mu.feedback = model.NewFeedback()
 	}
 	return mu
@@ -240,19 +232,29 @@ func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 	if mu.cfgErr != nil {
 		return mu.cfgErr
 	}
+	return mu.mulAdd(c, a, b, mu.cfg.Threads)
+}
+
+// mulAdd is c += a·b at one plan width. MulAdd asks for Config.Threads: the
+// problem may shard, and otherwise runs its class's full-width plan. Pool
+// jobs (batch, shard tile, K-split slab, async) ask for 1: no re-sharding,
+// and the plan a Threads=1 multiplier would run.
+func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int) error {
 	if err := checkMulDims(c, a, b); err != nil {
 		return err
 	}
 	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
 		return nil
 	}
-	if spec, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
-		if mu.tune {
-			return mu.mulAddShardedTuned(spec, c, a, b)
+	if threads > 1 {
+		if spec, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
+			if mu.tune {
+				return mu.mulAddShardedTuned(spec, c, a, b)
+			}
+			return mu.mulAddSharded(spec, c, a, b)
 		}
-		return mu.mulAddSharded(spec, c, a, b)
 	}
-	e, err := mu.entryFor(a.Rows, a.Cols, b.Cols)
+	e, err := mu.entryFor(a.Rows, a.Cols, b.Cols, threads)
 	if err != nil {
 		return err
 	}
@@ -274,16 +276,13 @@ type BatchJob = GenericBatchJob[float64]
 // BatchJob32 is the float32 batch job.
 type BatchJob32 = GenericBatchJob[float32]
 
-// MulAddBatch schedules the jobs across a work-stealing worker pool sized
-// by the multiplier's configured thread count: jobs are seeded across
-// per-worker deques costliest-first (by classical flop count 2·m·k·n) and
-// idle workers steal from busy ones — half a backlogged victim's deque at a
-// time — so mixed-size batches don't pay a straggler round. Batch contract:
-// every job executes with single-threaded plan execution through the
-// multiplier's serial twin, regardless of worker count — the parallelism is
-// across jobs, not within one — so results and plan selection are identical
-// whether the pool runs with one worker or many, and the machine is never
-// oversubscribed beyond the configured worker count. Jobs must be
+// MulAddBatch schedules the jobs on the multiplier's worker pool: jobs are
+// seeded across per-worker deques costliest-first (by classical flop count
+// 2·m·k·n) and idle workers steal from busy ones — half a backlogged victim's
+// deque at a time — so mixed-size batches don't pay a straggler round. Batch
+// contract: every job executes its shape class's width-1 plan — the
+// parallelism is across jobs, not within one — so results and plan selection
+// are identical whether the pool has one worker or many. Jobs must be
 // independent (no C aliases another job's operands). It returns the join of
 // all per-job errors; jobs after a failed one still run.
 func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
@@ -293,11 +292,6 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	workers := mu.cfg.Threads
-	if workers < 1 {
-		workers = 1
-	}
-	exec := mu.serialMultiplier()
 	errs := make([]error, len(jobs))
 	sjobs := make([]sched.Job, len(jobs))
 	for i := range jobs {
@@ -305,36 +299,11 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 		j := jobs[i]
 		sjobs[i] = sched.Job{
 			Cost: 2 * int64(j.A.Rows) * int64(j.A.Cols) * int64(j.B.Cols),
-			Run:  func() { errs[i] = exec.MulAdd(j.C, j.A, j.B) },
+			Run:  func() { errs[i] = mu.mulAdd(j.C, j.A, j.B, 1) },
 		}
 	}
-	sched.Run(workers, sjobs)
+	mu.pool.Run(sjobs)
 	return errors.Join(errs...)
-}
-
-// serialMultiplier returns the Threads=1 twin executing batch, sharded, and
-// async jobs, sharing this multiplier's arch and blocking but with its own
-// plan cache. Threads=1 also disables sharding on the twin, so pool jobs
-// never recursively re-shard.
-func (mu *GenericMultiplier[E]) serialMultiplier() *GenericMultiplier[E] {
-	mu.serialOnce.Do(func() {
-		cfg := mu.cfg
-		cfg.Threads = 1
-		s := NewGenericMultiplier[E](cfg, mu.arch)
-		// The twin executes under the parent's construction-time policies:
-		// validation verdict, resolved traversal, and resolved autotune state
-		// are copied rather than re-read from the environment at first
-		// batch/shard/async use, so an env change after the parent was built
-		// cannot split parent and twin behavior. The feedback store is shared
-		// — measured wins from batch traffic inform the same selection.
-		s.cfgErr = mu.cfgErr
-		s.traversal = mu.traversal
-		s.tune = mu.tune
-		s.tuneFrac = mu.tuneFrac
-		s.feedback = mu.feedback
-		mu.serial.Store(s)
-	})
-	return mu.serial.Load()
 }
 
 // shardMinTile resolves the shard tile floor: the configured override, or
@@ -416,15 +385,14 @@ type kGroup[E matrix.Element] struct {
 // accumulates directly into the tile's C view; each later slab accumulates
 // into a zeroed reduction buffer rented from the multiplier's pool; and
 // whichever worker finishes a tile's last slab folds that tile's buffers
-// into C in ascending slab order. Every slab product runs single-threaded
-// in the serial twin and the fold order is fixed, so repeated runs produce
+// into C in ascending slab order. Every slab product runs its width-1 plan
+// and the fold order is fixed, so repeated runs produce
 // bit-identical C even though the schedule is not deterministic — the
 // serving determinism contract for K-split (the 2D path is stronger:
 // bit-identical to sequential tile execution).
 func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.Mat[E]) error {
 	tiles := spec.Tiles() // GridK consecutive slabs per output tile, ascending P
 	gk := spec.GridK
-	exec := mu.serialMultiplier()
 	errs := make([]error, len(tiles))
 	groups := make([]kGroup[E], spec.GridM*spec.GridN)
 	for gi := range groups {
@@ -451,7 +419,7 @@ func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.M
 		sjobs[i] = sched.Job{
 			Cost: int64(t.Rows) * int64(t.Cols) * int64(t.Depth),
 			Run: func() {
-				errs[i] = exec.MulAdd(cv, av, bv)
+				errs[i] = mu.mulAdd(cv, av, bv, 1)
 				if g.remaining.Add(-1) == 0 {
 					for _, buf := range g.bufs {
 						g.c.AddScaled(1, buf)
@@ -460,7 +428,7 @@ func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.M
 			},
 		}
 	}
-	sched.Run(mu.cfg.Threads, sjobs)
+	mu.pool.Run(sjobs)
 	for gi := range groups {
 		for _, buf := range groups[gi].bufs {
 			mu.returnRedBuf(buf)
@@ -510,25 +478,22 @@ func (mu *GenericMultiplier[E]) returnRedBuf(m matrix.Mat[E]) {
 	}
 }
 
-// PlanFor exposes the plan the multiplier would use for a problem size
-// (useful for inspection and testing).
+// PlanFor exposes the plan a direct, unsharded MulAdd would use for a problem
+// size (useful for inspection and testing).
 func (mu *GenericMultiplier[E]) PlanFor(m, k, n int) (*fmmexec.Plan[E], error) {
-	return mu.planFor(m, k, n)
-}
-
-func (mu *GenericMultiplier[E]) planFor(m, k, n int) (*fmmexec.Plan[E], error) {
-	e, err := mu.entryFor(m, k, n)
+	e, err := mu.entryFor(m, k, n, mu.cfg.Threads)
 	if err != nil {
 		return nil, err
 	}
 	return e.p, nil
 }
 
-// entryFor returns the cached plan-cache entry for a problem's shape class,
-// building it on first use: the model-selected plan, plus — when autotuning
-// is on — the shape class's bandit and its challenger arm plans.
-func (mu *GenericMultiplier[E]) entryFor(m, k, n int) (*planEntry[E], error) {
-	key := shapeClass(m, k, n)
+// entryFor returns the cached plan-cache entry for a problem's shape class
+// at the given width, building it on first use: the model-selected plan,
+// plus — when autotuning is on — the shape class's bandit and its challenger
+// arm plans.
+func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], error) {
+	key := shapeClass(m, k, n, threads)
 	if e, ok := mu.plans.get(key); ok {
 		return e, nil
 	}
@@ -540,11 +505,11 @@ func (mu *GenericMultiplier[E]) entryFor(m, k, n int) (*planEntry[E], error) {
 		return mu.plans.add(key, &planEntry[E]{p: tun.arms[tun.tuner.Incumbent()].plan, tun: tun}), nil
 	}
 	cand := Recommend(mu.arch, m, k, n)
-	p, err := fmmexec.NewPlanTraversal[E](mu.cfg.gemmConfig(), cand.Variant, mu.traversalFor(cand, m, k, n), cand.Levels...)
+	_, arm, err := mu.buildArm(cand, mu.traversalFor(cand, m, k, n, threads), "", threads)
 	if err != nil {
 		return nil, err
 	}
-	return mu.plans.add(key, &planEntry[E]{p: p}), nil
+	return mu.plans.add(key, &planEntry[E]{p: arm.plan}), nil
 }
 
 // traversalFor resolves a plan's per-level term traversal: forced modes map
@@ -552,18 +517,17 @@ func (mu *GenericMultiplier[E]) entryFor(m, k, n int) (*planEntry[E], error) {
 // performance model (model.TraversalPlan) with the shape-class bucket sizes —
 // the same bucketing that keys the plan cache, so a cached plan's traversal
 // is a stable property of its shape class rather than of whichever concrete
-// size happened to construct it first. The serial twin (Threads=1) always
-// resolves to nil under auto, so batch, sharded, and async jobs keep the
-// serial term loop — intra-plan fan-out composes with, never multiplies,
-// cross-job parallelism.
-func (mu *GenericMultiplier[E]) traversalFor(cand Candidate, m, k, n int) []fmmexec.Step {
+// size happened to construct it first. At width 1 auto always resolves to
+// nil, so batch, sharded, and async jobs keep the serial term loop —
+// intra-plan fan-out composes with, never multiplies, cross-job parallelism.
+func (mu *GenericMultiplier[E]) traversalFor(cand Candidate, m, k, n, threads int) []fmmexec.Step {
 	switch mu.traversal {
 	case TraversalDFS:
 		return nil
 	case TraversalBFS:
 		return forcedSteps(TraversalBFS, len(cand.Levels))
 	}
-	return model.TraversalPlanScaled(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, mu.cfg.Threads, mu.foldScaleVal())
+	return model.TraversalPlanScaled(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, threads, mu.foldScaleVal())
 }
 
 // foldScaleVal reads the fitted traversal fold-cost scale: 1 (the analytic
@@ -575,7 +539,8 @@ func (mu *GenericMultiplier[E]) foldScaleVal() float64 {
 	return 1
 }
 
-// CachedPlans reports how many distinct shape classes are currently cached.
+// CachedPlans reports how many plans are cached, over both widths (a shape
+// class served both directly and through pool jobs counts twice).
 func (mu *GenericMultiplier[E]) CachedPlans() int { return mu.plans.len() }
 
 // planCache is the multiplier's bounded plan cache: a map guarded by an
@@ -586,7 +551,7 @@ type planCache[E matrix.Element] struct {
 	tick atomic.Int64
 
 	mu sync.RWMutex
-	m  map[string]*planEntry[E]
+	m  map[planKey]*planEntry[E]
 }
 
 // planEntry is one cached shape class: the plan untuned serving executes,
@@ -600,10 +565,10 @@ type planEntry[E matrix.Element] struct {
 }
 
 func newPlanCache[E matrix.Element](cap int) *planCache[E] {
-	return &planCache[E]{cap: cap, m: make(map[string]*planEntry[E])}
+	return &planCache[E]{cap: cap, m: make(map[planKey]*planEntry[E])}
 }
 
-func (pc *planCache[E]) get(key string) (*planEntry[E], bool) {
+func (pc *planCache[E]) get(key planKey) (*planEntry[E], bool) {
 	pc.mu.RLock()
 	e := pc.m[key]
 	pc.mu.RUnlock()
@@ -618,7 +583,7 @@ func (pc *planCache[E]) get(key string) (*planEntry[E], bool) {
 // the incumbent entry is returned — callers of the same shape class always
 // share one plan (and one tuner). When the cache is over capacity the
 // least-recently-used entry is evicted.
-func (pc *planCache[E]) add(key string, e *planEntry[E]) *planEntry[E] {
+func (pc *planCache[E]) add(key planKey, e *planEntry[E]) *planEntry[E] {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if have, ok := pc.m[key]; ok {
@@ -629,7 +594,7 @@ func (pc *planCache[E]) add(key string, e *planEntry[E]) *planEntry[E] {
 	pc.m[key] = e
 	if pc.cap > 0 {
 		for len(pc.m) > pc.cap {
-			var oldestKey string
+			var oldestKey planKey
 			oldest := int64(1<<63 - 1)
 			for k, v := range pc.m {
 				if last := v.last.Load(); last < oldest {
@@ -643,10 +608,10 @@ func (pc *planCache[E]) add(key string, e *planEntry[E]) *planEntry[E] {
 }
 
 // entries returns a point-in-time copy of the cache's (key, entry) pairs.
-func (pc *planCache[E]) entries() map[string]*planEntry[E] {
+func (pc *planCache[E]) entries() map[planKey]*planEntry[E] {
 	pc.mu.RLock()
 	defer pc.mu.RUnlock()
-	out := make(map[string]*planEntry[E], len(pc.m))
+	out := make(map[planKey]*planEntry[E], len(pc.m))
 	for k, v := range pc.m {
 		out[k] = v
 	}
@@ -659,11 +624,20 @@ func (pc *planCache[E]) len() int {
 	return len(pc.m)
 }
 
-// shapeClass buckets problem sizes so that nearby sizes share a plan: each
-// dimension is rounded to its power-of-two bucket. The model's selection is
-// stable well beyond this granularity.
-func shapeClass(m, k, n int) string {
-	return fmt.Sprintf("%d/%d/%d", bucket(m), bucket(k), bucket(n))
+// planKey identifies one cached plan: a shape class — each dimension rounded
+// up to its power-of-two bucket, so nearby sizes share a plan (the model's
+// selection is stable well beyond this granularity) — and the gemm thread
+// count the plan was built for (1 or Config.Threads).
+type planKey struct{ bm, bk, bn, threads int }
+
+func shapeClass(m, k, n, threads int) planKey {
+	return planKey{bucket(m), bucket(k), bucket(n), threads}
+}
+
+// String names the shape class alone ("m/k/n"): the key model.Feedback and
+// ShapeTuning.Shape use, shared by a class's two widths.
+func (k planKey) String() string {
+	return fmt.Sprintf("%d/%d/%d", k.bm, k.bk, k.bn)
 }
 
 func bucket(x int) int {
@@ -692,8 +666,8 @@ func defaultCandidates() []Candidate {
 // blocking and the paper's machine model, shared by all callers so repeated
 // package-level calls hit the plan cache instead of rebuilding a plan per
 // call. The FMMFAM_KERNEL environment variable selects its micro-kernel
-// backend (see Kernels); an unknown name is reported by every call through
-// the default multiplier rather than silently falling back.
+// backend (EnvKernel; see Kernels); an unknown name is reported by every call
+// through the default multiplier rather than silently falling back.
 var defaultMultiplierOnce struct {
 	sync.Once
 	mu *Multiplier
@@ -702,7 +676,7 @@ var defaultMultiplierOnce struct {
 func defaultMultiplier() *Multiplier {
 	defaultMultiplierOnce.Do(func() {
 		cfg := DefaultConfig().Parallel()
-		cfg.Kernel = os.Getenv("FMMFAM_KERNEL")
+		cfg.Kernel = EnvKernel()
 		defaultMultiplierOnce.mu = NewMultiplier(cfg, PaperArch())
 	})
 	return defaultMultiplierOnce.mu
@@ -719,7 +693,7 @@ var defaultMultiplier32Once struct {
 func defaultMultiplier32() *Multiplier32 {
 	defaultMultiplier32Once.Do(func() {
 		cfg := DefaultConfig().Parallel()
-		cfg.Kernel = os.Getenv("FMMFAM_KERNEL")
+		cfg.Kernel = EnvKernel()
 		defaultMultiplier32Once.mu = NewMultiplier32(cfg, PaperArch())
 	})
 	return defaultMultiplier32Once.mu

@@ -115,6 +115,83 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestPlanCacheBoundAcrossWidths: direct traffic (full-width plans) and
+// batch traffic (width-1 plans) share one cache and one PlanCacheCap. A
+// multiplier serving both over more shape classes than the cap never
+// reports — or retains — more than cap plans, reports the width-1 plans it
+// holds, and evicts least-recently-used across widths.
+func TestPlanCacheBoundAcrossWidths(t *testing.T) {
+	const limit = 4
+	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, PlanCacheCap: limit}
+	mu := NewMultiplier(cfg, PaperArch())
+	check := func(step string, want int) {
+		t.Helper()
+		if got := mu.CachedPlans(); got != want {
+			t.Fatalf("%s: CachedPlans() = %d, want %d (cap %d)", step, got, want, limit)
+		}
+		if got := mu.Stats().CachedPlans; got != want {
+			t.Fatalf("%s: Stats().CachedPlans = %d, want %d", step, got, want)
+		}
+		if got := len(mu.plans.entries()); got > limit {
+			t.Fatalf("%s: multiplier retains %d plans, cap is %d", step, got, limit)
+		}
+	}
+	mul := func(n int, batch bool) {
+		t.Helper()
+		c, a, b := NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n)
+		var err error
+		if batch {
+			err = mu.MulAddBatch([]BatchJob{{C: c, A: a, B: b}})
+		} else {
+			err = mu.MulAdd(c, a, b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Batch traffic alone is visible: three shape classes, three plans.
+	for i, n := range []int{8, 16, 32} {
+		mul(n, true)
+		check("batch", i+1)
+	}
+	// Direct traffic on three more classes crosses the cap: the total stays
+	// at the cap, and the oldest entries — width-1 ones — are the evicted.
+	for i, n := range []int{64, 100, 8} {
+		mul(n, false)
+		check("direct", min(3+i+1, limit))
+	}
+	for _, n := range []int{8, 16} {
+		if _, ok := mu.plans.entries()[shapeClass(n, n, n, 1)]; ok {
+			t.Fatalf("width-1 plan of the %d³ class survived %d newer insertions at cap %d", n, 3, limit)
+		}
+	}
+	if _, ok := mu.plans.entries()[shapeClass(8, 8, 8, cfg.Threads)]; !ok {
+		t.Fatal("most recent full-width plan missing from the cache")
+	}
+}
+
+// TestMultiplierPlansShareOnePool: every plan a multiplier builds, at either
+// width, runs its contexts on the multiplier's own pool — the one MulAddBatch
+// and the shard paths dispatch on — so there is one worker budget to exhaust.
+// (fmmexec's TestPlanOnSharedPool covers the plan's second context.)
+func TestMultiplierPlansShareOnePool(t *testing.T) {
+	for _, traversal := range []string{TraversalAuto, TraversalBFS} {
+		mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4, Traversal: traversal}, PaperArch())
+		for _, threads := range []int{1, 4} {
+			e, err := mu.entryFor(96, 96, 96, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.p.Context().Pool() != mu.pool {
+				t.Fatalf("traversal %s width %d: plan runs on a pool of its own", traversal, threads)
+			}
+			if got := e.p.Context().Config().Threads; got != threads {
+				t.Fatalf("traversal %s: width-%d entry holds a Threads=%d plan", traversal, threads, got)
+			}
+		}
+	}
+}
+
 func TestBucketPowersOfTwo(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 64: 64, 65: 128, 1000: 1024}
 	for x, want := range cases {

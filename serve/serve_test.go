@@ -73,8 +73,8 @@ type refProduct32 struct {
 // clients mix small multiplies that ride the coalescing window, large
 // multiplies that route through auto-sharding MulAdd, wire batches, and
 // async submissions, all against one live server. Small-multiply and batch
-// results must be bit-identical to a serial reference (they execute on the
-// engine's serial twin); large and async results go through parallel plan
+// results must be bit-identical to a serial reference (they execute the
+// engine's width-1 plans); large and async results go through parallel plan
 // execution and are checked to the serving tolerance. After the clients
 // finish, /v1/stats must account for the traffic, and shutdown must leak
 // nothing.
@@ -246,9 +246,8 @@ func TestServeIntegration(t *testing.T) {
 			t.Errorf("stats: endpoint %q recorded no requests", ep)
 		}
 	}
-	// The coalesced and sharded paths both execute on the serial twin, so the
-	// parent plan cache can legitimately be empty; FoldScale is always ≥ 1,
-	// which pins that the embedded engine stats survive the JSON round-trip.
+	// FoldScale is always ≥ 1, which pins that the embedded engine stats
+	// survive the JSON round-trip.
 	if st.Multiplier.FoldScale < 1 {
 		t.Errorf("stats: embedded float64 multiplier stats empty: %+v", st.Multiplier)
 	}

@@ -29,8 +29,8 @@ func servingCfg() Config {
 // square, tall, wide, and non-power-of-two shapes and checks, per shape:
 //
 //  1. the sharded result is bit-identical to executing the same tile
-//     decomposition sequentially through the serial twin — sharding is pure
-//     scheduling, so pool interleaving must not perturb a single bit;
+//     decomposition sequentially on a Threads=1 multiplier — sharding is
+//     pure scheduling, so pool interleaving must not perturb a single bit;
 //  2. repeated sharded runs are bit-identical (deterministic serving);
 //  3. the sharded result matches the unsharded plan path within a tight
 //     tolerance — the two paths group the additions of the exact same real
@@ -69,7 +69,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shape %v: expected the 2D decomposition, got %v", s, spec)
 		}
 		seq := NewMatrix(m, n)
-		exec := mu.serialMultiplier()
+		seqCfg := servingCfg()
+		seqCfg.Threads = 1
+		exec := NewMultiplier(seqCfg, PaperArch())
 		for _, tl := range spec.Tiles() {
 			if err := exec.MulAdd(
 				seq.View(tl.I, tl.J, tl.Rows, tl.Cols),
@@ -252,11 +254,11 @@ func TestShardGating(t *testing.T) {
 	}
 }
 
-// TestMulAddBatchPlansInSerialTwin pins the unified batch contract: whatever
-// the worker count — including the workers==1 path that used to fall back to
-// the parent's fully-parallel plans — batch jobs plan and execute in the
-// serial twin, so batch results and cache behavior do not depend on Threads.
-func TestMulAddBatchPlansInSerialTwin(t *testing.T) {
+// TestMulAddBatchIndependentOfThreads pins the unified batch contract:
+// whatever the worker count, batch jobs plan and execute at width 1, so
+// batch results and cache behavior do not depend on Threads — one batch of
+// one shape caches exactly one plan.
+func TestMulAddBatchIndependentOfThreads(t *testing.T) {
 	run := func(threads int) (*Multiplier, Matrix) {
 		cfg := Config{MC: 16, KC: 16, NC: 32, Threads: threads}
 		mu := NewMultiplier(cfg, PaperArch())
@@ -276,11 +278,11 @@ func TestMulAddBatchPlansInSerialTwin(t *testing.T) {
 		t.Fatalf("batch result depends on worker count: diff %g", d)
 	}
 	for _, mu := range []*Multiplier{mu1, mu4} {
-		if got := mu.CachedPlans(); got != 0 {
-			t.Fatalf("batch planned %d plans in the parent cache, want 0", got)
+		if got := mu.CachedPlans(); got != 1 {
+			t.Fatalf("Threads=%d: one batch of one shape cached %d plans, want 1", mu.cfg.Threads, got)
 		}
-		if got := mu.serialMultiplier().CachedPlans(); got == 0 {
-			t.Fatal("batch did not plan in the serial twin")
+		if _, ok := mu.plans.get(shapeClass(96, 64, 96, 1)); !ok {
+			t.Fatalf("Threads=%d: batch did not plan at width 1", mu.cfg.Threads)
 		}
 	}
 }
@@ -291,7 +293,7 @@ func TestMulAddBatchPlansInSerialTwin(t *testing.T) {
 // with the right product. Under -race this proves the submission path shares
 // no unsynchronized state.
 func TestMulAddAsyncConcurrentSubmitters(t *testing.T) {
-	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, QueueWorkers: 3, QueueDepth: 2}
+	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 3, QueueDepth: 2}
 	mu := NewMultiplier(cfg, PaperArch())
 	defer mu.Close()
 	refs := makeRefProducts(5)
@@ -330,17 +332,21 @@ func TestMulAddAsyncConcurrentSubmitters(t *testing.T) {
 // submissions after Close fail with ErrClosed, Close is idempotent, and an
 // unused multiplier closes trivially.
 func TestMulAddAsyncErrorsAndClose(t *testing.T) {
-	// Close before the async path was ever used must still stick: later
-	// submissions get ErrClosed rather than lazily reviving the pool.
+	// Close before the async path was ever used must still stick — later
+	// submissions get ErrClosed rather than lazily reviving the queue — and
+	// must not start drainers just to stop them.
 	unused := NewMultiplier(servingCfg(), PaperArch())
 	if err := unused.Close(); err != nil {
 		t.Fatalf("closing an unused multiplier: %v", err)
+	}
+	if unused.async.q != nil {
+		t.Fatal("Close on a never-used async path started the queue")
 	}
 	if err := unused.MulAddAsync(NewMatrix(4, 4), NewMatrix(4, 4), NewMatrix(4, 4)).Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submission after pre-use Close: err=%v, want ErrClosed", err)
 	}
 
-	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1, QueueWorkers: 2}, PaperArch())
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 2}, PaperArch())
 	bad := mu.MulAddAsync(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
 	select {
 	case <-bad.Done():
@@ -399,7 +405,7 @@ func TestMulAddAsyncErrorsAndClose(t *testing.T) {
 // compared with retries because exiting workers are only eventually gone.
 func TestCloseReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4, QueueWorkers: 4}, PaperArch())
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4}, PaperArch())
 	refs := makeRefProducts(3)
 	futures := make([]*Future, 0, len(refs))
 	for _, r := range refs {
@@ -428,8 +434,8 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 
 // TestMulAddAsyncLargeJobSharded is the end-to-end serving flow: an async
 // submission whose problem is big enough to shard still returns the right
-// answer (the async worker executes it single-threaded through the twin, so
-// it must not recursively re-shard into a deadlock).
+// answer (the queue drainer executes it at width 1, so it must not
+// recursively re-shard into a deadlock).
 func TestMulAddAsyncLargeJobSharded(t *testing.T) {
 	mu := NewMultiplier(servingCfg(), PaperArch())
 	defer mu.Close()
