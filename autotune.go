@@ -55,15 +55,14 @@ func trLabel(depth int) string {
 }
 
 // buildArm builds every plan the multiplier caches, tuned or not, on the
-// multiplier's pool: cand executed with the given traversal steps and kernel
-// backend (empty kern = the configured backend) at the given width. The
-// returned key encodes candidate, traversal, and backend, so two arms of one
-// tuner never collide unless they would execute identically.
+// multiplier's engine for the kernel backend (empty kern = the configured
+// backend) at the given width: cand executed with the given traversal steps.
+// The returned key encodes candidate, traversal, and backend, so two arms of
+// one tuner never collide unless they would execute identically.
 func (mu *GenericMultiplier[E]) buildArm(cand Candidate, steps []fmmexec.Step, kern string, threads int) (string, planArm[E], error) {
-	gcfg := mu.cfg.gemmConfig()
-	gcfg.Threads = threads
-	if kern != "" {
-		gcfg.Kernel = kern
+	ctx, err := mu.engine(kern, threads)
+	if err != nil {
+		return "", planArm[E]{}, err
 	}
 	depth := 0
 	for _, s := range steps {
@@ -71,12 +70,8 @@ func (mu *GenericMultiplier[E]) buildArm(cand Candidate, steps []fmmexec.Step, k
 			depth++
 		}
 	}
-	kname, ok := kernel.ResolveNameFor(gcfg.Kernel, matrix.DtypeOf[E]())
-	if !ok {
-		kname = gcfg.Kernel
-	}
-	key := cand.Name() + "|tr=" + trLabel(depth) + "|kern=" + kname
-	p, err := fmmexec.NewPlanOn[E](mu.pool, gcfg, cand.Variant, steps, cand.Levels...)
+	key := cand.Name() + "|tr=" + trLabel(depth) + "|kern=" + ctx.Backend().Name()
+	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, steps, cand.Levels...)
 	if err != nil {
 		return key, planArm[E]{}, err
 	}

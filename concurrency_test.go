@@ -15,7 +15,7 @@ import (
 )
 
 // concurrencyShapes mixes divisible, fringed, and rank-k problems so
-// concurrent callers exercise different plans, exec-state pools, and the
+// concurrent callers exercise different plans, scratch rents, and the
 // peeling paths at once.
 var concurrencyShapes = [][3]int{
 	{64, 64, 64}, {48, 16, 48}, {33, 77, 51}, {100, 30, 100}, {31, 29, 37},
@@ -43,7 +43,7 @@ func makeRefProducts(seed int64) []refProduct {
 // TestMultiplierConcurrentMixedShapes hammers one Multiplier from many
 // goroutines with mixed shapes and checks every result against the naive
 // reference. Under -race this proves MulAdd shares no mutable state across
-// callers (plan cache, packing workspaces, exec-state pools).
+// callers (plan cache, packing workspaces, scratch rents).
 func TestMultiplierConcurrentMixedShapes(t *testing.T) {
 	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 2}, PaperArch())
 	refs := makeRefProducts(1)

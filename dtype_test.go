@@ -86,7 +86,7 @@ func TestMixedDtypePoolIntegrity(t *testing.T) {
 	mu64 := NewMultiplier(cfg, PaperArch())
 	mu32 := NewMultiplier32(cfg, PaperArch())
 	rng := rand.New(rand.NewSource(64))
-	m, k, n := 48, 512, 48 // K-split acceptance shape: exercises redBufs too
+	m, k, n := 48, 512, 48 // K-split acceptance shape: K-split reduction buffers come from the scratch list too
 
 	a64, b64 := NewMatrix(m, k), NewMatrix(k, n)
 	a64.FillRand(rng)

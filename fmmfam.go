@@ -29,7 +29,7 @@
 //
 // Concurrency contract: Plans and Multipliers are immutable descriptions;
 // all mutable per-call state (packing buffers, variant temporaries) is
-// rented from bounded pools per call. Multiply, Multiplier.MulAdd,
+// rented per call from the bounded pools of one engine per Multiplier. Multiply, Multiplier.MulAdd,
 // Multiplier.MulAddBatch, Multiplier.MulAddAsync, and Plan.MulAdd are all
 // safe for unlimited concurrent callers. A Multiplier owns one worker pool
 // of Config.Threads that every layer submits to (the goroutine invariant is
@@ -246,7 +246,8 @@ const (
 	// parallelism.
 	DefaultShardThreshold = 1024
 	// DefaultPlanCacheCap bounds the plan cache; each plan is a few KiB of
-	// coefficient lists (workspace pools are attached but drain when idle).
+	// coefficient lists and owns no buffers (all memory belongs to the
+	// multiplier's one engine per kernel).
 	DefaultPlanCacheCap = 64
 	// DefaultServeAddr is the wire front-end's default listen address.
 	DefaultServeAddr = ":8077"

@@ -30,9 +30,9 @@
 //	      parallelized internally across the configured workers (the
 //	      historical behavior, and the bit-stable reference path);
 //	BFS — the level's independent sub-products fan out across the worker
-//	      pool, each term job running single-threaded with its own rented
-//	      workspace, and the results fold into C in fixed ascending term
-//	      order through reduction buffers.
+//	      pool, each term job running on the context's serial view with its
+//	      own rented workspace, and the results fold into C in fixed
+//	      ascending term order through rented reduction buffers.
 //
 // NewPlanTraversal takes one Step per level (BFS levels must form a prefix —
 // the iterative executor fans contiguous flat-term chunks); NewPlan keeps
@@ -41,11 +41,19 @@
 // bit-identical to DFS; the ABC variant accumulates per-chunk C shadows and
 // is run-to-run deterministic (fixed chunking and fold order) but not
 // bit-identical to its DFS ordering.
+//
+// # Memory
+//
+// A Plan is immutable and stateless: composed algorithm, coefficient column
+// lists, traversal, and the gemm.Context it executes on. Every buffer a call
+// needs — packing workspace, the Naive/AB temporaries, BFS term products and
+// C shadows — is rented from that context for the duration of the call, so
+// any number of plans built on one context (NewPlanOn; a Multiplier builds
+// all of its plans on one context per kernel) retain no memory of their own.
 package fmmexec
 
 import (
 	"fmt"
-	"sync"
 
 	"fmmfam/internal/core"
 	"fmmfam/internal/gemm"
@@ -108,19 +116,16 @@ type coefIdx struct {
 // Plan is a ready-to-run FMM implementation for one element type: per-level
 // algorithms composed into a flat algorithm, a variant, a per-level
 // traversal, and the precomputed non-zero column lists of ⟦U,V,W⟧. Create
-// with NewPlan (all-DFS) or NewPlanTraversal.
+// with NewPlan (all-DFS), NewPlanTraversal, or NewPlanOn.
 //
-// Concurrency contract: a Plan is immutable after construction and safe for
-// unlimited concurrent callers. The mutable scratch of the Naive and AB
-// variants (operand sums and the explicit product Mr) is rented per call
-// from a pool keyed by problem shape, the underlying gemm.Context rents
-// its packing workspaces the same way, and BFS term jobs rent per-term
-// reduction buffers from a bounded pool, so concurrent MulAdd calls never
-// share state. Each call additionally parallelizes internally — across the
-// configured worker count inside one term's GEMM (DFS levels) and across
-// terms (BFS levels) — with all in-call parallelism (term jobs, row-split
-// adds, the gemm contexts' ic loop and packing) drawing helpers from the one
-// sched.Pool the plan was built on (NewPlanOn), or a private one of Threads.
+// Concurrency contract: a Plan is immutable after construction, holds no
+// mutable state, and is safe for unlimited concurrent callers: all scratch is
+// rented per call from the plan's gemm.Context (package comment, "Memory"),
+// so concurrent MulAdd calls never share state. Each call additionally
+// parallelizes internally — across the configured worker count inside one
+// term's GEMM (DFS levels) and across terms (BFS levels) — with all in-call
+// parallelism (term jobs, row-split adds, the gemm ic loop and packing)
+// drawing helpers from the context's one sched.Pool.
 type Plan[E matrix.Element] struct {
 	Levels  []core.Algorithm
 	Flat    core.Algorithm
@@ -134,73 +139,7 @@ type Plan[E matrix.Element] struct {
 	traversal []Step
 	fanout    int
 
-	// serialCtx is the Threads=1 context BFS term jobs execute in, on ctx's
-	// pool: cross-term parallelism comes from the pool, so each term runs
-	// single-threaded with its own rented workspace (the workspace pool's
-	// span is provisioned for the fan-out). nil when fanout == 1.
-	serialCtx *gemm.Context[E]
-
 	uCols, vCols, wCols [][]coefIdx
-
-	// states maps stateKey → *sync.Pool of *execState[E]: per-call scratch
-	// for the Naive and AB variants, keyed by block shape so a pooled state's
-	// backing arrays always fit exactly and mixed-shape callers do not
-	// thrash one another's buffers.
-	states sync.Map
-
-	// termBufs is the bounded free list of BFS reduction buffers (per-term
-	// Mr products for Naive/AB, per-chunk C shadows for ABC), rented like
-	// gemm workspaces: get falls back to allocating, put drops when the pool
-	// is full or the buffer exceeds maxRetainedTermBufFloats, so steady-state
-	// BFS calls allocate nothing while idle retained memory stays capped.
-	// nil when fanout == 1.
-	termBufs chan []E
-}
-
-// execState is the mutable per-call scratch of one plan execution: the
-// explicit operand sums ΣuᵢAᵢ, ΣvⱼBⱼ and the product temporary Mr of the
-// Naive and AB variants, plus the per-term gemm.Term lists all variants
-// assemble on the hot path (hoisted here so steady-state calls build them
-// with zero allocations).
-type execState[E matrix.Element] struct {
-	asum, bsum, mtmp       matrix.Mat[E]
-	aTerms, bTerms, cTerms []gemm.Term[E]
-}
-
-// clearTerms zeroes and truncates the term lists before the state returns to
-// its pool: the entries hold views of the caller's matrices, which a pooled
-// state must not pin past the call.
-func (st *execState[E]) clearTerms() {
-	for i := range st.aTerms {
-		st.aTerms[i] = gemm.Term[E]{}
-	}
-	for i := range st.bTerms {
-		st.bTerms[i] = gemm.Term[E]{}
-	}
-	for i := range st.cTerms {
-		st.cTerms[i] = gemm.Term[E]{}
-	}
-	st.aTerms, st.bTerms, st.cTerms = st.aTerms[:0], st.bTerms[:0], st.cTerms[:0]
-}
-
-// stateKey identifies the submatrix-block shape (sm×sk)·(sk×sn) an execState
-// was sized for.
-type stateKey struct{ sm, sk, sn int }
-
-// stateFor rents an execState for block shape (sm, sk, sn); release clears
-// the term lists and returns it to the shape's pool.
-func (p *Plan[E]) stateFor(sm, sk, sn int) (st *execState[E], release func()) {
-	key := stateKey{sm, sk, sn}
-	v, ok := p.states.Load(key)
-	if !ok {
-		v, _ = p.states.LoadOrStore(key, &sync.Pool{New: func() any { return new(execState[E]) }})
-	}
-	pool := v.(*sync.Pool)
-	st = pool.Get().(*execState[E])
-	return st, func() {
-		st.clearTerms()
-		pool.Put(st)
-	}
 }
 
 // NewPlan composes the given per-level algorithms (outermost first) into an
@@ -218,14 +157,19 @@ func NewPlan[E matrix.Element](cfg gemm.Config, variant Variant, levels ...core.
 // submits to its worker pool; model.TraversalPlan chooses a traversal from
 // the performance model.
 func NewPlanTraversal[E matrix.Element](cfg gemm.Config, variant Variant, traversal []Step, levels ...core.Algorithm) (*Plan[E], error) {
-	return NewPlanOn[E](nil, cfg, variant, traversal, levels...)
+	ctx, err := gemm.NewContext[E](cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewPlanOn(ctx, variant, traversal, levels...)
 }
 
-// NewPlanOn is NewPlanTraversal on a caller-owned worker pool: the plan's
-// term jobs and row-split adds, and both of its gemm contexts, draw helpers
-// from it, so every plan built on one pool shares one goroutine budget. A
-// nil pool means a private one of cfg.Threads.
-func NewPlanOn[E matrix.Element](pool *sched.Pool, cfg gemm.Config, variant Variant, traversal []Step, levels ...core.Algorithm) (*Plan[E], error) {
+// NewPlanOn is NewPlanTraversal on a caller-owned gemm.Context: the plan
+// executes on ctx — its blocking, backend, worker pool, workspaces and
+// scratch list — and adds nothing mutable of its own, so every plan built on
+// one context shares one goroutine budget and one bounded store of buffers.
+// A plan built on ctx.Serial() is the width-1 plan of the same engine.
+func NewPlanOn[E matrix.Element](ctx *gemm.Context[E], variant Variant, traversal []Step, levels ...core.Algorithm) (*Plan[E], error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("fmmexec: no levels")
 	}
@@ -255,10 +199,6 @@ func NewPlanOn[E matrix.Element](pool *sched.Pool, cfg gemm.Config, variant Vari
 			}
 		}
 	}
-	ctx, err := gemm.NewContextOn[E](cfg, pool)
-	if err != nil {
-		return nil, err
-	}
 	p := &Plan[E]{
 		Levels:    append([]core.Algorithm(nil), levels...),
 		Flat:      core.KronAll(levels...),
@@ -266,16 +206,6 @@ func NewPlanOn[E matrix.Element](pool *sched.Pool, cfg gemm.Config, variant Vari
 		ctx:       ctx,
 		traversal: append([]Step(nil), traversal...),
 		fanout:    fanout,
-	}
-	if fanout > 1 {
-		scfg := cfg
-		scfg.Threads = 1
-		scfg.WorkspacePoolSpan = fanout
-		p.serialCtx, err = gemm.NewContextOn[E](scfg, ctx.Pool())
-		if err != nil {
-			return nil, err
-		}
-		p.termBufs = make(chan []E, p.Flat.R)
 	}
 	p.uCols = columns(p.Flat.U)
 	p.vCols = columns(p.Flat.V)
@@ -342,7 +272,7 @@ func (p *Plan[E]) MulAdd(c, a, b matrix.Mat[E]) {
 	// One packing workspace serves the whole call: the per-term loop and the
 	// peeling fringes run sequentially, so renting once avoids hitting the
 	// pool (or allocating, under heavy concurrency) once per recursion term.
-	// (BFS term jobs rent their own workspaces from the Threads=1 context.)
+	// (BFS term jobs rent their own through the context's serial view.)
 	ws := p.ctx.GetWorkspace()
 	defer p.ctx.PutWorkspace(ws)
 	mt, kt, nt := p.Flat.M, p.Flat.K, p.Flat.N
@@ -382,14 +312,15 @@ func (p *Plan[E]) mulCore(ws *gemm.Workspace[E], c, a, b matrix.Mat[E]) {
 // aTermsFor/bTermsFor/cTermsFor append term r's non-zero weighted blocks of
 // the given operand to dst. The ⟦U,V,W⟧ coefficients are small exact
 // rationals (±1, ±1/2, ±1/4, …), so the E(coef) conversions are exact for
-// float32 as well as float64. The appends amortize into the pooled
-// execState term slices, which converge to the plan's max term width.
+// float32 as well as float64. dst is one of the rented workspace's operand
+// lists, so the appends amortize to nothing: the lists converge to the max
+// term width served and stay with the pooled workspace.
 //
 //fmm:hotpath
 func (p *Plan[E]) aTermsFor(dst []gemm.Term[E], a matrix.Mat[E], r int) []gemm.Term[E] {
 	mt, kt := p.Flat.M, p.Flat.K
 	for _, ci := range p.uCols[r] {
-		dst = append(dst, gemm.Term[E]{Coef: E(ci.coef), M: a.Block(ci.idx/kt, ci.idx%kt, mt, kt)}) //fmm:alloc-ok amortized into pooled execState
+		dst = append(dst, gemm.Term[E]{Coef: E(ci.coef), M: a.Block(ci.idx/kt, ci.idx%kt, mt, kt)}) //fmm:alloc-ok amortized into the pooled workspace's term lists
 	}
 	return dst
 }
@@ -398,7 +329,7 @@ func (p *Plan[E]) aTermsFor(dst []gemm.Term[E], a matrix.Mat[E], r int) []gemm.T
 func (p *Plan[E]) bTermsFor(dst []gemm.Term[E], b matrix.Mat[E], r int) []gemm.Term[E] {
 	kt, nt := p.Flat.K, p.Flat.N
 	for _, ci := range p.vCols[r] {
-		dst = append(dst, gemm.Term[E]{Coef: E(ci.coef), M: b.Block(ci.idx/nt, ci.idx%nt, kt, nt)}) //fmm:alloc-ok amortized into pooled execState
+		dst = append(dst, gemm.Term[E]{Coef: E(ci.coef), M: b.Block(ci.idx/nt, ci.idx%nt, kt, nt)}) //fmm:alloc-ok amortized into the pooled workspace's term lists
 	}
 	return dst
 }
@@ -407,7 +338,7 @@ func (p *Plan[E]) bTermsFor(dst []gemm.Term[E], b matrix.Mat[E], r int) []gemm.T
 func (p *Plan[E]) cTermsFor(dst []gemm.Term[E], c matrix.Mat[E], r int) []gemm.Term[E] {
 	mt, nt := p.Flat.M, p.Flat.N
 	for _, ci := range p.wCols[r] {
-		dst = append(dst, gemm.Term[E]{Coef: E(ci.coef), M: c.Block(ci.idx/nt, ci.idx%nt, mt, nt)}) //fmm:alloc-ok amortized into pooled execState
+		dst = append(dst, gemm.Term[E]{Coef: E(ci.coef), M: c.Block(ci.idx/nt, ci.idx%nt, mt, nt)}) //fmm:alloc-ok amortized into the pooled workspace's term lists
 	}
 	return dst
 }
@@ -419,47 +350,36 @@ func (p *Plan[E]) cTermsFor(dst []gemm.Term[E], c matrix.Mat[E], r int) []gemm.T
 func (p *Plan[E]) mulCoreDFS(ws *gemm.Workspace[E], c, a, b matrix.Mat[E]) {
 	mt, kt, nt := p.Flat.M, p.Flat.K, p.Flat.N
 	sm, sk, sn := a.Rows/mt, a.Cols/kt, b.Cols/nt
-	st, release := p.stateFor(sm, sk, sn)
-	defer release()
-	switch p.Variant {
-	case ABC:
+	if p.Variant == ABC {
 		for r := 0; r < p.Flat.R; r++ {
-			st.aTerms = p.aTermsFor(st.aTerms[:0], a, r)
-			st.bTerms = p.bTermsFor(st.bTerms[:0], b, r)
-			st.cTerms = p.cTermsFor(st.cTerms[:0], c, r)
-			p.ctx.FusedMulAddWS(ws, st.cTerms, st.aTerms, st.bTerms)
+			ws.ATerms = p.aTermsFor(ws.ATerms[:0], a, r)
+			ws.BTerms = p.bTermsFor(ws.BTerms[:0], b, r)
+			ws.CTerms = p.cTermsFor(ws.CTerms[:0], c, r)
+			p.ctx.FusedMulAddWS(ws, ws.CTerms, ws.ATerms, ws.BTerms)
 		}
-	case AB:
-		st.mtmp = grow(st.mtmp, sm, sn)
-		for r := 0; r < p.Flat.R; r++ {
-			st.aTerms = p.aTermsFor(st.aTerms[:0], a, r)
-			st.bTerms = p.bTermsFor(st.bTerms[:0], b, r)
-			st.mtmp.Zero()
-			p.ctx.FusedMulAddWS(ws, gemm.SingleTerm(st.mtmp), st.aTerms, st.bTerms)
-			for _, ci := range p.wCols[r] {
-				p.addScaled(c.Block(ci.idx/nt, ci.idx%nt, mt, nt), E(ci.coef), st.mtmp)
-			}
-		}
-	case Naive:
-		st.asum = grow(st.asum, sm, sk)
-		st.bsum = grow(st.bsum, sk, sn)
-		st.mtmp = grow(st.mtmp, sm, sn)
-		for r := 0; r < p.Flat.R; r++ {
-			st.asum.Zero()
-			for _, ci := range p.uCols[r] {
-				p.addScaled(st.asum, E(ci.coef), a.Block(ci.idx/kt, ci.idx%kt, mt, kt))
-			}
-			st.bsum.Zero()
-			for _, ci := range p.vCols[r] {
-				p.addScaled(st.bsum, E(ci.coef), b.Block(ci.idx/nt, ci.idx%nt, kt, nt))
-			}
-			st.mtmp.Zero()
-			p.ctx.MulAddWS(ws, st.mtmp, st.asum, st.bsum)
-			for _, ci := range p.wCols[r] {
-				p.addScaled(c.Block(ci.idx/nt, ci.idx%nt, mt, nt), E(ci.coef), st.mtmp)
-			}
+		return
+	}
+	mtmp := p.ctx.RentMat(sm, sn)
+	defer p.ctx.ReturnMat(mtmp)
+	asum, bsum := p.rentSums(p.ctx, sm, sk, sn)
+	defer p.ctx.ReturnMat(asum)
+	defer p.ctx.ReturnMat(bsum)
+	for r := 0; r < p.Flat.R; r++ {
+		p.termProduct(p.ctx, ws, mtmp, asum, bsum, a, b, r)
+		for _, ci := range p.wCols[r] {
+			addScaled(p.ctx, c.Block(ci.idx/nt, ci.idx%nt, mt, nt), E(ci.coef), mtmp)
 		}
 	}
+}
+
+// rentSums rents the Naive variant's explicit operand sums ΣuᵢAᵢ (sm×sk) and
+// ΣvⱼBⱼ (sk×sn) from ctx. AB fuses the sums into packing and gets empty
+// matrices, which ReturnMat ignores.
+func (p *Plan[E]) rentSums(ctx *gemm.Context[E], sm, sk, sn int) (asum, bsum matrix.Mat[E]) {
+	if p.Variant != Naive {
+		return
+	}
+	return ctx.RentMat(sm, sk), ctx.RentMat(sk, sn)
 }
 
 // mulCoreBFS fans the flat term list across the worker pool in fanout
@@ -478,9 +398,9 @@ func (p *Plan[E]) mulCoreDFS(ws *gemm.Workspace[E], c, a, b matrix.Mat[E]) {
 //     run-to-run deterministic (fixed chunking, fixed fold order, schedule-
 //     independent) but not bit-identical to DFS.
 //
-// Term jobs execute in the Threads=1 context — cross-term parallelism
-// comes from the pool, and gemm results are bit-identical across its worker
-// counts — with every job renting its own workspace and exec state.
+// Term jobs execute on the context's serial view — cross-term parallelism
+// comes from the pool, and gemm results are bit-identical across worker
+// counts — with every job renting its own workspace.
 func (p *Plan[E]) mulCoreBFS(c, a, b matrix.Mat[E]) {
 	mt, kt, nt := p.Flat.M, p.Flat.K, p.Flat.N
 	sm, sk, sn := a.Rows/mt, a.Cols/kt, b.Cols/nt
@@ -488,148 +408,101 @@ func (p *Plan[E]) mulCoreBFS(c, a, b matrix.Mat[E]) {
 	F := p.fanout
 	chunk := R / F
 	jobCost := 2 * int64(chunk) * int64(sm) * int64(sk) * int64(sn)
-	switch p.Variant {
-	case Naive, AB:
-		prods := make([]matrix.Mat[E], R)
-		for r := range prods {
-			prods[r] = p.rentTermBuf(sm, sn)
-		}
-		jobs := make([]sched.Job, F)
-		for j := 0; j < F; j++ {
-			j := j
-			jobs[j] = sched.Job{Cost: jobCost, Run: func() {
-				ws := p.serialCtx.GetWorkspace()
-				defer p.serialCtx.PutWorkspace(ws)
-				st, release := p.stateFor(sm, sk, sn)
-				defer release()
+	serial := p.ctx.Serial()
+	// Naive/AB rent one sm×sn product per term; ABC one C shadow per chunk.
+	bufs := make([]matrix.Mat[E], R)
+	rows, cols := sm, sn
+	if p.Variant == ABC {
+		bufs, rows, cols = bufs[:F], c.Rows, c.Cols
+	}
+	for i := range bufs {
+		bufs[i] = p.ctx.RentMat(rows, cols)
+	}
+	jobs := make([]sched.Job, F)
+	for j := range jobs {
+		jobs[j] = sched.Job{Cost: jobCost, Run: func() {
+			ws := serial.GetWorkspace()
+			defer serial.PutWorkspace(ws)
+			if p.Variant != ABC {
+				asum, bsum := p.rentSums(serial, sm, sk, sn)
+				defer serial.ReturnMat(asum)
+				defer serial.ReturnMat(bsum)
 				for r := j * chunk; r < (j+1)*chunk; r++ {
-					p.termProduct(ws, st, prods[r], a, b, r)
+					p.termProduct(serial, ws, bufs[r], asum, bsum, a, b, r)
 				}
-			}}
+				return
+			}
+			sh := bufs[j]
+			sh.Zero()
+			for r := j * chunk; r < (j+1)*chunk; r++ {
+				ws.ATerms = p.aTermsFor(ws.ATerms[:0], a, r)
+				ws.BTerms = p.bTermsFor(ws.BTerms[:0], b, r)
+				ws.CTerms = p.cTermsFor(ws.CTerms[:0], sh, r)
+				serial.FusedMulAddWS(ws, ws.CTerms, ws.ATerms, ws.BTerms)
+			}
+		}}
+	}
+	p.ctx.Pool().Run(jobs)
+	if p.Variant == ABC {
+		// Fixed ascending chunk order keeps repeated runs bit-identical.
+		for _, sh := range bufs {
+			addScaled(p.ctx, c, 1, sh)
 		}
-		p.ctx.Pool().Run(jobs)
+	} else {
 		// Ordered fold: ascending term order replays the serial path's
 		// per-element addition sequence exactly.
-		for r := 0; r < R; r++ {
+		for r, prod := range bufs {
 			for _, ci := range p.wCols[r] {
-				p.addScaled(c.Block(ci.idx/nt, ci.idx%nt, mt, nt), E(ci.coef), prods[r])
+				addScaled(p.ctx, c.Block(ci.idx/nt, ci.idx%nt, mt, nt), E(ci.coef), prod)
 			}
 		}
-		for _, buf := range prods {
-			p.returnTermBuf(buf)
-		}
-	case ABC:
-		shadows := make([]matrix.Mat[E], F)
-		for j := range shadows {
-			shadows[j] = p.rentTermBuf(c.Rows, c.Cols)
-		}
-		jobs := make([]sched.Job, F)
-		for j := 0; j < F; j++ {
-			j := j
-			jobs[j] = sched.Job{Cost: jobCost, Run: func() {
-				ws := p.serialCtx.GetWorkspace()
-				defer p.serialCtx.PutWorkspace(ws)
-				st, release := p.stateFor(sm, sk, sn)
-				defer release()
-				sh := shadows[j]
-				sh.Zero()
-				for r := j * chunk; r < (j+1)*chunk; r++ {
-					st.aTerms = p.aTermsFor(st.aTerms[:0], a, r)
-					st.bTerms = p.bTermsFor(st.bTerms[:0], b, r)
-					st.cTerms = p.cTermsFor(st.cTerms[:0], sh, r)
-					p.serialCtx.FusedMulAddWS(ws, st.cTerms, st.aTerms, st.bTerms)
-				}
-			}}
-		}
-		p.ctx.Pool().Run(jobs)
-		// Fixed ascending chunk order keeps repeated runs bit-identical.
-		for j := 0; j < F; j++ {
-			p.addScaled(c, 1, shadows[j])
-		}
-		for _, buf := range shadows {
-			p.returnTermBuf(buf)
-		}
+	}
+	for _, buf := range bufs {
+		p.ctx.ReturnMat(buf)
 	}
 }
 
 // termProduct computes term r's explicit product Mr into prod (zeroing it
-// first) for the Naive and AB variants, single-threaded in the Threads=1
-// context — the BFS parallel-phase body.
+// first) for the Naive and AB variants on ctx — the plan's context in the
+// serial term loop, its serial view inside a BFS term job. AB fuses the
+// operand sums into packing; Naive forms them in asum and bsum (rentSums)
+// around a plain GEMM.
 //
 //fmm:hotpath
-func (p *Plan[E]) termProduct(ws *gemm.Workspace[E], st *execState[E], prod matrix.Mat[E], a, b matrix.Mat[E], r int) {
+func (p *Plan[E]) termProduct(ctx *gemm.Context[E], ws *gemm.Workspace[E], prod, asum, bsum, a, b matrix.Mat[E], r int) {
 	mt, kt, nt := p.Flat.M, p.Flat.K, p.Flat.N
 	prod.Zero()
 	if p.Variant == AB {
-		st.aTerms = p.aTermsFor(st.aTerms[:0], a, r)
-		st.bTerms = p.bTermsFor(st.bTerms[:0], b, r)
-		p.serialCtx.FusedMulAddWS(ws, gemm.SingleTerm(prod), st.aTerms, st.bTerms)
+		ws.ATerms = p.aTermsFor(ws.ATerms[:0], a, r)
+		ws.BTerms = p.bTermsFor(ws.BTerms[:0], b, r)
+		ctx.FusedMulAddWS(ws, gemm.SingleTerm(prod), ws.ATerms, ws.BTerms)
 		return
 	}
-	sm, sk, sn := a.Rows/mt, a.Cols/kt, b.Cols/nt
-	st.asum = grow(st.asum, sm, sk)
-	st.bsum = grow(st.bsum, sk, sn)
-	st.asum.Zero()
+	asum.Zero()
 	for _, ci := range p.uCols[r] {
-		st.asum.AddScaled(E(ci.coef), a.Block(ci.idx/kt, ci.idx%kt, mt, kt))
+		addScaled(ctx, asum, E(ci.coef), a.Block(ci.idx/kt, ci.idx%kt, mt, kt))
 	}
-	st.bsum.Zero()
+	bsum.Zero()
 	for _, ci := range p.vCols[r] {
-		st.bsum.AddScaled(E(ci.coef), b.Block(ci.idx/nt, ci.idx%nt, kt, nt))
+		addScaled(ctx, bsum, E(ci.coef), b.Block(ci.idx/nt, ci.idx%nt, kt, nt))
 	}
-	p.serialCtx.MulAddWS(ws, prod, st.asum, st.bsum)
-}
-
-// maxRetainedTermBufFloats caps the size of a single pooled BFS reduction
-// buffer in elements (32 MiB of float64s, 16 MiB of float32s): per-term
-// product buffers are sm×sn (a fraction 1/(M̃·Ñ) of the core output) and
-// ABC chunk shadows are the full core m×n, so typical buffers sit far below
-// this; anything larger goes back to the GC instead of pinning idle memory.
-const maxRetainedTermBufFloats = 1 << 22
-
-// rentTermBuf returns a rows×cols matrix backed by the plan's bounded
-// reduction-buffer pool, allocating fresh when the pool is empty or its
-// buffer is too small. The contents are unspecified — BFS users zero their
-// buffers as part of the compute phase.
-func (p *Plan[E]) rentTermBuf(rows, cols int) matrix.Mat[E] {
-	need := rows * cols
-	var buf []E
-	select {
-	case buf = <-p.termBufs:
-	default:
-	}
-	if cap(buf) < need {
-		buf = make([]E, need)
-	}
-	return matrix.Mat[E]{Rows: rows, Cols: cols, Stride: cols, Data: buf[:need]}
-}
-
-// returnTermBuf offers a reduction buffer back to the pool; oversized
-// buffers and returns beyond the pool bound are dropped for the GC.
-func (p *Plan[E]) returnTermBuf(m matrix.Mat[E]) {
-	if cap(m.Data) > maxRetainedTermBufFloats {
-		return
-	}
-	select {
-	case p.termBufs <- m.Data[:cap(m.Data)]:
-	default:
-	}
+	ctx.MulAddWS(ws, prod, asum, bsum)
 }
 
 // addScaledParThreshold is the element count below which the parallel
 // split's goroutine overhead exceeds the memory-bound work.
 const addScaledParThreshold = 1 << 15
 
-// addScaled computes dst += coef·src, splitting rows across the plan's
-// worker pool for large operands — the explicit submatrix additions of the
-// Naive and AB variants are memory-bound streams that parallelize like the
-// packing. Row chunks go through the shared sched.Pool, so the split
-// composes with BFS term jobs under one worker budget: called from inside a
-// term job with the budget exhausted, it degrades to the plain serial add
-// (each element is written exactly once either way, so the split never
-// changes the result bits).
-func (p *Plan[E]) addScaled(dst matrix.Mat[E], coef E, src matrix.Mat[E]) {
-	threads := p.ctx.Config().Threads
+// addScaled computes dst += coef·src, splitting rows across ctx's worker
+// pool (as many ways as ctx is wide; a serial view adds in place) for large
+// operands — the explicit submatrix additions of the Naive and AB variants
+// are memory-bound streams that parallelize like the packing. Row chunks go
+// through the shared sched.Pool, so the split composes with everything else
+// under one worker budget: with the budget exhausted it degrades to the
+// plain serial add (each element is written exactly once either way, so the
+// split never changes the result bits).
+func addScaled[E matrix.Element](ctx *gemm.Context[E], dst matrix.Mat[E], coef E, src matrix.Mat[E]) {
+	threads := ctx.Config().Threads
 	if threads <= 1 || dst.Rows*dst.Cols < addScaledParThreshold || dst.Rows < threads {
 		dst.AddScaled(coef, src)
 		return
@@ -646,14 +519,5 @@ func (p *Plan[E]) addScaled(dst matrix.Mat[E], coef E, src matrix.Mat[E]) {
 			dst.View(r0, 0, rows, dst.Cols).AddScaled(coef, src.View(r0, 0, rows, src.Cols))
 		}})
 	}
-	p.ctx.Pool().Run(jobs)
-}
-
-// grow returns a matrix of exactly r×c, reusing ws's backing array when it is
-// large enough.
-func grow[E matrix.Element](ws matrix.Mat[E], r, c int) matrix.Mat[E] {
-	if cap(ws.Data) >= r*c {
-		return matrix.Mat[E]{Rows: r, Cols: c, Stride: c, Data: ws.Data[:r*c]}
-	}
-	return matrix.New[E](r, c)
+	ctx.Pool().Run(jobs)
 }

@@ -147,8 +147,8 @@ func TestAccumulatesIntoC(t *testing.T) {
 }
 
 // TestPlanConcurrentMulAdd drives one Plan per variant from many goroutines
-// on mixed (including fringed) sizes. Under -race this checks the pooled
-// exec-state contract: the Naive/AB temporaries must not be shared between
+// on mixed (including fringed) sizes. Under -race this checks the rented
+// scratch contract: the Naive/AB temporaries must not be shared between
 // concurrent calls.
 func TestPlanConcurrentMulAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))

@@ -189,7 +189,7 @@ func TestBFSRunToRunDeterministicABC(t *testing.T) {
 
 // TestConcurrentBFSMulAdd hammers one BFS plan per variant from many
 // goroutines — under -race this checks that term jobs' rented workspaces,
-// exec states, and reduction buffers are never shared across concurrent
+// term lists, and reduction buffers are never shared across concurrent
 // calls, and that concurrent Pool.Run invocations compose.
 func TestConcurrentBFSMulAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(800))
@@ -286,25 +286,50 @@ func TestBFSWithThreadsOne(t *testing.T) {
 	checkTraversal(t, p, 20, 20, 20, 900, 1e-9)
 }
 
-// TestPlanOnSharedPool: a plan built on a caller's pool hands that same pool
-// to both of its gemm contexts, and a plan built without one shares a single
-// private pool between them — a plan never holds two worker budgets.
+// TestPlanOnSharedPool: a plan built on a caller's context executes on that
+// context and nothing else — its BFS term jobs run on the context's serial
+// view, which shares the worker pool, the workspaces and the scratch list —
+// and a plan built without one gets a private context with the same shape. A
+// plan never holds a second worker budget or a second store of buffers.
 func TestPlanOnSharedPool(t *testing.T) {
 	cfg := gemm.Config{MC: 16, KC: 16, NC: 32, Threads: 4}
-	shared := sched.NewPool(4)
-	for _, pool := range []*sched.Pool{shared, nil} {
-		p, err := NewPlanOn[float64](pool, cfg, AB, []Step{BFS}, core.Strassen())
-		if err != nil {
-			t.Fatal(err)
+	shared, err := gemm.NewContextOn[float64](cfg, sched.NewPool(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onShared, err := NewPlanOn(shared, AB, []Step{BFS}, core.Strassen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onShared.Context() != shared {
+		t.Fatal("plan ignored the context it was built on")
+	}
+	private, err := NewPlanTraversal[float64](cfg, AB, []Step{BFS}, core.Strassen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Plan[float64]{onShared, private} {
+		ctx := p.Context()
+		s := ctx.Serial()
+		if s == ctx || s.Config().Threads != 1 {
+			t.Fatal("BFS plan has no Threads=1 view to run term jobs on")
 		}
-		if p.serialCtx == nil {
-			t.Fatal("BFS plan has no Threads=1 context")
+		if ctx.Pool() == nil || ctx.Pool() != s.Pool() {
+			t.Fatal("plan's context and its serial view run on different pools")
 		}
-		if p.ctx.Pool() == nil || p.ctx.Pool() != p.serialCtx.Pool() {
-			t.Fatal("plan's two contexts run on different pools")
+		ws := ctx.GetWorkspace()
+		ctx.PutWorkspace(ws)
+		if got := s.GetWorkspace(); got != ws {
+			t.Fatal("serial view rents from a workspace pool of its own")
+		} else {
+			s.PutWorkspace(got)
 		}
-		if pool != nil && p.ctx.Pool() != pool {
-			t.Fatal("plan ignored the pool it was built on")
+		m := ctx.RentMat(8, 8)
+		ctx.ReturnMat(m)
+		if got := s.RentMat(8, 8); &got.Data[0] != &m.Data[0] {
+			t.Fatal("serial view rents from a scratch list of its own")
+		} else {
+			s.ReturnMat(got)
 		}
 	}
 }

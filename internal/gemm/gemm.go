@@ -21,10 +21,16 @@
 // data parallelism of [20] — the pool the context was built on (NewContextOn;
 // a Multiplier builds every context on its one pool) or a private one.
 //
-// Concurrency contract: a Context is immutable after construction and safe
-// for unlimited concurrent callers. All mutable state (the Ã/B̃ packing
-// buffers) lives in per-call Workspaces rented from a bounded pool, so
-// concurrent multiplications never contend on shared buffers.
+// Concurrency contract: a Context is safe for unlimited concurrent callers,
+// and it is the only owner of mutable memory in the execution layers. It
+// holds two bounded free lists — packing Workspaces (the Ã/B̃ buffers, rented
+// per call) and raw scratch matrices (RentMat/ReturnMat: the FMM executor's
+// variant temporaries, BFS term products and C shadows, the Multiplier's
+// K-split reduction buffers) — and everything built on it (plans, the
+// Multiplier) is a pure description. Serial() is the Threads=1 view of the
+// same engine: same backend, worker pool and both free lists, so a caller
+// that gets its parallelism elsewhere (batch jobs, BFS term jobs) adds no
+// memory of its own. See Context for the resulting retained-memory bound.
 package gemm
 
 import (
@@ -57,17 +63,6 @@ type Config struct {
 	// kernel.DefaultBackend. The blocking must satisfy the backend's tile
 	// shape: MC ≥ MR, NC ≥ NR.
 	Kernel string
-
-	// WorkspacePoolSpan, when positive, sets how many concurrent workspace
-	// renters the context's pool provisions for (the idle-retention count),
-	// overriding the default 2·Threads when larger. The FMM executor's BFS
-	// traversal rents one workspace per parallel term job from a Threads=1
-	// context, so it sets this to its fan-out — without it the single-
-	// threaded pool would retain 2 workspaces and every fan-out beyond that
-	// would allocate fresh packing buffers on each call. The
-	// maxRetainedFloats cap still bounds total retained memory. Zero keeps
-	// the default; negative is invalid.
-	WorkspacePoolSpan int
 }
 
 // DefaultConfig returns the blocking used throughout the experiments.
@@ -108,9 +103,6 @@ func resolveBackend[E matrix.Element](c Config) (kernel.Backend[E], error) {
 	if c.Threads < 1 {
 		return nil, fmt.Errorf("gemm: Threads=%d, need ≥ 1", c.Threads)
 	}
-	if c.WorkspacePoolSpan < 0 {
-		return nil, fmt.Errorf("gemm: WorkspacePoolSpan=%d, need ≥ 0 (0 = 2·Threads)", c.WorkspacePoolSpan)
-	}
 	if c.MC < bk.MR() || c.KC < 1 || c.NC < bk.NR() {
 		return nil, fmt.Errorf("gemm: blocking MC=%d KC=%d NC=%d too small for kernel %s (needs MC ≥ %d, KC ≥ 1, NC ≥ %d)",
 			c.MC, c.KC, c.NC, bk.Name(), bk.MR(), bk.NR())
@@ -118,16 +110,22 @@ func resolveBackend[E matrix.Element](c Config) (kernel.Backend[E], error) {
 	return bk, nil
 }
 
-// Context is the immutable kernel driver for one element type: a validated
-// Config plus a bounded pool of packing Workspaces. It is safe for any
-// number of concurrent callers — every MulAdd/FusedMulAdd rents a Workspace
-// from the pool for the duration of the call, so calls never share mutable
-// state — and each call additionally exploits parallelism internally
-// (Config.Threads workers).
+// Context is the kernel driver for one element type: a validated Config, its
+// micro-kernel backend, the worker pool it fans out on, and the two bounded
+// free lists that are all the mutable memory of the execution layers —
+// packing Workspaces and scratch matrices. It is safe for any number of
+// concurrent callers — every MulAdd/FusedMulAdd rents a Workspace for the
+// duration of the call, so calls never share mutable state — and each call
+// additionally exploits parallelism internally (Config.Threads workers).
+//
+// Retained-memory invariant: an idle Context, its Serial() view included,
+// keeps at most maxRetainedFloats elements of workspaces plus
+// maxRetainedFloats elements of scratch, however many plans were built on it
+// and however many shapes they served; rents beyond that are allocated and
+// left to the GC.
 type Context[E matrix.Element] struct {
-	cfg  Config
-	bk   kernel.Backend[E]
-	pool *workspacePool[E]
+	cfg Config
+	bk  kernel.Backend[E]
 	// sp is the worker budget packing and the ic loop fan out on: the pool
 	// the context was built on, or a private one of Threads. All goroutine
 	// fan-out rides internal/sched (the detorder analyzer enforces this): the
@@ -136,12 +134,11 @@ type Context[E matrix.Element] struct {
 	// of deadlocking.
 	sp *sched.Pool
 
-	// fast marks the default backend, whose inner loops run through the
-	// specialized free functions of internal/kernel (direct calls, constant
-	// MR/NR) instead of interface dispatch — the micro-kernel is invoked once
-	// per MR×NR output tile, where dynamic dispatch and variable-divisor
-	// index math are measurable. Other backends take the generic path.
-	fast bool
+	// pool and scratch are shared with the Serial() view. Workspaces are
+	// sized for the wide context; a serial call uses worker slot 0 of one.
+	pool    *workspacePool[E]
+	scratch *scratch[E]
+	serial  *Context[E]
 }
 
 // NewContext validates cfg, resolves its micro-kernel backend for element
@@ -163,8 +160,15 @@ func NewContextOn[E matrix.Element](cfg Config, pool *sched.Pool) (*Context[E], 
 	if pool == nil {
 		pool = sched.NewPool(cfg.Threads)
 	}
-	ctx := &Context[E]{cfg: cfg, bk: bk, pool: newWorkspacePool[E](cfg, bk), sp: pool, fast: bk.Name() == kernel.DefaultBackend}
-	ctx.pool.put(newWorkspace[E](cfg, bk))
+	ctx := &Context[E]{cfg: cfg, bk: bk, sp: pool, pool: newWorkspacePool[E](cfg, bk, pool.Workers()), scratch: new(scratch[E])}
+	ctx.serial = ctx
+	if cfg.Threads > 1 {
+		s := *ctx
+		s.cfg.Threads = 1
+		s.serial = &s
+		ctx.serial = &s
+	}
+	ctx.pool.put(ctx.pool.alloc())
 	return ctx, nil
 }
 
@@ -185,6 +189,36 @@ func (ctx *Context[E]) Backend() kernel.Backend[E] { return ctx.bk }
 
 // Pool returns the worker pool the context fans out on.
 func (ctx *Context[E]) Pool() *sched.Pool { return ctx.sp }
+
+// Serial returns the Threads=1 view of the context: the same backend,
+// blocking, worker pool, workspaces and scratch list, with no intra-call
+// fan-out — what a job runs on when its parallelism is across jobs (batch
+// jobs, shard tiles, BFS term jobs). It is the receiver when Threads is 1,
+// and gemm results are bit-identical between a context and its serial view.
+func (ctx *Context[E]) Serial() *Context[E] { return ctx.serial }
+
+// RentMat returns a rows×cols scratch matrix with unspecified contents from
+// the context's bounded free list (shared with Serial()), allocating when no
+// pooled buffer fits. Return it with ReturnMat.
+func (ctx *Context[E]) RentMat(rows, cols int) matrix.Mat[E] {
+	return matrix.Mat[E]{Rows: rows, Cols: cols, Stride: cols, Data: ctx.scratch.rent(rows * cols)}
+}
+
+// ReturnMat gives a RentMat matrix back; the caller must not use it after.
+func (ctx *Context[E]) ReturnMat(m matrix.Mat[E]) { ctx.scratch.put(m.Data) }
+
+// ScratchHeld reports how many idle buffers, of how many elements in total,
+// the scratch list retains right now (observability; the total never exceeds
+// the retained-memory invariant above).
+func (ctx *Context[E]) ScratchHeld() (buffers, elements int) {
+	s := ctx.scratch
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, l := range s.free {
+		buffers += len(l)
+	}
+	return buffers, s.held
+}
 
 // MulAdd computes c += a·b (plain GEMM through the fused path). Safe for
 // concurrent callers.
@@ -311,11 +345,16 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 // macroKernel packs one Ã block and sweeps the second and first loops around
 // the micro-kernel, scattering each register tile into every C-side term.
 // abuf and acc are the calling worker's private Ã buffer and accumulator
-// tile.
+// tile. A nil acc marks a workspace of the default backend (see
+// Workspace.accs), whose inner loops run through the specialized free
+// functions of internal/kernel (direct calls, constant MR/NR) instead of
+// interface dispatch — the micro-kernel is invoked once per MR×NR output
+// tile, where dynamic dispatch and variable-divisor index math are
+// measurable. Other backends take the generic path.
 //
 //fmm:hotpath
 func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTerms []Term[E], ic, pc, jc, mcur, kcur, ncur int) {
-	if ctx.fast {
+	if acc == nil {
 		macroKernelDefault(ws, abuf, cTerms, aTerms, ic, pc, jc, mcur, kcur, ncur)
 		return
 	}

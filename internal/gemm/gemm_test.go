@@ -9,6 +9,7 @@ import (
 
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/sched"
 )
 
 func smallCfg() Config { return Config{MC: 8, KC: 8, NC: 16, Threads: 1} }
@@ -270,10 +271,11 @@ func TestContextConcurrentCallers(t *testing.T) {
 // beyond the bound are dropped rather than queued or blocking.
 func TestWorkspacePoolBounded(t *testing.T) {
 	cfg := smallCfg()
-	p := newWorkspacePool(cfg, kernel.MustResolve[float64](cfg.Kernel))
-	bound := workspacePoolBound[float64](cfg, kernel.MustResolve[float64](cfg.Kernel))
+	bk := kernel.MustResolve[float64](cfg.Kernel)
+	p := newWorkspacePool(cfg, bk, 3)
+	bound := workspacePoolBound[float64](cfg, bk, 3)
 	for i := 0; i < bound+3; i++ {
-		p.put(NewWorkspace[float64](cfg)) // must not block past the bound
+		p.put(p.alloc()) // must not block past the bound
 	}
 	if got := len(p.free); got != bound {
 		t.Fatalf("pool retained %d workspaces, bound is %d", got, bound)
@@ -285,21 +287,24 @@ func TestWorkspacePoolBounded(t *testing.T) {
 	}
 }
 
-// TestWorkspacePoolBoundRespectsMemoryCap: when one workspace alone exceeds
-// maxRetainedFloats the bound must drop to 0 — retain nothing, allocate
-// fresh on every get — instead of the old floor of 2, which silently kept
-// two oversized workspaces (far past the documented cap) warm forever.
+// TestWorkspacePoolBoundRespectsMemoryCap: the bound is derived from what the
+// context can observe — twice the worker count of the pool it was built on —
+// and capped by maxRetainedFloats. When one workspace alone exceeds the cap
+// the bound must drop to 0 — retain nothing, allocate fresh on every get —
+// instead of silently keeping oversized workspaces (far past the documented
+// cap) warm forever.
 func TestWorkspacePoolBoundRespectsMemoryCap(t *testing.T) {
 	huge := Config{MC: 1 << 10, KC: 1 << 10, NC: 1 << 14, Threads: 4}
+	bk := kernel.MustResolve[float64](huge.Kernel)
 	per := kernel.PackBBufLen(huge.KC, huge.NC) + huge.Threads*kernel.PackABufLen(huge.MC, huge.KC)
 	if per <= maxRetainedFloats {
 		t.Fatalf("test config too small to exceed the cap: %d ≤ %d", per, maxRetainedFloats)
 	}
-	if got := workspacePoolBound[float64](huge, kernel.MustResolve[float64](huge.Kernel)); got != 0 {
+	if got := workspacePoolBound[float64](huge, bk, huge.Threads); got != 0 {
 		t.Fatalf("bound %d for an over-cap workspace, want 0", got)
 	}
 	// An empty pool must still serve gets (fresh allocations) and drop puts.
-	p := newWorkspacePool(huge, kernel.MustResolve[float64](huge.Kernel))
+	p := newWorkspacePool(huge, bk, huge.Threads)
 	ws := p.get()
 	if ws == nil {
 		t.Fatal("nil workspace from empty pool")
@@ -308,10 +313,133 @@ func TestWorkspacePoolBoundRespectsMemoryCap(t *testing.T) {
 	if len(p.free) != 0 {
 		t.Fatal("zero-bound pool retained a workspace")
 	}
-	// Small configs still retain 2×Threads.
+	// Small configs retain 2×workers, whatever the context's own width: a
+	// serial view and a wide context on one pool see the same renters.
 	small := smallCfg()
-	if got, want := workspacePoolBound[float64](small, kernel.MustResolve[float64](small.Kernel)), 2*small.Threads; got != want {
-		t.Fatalf("bound %d for small config, want %d", got, want)
+	sbk := kernel.MustResolve[float64](small.Kernel)
+	for _, workers := range []int{1, 4, 7} {
+		if got, want := workspacePoolBound[float64](small, sbk, workers), 2*workers; got != want {
+			t.Fatalf("bound %d for small config on %d workers, want %d", got, workers, want)
+		}
+	}
+	// The memory cap still wins over an absurd worker count.
+	smallPer := sbk.PackBBufLen(small.KC, small.NC) + small.Threads*sbk.PackABufLen(small.MC, small.KC)
+	if got, lim := workspacePoolBound[float64](small, sbk, 1<<30), maxRetainedFloats/smallPer; got != lim {
+		t.Fatalf("bound %d on a huge pool, want cap %d", got, lim)
+	}
+	// And a context reads the worker count off the pool it was built on.
+	ctx, err := NewContextOn[float64](small, sched.NewPool(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(ctx.pool.free); got != 10 {
+		t.Fatalf("context on a 5-worker pool retains %d workspaces, want 10", got)
+	}
+}
+
+// TestSerialViewSharesEngine: Serial() is a Threads=1 view of the same
+// engine — same backend, worker pool, workspace pool and scratch list — it
+// is its own serial view, a Threads=1 context is its own too, and a
+// workspace sized for the wide context serves the serial view with
+// bit-identical results.
+func TestSerialViewSharesEngine(t *testing.T) {
+	wide := MustNewContext[float64](Config{MC: 8, KC: 8, NC: 16, Threads: 4})
+	s := wide.Serial()
+	if s == wide || s.Config().Threads != 1 || s.Serial() != s {
+		t.Fatalf("serial view: same=%v threads=%d idempotent=%v", s == wide, s.Config().Threads, s.Serial() == s)
+	}
+	if wide.Serial() != s {
+		t.Fatal("Serial() built a second view")
+	}
+	if s.Pool() != wide.Pool() || s.pool != wide.pool || s.scratch != wide.scratch || s.Backend() != wide.Backend() {
+		t.Fatal("serial view does not share the wide context's pool, workspaces, scratch list and backend")
+	}
+	if one := MustNewContext[float64](smallCfg()); one.Serial() != one {
+		t.Fatal("a Threads=1 context is not its own serial view")
+	}
+	rng := rand.New(rand.NewSource(77))
+	a, b := randMat(rng, 37, 29), randMat(rng, 29, 41)
+	cw, cs := matrix.New[float64](37, 41), matrix.New[float64](37, 41)
+	wide.MulAdd(cw, a, b)
+	ws := wide.GetWorkspace() // a wide workspace, handed to the serial view
+	s.MulAddWS(ws, cs, a, b)
+	wide.PutWorkspace(ws)
+	if cw.Fingerprint() != cs.Fingerprint() {
+		t.Fatal("serial view is not bit-identical to the wide context")
+	}
+}
+
+// TestWorkspaceTermListsCleared: the operand lists riding a workspace hold
+// views of the renter's matrices; PutWorkspace must clear them to capacity
+// (entries past the final length are stale views from wider terms) so a
+// pooled workspace pins nothing.
+func TestWorkspaceTermListsCleared(t *testing.T) {
+	ctx := MustNewContext[float64](smallCfg())
+	ws := ctx.GetWorkspace()
+	m := matrix.New[float64](4, 4)
+	for i := 0; i < 5; i++ {
+		ws.ATerms = append(ws.ATerms, Term[float64]{Coef: 1, M: m})
+		ws.BTerms = append(ws.BTerms, Term[float64]{Coef: 1, M: m})
+		ws.CTerms = append(ws.CTerms, Term[float64]{Coef: 1, M: m})
+	}
+	ws.ATerms = ws.ATerms[:1] // a later, narrower term
+	ctx.PutWorkspace(ws)
+	for _, l := range [][]Term[float64]{ws.ATerms, ws.BTerms, ws.CTerms} {
+		if len(l) != 0 {
+			t.Fatalf("term list not truncated: len %d", len(l))
+		}
+		for i, tm := range l[:cap(l)] {
+			if tm.M.Data != nil {
+				t.Fatalf("entry %d still pins a caller matrix", i)
+			}
+		}
+	}
+}
+
+// TestScratchListBounded pins RentMat/ReturnMat's discipline: a returned
+// buffer is reused by the next rent of its size class, contents are the
+// caller's to initialize, oversized buffers and returns past the element
+// bound go to the GC, foreign buffers are refused, and a put never blocks.
+func TestScratchListBounded(t *testing.T) {
+	ctx := MustNewContext[float64](Config{MC: 8, KC: 8, NC: 16, Threads: 2})
+	m := ctx.RentMat(10, 10)
+	if m.Rows != 10 || m.Cols != 10 || m.Stride != 10 || len(m.Data) != 100 {
+		t.Fatalf("rented %d×%d stride %d len %d", m.Rows, m.Cols, m.Stride, len(m.Data))
+	}
+	first := &m.Data[0]
+	ctx.ReturnMat(m)
+	if got := ctx.Serial().RentMat(9, 12); &got.Data[0] != first { // 108 elements: same class, via the serial view
+		t.Fatal("a returned buffer was not reused by the next rent of its class")
+	} else {
+		ctx.ReturnMat(got)
+	}
+	if ctx.scratch.held != 128 {
+		t.Fatalf("retained %d elements after one return, want the 128-element class", ctx.scratch.held)
+	}
+	// Oversized: allocated exactly, never retained.
+	big := ctx.RentMat(1, maxRetainedFloats+1)
+	if cap(big.Data) != maxRetainedFloats+1 {
+		t.Fatalf("oversized rent has capacity %d", cap(big.Data))
+	}
+	ctx.ReturnMat(big)
+	// Foreign and empty buffers are refused.
+	ctx.ReturnMat(matrix.New[float64](10, 10))
+	ctx.ReturnMat(matrix.Mat[float64]{})
+	if ctx.scratch.held != 128 {
+		t.Fatalf("oversized/foreign returns were retained: %d elements", ctx.scratch.held)
+	}
+	// Returns past the element bound are dropped: three quarter-cap buffers
+	// and the 128 already held fit, the fourth does not.
+	quarter := maxRetainedFloats / 4
+	var rented []matrix.Mat[float64]
+	for i := 0; i < 6; i++ {
+		rented = append(rented, ctx.RentMat(1, quarter))
+	}
+	for _, r := range rented {
+		ctx.ReturnMat(r)
+	}
+	if got, want := ctx.scratch.held, 3*quarter+128; got != want {
+		t.Fatalf("retained %d elements, want %d (≤ cap %d)", got, want, maxRetainedFloats)
 	}
 }
 

@@ -2,6 +2,8 @@ package gemm
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"unsafe"
 
 	"fmmfam/internal/kernel"
@@ -16,10 +18,10 @@ import (
 // concurrent callers while steady-state calls still allocate nothing.
 // Buffer sizes and the accumulator tile derive from the configured backend's
 // MR/NR, and buffer starts honor the backend's alignment requirement — a
-// Workspace is only valid for Contexts configured with the same Config
-// (including Kernel) and the same element type: the buffers are typed []E,
-// so a float32 workspace can never be handed to a float64 call (the
-// mixed-dtype pooling tests at the top layer pin this).
+// Workspace is only valid for the Context it was rented from and that
+// context's Serial() view: the buffers are typed []E, so a float32 workspace
+// can never be handed to a float64 call (the mixed-dtype pooling tests at
+// the top layer pin this).
 type Workspace[E matrix.Element] struct {
 	bbuf  []E
 	abufs [][]E // one Ã per worker
@@ -27,6 +29,12 @@ type Workspace[E matrix.Element] struct {
 	// macro-kernel path; nil for the default backend, whose devirtualized
 	// path uses a stack-resident tile instead.
 	accs [][]E
+
+	// ATerms, BTerms and CTerms are reusable operand lists for the renter: a
+	// caller that assembles fused term lists many times per call (the FMM
+	// executor's term loop) appends into these instead of allocating. They
+	// hold views of the caller's matrices, so PutWorkspace clears them.
+	ATerms, BTerms, CTerms []Term[E]
 }
 
 // acc returns worker w's accumulator tile (nil for the default backend).
@@ -37,16 +45,22 @@ func (ws *Workspace[E]) acc(w int) []E {
 	return ws.accs[w]
 }
 
-// NewWorkspace allocates packing buffers sized and aligned for cfg's backend
-// at element type E. Most callers never need this — Context rents workspaces
-// internally — but it is exposed for callers that want to manage workspace
-// lifetime themselves (e.g. arena-style reuse in tight custom loops).
-// NewWorkspace panics on an unknown cfg.Kernel; validate the config first
-// (NewContext does).
-func NewWorkspace[E matrix.Element](cfg Config) *Workspace[E] {
-	return newWorkspace[E](cfg, kernel.MustResolve[E](cfg.Kernel))
+// clearTerms zeroes the operand lists to their full capacity — entries past
+// the current length are stale views from earlier, wider terms — so a pooled
+// workspace pins none of its last renter's matrices.
+func (ws *Workspace[E]) clearTerms() {
+	ws.ATerms = clearTermList(ws.ATerms)
+	ws.BTerms = clearTermList(ws.BTerms)
+	ws.CTerms = clearTermList(ws.CTerms)
 }
 
+func clearTermList[E matrix.Element](l []Term[E]) []Term[E] {
+	clear(l[:cap(l)])
+	return l[:0]
+}
+
+// newWorkspace allocates packing buffers sized and aligned for cfg's backend
+// at element type E.
 func newWorkspace[E matrix.Element](cfg Config, bk kernel.Backend[E]) *Workspace[E] {
 	align := bk.Align()
 	ws := &Workspace[E]{
@@ -125,50 +139,111 @@ type workspacePool[E matrix.Element] struct {
 	free chan *Workspace[E]
 }
 
-// maxRetainedFloats caps the idle packing memory one Context keeps warm, in
-// elements (≈64 MiB of float64s, ≈32 MiB of float32s). Without it the
-// retained memory would scale as O(Threads²): 2·Threads pooled workspaces,
-// each holding Threads Ã buffers.
-const maxRetainedFloats = 1 << 23
+// maxRetainedFloats caps each of the two idle stores a Context keeps warm —
+// pooled workspaces and pooled scratch buffers — in elements (≈64 MiB of
+// float64s, ≈32 MiB of float32s, each). Without it the retained packing
+// memory would scale as O(Threads²): 2·Threads pooled workspaces, each
+// holding Threads Ã buffers.
+const (
+	maxRetainedShift  = 23
+	maxRetainedFloats = 1 << maxRetainedShift
+)
 
-// workspacePoolBound returns how many idle workspaces a context retains:
-// enough that a steady stream of Threads-wide concurrent callers recycles
-// buffers instead of allocating — or, when Config.WorkspacePoolSpan declares
-// a larger per-call renter count (the FMM executor's BFS fan-out rents one
-// workspace per term job), enough for that — bounded so total retained
-// packing memory stays under maxRetainedFloats on many-core machines. The
-// bound may be 0 — when a single workspace already exceeds the cap, nothing
-// is retained and every get allocates fresh (get and put handle an empty
-// pool) — rather than silently keeping oversized workspaces alive past the
-// documented cap.
-func workspacePoolBound[E matrix.Element](cfg Config, bk kernel.Backend[E]) int {
+// workspacePoolBound returns how many idle workspaces a context built on a
+// pool of the given worker count retains. Simultaneous renters are bounded by
+// that pool — callers + workers − 1 goroutines compute at once, whatever the
+// fan-out of the plans above — so 2·workers lets a steady stream of
+// concurrent callers recycle buffers instead of allocating, bounded so total
+// retained packing memory stays under maxRetainedFloats on many-core
+// machines. The bound may be 0 — when a single workspace already exceeds the
+// cap, nothing is retained and every get allocates fresh (get and put handle
+// an empty pool) — rather than silently keeping oversized workspaces alive
+// past the documented cap.
+func workspacePoolBound[E matrix.Element](cfg Config, bk kernel.Backend[E], workers int) int {
 	per := bk.PackBBufLen(cfg.KC, cfg.NC) + cfg.Threads*bk.PackABufLen(cfg.MC, cfg.KC)
-	n := 2 * cfg.Threads
-	if cfg.WorkspacePoolSpan > n {
-		n = cfg.WorkspacePoolSpan
-	}
+	n := 2 * workers
 	if lim := maxRetainedFloats / per; n > lim {
 		n = lim
 	}
 	return n
 }
 
-func newWorkspacePool[E matrix.Element](cfg Config, bk kernel.Backend[E]) *workspacePool[E] {
-	return &workspacePool[E]{cfg: cfg, bk: bk, free: make(chan *Workspace[E], workspacePoolBound(cfg, bk))}
+func newWorkspacePool[E matrix.Element](cfg Config, bk kernel.Backend[E], workers int) *workspacePool[E] {
+	return &workspacePool[E]{cfg: cfg, bk: bk, free: make(chan *Workspace[E], workspacePoolBound(cfg, bk, workers))}
 }
+
+func (p *workspacePool[E]) alloc() *Workspace[E] { return newWorkspace[E](p.cfg, p.bk) }
 
 func (p *workspacePool[E]) get() *Workspace[E] {
 	select {
 	case ws := <-p.free:
 		return ws
 	default:
-		return newWorkspace[E](p.cfg, p.bk)
+		return p.alloc()
 	}
 }
 
 func (p *workspacePool[E]) put(ws *Workspace[E]) {
+	ws.clearTerms()
 	select {
 	case p.free <- ws:
 	default: // pool full: drop, the GC reclaims it
 	}
+}
+
+// scratch is a Context's one bounded free list of raw element buffers, behind
+// RentMat/ReturnMat. Buffers come in power-of-two size classes, so a rent is
+// one pop from its class — no search, and a class never holds more buffers
+// than were once rented from it simultaneously. A return that would take the
+// retained total past maxRetainedFloats is dropped for the GC, as is any
+// buffer larger than that (those are allocated exactly and never pooled).
+type scratch[E matrix.Element] struct {
+	mu   sync.Mutex
+	free [scratchClasses][][]E // free[c] holds buffers of capacity 1<<(c+scratchMinShift)
+	held int                   // Σ capacity over free
+}
+
+// scratchMinShift sets the smallest size class (64 elements): rounding tiny
+// rents up bounds the number of retained buffers by maxRetainedFloats>>6.
+const (
+	scratchMinShift = 6
+	scratchClasses  = maxRetainedShift - scratchMinShift + 1
+)
+
+// scratchClass returns the size class of an n-element buffer; classes at or
+// past scratchClasses are oversized.
+func scratchClass(n int) int {
+	return max(bits.Len(uint(n-1))-scratchMinShift, 0)
+}
+
+func (s *scratch[E]) rent(n int) []E {
+	c := scratchClass(n)
+	if c >= scratchClasses {
+		return make([]E, n)
+	}
+	var buf []E
+	s.mu.Lock()
+	if l := s.free[c]; len(l) > 0 {
+		buf, l[len(l)-1] = l[len(l)-1], nil
+		s.free[c] = l[:len(l)-1]
+		s.held -= cap(buf)
+	}
+	s.mu.Unlock()
+	if buf == nil {
+		buf = make([]E, 1<<(c+scratchMinShift))
+	}
+	return buf[:n]
+}
+
+func (s *scratch[E]) put(buf []E) {
+	c := scratchClass(cap(buf))
+	if c >= scratchClasses || cap(buf) != 1<<(c+scratchMinShift) {
+		return // oversized, or not a buffer rent handed out
+	}
+	s.mu.Lock()
+	if s.held+cap(buf) <= maxRetainedFloats {
+		s.free[c] = append(s.free[c], buf[:cap(buf)])
+		s.held += cap(buf)
+	}
+	s.mu.Unlock()
 }

@@ -2,10 +2,10 @@
 // It encodes the engine's load-bearing conventions — contracts no off-the-shelf
 // tool checks — as machine-checked analyzers:
 //
-//	rentrelease  — every buffer rented from a bounded pool (workspaces, exec
-//	               states, reduction buffers) must have its paired release
-//	               reachable on every path out of the renting function,
-//	               deferred or explicit.
+//	rentrelease  — every buffer rented from a gemm context's bounded pools
+//	               (packing workspaces, scratch matrices) must have its paired
+//	               release reachable on every path out of the renting
+//	               function, deferred or explicit.
 //	hotpathalloc — functions annotated //fmm:hotpath (micro-kernels, packing,
 //	               scatter, fold loops) must not contain allocation-inducing
 //	               constructs: non-constant make, append growth, new, slice/map
@@ -17,8 +17,8 @@
 //	               the bit-reproducibility contract), and all goroutine fan-out
 //	               must go through internal/sched — bare go statements are
 //	               forbidden outside that package.
-//	locksafe     — types that embed locks or pool state (execState, Workspace,
-//	               the plan cache, sched deques, …) must not be copied by
+//	locksafe     — types that embed locks or pool state (Workspace, the scratch
+//	               list, the plan cache, sched deques, …) must not be copied by
 //	               value: not as parameters, results, assignments, call
 //	               arguments, or range values. This extends vet's copylocks to
 //	               the repo's pool-holding structs that carry no mutex.

@@ -8,10 +8,9 @@ import (
 // LockSafe extends vet's copylocks to the engine's pool-holding state. A
 // type is no-copy when it (transitively, through value fields, embedded
 // fields, and arrays) contains a sync or sync/atomic state type — or when it
-// is one of the engine types whose identity is load-bearing even without a
-// mutex: a gemm Workspace (its buffers are owned by a bounded pool; a copy
-// aliases the packing buffers across two apparent owners) or an fmmexec
-// execState (same, for the term-list pools).
+// is the engine type whose identity is load-bearing even without a mutex: a
+// gemm Workspace (its buffers are owned by a bounded pool; a copy aliases the
+// packing buffers and term lists across two apparent owners).
 //
 // No-copy types must not appear by value in function signatures (parameters,
 // results, or receivers), be copied by assignment, be passed by value as
@@ -21,10 +20,10 @@ var LockSafe = &Analyzer{
 	Doc: `forbid copying lock- or pool-holding values
 
 Types containing sync.Mutex/RWMutex/WaitGroup/Cond/Once/Pool/Map or
-sync/atomic value types — and the engine's pool-owned Workspace and
-execState — must be handled through pointers: value parameters, value
-results, value receivers, assignments, value arguments, and range values all
-silently fork the lock or pool state.`,
+sync/atomic value types — and the engine's pool-owned Workspace — must be
+handled through pointers: value parameters, value results, value receivers,
+assignments, value arguments, and range values all silently fork the lock or
+pool state.`,
 	Run: runLockSafe,
 }
 
@@ -44,7 +43,6 @@ var syncNoCopy = map[string]bool{
 // rule covers the real packages and fixtures alike.
 var extraNoCopy = map[string]bool{
 	"Workspace": true,
-	"execState": true,
 }
 
 func runLockSafe(pass *Pass) error {
@@ -198,7 +196,7 @@ func checkCopySource(pass *Pass, e ast.Expr, verb string, why func(types.Type) s
 		return
 	}
 	// Only values copy; the same shapes also appear as type arguments of
-	// builtins (new(execState[E])) and as conversion targets.
+	// builtins (new(scratch[E])) and as conversion targets.
 	tv, ok := pass.Info.Types[e]
 	if !ok || !tv.IsValue() || tv.Type == nil {
 		return

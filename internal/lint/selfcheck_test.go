@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,14 +47,89 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
+// seededRentSites says, per rentSpecs entry ("recv.rent"), where the real
+// method lives: the package to seed, how the seed names the receiver type,
+// and the rent call's arguments. TestSeededViolations generates one leaking
+// function per spec from these.
+var seededRentSites = map[string]struct{ dir, pkg, imports, recv, args string }{
+	"Context.GetWorkspace": {"internal/fmmexec", "fmmexec", `import "fmmfam/internal/gemm"`, "*gemm.Context[float64]", ""},
+	"Context.RentMat":      {"internal/fmmexec", "fmmexec", `import "fmmfam/internal/gemm"`, "*gemm.Context[float64]", "2, 2"},
+	"workspacePool.get":    {"internal/gemm", "gemm", "", "*workspacePool[float64]", ""},
+}
+
+// checkSeeded overlays one seeded source file onto the live tree, runs the
+// suite, and requires diagnostics only in that file, from the given
+// analyzer, together mentioning every wanted substring.
+func checkSeeded(t *testing.T, file, src, analyzer string, wantSubs []string) {
+	t.Helper()
+	overlay := map[string][]byte{
+		filepath.Join(repoRoot(t), filepath.FromSlash(file)): []byte(src),
+	}
+	var seeded []Diagnostic
+	for _, d := range runRepo(t, overlay) {
+		if strings.Contains(d.Pos.Filename, "seeded_violation") {
+			seeded = append(seeded, d)
+		} else {
+			t.Errorf("diagnostic outside the seeded file: %s", d)
+		}
+	}
+	if len(seeded) == 0 {
+		t.Fatalf("analyzer %s did not fire on the seeded violation", analyzer)
+	}
+	for _, want := range wantSubs {
+		found := false
+		for _, d := range seeded {
+			if strings.Contains(d.String(), want) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("no seeded diagnostic mentions %q; got %v", want, seeded)
+		}
+	}
+	for _, d := range seeded {
+		if d.Analyzer != analyzer {
+			t.Errorf("seeded violation reported by %s, want %s: %s", d.Analyzer, analyzer, d)
+		}
+	}
+}
+
 // TestSeededViolations checks end-to-end that each analyzer still fires on
 // the real packages it guards: an overlay injects one contract breach per
 // analyzer into the live tree, and the suite must report it. This is the
 // regression test for the CI gate — if an analyzer silently stops seeing the
-// real package shapes (say, a rename breaks the rent-spec match), these seeds
-// go undetected and the test fails.
+// real package shapes, these seeds go undetected and the test fails. The
+// rentrelease specs match by method name, so every rentSpecs entry gets its
+// own seed that rents through the real method and leaks on one branch: a
+// rename that orphans a spec (the seed no longer type-checks, or the spec no
+// longer matches) fails here instead of turning the spec into a no-op.
 func TestSeededViolations(t *testing.T) {
-	root := repoRoot(t)
+	t.Run("rentrelease", func(t *testing.T) {
+		for _, spec := range rentSpecs {
+			name := spec.recv + "." + spec.rent
+			t.Run(name, func(t *testing.T) {
+				site, ok := seededRentSites[name]
+				if !ok {
+					t.Fatalf("rentSpecs entry %s has no seeded violation site", name)
+				}
+				src := fmt.Sprintf(`package %s
+
+%s
+
+func seededRentLeak(x %s, cond bool) {
+	v := x.%s(%s)
+	if cond {
+		x.%s(v)
+	}
+}
+`, site.pkg, site.imports, site.recv, spec.rent, site.args, spec.release)
+				checkSeeded(t, site.dir+"/seeded_violation.go", src, "rentrelease",
+					[]string{"seeded_violation.go", name, spec.release, "on every path"})
+			})
+		}
+	})
+
 	cases := []struct {
 		name     string   // subtest, also the reporting analyzer unless analyzer is set
 		analyzer string   // reporting analyzer when it differs from name
@@ -61,23 +137,6 @@ func TestSeededViolations(t *testing.T) {
 		src      string   // seeded source
 		wantSubs []string // substrings the diagnostic must contain
 	}{
-		{
-			name: "rentrelease",
-			file: "internal/fmmexec/seeded_violation.go",
-			src: `package fmmexec
-
-import "fmmfam/internal/matrix"
-
-func seededStateLeak(p *Plan[float64], c, a, b matrix.Mat[float64], cond bool) {
-	st, release := p.stateFor(1, 1, 1)
-	st.aTerms = p.aTermsFor(st.aTerms[:0], a, 0)
-	if cond {
-		release()
-	}
-}
-`,
-			wantSubs: []string{"seeded_violation.go", "release", "stateFor", "not called on every path"},
-		},
 		{
 			name: "hotpathalloc",
 			file: "internal/gemm/seeded_violation.go",
@@ -147,42 +206,11 @@ func seededWorkspaceCopy(ws gemm.Workspace[float64]) *gemm.Workspace[float64] {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			overlay := map[string][]byte{
-				filepath.Join(root, filepath.FromSlash(tc.file)): []byte(tc.src),
+			analyzer := tc.analyzer
+			if analyzer == "" {
+				analyzer = tc.name
 			}
-			diags := runRepo(t, overlay)
-			var seeded []Diagnostic
-			for _, d := range diags {
-				if strings.Contains(d.Pos.Filename, "seeded_violation") {
-					seeded = append(seeded, d)
-				} else {
-					t.Errorf("diagnostic outside the seeded file: %s", d)
-				}
-			}
-			if len(seeded) == 0 {
-				t.Fatalf("analyzer %s did not fire on the seeded violation", tc.name)
-			}
-			for _, want := range tc.wantSubs {
-				found := false
-				for _, d := range seeded {
-					if strings.Contains(d.String(), want) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("no seeded diagnostic mentions %q; got %v", want, seeded)
-				}
-			}
-			wantAnalyzer := tc.analyzer
-			if wantAnalyzer == "" {
-				wantAnalyzer = tc.name
-			}
-			for _, d := range seeded {
-				if d.Analyzer != wantAnalyzer {
-					t.Errorf("seeded violation reported by %s, want %s: %s", d.Analyzer, wantAnalyzer, d)
-				}
-			}
+			checkSeeded(t, tc.file, tc.src, analyzer, tc.wantSubs)
 		})
 	}
 }

@@ -27,57 +27,34 @@ func (p *workspacePool) put(ws *Workspace) {
 	}
 }
 
-type Context struct{ pool *workspacePool }
+type Mat struct {
+	Rows, Cols int
+	Data       []float64
+}
+
+type Context struct {
+	pool    *workspacePool
+	scratch chan []float64
+}
 
 // The wrapper transfers ownership to its caller: returning the rented value
 // must not be reported.
 func (c *Context) GetWorkspace() *Workspace   { return c.pool.get() }
 func (c *Context) PutWorkspace(ws *Workspace) { c.pool.put(ws) }
 
-type Mat struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-type termState struct{ terms []int }
-
-func (s *termState) use() { s.terms = s.terms[:0] }
-
-type Plan struct {
-	termBufs chan []float64
-}
-
-func (p *Plan) rentTermBuf(rows, cols int) Mat {
+func (c *Context) RentMat(rows, cols int) Mat {
 	var buf []float64
 	select {
-	case buf = <-p.termBufs:
+	case buf = <-c.scratch:
 	default:
 		buf = make([]float64, rows*cols)
 	}
 	return Mat{Rows: rows, Cols: cols, Data: buf}
 }
 
-func (p *Plan) returnTermBuf(m Mat) {
+func (c *Context) ReturnMat(m Mat) {
 	select {
-	case p.termBufs <- m.Data:
-	default:
-	}
-}
-
-func (p *Plan) stateFor(sm, sk, sn int) (*termState, func()) {
-	st := &termState{}
-	return st, func() { st.terms = st.terms[:0] }
-}
-
-type GenericMultiplier struct{ redBufs chan []float64 }
-
-func (mu *GenericMultiplier) rentRedBuf(rows, cols int) Mat {
-	return Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-func (mu *GenericMultiplier) returnRedBuf(m Mat) {
-	select {
-	case mu.redBufs <- m.Data:
+	case c.scratch <- m.Data:
 	default:
 	}
 }
@@ -99,31 +76,22 @@ func leakOnErrorPath(ctx *Context, fail bool) error {
 	return nil
 }
 
-func leakReleaseClosure(p *Plan, fail bool) {
-	st, release := p.stateFor(1, 2, 3) // want `release returned by Plan\.stateFor is not called on every path`
-	st.use()
-	if fail {
-		return // leaks the exec state
-	}
-	release()
-}
-
-func leakOnLoopBreak(mu *GenericMultiplier, n int) {
+func leakOnLoopBreak(ctx *Context, n int) {
 	for i := 0; i < n; i++ {
-		m := mu.rentRedBuf(2, 2) // want `m rented via GenericMultiplier\.rentRedBuf is not released with returnRedBuf on every path`
+		m := ctx.RentMat(2, 2) // want `m rented via Context\.RentMat is not released with ReturnMat on every path`
 		m.Data[0] = float64(i)
 		if i == 3 {
 			break // leaks m
 		}
-		mu.returnRedBuf(m)
+		ctx.ReturnMat(m)
 	}
 }
 
-func leakTermBufOneArm(p *Plan, which bool) {
-	m := p.rentTermBuf(4, 4) // want `m rented via Plan\.rentTermBuf is not released with returnTermBuf on every path`
+func leakMatOneArm(ctx *Context, which bool) {
+	m := ctx.RentMat(4, 4) // want `m rented via Context\.RentMat is not released with ReturnMat on every path`
 	switch {
 	case which:
-		p.returnTermBuf(m)
+		ctx.ReturnMat(m)
 	default:
 		m.Data[0] = 1 // this arm forgets the release
 	}
@@ -148,12 +116,6 @@ func okReleasedOnBothPaths(ctx *Context, fail bool) error {
 	return nil
 }
 
-func okClosurePair(p *Plan) {
-	st, release := p.stateFor(1, 1, 1)
-	defer release()
-	st.use()
-}
-
 func okPoolDirect(pool *workspacePool) {
 	ws := pool.get()
 	defer pool.put(ws)
@@ -170,28 +132,28 @@ func okOwnershipReturned(ctx *Context) *Workspace {
 
 // Renting into a slice transfers ownership to the container (released by a
 // later loop); the analyzer accepts this without chasing it.
-func okRentIntoSlice(p *Plan, n int) {
+func okRentIntoSlice(ctx *Context, n int) {
 	bufs := make([]Mat, n)
 	for i := range bufs {
-		bufs[i] = p.rentTermBuf(4, 4)
+		bufs[i] = ctx.RentMat(4, 4)
 	}
 	for _, b := range bufs {
-		p.returnTermBuf(b)
+		ctx.ReturnMat(b)
 	}
 }
 
 // Jobs that rent inside a function literal are analyzed as their own
 // bodies: rent and deferred release balance inside the closure.
-func okRentInsideClosure(p *Plan, run func(func())) {
+func okRentInsideClosure(ctx *Context, run func(func())) {
 	run(func() {
-		st, release := p.stateFor(2, 2, 2)
-		defer release()
-		st.use()
+		ws := ctx.GetWorkspace()
+		defer ctx.PutWorkspace(ws)
+		ws.buf[0] = 1
 	})
 }
 
-func okRedBufStraightLine(mu *GenericMultiplier) {
-	m := mu.rentRedBuf(2, 2)
+func okMatStraightLine(ctx *Context) {
+	m := ctx.RentMat(2, 2)
 	m.Data[0] = 1
-	mu.returnRedBuf(m)
+	ctx.ReturnMat(m)
 }

@@ -113,6 +113,9 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
+// Workers reports the pool's goroutine budget: the size it was built with.
+func (p *Pool) Workers() int { return cap(p.tokens) + 1 }
+
 // Run executes every job exactly once and returns when all have finished.
 // The calling goroutine participates as a worker, joined by however many
 // helper tokens were free, so Run is safe to call from inside a job running

@@ -28,16 +28,24 @@ import (
 // win earliest — see README "Precision").
 //
 // Concurrency contract: a multiplier is safe for unlimited concurrent
-// callers. Plans are immutable and shared across callers of the same shape
-// class; all mutable per-call state (packing buffers, variant temporaries)
-// is rented from bounded pools inside the execution layers, so concurrent
-// MulAdd calls never serialize on workspace. Pools are typed per element —
-// a float32 buffer can never be handed to a float64 call, however the two
-// surfaces interleave.
+// callers. Plans are immutable, stateless descriptions shared across callers
+// of the same shape class; all mutable per-call state (packing buffers,
+// variant temporaries, reduction buffers) is rented from the engine below,
+// so concurrent MulAdd calls never serialize on workspace. Buffers are typed
+// per element — a float32 buffer can never be handed to a float64 call,
+// however the two surfaces interleave.
+//
+// One engine per kernel: every plan of one micro-kernel backend, at either
+// width, executes on one gemm.Context (width-1 plans on its Serial() view),
+// built on first use — one in normal serving, one more per alternative
+// backend the autotuner tries. The context owns all the memory; plans own
+// none. So the multiplier's idle retained memory is bounded by gemm.Context's
+// invariant times the kernels in use, independent of Config.PlanCacheCap and
+// of how many shapes were served.
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
-// works too) and builds every plan and gemm context on it. Batch jobs, shard
+// works too) and builds every engine on it. Batch jobs, shard
 // tiles, K-split slabs, BFS term jobs, row-split adds, the gemm ic loop and
 // B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
 // run the jobs serially on the caller — is what bounds goroutines, for any
@@ -89,6 +97,13 @@ type GenericMultiplier[E matrix.Element] struct {
 	pool  *sched.Pool // the one worker budget
 	plans *planCache[E]
 
+	// engines is the lazily filled table resolved kernel name → the one
+	// gemm.Context every plan of that backend executes on.
+	engines struct {
+		sync.Mutex
+		m map[string]*gemm.Context[E]
+	}
+
 	// shardTuns holds the per-shape-class shard-grid tuners (the sharded
 	// path has no plan-cache entry to hang a bandit off). Bounded by the
 	// plan-cache cap: beyond it new shape classes serve untuned rather than
@@ -97,13 +112,6 @@ type GenericMultiplier[E matrix.Element] struct {
 		sync.Mutex
 		m map[planKey]*shardTuner
 	}
-
-	// redBufs is the bounded free list of K-split reduction buffers, rented
-	// per slab like gemm workspaces: get falls back to allocating, put
-	// drops when the pool is full or the buffer is oversized, so idle
-	// retained memory stays capped while steady-state K-split calls
-	// allocate nothing.
-	redBufs chan []E
 
 	// minTile is the lazily-computed shard tile floor (model break-even).
 	minTileOnce sync.Once
@@ -194,8 +202,8 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		tuneFrac:  set.tuneFrac,
 		pool:      sched.NewPool(cfg.Threads),
 		plans:     newPlanCache[E](cfg.planCacheCap()),
-		redBufs:   make(chan []E, 2*max(cfg.Threads, 1)),
 	}
+	mu.engines.m = make(map[string]*gemm.Context[E])
 	if mu.tune {
 		mu.feedback = model.NewFeedback()
 	}
@@ -383,14 +391,18 @@ type kGroup[E matrix.Element] struct {
 // mulAddShardedK executes a K-split sharded MulAdd: every (tile, slab) pair
 // is one scheduled job computing A[ti, p0:p1]·B[p0:p1, tj]. Slab 0
 // accumulates directly into the tile's C view; each later slab accumulates
-// into a zeroed reduction buffer rented from the multiplier's pool; and
-// whichever worker finishes a tile's last slab folds that tile's buffers
+// into a zeroed reduction buffer rented from the configured kernel's engine;
+// and whichever worker finishes a tile's last slab folds that tile's buffers
 // into C in ascending slab order. Every slab product runs its width-1 plan
-// and the fold order is fixed, so repeated runs produce
-// bit-identical C even though the schedule is not deterministic — the
+// and the fold order is fixed, so repeated runs produce bit-identical C even
+// though the schedule is not deterministic — the
 // serving determinism contract for K-split (the 2D path is stronger:
 // bit-identical to sequential tile execution).
 func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.Mat[E]) error {
+	ctx, err := mu.engine("", 1)
+	if err != nil {
+		return err
+	}
 	tiles := spec.Tiles() // GridK consecutive slabs per output tile, ascending P
 	gk := spec.GridK
 	errs := make([]error, len(tiles))
@@ -401,7 +413,8 @@ func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.M
 		g.c = c.View(t0.I, t0.J, t0.Rows, t0.Cols)
 		g.bufs = make([]matrix.Mat[E], gk-1)
 		for s := range g.bufs {
-			g.bufs[s] = mu.rentRedBuf(t0.Rows, t0.Cols)
+			g.bufs[s] = ctx.RentMat(t0.Rows, t0.Cols)
+			g.bufs[s].Zero()
 		}
 		g.remaining.Store(int32(gk))
 	}
@@ -431,51 +444,39 @@ func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.M
 	mu.pool.Run(sjobs)
 	for gi := range groups {
 		for _, buf := range groups[gi].bufs {
-			mu.returnRedBuf(buf)
+			ctx.ReturnMat(buf)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// maxRetainedRedBufFloats caps the size of a single pooled reduction buffer
-// in elements (8 MiB of float64s, 4 MiB of float32s). K-split tiles have
-// small M×N by construction, so typical buffers are far under this; anything
-// larger goes back to the GC instead of pinning idle memory. With the pool's
-// 2×Threads entry bound, idle retained reduction memory stays ≤ Threads·16
-// MiB at float64.
-const maxRetainedRedBufFloats = 1 << 20
-
-// rentRedBuf returns a zeroed rows×cols reduction-buffer matrix backed by
-// the pool, allocating fresh when the pool is empty or its buffer is too
-// small (a fresh allocation is already zero; reused ones are cleared here).
-func (mu *GenericMultiplier[E]) rentRedBuf(rows, cols int) matrix.Mat[E] {
-	need := rows * cols
-	var buf []E
-	select {
-	case buf = <-mu.redBufs:
-	default:
+// engine returns the one gemm.Context plans of the given kernel backend
+// (empty = the configured one) execute on, at the given width — the context
+// itself at Config.Threads, its Serial() view at 1 — building it on the
+// multiplier's pool on first use.
+func (mu *GenericMultiplier[E]) engine(kern string, threads int) (*gemm.Context[E], error) {
+	gcfg := mu.cfg.gemmConfig()
+	if kern != "" {
+		gcfg.Kernel = kern
 	}
-	if cap(buf) < need {
-		buf = make([]E, need)
-	} else {
-		buf = buf[:need]
-		for i := range buf {
-			buf[i] = 0
+	// Key by the resolved name so "" and the default backend's own name
+	// share an engine; an unresolvable name falls through to NewContextOn's
+	// error.
+	name, _ := kernel.ResolveNameFor(gcfg.Kernel, matrix.DtypeOf[E]())
+	mu.engines.Lock()
+	defer mu.engines.Unlock()
+	ctx := mu.engines.m[name]
+	if ctx == nil {
+		var err error
+		if ctx, err = gemm.NewContextOn[E](gcfg, mu.pool); err != nil {
+			return nil, err
 		}
+		mu.engines.m[name] = ctx
 	}
-	return matrix.Mat[E]{Rows: rows, Cols: cols, Stride: cols, Data: buf}
-}
-
-// returnRedBuf offers a reduction buffer back to the pool; oversized
-// buffers and returns beyond the pool bound are dropped for the GC.
-func (mu *GenericMultiplier[E]) returnRedBuf(m matrix.Mat[E]) {
-	if cap(m.Data) > maxRetainedRedBufFloats {
-		return
+	if threads == 1 {
+		return ctx.Serial(), nil
 	}
-	select {
-	case mu.redBufs <- m.Data[:cap(m.Data)]:
-	default:
-	}
+	return ctx, nil
 }
 
 // PlanFor exposes the plan a direct, unsharded MulAdd would use for a problem

@@ -2,6 +2,7 @@ package fmmfam
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fmmfam/internal/matrix"
@@ -170,25 +171,120 @@ func TestPlanCacheBoundAcrossWidths(t *testing.T) {
 	}
 }
 
+// checkPlansShareEngine asserts the one-engine-per-kernel structure over
+// every cached plan of mu: all plans of one width report the same Context()
+// pointer — the configured kernel's engine for full-width plans, that
+// engine's Serial() view for width-1 ones — on the multiplier's own pool. It
+// returns how many plans of each width it saw.
+func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
+	t.Helper()
+	engine, err := mu.engine("", mu.cfg.Threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine.Pool() != mu.pool {
+		t.Fatal("engine runs on a pool of its own")
+	}
+	for key, e := range mu.plans.entries() {
+		want := engine
+		if key.threads == 1 {
+			want = engine.Serial()
+			serial++
+		} else {
+			wide++
+		}
+		if e.p.Context() != want {
+			t.Fatalf("plan %v (%s) executes on a context of its own", key, e.p)
+		}
+		if got := e.p.Context().Config().Threads; got != key.threads {
+			t.Fatalf("width-%d entry %v holds a Threads=%d plan", key.threads, key, got)
+		}
+	}
+	return serial, wide
+}
+
 // TestMultiplierPlansShareOnePool: every plan a multiplier builds, at either
-// width, runs its contexts on the multiplier's own pool — the one MulAddBatch
-// and the shard paths dispatch on — so there is one worker budget to exhaust.
-// (fmmexec's TestPlanOnSharedPool covers the plan's second context.)
+// width and under either traversal, executes on the multiplier's one engine
+// — hence on the multiplier's own pool, the one MulAddBatch and the shard
+// paths dispatch on — so there is one worker budget to exhaust and one store
+// of buffers to fill.
 func TestMultiplierPlansShareOnePool(t *testing.T) {
 	for _, traversal := range []string{TraversalAuto, TraversalBFS} {
 		mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4, Traversal: traversal}, PaperArch())
-		for _, threads := range []int{1, 4} {
-			e, err := mu.entryFor(96, 96, 96, threads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.p.Context().Pool() != mu.pool {
-				t.Fatalf("traversal %s width %d: plan runs on a pool of its own", traversal, threads)
-			}
-			if got := e.p.Context().Config().Threads; got != threads {
-				t.Fatalf("traversal %s: width-%d entry holds a Threads=%d plan", traversal, threads, got)
+		for _, n := range []int{24, 96, 200} {
+			for _, threads := range []int{1, 4} {
+				if _, err := mu.entryFor(n, n, n, threads); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		if serial, wide := checkPlansShareEngine(t, mu); serial != 3 || wide != 3 {
+			t.Fatalf("traversal %s: saw %d width-1 and %d full-width plans, want 3 and 3", traversal, serial, wide)
+		}
+	}
+}
+
+// TestRetainedMemoryIndependentOfCachedPlans pins the engine's memory
+// invariant end to end: a Threads=2 multiplier at default blocking serves one
+// batch touching 48 shape classes twice, and what it keeps alive afterwards
+// (plans, engine, pooled buffers) is below one maxRetainedFloats worth of
+// float64s — where one private context, workspace pool and pre-allocated
+// workspace per cached plan kept 4–5 MiB per plan, about 200 MiB here. The
+// operands are allocated before the baseline reading.
+func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
+	kernels := []string{""}
+	for _, name := range Kernels() {
+		if name == "avx2" {
+			kernels = append(kernels, name)
+		}
+	}
+	dims := []int{24, 48, 96, 160} // one per power-of-two bucket
+	rng := rand.New(rand.NewSource(13))
+	var jobs []BatchJob
+	for _, m := range dims {
+		for _, k := range dims {
+			for _, n := range dims[:3] {
+				a, b := NewMatrix(m, k), NewMatrix(k, n)
+				a.FillRand(rng)
+				b.FillRand(rng)
+				jobs = append(jobs, BatchJob{C: NewMatrix(m, n), A: a, B: b})
+			}
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, kern := range kernels {
+		t.Run("kernel="+kern, func(t *testing.T) {
+			before := heap()
+			cfg := DefaultConfig()
+			cfg.Threads, cfg.Kernel = 2, kern
+			mu := NewMultiplier(cfg, PaperArch())
+			for pass := 0; pass < 2; pass++ {
+				if err := mu.MulAddBatch(jobs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range dims { // a few full-width plans beside the batch's width-1 ones
+				if _, err := mu.PlanFor(n, n, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			growth := heap() - before
+			const bound = 64 << 20 // gemm's maxRetainedFloats, in float64 bytes
+			t.Logf("%d cached plans retain %.1f MiB", mu.CachedPlans(), float64(growth)/(1<<20))
+			if growth > bound {
+				t.Fatalf("%d cached plans retain %d MiB, want < %d MiB", mu.CachedPlans(), growth>>20, bound>>20)
+			}
+			serial, wide := checkPlansShareEngine(t, mu)
+			if serial < 40 || wide != len(dims) {
+				t.Fatalf("cache holds %d width-1 and %d full-width plans, want ≥ 40 and %d", serial, wide, len(dims))
+			}
+			runtime.KeepAlive(jobs)
+		})
 	}
 }
 
