@@ -402,9 +402,10 @@ func BenchmarkAblationPeeling(b *testing.B) {
 
 // BenchmarkAblationKernel isolates the micro-kernel (every registered
 // backend at both element types — the GFLOPS ratio between backends is what
-// model.RegisterKernelDtypeEfficiency records; the micro32 rows are where an
-// AVX2 backend's doubled float32 lanes show as doubled flop rate) and the
-// fused packing.
+// model's kernel efficiency table records; the micro32 rows are where the
+// avx2 backend's doubled float32 lanes show as doubled flop rate) and the
+// fused packing, timed through each backend's PackA — the call the driver
+// makes.
 func BenchmarkAblationKernel(b *testing.B) {
 	const kc = 256
 	for _, name := range kernel.BackendsFor(matrix.Float64) {
@@ -416,19 +417,22 @@ func BenchmarkAblationKernel(b *testing.B) {
 	src1, src2 := matrix.New[float64](96, kc), matrix.New[float64](96, kc)
 	src1.Fill(1)
 	src2.Fill(2)
-	buf := make([]float64, kernel.PackABufLen(96, kc))
-	b.Run("packA_single", func(b *testing.B) {
-		terms := kernel.SingleTerm(src1)
-		b.ResetTimer()
+	single := kernel.SingleTerm(src1)
+	fused := []kernel.Term[float64]{{Coef: 1, M: src1}, {Coef: -1, M: src2}}
+	for _, name := range kernel.BackendsFor(matrix.Float64) {
+		benchPackA(b, "packA_single/"+name, name, single)
+		benchPackA(b, "packA_fused2/"+name, name, fused)
+	}
+}
+
+// benchPackA times one backend's fused Ã packing of a whole terms-sized block.
+func benchPackA(b *testing.B, row, name string, terms []kernel.Term[float64]) {
+	bk := kernel.MustResolve[float64](name)
+	mc, kc := terms[0].M.Rows, terms[0].M.Cols
+	buf := make([]float64, bk.PackABufLen(mc, kc))
+	b.Run(row, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernel.PackA(buf, terms, 0, 0, 96, kc)
-		}
-	})
-	b.Run("packA_fused2", func(b *testing.B) {
-		terms := []kernel.Term[float64]{{Coef: 1, M: src1}, {Coef: -1, M: src2}}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			kernel.PackA(buf, terms, 0, 0, 96, kc)
+			bk.PackA(buf, terms, 0, 0, mc, kc)
 		}
 	})
 }
@@ -460,7 +464,7 @@ func benchMicro[E matrix.Element](b *testing.B, row, name string, kc int) {
 // through every registered kernel backend — the ablation behind the model's
 // per-dtype τ pricing: float32 moves half the bytes per element, so its
 // effective GFLOPS ceiling sits higher wherever the driver is
-// bandwidth-bound, while the scalar pure-Go kernels retire both dtypes at
+// bandwidth-bound, while the scalar pure-Go kernel retires both dtypes at
 // the same flop rate.
 func BenchmarkAblationDtype(b *testing.B) {
 	for _, name := range kernel.BackendsFor(matrix.Float64) {

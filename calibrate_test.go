@@ -68,13 +68,13 @@ func TestCalibrateEnvVar(t *testing.T) {
 	}
 	t.Setenv("FMMFAM_CALIBRATE", "1")
 	cfg := DefaultConfig()
-	cfg.Kernel = "go8x4" // a pair the other test does not touch
+	cfg.Kernel = Kernels()[0] // avx2 where the host has it: a pair the other test does not touch
 	mu := NewMultiplier(cfg, PaperArch())
 	if mu.cfgErr != nil {
 		t.Fatal(mu.cfgErr)
 	}
-	if mu.arch.Kernel != "go8x4" || mu.arch.Dtype != matrix.Float64 {
-		t.Fatalf("env-enabled calibration should record (go8x4, float64), got (%q, %s)", mu.arch.Kernel, mu.arch.Dtype)
+	if mu.arch.Kernel != cfg.Kernel || mu.arch.Dtype != matrix.Float64 {
+		t.Fatalf("env-enabled calibration should record (%s, float64), got (%q, %s)", cfg.Kernel, mu.arch.Kernel, mu.arch.Dtype)
 	}
 	if mu.arch.TauA == PaperArch().TauA {
 		t.Fatal("env-enabled calibration left the paper τa untouched")

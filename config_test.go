@@ -3,6 +3,7 @@ package fmmfam
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +12,10 @@ import (
 
 // TestConfigValidate is the table-driven contract of Config.Validate: every
 // knob's failure mode, including per-backend blocking floors (MC=4 is legal
-// for the 4×4 kernel, illegal for the 8×4 one).
+// for the 4×4 kernel, illegal for avx2's 8-row tile) and that avx2 is a valid
+// Kernel exactly where the host registered it.
 func TestConfigValidate(t *testing.T) {
+	hasAVX2 := HostCPU().AVX2
 	valid := Config{MC: 96, KC: 256, NC: 2048, Threads: 1}
 	cases := []struct {
 		name   string
@@ -22,7 +25,7 @@ func TestConfigValidate(t *testing.T) {
 		{"default", func(c *Config) {}, true},
 		{"parallel", func(c *Config) { c.Threads = 8 }, true},
 		{"explicit default kernel", func(c *Config) { c.Kernel = "go4x4" }, true},
-		{"go8x4 kernel", func(c *Config) { c.Kernel = "go8x4" }, true},
+		{"avx2 kernel iff the host has it", func(c *Config) { c.Kernel = "avx2" }, hasAVX2},
 		{"serving knobs at defaults", func(c *Config) {
 			c.ShardThreshold, c.ShardMinTile, c.QueueDepth, c.PlanCacheCap = 0, 0, 0, 0
 		}, true},
@@ -39,7 +42,7 @@ func TestConfigValidate(t *testing.T) {
 		{"NC below NR", func(c *Config) { c.NC = 3 }, false},
 		{"MC below default backend MR", func(c *Config) { c.MC = 3 }, false},
 		{"MC=4 ok for go4x4", func(c *Config) { c.MC = 4; c.Kernel = "go4x4" }, true},
-		{"MC=4 below go8x4 MR", func(c *Config) { c.MC = 4; c.Kernel = "go8x4" }, false},
+		{"MC=4 below avx2 MR", func(c *Config) { c.MC = 4; c.Kernel = "avx2" }, false},
 		{"negative ShardMinTile", func(c *Config) { c.ShardMinTile = -1 }, false},
 		{"negative QueueDepth", func(c *Config) { c.QueueDepth = -2 }, false},
 		{"serve knobs set", func(c *Config) {
@@ -153,15 +156,22 @@ func TestKernelBackendEndToEnd(t *testing.T) {
 	}
 }
 
-// TestKernelsListsBuiltins: the public registry view exposes both pure-Go
-// backends, so Config.Kernel / FMMFAM_KERNEL values are discoverable.
-func TestKernelsListsBuiltins(t *testing.T) {
-	found := map[string]bool{}
-	for _, n := range Kernels() {
-		found[n] = true
+// TestBackendsClosedSet: the backend set is closed — Kernels() is exactly
+// go4x4, plus avx2 iff the host CPU and build carry it, each registered at
+// both dtypes — so the accepted Config.Kernel / FMMFAM_KERNEL values are
+// those two and nothing registers from outside internal/kernel.
+func TestBackendsClosedSet(t *testing.T) {
+	want := []string{"go4x4"}
+	if HostCPU().AVX2 {
+		want = []string{"avx2", "go4x4"}
 	}
-	if !found["go4x4"] || !found["go8x4"] {
-		t.Fatalf("Kernels() = %v, want both go4x4 and go8x4", Kernels())
+	if got := Kernels(); !slices.Equal(got, want) {
+		t.Fatalf("Kernels() = %v, want exactly %v", got, want)
+	}
+	for _, st := range KernelStatuses() {
+		if st.Available && !slices.Equal(st.Dtypes, []string{"float32", "float64"}) {
+			t.Fatalf("%s registered for %v, want both dtypes", st.Name, st.Dtypes)
+		}
 	}
 }
 

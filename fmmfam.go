@@ -110,7 +110,8 @@ type Config struct {
 
 	// Kernel selects the micro-kernel backend by registry name (see
 	// Kernels). Empty selects the default backend ("go4x4", the original
-	// bit-stable pure-Go kernel); "go8x4" is the wider-tile pure-Go backend.
+	// bit-stable pure-Go kernel, present on every build); "avx2" is the amd64
+	// assembly backend, valid only where the host CPU and build carry it.
 	// The package-level Multiply family reads the FMMFAM_KERNEL environment
 	// variable instead (EnvKernel). The blocking must satisfy the backend's
 	// tile shape (MC ≥ MR, NC ≥ NR); Validate checks this.

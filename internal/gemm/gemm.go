@@ -249,8 +249,8 @@ func (ctx *Context[E]) FusedMulAdd(cTerms, aTerms, bTerms []Term[E]) {
 }
 
 // FusedMulAddWS is FusedMulAdd with a caller-managed Workspace (see
-// NewWorkspace). The workspace must have been sized for this context's
-// Config and element type and must not be used by another call concurrently.
+// GetWorkspace). The workspace must have been rented from this context or its
+// Serial() view and must not be used by another call concurrently.
 func (ctx *Context[E]) FusedMulAddWS(ws *Workspace[E], cTerms, aTerms, bTerms []Term[E]) {
 	m, k := dims(aTerms, "A")
 	k2, n := dims(bTerms, "B")
@@ -309,7 +309,7 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 	workers := min(cfg.Threads, nBlocks)
 	if workers <= 1 {
 		for ic := 0; ic < m; ic += cfg.MC {
-			ctx.macroKernel(ws, ws.abufs[0], ws.acc(0), cTerms, aTerms, ic, pc, jc, min(cfg.MC, m-ic), kcur, ncur)
+			ctx.macroKernel(ws, ws.abufs[0], ws.accs[0], cTerms, aTerms, ic, pc, jc, min(cfg.MC, m-ic), kcur, ncur)
 		}
 		return
 	}
@@ -324,7 +324,7 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 	jobCost := int64(nBlocks/workers+1) * int64(cfg.MC) * int64(kcur)
 	jobs := make([]sched.Job, workers)
 	for w := range jobs {
-		abuf, acc := ws.abufs[w], ws.acc(w)
+		abuf, acc := ws.abufs[w], ws.accs[w]
 		jobs[w] = sched.Job{
 			Cost: jobCost,
 			Run: func() {
@@ -345,19 +345,12 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 // macroKernel packs one Ã block and sweeps the second and first loops around
 // the micro-kernel, scattering each register tile into every C-side term.
 // abuf and acc are the calling worker's private Ã buffer and accumulator
-// tile. A nil acc marks a workspace of the default backend (see
-// Workspace.accs), whose inner loops run through the specialized free
-// functions of internal/kernel (direct calls, constant MR/NR) instead of
-// interface dispatch — the micro-kernel is invoked once per MR×NR output
-// tile, where dynamic dispatch and variable-divisor index math are
-// measurable. Other backends take the generic path.
+// tile. It is the one inner loop of the driver: every backend, the default
+// included, is reached through the kernel.Backend interface here and nowhere
+// else.
 //
 //fmm:hotpath
 func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTerms []Term[E], ic, pc, jc, mcur, kcur, ncur int) {
-	if acc == nil {
-		macroKernelDefault(ws, abuf, cTerms, aTerms, ic, pc, jc, mcur, kcur, ncur)
-		return
-	}
 	bk := ctx.bk
 	mrk, nrk := bk.MR(), bk.NR()
 	bk.PackA(abuf, aTerms, ic, pc, mcur, kcur)
@@ -370,32 +363,6 @@ func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTer
 			bk.Micro(kcur, ap, bp, acc)
 			for _, ct := range cTerms {
 				bk.Scatter(ct.M, ic+ir, jc+jr, ct.Coef, acc, mr, nr)
-			}
-		}
-	}
-}
-
-// macroKernelDefault is macroKernel devirtualized for the default backend:
-// identical loop structure, but the packing, micro-kernel, and scatter are
-// the specialized free functions with MR/NR as compile-time constants and a
-// stack-resident accumulator tile — byte-for-byte the pre-interface hot
-// loop, instantiated once per element type. It performs the same arithmetic
-// in the same order as the generic path over the go4x4 backend, so results
-// stay bit-identical either way.
-//
-//fmm:hotpath
-func macroKernelDefault[E matrix.Element](ws *Workspace[E], abuf []E, cTerms, aTerms []Term[E], ic, pc, jc, mcur, kcur, ncur int) {
-	kernel.PackA(abuf, aTerms, ic, pc, mcur, kcur)
-	var acc [kernel.MR * kernel.NR]E
-	for jr := 0; jr < ncur; jr += kernel.NR {
-		nr := min(kernel.NR, ncur-jr)
-		bp := ws.bbuf[(jr/kernel.NR)*kcur*kernel.NR:]
-		for ir := 0; ir < mcur; ir += kernel.MR {
-			mr := min(kernel.MR, mcur-ir)
-			ap := abuf[(ir/kernel.MR)*kernel.MR*kcur:]
-			kernel.Micro(kcur, ap, bp, &acc)
-			for _, ct := range cTerms {
-				kernel.Scatter(ct.M, ic+ir, jc+jr, ct.Coef, &acc, mr, nr)
 			}
 		}
 	}

@@ -296,7 +296,7 @@ func TestWorkspacePoolBounded(t *testing.T) {
 func TestWorkspacePoolBoundRespectsMemoryCap(t *testing.T) {
 	huge := Config{MC: 1 << 10, KC: 1 << 10, NC: 1 << 14, Threads: 4}
 	bk := kernel.MustResolve[float64](huge.Kernel)
-	per := kernel.PackBBufLen(huge.KC, huge.NC) + huge.Threads*kernel.PackABufLen(huge.MC, huge.KC)
+	per := bk.PackBBufLen(huge.KC, huge.NC) + huge.Threads*bk.PackABufLen(huge.MC, huge.KC)
 	if per <= maxRetainedFloats {
 		t.Fatalf("test config too small to exceed the cap: %d ≤ %d", per, maxRetainedFloats)
 	}
@@ -548,14 +548,19 @@ func TestKernelSelection(t *testing.T) {
 }
 
 // TestValidateRejectsBlockingBelowBackendTile: the blocking floor is the
-// selected backend's micro-tile, not the package default's — MC=4 is fine
-// for go4x4 but must be rejected for the 8-row go8x4 tile.
+// selected backend's micro-tile — MC=4 is fine for go4x4 and MC=3 is not,
+// while the 8-row avx2 tile (where the host has it) already rejects MC=4.
 func TestValidateRejectsBlockingBelowBackendTile(t *testing.T) {
 	if _, err := NewContext[float64](Config{MC: 4, KC: 8, NC: 16, Threads: 1}); err != nil {
 		t.Fatalf("MC=4 must be valid for the default 4×4 backend: %v", err)
 	}
-	if _, err := NewContext[float64](Config{MC: 4, KC: 8, NC: 16, Threads: 1, Kernel: "go8x4"}); err == nil {
-		t.Fatal("MC=4 accepted for the 8×4 backend")
+	if _, err := NewContext[float64](Config{MC: 3, KC: 8, NC: 16, Threads: 1}); err == nil {
+		t.Fatal("MC=3 accepted for the 4×4 backend")
+	}
+	if kernel.HostCPU().AVX2 {
+		if _, err := NewContext[float64](Config{MC: 4, KC: 8, NC: 16, Threads: 1, Kernel: kernel.AVX2Backend}); err == nil {
+			t.Fatal("MC=4 accepted for the 8×6 avx2 backend")
+		}
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 )
 
 // Workspace holds the mutable per-call state of one FusedMulAdd execution:
-// the shared B̃ packing buffer, and one Ã packing buffer — plus, for
-// non-default backends, one micro-tile accumulator — per worker. A Workspace
-// is rented from the Context's pool at the start of every multiplication and
-// returned when it finishes, so a single Context can serve any number of
-// concurrent callers while steady-state calls still allocate nothing.
+// the shared B̃ packing buffer, and one Ã packing buffer and one MR×NR
+// micro-tile accumulator per worker. A Workspace is rented from the Context's
+// pool at the start of every multiplication and returned when it finishes, so
+// a single Context can serve any number of concurrent callers while
+// steady-state calls still allocate nothing.
 // Buffer sizes and the accumulator tile derive from the configured backend's
 // MR/NR, and buffer starts honor the backend's alignment requirement — a
 // Workspace is only valid for the Context it was rented from and that
@@ -25,24 +25,13 @@ import (
 type Workspace[E matrix.Element] struct {
 	bbuf  []E
 	abufs [][]E // one Ã per worker
-	// accs holds one MR×NR accumulator tile per worker for the generic
-	// macro-kernel path; nil for the default backend, whose devirtualized
-	// path uses a stack-resident tile instead.
-	accs [][]E
+	accs  [][]E // one MR×NR accumulator tile per worker
 
 	// ATerms, BTerms and CTerms are reusable operand lists for the renter: a
 	// caller that assembles fused term lists many times per call (the FMM
 	// executor's term loop) appends into these instead of allocating. They
 	// hold views of the caller's matrices, so PutWorkspace clears them.
 	ATerms, BTerms, CTerms []Term[E]
-}
-
-// acc returns worker w's accumulator tile (nil for the default backend).
-func (ws *Workspace[E]) acc(w int) []E {
-	if ws.accs == nil {
-		return nil
-	}
-	return ws.accs[w]
 }
 
 // clearTerms zeroes the operand lists to their full capacity — entries past
@@ -66,16 +55,11 @@ func newWorkspace[E matrix.Element](cfg Config, bk kernel.Backend[E]) *Workspace
 	ws := &Workspace[E]{
 		bbuf:  alignedBuf[E](bk.PackBBufLen(cfg.KC, cfg.NC), align),
 		abufs: make([][]E, cfg.Threads),
-	}
-	generic := bk.Name() != kernel.DefaultBackend
-	if generic {
-		ws.accs = make([][]E, cfg.Threads)
+		accs:  make([][]E, cfg.Threads),
 	}
 	for i := range ws.abufs {
 		ws.abufs[i] = alignedBuf[E](bk.PackABufLen(cfg.MC, cfg.KC), align)
-		if generic {
-			ws.accs[i] = alignedBuf[E](bk.MR()*bk.NR(), align)
-		}
+		ws.accs[i] = alignedBuf[E](bk.MR()*bk.NR(), align)
 	}
 	// Assert — not just compute — the backend's alignment contract on every
 	// packed-panel start. A SIMD backend that declared Align and received a
@@ -85,9 +69,7 @@ func newWorkspace[E matrix.Element](cfg Config, bk kernel.Backend[E]) *Workspace
 	assertAligned(ws.bbuf, align, "B̃")
 	for i := range ws.abufs {
 		assertAligned(ws.abufs[i], align, "Ã")
-		if generic {
-			assertAligned(ws.accs[i], align, "acc")
-		}
+		assertAligned(ws.accs[i], align, "acc")
 	}
 	return ws
 }

@@ -5,19 +5,19 @@ package kernel
 import "fmmfam/internal/matrix"
 
 // The avx2 backend: hand-written AVX2/FMA assembly micro-kernels
-// (avx2_amd64.s) behind the same Backend seam the pure-Go kernels use. The
+// (avx2_amd64.s) behind the same Backend seam the pure-Go kernel uses. The
 // register blocking follows the paper's Haswell numbers — MR×NR = 8×6 for
 // float64, and 16×6 for float32 (twice the SIMD lanes per 256-bit register,
 // so twice the rows per broadcast of B). Packing reuses the canonical
-// generic packers — the layouts are identical to the pure-Go backends', only
-// the panel heights differ — while Micro and the full-tile Scatter run in
+// generic packers — the layouts are identical to go4x4's, only the panel
+// sizes differ — while Micro and the full-tile Scatter run in
 // assembly; fringe scatters take the generic Go path.
 //
 // Registration is gated at init on the CPUID probe (cpufeat_amd64.go): on an
 // amd64 host without AVX2+FMA (or with OS-disabled YMM state) the backend
 // marks itself unavailable with the reason instead of registering, so
 // Config.Kernel="avx2" fails validation with a clear error and dispatch
-// falls back to the pure-Go backends.
+// falls back to the pure-Go backend.
 const (
 	mrAVX2F64 = 8
 	mrAVX2F32 = 16
@@ -30,12 +30,11 @@ const (
 
 func init() {
 	if !hostAVX2 {
-		markUnavailable(AVX2Backend,
-			"host CPU lacks AVX2+FMA (or the OS does not enable YMM state); pure-Go backends remain available")
+		unavailable[AVX2Backend] = "host CPU lacks AVX2+FMA (or the OS does not enable YMM state); the pure-Go backend remains available"
 		return
 	}
-	MustRegister[float64](avx2F64{})
-	MustRegister[float32](avx2F32{})
+	register[float64](avx2F64{})
+	register[float32](avx2F32{})
 }
 
 // Assembly entry points (avx2_amd64.s). The wrappers below establish every
@@ -68,7 +67,7 @@ func (avx2F64) PackBRange(dst []float64, terms []Term[float64], r0, c0, kc, nc, 
 }
 
 // Micro dispatches the 8×6 rank-kc FMA kernel. The reslicings are the bounds
-// proof for the assembly: they panic exactly where the pure-Go kernels would
+// proof for the assembly: they panic exactly where the pure-Go kernel would
 // on short panels, and after them the assembly can touch only in-range
 // memory. kc==0 must still overwrite acc (the conformance contract), which
 // the zero loop handles without calling into assembly on empty panels.

@@ -8,6 +8,5 @@ package kernel
 // and so the availability surface (Statuses, fmmfam.KernelStatuses,
 // /v1/stats) can show operators why dispatch fell back to pure Go.
 func init() {
-	markUnavailable(AVX2Backend,
-		"requires amd64 assembly (build is non-amd64 or uses the purego tag); pure-Go backends remain available")
+	unavailable[AVX2Backend] = "requires amd64 assembly (build is non-amd64 or uses the purego tag); the pure-Go backend remains available"
 }

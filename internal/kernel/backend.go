@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"fmmfam/internal/matrix"
 )
@@ -15,12 +14,11 @@ import (
 // interface only — swapping the backend swaps the innermost loops while the
 // five-loop structure, workspace pooling, and FMM fusion stay fixed, which
 // is exactly how the paper ports across architectures. A backend is
-// registered under its (Name, dtype) pair; the two built-in pure-Go backends
-// register for both float64 and float32, while a SIMD backend may support
-// only the dtype its instruction mix targets.
+// registered under its (Name, dtype) pair; go4x4 and avx2 both register for
+// float64 and float32.
 //
-// Contract (enforced by internal/kernel/conformance — every backend
-// registered with Register must pass that suite for its dtype):
+// Contract (enforced by internal/kernel/conformance — every registered
+// backend must pass that suite for each dtype it registers):
 //
 //   - PackA writes the mc×kc linear combination of the A-side terms in Ã
 //     layout: ⌈mc/MR⌉ consecutive row-panels, panel rows stored column-major
@@ -37,7 +35,7 @@ import (
 //   - PackABufLen/PackBBufLen size packing buffers, including zero padding,
 //     in elements.
 //   - Align is the required alignment of packed-buffer starts, in elements
-//     (1 = any; an AVX2 float32 backend would return 8 for 32-byte loads).
+//     (1 = any; the avx2 float32 backend returns 8 for 32-byte loads).
 //     Workspace allocation (internal/gemm) honors it.
 type Backend[E matrix.Element] interface {
 	// Name is the registry key, e.g. "go4x4". Stable across releases: users
@@ -70,44 +68,17 @@ type regKey struct {
 
 // registry maps (name, dtype) → Backend[E] (stored as any; Resolve[E]
 // recovers the typed interface — the dtype key guarantees the assertion
-// succeeds).
-var registry = struct {
-	sync.RWMutex
-	m map[regKey]any
-}{m: make(map[regKey]any)}
+// succeeds). The set is closed: only this package's init functions write it
+// (through register), so after package initialization it is read without
+// locks.
+var registry = map[regKey]any{}
 
-// Register adds a backend under its (Name, dtype) pair. It rejects empty or
-// duplicate names and degenerate tile shapes. Backends are expected to pass
-// the conformance suite (internal/kernel/conformance) for every dtype they
-// register; register new backends from an init function so Config.Kernel can
-// select them by name.
-func Register[E matrix.Element](b Backend[E]) error {
-	if b == nil {
-		return fmt.Errorf("kernel: nil backend")
-	}
-	name := b.Name()
-	if name == "" {
-		return fmt.Errorf("kernel: backend with empty name")
-	}
-	if b.MR() < 1 || b.NR() < 1 || b.Align() < 1 {
-		return fmt.Errorf("kernel: backend %q has degenerate MR=%d NR=%d Align=%d",
-			name, b.MR(), b.NR(), b.Align())
-	}
-	key := regKey{name: name, dtype: matrix.DtypeOf[E]()}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[key]; dup {
-		return fmt.Errorf("kernel: backend %q already registered for %s", name, key.dtype)
-	}
-	registry.m[key] = b
-	return nil
-}
-
-// MustRegister is Register for init-time registration of known-good backends.
-func MustRegister[E matrix.Element](b Backend[E]) {
-	if err := Register[E](b); err != nil {
-		panic(err)
-	}
+// register adds a backend under its (Name, dtype) pair. Call it only from an
+// init function of this package, one line per dtype the backend implements;
+// a backend added this way must pass the conformance suite
+// (internal/kernel/conformance) for each of them.
+func register[E matrix.Element](b Backend[E]) {
+	registry[regKey{name: b.Name(), dtype: matrix.DtypeOf[E]()}] = b
 }
 
 // Resolve returns the backend registered under name for element type E; the
@@ -122,9 +93,7 @@ func Resolve[E matrix.Element](name string) (Backend[E], error) {
 		name = DefaultBackend
 	}
 	d := matrix.DtypeOf[E]()
-	registry.RLock()
-	b, ok := registry.m[regKey{name: name, dtype: d}]
-	registry.RUnlock()
+	b, ok := registry[regKey{name: name, dtype: d}]
 	if !ok {
 		if reason := UnavailableReason(name); reason != "" {
 			return nil, fmt.Errorf("kernel: backend %q is unavailable on this host: %s (registered for %s: %v)",
@@ -143,9 +112,7 @@ func ResolveNameFor(name string, d matrix.Dtype) (string, bool) {
 	if name == "" {
 		name = DefaultBackend
 	}
-	registry.RLock()
-	_, ok := registry.m[regKey{name: name, dtype: d}]
-	registry.RUnlock()
+	_, ok := registry[regKey{name: name, dtype: d}]
 	return name, ok
 }
 
@@ -162,16 +129,14 @@ func MustResolve[E matrix.Element](name string) Backend[E] {
 // across dtypes — the valid Config.Kernel values. Use BackendsFor to ask
 // which names support one specific element type.
 func Backends() []string {
-	registry.RLock()
-	seen := make(map[string]bool, len(registry.m))
-	names := make([]string, 0, len(registry.m))
-	for key := range registry.m {
+	seen := make(map[string]bool, len(registry))
+	names := make([]string, 0, len(registry))
+	for key := range registry {
 		if !seen[key.name] {
 			seen[key.name] = true
 			names = append(names, key.name)
 		}
 	}
-	registry.RUnlock()
 	sort.Strings(names)
 	return names
 }
@@ -179,123 +144,12 @@ func Backends() []string {
 // BackendsFor lists the backend names registered for one element type,
 // sorted.
 func BackendsFor(d matrix.Dtype) []string {
-	registry.RLock()
-	names := make([]string, 0, len(registry.m))
-	for key := range registry.m {
+	names := make([]string, 0, len(registry))
+	for key := range registry {
 		if key.dtype == d {
 			names = append(names, key.name)
 		}
 	}
-	registry.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// packABufLen / packBBufLen are the layout-implied buffer sizes shared by all
-// backends that use the canonical panel layouts.
-func packABufLen(mr, mc, kc int) int { return ((mc + mr - 1) / mr) * mr * kc }
-func packBBufLen(nr, kc, nc int) int { return ((nc + nr - 1) / nr) * nr * kc }
-
-// packAGeneric writes the mc×kc linear combination of the A-side terms into
-// dst in Ã layout for an arbitrary row-panel height mr. It performs the same
-// element-order arithmetic as the specialized packers, so for a given mr the
-// two are bit-identical.
-//
-//fmm:hotpath
-func packAGeneric[E matrix.Element](mr int, dst []E, terms []Term[E], r0, c0, mc, kc int) int {
-	n := packABufLen(mr, mc, kc)
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	for t, term := range terms {
-		m := term.M
-		coef := term.Coef
-		if coef == 0 {
-			continue
-		}
-		for i := 0; i < mc; i++ {
-			panel := i / mr
-			lane := i % mr
-			src := m.Data[(r0+i)*m.Stride+c0 : (r0+i)*m.Stride+c0+kc]
-			d := dst[panel*mr*kc+lane:]
-			if t == 0 && coef == 1 {
-				for p, v := range src {
-					d[p*mr] = v
-				}
-			} else {
-				for p, v := range src {
-					d[p*mr] += coef * v
-				}
-			}
-		}
-	}
-	return n
-}
-
-// packBGeneric writes the whole kc×nc combination in B̃ layout for an
-// arbitrary column-panel width nr and returns the number of elements
-// written; see packAGeneric.
-//
-//fmm:hotpath
-func packBGeneric[E matrix.Element](nr int, dst []E, terms []Term[E], r0, c0, kc, nc int) int {
-	panels := (nc + nr - 1) / nr
-	packBRangeGeneric(nr, dst, terms, r0, c0, kc, nc, 0, panels)
-	return panels * kc * nr
-}
-
-// packBRangeGeneric packs column-panels [panelLo, panelHi) of the B̃ layout
-// for an arbitrary column-panel width nr; see packAGeneric.
-//
-//fmm:hotpath
-func packBRangeGeneric[E matrix.Element](nr int, dst []E, terms []Term[E], r0, c0, kc, nc, panelLo, panelHi int) {
-	for panel := panelLo; panel < panelHi; panel++ {
-		j0 := panel * nr
-		w := nr
-		if j0+w > nc {
-			w = nc - j0
-		}
-		out := dst[panel*kc*nr : (panel+1)*kc*nr]
-		for i := range out {
-			out[i] = 0
-		}
-		for t, term := range terms {
-			m := term.M
-			coef := term.Coef
-			if coef == 0 {
-				continue
-			}
-			for p := 0; p < kc; p++ {
-				src := m.Data[(r0+p)*m.Stride+c0+j0 : (r0+p)*m.Stride+c0+j0+w]
-				d := out[p*nr : p*nr+w]
-				if t == 0 && coef == 1 {
-					copy(d, src)
-				} else {
-					for j, v := range src {
-						d[j] += coef * v
-					}
-				}
-			}
-		}
-	}
-}
-
-// scatterGeneric adds coef·acc[0:mr, 0:nr] (acc row-major with row stride
-// nrFull) into the mr×nr region of m at (r0, c0).
-//
-//fmm:hotpath
-func scatterGeneric[E matrix.Element](nrFull int, m matrix.Mat[E], r0, c0 int, coef E, acc []E, mr, nr int) {
-	for i := 0; i < mr; i++ {
-		row := m.Data[(r0+i)*m.Stride+c0 : (r0+i)*m.Stride+c0+nr]
-		a := acc[i*nrFull : i*nrFull+nr]
-		if coef == 1 {
-			for j, v := range a {
-				row[j] += v
-			}
-		} else {
-			for j, v := range a {
-				row[j] += coef * v
-			}
-		}
-	}
 }

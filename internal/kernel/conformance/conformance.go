@@ -7,14 +7,12 @@
 // driver's determinism guarantees, and a differential fuzz target. All
 // comparison tolerances are FLOP-scaled in units of the element type's
 // machine epsilon, so the same suite gates float64 and float32 conformance.
-// A future AVX/asm or cgo backend only has to register and pass, once per
-// dtype it supports:
+// A new backend is added inside internal/kernel (one register line per dtype)
+// and must pass, once per dtype it registers — TestRegisteredBackendsConform
+// iterates the registry, so Run needs no new call; the fuzz target is one
+// line per (backend, dtype):
 //
-//	func TestMyBackend(t *testing.T) {
-//		conformance.Run[float64](t, "avx512")
-//		conformance.Run[float32](t, "avx512")
-//	}
-//	func FuzzMyBackend(f *testing.F) { conformance.FuzzDifferential[float32](f, "avx512") }
+//	func FuzzConformAVX512F32(f *testing.F) { conformance.FuzzDifferential[float32](f, "avx512") }
 //
 // The suite is intentionally written against the Backend interface and the
 // public gemm driver only, so it cannot accidentally depend on an
@@ -455,10 +453,16 @@ func tol[E matrix.Element](k, nA, nB int) float64 {
 // backend at element type E: random shapes, coefficients, and term counts,
 // driven through the fused driver and compared against the naive reference
 // with the FLOP-scaled tolerance of the element type. The seed corpus pins
-// the edge tiles plus a K-dominant shape.
+// the edge tiles plus a K-dominant shape. A backend this build knows but
+// this host or build cannot run (kernel.UnavailableReason) skips the target
+// with the recorded reason, so fuzz discovery stays green on purego and
+// non-AVX2 hosts; an unknown name is a test bug and stays fatal.
 func FuzzDifferential[E matrix.Element](f *testing.F, name string) {
 	bk, err := kernel.Resolve[E](name)
 	if err != nil {
+		if reason := kernel.UnavailableReason(name); reason != "" {
+			f.Skipf("conformance: backend %q unavailable: %s", name, reason)
+		}
 		f.Fatalf("conformance: %v", err)
 	}
 	mr, nr := bk.MR(), bk.NR()

@@ -11,21 +11,16 @@ import (
 // TestRegisteredBackendsConform runs the shared conformance suite once per
 // registered (backend, dtype) pair — the acceptance gate for the whole
 // registry. Each dtype iterates its own registration list (BackendsFor), so
-// a future single-dtype backend (e.g. an AVX2 float32-only kernel) is
-// gated exactly for the pairs it registers, never for ones it doesn't. CI
-// runs this explicitly in its matrix so a backend that stops conforming
-// names itself (and the offending dtype) in the job output.
+// a backend is gated exactly for the pairs it registers. CI runs this
+// explicitly in its matrix so a backend that stops conforming names itself
+// (and the offending dtype) in the job output.
 func TestRegisteredBackendsConform(t *testing.T) {
-	// The two built-in pure-Go backends must stay registered at both
-	// precisions — the float64 serving surface and the float32 one both
-	// resolve them by name.
+	// The pure-Go backend must stay registered at both precisions on every
+	// build — the float64 serving surface and the float32 one both fall back
+	// to it.
 	for _, d := range []matrix.Dtype{matrix.Float64, matrix.Float32} {
-		got := map[string]bool{}
-		for _, name := range kernel.BackendsFor(d) {
-			got[name] = true
-		}
-		if !got["go4x4"] || !got["go8x4"] {
-			t.Fatalf("built-in backends missing for %s: have %v", d, kernel.BackendsFor(d))
+		if _, ok := kernel.ResolveNameFor(kernel.DefaultBackend, d); !ok {
+			t.Fatalf("default backend missing for %s: have %v", d, kernel.BackendsFor(d))
 		}
 	}
 	for _, name := range kernel.BackendsFor(matrix.Float64) {
@@ -38,13 +33,15 @@ func TestRegisteredBackendsConform(t *testing.T) {
 	}
 }
 
-// Differential fuzz targets, one per built-in (backend, dtype) pair
-// (go test -fuzz runs a single target at a time, so each pair gets its own).
+// Differential fuzz targets, one per (backend, dtype) pair (go test -fuzz
+// runs a single target at a time, so each pair gets its own). The avx2
+// targets skip themselves where the backend could not register (purego,
+// non-amd64, no AVX2+FMA) — see FuzzDifferential.
 
 func FuzzConformGo4x4(f *testing.F) { conformance.FuzzDifferential[float64](f, "go4x4") }
 
-func FuzzConformGo8x4(f *testing.F) { conformance.FuzzDifferential[float64](f, "go8x4") }
-
 func FuzzConformGo4x4F32(f *testing.F) { conformance.FuzzDifferential[float32](f, "go4x4") }
 
-func FuzzConformGo8x4F32(f *testing.F) { conformance.FuzzDifferential[float32](f, "go8x4") }
+func FuzzConformAVX2(f *testing.F) { conformance.FuzzDifferential[float64](f, kernel.AVX2Backend) }
+
+func FuzzConformAVX2F32(f *testing.F) { conformance.FuzzDifferential[float32](f, kernel.AVX2Backend) }

@@ -3,7 +3,6 @@ package kernel
 import (
 	"runtime"
 	"sort"
-	"sync"
 )
 
 // AVX2Backend is the registry name of the amd64 assembly backend
@@ -33,29 +32,15 @@ func HostCPU() CPUFeatures {
 
 // unavailable records backend names that are known to this build but could
 // not register — and why — so selection errors and the observability surface
-// can explain the absence instead of reporting a bare "unknown backend".
-var unavailable = struct {
-	sync.RWMutex
-	m map[string]string
-}{m: make(map[string]string)}
-
-// markUnavailable records why a known backend name is absent from the
-// registry on this host or build. Called from the same init functions that
-// would otherwise register the backend.
-func markUnavailable(name, reason string) {
-	unavailable.Lock()
-	unavailable.m[name] = reason
-	unavailable.Unlock()
-}
+// can explain the absence instead of reporting a bare "unknown backend". Like
+// registry, it is written only by the init function that would otherwise
+// register the backend, and read without locks afterwards.
+var unavailable = map[string]string{}
 
 // UnavailableReason reports why a known backend is absent from the registry
 // on this host or build; "" means the name is not a known-unavailable
 // backend (it is either registered or entirely unknown).
-func UnavailableReason(name string) string {
-	unavailable.RLock()
-	defer unavailable.RUnlock()
-	return unavailable.m[name]
-}
+func UnavailableReason(name string) string { return unavailable[name] }
 
 // BackendStatus is one backend's availability on this host and build: its
 // registered dtypes when available, or the reason it could not register.
@@ -79,8 +64,7 @@ type BackendStatus struct {
 // status reporting and the serving /v1/stats surface expose to operators.
 func Statuses() []BackendStatus {
 	byName := make(map[string]*BackendStatus)
-	registry.RLock()
-	for key := range registry.m {
+	for key := range registry {
 		st := byName[key.name]
 		if st == nil {
 			st = &BackendStatus{Name: key.name, Available: true}
@@ -88,14 +72,11 @@ func Statuses() []BackendStatus {
 		}
 		st.Dtypes = append(st.Dtypes, key.dtype.String())
 	}
-	registry.RUnlock()
-	unavailable.RLock()
-	for name, reason := range unavailable.m {
+	for name, reason := range unavailable {
 		if byName[name] == nil {
 			byName[name] = &BackendStatus{Name: name, Reason: reason}
 		}
 	}
-	unavailable.RUnlock()
 	out := make([]BackendStatus, 0, len(byName))
 	for _, st := range byName {
 		sort.Strings(st.Dtypes)

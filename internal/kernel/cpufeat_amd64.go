@@ -21,7 +21,7 @@ var hostAVX2 = detectAVX2FMA()
 // FMA instruction support plus OS-managed XMM/YMM register state (OSXSAVE +
 // XCR0 bits 1 and 2 — without it the kernel would fault or corrupt ymm state
 // on context switch). The same three-step probe every runtime dispatcher
-// performs; misdetection fails closed to the pure-Go backends.
+// performs; misdetection fails closed to the pure-Go backend.
 func detectAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

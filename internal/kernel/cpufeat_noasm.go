@@ -4,7 +4,7 @@ package kernel
 
 // This build carries no assembly backends: either the target GOARCH has
 // none, or the purego tag compiled them out. Dispatch fails closed to the
-// pure-Go backends.
+// pure-Go backend.
 const (
 	hostAVX2    = false
 	pureGoBuild = true

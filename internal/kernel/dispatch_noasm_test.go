@@ -22,7 +22,7 @@ func TestAVX2AbsentWithoutAsm(t *testing.T) {
 			}
 		}
 		if len(BackendsFor(d)) == 0 {
-			t.Fatalf("no pure-Go backends registered for %s", d)
+			t.Fatalf("no pure-Go backend registered for %s", d)
 		}
 	}
 	if cpu := HostCPU(); cpu.AVX2 || !cpu.PureGo {

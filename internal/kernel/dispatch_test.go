@@ -94,12 +94,8 @@ func TestResolveUnknownVsUnavailable(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("unknown name error = %v", err)
 	}
-	markUnavailable("stub-unavail", "test-only reason")
-	defer func() {
-		unavailable.Lock()
-		delete(unavailable.m, "stub-unavail")
-		unavailable.Unlock()
-	}()
+	unavailable["stub-unavail"] = "test-only reason"
+	defer delete(unavailable, "stub-unavail")
 	_, err := Resolve[float64]("stub-unavail")
 	if err == nil || !strings.Contains(err.Error(), "test-only reason") {
 		t.Fatalf("unavailable-name error = %v, want the recorded reason", err)

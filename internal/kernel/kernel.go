@@ -9,32 +9,22 @@
 //     can be scattered, with weights, into several submatrices of C (the ABC
 //     variant's fused micro-kernel).
 //
-// The kernel is pure Go (the paper uses SSE2/AVX assembly; the substitution
+// As in the paper, there is one packing routine (this file, parameterized by
+// the panel height or width) and one micro-kernel per architecture: the
+// Backend interface (backend.go) abstracts micro-tile shape, packing, and the
+// micro-kernel, and the GEMM driver reaches every backend through it. The
+// set of backends is closed — go4x4 (go4x4.go), the pure-Go 4×4 kernel that
+// runs on every build, and avx2 (avx2_amd64.go), the assembly counterpart of
+// the paper's kernels, present when the build and host CPU allow it. Pure Go
 // slows every variant by the same factor, so the experiments keep their
-// shape — the avx2 backend is the assembly counterpart) and generic over
-// the element type (float32 or float64): each instantiation compiles to
-// fully specialized scalar code, so the float64 loops are the same machine
-// code as the historical non-generic kernel (pinned by golden tests) and the
-// float32 loops halve the memory traffic per element.
-//
-// Implementations are pluggable: the free functions below are the default
-// MR=NR=4 backend, and the Backend interface (backend.go) abstracts micro-tile
-// shape, packing, and the micro-kernel so alternative register blockings —
-// the 8×4 pure-Go backend in go8x4.go today, AVX/asm or cgo backends later —
-// can be registered per (name, dtype) and selected by name without touching
-// the driver.
+// shape. Everything is generic over the element type (float32 or float64):
+// each instantiation compiles to fully specialized code, so the float64
+// loops produce the same bits as the historical non-generic kernel (pinned
+// by golden tests) and the float32 loops halve the memory traffic per
+// element.
 package kernel
 
 import "fmmfam/internal/matrix"
-
-// Micro-tile dimensions of the default backend. Its packing layouts and
-// micro-kernel agree on these; they play the role of the paper's mR×nR = 8×4
-// register block. Other backends carry their own tile shape via Backend.MR
-// and Backend.NR.
-const (
-	MR = 4
-	NR = 4
-)
 
 // Term is one weighted operand of a fused linear combination: Coef·M. All
 // terms of a list have identical dimensions.
@@ -46,16 +36,21 @@ type Term[E matrix.Element] struct {
 // SingleTerm wraps a matrix as the trivial combination 1.0·M.
 func SingleTerm[E matrix.Element](m matrix.Mat[E]) []Term[E] { return []Term[E]{{Coef: 1, M: m}} }
 
-// PackA writes the mc×kc linear combination Σ Coef·M[r0:r0+mc, c0:c0+kc] of
-// the A-side terms into dst in Ã layout: ⌈mc/MR⌉ consecutive row-panels,
-// each storing its MR rows column-major (dst[panel*MR*kc + p*MR + i]). Rows
-// beyond mc are zero-padded so the micro-kernel never reads garbage.
-// Returns the number of elements written (⌈mc/MR⌉·MR·kc).
+// packABufLen / packBBufLen size the packing buffers for block dimensions
+// (mc, kc) and (kc, nc) at panel height mr and panel width nr, zero padding
+// included, in elements.
+func packABufLen(mr, mc, kc int) int { return ((mc + mr - 1) / mr) * mr * kc }
+func packBBufLen(nr, kc, nc int) int { return ((nc + nr - 1) / nr) * nr * kc }
+
+// packAGeneric writes the mc×kc linear combination Σ Coef·M[r0:r0+mc,
+// c0:c0+kc] of the A-side terms into dst in Ã layout: ⌈mc/mr⌉ consecutive
+// row-panels, each storing its mr rows column-major (dst[panel*mr*kc + p*mr +
+// lane]). Rows beyond mc are zero-padded so the micro-kernel never reads
+// garbage. Returns the number of elements written (⌈mc/mr⌉·mr·kc).
 //
 //fmm:hotpath
-func PackA[E matrix.Element](dst []E, terms []Term[E], r0, c0, mc, kc int) int {
-	panels := (mc + MR - 1) / MR
-	n := panels * MR * kc
+func packAGeneric[E matrix.Element](mr int, dst []E, terms []Term[E], r0, c0, mc, kc int) int {
+	n := packABufLen(mr, mc, kc)
 	dst = dst[:n]
 	for i := range dst {
 		dst[i] = 0
@@ -67,17 +62,17 @@ func PackA[E matrix.Element](dst []E, terms []Term[E], r0, c0, mc, kc int) int {
 			continue
 		}
 		for i := 0; i < mc; i++ {
-			panel := i / MR
-			lane := i % MR
+			panel := i / mr
+			lane := i % mr
 			src := m.Data[(r0+i)*m.Stride+c0 : (r0+i)*m.Stride+c0+kc]
-			d := dst[panel*MR*kc+lane:]
+			d := dst[panel*mr*kc+lane:]
 			if t == 0 && coef == 1 {
 				for p, v := range src {
-					d[p*MR] = v
+					d[p*mr] = v
 				}
 			} else {
 				for p, v := range src {
-					d[p*MR] += coef * v
+					d[p*mr] += coef * v
 				}
 			}
 		}
@@ -85,31 +80,31 @@ func PackA[E matrix.Element](dst []E, terms []Term[E], r0, c0, mc, kc int) int {
 	return n
 }
 
-// PackB writes the kc×nc linear combination of the B-side terms into dst in
-// B̃ layout: ⌈nc/NR⌉ consecutive column-panels, each storing its NR columns
-// row-major (dst[panel*kc*NR + p*NR + j]), zero-padded beyond nc.
+// packBGeneric writes the kc×nc linear combination of the B-side terms into
+// dst in B̃ layout: ⌈nc/nr⌉ consecutive column-panels, each storing its nr
+// columns row-major (dst[panel*kc*nr + p*nr + lane]), zero-padded beyond nc.
 // Returns the number of elements written.
 //
 //fmm:hotpath
-func PackB[E matrix.Element](dst []E, terms []Term[E], r0, c0, kc, nc int) int {
-	panels := (nc + NR - 1) / NR
-	PackBRange(dst, terms, r0, c0, kc, nc, 0, panels)
-	return panels * kc * NR
+func packBGeneric[E matrix.Element](nr int, dst []E, terms []Term[E], r0, c0, kc, nc int) int {
+	panels := (nc + nr - 1) / nr
+	packBRangeGeneric(nr, dst, terms, r0, c0, kc, nc, 0, panels)
+	return panels * kc * nr
 }
 
-// PackBRange packs only column-panels [panelLo, panelHi) of the B̃ layout
-// (panel j covers source columns [j·NR, (j+1)·NR)). Distinct panel ranges
-// write disjoint regions of dst, so ranges can be packed concurrently.
+// packBRangeGeneric packs only column-panels [panelLo, panelHi) of the B̃
+// layout (panel j covers source columns [j·nr, (j+1)·nr)). Distinct panel
+// ranges write disjoint regions of dst, so ranges can be packed concurrently.
 //
 //fmm:hotpath
-func PackBRange[E matrix.Element](dst []E, terms []Term[E], r0, c0, kc, nc, panelLo, panelHi int) {
+func packBRangeGeneric[E matrix.Element](nr int, dst []E, terms []Term[E], r0, c0, kc, nc, panelLo, panelHi int) {
 	for panel := panelLo; panel < panelHi; panel++ {
-		j0 := panel * NR
-		w := NR
+		j0 := panel * nr
+		w := nr
 		if j0+w > nc {
 			w = nc - j0
 		}
-		out := dst[panel*kc*NR : (panel+1)*kc*NR]
+		out := dst[panel*kc*nr : (panel+1)*kc*nr]
 		for i := range out {
 			out[i] = 0
 		}
@@ -121,7 +116,7 @@ func PackBRange[E matrix.Element](dst []E, terms []Term[E], r0, c0, kc, nc, pane
 			}
 			for p := 0; p < kc; p++ {
 				src := m.Data[(r0+p)*m.Stride+c0+j0 : (r0+p)*m.Stride+c0+j0+w]
-				d := out[p*NR : p*NR+w]
+				d := out[p*nr : p*nr+w]
 				if t == 0 && coef == 1 {
 					copy(d, src)
 				} else {
@@ -134,58 +129,16 @@ func PackBRange[E matrix.Element](dst []E, terms []Term[E], r0, c0, kc, nc, pane
 	}
 }
 
-// Micro computes the MR×NR rank-kc product of an Ã row-panel and a B̃
-// column-panel into acc (row-major MR×NR, overwritten). ap holds kc
-// MR-element slices (a[p*MR+i]); bp holds kc NR-element slices (b[p*NR+j]).
-// The 16 accumulators live in registers for the duration of the p-loop. The
-// array-pointer signature keeps the epilogue stores free of bounds checks —
-// at the plan path's short kc this is a measurable fraction of the call —
-// while the go4x4 Backend adapter converts the interface's slice form.
+// scatterGeneric adds coef·acc[0:mr, 0:nr] (acc row-major with row stride
+// nrFull) to the mr×nr region of target m with top-left corner (r0, c0).
+// Called once per C-side term — the ABC variant's "update multiple
+// submatrices of C from registers".
 //
 //fmm:hotpath
-func Micro[E matrix.Element](kc int, ap, bp []E, acc *[MR * NR]E) {
-	var c00, c01, c02, c03 E
-	var c10, c11, c12, c13 E
-	var c20, c21, c22, c23 E
-	var c30, c31, c32, c33 E
-	for p := 0; p < kc; p++ {
-		a := ap[p*MR : p*MR+MR : p*MR+MR]
-		b := bp[p*NR : p*NR+NR : p*NR+NR]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
-	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
-	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
-}
-
-// Scatter adds coef·acc[0:mr,0:nr] (acc row-major with row stride NR) to the
-// mr×nr region of target m with top-left corner (r0, c0). Called once per
-// C-side term — the ABC variant's "update multiple submatrices of C from
-// registers".
-//
-//fmm:hotpath
-func Scatter[E matrix.Element](m matrix.Mat[E], r0, c0 int, coef E, acc *[MR * NR]E, mr, nr int) {
+func scatterGeneric[E matrix.Element](nrFull int, m matrix.Mat[E], r0, c0 int, coef E, acc []E, mr, nr int) {
 	for i := 0; i < mr; i++ {
 		row := m.Data[(r0+i)*m.Stride+c0 : (r0+i)*m.Stride+c0+nr]
-		a := acc[i*NR : i*NR+nr]
+		a := acc[i*nrFull : i*nrFull+nr]
 		if coef == 1 {
 			for j, v := range a {
 				row[j] += v
@@ -197,10 +150,3 @@ func Scatter[E matrix.Element](m matrix.Mat[E], r0, c0 int, coef E, acc *[MR * N
 		}
 	}
 }
-
-// PackABufLen and PackBBufLen size the packing buffers for block dimensions
-// (mc, kc) and (kc, nc), in elements.
-func PackABufLen(mc, kc int) int { return ((mc + MR - 1) / MR) * MR * kc }
-
-// PackBBufLen sizes a B̃ buffer; see PackABufLen.
-func PackBBufLen(kc, nc int) int { return ((nc + NR - 1) / NR) * NR * kc }

@@ -18,7 +18,7 @@
 //	               must go through internal/sched — bare go statements are
 //	               forbidden outside that package.
 //	locksafe     — types that embed locks or pool state (Workspace, the scratch
-//	               list, the plan cache, sched deques, …) must not be copied by
+//	               list, the plan cache, …) must not be copied by
 //	               value: not as parameters, results, assignments, call
 //	               arguments, or range values. This extends vet's copylocks to
 //	               the repo's pool-holding structs that carry no mutex.
@@ -247,7 +247,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 			}
 			return nil
 		}
-		// Package-qualified call: fmt.Sprintf, kernel.PackA, …
+		// Package-qualified call: fmt.Sprintf, kernel.SingleTerm, …
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			return f
 		}

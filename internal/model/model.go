@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"fmmfam/internal/core"
@@ -36,7 +35,7 @@ import (
 // seconds per element moved, so float32 roughly halves it (half the bytes
 // per element at the same bandwidth), and τa may change wherever the kernel
 // retires one dtype faster than the other (an AVX2 float32 kernel doubles
-// its lanes; the scalar pure-Go kernels are dtype-neutral). Kernel and Dtype
+// its lanes; the scalar pure-Go kernel is dtype-neutral). Kernel and Dtype
 // record which registered backend and element type the τ constants describe
 // ("" = unspecified, treated as the default backend; the zero Dtype is
 // float64, so every pre-dtype Arch literal keeps its historical meaning).
@@ -76,72 +75,32 @@ type effKey struct {
 	dtype matrix.Dtype
 }
 
-// kernelEff maps registered (backend, dtype) pairs to their relative
-// sustained flop rate versus the default backend at float64 (= 1.0): eff > 1
-// means the pair retires flops faster, so its τa is smaller. Entries for the
-// built-in pure-Go backends were measured once with BenchmarkAblationKernel
-// on the dev container (best of repeated runs, kc=256); they are scalar
-// kernels, so their float32 rate matches float64 and the lookup falls back
-// to the float64 entry when a dtype-specific one is absent (an AVX2 backend
-// would register its doubled float32 rate explicitly). Calibrate supersedes
-// the table with a live measurement whenever it runs, so the constants only
-// steer selection until calibration happens. Guarded for the Register
-// functions.
-var kernelEff = struct {
-	sync.RWMutex
-	m map[effKey]float64
-}{m: map[effKey]float64{
-	{"go4x4", matrix.Float64}: 1.0,
-	{"go8x4", matrix.Float64}: 0.97, // wider tile halves B traffic but the 32 accumulators spill registers
-	// The avx2 entries only take effect on hosts where the backend
-	// registered (ArchForKernel checks the registry before pricing); the
-	// ratios are measured micro-kernel rates from BenchmarkAblationKernel
-	// (kc=256, best of repeated runs on the AVX2 dev container): the 8×6
-	// float64 FMA kernel retires ~12× the default backend's scalar rate, and
-	// the 16×6 float32 kernel doubles that again — twice the lanes per
-	// 256-bit register.
-	{kernel.AVX2Backend, matrix.Float64}: 12.0,
-	{kernel.AVX2Backend, matrix.Float32}: 24.0,
-}}
-
-// RegisterKernelEfficiency records the relative flop rate of a registered
-// backend (1.0 = same sustained rate as the default backend at float64) for
-// the float64 element type; dtypes without their own entry inherit it.
-// Backends added by future PRs (AVX, cgo) register their measured ratio
-// alongside kernel.Register so model-driven selection prices them correctly
-// before any runtime calibration.
-func RegisterKernelEfficiency(name string, eff float64) error {
-	return RegisterKernelDtypeEfficiency(name, matrix.Float64, eff)
+// kernelEff is each (backend, dtype) pair's relative sustained flop rate
+// versus the default backend at float64 (= 1.0): eff > 1 means the pair
+// retires flops faster, so its τa is smaller. One entry per registered pair —
+// a new backend adds its lines here. go4x4 is a scalar kernel, so its float32
+// rate matches float64. The avx2 entries only take effect on hosts where the
+// backend registered (ArchForKernel checks the registry before pricing); the
+// ratios are measured micro-kernel rates from BenchmarkAblationKernel (kc=256,
+// best of repeated runs on the AVX2 dev container): the 8×6 float64 FMA
+// kernel retires ~12× the default backend's scalar rate, and the 16×6 float32
+// kernel doubles that again — twice the lanes per 256-bit register. Calibrate
+// supersedes the table with a live measurement whenever it runs, so the
+// constants only steer selection until calibration happens.
+var kernelEff = map[effKey]float64{
+	{kernel.DefaultBackend, matrix.Float64}: 1.0,
+	{kernel.DefaultBackend, matrix.Float32}: 1.0,
+	{kernel.AVX2Backend, matrix.Float64}:    12.0,
+	{kernel.AVX2Backend, matrix.Float32}:    24.0,
 }
 
-// RegisterKernelDtypeEfficiency records the relative flop rate of one
-// (backend, dtype) pair — the hook for kernels whose dtypes retire flops at
-// different rates (an AVX2 float32 kernel runs twice the lanes of its
-// float64 twin).
-func RegisterKernelDtypeEfficiency(name string, d matrix.Dtype, eff float64) error {
-	if name == "" || eff <= 0 {
-		return fmt.Errorf("model: bad kernel efficiency %q/%s=%g", name, d, eff)
-	}
-	kernelEff.Lock()
-	kernelEff.m[effKey{name, d}] = eff
-	kernelEff.Unlock()
-	return nil
-}
-
-// kernelEfficiency returns the registered relative flop rate of a (backend,
-// dtype) pair; a missing dtype entry falls back to the backend's float64
-// entry (scalar kernels are dtype-neutral), and unknown or empty names price
-// like the default backend.
+// kernelEfficiency returns the relative flop rate of a (backend, dtype) pair;
+// unknown or empty names price like the default backend.
 func kernelEfficiency(name string, d matrix.Dtype) float64 {
 	if name == "" {
 		name = kernel.DefaultBackend
 	}
-	kernelEff.RLock()
-	defer kernelEff.RUnlock()
-	if e, ok := kernelEff.m[effKey{name, d}]; ok {
-		return e
-	}
-	if e, ok := kernelEff.m[effKey{name, matrix.Float64}]; ok {
+	if e, ok := kernelEff[effKey{name, d}]; ok {
 		return e
 	}
 	return 1.0
@@ -171,8 +130,8 @@ func ArchForKernel(arch Arch, name string) Arch {
 // ArchForDtype returns arch re-priced for element type d: τb scales by the
 // element-size ratio (seconds per element at fixed byte bandwidth — float32
 // halves it), and τa by the ratio of the kernel's per-dtype flop rates
-// (unchanged for the scalar pure-Go backends, halved for a SIMD backend
-// whose float32 path doubles its lanes). λ and the blocking carry over. An
+// (unchanged for the scalar pure-Go backend, halved for avx2, whose float32
+// path doubles its lanes). λ and the blocking carry over. An
 // arch already describing d — e.g. from Calibrate[float32] — is returned
 // as-is, preserving measured constants. The Multiplier applies this at
 // construction, so the float32 serving surface selects plans, tile floors,

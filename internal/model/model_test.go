@@ -362,13 +362,8 @@ func TestArchForKernel(t *testing.T) {
 		t.Fatal("ArchForKernel touched machine-side parameters")
 	}
 
-	// A backend registered at 2× efficiency halves τa; converting back
-	// restores the original constant.
-	if err := RegisterKernelEfficiency("stub-model-test", 2.0); err != nil {
-		t.Fatal(err)
-	}
-	// RegisterKernelEfficiency alone is not enough — the backend must exist.
-	if got := ArchForKernel(base, "stub-model-test"); got != base {
+	// A name the registry does not hold leaves the arch unchanged.
+	if got := ArchForKernel(base, "no-such-backend"); got != base {
 		t.Fatal("unregistered backend must leave arch unchanged")
 	}
 
@@ -378,48 +373,45 @@ func TestArchForKernel(t *testing.T) {
 		t.Fatal("matching-kernel rescale must be the identity")
 	}
 
-	// go8x4 round-trip: whatever its registered efficiency, converting
-	// there and back must restore τa (up to float rounding).
-	there := ArchForKernel(def, "go8x4")
-	if there.Kernel != "go8x4" {
-		t.Fatalf("kernel not recorded: %q", there.Kernel)
+	// avx2 round-trip, where the host registered it: τa shrinks by the
+	// table's ratio, and converting there and back restores it (up to float
+	// rounding). Elsewhere the name is unavailable and prices nothing.
+	there := ArchForKernel(def, kernel.AVX2Backend)
+	if !kernel.HostCPU().AVX2 {
+		if there != def {
+			t.Fatal("unavailable backend must leave arch unchanged")
+		}
+		return
 	}
-	back := ArchForKernel(there, "go4x4")
+	if there.Kernel != kernel.AVX2Backend || there.TauA >= def.TauA {
+		t.Fatalf("avx2 rescale: kernel %q, τa %g → %g", there.Kernel, def.TauA, there.TauA)
+	}
+	back := ArchForKernel(there, kernel.DefaultBackend)
 	if d := math.Abs(back.TauA-def.TauA) / def.TauA; d > 1e-12 {
 		t.Fatalf("τa round-trip drifted by %g", d)
-	}
-}
-
-func TestRegisterKernelEfficiencyRejectsBadInput(t *testing.T) {
-	if err := RegisterKernelEfficiency("", 1.0); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := RegisterKernelEfficiency("x", 0); err == nil {
-		t.Fatal("zero efficiency accepted")
-	}
-	if err := RegisterKernelEfficiency("x", -1); err == nil {
-		t.Fatal("negative efficiency accepted")
 	}
 }
 
 // TestCalibrateRecordsKernel: the measured arch names the backend it drove,
 // so ArchForKernel treats it as authoritative for that backend.
 func TestCalibrateRecordsKernel(t *testing.T) {
-	arch, err := Calibrate[float64](gemm.Config{MC: 32, KC: 64, NC: 128, Threads: 1, Kernel: "go8x4"}, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arch.Kernel != "go8x4" {
-		t.Fatalf("calibrated arch records kernel %q, want go8x4", arch.Kernel)
-	}
-	// A calibrated arch for the backend in use passes through unchanged.
-	if got := ArchForKernel(arch, "go8x4"); got != arch {
-		t.Fatal("calibrated arch must be authoritative for its own backend")
+	for _, name := range kernel.BackendsFor(matrix.Float64) {
+		arch, err := Calibrate[float64](gemm.Config{MC: 32, KC: 64, NC: 128, Threads: 1, Kernel: name}, 96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arch.Kernel != name {
+			t.Fatalf("calibrated arch records kernel %q, want %s", arch.Kernel, name)
+		}
+		// A calibrated arch for the backend in use passes through unchanged.
+		if got := ArchForKernel(arch, name); got != arch {
+			t.Fatalf("calibrated %s arch must be authoritative for its own backend", name)
+		}
 	}
 }
 
 // TestArchForDtype: re-pricing for float32 halves τb (per-element bandwidth
-// cost at half the bytes), leaves the scalar pure-Go kernels' τa unchanged,
+// cost at half the bytes), leaves the scalar pure-Go kernel's τa unchanged,
 // records the dtype, round-trips, and is the identity on a matching arch.
 func TestArchForDtype(t *testing.T) {
 	base := ArchForKernel(PaperIvyBridge(), "")
@@ -449,16 +441,10 @@ func TestArchForDtype(t *testing.T) {
 		t.Fatalf("τb round-trip drifted: %+v vs %+v", back, base)
 	}
 
-	// A dtype-specific efficiency entry rescales τa: a kernel whose float32
-	// path retires 2× the flops gets half the τa at float32.
-	if err := RegisterKernelDtypeEfficiency("go4x4-dtype-stub", matrix.Float64, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterKernelDtypeEfficiency("go4x4-dtype-stub", matrix.Float32, 2.0); err != nil {
-		t.Fatal(err)
-	}
+	// A dtype-specific efficiency rescales τa: avx2's float32 path retires
+	// twice the flops of its float64 path, so it gets half the τa at float32.
 	simd := base
-	simd.Kernel = "go4x4-dtype-stub"
+	simd.Kernel = kernel.AVX2Backend
 	simd32 := ArchForDtype(simd, matrix.Float32)
 	if math.Abs(simd32.TauA-simd.TauA/2)/simd.TauA > 1e-15 {
 		t.Fatalf("2× float32 efficiency should halve τa: %g → %g", simd.TauA, simd32.TauA)

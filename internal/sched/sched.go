@@ -1,10 +1,11 @@
 // Package sched runs a fixed batch of independent jobs on a small worker
-// pool with work stealing. It replaces static tile hand-outs in the
-// sharding and batch layers: jobs carry a modelled cost, the costliest are
-// seeded first, and idle workers steal from busy ones, so ragged grids and
-// heterogeneous job costs no longer pay the straggler round a
-// ⌈jobs/workers⌉ round-robin schedule models — the realized schedule tracks
-// LPT (longest processing time first) list scheduling instead.
+// budget. It replaces static tile hand-outs in the sharding and batch layers:
+// jobs carry a modelled cost, and every worker claims the costliest job not
+// yet started off one shared cursor, so ragged grids and heterogeneous job
+// costs no longer pay the straggler round a ⌈jobs/workers⌉ round-robin
+// schedule models — the realized schedule is greedy LPT (longest processing
+// time first) list scheduling. This is the paper's plain data parallelism:
+// one sorted list, one atomic add per job, no per-worker queues to rebalance.
 //
 // There is one implementation: Pool.Run draws helpers from a bounded token
 // budget with the caller participating — the nesting-safe form every layer
@@ -16,11 +17,13 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
-// Job is one unit of work. Run executes it; Cost orders the seeding
+// Job is one unit of work. Run executes it; Cost orders the hand-out
 // (largest first), so expensive jobs start as early as possible. Cost is a
 // relative weight — any consistent unit (flops, tile volume, bytes) works.
 type Job struct {
@@ -34,49 +37,6 @@ type Job struct {
 // it stays inside one worker budget.
 func Run(workers int, jobs []Job) {
 	NewPool(workers).Run(jobs)
-}
-
-// seedDeques sorts jobs costliest-first (stable, so equal costs keep
-// submission order) and deals them round-robin across workers per-worker
-// deques.
-func seedDeques(jobs []Job, workers int) []deque {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].Cost > jobs[order[b]].Cost })
-	deques := make([]deque, workers)
-	for pos, idx := range order {
-		d := &deques[pos%workers]
-		d.jobs = append(d.jobs, idx)
-	}
-	return deques
-}
-
-// drain is one worker's loop: pop from the own deque front, steal from the
-// back of a victim when empty, exit when one empty-handed sweep of every
-// deque finds no work.
-func drain(deques []deque, jobs []Job, self int) {
-	for {
-		idx, ok := deques[self].popFront()
-		if !ok {
-			var batch []int
-			batch, ok = steal(deques, self)
-			if ok {
-				idx = batch[0]
-				if len(batch) > 1 {
-					// The thief's own deque is empty (that is why it
-					// stole), so the surplus lands at its front in
-					// the segment's original costliest-first order.
-					deques[self].pushBatch(batch[1:])
-				}
-			}
-		}
-		if !ok {
-			return
-		}
-		jobs[idx].Run()
-	}
 }
 
 // Pool is a shared worker budget for fork-join parallelism that may nest:
@@ -119,17 +79,11 @@ func (p *Pool) Workers() int { return cap(p.tokens) + 1 }
 // Run executes every job exactly once and returns when all have finished.
 // The calling goroutine participates as a worker, joined by however many
 // helper tokens were free, so Run is safe to call from inside a job running
-// on this same Pool. Jobs are sorted costliest-first (stable, so equal costs
-// keep submission order — Run is deterministic in which worker deque each job
-// lands in, though not in execution interleaving) and seeded round-robin
-// across per-worker deques; each worker drains its own deque front to back
-// (its costliest first) and, when empty, steals from the back of the first
-// non-empty victim — half the victim's deque at once when it is backlogged
-// (≥ stealHalfMin jobs), one job otherwise. Jobs must not enqueue further
-// jobs into the same Run; with a fixed job set, one empty-handed sweep of
-// every deque means no work remains and the worker exits. With no free
-// tokens (or a single job) the jobs run serially on the caller in submission
-// order.
+// on this same Pool. Jobs are ordered costliest-first (stable, so equal costs
+// keep submission order) and handed out off one atomic cursor: each worker
+// claims the next job in that order until none remain, so the claim order is
+// deterministic though the execution interleaving is not. With no free tokens
+// (or a single job) the jobs run serially on the caller in submission order.
 func (p *Pool) Run(jobs []Job) {
 	n := len(jobs)
 	if n == 0 {
@@ -155,86 +109,30 @@ func (p *Pool) Run(jobs []Job) {
 		}
 		return
 	}
-	deques := seedDeques(jobs, helpers+1)
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for w := 1; w <= helpers; w++ {
-		go func(self int) {
-			defer wg.Done()
-			defer func() { p.tokens <- struct{}{} }()
-			drain(deques, jobs, self)
-		}(w)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	drain(deques, jobs, 0)
-	wg.Wait()
-}
-
-// deque is one worker's job queue: indices into the job slice, costliest
-// first. A mutex is plenty here — jobs are matrix products, so queue
-// operations are noise next to job runtimes.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	idx := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return idx, true
-}
-
-// stealHalfMin is the victim backlog at which a thief takes half the deque
-// in one steal instead of a single job. Below it, batching would leave the
-// victim's owner with almost nothing the moment it finishes its current
-// job; at or above it, per-job steals on ragged grids degenerate into one
-// lock acquisition per job while the backlogged owner is still busy — the
-// classic work-stealing trade, resolved the same way Cilk-style runtimes
-// do (steal a constant fraction, not a constant count).
-const stealHalfMin = 4
-
-// stealBack removes work from the back of the deque for a thief: half the
-// deque (rounded down) when it holds at least stealHalfMin jobs, one job
-// otherwise. The returned segment preserves deque order, so its first
-// element is the costliest of the stolen jobs.
-func (d *deque) stealBack() ([]int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.jobs)
-	if n == 0 {
-		return nil, false
-	}
-	take := 1
-	if n >= stealHalfMin {
-		take = n / 2
-	}
-	batch := append([]int(nil), d.jobs[n-take:]...)
-	d.jobs = d.jobs[:n-take]
-	return batch, true
-}
-
-// pushBatch appends a stolen surplus to the deque in order.
-func (d *deque) pushBatch(batch []int) {
-	d.mu.Lock()
-	d.jobs = append(d.jobs, batch...)
-	d.mu.Unlock()
-}
-
-// steal scans the other workers' deques round-robin from self+1 and takes
-// from the back of the first non-empty one — the victim's cheapest
-// remaining jobs, leaving its costliest (front) work undisturbed for the
-// owner. Backlogged victims (≥ stealHalfMin jobs) lose half their deque in
-// one steal, so on ragged grids a starved worker re-balances in O(log n)
-// steals instead of one steal per job.
-func steal(deques []deque, self int) ([]int, bool) {
-	for off := 1; off < len(deques); off++ {
-		if batch, ok := deques[(self+off)%len(deques)].stealBack(); ok {
-			return batch, true
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[b].Cost, jobs[a].Cost) })
+	var next atomic.Int64
+	claim := func() {
+		for {
+			pos := next.Add(1) - 1
+			if pos >= int64(n) {
+				return
+			}
+			jobs[order[pos]].Run()
 		}
 	}
-	return nil, false
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for w := 0; w < helpers; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() { p.tokens <- struct{}{} }()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,13 +61,12 @@ func TestRunActuallyOverlapsJobs(t *testing.T) {
 	}
 }
 
-// TestRunStealsFromStragglers: seed one worker with a long job and pile the
-// rest of the work behind it; thieves must drain the straggler's deque, so
+// TestRunStealsFromStragglers: one worker takes a long job with the rest of
+// the work queued behind it; the other workers must take all of that, so
 // total wall time stays near the long job instead of serializing behind it.
 func TestRunStealsFromStragglers(t *testing.T) {
 	const workers = 4
-	// Costs are descending, so job 0 (the long one) seeds worker 0's front
-	// and jobs 4, 8, 12, … queue behind it in the same deque.
+	// Costs are descending, so job 0 (the long one) is claimed first.
 	var ran atomic.Int32
 	jobs := make([]Job, 16)
 	jobs[0] = Job{Cost: 1000, Run: func() {
@@ -85,9 +85,8 @@ func TestRunStealsFromStragglers(t *testing.T) {
 	if got := ran.Load(); got != 16 {
 		t.Fatalf("ran %d jobs, want 16", got)
 	}
-	// Serial drain of worker 0's deque would take ≥ 60ms + 3×1ms after the
-	// long job; stealing lets the other workers take those jobs while the
-	// long one runs. Generous bound to stay robust on loaded CI machines.
+	// The other workers take the short jobs while the long one runs.
+	// Generous bound to stay robust on loaded CI machines.
 	if elapsed > 55*time.Millisecond*4 {
 		t.Fatalf("elapsed %v suggests no overlap at all", elapsed)
 	}
@@ -116,55 +115,52 @@ func TestRunRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStealBackTakesHalfWhenBacklogged pins the steal-half mechanics:
-// victims holding ≥ stealHalfMin jobs lose half their deque (rounded down,
-// from the back, order preserved), smaller victims lose exactly one, and an
-// empty deque refuses.
-func TestStealBackTakesHalfWhenBacklogged(t *testing.T) {
-	mk := func(n int) *deque {
-		d := &deque{}
-		for i := 0; i < n; i++ {
-			d.jobs = append(d.jobs, i)
-		}
-		return d
+// TestLoneWorkerClaimsInDescendingCostOrder pins the hand-out itself: on a
+// 2-worker pool with the costliest job blocked on a channel, the other worker
+// alone must run every remaining job exactly once, claiming them off the
+// cursor costliest-first with equal costs in submission order.
+func TestLoneWorkerClaimsInDescendingCostOrder(t *testing.T) {
+	costs := []int64{5, 9, 1, 9, 7, 3, 7, 2}
+	// Stable costliest-first order of the indices above.
+	want := []int{1, 3, 4, 6, 0, 5, 7, 2}
+
+	release := make(chan struct{})
+	var mu sync.Mutex // the claimer may be the caller or the helper, never both
+	var claimed []int
+	jobs := make([]Job, 1+len(costs))
+	jobs[0] = Job{Cost: 1 << 60, Run: func() { <-release }}
+	for i, c := range costs {
+		i := i
+		jobs[1+i] = Job{Cost: c, Run: func() {
+			mu.Lock()
+			claimed = append(claimed, i)
+			n := len(claimed)
+			mu.Unlock()
+			if n == len(costs) {
+				close(release)
+			}
+		}}
 	}
-	for _, tc := range []struct {
-		n, wantTake int
-	}{
-		{0, 0}, {1, 1}, {2, 1}, {3, 1}, // below the threshold: one job
-		{4, 2}, {5, 2}, {8, 4}, {9, 4}, {17, 8}, // at/above: half, rounded down
-	} {
-		d := mk(tc.n)
-		batch, ok := d.stealBack()
-		if tc.n == 0 {
-			if ok {
-				t.Fatalf("stealBack on empty deque returned %v", batch)
-			}
-			continue
-		}
-		if !ok || len(batch) != tc.wantTake {
-			t.Fatalf("n=%d: stole %d jobs (%v), want %d", tc.n, len(batch), batch, tc.wantTake)
-		}
-		if len(d.jobs) != tc.n-tc.wantTake {
-			t.Fatalf("n=%d: victim left with %d jobs, want %d", tc.n, len(d.jobs), tc.n-tc.wantTake)
-		}
-		// The batch is the back segment in original order; the victim keeps
-		// the front.
-		for i, idx := range batch {
-			if idx != tc.n-tc.wantTake+i {
-				t.Fatalf("n=%d: batch %v is not the ordered back segment", tc.n, batch)
-			}
-		}
+	done := make(chan struct{})
+	go func() {
+		NewPool(2).Run(jobs)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: the free worker did not drain the jobs behind the blocked one")
+	}
+	if !slices.Equal(claimed, want) {
+		t.Fatalf("claim order %v, want each of %v exactly once, in that order", claimed, want)
 	}
 }
 
-// TestStealDistributionRaggedGrid drives the steal path on a ragged 3D
-// shard grid — the workload the steal-half heuristic exists for: tile costs
-// spanning two orders of magnitude, seeded across few workers. One worker
-// is pinned in a long job; the remaining workers must drain every other
-// job (exactly once) before the long job finishes, which requires thieves
-// to take work out of the blocked worker's deque in batches rather than
-// getting stuck behind it.
+// TestStealDistributionRaggedGrid drives the hand-out on a ragged 3D shard
+// grid — tile costs spanning two orders of magnitude, few workers. One
+// worker is pinned in a long job; the remaining worker must drain every
+// other job (exactly once) before the long job finishes, which requires
+// that no job is reserved for the blocked worker.
 func TestStealDistributionRaggedGrid(t *testing.T) {
 	spec, ok := shard.Split(3000, 2000, 900, shard.Options{Workers: 8, MinTile: 96, KSplit: true})
 	if !ok {
@@ -176,9 +172,8 @@ func TestStealDistributionRaggedGrid(t *testing.T) {
 	}
 
 	const workers = 2
-	// jobs[0] gets the largest cost, so it seeds worker 0's deque front and
-	// the sort leaves the remaining tile jobs alternating across both
-	// deques. Worker 0 blocks in it until every other job has run.
+	// jobs[0] gets the largest cost, so it is claimed first; its worker
+	// blocks in it until every other job has run.
 	others := int32(len(tiles))
 	allOthersDone := make(chan struct{})
 	var doneOnce sync.Once
@@ -205,7 +200,7 @@ func TestStealDistributionRaggedGrid(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("deadlock: thief failed to drain the blocked worker's deque")
+		t.Fatal("deadlock: the free worker failed to drain the jobs behind the blocked one")
 	}
 	if got := ran.Load(); got != int32(len(jobs)) {
 		t.Fatalf("ran %d jobs, want %d", got, len(jobs))

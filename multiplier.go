@@ -285,10 +285,9 @@ type BatchJob = GenericBatchJob[float64]
 type BatchJob32 = GenericBatchJob[float32]
 
 // MulAddBatch schedules the jobs on the multiplier's worker pool: jobs are
-// seeded across per-worker deques costliest-first (by classical flop count
-// 2·m·k·n) and idle workers steal from busy ones — half a backlogged victim's
-// deque at a time — so mixed-size batches don't pay a straggler round. Batch
-// contract: every job executes its shape class's width-1 plan — the
+// handed out costliest-first (by classical flop count 2·m·k·n), each free
+// worker claiming the next one, so mixed-size batches don't pay a straggler
+// round. Batch contract: every job executes its shape class's width-1 plan — the
 // parallelism is across jobs, not within one — so results and plan selection
 // are identical whether the pool has one worker or many. Jobs must be
 // independent (no C aliases another job's operands). It returns the join of
