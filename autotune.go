@@ -82,11 +82,12 @@ func (mu *GenericMultiplier[E]) buildArm(cand Candidate, steps []fmmexec.Step, k
 // model's pick exactly as untuned serving would build it; the challenger
 // queue explores, in order, the opposite term traversal (auto mode at width
 // ≥ 2 only — a forced Config.Traversal is a user decision the tuner
-// respects), the model's next two candidates under their own auto traversal,
-// and the first alternative kernel backend registered for this dtype. A
-// challenger whose plan cannot be built (e.g. blocking below the alternative
-// backend's micro-tile) is skipped rather than failing serving; only an
-// unbuildable incumbent is an error.
+// respects — and only when the incumbent has levels to traverse: gemm, the
+// zero-level candidate, has no terms to fan), the model's next two candidates
+// under their own auto traversal, and the first alternative kernel backend
+// registered for this dtype. A challenger whose plan cannot be built (e.g.
+// blocking below the alternative backend's micro-tile) is skipped rather than
+// failing serving; only an unbuildable incumbent is an error.
 func (mu *GenericMultiplier[E]) newPlanTuner(key planKey, m, k, n int) (*planTuner[E], error) {
 	top := model.TopK(mu.arch, defaultCandidates(), m, k, n, 3, mu.feedback, key.String())
 	incSteps := mu.traversalFor(top[0], m, k, n, key.threads)
@@ -107,7 +108,7 @@ func (mu *GenericMultiplier[E]) newPlanTuner(key planKey, m, k, n int) (*planTun
 		pt.arms[key] = a
 		chalKeys = append(chalKeys, key)
 	}
-	if mu.traversal == TraversalAuto && key.threads >= 2 {
+	if mu.traversal == TraversalAuto && key.threads >= 2 && len(top[0].Levels) > 0 {
 		flipped := []fmmexec.Step(nil) // incumbent went BFS: try the serial loop
 		if incArm.depth == 0 {
 			flipped = make([]fmmexec.Step, len(top[0].Levels))

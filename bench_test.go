@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"fmmfam/internal/core"
 	"fmmfam/internal/fmmexec"
@@ -220,6 +221,76 @@ func BenchmarkParallelThroughput(b *testing.B) {
 		secs := b.Elapsed().Seconds() / float64(b.N)
 		b.ReportMetric(model.EffectiveGFLOPS(size, size, size, secs), "aggGFLOPS")
 	})
+}
+
+// BenchmarkSelectorVsGEMM tracks the win-or-abstain decision per commit: for
+// every registered kernel, Multiplier.MulAdd — whatever plan the model
+// selects, gemm included — against gemm.Context.MulAdd on the same operands,
+// over squares 32…2048 and the rank-k and K-slab shapes of the benchmark
+// workloads. One thread, so nothing shards and the only decision measured is
+// plan versus GEMM; the two sides alternate call by call so host drift falls
+// on both. Rows report the selector's ns/op and effGFLOPS and x_gemm, GEMM's
+// time over the selector's (≥ 1 wherever the selection is right; ≈ 1 where it
+// abstains). A closing summary row per kernel puts the model's
+// BreakEvenSquare beside the measured crossover — the smallest probed square
+// from which on the selected fast plan beats GEMM (0: never within the sweep).
+func BenchmarkSelectorVsGEMM(b *testing.B) {
+	squares := []int{32, 64, 128, 256, 512, 1024, 2048}
+	others := [][3]int{{2880, 480, 2880}, {256, 8192, 256}}
+	for _, kern := range kernel.BackendsFor(matrix.Float64) {
+		cfg := DefaultConfig()
+		cfg.Kernel = kern
+		mu := NewMultiplier(cfg, PaperArch())
+		ctx := gemm.MustNewContext[float64](cfg.gemmConfig())
+		// row benchmarks one shape and returns x_gemm and whether the
+		// selector served a fast plan there.
+		row := func(m, k, n int) (x float64, fast bool) {
+			p, err := mu.PlanFor(m, k, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern, m, k, n), func(b *testing.B) {
+				a, bm := matrix.New[float64](m, k), matrix.New[float64](k, n)
+				a.Fill(1.0 / 3)
+				bm.Fill(-2.0 / 3)
+				c, cg := matrix.New[float64](m, n), matrix.New[float64](m, n)
+				var sel, base time.Duration
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t0 := time.Now()
+					if err := mu.MulAdd(c, a, bm); err != nil {
+						b.Fatal(err)
+					}
+					t1 := time.Now()
+					ctx.MulAdd(cg, a, bm)
+					sel, base = sel+t1.Sub(t0), base+time.Since(t1)
+				}
+				b.StopTimer()
+				x = base.Seconds() / sel.Seconds()
+				b.ReportMetric(float64(sel.Nanoseconds())/float64(b.N), "ns/op")
+				b.ReportMetric(model.EffectiveGFLOPS(m, k, n, sel.Seconds()/float64(b.N)), "effGFLOPS")
+				b.ReportMetric(x, "x_gemm")
+			})
+			return x, len(p.Levels) > 0
+		}
+		crossover := 0
+		for _, s := range squares {
+			switch x, fast := row(s, s, s); {
+			case !fast || x <= 1:
+				crossover = 0
+			case crossover == 0:
+				crossover = s
+			}
+		}
+		for _, s := range others {
+			row(s[0], s[1], s[2])
+		}
+		b.Run(kern+"/crossover", func(b *testing.B) {
+			b.ReportMetric(0, "ns/op") // a summary row: nothing is timed
+			b.ReportMetric(float64(model.BreakEvenSquare(mu.arch, defaultCandidates())), "model_breakeven")
+			b.ReportMetric(float64(crossover), "measured_crossover")
+		})
+	}
 }
 
 // BenchmarkBatchThroughput measures MulAddBatch on a mixed-shape batch — the

@@ -55,6 +55,12 @@ func TestCLIModel(t *testing.T) {
 	if err != nil || !strings.Contains(out, "ABC") {
 		t.Fatalf("model failed: %v\n%s", err, out)
 	}
+	// Below the break-even plain GEMM is the first row of the ranking, under
+	// the unchanged header line.
+	out, err = run(t, "model", "-m", "100", "-k", "100", "-n", "100", "-top", "2")
+	if err != nil || !strings.Contains(out, "GEMM predicted") || !strings.Contains(out, "\n1\tgemm\t") || !strings.Contains(out, "\n2\t<2,2,2> ABC\t") {
+		t.Fatalf("model at 100³: %v\n%s", err, out)
+	}
 }
 
 func TestCLIGenParses(t *testing.T) {

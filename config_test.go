@@ -85,28 +85,48 @@ func TestInvalidConfigSurfacesFromEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// TestDefaultKernelPlanGolden pins the full selection→plan→execution path on
-// the default backend to the exact bits it produced before the Backend
-// interface existed (hash captured from the PR-3 tree on amd64): plan
-// selection and kernel numerics together are the reproducibility surface.
-// Skipped off amd64, where the compiler may fuse a*b+c into FMA and round
-// differently.
+// TestDefaultKernelPlanGolden pins the plan→execution path on the default
+// backend to the exact bits it produced before the Backend interface existed
+// (hash captured from the PR-3 tree on amd64): <2,2,2> ABC at 96³, the plan
+// the selector served there until GEMM became a candidate — 96³ is below the
+// default backend's break-even, so the plan is now built by name — and the
+// full selection→plan→execution path at 192³, above the break-even, to the
+// bits the Multiplier produced before that change (hash captured from the
+// PR-14 tree). Plan selection and kernel numerics together are the
+// reproducibility surface. Skipped off amd64, where the compiler may fuse
+// a*b+c into FMA and round differently.
 func TestDefaultKernelPlanGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden fingerprint captured on amd64; GOARCH=%s may fuse FMA", runtime.GOARCH)
 	}
-	rng := rand.New(rand.NewSource(4096))
-	a, b := NewMatrix(96, 96), NewMatrix(96, 96)
-	c := NewMatrix(96, 96)
-	a.FillRand(rng)
-	b.FillRand(rng)
+	operands := func(n int) (c, a, b Matrix) {
+		rng := rand.New(rand.NewSource(4096))
+		a, b = NewMatrix(n, n), NewMatrix(n, n)
+		a.FillRand(rng)
+		b.FillRand(rng)
+		return NewMatrix(n, n), a, b
+	}
+	c, a, b := operands(96)
+	p, err := NewPlan(DefaultConfig(), ABC, Generate(2, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MulAdd(c, a, b)
+	if got := c.Fingerprint(); got != 0xcf7d1834413624e4 {
+		t.Errorf("default plan path fingerprint %#x, want %#x (no longer bit-identical to pre-backend-interface results)",
+			got, uint64(0xcf7d1834413624e4))
+	}
+	c, a, b = operands(192)
 	mu := NewMultiplier(DefaultConfig(), PaperArch())
 	if err := mu.MulAdd(c, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Fingerprint(); got != 0xcf7d1834413624e4 {
-		t.Errorf("default plan path fingerprint %#x, want %#x (no longer bit-identical to pre-backend-interface results)",
-			got, uint64(0xcf7d1834413624e4))
+	if sel, _ := mu.PlanFor(192, 192, 192); sel.String() != "<2,2,2> ABC" {
+		t.Errorf("192³ on the default backend selected %s, want <2,2,2> ABC", sel)
+	}
+	if got := c.Fingerprint(); got != 0x6dab96631598aae6 {
+		t.Errorf("selected plan path fingerprint %#x, want %#x (no longer bit-identical to the selector before GEMM was a candidate)",
+			got, uint64(0x6dab96631598aae6))
 	}
 }
 

@@ -17,7 +17,9 @@
 //     additions, with goroutine data-parallelism and pluggable,
 //     conformance-tested micro-kernel backends (Config.Kernel, Kernels),
 //   - the analytic performance model (Predict, Recommend) used to pick an
-//     implementation for a problem size without exhaustive search, and
+//     implementation for a problem size without exhaustive search — plain
+//     GEMM included, as the zero-level candidate "gemm" that wins below the
+//     kernel's break-even — and
 //   - numerical search for new algorithms (Discover).
 //
 // Quick start:
@@ -25,7 +27,7 @@
 //	a, b := fmmfam.NewMatrix(1024, 1024), fmmfam.NewMatrix(1024, 1024)
 //	// ... fill a and b ...
 //	c := fmmfam.NewMatrix(1024, 1024)
-//	fmmfam.Multiply(c, a, b) // c += a·b with a model-selected FMM plan
+//	fmmfam.Multiply(c, a, b) // c += a·b with the model-selected plan
 //
 // Concurrency contract: Plans and Multipliers are immutable descriptions;
 // all mutable per-call state (packing buffers, variant temporaries) is
@@ -569,8 +571,9 @@ func Catalog() []CatalogEntry { return core.Catalog() }
 
 // NewPlan builds an executable multi-level float64 FMM plan. Levels are
 // outermost first; hybrid partitions simply pass different algorithms per
-// level. Config.Traversal "bfs" builds the plan with term fan-out at every
-// level; "dfs", "auto", and empty build the serial term loop (a direct plan
+// level, and no levels at all is the zero-level plan, plain GEMM.
+// Config.Traversal "bfs" builds the plan with term fan-out at every level;
+// "dfs", "auto", and empty build the serial term loop (a direct plan
 // has no problem size for the model — auto selection happens on the
 // Multiplier path).
 func NewPlan(cfg Config, v Variant, levels ...Algorithm) (*Plan, error) {
@@ -593,9 +596,10 @@ func newPlan[E matrix.Element](cfg Config, v Variant, levels []Algorithm) (*fmme
 }
 
 // forcedSteps maps a forced traversal mode to explicit per-level steps: nil
-// (the serial loop) unless the mode is "bfs", which fans every level.
+// (the serial loop) unless the mode is "bfs", which fans every level — of
+// which the zero-level plan, plain GEMM, has none.
 func forcedSteps(mode string, levels int) []fmmexec.Step {
-	if mode != TraversalBFS {
+	if mode != TraversalBFS || levels == 0 {
 		return nil
 	}
 	steps := make([]fmmexec.Step, levels)
@@ -620,15 +624,17 @@ func Predict(arch Arch, c Candidate, m, k, n int) float64 {
 	return model.Predict(arch, c.Stats(), c.Variant, m, k, n).Total()
 }
 
-// Recommend ranks the default candidate family (every catalog shape at one
-// and two levels in all variants, plus the Figure-9 hybrids) for problem
-// size (m,k,n) on arch and returns the predicted-fastest candidate.
+// Recommend ranks the default candidate family (plain GEMM, every catalog
+// shape at one and two levels in all variants, and the Figure-9 hybrids) for
+// problem size (m,k,n) on arch and returns the predicted-fastest candidate —
+// the zero-level candidate "gemm" wherever no fast plan is predicted to pay.
 func Recommend(arch Arch, m, k, n int) Candidate {
 	ranked := model.Rank(arch, defaultCandidates(), m, k, n)
 	return ranked[0].Candidate
 }
 
-// Multiply computes c += a·b using a model-recommended FMM plan with default
+// Multiply computes c += a·b using the model-recommended plan (a fast
+// algorithm above the kernel's break-even, plain GEMM below it) with default
 // blocking and all available CPUs. It delegates to a lazily-initialized
 // package-level Multiplier, so repeated calls of similar sizes reuse cached
 // plans instead of rebuilding one per call. Safe for concurrent callers; for

@@ -55,11 +55,13 @@ func kronFactor(fa, fb matrix.Mat[float64], ra, ca, rb, cb int) matrix.Mat[float
 	return out
 }
 
-// KronAll left-folds Kron over one or more levels, giving the L-level
-// algorithm of §3.5 as a flat one-level algorithm.
+// KronAll left-folds Kron over the levels, giving the L-level algorithm of
+// §3.5 as a flat one-level algorithm. The empty product is Kron's identity
+// element, the ⟨1,1,1⟩;1 algorithm C += A·B — plain GEMM as the zero-level
+// member of the family.
 func KronAll(levels ...Algorithm) Algorithm {
 	if len(levels) == 0 {
-		panic("core: KronAll needs at least one level")
+		return Classical(1, 1, 1)
 	}
 	out := levels[0]
 	for _, l := range levels[1:] {

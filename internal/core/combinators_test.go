@@ -44,13 +44,26 @@ func TestKronAllThreeLevels(t *testing.T) {
 	}
 }
 
-func TestKronAllEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// The empty Kronecker product is the ⟨1,1,1⟩;1 identity: it verifies, and
+// composing it with an algorithm changes nothing but the name.
+func TestKronAllEmptyIsIdentity(t *testing.T) {
+	id := KronAll()
+	if id.M != 1 || id.K != 1 || id.N != 1 || id.R != 1 {
+		t.Fatalf("KronAll() = %s R=%d, want <1,1,1> R=1", id.ShapeString(), id.R)
+	}
+	if u, v, w := id.NNZ(); u != 1 || v != 1 || w != 1 {
+		t.Fatalf("identity nnz = %d,%d,%d, want 1,1,1", u, v, w)
+	}
+	if err := id.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	s := Strassen()
+	for _, got := range []Algorithm{Kron(id, s), Kron(s, id)} {
+		if got.ShapeString() != s.ShapeString() || got.R != s.R ||
+			got.U.MaxAbsDiff(s.U) != 0 || got.V.MaxAbsDiff(s.V) != 0 || got.W.MaxAbsDiff(s.W) != 0 {
+			t.Fatalf("Kron with the identity changed %s", s)
 		}
-	}()
-	KronAll()
+	}
 }
 
 // The Kron combinator must equal the textbook Kronecker product with rows

@@ -20,6 +20,19 @@
 // by dynamic peeling [16]: the divisible core runs the FMM, the fringes run
 // plain GEMM through the same driver, requiring no extra workspace.
 //
+// # The zero-level plan
+//
+// A plan with no levels is plain GEMM: its Flat is the ⟨1,1,1⟩;1 identity
+// (the empty Kronecker product), its name is "gemm", and MulAdd is the
+// context's MulAdd straight through — one workspace rent, no peeling split,
+// no term lists, no variant temporaries (the variant is carried but unused),
+// nil traversal, fan-out 1 — so its results are bit-identical to
+// gemm.Context.MulAdd. It exists so that "do not use a fast algorithm here"
+// is a plan like any other: the model ranks it (model.PredictGEMM), the
+// Multiplier caches it, and every path that runs a plan — direct calls, batch
+// jobs, shard tiles, K-split slabs, async jobs, autotune arms — abstains from
+// FMM through the one path it already has.
+//
 // # Traversal
 //
 // A plan's R multiplication terms are independent, and a plan may execute
@@ -144,7 +157,8 @@ type Plan[E matrix.Element] struct {
 
 // NewPlan composes the given per-level algorithms (outermost first) into an
 // executable plan with the all-DFS traversal (the historical serial term
-// loop). Every level must verify; at least one level is required.
+// loop). Every level must verify; no levels at all is the zero-level plan,
+// plain GEMM (package comment).
 func NewPlan[E matrix.Element](cfg gemm.Config, variant Variant, levels ...core.Algorithm) (*Plan[E], error) {
 	return NewPlanTraversal[E](cfg, variant, nil, levels...)
 }
@@ -170,9 +184,6 @@ func NewPlanTraversal[E matrix.Element](cfg gemm.Config, variant Variant, traver
 // one context shares one goroutine budget and one bounded store of buffers.
 // A plan built on ctx.Serial() is the width-1 plan of the same engine.
 func NewPlanOn[E matrix.Element](ctx *gemm.Context[E], variant Variant, traversal []Step, levels ...core.Algorithm) (*Plan[E], error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("fmmexec: no levels")
-	}
 	if variant != Naive && variant != AB && variant != ABC {
 		return nil, fmt.Errorf("fmmexec: unknown variant %d", int(variant))
 	}
@@ -235,17 +246,27 @@ func columns(m matrix.Mat[float64]) [][]coefIdx {
 	return out
 }
 
-// String describes the plan, e.g. "<2,2,2>+<3,3,3> ABC".
-func (p *Plan[E]) String() string {
+// GEMMName names the zero-level plan and the model candidate it is built from.
+const GEMMName = "gemm"
+
+// Name renders an implementation like the paper's legends — per-level shapes
+// then the variant, e.g. "<2,2,2>+<3,3,3> ABC" — and no levels as GEMMName.
+func Name(v Variant, levels []core.Algorithm) string {
+	if len(levels) == 0 {
+		return GEMMName
+	}
 	s := ""
-	for i, l := range p.Levels {
+	for i, l := range levels {
 		if i > 0 {
 			s += "+"
 		}
 		s += l.ShapeString()
 	}
-	return s + " " + p.Variant.String()
+	return s + " " + v.String()
 }
+
+// String describes the plan, e.g. "<2,2,2>+<3,3,3> ABC", or "gemm".
+func (p *Plan[E]) String() string { return Name(p.Variant, p.Levels) }
 
 // Context exposes the plan's gemm context (e.g. for running the baseline
 // with identical blocking).
@@ -267,6 +288,10 @@ func (p *Plan[E]) MulAdd(c, a, b matrix.Mat[E]) {
 		panic(fmt.Sprintf("fmmexec: dims C(%d×%d) += A(%d×%d)·B(%d×%d)", c.Rows, c.Cols, m, k, b.Rows, n))
 	}
 	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	if len(p.Levels) == 0 {
+		p.ctx.MulAdd(c, a, b) // the zero-level plan is plain GEMM
 		return
 	}
 	// One packing workspace serves the whole call: the per-term loop and the

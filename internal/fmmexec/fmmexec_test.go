@@ -198,8 +198,8 @@ func TestWorkspaceReuseAcrossCalls(t *testing.T) {
 }
 
 func TestNewPlanErrors(t *testing.T) {
-	if _, err := NewPlan[float64](smallCfg(), ABC); err == nil {
-		t.Fatal("empty levels accepted")
+	if _, err := NewPlanTraversal[float64](smallCfg(), ABC, []Step{BFS}); err == nil {
+		t.Fatal("a traversal step accepted for the zero-level plan")
 	}
 	if _, err := NewPlan[float64](smallCfg(), Variant(9), core.Strassen()); err == nil {
 		t.Fatal("bad variant accepted")

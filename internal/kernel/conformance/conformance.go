@@ -321,7 +321,7 @@ func driverConfigs[E matrix.Element](bk kernel.Backend[E]) []gemm.Config {
 func checkEdgeShapes[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 	rng := rand.New(rand.NewSource(105))
 	mr, nr := bk.MR(), bk.NR()
-	dims := edgeDims(mr, nr)
+	dims := EdgeDims(mr, nr)
 	for _, cfg := range driverConfigs(bk) {
 		ctx, err := gemm.NewContext[E](cfg)
 		if err != nil {
@@ -348,8 +348,10 @@ func checkEdgeShapes[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 	}
 }
 
-// edgeDims returns the deduplicated positive edge sizes around mr and nr.
-func edgeDims(mr, nr int) []int {
+// EdgeDims returns the deduplicated positive edge sizes around a backend's
+// micro-tile mr×nr: the fringe dimensions the driver-level checks sweep, also
+// used by the executor's zero-level plan test.
+func EdgeDims(mr, nr int) []int {
 	seen := map[int]bool{}
 	var out []int
 	for _, v := range []int{1, mr - 1, mr, mr + 1, nr - 1, nr, nr + 1, 2*mr + 3, 33} {

@@ -94,6 +94,12 @@ func TestRankMeasuredOverride(t *testing.T) {
 	if len(top) != 3 || top[0].Name() != third.Name() {
 		t.Fatalf("TopK = %v", top)
 	}
+	// The zero-level candidate is keyed like any other, as "gemm": measured
+	// faster than everything, plain GEMM takes the class.
+	fb.Record(shape, fmmexec.GEMMName, base[0].Predicted/4)
+	if top := TopK(arch, cands, m, k, n, 2, fb, shape); len(top[0].Levels) != 0 || top[1].Name() != third.Name() {
+		t.Fatalf("TopK with gemm measured fastest = %q, %q", top[0].Name(), top[1].Name())
+	}
 	all := TopK(arch, cands, m, k, n, len(cands)+100, nil, shape)
 	if len(all) != len(cands) {
 		t.Fatalf("TopK overflow returned %d of %d", len(all), len(cands))

@@ -155,7 +155,8 @@ type Stats struct {
 }
 
 // StatsOf computes composite stats for a multi-level plan (nnz of a Kronecker
-// product is the product of the factors' nnz).
+// product is the product of the factors' nnz). No levels gives the stats of
+// the ⟨1,1,1⟩;1 identity, all ones — plain GEMM.
 func StatsOf(levels ...core.Algorithm) Stats {
 	s := Stats{MT: 1, KT: 1, NT: 1, R: 1, NnzU: 1, NnzV: 1, NnzW: 1}
 	for _, l := range levels {
@@ -198,8 +199,15 @@ func PredictGEMM(arch Arch, m, k, n int) Breakdown {
 }
 
 // Predict evaluates the model for an L-level FMM implementation with
-// composite stats s and the given variant.
+// composite stats s and the given variant. The identity stats (StatsOf of no
+// levels) are plain GEMM and return PredictGEMM exactly, whatever the variant:
+// the zero-level plan forms no sums and no temporaries, so none of the
+// variant columns applies, and ranking it against FMM candidates needs no
+// comparison other than the predicted times.
 func Predict(arch Arch, s Stats, v fmmexec.Variant, m, k, n int) Breakdown {
+	if s == StatsOf() {
+		return PredictGEMM(arch, m, k, n)
+	}
 	sm := float64(m) / float64(s.MT)
 	sk := float64(k) / float64(s.KT)
 	sn := float64(n) / float64(s.NT)
@@ -237,23 +245,17 @@ func Predict(arch Arch, s Stats, v fmmexec.Variant, m, k, n int) Breakdown {
 	return b
 }
 
-// Candidate is one generated implementation considered by the selector.
+// Candidate is one generated implementation considered by the selector. The
+// zero value — no levels — is plain GEMM, named "gemm": the candidate that
+// wins wherever no fast algorithm is predicted to pay.
 type Candidate struct {
 	Levels  []core.Algorithm
 	Variant fmmexec.Variant
 }
 
-// Name renders the candidate like the paper's legends, e.g. "<2,2,2>+<3,3,3> ABC".
-func (c Candidate) Name() string {
-	s := ""
-	for i, l := range c.Levels {
-		if i > 0 {
-			s += "+"
-		}
-		s += l.ShapeString()
-	}
-	return s + " " + c.Variant.String()
-}
+// Name renders the candidate like the paper's legends, e.g.
+// "<2,2,2>+<3,3,3> ABC"; the zero-level candidate is "gemm".
+func (c Candidate) Name() string { return fmmexec.Name(c.Variant, c.Levels) }
 
 // Stats returns the candidate's composite model stats.
 func (c Candidate) Stats() Stats { return StatsOf(c.Levels...) }
@@ -295,10 +297,13 @@ func Select(arch Arch, cands []Candidate, m, k, n int, measure func(Candidate) f
 }
 
 // DefaultCandidates enumerates the implementation family the paper's
-// experiments sweep: every Figure-2 catalog shape at one and two
-// (homogeneous) levels in all three variants, plus the Figure-9 hybrids.
+// experiments sweep — every Figure-2 catalog shape at one and two
+// (homogeneous) levels in all three variants, plus the Figure-9 hybrids —
+// behind plain GEMM, the zero-level candidate. GEMM comes first so that Rank's
+// stable sort resolves an exact tie in its favour: a fast plan is selected
+// only where it is predicted to be strictly faster.
 func DefaultCandidates() []Candidate {
-	var out []Candidate
+	out := []Candidate{{}}
 	cat := core.Catalog()
 	for _, e := range cat {
 		for _, v := range fmmexec.Variants {
@@ -327,9 +332,11 @@ const (
 // BreakEvenSquare returns the smallest square problem size s in
 // [64, 32768] at which the predicted-fastest of cands beats the plain-GEMM
 // prediction on arch — the size below which a fast plan is not worth
-// dispatching. The sharding layer uses it as the tile floor so every shard
-// still clears the fast-algorithm pay-off. If no probed size wins, the
-// ceiling 32768 is returned.
+// dispatching, and below which Rank puts the gemm candidate first. The
+// sharding layer uses it as the tile floor so every shard still clears the
+// fast-algorithm pay-off. If no probed size wins, the ceiling 32768 is
+// returned. The gemm candidate in cands does not move the answer: it is
+// priced at exactly the prediction the others have to beat.
 //
 // The probe doubles s until the fast family first wins, then bisects the
 // bracketing octave; the model is smooth enough in s that this resolves the

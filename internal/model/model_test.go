@@ -145,6 +145,9 @@ func TestCandidateName(t *testing.T) {
 	if c.Name() != "<2,2,2>+<3,3,3> ABC" {
 		t.Fatalf("got %q", c.Name())
 	}
+	if got := (Candidate{}).Name(); got != "gemm" {
+		t.Fatalf("zero-level candidate is named %q, want gemm", got)
+	}
 }
 
 func TestRankSortsByPrediction(t *testing.T) {
@@ -203,8 +206,8 @@ func TestSelectNilMeasureUsesModel(t *testing.T) {
 
 func TestDefaultCandidatesShape(t *testing.T) {
 	cs := DefaultCandidates()
-	// 23 shapes × 2 level-counts × 3 variants + 2 hybrids × 3 variants.
-	if len(cs) != 23*6+6 {
+	// gemm + 23 shapes × 2 level-counts × 3 variants + 2 hybrids × 3 variants.
+	if len(cs) != 1+23*6+6 {
 		t.Fatalf("got %d candidates", len(cs))
 	}
 	seen := map[string]bool{}
@@ -213,9 +216,45 @@ func TestDefaultCandidatesShape(t *testing.T) {
 			t.Fatalf("duplicate candidate %s", c.Name())
 		}
 		seen[c.Name()] = true
+		if (len(c.Levels) == 0) != (c.Name() == fmmexec.GEMMName) {
+			t.Fatalf("candidate with %d levels is named %q", len(c.Levels), c.Name())
+		}
 	}
 	if !seen["<2,2,2>+<3,3,3> ABC"] {
 		t.Fatal("missing Figure-9 hybrid")
+	}
+	// Plain GEMM is candidate zero: present once (names are unique above), and
+	// first, so Rank's stable sort gives it every exact tie.
+	if cs[0].Name() != fmmexec.GEMMName {
+		t.Fatalf("first candidate is %q, want %q", cs[0].Name(), fmmexec.GEMMName)
+	}
+}
+
+// TestGEMMCandidatePricedExactly: the zero-level candidate's prediction is
+// PredictGEMM to the bit under every variant, so ranking it against the FMM
+// family needs no special comparison, and a tie goes to it.
+func TestGEMMCandidatePricedExactly(t *testing.T) {
+	arch := PaperIvyBridge()
+	var g Candidate
+	if g.Name() != fmmexec.GEMMName || g.Stats() != StatsOf() || g.Stats() != StatsOf(core.KronAll()) {
+		t.Fatalf("zero candidate: name %q stats %+v", g.Name(), g.Stats())
+	}
+	for _, s := range [][3]int{{1, 1, 1}, {64, 64, 64}, {104, 96, 17}, {256, 8192, 256}, {4097, 513, 5000}} {
+		want := PredictGEMM(arch, s[0], s[1], s[2])
+		for _, v := range fmmexec.Variants {
+			if got := Predict(arch, g.Stats(), v, s[0], s[1], s[2]); got != want {
+				t.Fatalf("%v %v: Predict %+v, PredictGEMM %+v", s, v, got, want)
+			}
+		}
+		if r := Rank(arch, []Candidate{g}, s[0], s[1], s[2]); r[0].Predicted != want.Total() {
+			t.Fatalf("%v: ranked at %v, want %v", s, r[0].Predicted, want.Total())
+		}
+	}
+	// A one-level classical <1,1,1> has the same stats and so the same price;
+	// listed after gemm it loses the tie.
+	twin := Candidate{Levels: []core.Algorithm{core.Classical(1, 1, 1)}, Variant: fmmexec.ABC}
+	if r := Rank(arch, []Candidate{g, twin}, 300, 300, 300); r[0].Candidate.Name() != fmmexec.GEMMName || r[0].Predicted != r[1].Predicted {
+		t.Fatalf("tie went to %q (%v vs %v)", r[0].Candidate.Name(), r[0].Predicted, r[1].Predicted)
 	}
 }
 
@@ -338,6 +377,29 @@ func TestBreakEvenSquare(t *testing.T) {
 	}
 	if BreakEvenSquare(arch, nil) != 1<<15 {
 		t.Fatal("no candidates must return the ceiling")
+	}
+	if BreakEvenSquare(arch, []Candidate{{}}) != 1<<15 {
+		t.Fatal("gemm alone never beats itself: must return the ceiling")
+	}
+	// The gemm candidate does not move the break-even (the shard tile floor
+	// and fmmbench's sharder mirror both pass DefaultCandidates()), and the
+	// per-kernel values at the paper's constants are pinned: they are where
+	// selection switches from gemm to a fast plan.
+	for kern, want := range map[string]int{kernel.DefaultBackend: 148, kernel.AVX2Backend: 1793} {
+		if _, ok := kernel.ResolveNameFor(kern, matrix.Float64); !ok {
+			continue // avx2 is not registered on this host/build
+		}
+		ka := ArchForKernel(arch, kern)
+		with, without := BreakEvenSquare(ka, cands), BreakEvenSquare(ka, cands[1:])
+		if cands[0].Name() != fmmexec.GEMMName || with != without || with != want {
+			t.Fatalf("%s: break-even %d with gemm, %d without, want %d", kern, with, without, want)
+		}
+		if got := Rank(ka, cands, want-1, want-1, want-1)[0].Candidate.Name(); got != fmmexec.GEMMName {
+			t.Fatalf("%s: below the break-even the model ranks %q first", kern, got)
+		}
+		if got := Rank(ka, cands, want, want, want)[0].Candidate; len(got.Levels) == 0 {
+			t.Fatalf("%s: at the break-even the model still ranks gemm first", kern)
+		}
 	}
 }
 

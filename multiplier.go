@@ -20,7 +20,8 @@ import (
 // conclusion argues for ("Strassen-like fast matrix multiplication can be
 // incorporated into libraries for practical use"), generic over the element
 // type: a reusable multiplier that selects an implementation per problem
-// shape with the performance model and caches the constructed plans, so
+// shape with the performance model — a fast algorithm where one is predicted
+// to pay, plain GEMM where none is — and caches the constructed plans, so
 // steady-state calls pay no selection or setup cost. Multiplier and
 // Multiplier32 are its float64 and float32 instantiations; the float64
 // surface is the historical bit-stable one, the float32 surface trades
@@ -54,6 +55,20 @@ import (
 //	live compute goroutines ≤ callers + (Threads − 1) helpers,
 //
 // the MulAddAsync queue counting as at most Threads callers (its drainers).
+//
+// Win or abstain: plain GEMM is candidate zero of the family the model ranks
+// (model.DefaultCandidates), priced by the model's own GEMM column, and its
+// plan is the zero-level fmmexec.Plan — gemm.Context.MulAdd straight through.
+// So below the kernel's break-even (model.BreakEvenSquare: ~148 on go4x4,
+// ~1793 on avx2 at the paper's machine constants) the multiplier serves GEMM,
+// bit-identical to the bare driver, and above it the fast plan the model
+// ranks first. There is no size threshold and no second code path: the only
+// thing deciding GEMM versus FMM is model.Rank on this multiplier's Arch, and
+// every route to a plan abstains the same way — a direct call, each batch
+// job, each shard tile and K-split slab (a sharded product whose tiles fall
+// below the break-even is a tiled GEMM), each async job and coalesced wire
+// request, and each autotune arm, where gemm is an arm like any other: it can
+// be the incumbent with fast plans shadowing it, or the challenger.
 //
 // One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
 // runs its class's width-Threads plan (intra-GEMM fan-out, model-chosen
