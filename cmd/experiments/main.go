@@ -2,13 +2,17 @@
 // evaluation (Figures 2, 3, 6, 7, 8, 9, 10 plus the stability ablation) as
 // TSV series on stdout.
 //
-// Actual (measured) curves run at a reduced default scale — the pure-Go
-// micro-kernel is roughly an order of magnitude slower than the paper's
-// assembly kernel, so the paper's m=n=14400 sweeps are impractical to sweep
-// exhaustively; pass -scale=paper to run the original sizes anyway. Modeled
-// curves are always also emitted at the exact paper sizes with the paper's
-// Ivy Bridge machine constants, which reproduces the modeled halves of
-// Figures 6 and 7 faithfully.
+// Actual (measured) curves run on the micro-kernel backend the FMMFAM_KERNEL
+// environment variable names (fmmfam.EnvKernel; unset is the default pure-Go
+// kernel, "avx2" the assembly one — an unknown or unavailable name is an
+// error, never a silent fallback), against an Arch calibrated through that
+// backend; the "# calibrated:" header records which. They run at a reduced
+// default scale — the pure-Go kernel is roughly an order of magnitude slower
+// than the paper's assembly kernel, so the paper's m=n=14400 sweeps are
+// impractical to sweep exhaustively; pass -scale=paper to run the original
+// sizes anyway. Modeled curves are always also emitted at the exact paper
+// sizes with the paper's Ivy Bridge machine constants, whatever the kernel,
+// which reproduces the modeled halves of Figures 6 and 7 faithfully.
 //
 // Usage:
 //
@@ -23,6 +27,7 @@ import (
 	"runtime"
 	"time"
 
+	"fmmfam"
 	"fmmfam/internal/core"
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/gemm"
@@ -59,20 +64,25 @@ func main() {
 	}
 	r.cfg = gemm.DefaultConfig()
 	r.cfg.Threads = *threads
+	r.cfg.Kernel = fmmfam.EnvKernel()
+	if err := gemm.ValidateFor[float64](r.cfg); err != nil {
+		fatal(err)
+	}
 	if !r.modelOnly {
-		arch, err := model.Calibrate[float64](gemm.Config{MC: r.cfg.MC, KC: r.cfg.KC, NC: r.cfg.NC, Threads: 1}, 384)
+		one := r.cfg
+		one.Threads = 1
+		arch, err := model.Calibrate[float64](one, 384)
 		if err != nil {
 			fatal(err)
 		}
 		// Fit λ so the model matches a measured GEMM point (§4.2: "λ is
 		// adapted to match gemm performance").
 		probe := 480
-		ctx := gemm.MustNewContext[float64](gemm.Config{MC: r.cfg.MC, KC: r.cfg.KC, NC: r.cfg.NC, Threads: 1})
-		g := r.gemmGFLOPS(ctx, probe, probe, probe)
+		g := r.gemmGFLOPS(gemm.MustNewContext[float64](one), probe, probe, probe)
 		secs := 2 * float64(probe) * float64(probe) * float64(probe) / (g * 1e9)
 		r.arch = model.FitLambda(arch, probe, probe, probe, secs)
-		fmt.Printf("# calibrated: tauA=%.3e s/flop (%.2f GFLOPS), tauB=%.3e s/elem, lambda=%.2f\n",
-			r.arch.TauA, 1/r.arch.TauA/1e9, r.arch.TauB, r.arch.Lambda)
+		fmt.Printf("# calibrated: kernel=%s, tauA=%.3e s/flop (%.2f GFLOPS), tauB=%.3e s/elem, lambda=%.2f\n",
+			r.arch.Kernel, r.arch.TauA, 1/r.arch.TauA/1e9, r.arch.TauB, r.arch.Lambda)
 	} else {
 		r.arch = r.paperA
 	}

@@ -1,26 +1,43 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"fmmfam"
 )
 
-func runExp(t *testing.T, args ...string) string {
+// runExpEnv runs the command from the module root with FMMFAM_KERNEL set to
+// kernel ("" leaves the test's own environment alone) and returns its
+// combined output and exit error.
+func runExpEnv(t *testing.T, kernel string, args ...string) (string, error) {
 	t.Helper()
 	out, err := exec.Command("go", "env", "GOMOD").Output()
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := filepath.Dir(strings.TrimSpace(string(out)))
 	cmd := exec.Command("go", append([]string{"run", "./cmd/experiments"}, args...)...)
-	cmd.Dir = root
-	b, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, b)
+	cmd.Dir = filepath.Dir(strings.TrimSpace(string(out)))
+	if kernel != "" {
+		cmd.Env = append(os.Environ(), "FMMFAM_KERNEL="+kernel)
 	}
-	return string(b)
+	b, err := cmd.CombinedOutput()
+	return string(b), err
+}
+
+func runExp(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := runExpEnv(t, "", args...)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	return out
 }
 
 func TestFig3MatchesPaper(t *testing.T) {
@@ -66,6 +83,53 @@ func TestFig6ModelOnlyEmitsAllShapes(t *testing.T) {
 	for _, shape := range []string{"<2,2,2>", "<3,6,3>", "<6,3,3>"} {
 		if !strings.Contains(out, "ABC\t"+shape) || !strings.Contains(out, "Naive\t"+shape) {
 			t.Fatalf("modeled fig6 missing %s:\n%.400s", shape, out)
+		}
+	}
+}
+
+// modelOnlySHA256 is the digest of `experiments -exp all -modelonly` at the
+// commit before the figure generator learned to take its backend from
+// FMMFAM_KERNEL: the modeled series are priced at the paper's machine
+// constants and must not move with the kernel, or with that change.
+const modelOnlySHA256 = "933d6e77bdf45985e0cdb2a3044b699a88902fff18d1135b642e3e4c120814d5"
+
+func TestModelOnlyIgnoresKernel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs the toolchain")
+	}
+	for _, kernel := range fmmfam.Kernels() {
+		out, err := runExpEnv(t, kernel, "-exp", "all", "-modelonly")
+		if err != nil {
+			t.Fatalf("FMMFAM_KERNEL=%s: %v\n%.400s", kernel, err, out)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != modelOnlySHA256 {
+			t.Errorf("FMMFAM_KERNEL=%s: -modelonly output digest %s, want %s", kernel, got, modelOnlySHA256)
+		}
+	}
+}
+
+// TestKernelFromEnv: the measured curves run on the backend FMMFAM_KERNEL
+// names and the calibration header says so; a name that resolves to nothing
+// is an error in either mode, not a quiet run on the default kernel.
+func TestKernelFromEnv(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs the toolchain")
+	}
+	kernel := "go4x4"
+	if slices.Contains(fmmfam.Kernels(), "avx2") {
+		kernel = "avx2"
+	}
+	out, err := runExpEnv(t, kernel, "-exp", "fig3")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !strings.HasPrefix(out, "# calibrated: kernel="+kernel+", tauA=") {
+		t.Errorf("FMMFAM_KERNEL=%s: calibration header does not name the kernel:\n%.200s", kernel, out)
+	}
+	for _, args := range [][]string{{"-exp", "fig3"}, {"-exp", "fig3", "-modelonly"}} {
+		out, err := runExpEnv(t, "no-such-kernel", args...)
+		if err == nil || !strings.Contains(out, "no-such-kernel") {
+			t.Errorf("FMMFAM_KERNEL=no-such-kernel %v: err %v, want a non-zero exit naming the kernel:\n%.200s", args, err, out)
 		}
 	}
 }

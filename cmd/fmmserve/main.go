@@ -44,6 +44,21 @@ import (
 // always completes once the handlers are gone.
 const shutdownGrace = 30 * time.Second
 
+// readHeaderTimeout and idleTimeout bound what a client can hold open
+// without sending: a connection that trickles its request headers, and a
+// keep-alive connection between requests. Bodies and responses carry no
+// deadline — a maximal frame on a slow link and a long async collect are
+// both legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server fmmserve runs its handler on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -108,7 +123,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d autotune=%v kernel=%s)\n", ln.Addr(), cfg.Threads, cfg.Autotune, kernelLabel)
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -13,6 +13,19 @@ import (
 	"fmmfam/serve"
 )
 
+// TestHTTPServerTimeouts pins the constructed server's bounds on silent
+// clients: without them a peer that never finishes its headers, or parks a
+// keep-alive connection, holds a goroutine and a socket for ever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v > 0", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v > 0", hs.IdleTimeout, idleTimeout)
+	}
+}
+
 // TestRunBootServeShutdown drives a full lifecycle through run: boot on an
 // ephemeral loopback port, serve one real multiply, then cancel the context
 // (the signal path) and require a clean exit.

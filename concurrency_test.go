@@ -283,23 +283,43 @@ func TestDefaultMultiplierReusesPlans(t *testing.T) {
 	if d := c.MaxAbsDiff(want); d > 1e-9 {
 		t.Fatalf("diff %g", d)
 	}
-	before := defaultMultiplier().CachedPlans()
+	before := defaultMultiplier[float64]().CachedPlans()
 	c.Zero()
 	if err := Multiply(c, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if after := defaultMultiplier().CachedPlans(); after != before {
+	if after := defaultMultiplier[float64]().CachedPlans(); after != before {
 		t.Fatalf("second Multiply built a new plan: %d → %d", before, after)
 	}
-	p1, err := defaultMultiplier().PlanFor(40, 40, 40)
+	p1, err := defaultMultiplier[float64]().PlanFor(40, 40, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := defaultMultiplier().PlanFor(40, 40, 40)
+	p2, err := defaultMultiplier[float64]().PlanFor(40, 40, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Fatal("default multiplier did not cache the plan")
+	}
+
+	// float32 operands take the same entry point and land on a multiplier of
+	// their own; finding either costs no allocation.
+	a32, b32, c32 := NewMatrix32(40, 40), NewMatrix32(40, 40), NewMatrix32(40, 40)
+	a32.FillRand(rng)
+	b32.FillRand(rng)
+	want32 := NewMatrix32(40, 40)
+	matrix.MulAdd(want32, a32, b32)
+	if err := Multiply(c32, a32, b32); err != nil {
+		t.Fatal(err)
+	}
+	if d := c32.MaxAbsDiff(want32); d > 1e-3 {
+		t.Fatalf("float32 diff %g", d)
+	}
+	if defaultMultiplier[float32]().CachedPlans() == 0 || defaultMultiplier[float64]().CachedPlans() != before {
+		t.Fatal("float32 Multiply did not run on its own default multiplier")
+	}
+	if n := testing.AllocsPerRun(100, func() { defaultMultiplier[float64](); defaultMultiplier[float32]() }); n != 0 {
+		t.Fatalf("defaultMultiplier allocates %v times per lookup pair", n)
 	}
 }

@@ -465,7 +465,8 @@ func validateConfig[E matrix.Element](c Config, s settings) error {
 
 // EnvKernel returns the backend the FMMFAM_KERNEL environment variable
 // selects ("" when unset): the Config.Kernel the package-level Multiply
-// family runs with and cmd/fmmserve starts from. No other Config reads it.
+// family runs with and cmd/fmmserve and cmd/experiments start from. No other
+// Config reads it.
 func EnvKernel() string { return os.Getenv("FMMFAM_KERNEL") }
 
 // Kernels lists the registered micro-kernel backend names, sorted; any of
@@ -635,45 +636,27 @@ func Recommend(arch Arch, m, k, n int) Candidate {
 
 // Multiply computes c += a·b using the model-recommended plan (a fast
 // algorithm above the kernel's break-even, plain GEMM below it) with default
-// blocking and all available CPUs. It delegates to a lazily-initialized
-// package-level Multiplier, so repeated calls of similar sizes reuse cached
-// plans instead of rebuilding one per call. Safe for concurrent callers; for
-// custom blocking or machine models, build your own Multiplier.
-func Multiply(c, a, b Matrix) error {
-	return defaultMultiplier().MulAdd(c, a, b)
+// blocking and all available CPUs, at the operands' element type: Matrix
+// operands run at float64, Matrix32 operands at float32 (accuracy then
+// follows the FLOP-scaled float32 bounds of README "Precision"). It
+// delegates to a lazily-initialized package-level multiplier per element
+// type, so repeated calls of similar sizes reuse cached plans instead of
+// rebuilding one per call. Safe for concurrent callers; for custom blocking
+// or machine models, build your own Multiplier.
+func Multiply[E Element](c, a, b matrix.Mat[E]) error {
+	return defaultMultiplier[E]().MulAdd(c, a, b)
 }
 
 // MultiplyBatch runs many independent multiplications through the shared
-// default Multiplier's worker pool; see Multiplier.MulAddBatch.
-func MultiplyBatch(jobs []BatchJob) error {
-	return defaultMultiplier().MulAddBatch(jobs)
+// default multiplier's worker pool; see Multiplier.MulAddBatch.
+func MultiplyBatch[E Element](jobs []GenericBatchJob[E]) error {
+	return defaultMultiplier[E]().MulAddBatch(jobs)
 }
 
-// MultiplyAsync submits c += a·b to the shared default Multiplier's bounded
+// MultiplyAsync submits c += a·b to the shared default multiplier's bounded
 // async queue and returns a Future immediately; see Multiplier.MulAddAsync.
-func MultiplyAsync(c, a, b Matrix) *Future {
-	return defaultMultiplier().MulAddAsync(c, a, b)
-}
-
-// Multiply32 computes c += a·b at float32 through a lazily-initialized
-// shared default Multiplier32 — the single-precision twin of Multiply, with
-// its own plan cache and dtype-priced model selection. Safe for concurrent
-// callers; accuracy follows the FLOP-scaled float32 bounds of README
-// "Precision".
-func Multiply32(c, a, b Matrix32) error {
-	return defaultMultiplier32().MulAdd(c, a, b)
-}
-
-// MultiplyBatch32 runs many independent float32 multiplications through the
-// shared default Multiplier32's worker pool; see Multiplier.MulAddBatch.
-func MultiplyBatch32(jobs []BatchJob32) error {
-	return defaultMultiplier32().MulAddBatch(jobs)
-}
-
-// MultiplyAsync32 submits a float32 c += a·b to the shared default
-// Multiplier32's bounded async queue; see Multiplier.MulAddAsync.
-func MultiplyAsync32(c, a, b Matrix32) *Future {
-	return defaultMultiplier32().MulAddAsync(c, a, b)
+func MultiplyAsync[E Element](c, a, b matrix.Mat[E]) *Future {
+	return defaultMultiplier[E]().MulAddAsync(c, a, b)
 }
 
 // DiscoverProblem specifies a numerical search target; see Discover.

@@ -40,7 +40,6 @@
 package autotune
 
 import (
-	"sort"
 	"sync"
 
 	"fmmfam/internal/stats"
@@ -338,15 +337,4 @@ func (t *Tuner) Snapshot() Snapshot {
 		snap.Arms = append(snap.Arms, armStats(a, RolePending))
 	}
 	return snap
-}
-
-// SortArmStats orders arm stats incumbent-first, then by plan key — a
-// stable presentation order for operator surfaces that aggregate snapshots.
-func SortArmStats(arms []ArmStats) {
-	sort.SliceStable(arms, func(i, j int) bool {
-		if (arms[i].Role == RoleIncumbent) != (arms[j].Role == RoleIncumbent) {
-			return arms[i].Role == RoleIncumbent
-		}
-		return arms[i].Plan < arms[j].Plan
-	})
 }

@@ -246,16 +246,3 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("routed %d calls, want %d", snap.Served+snap.Shadowed, 8*500)
 	}
 }
-
-// TestSortArmStats pins the operator presentation order.
-func TestSortArmStats(t *testing.T) {
-	arms := []ArmStats{
-		{Plan: "z", Role: RolePending},
-		{Plan: "m", Role: RoleIncumbent},
-		{Plan: "a", Role: RoleChallenger},
-	}
-	SortArmStats(arms)
-	if arms[0].Plan != "m" || arms[1].Plan != "a" || arms[2].Plan != "z" {
-		t.Fatalf("sorted order = %v, %v, %v", arms[0].Plan, arms[1].Plan, arms[2].Plan)
-	}
-}

@@ -110,9 +110,3 @@ func RegisterSeed(a Algorithm) error {
 	resetGenerateMemo()
 	return nil
 }
-
-// SeedFor returns the registered seed for a shape, if any.
-func SeedFor(m, k, n int) (Algorithm, bool) {
-	a, ok := seeds[[3]int{m, k, n}]
-	return a, ok
-}

@@ -1,10 +1,8 @@
-// Package stats holds the small median-comparison toolkit shared by the
-// bench regression gate (cmd/benchjson compare) and the online plan
-// autotuner (internal/autotune): sample medians, the normal-approximation
-// standard error of a median, and the 95%-confidence test on a median
-// difference. Both consumers ask the same statistical question — "did this
-// measured distribution get faster than that one, beyond noise?" — so the
-// math lives here once and a fix in either consumer benefits the other.
+// Package stats holds the small median-comparison toolkit of the online plan
+// autotuner (internal/autotune, its only consumer): sample medians, the
+// normal-approximation standard error of a median, and the 95%-confidence
+// test on a median difference — "did this measured distribution get faster
+// than that one, beyond noise?".
 package stats
 
 import (

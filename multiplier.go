@@ -366,102 +366,80 @@ func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shard.Spec, bool) {
 	})
 }
 
-// mulAddSharded executes a sharded MulAdd. With K whole (GridK == 1) each
-// tile is the full-K block product C[ti, tj] += A[ti, :]·B[:, tj] on views
-// of the operands, scheduled through MulAddBatch; tiles write disjoint
-// regions of C, so the result is bit-identical however the pool interleaves
-// them. K-split specs take the reduction-buffer path instead.
-func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Mat[E]) error {
-	if spec.GridK > 1 {
-		if err := mu.mulAddShardedK(spec, c, a, b); err != nil {
-			return fmt.Errorf("%v: %w", spec, err)
-		}
-		return nil
-	}
-	tiles := spec.Tiles()
-	jobs := make([]GenericBatchJob[E], len(tiles))
-	for i, t := range tiles {
-		jobs[i] = GenericBatchJob[E]{
-			C: c.View(t.I, t.J, t.Rows, t.Cols),
-			A: a.View(t.I, t.P, t.Rows, t.Depth),
-			B: b.View(t.P, t.J, t.Depth, t.Cols),
-		}
-	}
-	if err := mu.MulAddBatch(jobs); err != nil {
-		return fmt.Errorf("%v: %w", spec, err)
-	}
-	return nil
-}
-
-// kGroup is the per-output-tile state of a K-split execution: the C view
-// the tile owns, the reduction buffers of slabs 1…GridK−1 (slab 0
-// accumulates straight into C), and the count of slabs still running.
+// kGroup is the per-output-tile state of a sharded execution: the C view the
+// tile owns, the reduction buffers of slabs 1…GridK−1 (slab 0 accumulates
+// straight into C, so a tile with K whole has none), and the count of slabs
+// still running.
 type kGroup[E matrix.Element] struct {
 	c         matrix.Mat[E]
 	bufs      []matrix.Mat[E]
 	remaining atomic.Int32
 }
 
-// mulAddShardedK executes a K-split sharded MulAdd: every (tile, slab) pair
-// is one scheduled job computing A[ti, p0:p1]·B[p0:p1, tj]. Slab 0
-// accumulates directly into the tile's C view; each later slab accumulates
-// into a zeroed reduction buffer rented from the configured kernel's engine;
-// and whichever worker finishes a tile's last slab folds that tile's buffers
-// into C in ascending slab order. Every slab product runs its width-1 plan
-// and the fold order is fixed, so repeated runs produce bit-identical C even
-// though the schedule is not deterministic — the
-// serving determinism contract for K-split (the 2D path is stronger:
-// bit-identical to sequential tile execution).
-func (mu *GenericMultiplier[E]) mulAddShardedK(spec shard.Spec, c, a, b matrix.Mat[E]) error {
-	ctx, err := mu.engine("", 1)
-	if err != nil {
-		return err
-	}
+// mulAddSharded executes a sharded MulAdd: every (tile, slab) pair is one
+// scheduled job computing A[ti, p0:p1]·B[p0:p1, tj] on views of the operands
+// with its width-1 plan. Slab 0 accumulates directly into the tile's C view;
+// each later slab accumulates into a zeroed reduction buffer rented from the
+// configured kernel's engine; and whichever worker finishes a tile's last slab
+// folds that tile's buffers into C in ascending slab order. With K whole
+// (GridK == 1) there is only slab 0: tiles write disjoint regions of C and
+// nothing is folded, so the result is bit-identical to executing the tiles
+// one after another, however the pool interleaves them. With K split the fold
+// order is fixed, so repeated runs produce bit-identical C even though the
+// schedule is not deterministic — the serving determinism contract for
+// K-split.
+func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Mat[E]) error {
 	tiles := spec.Tiles() // GridK consecutive slabs per output tile, ascending P
-	gk := spec.GridK
-	errs := make([]error, len(tiles))
 	groups := make([]kGroup[E], spec.GridM*spec.GridN)
+	gk := len(tiles) / len(groups) // GridK, 1 when K is whole
+	bufs := make([]matrix.Mat[E], len(groups)*(gk-1))
+	var ctx *gemm.Context[E] // rents the reduction buffers; unused with K whole
+	if gk > 1 {
+		var err error
+		if ctx, err = mu.engine("", 1); err != nil {
+			return fmt.Errorf("%v: %w", spec, err)
+		}
+	}
 	for gi := range groups {
 		t0 := tiles[gi*gk]
 		g := &groups[gi]
 		g.c = c.View(t0.I, t0.J, t0.Rows, t0.Cols)
-		g.bufs = make([]matrix.Mat[E], gk-1)
+		g.bufs = bufs[gi*(gk-1) : (gi+1)*(gk-1)]
 		for s := range g.bufs {
 			g.bufs[s] = ctx.RentMat(t0.Rows, t0.Cols)
 			g.bufs[s].Zero()
 		}
 		g.remaining.Store(int32(gk))
 	}
-	sjobs := make([]sched.Job, len(tiles))
-	for i := range tiles {
-		i := i
-		t := tiles[i]
-		g := &groups[i/gk]
+	errs := make([]error, len(tiles))
+	run := func(i int) {
+		t, g := tiles[i], &groups[i/gk]
 		cv := g.c
 		if s := i % gk; s > 0 {
 			cv = g.bufs[s-1]
 		}
-		av := a.View(t.I, t.P, t.Rows, t.Depth)
-		bv := b.View(t.P, t.J, t.Depth, t.Cols)
+		errs[i] = mu.mulAdd(cv, a.View(t.I, t.P, t.Rows, t.Depth), b.View(t.P, t.J, t.Depth, t.Cols), 1)
+		if g.remaining.Add(-1) == 0 {
+			for _, buf := range g.bufs {
+				g.c.AddScaled(1, buf)
+			}
+		}
+	}
+	sjobs := make([]sched.Job, len(tiles))
+	for i, t := range tiles {
 		sjobs[i] = sched.Job{
 			Cost: int64(t.Rows) * int64(t.Cols) * int64(t.Depth),
-			Run: func() {
-				errs[i] = mu.mulAdd(cv, av, bv, 1)
-				if g.remaining.Add(-1) == 0 {
-					for _, buf := range g.bufs {
-						g.c.AddScaled(1, buf)
-					}
-				}
-			},
+			Run:  func() { run(i) },
 		}
 	}
 	mu.pool.Run(sjobs)
-	for gi := range groups {
-		for _, buf := range groups[gi].bufs {
-			ctx.ReturnMat(buf)
-		}
+	for _, buf := range bufs {
+		ctx.ReturnMat(buf)
 	}
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("%v: %w", spec, err)
+	}
+	return nil
 }
 
 // engine returns the one gemm.Context plans of the given kernel backend
@@ -676,40 +654,26 @@ func defaultCandidates() []Candidate {
 	return defaultCandidatesOnce.cands
 }
 
-// defaultMultiplier backs the package-level Multiply/MultiplyBatch/
-// MultiplyAsync: one lazily-initialized Multiplier with default parallel
-// blocking and the paper's machine model, shared by all callers so repeated
-// package-level calls hit the plan cache instead of rebuilding a plan per
-// call. The FMMFAM_KERNEL environment variable selects its micro-kernel
-// backend (EnvKernel; see Kernels); an unknown name is reported by every call
-// through the default multiplier rather than silently falling back.
-var defaultMultiplierOnce struct {
+// defaultMultipliers backs the package-level Multiply/MultiplyBatch/
+// MultiplyAsync: per element type (indexed by matrix.Dtype) one
+// lazily-initialized multiplier with default parallel blocking and the
+// paper's machine model, shared by all callers so repeated package-level
+// calls hit the plan cache instead of rebuilding a plan per call — and built
+// on first use, so a program that never touches float32 pays nothing for it.
+// The FMMFAM_KERNEL environment variable selects the micro-kernel backend
+// (EnvKernel; see Kernels); an unknown name is reported by every call through
+// a default multiplier rather than silently falling back.
+var defaultMultipliers [2]struct {
 	sync.Once
-	mu *Multiplier
+	mu any // *GenericMultiplier[E] of the slot's element type
 }
 
-func defaultMultiplier() *Multiplier {
-	defaultMultiplierOnce.Do(func() {
+func defaultMultiplier[E matrix.Element]() *GenericMultiplier[E] {
+	d := &defaultMultipliers[matrix.DtypeOf[E]()]
+	d.Do(func() {
 		cfg := DefaultConfig().Parallel()
 		cfg.Kernel = EnvKernel()
-		defaultMultiplierOnce.mu = NewMultiplier(cfg, PaperArch())
+		d.mu = NewGenericMultiplier[E](cfg, PaperArch())
 	})
-	return defaultMultiplierOnce.mu
-}
-
-// defaultMultiplier32 is the float32 twin of defaultMultiplier, backing the
-// package-level Multiply32 family. Lazily built, so programs that never
-// touch float32 pay nothing for it.
-var defaultMultiplier32Once struct {
-	sync.Once
-	mu *Multiplier32
-}
-
-func defaultMultiplier32() *Multiplier32 {
-	defaultMultiplier32Once.Do(func() {
-		cfg := DefaultConfig().Parallel()
-		cfg.Kernel = EnvKernel()
-		defaultMultiplier32Once.mu = NewMultiplier32(cfg, PaperArch())
-	})
-	return defaultMultiplier32Once.mu
+	return d.mu.(*GenericMultiplier[E])
 }

@@ -182,6 +182,90 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServeAsyncPendingCap fills the uncollected-results table (4×
+// AdmissionDepth) and checks that the next submission is refused before it
+// costs anything: no admission slot taken, and — the refused product has a
+// shape class of its own — no plan built for it, so the engine never ran it.
+func TestServeAsyncPendingCap(t *testing.T) {
+	cfg := serveCfg()
+	cfg.AdmissionDepth = 1
+	h := startHarness(t, cfg)
+	defer h.Close()
+	cl := h.Client()
+	cl.Retry429 = 50 // depth 1: each submission waits out the one before it
+
+	// drained waits until no submission holds an admission slot.
+	drained := func() serve.Stats {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st, err := cl.Stats()
+			if err != nil {
+				t.Fatalf("Stats: %v", err)
+			}
+			if st.Admission.InFlight == 0 {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("admission never drained: %+v", st.Admission)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	a, b := fmmfam.NewMatrix(8, 8), fmmfam.NewMatrix(8, 8)
+	a.FillRand(rng)
+	b.FillRand(rng)
+	var handles []*serve.AsyncHandle
+	for i := 0; i < 4*cfg.AdmissionDepth; i++ {
+		hnd, err := cl.SubmitAsync(fmmfam.NewMatrix(8, 8), a, b)
+		if err != nil {
+			t.Fatalf("SubmitAsync %d: %v", i, err)
+		}
+		handles = append(handles, hnd)
+		drained()
+	}
+	before := drained()
+	if before.AsyncPending != len(handles) {
+		t.Fatalf("AsyncPending = %d, want %d", before.AsyncPending, len(handles))
+	}
+
+	bare := h.Client() // no retry budget: the 429 must surface
+	wa, wb := fmmfam.NewMatrix(24, 24), fmmfam.NewMatrix(24, 24)
+	wa.FillRand(rng)
+	wb.FillRand(rng)
+	_, err := bare.SubmitAsync(fmmfam.NewMatrix(24, 24), wa, wb)
+	var herr *serve.HTTPError
+	if !errors.As(err, &herr) || herr.Status != http.StatusTooManyRequests || herr.RetryAfter <= 0 {
+		t.Fatalf("submit at the pending cap = %v, want HTTP 429 with Retry-After", err)
+	}
+	after := drained()
+	if after.Admission.Admitted != before.Admission.Admitted {
+		t.Errorf("refused submission took an admission slot: Admitted %d → %d", before.Admission.Admitted, after.Admission.Admitted)
+	}
+	if after.Multiplier.CachedPlans != before.Multiplier.CachedPlans {
+		t.Errorf("refused submission reached the engine: CachedPlans %d → %d", before.Multiplier.CachedPlans, after.Multiplier.CachedPlans)
+	}
+	if after.Admission.Rejected != before.Admission.Rejected+1 {
+		t.Errorf("Rejected %d → %d, want one more", before.Admission.Rejected, after.Admission.Rejected)
+	}
+
+	// Collecting frees a place, and the same submission goes through.
+	if err := handles[0].Collect(); err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	hnd, err := bare.SubmitAsync(fmmfam.NewMatrix(24, 24), wa, wb)
+	if err != nil {
+		t.Fatalf("submit after a collect: %v", err)
+	}
+	for _, hd := range append(handles[1:], hnd) {
+		if err := hd.Collect(); err != nil {
+			t.Fatalf("Collect: %v", err)
+		}
+	}
+}
+
 // TestServeShutdown covers both halves of shutdown: an in-flight request
 // racing harness teardown completes cleanly (HTTP drains before compute
 // closes), and requests after Server.Close get a clean 503, not a hang.

@@ -171,11 +171,16 @@ func (s *Server) acquire(w http.ResponseWriter) bool {
 		s.admitted.Add(1)
 		return true
 	default:
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("serve: admission queue full (depth %d); retry after %ds", s.params.AdmissionDepth, retryAfterSeconds))
+		s.refuse(w, fmt.Errorf("serve: admission queue full (depth %d); retry after %ds", s.params.AdmissionDepth, retryAfterSeconds))
 		return false
 	}
+}
+
+// refuse counts a rejection and sends the 429 with its Retry-After hint.
+func (s *Server) refuse(w http.ResponseWriter, err error) {
+	s.rejected.Add(1)
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	writeError(w, http.StatusTooManyRequests, err)
 }
 
 func (s *Server) release() { <-s.admit }
@@ -364,8 +369,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // asyncPendingCap bounds submitted-but-uncollected async results so clients
 // that never collect cannot grow server memory without bound; at the cap,
-// submissions are refused with 429 like an admission failure.
+// submissions are refused with 429 like an admission failure, before any
+// work is queued.
 func (s *Server) asyncPendingCap() int { return 4 * s.params.AdmissionDepth }
+
+// reserveAsync claims a place in the pending table and returns its id (ids
+// start at 1), or 0 and the uncollected count when the table is at its cap.
+// The place is a nil entry — collect reads it as unknown — until settleAsync.
+func (s *Server) reserveAsync() (id uint64, held int) {
+	s.asyncs.Lock()
+	defer s.asyncs.Unlock()
+	if held = len(s.asyncs.m); held >= s.asyncPendingCap() {
+		return 0, held
+	}
+	s.asyncs.next++
+	s.asyncs.m[s.asyncs.next] = nil
+	return s.asyncs.next, held
+}
+
+// settleAsync ends a reservation: with the submitted result to hold, or with
+// nil to give the place back.
+func (s *Server) settleAsync(id uint64, p *pendingAsync) {
+	s.asyncs.Lock()
+	defer s.asyncs.Unlock()
+	if p == nil {
+		delete(s.asyncs.m, id)
+		return
+	}
+	s.asyncs.m[id] = p
+}
 
 func (s *Server) handleAsyncSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -383,7 +415,16 @@ func (s *Server) handleAsyncSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), err)
 		return
 	}
+	// Reserve the pending-table place first: once a client stops collecting,
+	// later submissions are refused here, before they take an admission slot
+	// or reach the engine.
+	id, held := s.reserveAsync()
+	if id == 0 {
+		s.refuse(w, fmt.Errorf("serve: %d uncollected async results (cap %d); collect or retry after %ds", held, s.asyncPendingCap(), retryAfterSeconds))
+		return
+	}
 	if !s.acquire(w) {
+		s.settleAsync(id, nil)
 		return
 	}
 	// The admission slot is held until the Future resolves, not until this
@@ -398,21 +439,7 @@ func (s *Server) handleAsyncSubmit(w http.ResponseWriter, r *http.Request) {
 		p.f = s.mu64.MulAddAsync(c, a64, b64)
 		p.frame = func() []byte { return AppendResult(nil, c) }
 	}
-	s.asyncs.Lock()
-	if len(s.asyncs.m) >= s.asyncPendingCap() {
-		s.asyncs.Unlock()
-		// The submission is already queued; wait it out on a watcher so the
-		// slot still releases, but refuse to retain the result.
-		s.watchAsync(p.f)
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("serve: %d uncollected async results (cap %d); collect or retry after %ds", s.asyncPendingCap(), s.asyncPendingCap(), retryAfterSeconds))
-		return
-	}
-	s.asyncs.next++
-	id := s.asyncs.next
-	s.asyncs.m[id] = p
-	s.asyncs.Unlock()
+	s.settleAsync(id, p)
 	s.watchAsync(p.f)
 	s.finish("async-submit", start, nil)
 	w.Header().Set("Content-Type", "application/json")
@@ -440,13 +467,15 @@ func (s *Server) handleAsyncCollect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.asyncs.Lock()
-	p, ok := s.asyncs.m[id]
+	p := s.asyncs.m[id]
 	// Collect-once: the result leaves the pending table on lookup, so a
 	// concurrent duplicate collect gets 404 rather than two readers racing
-	// one frame.
-	delete(s.asyncs.m, id)
+	// one frame. A nil entry is a submission still reserving its place.
+	if p != nil {
+		delete(s.asyncs.m, id)
+	}
 	s.asyncs.Unlock()
-	if !ok {
+	if p == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown or already-collected async id %d", id))
 		return
 	}

@@ -2,7 +2,7 @@
 // integration, race, fault, and benchmark code drives the real HTTP stack —
 // real sockets, real handler goroutines, real shutdown ordering — without
 // touching a fixed port or importing testing. It is the reusable harness
-// behind the serving test suite and BenchmarkServeCoalesce.
+// behind the serving test suite and fmmbench's wire_mix workload.
 package servetest
 
 import (
