@@ -105,8 +105,8 @@ func main() {
 	fmt.Printf("server stats: %d completed, %d errors, admission %d/%d in flight\n",
 		st.Completed, st.Errors, st.Admission.InFlight, st.Admission.Depth)
 	if st.Coalesce64.Enabled {
-		fmt.Printf("coalescing: %d jobs in %d batches (%d size-flushed, %d timer-flushed)\n",
-			st.Coalesce64.Jobs, st.Coalesce64.Batches, st.Coalesce64.SizeFlushes, st.Coalesce64.TimerFlushes)
+		fmt.Printf("coalescing: %d jobs in %d batches (%d size-flushed, %d timer-flushed, %d because the engine had room)\n",
+			st.Coalesce64.Jobs, st.Coalesce64.Batches, st.Coalesce64.SizeFlushes, st.Coalesce64.TimerFlushes, st.Coalesce64.IdleFlushes)
 	}
 	p99 := st.Endpoints["multiply"].Quantile(0.99)
 	fmt.Printf("multiply p99 ≤ %v\n", p99)

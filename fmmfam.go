@@ -193,10 +193,13 @@ type Config struct {
 	// ignore it.
 	ServeAddr string
 	// CoalesceWindow bounds how long the wire front-end holds a small
-	// request open waiting for others to share a MulAddBatch dispatch with:
-	// the first request of a window arms the timer, and the window flushes
-	// when it fires or when CoalesceMaxJobs requests have joined, whichever
-	// is first. 0 means DefaultCoalesceWindow; negative disables coalescing
+	// request open waiting for others to share a MulAddBatch dispatch with.
+	// Coalescing is group-commit: a request that finds the engine idle runs
+	// at once; one that arrives while a window is running opens (or joins)
+	// the next window, which flushes when the running one completes, when
+	// CoalesceMaxJobs requests have joined, or when this long has passed
+	// since it opened, whichever is first — the upper bound of the hold,
+	// not its length. 0 means DefaultCoalesceWindow; negative disables coalescing
 	// (every request dispatches individually). The FMMFAM_COALESCE_WINDOW
 	// environment variable (a Go duration string, e.g. "250us" or "-1ms" to
 	// disable) overrides this field.
@@ -254,10 +257,10 @@ const (
 	DefaultPlanCacheCap = 64
 	// DefaultServeAddr is the wire front-end's default listen address.
 	DefaultServeAddr = ":8077"
-	// DefaultCoalesceWindow is the default coalescing window: long enough
-	// that a 64-client small-matrix workload fills windows by count, short
-	// enough that an isolated request pays well under a millisecond of
-	// added latency.
+	// DefaultCoalesceWindow is the default bound on a coalescing window's
+	// hold: long enough that a 64-client small-matrix workload fills windows
+	// by count, short enough that a request stuck behind a long-running
+	// window pays well under a millisecond of added latency.
 	DefaultCoalesceWindow = 500 * time.Microsecond
 	// DefaultCoalesceMaxJobs is the default per-window job cap — sized so a
 	// full window amortizes one pool dispatch across a few dozen small

@@ -29,6 +29,8 @@ func (s alignStub[E]) PackB(dst []E, terms []kernel.Term[E], r0, c0, kc, nc int)
 func (s alignStub[E]) PackBRange(dst []E, terms []kernel.Term[E], r0, c0, kc, nc, lo, hi int) {}
 func (s alignStub[E]) Micro(kc int, ap, bp, acc []E)                                          {}
 func (s alignStub[E]) Scatter(m matrix.Mat[E], r0, c0 int, coef E, acc []E, mr, nr int)       {}
+func (s alignStub[E]) MicroScatter(kc int, ap, bp, acc []E, cTerms []kernel.Term[E], r0, c0, mr, nr int) {
+}
 func (s alignStub[E]) PackABufLen(mc, kc int) int {
 	return ((mc + s.mr - 1) / s.mr) * s.mr * kc
 }

@@ -221,14 +221,18 @@ func (ctx *Context[E]) ScratchHeld() (buffers, elements int) {
 }
 
 // MulAdd computes c += a·b (plain GEMM through the fused path). Safe for
-// concurrent callers.
+// concurrent callers, and allocation-free once the workspace pool is warm.
 func (ctx *Context[E]) MulAdd(c, a, b matrix.Mat[E]) {
-	ctx.FusedMulAdd(kernel.SingleTerm(c), kernel.SingleTerm(a), kernel.SingleTerm(b))
+	ws := ctx.pool.get()
+	defer ctx.pool.put(ws)
+	ctx.MulAddWS(ws, c, a, b)
 }
 
-// MulAddWS is MulAdd with a caller-managed Workspace; see FusedMulAddWS.
+// MulAddWS is MulAdd with a caller-managed Workspace; see FusedMulAddWS. The
+// three single-term operand lists live in the workspace, not on the heap.
 func (ctx *Context[E]) MulAddWS(ws *Workspace[E], c, a, b matrix.Mat[E]) {
-	ctx.FusedMulAddWS(ws, kernel.SingleTerm(c), kernel.SingleTerm(a), kernel.SingleTerm(b))
+	ws.single = [3]Term[E]{{Coef: 1, M: c}, {Coef: 1, M: a}, {Coef: 1, M: b}}
+	ctx.FusedMulAddWS(ws, ws.single[0:1], ws.single[1:2], ws.single[2:3])
 }
 
 // GetWorkspace rents a workspace from the context's pool; return it with
@@ -343,11 +347,14 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 }
 
 // macroKernel packs one Ã block and sweeps the second and first loops around
-// the micro-kernel, scattering each register tile into every C-side term.
-// abuf and acc are the calling worker's private Ã buffer and accumulator
-// tile. It is the one inner loop of the driver: every backend, the default
-// included, is reached through the kernel.Backend interface here and nowhere
-// else.
+// the micro-kernel: one fused Backend.MicroScatter call per tile computes the
+// rank-kc product and adds it, weighted, into every C-side term — from the
+// registers where the backend can (Figure 1, right: "update multiple
+// submatrices of C"), through the worker's acc tile on fringes. abuf and acc
+// are the calling worker's private Ã buffer and accumulator tile. It is the
+// one inner loop of the driver: every backend, the default included, is
+// reached through the kernel.Backend interface here and nowhere else, with
+// no per-backend branch.
 //
 //fmm:hotpath
 func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTerms []Term[E], ic, pc, jc, mcur, kcur, ncur int) {
@@ -360,10 +367,7 @@ func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTer
 		for ir := 0; ir < mcur; ir += mrk {
 			mr := min(mrk, mcur-ir)
 			ap := abuf[(ir/mrk)*mrk*kcur:]
-			bk.Micro(kcur, ap, bp, acc)
-			for _, ct := range cTerms {
-				bk.Scatter(ct.M, ic+ir, jc+jr, ct.Coef, acc, mr, nr)
-			}
+			bk.MicroScatter(kcur, ap, bp, acc, cTerms, ic+ir, jc+jr, mr, nr)
 		}
 	}
 }

@@ -382,8 +382,14 @@ func TestWorkspaceTermListsCleared(t *testing.T) {
 		ws.BTerms = append(ws.BTerms, Term[float64]{Coef: 1, M: m})
 		ws.CTerms = append(ws.CTerms, Term[float64]{Coef: 1, M: m})
 	}
-	ws.ATerms = ws.ATerms[:1] // a later, narrower term
+	ws.ATerms = ws.ATerms[:1]                 // a later, narrower term
+	ctx.MulAddWS(ws, m, m.Clone(), m.Clone()) // fills the single-term lists
 	ctx.PutWorkspace(ws)
+	for i, tm := range ws.single {
+		if tm.M.Data != nil {
+			t.Fatalf("single-term list %d still pins a caller matrix", i)
+		}
+	}
 	for _, l := range [][]Term[float64]{ws.ATerms, ws.BTerms, ws.CTerms} {
 		if len(l) != 0 {
 			t.Fatalf("term list not truncated: len %d", len(l))
@@ -393,6 +399,33 @@ func TestWorkspaceTermListsCleared(t *testing.T) {
 				t.Fatalf("entry %d still pins a caller matrix", i)
 			}
 		}
+	}
+}
+
+// TestSerialMulAddAllocatesNothing: a serial MulAdd on a warm context touches
+// the heap not once, on every registered backend and both dtypes — the
+// operand lists ride the rented workspace and the assembly backends keep
+// their per-tile descriptors on the stack.
+func TestSerialMulAddAllocatesNothing(t *testing.T) {
+	for _, name := range kernel.Backends() {
+		t.Run(name+"/float64", func(t *testing.T) { checkSerialMulAddAllocs[float64](t, name) })
+		t.Run(name+"/float32", func(t *testing.T) { checkSerialMulAddAllocs[float32](t, name) })
+	}
+}
+
+func checkSerialMulAddAllocs[E matrix.Element](t *testing.T, name string) {
+	cfg := DefaultConfig()
+	cfg.Kernel = name
+	ctx, err := NewContext[E](cfg)
+	if err != nil {
+		t.Skipf("%v", err)
+	}
+	// Full and fringe tiles, more than one kc slab.
+	a, b, c := matrix.New[E](50, 300), matrix.New[E](300, 70), matrix.New[E](50, 70)
+	a.FillRand(rand.New(rand.NewSource(1)))
+	b.FillRand(rand.New(rand.NewSource(2)))
+	if n := testing.AllocsPerRun(10, func() { ctx.MulAdd(c, a, b) }); n != 0 {
+		t.Fatalf("serial MulAdd allocates %v times per call", n)
 	}
 }
 
@@ -549,7 +582,7 @@ func TestKernelSelection(t *testing.T) {
 
 // TestValidateRejectsBlockingBelowBackendTile: the blocking floor is the
 // selected backend's micro-tile — MC=4 is fine for go4x4 and MC=3 is not,
-// while the 8-row avx2 tile (where the host has it) already rejects MC=4.
+// while the 6-row avx2 tile (where the host has it) already rejects MC=4.
 func TestValidateRejectsBlockingBelowBackendTile(t *testing.T) {
 	if _, err := NewContext[float64](Config{MC: 4, KC: 8, NC: 16, Threads: 1}); err != nil {
 		t.Fatalf("MC=4 must be valid for the default 4×4 backend: %v", err)
@@ -559,7 +592,7 @@ func TestValidateRejectsBlockingBelowBackendTile(t *testing.T) {
 	}
 	if kernel.HostCPU().AVX2 {
 		if _, err := NewContext[float64](Config{MC: 4, KC: 8, NC: 16, Threads: 1, Kernel: kernel.AVX2Backend}); err == nil {
-			t.Fatal("MC=4 accepted for the 8×6 avx2 backend")
+			t.Fatal("MC=4 accepted for the 6×8 avx2 backend")
 		}
 	}
 }

@@ -32,6 +32,10 @@ type Workspace[E matrix.Element] struct {
 	// executor's term loop) appends into these instead of allocating. They
 	// hold views of the caller's matrices, so PutWorkspace clears them.
 	ATerms, BTerms, CTerms []Term[E]
+
+	// single holds MulAddWS's three one-term lists (C, A, B), so plain GEMM
+	// allocates nothing per call; cleared with the lists above.
+	single [3]Term[E]
 }
 
 // clearTerms zeroes the operand lists to their full capacity — entries past
@@ -41,6 +45,7 @@ func (ws *Workspace[E]) clearTerms() {
 	ws.ATerms = clearTermList(ws.ATerms)
 	ws.BTerms = clearTermList(ws.BTerms)
 	ws.CTerms = clearTermList(ws.CTerms)
+	ws.single = [3]Term[E]{}
 }
 
 func clearTermList[E matrix.Element](l []Term[E]) []Term[E] {

@@ -32,6 +32,13 @@ import (
 //     column-panel into acc (row-major MR×NR, len ≥ MR·NR), overwriting acc.
 //   - Scatter adds coef·acc[0:mr, 0:nr] into the mr×nr region of m at
 //     (r0, c0); mr ≤ MR and nr ≤ NR handle fringe tiles.
+//   - MicroScatter is the fused micro-kernel of Figure 1 (right), the one
+//     call the driver makes per tile: the rank-kc product of Micro added,
+//     weighted by each term's Coef, into the mr×nr region at (r0, c0) of
+//     every C-side term — bit for bit what Micro followed by one Scatter per
+//     term, in list order, leaves in C. acc is scratch of len ≥ MR·NR whose
+//     contents afterwards are unspecified (a backend that updates C from its
+//     registers never writes it).
 //   - PackABufLen/PackBBufLen size packing buffers, including zero padding,
 //     in elements.
 //   - Align is the required alignment of packed-buffer starts, in elements
@@ -50,6 +57,7 @@ type Backend[E matrix.Element] interface {
 	PackBRange(dst []E, terms []Term[E], r0, c0, kc, nc, panelLo, panelHi int)
 	Micro(kc int, ap, bp, acc []E)
 	Scatter(m matrix.Mat[E], r0, c0 int, coef E, acc []E, mr, nr int)
+	MicroScatter(kc int, ap, bp, acc []E, cTerms []Term[E], r0, c0, mr, nr int)
 	PackABufLen(mc, kc int) int
 	PackBBufLen(kc, nc int) int
 }

@@ -2,8 +2,9 @@
 // backend must pass to be registered (see kernel.Backend). It drives a
 // backend — by registry name and element type, exactly as Config.Kernel and
 // the typed entry points will — through the pack-layout invariants, the
-// micro-kernel and scatter contracts, fused multi-term products against a
-// naive reference, edge problem shapes around the backend's own MR/NR, the
+// micro-kernel and scatter contracts, the fused MicroScatter call against
+// Micro + Scatter bit for bit, fused multi-term products against a naive
+// reference, edge problem shapes around the backend's own MR/NR, the
 // driver's determinism guarantees, and a differential fuzz target. All
 // comparison tolerances are FLOP-scaled in units of the element type's
 // machine epsilon, so the same suite gates float64 and float32 conformance.
@@ -45,6 +46,7 @@ func Run[E matrix.Element](t *testing.T, name string) {
 	t.Run("PackBRange", func(t *testing.T) { checkPackBRange(t, bk) })
 	t.Run("MicroVsReference", func(t *testing.T) { checkMicro(t, bk) })
 	t.Run("Scatter", func(t *testing.T) { checkScatter(t, bk) })
+	t.Run("MicroScatter", func(t *testing.T) { checkMicroScatter(t, bk) })
 	t.Run("EdgeShapes", func(t *testing.T) { checkEdgeShapes(t, bk) })
 	t.Run("FusedMultiTerm", func(t *testing.T) { checkFusedMultiTerm(t, bk) })
 	t.Run("DriverDeterminism", func(t *testing.T) { checkDriverDeterminism(t, bk) })
@@ -298,6 +300,88 @@ func checkScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 			}
 			if host2.At(i, j) != want {
 				t.Fatalf("partial scatter (%d,%d)=%v, want %v", i, j, host2.At(i, j), want)
+			}
+		}
+	}
+}
+
+// checkMicroScatter: the fused micro-kernel leaves in C exactly the bits that
+// Micro followed by one Scatter per term, in list order, leaves — on full and
+// fringe tiles, for term lists within the fused cap and one past it, for
+// coefficients that multiply exactly and ones that round, and for C terms
+// that are whole matrices or views at odd column offsets. Each C term is a
+// view one element inside a canary-filled host, so a store outside the mr×nr
+// tile shows as a changed canary.
+func checkMicroScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
+	rng := rand.New(rand.NewSource(108))
+	mr, nr := bk.MR(), bk.NR()
+	const canary = 77
+	coefs := []E{1, -1, 0.5, -0.375, 3, 1.0 / 3}
+	for _, kc := range []int{1, gemm.DefaultConfig().KC} {
+		a, b := matrix.New[E](mr, kc), matrix.New[E](kc, nr)
+		a.FillRand(rng)
+		b.FillRand(rng)
+		ap := make([]E, bk.PackABufLen(mr, kc))
+		bp := make([]E, bk.PackBBufLen(kc, nr))
+		bk.PackA(ap, kernel.SingleTerm(a), 0, 0, mr, kc)
+		bk.PackB(bp, kernel.SingleTerm(b), 0, 0, kc, nr)
+		for _, tile := range [][2]int{{mr, nr}, {max(mr-1, 1), nr}, {mr, max(nr-1, 1)}, {1, 1}} {
+			tm, tn := tile[0], tile[1]
+			for _, nTerms := range []int{1, 2, 4, kernel.MaxFusedTerms, kernel.MaxFusedTerms + 1} {
+				for _, view := range []bool{false, true} {
+					// Tile origin inside each term, and each term's place in
+					// its host: contiguous terms start at the host's (1,1)
+					// with room for the canary ring only, views sit at an odd
+					// column offset of a wider host.
+					r0, c0 := 2, 3
+					rows, cols := r0+tm, c0+tn
+					hostCols, off := cols+2, 1
+					if view {
+						hostCols, off = cols+13, 7
+					}
+					fused := make([]matrix.Mat[E], nTerms)
+					split := make([]matrix.Mat[E], nTerms)
+					fTerms := make([]kernel.Term[E], nTerms)
+					sTerms := make([]kernel.Term[E], nTerms)
+					for i := range fused {
+						fused[i] = matrix.New[E](rows+2, hostCols)
+						fused[i].FillRand(rng)
+						fv := fused[i].View(1, off, rows, cols)
+						for r := 0; r < fused[i].Rows; r++ {
+							for c := 0; c < fused[i].Cols; c++ {
+								if r < 1+r0 || r >= 1+r0+tm || c < off+c0 || c >= off+c0+tn {
+									fused[i].Set(r, c, canary)
+								}
+							}
+						}
+						split[i] = fused[i].Clone()
+						coef := coefs[(i+nTerms)%len(coefs)]
+						fTerms[i] = kernel.Term[E]{Coef: coef, M: fv}
+						sTerms[i] = kernel.Term[E]{Coef: coef, M: split[i].View(1, off, rows, cols)}
+					}
+					acc := make([]E, mr*nr)
+					bk.MicroScatter(kc, ap, bp, acc, fTerms, r0, c0, tm, tn)
+					bk.Micro(kc, ap, bp, acc)
+					for _, st := range sTerms {
+						bk.Scatter(st.M, r0, c0, st.Coef, acc, tm, tn)
+					}
+					for i := range fused {
+						for r := 0; r < fused[i].Rows; r++ {
+							for c := 0; c < fused[i].Cols; c++ {
+								got, want := fused[i].At(r, c), split[i].At(r, c)
+								inTile := r >= 1+r0 && r < 1+r0+tm && c >= off+c0 && c < off+c0+tn
+								if !inTile && got != canary {
+									t.Fatalf("kc=%d tile %d×%d terms=%d view=%v: term %d canary at (%d,%d) overwritten with %v",
+										kc, tm, tn, nTerms, view, i, r, c, got)
+								}
+								if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+									t.Fatalf("kc=%d tile %d×%d terms=%d view=%v: term %d (%d,%d) fused %v, Micro+Scatter %v",
+										kc, tm, tn, nTerms, view, i, r, c, got, want)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // AVX2Backend is the registry name of the amd64 assembly backend
-// (avx2_amd64.s): 256-bit FMA micro-kernels with the paper's Haswell
-// blocking — 8×6 for float64, 16×6 for float32 — registered only when the
-// host CPU supports AVX2+FMA and the build includes amd64 assembly.
+// (avx2_amd64.s): 256-bit FMA micro-kernels on a row-major tile — 6×8 for
+// float64, 6×16 for float32 — with the fused C update and vector packers,
+// registered only when the host CPU supports AVX2+FMA and the build includes
+// amd64 assembly.
 const AVX2Backend = "avx2"
 
 // CPUFeatures describes the host properties backend dispatch consults. It is

@@ -88,5 +88,15 @@ func (go4x4[E]) Scatter(m matrix.Mat[E], r0, c0 int, coef E, acc []E, mr, nr int
 	scatterGeneric(nr4x4, m, r0, c0, coef, acc, mr, nr)
 }
 
+// MicroScatter is Micro followed by the generic scatter of every C-side term
+// in list order — the definition of the fused call, and the arithmetic the
+// float64 golden fingerprints pin.
+//
+//fmm:hotpath
+func (g go4x4[E]) MicroScatter(kc int, ap, bp, acc []E, cTerms []Term[E], r0, c0, mr, nr int) {
+	g.Micro(kc, ap, bp, acc)
+	scatterTerms(nr4x4, cTerms, r0, c0, acc, mr, nr)
+}
+
 func (go4x4[E]) PackABufLen(mc, kc int) int { return packABufLen(mr4x4, mc, kc) }
 func (go4x4[E]) PackBBufLen(kc, nc int) int { return packBBufLen(nr4x4, kc, nc) }

@@ -6,8 +6,8 @@
 //     (mR-row panels) and B̃ (nR-column panels) — the paper's key trick of
 //     fusing the FMM operand additions into the packing (Fig. 1, right), and
 //   - the mR×nR micro-kernel, a register-blocked rank-kC update whose result
-//     can be scattered, with weights, into several submatrices of C (the ABC
-//     variant's fused micro-kernel).
+//     is added, with weights, into several submatrices of C (the ABC
+//     variant's fused micro-kernel, Backend.MicroScatter).
 //
 // As in the paper, there is one packing routine (this file, parameterized by
 // the panel height or width) and one micro-kernel per architecture: the
@@ -15,9 +15,16 @@
 // micro-kernel, and the GEMM driver reaches every backend through it. The
 // set of backends is closed — go4x4 (go4x4.go), the pure-Go 4×4 kernel that
 // runs on every build, and avx2 (avx2_amd64.go), the assembly counterpart of
-// the paper's kernels, present when the build and host CPU allow it. Pure Go
-// slows every variant by the same factor, so the experiments keep their
-// shape. Everything is generic over the element type (float32 or float64):
+// the paper's kernels, present when the build and host CPU allow it: a 6×8
+// (float64) / 6×16 (float32) tile whose accumulator registers are rows of
+// the row-major C tile, so C is updated from the registers, with assembly
+// packers for full panels. The routines in this file are the definition the
+// assembly is held to, bit for bit — a packed element is built from +0 in
+// term order by a separately rounded multiply and add (a leading
+// coefficient-1 term is copied), a C element receives round(w·acc) — and
+// they remain every backend's fringe path, the purego build and the test
+// oracle. Pure Go slows every variant by the same factor, so the experiments
+// keep their shape. Everything is generic over the element type (float32 or float64):
 // each instantiation compiles to fully specialized code, so the float64
 // loops produce the same bits as the historical non-generic kernel (pinned
 // by golden tests) and the float32 loops halve the memory traffic per
@@ -35,6 +42,14 @@ type Term[E matrix.Element] struct {
 
 // SingleTerm wraps a matrix as the trivial combination 1.0·M.
 func SingleTerm[E matrix.Element](m matrix.Mat[E]) []Term[E] { return []Term[E]{{Coef: 1, M: m}} }
+
+// MaxFusedTerms is the longest C-side term list a backend's fused
+// micro-kernel (Backend.MicroScatter) updates straight from its registers:
+// an assembly backend describes that many tiles to its kernel in a fixed
+// array on the stack. Longer lists are still correct — they take the
+// accumulator tile and the generic scatter. Every candidate the selector can
+// serve stays within it (two Strassen levels need 4; three would need 8).
+const MaxFusedTerms = 8
 
 // packABufLen / packBBufLen size the packing buffers for block dimensions
 // (mc, kc) and (kc, nc) at panel height mr and panel width nr, zero padding
@@ -126,6 +141,17 @@ func packBRangeGeneric[E matrix.Element](nr int, dst []E, terms []Term[E], r0, c
 				}
 			}
 		}
+	}
+}
+
+// scatterTerms adds the accumulator tile, weighted, into the mr×nr region at
+// (r0, c0) of every C-side term in list order: the reference form of the
+// fused update, and the path fringe tiles take on every backend.
+//
+//fmm:hotpath
+func scatterTerms[E matrix.Element](nrFull int, cTerms []Term[E], r0, c0 int, acc []E, mr, nr int) {
+	for _, ct := range cTerms {
+		scatterGeneric(nrFull, ct.M, r0, c0, ct.Coef, acc, mr, nr)
 	}
 }
 

@@ -19,7 +19,11 @@ import (
 // function literals (closures generally escape when passed to the scheduler
 // or deferred), go statements, string concatenation and conversions that
 // build strings, explicit conversions to interface types, implicit boxing of
-// a concrete argument into an interface parameter, and any call into fmt.
+// a concrete argument into an interface parameter, any call into fmt, and
+// handing the address of a local (or of an element of a local array) to a
+// body-less function of the package — an assembly stub — that is not marked
+// //go:noescape: the compiler must assume such a callee keeps the pointer,
+// so the local moves to the heap, once per call.
 //
 // The check is syntactic-plus-types, not an escape analysis: constructs the
 // compiler might keep on the stack are still flagged, because hot-path code
@@ -33,39 +37,97 @@ Functions annotated with a //fmm:hotpath directive are the engine's inner
 loops. They may not contain make/new/append (append is allowed on lines
 annotated //fmm:alloc-ok, for amortized growth into reused pooled buffers),
 slice/map literals, closures, go statements, string building, conversions to
-interfaces (explicit or by argument passing), or fmt calls.`,
+interfaces (explicit or by argument passing), fmt calls, or the address of a
+local passed to a body-less (assembly) function that lacks //go:noescape.`,
 	Run: runHotPathAlloc,
 }
 
 const (
-	hotPathDirective = "//fmm:hotpath"
-	allocOKDirective = "fmm:alloc-ok"
+	hotPathDirective  = "//fmm:hotpath"
+	allocOKDirective  = "fmm:alloc-ok"
+	noEscapeDirective = "//go:noescape"
 )
 
 func runHotPathAlloc(pass *Pass) error {
+	escaping := escapingStubs(pass)
 	for _, file := range pass.Files {
 		allocOK := allocOKLines(pass, file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !hasHotPathDirective(fn.Doc) {
+			if !ok || fn.Body == nil || !hasDirective(fn.Doc, hotPathDirective) {
 				continue
 			}
-			checkHotPath(pass, fn, allocOK)
+			checkHotPath(pass, fn, allocOK, escaping)
 		}
 	}
 	return nil
 }
 
-func hasHotPathDirective(doc *ast.CommentGroup) bool {
+// hasDirective reports whether a declaration's doc comment carries the given
+// //-directive line.
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), hotPathDirective) {
+		if strings.HasPrefix(strings.TrimSpace(c.Text), directive) {
 			return true
 		}
 	}
 	return false
+}
+
+// escapingStubs collects the package's body-less functions (assembly stubs)
+// that carry no //go:noescape: pointer arguments to these escape.
+func escapingStubs(pass *Pass) map[*types.Func]bool {
+	stubs := make(map[*types.Func]bool)
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body != nil || hasDirective(fn.Doc, noEscapeDirective) {
+				continue
+			}
+			if f, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
+				stubs[f] = true
+			}
+		}
+	}
+	return stubs
+}
+
+// localAddressed returns the local variable whose storage the operand of an
+// & expression lives in — x for &x, &x[i] with x an array, &x.f with x a
+// struct, and nestings of those — or nil when the address is of something
+// else (a slice element, a pointer's target, a package-level variable).
+func localAddressed(pass *Pass, e ast.Expr) *types.Var {
+	underlying := func(x ast.Expr) types.Type {
+		if t := pass.Info.Types[x].Type; t != nil {
+			return t.Underlying()
+		}
+		return nil
+	}
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			if _, ok := underlying(x.X).(*types.Array); !ok {
+				return nil
+			}
+			e = x.X
+		case *ast.SelectorExpr:
+			if _, ok := underlying(x.X).(*types.Struct); !ok {
+				return nil
+			}
+			e = x.X
+		case *ast.Ident:
+			v, ok := objectOf(pass.Info, x).(*types.Var)
+			if !ok || v.IsField() || v.Parent() == nil || v.Parent() == v.Pkg().Scope() {
+				return nil
+			}
+			return v
+		default:
+			return nil
+		}
+	}
 }
 
 // allocOKLines collects the lines carrying an //fmm:alloc-ok suppression.
@@ -81,7 +143,7 @@ func allocOKLines(pass *Pass, file *ast.File) map[int]bool {
 	return lines
 }
 
-func checkHotPath(pass *Pass, fn *ast.FuncDecl, allocOK map[int]bool) {
+func checkHotPath(pass *Pass, fn *ast.FuncDecl, allocOK map[int]bool, escaping map[*types.Func]bool) {
 	name := fn.Name.Name
 	report := func(pos token.Pos, format string, args ...any) {
 		if allocOK[pass.Fset.Position(pos).Line] {
@@ -99,6 +161,17 @@ func checkHotPath(pass *Pass, fn *ast.FuncDecl, allocOK map[int]bool) {
 			report(n.Pos(), "go statement allocates a goroutine")
 		case *ast.CallExpr:
 			checkHotPathCall(pass, n, report)
+			if f := calleeFunc(pass.Info, n); f != nil && escaping[f] {
+				for _, arg := range n.Args {
+					u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+					if !ok || u.Op != token.AND {
+						continue
+					}
+					if v := localAddressed(pass, u.X); v != nil {
+						report(arg.Pos(), "address of local %s passed to body-less %s, which lacks //go:noescape: the local is heap-allocated on every call", v.Name(), f.Name())
+					}
+				}
+			}
 		case *ast.CompositeLit:
 			t := pass.Info.Types[n].Type
 			if t != nil {

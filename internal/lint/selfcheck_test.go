@@ -151,6 +151,22 @@ func seededHotAlloc(n int) []float64 {
 			wantSubs: []string{"seeded_violation.go", "hot path seededHotAlloc", "make"},
 		},
 		{
+			name:     "hotpathalloc-noescape",
+			analyzer: "hotpathalloc",
+			file:     "internal/kernel/seeded_violation.go",
+			src: `package kernel
+
+func seededStub(refs *[2]uintptr, n int)
+
+//fmm:hotpath
+func seededDescriptorEscapes(n int) {
+	var refs [2]uintptr
+	seededStub(&refs, n)
+}
+`,
+			wantSubs: []string{"seeded_violation.go", "address of local refs", "seededStub", "//go:noescape"},
+		},
+		{
 			name: "detorder",
 			file: "internal/fmmexec/seeded_violation.go",
 			src: `package fmmexec

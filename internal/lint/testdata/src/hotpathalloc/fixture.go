@@ -145,3 +145,41 @@ func badAsmWrapperTemp(kc int, ap, bp []float64) float64 {
 	microAsm(kc, &ap[0], &bp[0], &acc[0])
 	return acc[0]
 }
+
+// --- descriptors handed to assembly ---
+// A fused kernel's wrapper describes its operands to the assembly in a small
+// array on its own frame. That stays on the stack only if the stub is marked
+// //go:noescape; without the annotation the compiler must assume the callee
+// keeps the pointer, and the array is heap-allocated once per tile.
+
+type tileRef struct {
+	p      *float64
+	stride uintptr
+}
+
+func fusedAsmEscaping(kc int, refs *tileRef, n int) // assembly, not annotated
+
+//go:noescape
+func fusedAsmNoEscape(kc int, refs *tileRef, n int) // assembly
+
+func fusedGo(kc int, refs *tileRef, n int) { _, _, _ = kc, refs, n }
+
+//fmm:hotpath
+func badLocalToEscapingStub(kc int, c []float64) {
+	var refs [4]tileRef
+	refs[0] = tileRef{p: &c[0], stride: 8}
+	fusedAsmEscaping(kc, &refs[0], 1) // want `hot path badLocalToEscapingStub: address of local refs passed to body-less fusedAsmEscaping, which lacks //go:noescape`
+	var one tileRef
+	fusedAsmEscaping(kc, &one, 1)       // want `hot path badLocalToEscapingStub: address of local one passed to body-less fusedAsmEscaping`
+	fusedAsmEscaping(kc, (&refs[1]), 1) // want `hot path badLocalToEscapingStub: address of local refs passed`
+}
+
+//fmm:hotpath
+func okLocalToNoEscapeStub(kc int, c []float64, heap []tileRef, ref *tileRef) {
+	var refs [4]tileRef
+	refs[0] = tileRef{p: &c[0], stride: 8}
+	fusedAsmNoEscape(kc, &refs[0], 1) // annotated stub: refs stays on the stack
+	fusedGo(kc, &refs[0], 1)          // has a body: escape analysis sees through it
+	fusedAsmEscaping(kc, &heap[0], 1) // slice element: not this frame's storage
+	fusedAsmEscaping(kc, ref, 1)      // a pointer passed on, no local addressed
+}

@@ -82,9 +82,11 @@ type effKey struct {
 // rate matches float64. The avx2 entries only take effect on hosts where the
 // backend registered (ArchForKernel checks the registry before pricing); the
 // ratios are measured micro-kernel rates from BenchmarkAblationKernel (kc=256,
-// best of repeated runs on the AVX2 dev container): the 8×6 float64 FMA
-// kernel retires ~12× the default backend's scalar rate, and the 16×6 float32
-// kernel doubles that again — twice the lanes per 256-bit register. Calibrate
+// best of repeated runs on the AVX2 dev container): the twelve-accumulator
+// float64 FMA kernel retires ~12× the default backend's scalar rate, and the
+// float32 kernel doubles that again — twice the lanes per 256-bit register.
+// The ratios describe the rank-kc loop alone (12 FMAs per k-step on the
+// 6×8 / 6×16 tile), not packing or the C update. Calibrate
 // supersedes the table with a live measurement whenever it runs, so the
 // constants only steer selection until calibration happens.
 var kernelEff = map[effKey]float64{

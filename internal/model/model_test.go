@@ -230,6 +230,32 @@ func TestDefaultCandidatesShape(t *testing.T) {
 	}
 }
 
+// TestDefaultCandidatesWithinFusedCap: no plan the selector can serve builds
+// an A-, B- or C-side term list longer than kernel.MaxFusedTerms — the widest
+// column of the flattened ⟦U,V,W⟧ is the longest list — so on an assembly
+// backend every full tile of every served plan updates C from the registers.
+func TestDefaultCandidatesWithinFusedCap(t *testing.T) {
+	widest := func(f matrix.Mat[float64]) int {
+		w := 0
+		for r := 0; r < f.Cols; r++ {
+			n := 0
+			for i := 0; i < f.Rows; i++ {
+				if f.At(i, r) != 0 {
+					n++
+				}
+			}
+			w = max(w, n)
+		}
+		return w
+	}
+	for _, c := range DefaultCandidates() {
+		flat := core.KronAll(c.Levels...)
+		if w := max(widest(flat.U), widest(flat.V), widest(flat.W)); w > kernel.MaxFusedTerms {
+			t.Errorf("%s: term list of %d exceeds kernel.MaxFusedTerms = %d", c.Name(), w, kernel.MaxFusedTerms)
+		}
+	}
+}
+
 // TestGEMMCandidatePricedExactly: the zero-level candidate's prediction is
 // PredictGEMM to the bit under every variant, so ranking it against the FMM
 // family needs no special comparison, and a tie goes to it.

@@ -23,15 +23,25 @@ var ErrServerClosed = errors.New("serve: server closed")
 // want the whole worker pool, not a single-threaded batch slot.
 const coalesceSizeLimit = 128
 
-// coalescer collects small multiply requests into time/size-bounded windows
-// and dispatches each window as one MulAddBatch, amortizing plan lookup and
-// pool scheduling across the window. The first request of a window arms a
-// timer (ServeParams.CoalesceWindow); the window flushes when the timer
-// fires or when CoalesceMaxJobs requests have joined, whichever happens
-// first. No dedicated dispatcher goroutine exists: a size-triggered flush
-// runs the batch on the submitter that filled the window, and a
-// time-triggered flush runs on the timer's callback goroutine — every
-// waiter blocks on its window's done channel either way.
+// coalescer group-commits small multiply requests: while the engine is idle
+// a request runs at once, as a window of one; requests that arrive while a
+// window is running collect in the one open window, which is dispatched as a
+// single MulAddBatch — amortizing plan lookup and pool scheduling across it —
+// as soon as a running window completes, when CoalesceMaxJobs requests have
+// joined, or when ServeParams.CoalesceWindow has passed since it opened,
+// whichever comes first. The hold is therefore never pure waiting: a window
+// stays open only while earlier work occupies the engine, and CoalesceWindow
+// is the upper bound of the hold, not its length.
+//
+// No dedicated dispatcher goroutine exists. Whatever closes a window — a
+// completing window, the submitter that fills it, the timer callback, close —
+// only detaches it and signals its first submitter, which runs the batch;
+// every other waiter blocks on the window's done channel. A window of one
+// runs on its submitter without either channel.
+//
+// Results do not depend on how requests were grouped: every job of a batch
+// runs on the engine's serial twin, so a request's bits are those of a
+// direct MulAddBatch of that request alone.
 //
 // Error granularity is per window: MulAddBatch joins per-job errors, and
 // the join is reported to every waiter of the window. Requests are
@@ -39,101 +49,125 @@ const coalesceSizeLimit = 128
 // invalid engine config), not one job's bad input taking out its
 // neighbours.
 type coalescer[E matrix.Element] struct {
-	mul     *fmmfam.GenericMultiplier[E]
+	batch   func([]fmmfam.GenericBatchJob[E]) error // the engine's MulAddBatch
 	window  time.Duration
 	maxJobs int
 
-	mtx    sync.Mutex
-	closed bool
-	open   *coalesceWindow[E] // the accepting window, nil when none
+	mtx     sync.Mutex
+	closed  bool
+	running int                // windows dispatched and not yet complete
+	open    *coalesceWindow[E] // the accepting window, nil when none
 
 	// Observability counters, read by Stats.
 	batches      atomic.Uint64 // windows dispatched
 	jobs         atomic.Uint64 // requests that went through a window
 	sizeFlushes  atomic.Uint64 // windows flushed by reaching maxJobs
 	timerFlushes atomic.Uint64 // windows flushed by the timer
+	idleFlushes  atomic.Uint64 // windows flushed because the engine had room: run at once, or released by a completing window
 }
 
-// coalesceWindow is one batch in the making: its jobs, the timer racing the
-// size bound, and the done channel its waiters block on. err is written
-// once before done is closed.
+// coalesceWindow is one batch in the making: its jobs, the timer bounding
+// the hold, the start signal its first submitter waits for and the done
+// channel the others block on. err is written once before done is closed.
 type coalesceWindow[E matrix.Element] struct {
 	jobs  []fmmfam.GenericBatchJob[E]
 	timer *time.Timer
+	start chan struct{}
 	done  chan struct{}
 	err   error
 }
 
 func newCoalescer[E matrix.Element](mul *fmmfam.GenericMultiplier[E], p fmmfam.ServeParams) *coalescer[E] {
-	return &coalescer[E]{mul: mul, window: p.CoalesceWindow, maxJobs: p.CoalesceMaxJobs}
+	return &coalescer[E]{batch: mul.MulAddBatch, window: p.CoalesceWindow, maxJobs: p.CoalesceMaxJobs}
 }
 
-// submit adds c += a·b to the open window (opening one if needed) and
-// blocks until the window's batch has executed. Exactly one goroutine runs
-// each window: the submitter that fills it, or the timer callback — the
-// detach-under-lock handshake in submit and flushTimer guarantees a window
-// is taken off co.open exactly once.
+// submit computes c += a·b through a window and blocks until that window's
+// batch has executed: at once when nothing is open or running, otherwise as
+// part of the open window (opening one if needed). A window is detached from
+// co.open exactly once, under the lock, by whichever cause closes it first;
+// the causes that lose find co.open changed and stand down.
 func (co *coalescer[E]) submit(c, a, b matrix.Mat[E]) error {
+	job := fmmfam.GenericBatchJob[E]{C: c, A: a, B: b}
 	co.mtx.Lock()
 	if co.closed {
 		co.mtx.Unlock()
 		return ErrServerClosed
 	}
+	if co.open == nil && co.running == 0 {
+		co.running++
+		co.mtx.Unlock()
+		co.idleFlushes.Add(1)
+		return co.run([]fmmfam.GenericBatchJob[E]{job})
+	}
 	w := co.open
-	if w == nil {
-		w = &coalesceWindow[E]{done: make(chan struct{})}
-		w.timer = time.AfterFunc(co.window, func() { co.flushTimer(w) })
+	first := w == nil
+	if first {
+		w = &coalesceWindow[E]{start: make(chan struct{}), done: make(chan struct{})}
+		w.timer = time.AfterFunc(co.window, func() { co.flush(w, &co.timerFlushes) })
 		co.open = w
 	}
-	w.jobs = append(w.jobs, fmmfam.GenericBatchJob[E]{C: c, A: a, B: b})
+	w.jobs = append(w.jobs, job)
 	full := len(w.jobs) >= co.maxJobs
-	if full {
-		co.open = nil // detached: the timer callback will find co.open != w and stand down
-	}
 	co.mtx.Unlock()
 	if full {
-		w.timer.Stop()
-		co.sizeFlushes.Add(1)
-		co.run(w)
+		co.flush(w, &co.sizeFlushes)
 	}
-	<-w.done
+	if !first {
+		<-w.done
+		return w.err
+	}
+	<-w.start
+	w.err = co.run(w.jobs)
+	close(w.done)
 	return w.err
 }
 
-// flushTimer is the timer callback: detach the window if it is still the
-// accepting one and run it. When the size path (or close) detached it
-// first, that path owns the flush and this callback stands down.
-func (co *coalescer[E]) flushTimer(w *coalesceWindow[E]) {
+// flush detaches w if it is still the accepting window, counts the cause
+// (nil: shutdown, counted by none) and signals its first submitter to run
+// it. When another cause detached it first, that cause owns the flush and
+// this call stands down.
+func (co *coalescer[E]) flush(w *coalesceWindow[E], cause *atomic.Uint64) {
 	co.mtx.Lock()
 	if co.open != w {
 		co.mtx.Unlock()
 		return
 	}
 	co.open = nil
+	co.running++
 	co.mtx.Unlock()
-	co.timerFlushes.Add(1)
-	co.run(w)
+	w.timer.Stop()
+	if cause != nil {
+		cause.Add(1)
+	}
+	close(w.start)
 }
 
-// run executes a detached window and releases its waiters.
-func (co *coalescer[E]) run(w *coalesceWindow[E]) {
-	w.err = co.mul.MulAddBatch(w.jobs)
+// run executes one dispatched window on the calling goroutine, then releases
+// the window that collected behind it, if any.
+func (co *coalescer[E]) run(jobs []fmmfam.GenericBatchJob[E]) error {
+	err := co.batch(jobs)
 	co.batches.Add(1)
-	co.jobs.Add(uint64(len(w.jobs)))
-	close(w.done)
+	co.jobs.Add(uint64(len(jobs)))
+	co.mtx.Lock()
+	co.running--
+	w := co.open
+	co.mtx.Unlock()
+	if w != nil {
+		co.flush(w, &co.idleFlushes)
+	}
+	return err
 }
 
-// close flushes the open window (its waiters complete normally) and fails
-// all later submits with ErrServerClosed. Idempotent.
+// close dispatches the open window (its waiters complete normally), waits
+// for it, and fails all later submits with ErrServerClosed. Idempotent.
 func (co *coalescer[E]) close() {
 	co.mtx.Lock()
 	co.closed = true
 	w := co.open
-	co.open = nil
 	co.mtx.Unlock()
 	if w != nil {
-		w.timer.Stop()
-		co.run(w)
+		co.flush(w, nil)
+		<-w.done
 	}
 }
 
@@ -147,5 +181,6 @@ func (co *coalescer[E]) snapshot() CoalesceStats {
 		Jobs:         co.jobs.Load(),
 		SizeFlushes:  co.sizeFlushes.Load(),
 		TimerFlushes: co.timerFlushes.Load(),
+		IdleFlushes:  co.idleFlushes.Load(),
 	}
 }

@@ -101,9 +101,14 @@ type CoalesceStats struct {
 	// carried; Jobs/Batches is the realized amortization factor.
 	Batches uint64
 	Jobs    uint64
-	// SizeFlushes and TimerFlushes split Batches by what closed the window.
+	// SizeFlushes, TimerFlushes and IdleFlushes split Batches by what
+	// dispatched the window: CoalesceMaxJobs reached, CoalesceWindow passed,
+	// or the engine had room — the request found nothing running and ran at
+	// once as a window of one, or a running window completed and released
+	// the one that had collected behind it.
 	SizeFlushes  uint64
 	TimerFlushes uint64
+	IdleFlushes  uint64
 }
 
 // AdmissionStats is the admission gate's observable state.
