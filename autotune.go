@@ -108,7 +108,7 @@ func (mu *GenericMultiplier[E]) newPlanTuner(key planKey, m, k, n int) (*planTun
 		pt.arms[key] = a
 		chalKeys = append(chalKeys, key)
 	}
-	if mu.traversal == TraversalAuto && key.threads >= 2 && len(top[0].Levels) > 0 {
+	if (mu.cfg.Traversal == "" || mu.cfg.Traversal == TraversalAuto) && key.threads >= 2 && len(top[0].Levels) > 0 {
 		flipped := []fmmexec.Step(nil) // incumbent went BFS: try the serial loop
 		if incArm.depth == 0 {
 			flipped = make([]fmmexec.Step, len(top[0].Levels))
@@ -125,7 +125,7 @@ func (mu *GenericMultiplier[E]) newPlanTuner(key planKey, m, k, n int) (*planTun
 			break
 		}
 	}
-	pt.tuner = autotune.New(autotune.Config{Fraction: mu.tuneFrac}, incKey, chalKeys)
+	pt.tuner = autotune.New(autotune.Config{Fraction: mu.cfg.autotuneFraction()}, incKey, chalKeys)
 	return pt, nil
 }
 
@@ -239,7 +239,7 @@ func (mu *GenericMultiplier[E]) shardTunerFor(spec shard.Spec, m, k, n int) *sha
 			chal = append(chal, gk)
 		}
 	}
-	st.tuner = autotune.New(autotune.Config{Fraction: mu.tuneFrac}, gridArmKey(inc[0], inc[1], inc[2]), chal)
+	st.tuner = autotune.New(autotune.Config{Fraction: mu.cfg.autotuneFraction()}, gridArmKey(inc[0], inc[1], inc[2]), chal)
 	mu.shardTuns.m[key] = st
 	return st
 }
@@ -288,15 +288,15 @@ type ShapeTuning struct {
 // traffic split, and the full promotion history.
 type MultiplierStats struct {
 	// Kernel is the micro-kernel backend this engine resolved from its
-	// configuration (Config.Kernel / FMMFAM_KERNEL; empty selections resolve
-	// to the default backend). A configured-but-unavailable backend is
+	// configuration (Config.Kernel; an empty selection resolves to the
+	// default backend). A configured-but-unavailable backend is
 	// reported with an " (unavailable)" suffix — every compute call is
 	// failing validation in that state. Autotune promotions may route
 	// individual shape classes to other backends; those show per-shape in
 	// Shapes.
 	Kernel string
-	// Autotune and Fraction are the resolved serving knobs (after the
-	// FMMFAM_AUTOTUNE override).
+	// Autotune and Fraction are the resolved serving knobs: Config.Autotune
+	// and the challenger share it runs at (0 when off).
 	Autotune bool
 	Fraction float64
 	// FoldScale is the current traversal fold-cost calibration: 1 until a
@@ -316,8 +316,8 @@ type MultiplierStats struct {
 func (mu *GenericMultiplier[E]) Stats() MultiplierStats {
 	s := MultiplierStats{
 		Kernel:      mu.resolvedKernel(),
-		Autotune:    mu.tune,
-		Fraction:    mu.tuneFrac,
+		Autotune:    mu.cfg.Autotune,
+		Fraction:    mu.cfg.autotuneFraction(),
 		FoldScale:   mu.foldScaleVal(),
 		CachedPlans: mu.plans.len(),
 	}

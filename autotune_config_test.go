@@ -32,68 +32,20 @@ func TestConfigAutotuneValidation(t *testing.T) {
 			t.Fatalf("multiplier with AutotuneFraction=%g executed", bad)
 		}
 	}
-	// The fraction bound applies even with Autotune off in the Config: the
-	// env var can still switch tuning on, so a nonsense fraction is never
-	// latent.
+	// The fraction bound applies even with Autotune off, so a nonsense
+	// fraction is never latent.
 	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, AutotuneFraction: 0.9}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("out-of-range fraction accepted with Autotune=false")
 	}
-}
-
-// TestAutotuneEnvOverridesConfig: FMMFAM_AUTOTUNE wins over the Config
-// fields in both directions, a bare fraction both enables and sets the
-// share, and garbage surfaces as an error rather than silently falling back.
-func TestAutotuneEnvOverridesConfig(t *testing.T) {
-	base := Config{MC: 32, KC: 32, NC: 64, Threads: 2}
-
-	// Off by default: Stats reports tuning disabled and no shape tuners
-	// appear after serving.
-	mu := NewMultiplier(base, PaperArch())
-	c, a, b := NewMatrix(64, 64), NewMatrix(64, 64), NewMatrix(64, 64)
-	if err := mu.MulAdd(c, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if s := mu.Stats(); s.Autotune || len(s.Shapes) != 0 {
+	// Stats reports the knobs as served: off by default, and on at the
+	// default share when AutotuneFraction is left zero.
+	cfg.AutotuneFraction = 0
+	if s := NewMultiplier(cfg, PaperArch()).Stats(); s.Autotune || s.Fraction != 0 {
 		t.Fatalf("default multiplier reports tuning: %+v", s)
 	}
-
-	// Env "on" overrides Autotune=false, with the default fraction.
-	t.Setenv("FMMFAM_AUTOTUNE", "on")
 	if s := NewMultiplier(base, PaperArch()).Stats(); !s.Autotune || s.Fraction != autotune.DefaultFraction {
-		t.Fatalf("FMMFAM_AUTOTUNE=on: %+v", s)
-	}
-
-	// Env "on" respects a Config fraction.
-	cfg := base
-	cfg.AutotuneFraction = 0.25
-	if s := NewMultiplier(cfg, PaperArch()).Stats(); !s.Autotune || s.Fraction != 0.25 {
-		t.Fatalf("FMMFAM_AUTOTUNE=on with Config fraction: %+v", s)
-	}
-
-	// Env fraction both enables and overrides the Config fraction.
-	t.Setenv("FMMFAM_AUTOTUNE", "0.1")
-	if s := NewMultiplier(cfg, PaperArch()).Stats(); !s.Autotune || s.Fraction != 0.1 {
-		t.Fatalf("FMMFAM_AUTOTUNE=0.1: %+v", s)
-	}
-
-	// Env "off" overrides Autotune=true.
-	t.Setenv("FMMFAM_AUTOTUNE", "off")
-	cfg = base
-	cfg.Autotune = true
-	if s := NewMultiplier(cfg, PaperArch()).Stats(); s.Autotune {
-		t.Fatalf("FMMFAM_AUTOTUNE=off did not win: %+v", s)
-	}
-
-	// Garbage is an error from Validate and every entry point.
-	for _, bad := range []string{"yes", "0.6", "-0.1", "0.0"} {
-		t.Setenv("FMMFAM_AUTOTUNE", bad)
-		if err := base.Validate(); err == nil {
-			t.Fatalf("FMMFAM_AUTOTUNE=%q accepted", bad)
-		}
-		if err := NewMultiplier(base, PaperArch()).MulAdd(c, a, b); err == nil {
-			t.Fatalf("multiplier with FMMFAM_AUTOTUNE=%q executed", bad)
-		}
+		t.Fatalf("Autotune at the default fraction: %+v", s)
 	}
 }
 
@@ -282,15 +234,11 @@ type errDiff float64
 func (e errDiff) Error() string { return "result diverged" }
 
 // TestAutotuneBatchUsesConstructionTimeState: batch jobs plan lazily, at
-// width 1, but under the multiplier's construction-time autotune resolution
-// — an env change between construction and first batch call must not split
-// direct and batch traffic — and Stats reports their tuners as Serial with
-// every job routed.
+// width 1, under the same Config.Autotune/AutotuneFraction as direct calls,
+// and Stats reports their tuners as Serial with every job routed.
 func TestAutotuneBatchUsesConstructionTimeState(t *testing.T) {
-	t.Setenv("FMMFAM_AUTOTUNE", "0.25")
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, Autotune: true, AutotuneFraction: 0.25}
 	mu := NewMultiplier(cfg, PaperArch())
-	t.Setenv("FMMFAM_AUTOTUNE", "off")
 
 	rng := rand.New(rand.NewSource(73))
 	a, b := NewMatrix(96, 96), NewMatrix(96, 96)
@@ -320,7 +268,7 @@ func TestAutotuneBatchUsesConstructionTimeState(t *testing.T) {
 		}
 	}
 	if serialRouted != uint64(len(jobs)) {
-		t.Fatalf("width-1 tuners routed %d of %d batch jobs — batch planning re-resolved the env", serialRouted, len(jobs))
+		t.Fatalf("width-1 tuners routed %d of %d batch jobs", serialRouted, len(jobs))
 	}
 	if directRouted != 1 {
 		t.Fatalf("full-width tuners routed %d calls, want the 1 direct MulAdd", directRouted)

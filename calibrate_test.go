@@ -59,24 +59,3 @@ func TestCalibrateOptIn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCalibrateEnvVar: FMMFAM_CALIBRATE=1 enables the same opt-in without
-// touching the Config — the no-recompile switch for deployed binaries.
-func TestCalibrateEnvVar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration probes take ~100ms per (kernel, dtype) pair")
-	}
-	t.Setenv("FMMFAM_CALIBRATE", "1")
-	cfg := DefaultConfig()
-	cfg.Kernel = Kernels()[0] // avx2 where the host has it: a pair the other test does not touch
-	mu := NewMultiplier(cfg, PaperArch())
-	if mu.cfgErr != nil {
-		t.Fatal(mu.cfgErr)
-	}
-	if mu.arch.Kernel != cfg.Kernel || mu.arch.Dtype != matrix.Float64 {
-		t.Fatalf("env-enabled calibration should record (%s, float64), got (%q, %s)", cfg.Kernel, mu.arch.Kernel, mu.arch.Dtype)
-	}
-	if mu.arch.TauA == PaperArch().TauA {
-		t.Fatal("env-enabled calibration left the paper τa untouched")
-	}
-}

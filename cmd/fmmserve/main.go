@@ -9,14 +9,11 @@
 //	fmmserve [-addr :8077] [-threads N] [-autotune] [-kernel avx2] \
 //	         [-coalesce-window 500µs] [-coalesce-maxjobs 32] [-admission-depth 256]
 //
-// Every flag has an environment mirror resolved by the engine config
-// (FMMFAM_SERVE_ADDR, FMMFAM_KERNEL, FMMFAM_COALESCE_WINDOW,
-// FMMFAM_COALESCE_MAXJOBS, FMMFAM_ADMISSION_DEPTH, FMMFAM_AUTOTUNE); the
-// environment wins over flag defaults but explicit flags win over
-// everything, matching the engine's env-mirror contract. An unavailable
-// kernel selection (e.g. avx2 on a host without AVX2+FMA) fails boot with
-// the recorded reason; /v1/stats reports every backend's availability and
-// which one each engine resolved. SIGINT/SIGTERM trigger graceful shutdown: the
+// The flags are the whole deployment surface; FMMFAM_KERNEL is the default of
+// -kernel and no other variable is read. An unavailable kernel selection
+// (e.g. avx2 on a host without AVX2+FMA) fails boot with the recorded
+// reason; /v1/stats reports every backend's availability and which one
+// each engine resolved. SIGINT/SIGTERM trigger graceful shutdown: the
 // listener stops, in-flight requests complete, open coalescing windows
 // flush, and the engines drain through Multiplier.Close before the process
 // exits.
@@ -78,10 +75,10 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fmmserve", flag.ContinueOnError)
 	fs.SetOutput(out)
-	addr := fs.String("addr", "", "listen address (default Config.ServeAddr, env FMMFAM_SERVE_ADDR)")
+	addr := fs.String("addr", fmmfam.DefaultServeAddr, "listen address")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = all CPUs)")
 	autotune := fs.Bool("autotune", false, "enable online plan autotuning on served traffic")
-	kernelName := fs.String("kernel", "", "micro-kernel backend for both engines (default engine default, env FMMFAM_KERNEL; /v1/stats lists availability)")
+	kernelName := fs.String("kernel", fmmfam.EnvKernel(), "micro-kernel backend for both engines (default $FMMFAM_KERNEL, else the engine default; /v1/stats lists availability)")
 	window := fs.Duration("coalesce-window", 0, "coalescing window for small requests (0 = engine default, negative disables)")
 	maxJobs := fs.Int("coalesce-maxjobs", 0, "max requests per coalescing window (0 = engine default)")
 	depth := fs.Int("admission-depth", 0, "max in-flight requests before 429 (0 = engine default)")
@@ -97,18 +94,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.Threads = *threads
 	}
 	cfg.Autotune = *autotune
-	cfg.Kernel = fmmfam.EnvKernel()
-	if *kernelName != "" {
-		cfg.Kernel = *kernelName
-	}
+	cfg.Kernel = *kernelName
 	cfg.CoalesceWindow = *window
 	cfg.CoalesceMaxJobs = *maxJobs
 	cfg.AdmissionDepth = *depth
-	if *addr != "" {
-		cfg.ServeAddr = *addr
-	}
+	cfg.ServeAddr = *addr
 
-	srv, err := serve.New(cfg, fmmfam.PaperArch())
+	arch := fmmfam.PaperArch()
+	srv, err := serve.New(cfg, arch)
 	if err != nil {
 		return err
 	}
@@ -117,11 +110,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		srv.Close()
 		return err
 	}
-	kernelLabel := cfg.Kernel
-	if kernelLabel == "" {
-		kernelLabel = "default"
-	}
-	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d autotune=%v kernel=%s)\n", ln.Addr(), cfg.Threads, cfg.Autotune, kernelLabel)
+	// The backend cfg.Kernel resolves to, as /v1/stats names it per engine.
+	resolved := fmmfam.NewMultiplier(cfg, arch).Stats().Kernel
+	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d autotune=%v kernel=%s)\n", ln.Addr(), cfg.Threads, cfg.Autotune, resolved)
 
 	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)

@@ -28,15 +28,20 @@ func TestHTTPServerTimeouts(t *testing.T) {
 
 // TestRunBootServeShutdown drives a full lifecycle through run: boot on an
 // ephemeral loopback port, serve one real multiply, then cancel the context
-// (the signal path) and require a clean exit.
+// (the signal path) and require a clean exit. The flags alone decide how it
+// boots: the variables that once mirrored them — and beat an explicit flag —
+// are set and must not be read.
 func TestRunBootServeShutdown(t *testing.T) {
+	t.Setenv("FMMFAM_SERVE_ADDR", "127.0.0.1:1")
+	t.Setenv("FMMFAM_ADMISSION_DEPTH", "99")
+	t.Setenv("FMMFAM_AUTOTUNE", "off")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	pr, pw := io.Pipe()
 	runErr := make(chan error, 1)
 	go func() {
-		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-threads", "2"}, pw)
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-threads", "2", "-admission-depth", "3", "-autotune"}, pw)
 		pw.Close()
 		runErr <- err
 	}()
@@ -47,8 +52,8 @@ func TestRunBootServeShutdown(t *testing.T) {
 		t.Fatalf("reading banner: %v (run may have failed: %v)", err, <-runErr)
 	}
 	fields := strings.Fields(line)
-	if len(fields) < 4 || fields[0] != "fmmserve" {
-		t.Fatalf("unexpected banner %q", line)
+	if len(fields) < 4 || fields[0] != "fmmserve" || strings.HasSuffix(fields[3], ":1") {
+		t.Fatalf("unexpected banner %q (want the -addr flag's address)", line)
 	}
 	baseURL := "http://" + fields[3]
 	go io.Copy(io.Discard, pr) // keep later writes from blocking the pipe
@@ -70,6 +75,12 @@ func TestRunBootServeShutdown(t *testing.T) {
 	}
 	if st.Completed != 1 {
 		t.Fatalf("stats.Completed = %d, want 1", st.Completed)
+	}
+	if st.Admission.Depth != 3 || !st.Multiplier.Autotune {
+		t.Errorf("admission depth %d, autotune %v; want the flags' 3 and true", st.Admission.Depth, st.Multiplier.Autotune)
+	}
+	if want := "kernel=" + st.Multiplier.Kernel + ")"; !strings.Contains(line, want) {
+		t.Errorf("banner %q does not name the resolved kernel (%s)", line, want)
 	}
 
 	cancel()

@@ -5,13 +5,16 @@ package fmmfam
 // the CI workflow always does.
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/sched"
 )
 
 // concurrencyShapes mixes divisible, fringed, and rank-k problems so
@@ -160,7 +163,8 @@ func TestMulAddBatch(t *testing.T) {
 // drainers once MulAddAsync has been used — under the worst mix: concurrent
 // callers of unsharded MulAdd on distinct shape classes (intra-GEMM fan-out),
 // sharded MulAdd (2-D tiles and K-split slabs) and MulAddBatch, all on one
-// Threads=4 multiplier, while a sampler polls runtime.NumGoroutine.
+// Threads=4 multiplier, while a sampler counts the goroutines in
+// runtime.Stack that are callers or helpers still claiming jobs.
 func TestGoroutineCeiling(t *testing.T) {
 	const threads = 4
 	cfg := servingCfg() // Threads 4, shards from 128 up with tiles ≥ 48
@@ -193,25 +197,44 @@ func TestGoroutineCeiling(t *testing.T) {
 		}
 	}
 
+	// The frame every pool worker runs its jobs under: the caller of a job,
+	// found by running one. A pool helper gives its token back on leaving
+	// that frame, so the next Run can start a helper while this one has yet
+	// to exit; only helpers still under it are live compute goroutines.
+	var claim string
+	sched.NewPool(2).Run([]sched.Job{{Run: func() {
+		pc := make([]uintptr, 1)
+		runtime.Callers(2, pc)
+		f, _ := runtime.CallersFrames(pc).Next()
+		claim = f.Function
+	}}, {Run: func() {}}})
+	if !strings.HasPrefix(claim, "fmmfam/internal/sched.(*Pool).Run.") {
+		t.Fatalf("jobs run under %q, want a closure of sched.(*Pool).Run", claim)
+	}
+	helper, inClaim := []byte("created by fmmfam/internal/sched.(*Pool).Run"), []byte(claim+"(")
+	stacks := make([]byte, 1<<20)
+	live := func() int {
+		n := 0
+		for _, g := range bytes.Split(stacks[:runtime.Stack(stacks, true)], []byte("\n\n")) {
+			if !bytes.Contains(g, helper) || bytes.Contains(g, inClaim) {
+				n++
+			}
+		}
+		return n
+	}
+
 	// run starts one goroutine per problem, each making iters calls, and
-	// returns the highest goroutine count seen above the count before it
-	// started anything. A sample is the least of three reads: a helper that
-	// has handed back its token but not yet exited is not a live compute
-	// goroutine, and is gone by the next read; a real excess stays for the
-	// length of a job.
+	// returns the highest live goroutine count seen above the count before
+	// it started anything.
 	run := func(iters int, async bool) int {
-		base := runtime.NumGoroutine()
+		base := live()
 		var stop atomic.Bool
 		peak := make(chan int)
 		go func() {
 			hi := 0
 			for !stop.Load() {
-				n := runtime.NumGoroutine()
-				for i := 0; i < 2; i++ {
-					runtime.Gosched()
-					n = min(n, runtime.NumGoroutine())
-				}
-				hi = max(hi, n)
+				hi = max(hi, live())
+				runtime.Gosched()
 			}
 			peak <- hi
 		}()

@@ -195,11 +195,8 @@ func TestBackendsClosedSet(t *testing.T) {
 	}
 }
 
-// TestServeParams pins the serve-knob resolution order: environment mirrors
-// win over Config fields, zero fields fill defaults, a negative window
-// disables coalescing, and malformed mirror values fail both ServeParams and
-// Validate (a deployment typo must stop the server at startup, not silently
-// serve defaults).
+// TestServeParams pins the serve-knob resolution: set fields pass through,
+// zero fields fill defaults, and a negative window disables coalescing.
 func TestServeParams(t *testing.T) {
 	base := Config{MC: 96, KC: 256, NC: 2048, Threads: 1}
 
@@ -247,43 +244,6 @@ func TestServeParams(t *testing.T) {
 		}
 		if p.Coalesce() {
 			t.Fatalf("Coalesce() = true with window %v", p.CoalesceWindow)
-		}
-	})
-
-	t.Run("env mirrors win", func(t *testing.T) {
-		t.Setenv("FMMFAM_SERVE_ADDR", "127.0.0.1:9911")
-		t.Setenv("FMMFAM_COALESCE_WINDOW", "2ms")
-		t.Setenv("FMMFAM_COALESCE_MAXJOBS", "5")
-		t.Setenv("FMMFAM_ADMISSION_DEPTH", "7")
-		cfg := base
-		cfg.ServeAddr = "ignored:1"
-		cfg.CoalesceWindow = time.Second
-		cfg.CoalesceMaxJobs = 99
-		cfg.AdmissionDepth = 99
-		p, err := cfg.ServeParams()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ServeParams{Addr: "127.0.0.1:9911", CoalesceWindow: 2 * time.Millisecond, CoalesceMaxJobs: 5, AdmissionDepth: 7}
-		if p != want {
-			t.Fatalf("ServeParams() = %+v, want %+v", p, want)
-		}
-	})
-
-	t.Run("malformed env fails Validate", func(t *testing.T) {
-		for env, bad := range map[string]string{
-			"FMMFAM_COALESCE_WINDOW":  "fast",
-			"FMMFAM_COALESCE_MAXJOBS": "many",
-			"FMMFAM_ADMISSION_DEPTH":  "-2",
-		} {
-			t.Setenv(env, bad)
-			if _, err := base.ServeParams(); err == nil {
-				t.Errorf("%s=%q: ServeParams() accepted", env, bad)
-			}
-			if err := base.Validate(); err == nil {
-				t.Errorf("%s=%q: Validate() accepted", env, bad)
-			}
-			t.Setenv(env, "")
 		}
 	})
 }

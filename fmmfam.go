@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"fmmfam/internal/autotune"
@@ -101,7 +100,8 @@ const (
 // {MC,KC,NC} and worker count, plus the serving-layer knobs (sharding,
 // async queue, plan-cache bound). The zero value of every serving knob
 // selects a sensible default; the blocking fields must be set (use
-// DefaultConfig).
+// DefaultConfig). A Config is the whole input: nothing built from one reads
+// the process environment.
 type Config struct {
 	// MC, KC, NC are the cache blocking parameters of Figure 1.
 	MC, KC, NC int
@@ -148,8 +148,7 @@ type Config struct {
 	// term loop (the bit-stable reference path the float64 golden
 	// fingerprints pin); "bfs" forces term fan-out at every level (ABC
 	// plans buffer one core-C shadow per fanned chunk, so forcing deep BFS
-	// on memory-tight machines is the user's call). The FMMFAM_TRAVERSAL
-	// environment variable overrides this field without recompiling.
+	// on memory-tight machines is the user's call).
 	// Direct NewPlan/NewPlan32 construction has no problem size for the
 	// model, so "auto" there means DFS; the Multiplier path is where auto
 	// selection happens.
@@ -176,10 +175,7 @@ type Config struct {
 	// traversal-model fold-cost calibration. Off by default: serving is then
 	// exactly the static model-selected path. Promotion only ever swaps which
 	// deterministic plan runs — per-call determinism guarantees are those of
-	// whichever plan served the call. The FMMFAM_AUTOTUNE environment
-	// variable overrides this field and AutotuneFraction without recompiling
-	// ("0"/"off"/"false": off; "1"/"on"/"true": on at the Config or default
-	// fraction; a bare float in (0, 0.5]: on at that fraction; else an error).
+	// whichever plan served the call.
 	Autotune bool
 	// AutotuneFraction is the share of each shape class's calls routed to
 	// the challenger arm, in (0, 0.5]. 0 means the default (0.05 — one call
@@ -188,9 +184,7 @@ type Config struct {
 
 	// ServeAddr is the listen address of the fmmserve wire front-end
 	// (cmd/fmmserve, package serve). Empty means DefaultServeAddr. The
-	// FMMFAM_SERVE_ADDR environment variable overrides this field without
-	// recompiling. The in-library MulAdd/MulAddBatch/MulAddAsync surfaces
-	// ignore it.
+	// in-library MulAdd/MulAddBatch/MulAddAsync surfaces ignore it.
 	ServeAddr string
 	// CoalesceWindow bounds how long the wire front-end holds a small
 	// request open waiting for others to share a MulAddBatch dispatch with.
@@ -200,15 +194,12 @@ type Config struct {
 	// CoalesceMaxJobs requests have joined, or when this long has passed
 	// since it opened, whichever is first — the upper bound of the hold,
 	// not its length. 0 means DefaultCoalesceWindow; negative disables coalescing
-	// (every request dispatches individually). The FMMFAM_COALESCE_WINDOW
-	// environment variable (a Go duration string, e.g. "250us" or "-1ms" to
-	// disable) overrides this field.
+	// (every request dispatches individually).
 	CoalesceWindow time.Duration
 	// CoalesceMaxJobs caps how many requests one coalescing window collects
 	// before flushing regardless of the timer. 0 means
 	// DefaultCoalesceMaxJobs; Validate rejects negatives (disable
-	// coalescing with a negative CoalesceWindow instead). The
-	// FMMFAM_COALESCE_MAXJOBS environment variable overrides this field.
+	// coalescing with a negative CoalesceWindow instead).
 	CoalesceMaxJobs int
 	// AdmissionDepth bounds the wire front-end's in-flight work — requests
 	// admitted to compute (or queued async) but not yet completed. At the
@@ -217,8 +208,7 @@ type Config struct {
 	// async layer's bounded queue, except rejecting instead of blocking
 	// (a blocked HTTP handler would just move the unbounded queue into the
 	// kernel's accept backlog). 0 means DefaultAdmissionDepth; Validate
-	// rejects negatives. The FMMFAM_ADMISSION_DEPTH environment variable
-	// overrides this field.
+	// rejects negatives.
 	AdmissionDepth int
 
 	// Calibrate, when set, replaces the Arch passed to NewMultiplier with
@@ -226,13 +216,11 @@ type Config struct {
 	// a GEMM probe for τa through the configured kernel and a bandwidth
 	// sweep for τb, both at this multiplier's element type), cached
 	// process-wide per (kernel, dtype) so repeated constructions measure
-	// once. The FMMFAM_CALIBRATE=1
-	// environment variable enables the same behavior without recompiling.
-	// First-time calibration of a pair costs ~100ms.
+	// once. First-time calibration of a pair costs ~100ms.
 	Calibrate bool
 }
 
-// Config.Traversal / FMMFAM_TRAVERSAL values.
+// Config.Traversal values.
 const (
 	// TraversalAuto lets the performance model pick BFS/DFS per level and
 	// shape (the default; "" means the same).
@@ -272,9 +260,8 @@ const (
 )
 
 // ServeParams is the resolved wire-serving configuration: Config's serve
-// knobs after applying their environment-variable mirrors and defaults.
-// Build one with Config.ServeParams; package serve and cmd/fmmserve consume
-// it.
+// knobs with their defaults filled. Build one with Config.ServeParams;
+// package serve and cmd/fmmserve consume it.
 type ServeParams struct {
 	// Addr is the resolved listen address.
 	Addr string
@@ -290,132 +277,40 @@ type ServeParams struct {
 // Coalesce reports whether small-request coalescing is enabled.
 func (p ServeParams) Coalesce() bool { return p.CoalesceWindow > 0 }
 
-// ServeParams resolves the serve knobs (ServeAddr, CoalesceWindow,
-// CoalesceMaxJobs, AdmissionDepth) against their environment mirrors
-// (FMMFAM_SERVE_ADDR, FMMFAM_COALESCE_WINDOW, FMMFAM_COALESCE_MAXJOBS,
-// FMMFAM_ADMISSION_DEPTH — each wins over its field when set) and fills
-// defaults. A malformed mirror value is an error here and from Validate, so
-// a deployment typo fails at startup rather than silently serving defaults.
+// ServeParams range-checks the serve knobs (ServeAddr, CoalesceWindow,
+// CoalesceMaxJobs, AdmissionDepth) and fills their defaults. The error is
+// the one Validate reports for the same fields.
 func (c Config) ServeParams() (ServeParams, error) {
-	s := resolveEnv(c)
-	return s.serve, s.serveErr
+	if c.CoalesceMaxJobs < 0 {
+		return ServeParams{}, fmt.Errorf("fmmfam: CoalesceMaxJobs=%d, need ≥ 0 (0 = default %d; disable coalescing with a negative CoalesceWindow)", c.CoalesceMaxJobs, DefaultCoalesceMaxJobs)
+	}
+	if c.AdmissionDepth < 0 {
+		return ServeParams{}, fmt.Errorf("fmmfam: AdmissionDepth=%d, need ≥ 0 (0 = default %d)", c.AdmissionDepth, DefaultAdmissionDepth)
+	}
+	return ServeParams{
+		Addr:            cmp.Or(c.ServeAddr, DefaultServeAddr),
+		CoalesceWindow:  cmp.Or(c.CoalesceWindow, DefaultCoalesceWindow),
+		CoalesceMaxJobs: cmp.Or(c.CoalesceMaxJobs, DefaultCoalesceMaxJobs),
+		AdmissionDepth:  cmp.Or(c.AdmissionDepth, DefaultAdmissionDepth),
+	}, nil
 }
 
-// settings is a Config with every FMMFAM_* override applied and every
-// default filled: what a construction runs under. Each group keeps its own
-// error, because a consumer answers only for the groups it uses — NewPlan
-// for the traversal, ServeParams for the serve knobs, Validate and
-// NewMultiplier for all three.
-type settings struct {
-	traversal string  // TraversalAuto, TraversalDFS or TraversalBFS
-	tune      bool    // autotuning on,
-	tuneFrac  float64 // at this challenger share (0 when off)
-	calibrate bool    // Config.Calibrate or FMMFAM_CALIBRATE=1
-	serve     ServeParams
-
-	traversalErr, tuneErr, serveErr error
+// checkTraversal rejects a Traversal outside its named values.
+func (c Config) checkTraversal() error {
+	switch c.Traversal {
+	case "", TraversalAuto, TraversalDFS, TraversalBFS:
+		return nil
+	}
+	return fmt.Errorf("fmmfam: Traversal=%q, need %q, %q, %q, or empty", c.Traversal, TraversalAuto, TraversalDFS, TraversalBFS)
 }
 
-// resolveEnv is the one reader of the FMMFAM_* variables that mirror Config
-// fields (EnvKernel reads the one that does not), called once per
-// construction. A set variable wins over its field — the no-recompile switch
-// deployments and the golden-fingerprint pins rely on — and a value outside
-// its accepted set is that group's error, never a silent fallback.
-func resolveEnv(c Config) settings {
-	var s settings
-	t := os.Getenv("FMMFAM_TRAVERSAL")
-	if t == "" {
-		t = c.Traversal
+// autotuneFraction is the challenger share autotuning runs at: 0 when off,
+// the default when AutotuneFraction is left zero.
+func (c Config) autotuneFraction() float64 {
+	if !c.Autotune {
+		return 0
 	}
-	switch t {
-	case "", TraversalAuto:
-		s.traversal = TraversalAuto
-	case TraversalDFS, TraversalBFS:
-		s.traversal = t
-	default:
-		s.traversalErr = fmt.Errorf("fmmfam: Traversal=%q, need %q, %q, %q, or empty", t, TraversalAuto, TraversalDFS, TraversalBFS)
-	}
-	frac := c.AutotuneFraction
-	if frac == 0 {
-		frac = autotune.DefaultFraction
-	}
-	switch v := os.Getenv("FMMFAM_AUTOTUNE"); v {
-	case "":
-		s.tune = c.Autotune
-	case "0", "off", "false":
-	case "1", "on", "true":
-		s.tune = true
-	default:
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 && f <= 0.5 {
-			s.tune, frac = true, f
-		} else {
-			s.tuneErr = fmt.Errorf("fmmfam: FMMFAM_AUTOTUNE=%q, need 0/off/false, 1/on/true, or a fraction in (0, 0.5]", v)
-		}
-	}
-	// The Config fraction is checked even when nothing turns tuning on: a
-	// later deployment's FMMFAM_AUTOTUNE=on would run with it.
-	if c.AutotuneFraction < 0 || c.AutotuneFraction > 0.5 {
-		s.tune, s.tuneErr = false, fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", c.AutotuneFraction, autotune.DefaultFraction)
-	}
-	if s.tune {
-		s.tuneFrac = frac
-	}
-	s.calibrate = c.Calibrate || os.Getenv("FMMFAM_CALIBRATE") == "1"
-	s.serve, s.serveErr = resolveServe(c)
-	return s
-}
-
-// resolveServe is resolveEnv's serve group.
-func resolveServe(c Config) (ServeParams, error) {
-	p := ServeParams{
-		Addr:            c.ServeAddr,
-		CoalesceWindow:  c.CoalesceWindow,
-		CoalesceMaxJobs: c.CoalesceMaxJobs,
-		AdmissionDepth:  c.AdmissionDepth,
-	}
-	if v := os.Getenv("FMMFAM_SERVE_ADDR"); v != "" {
-		p.Addr = v
-	}
-	if v := os.Getenv("FMMFAM_COALESCE_WINDOW"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return ServeParams{}, fmt.Errorf("fmmfam: FMMFAM_COALESCE_WINDOW=%q, need a duration (e.g. 250us; negative disables coalescing)", v)
-		}
-		p.CoalesceWindow = d
-	}
-	if v := os.Getenv("FMMFAM_COALESCE_MAXJOBS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return ServeParams{}, fmt.Errorf("fmmfam: FMMFAM_COALESCE_MAXJOBS=%q, need an integer ≥ 0 (0 = default %d)", v, DefaultCoalesceMaxJobs)
-		}
-		p.CoalesceMaxJobs = n
-	}
-	if v := os.Getenv("FMMFAM_ADMISSION_DEPTH"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return ServeParams{}, fmt.Errorf("fmmfam: FMMFAM_ADMISSION_DEPTH=%q, need an integer ≥ 0 (0 = default %d)", v, DefaultAdmissionDepth)
-		}
-		p.AdmissionDepth = n
-	}
-	if p.CoalesceMaxJobs < 0 {
-		return ServeParams{}, fmt.Errorf("fmmfam: CoalesceMaxJobs=%d, need ≥ 0 (0 = default %d; disable coalescing with a negative CoalesceWindow)", p.CoalesceMaxJobs, DefaultCoalesceMaxJobs)
-	}
-	if p.AdmissionDepth < 0 {
-		return ServeParams{}, fmt.Errorf("fmmfam: AdmissionDepth=%d, need ≥ 0 (0 = default %d)", p.AdmissionDepth, DefaultAdmissionDepth)
-	}
-	if p.Addr == "" {
-		p.Addr = DefaultServeAddr
-	}
-	if p.CoalesceWindow == 0 {
-		p.CoalesceWindow = DefaultCoalesceWindow
-	}
-	if p.CoalesceMaxJobs == 0 {
-		p.CoalesceMaxJobs = DefaultCoalesceMaxJobs
-	}
-	if p.AdmissionDepth == 0 {
-		p.AdmissionDepth = DefaultAdmissionDepth
-	}
-	return p, nil
+	return cmp.Or(c.AutotuneFraction, autotune.DefaultFraction)
 }
 
 // DefaultConfig returns the single-threaded default blocking with default
@@ -440,20 +335,17 @@ func (c Config) gemmConfig() gemm.Config {
 // backend must be registered for the dtype, the blocking must fit that
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
-// source — and the serving knobs that have no negative sentinel
-// (ShardMinTile, QueueDepth, CoalesceMaxJobs, AdmissionDepth) must be
-// non-negative, with every FMMFAM_* environment mirror required to parse
-// (see the Traversal and Autotune fields and Config.ServeParams).
-// NewMultiplier (and NewMultiplier32, which validates against the float32
-// registry instead) records the result and surfaces it from every entry
-// point, so an invalid config fails fast instead of computing with nonsense
-// parameters.
-func (c Config) Validate() error {
-	return validateConfig[float64](c, resolveEnv(c))
-}
+// source — the serving knobs that have no negative sentinel (ShardMinTile,
+// QueueDepth, CoalesceMaxJobs, AdmissionDepth) must be non-negative,
+// Traversal must be one of its named values and AutotuneFraction must lie in
+// [0, 0.5]. The result depends on the Config alone. NewMultiplier (and
+// NewMultiplier32, which validates against the float32 registry instead)
+// records the result and surfaces it from every entry point, so an invalid
+// config fails fast instead of computing with nonsense parameters.
+func (c Config) Validate() error { return validateConfig[float64](c) }
 
-// validateConfig is Validate for one element type, given c's settings.
-func validateConfig[E matrix.Element](c Config, s settings) error {
+// validateConfig is Validate for one element type.
+func validateConfig[E matrix.Element](c Config) error {
 	if err := gemm.ValidateFor[E](c.gemmConfig()); err != nil {
 		return fmt.Errorf("fmmfam: %w", err)
 	}
@@ -463,13 +355,23 @@ func validateConfig[E matrix.Element](c Config, s settings) error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
 	}
-	return cmp.Or(s.traversalErr, s.tuneErr, s.serveErr)
+	if err := c.checkTraversal(); err != nil {
+		return err
+	}
+	// The fraction is checked even with Autotune off: flipping the switch
+	// later must not be what surfaces a bad value.
+	if c.AutotuneFraction < 0 || c.AutotuneFraction > 0.5 {
+		return fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", c.AutotuneFraction, autotune.DefaultFraction)
+	}
+	_, err := c.ServeParams()
+	return err
 }
 
 // EnvKernel returns the backend the FMMFAM_KERNEL environment variable
 // selects ("" when unset): the Config.Kernel the package-level Multiply
-// family runs with and cmd/fmmserve and cmd/experiments start from. No other
-// Config reads it.
+// family runs with — it has no Config to carry one — and cmd/fmmserve and
+// cmd/experiments start from. It is the library's only read of the
+// environment; no Config consults it.
 func EnvKernel() string { return os.Getenv("FMMFAM_KERNEL") }
 
 // Kernels lists the registered micro-kernel backend names, sorted; any of
@@ -592,11 +494,10 @@ func NewPlan32(cfg Config, v Variant, levels ...Algorithm) (*Plan32, error) {
 }
 
 func newPlan[E matrix.Element](cfg Config, v Variant, levels []Algorithm) (*fmmexec.Plan[E], error) {
-	s := resolveEnv(cfg)
-	if s.traversalErr != nil {
-		return nil, s.traversalErr
+	if err := cfg.checkTraversal(); err != nil {
+		return nil, err
 	}
-	return fmmexec.NewPlanTraversal[E](cfg.gemmConfig(), v, forcedSteps(s.traversal, len(levels)), levels...)
+	return fmmexec.NewPlanTraversal[E](cfg.gemmConfig(), v, forcedSteps(cfg.Traversal, len(levels)), levels...)
 }
 
 // forcedSteps maps a forced traversal mode to explicit per-level steps: nil

@@ -10,8 +10,8 @@
 // wall time into the served arm's fixed-capacity ring buffer (a sliding
 // window, so a machine whose behavior drifts re-converges instead of being
 // anchored to stale samples). Once both incumbent and challenger windows
-// hold enough samples, the Tuner compares their medians with the same
-// median ± 95%-CI machinery the CI bench gate uses (internal/stats):
+// hold enough samples, the Tuner compares their medians with a 95%
+// confidence interval on the difference (median.go):
 //
 //   - the challenger is promoted to incumbent only when its median is
 //     faster AND the confidence interval of the difference excludes zero
@@ -39,11 +39,7 @@
 // class shadows the challenger.
 package autotune
 
-import (
-	"sync"
-
-	"fmmfam/internal/stats"
-)
+import "sync"
 
 // Defaults for Config's zero values.
 const (
@@ -249,9 +245,9 @@ func (t *Tuner) Record(key string, seconds float64) (p Promotion, promoted bool)
 		return Promotion{}, false
 	}
 	// Oriented so Diff > 0 means the challenger's median is faster.
-	d := stats.MedianDiff(inc.window(), chal.window())
+	d := medianDiff(inc.window(), chal.window())
 	switch {
-	case d.ExcludesZero():
+	case d.excludesZero():
 		t.winStreak++
 		if t.winStreak < promoteStreak {
 			return Promotion{}, false
@@ -263,8 +259,8 @@ func (t *Tuner) Record(key string, seconds float64) (p Promotion, promoted bool)
 		p = Promotion{
 			From:       t.incumbent.key,
 			To:         t.challenger.key,
-			FromMedian: stats.Median(inc.window()),
-			ToMedian:   stats.Median(chal.window()),
+			FromMedian: median(inc.window()),
+			ToMedian:   median(chal.window()),
 			AtSample:   inc.n + chal.n,
 		}
 		t.promotions = append(t.promotions, p)
@@ -274,7 +270,7 @@ func (t *Tuner) Record(key string, seconds float64) (p Promotion, promoted bool)
 		t.challenger, t.pending = t.pending[0], t.pending[1:]
 		t.winStreak = 0
 		return p, true
-	case (stats.Diff{Diff: -d.Diff, SE: d.SE}).ExcludesZero():
+	case (diff{diff: -d.diff, se: d.se}).excludesZero():
 		// Challenger confirmed slower: rotate it to the back of the queue
 		// so the shadow-traffic budget moves on to the next alternative.
 		t.winStreak = 0
@@ -320,7 +316,7 @@ func (t *Tuner) Snapshot() Snapshot {
 	armStats := func(a *arm, role Role) ArmStats {
 		s := ArmStats{Plan: a.key, Role: role, Samples: a.ring.n}
 		if w := a.ring.window(); len(w) > 0 {
-			s.Median = stats.Median(w)
+			s.Median = median(w)
 		}
 		return s
 	}

@@ -2,7 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,7 +22,7 @@ func repoRoot(t *testing.T) string {
 
 // runRepo loads every package of the module (with the given overlay, if any)
 // and runs the full analyzer suite over them.
-func runRepo(t *testing.T, overlay map[string][]byte) []Diagnostic {
+func runRepo(t *testing.T, overlay map[string][]byte) ([]*Package, []Diagnostic) {
 	t.Helper()
 	loader, err := NewLoader(repoRoot(t))
 	if err != nil {
@@ -34,17 +37,48 @@ func runRepo(t *testing.T, overlay map[string][]byte) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return diags
+	return pkgs, diags
 }
 
 // TestRepoClean is the suite's anchor: the production tree must pass every
 // analyzer with zero diagnostics. A failure here means a contract violation
 // crept into the repo (or an analyzer grew a false positive) — either way it
-// must be resolved, not suppressed.
+// must be resolved, not suppressed. It also pins "a knob is a Config field":
+// the module's non-test code reads the process environment in fmmfam.EnvKernel
+// and nowhere else (fmmbench, a harness that scrubs its environment, aside).
 func TestRepoClean(t *testing.T) {
-	for _, d := range runRepo(t, nil) {
+	pkgs, diags := runRepo(t, nil)
+	for _, d := range diags {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
+	var reads []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				where := pkg.Path + " (package level)"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					where = pkg.Path + "." + fd.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && pkg.Path != "fmmfam/fmmbench" && readsEnv(pkg.Info.Uses[id]) {
+						reads = append(reads, where)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if want := []string{"fmmfam.EnvKernel"}; !slices.Equal(reads, want) {
+		t.Errorf("environment reads in non-test code: %v, want exactly %v", reads, want)
+	}
+}
+
+// readsEnv reports whether obj is one of the standard library's readers of
+// the process environment.
+func readsEnv(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Pkg() != nil && (fn.Pkg().Path() == "os" || fn.Pkg().Path() == "syscall") &&
+		slices.Contains([]string{"Getenv", "LookupEnv", "Environ"}, fn.Name())
 }
 
 // seededRentSites says, per rentSpecs entry ("recv.rent"), where the real
@@ -66,7 +100,8 @@ func checkSeeded(t *testing.T, file, src, analyzer string, wantSubs []string) {
 		filepath.Join(repoRoot(t), filepath.FromSlash(file)): []byte(src),
 	}
 	var seeded []Diagnostic
-	for _, d := range runRepo(t, overlay) {
+	_, diags := runRepo(t, overlay)
+	for _, d := range diags {
 		if strings.Contains(d.Pos.Filename, "seeded_violation") {
 			seeded = append(seeded, d)
 		} else {

@@ -92,20 +92,12 @@ type GenericMultiplier[E matrix.Element] struct {
 	// point returns it so an invalid multiplier fails fast and uniformly.
 	cfgErr error
 
-	// traversal is the resolved term-traversal mode (TraversalAuto/DFS/BFS
-	// after applying the FMMFAM_TRAVERSAL override), fixed at construction
-	// so every cached plan of one multiplier was built under one policy.
-	traversal string
-
-	// tune/tuneFrac are the resolved autotuning state (Config.Autotune /
-	// AutotuneFraction after the FMMFAM_AUTOTUNE override); when tune is
-	// set, plan-cache entries carry a bandit and its arm plans, MulAdd times
-	// every call, and feedback holds the measured medians promotions write
-	// back for selection (model.RankMeasured). foldScale is the fitted
-	// traversal fold-cost scale (math.Float64bits; 0 = analytic), written on
-	// promotions that cross traversal modes and read by traversalFor.
-	tune      bool
-	tuneFrac  float64
+	// With Config.Autotune set, plan-cache entries carry a bandit and its arm
+	// plans, MulAdd times every call, and feedback holds the measured medians
+	// promotions write back for selection (model.RankMeasured). foldScale is
+	// the fitted traversal fold-cost scale (math.Float64bits; 0 = analytic),
+	// written on promotions that cross traversal modes and read by
+	// traversalFor.
 	feedback  *model.Feedback
 	foldScale atomic.Uint64
 
@@ -195,13 +187,12 @@ func calibratedArch[E matrix.Element](gcfg gemm.Config) (Arch, error) {
 // plan selection, the shard tile floor, and the shard grid score all price
 // the (kernel, dtype) pair actually in use; an arch from model.Calibrate[E]
 // with the same cfg.Kernel passes through unchanged. With Config.Calibrate
-// (or FMMFAM_CALIBRATE=1) set, the provided arch's τ constants are replaced
-// by measured ones, cached process-wide per (kernel, dtype). An invalid cfg
-// is reported by every entry point's first call (see Config.Validate).
+// set, the provided arch's τ constants are replaced by measured ones, cached
+// process-wide per (kernel, dtype). An invalid cfg is reported by every entry
+// point's first call (see Config.Validate).
 func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMultiplier[E] {
-	set := resolveEnv(cfg)
-	cfgErr := validateConfig[E](cfg, set)
-	if cfgErr == nil && set.calibrate {
+	cfgErr := validateConfig[E](cfg)
+	if cfgErr == nil && cfg.Calibrate {
 		if measured, err := calibratedArch[E](cfg.gemmConfig()); err == nil {
 			arch = measured
 		} else {
@@ -209,17 +200,14 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		}
 	}
 	mu := &GenericMultiplier[E]{
-		cfg:       cfg,
-		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
-		cfgErr:    cfgErr,
-		traversal: set.traversal,
-		tune:      set.tune,
-		tuneFrac:  set.tuneFrac,
-		pool:      sched.NewPool(cfg.Threads),
-		plans:     newPlanCache[E](cfg.planCacheCap()),
+		cfg:    cfg,
+		arch:   model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
+		cfgErr: cfgErr,
+		pool:   sched.NewPool(cfg.Threads),
+		plans:  newPlanCache[E](cfg.planCacheCap()),
 	}
 	mu.engines.m = make(map[string]*gemm.Context[E])
-	if mu.tune {
+	if cfg.Autotune {
 		mu.feedback = model.NewFeedback()
 	}
 	return mu
@@ -271,7 +259,7 @@ func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int) error
 	}
 	if threads > 1 {
 		if spec, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
-			if mu.tune {
+			if mu.cfg.Autotune {
 				return mu.mulAddShardedTuned(spec, c, a, b)
 			}
 			return mu.mulAddSharded(spec, c, a, b)
@@ -490,7 +478,7 @@ func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], e
 	if e, ok := mu.plans.get(key); ok {
 		return e, nil
 	}
-	if mu.tune {
+	if mu.cfg.Autotune {
 		tun, err := mu.newPlanTuner(key, m, k, n)
 		if err != nil {
 			return nil, err
@@ -514,7 +502,7 @@ func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], e
 // nil, so batch, sharded, and async jobs keep the serial term loop —
 // intra-plan fan-out composes with, never multiplies, cross-job parallelism.
 func (mu *GenericMultiplier[E]) traversalFor(cand Candidate, m, k, n, threads int) []fmmexec.Step {
-	switch mu.traversal {
+	switch mu.cfg.Traversal {
 	case TraversalDFS:
 		return nil
 	case TraversalBFS:

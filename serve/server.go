@@ -77,11 +77,10 @@ type pendingAsync struct {
 
 // New builds a Server from cfg: both engines (the same blocking, threads,
 // and serving knobs at each precision), the per-dtype coalescers, and the
-// admission gate, with the serve knobs resolved through cfg.ServeParams
-// (environment mirrors win). cfg.QueueDepth is floored to the admission
-// depth so the wire layer's 429 gate always trips before MulAddAsync's
-// blocking backpressure — a wire client is never silently parked on the
-// internal queue.
+// admission gate, with the serve knobs' defaults filled by cfg.ServeParams.
+// cfg.QueueDepth is floored to the admission depth so the wire layer's 429
+// gate always trips before MulAddAsync's blocking backpressure — a wire
+// client is never silently parked on the internal queue.
 func New(cfg fmmfam.Config, arch fmmfam.Arch) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -79,26 +79,6 @@ func TestForcedTraversalShapesPlans(t *testing.T) {
 	}
 }
 
-// TestTraversalEnvOverridesConfig: FMMFAM_TRAVERSAL wins over the Config
-// field — the no-recompile escape hatch — and an invalid value surfaces as
-// an error rather than silently falling back.
-func TestTraversalEnvOverridesConfig(t *testing.T) {
-	t.Setenv("FMMFAM_TRAVERSAL", "dfs")
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4, Traversal: TraversalBFS}
-	p, err := NewMultiplier(cfg, PaperArch()).PlanFor(256, 256, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Fanout() != 1 {
-		t.Fatalf("FMMFAM_TRAVERSAL=dfs did not override Traversal=bfs (fanout %d)", p.Fanout())
-	}
-
-	t.Setenv("FMMFAM_TRAVERSAL", "sideways")
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("invalid FMMFAM_TRAVERSAL accepted")
-	}
-}
-
 // TestTraversalBFSEndToEnd drives the full Multiplier stack under forced
 // BFS: correctness against the reference on divisible and fringed sizes,
 // and run-to-run bit-identical repeats (the BFS determinism contract).
@@ -129,12 +109,11 @@ func TestTraversalBFSEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraversalDFSKeepsSerialBits: under FMMFAM_TRAVERSAL=dfs a parallel
+// TestTraversalDFSKeepsSerialBits: under Traversal "dfs" a parallel
 // multiplier produces exactly the serial multiplier's bits — the property
 // that keeps the float64 golden fingerprints valid with the knob thrown.
 func TestTraversalDFSKeepsSerialBits(t *testing.T) {
-	t.Setenv("FMMFAM_TRAVERSAL", "dfs")
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 1}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 1, Traversal: TraversalDFS}
 	rng := rand.New(rand.NewSource(61))
 	a, b := NewMatrix(160, 144), NewMatrix(144, 176)
 	a.FillRand(rng)
