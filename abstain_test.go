@@ -1,6 +1,7 @@
 package fmmfam
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,7 +37,8 @@ func TestRecommendAbstains(t *testing.T) {
 		{kernel.AVX2Backend, matrix.Float64, 64, 64, 64, gemm},
 		{kernel.AVX2Backend, matrix.Float64, 104, 104, 104, gemm},
 		{kernel.AVX2Backend, matrix.Float64, 192, 192, 192, gemm},
-		{kernel.AVX2Backend, matrix.Float64, 256, 8192, 256, gemm}, // kdom_shard's K-split slabs
+		{kernel.AVX2Backend, matrix.Float64, 256, 8192, 256, gemm},   // kdom_shard's K-split slabs
+		{kernel.AVX2Backend, matrix.Float64, 1024, 1024, 1024, gemm}, // default_square where avx2 is the fastest registered
 		{kernel.AVX2Backend, matrix.Float64, 2048, 2048, 2048, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, matrix.Float64, 2880, 480, 2880, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, matrix.Float32, 104, 104, 104, gemm},
@@ -72,6 +74,7 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 		{kernel.AVX2Backend, 2048, 2048, 2048, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, 2880, 480, 2880, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, 256, 8192, 256, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 1024, 1024, 1024, fmmexec.GEMMName},
 	}
 	for _, tc := range cases {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
@@ -90,6 +93,56 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 			if tc.want == fmmexec.GEMMName && (len(p.Levels) != 0 || p.Traversal() != nil || p.Fanout() != 1) {
 				t.Errorf("%s: gemm plan has %d levels, traversal %v, fanout %d", tc.kern, len(p.Levels), p.Traversal(), p.Fanout())
 			}
+		}
+	}
+}
+
+// TestDefaultSquareRoute: the route the benchmark's default_square (1024³,
+// T = 2) takes on each kernel an empty Config.Kernel can resolve to. On go4x4
+// the product shards into two 1024×1024×512 tiles, each an FMM plan; on avx2
+// 1024 is below the modelled break-even (~1793), so there is no tile floor
+// two tiles could clear and the selector abstains: one unsharded GEMM.
+func TestDefaultSquareRoute(t *testing.T) {
+	for _, tc := range []struct {
+		kern    string
+		sharded string // "" = unsharded
+	}{
+		{kernel.DefaultBackend, "1×2×1"},
+		{kernel.AVX2Backend, ""},
+	} {
+		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
+			continue
+		}
+		cfg := DefaultConfig()
+		cfg.Kernel, cfg.Threads = tc.kern, 2
+		mu := NewMultiplier(cfg, PaperArch())
+		spec, ok := mu.shardSpec(1024, 1024, 1024)
+		got := ""
+		if ok {
+			got = fmt.Sprintf("%d×%d×%d", spec.GridM, spec.GridN, spec.GridK)
+		}
+		if got != tc.sharded {
+			t.Errorf("%s: 1024³ at T=2 shards as %q, want %q", tc.kern, got, tc.sharded)
+		}
+		// Explain reports that route: the grid, and the plan of the shape it
+		// is chosen for — a tile's on a width-1 plan, else the product's.
+		ex, err := mu.Explain(1024, 1024, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Explanation{Kernel: tc.kern, Arch: mu.arch, MinTile: mu.shardMinTile(), M: 1024, K: 1024, N: 1024, Threads: 2, Plan: fmmexec.GEMMName}
+		if ok {
+			want.GridM, want.GridN, want.GridK = 1, 2, 1
+			want.N, want.Threads = 512, 1
+			cfg.Threads = 1
+			p, err := NewMultiplier(cfg, PaperArch()).PlanFor(1024, 1024, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Plan = p.String()
+		}
+		if ex != want {
+			t.Errorf("%s: Explain(1024³) = %+v, want %+v", tc.kern, ex, want)
 		}
 	}
 }

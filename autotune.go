@@ -120,23 +120,13 @@ func (mu *GenericMultiplier[E]) newPlanTuner(key planKey, m, k, n int) (*planTun
 		addChallenger(cand, mu.traversalFor(cand, m, k, n, key.threads), "")
 	}
 	for _, name := range kernel.BackendsFor(matrix.DtypeOf[E]()) {
-		if resolved, ok := kernel.ResolveNameFor(name, matrix.DtypeOf[E]()); ok && resolved != incKeyKernel(incKey) {
+		if name != mu.cfg.Kernel {
 			addChallenger(top[0], incSteps, name)
 			break
 		}
 	}
 	pt.tuner = autotune.New(autotune.Config{Fraction: mu.cfg.autotuneFraction()}, incKey, chalKeys)
 	return pt, nil
-}
-
-// incKeyKernel extracts the backend name from an arm key (the "|kern=" tail).
-func incKeyKernel(key string) string {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '=' {
-			return key[i+1:]
-		}
-	}
-	return ""
 }
 
 // mulAdd serves one call through the bandit: route to an arm, execute its
@@ -289,7 +279,7 @@ type ShapeTuning struct {
 type MultiplierStats struct {
 	// Kernel is the micro-kernel backend this engine resolved from its
 	// configuration (Config.Kernel; an empty selection resolves to the
-	// default backend). A configured-but-unavailable backend is
+	// fastest backend registered). A configured-but-unavailable backend is
 	// reported with an " (unavailable)" suffix — every compute call is
 	// failing validation in that state. Autotune promotions may route
 	// individual shape classes to other backends; those show per-shape in
@@ -335,14 +325,13 @@ func (mu *GenericMultiplier[E]) Stats() MultiplierStats {
 	return s
 }
 
-// resolvedKernel names the backend this engine's configuration resolves to
-// at its element type, marking a selection that cannot resolve on this host.
+// resolvedKernel names the backend this engine runs on, marking a named
+// selection that is not registered for its element type on this host.
 func (mu *GenericMultiplier[E]) resolvedKernel() string {
-	name, ok := kernel.ResolveNameFor(mu.cfg.Kernel, matrix.DtypeOf[E]())
-	if !ok {
-		return name + " (unavailable)"
+	if _, ok := kernel.ResolveNameFor(mu.cfg.Kernel, matrix.DtypeOf[E]()); !ok {
+		return mu.cfg.Kernel + " (unavailable)"
 	}
-	return name
+	return mu.cfg.Kernel
 }
 
 func sortShapeTunings(s []ShapeTuning) {

@@ -53,7 +53,9 @@ func TestConfigAutotuneValidation(t *testing.T) {
 // challenger-served — still computes c += a·b correctly, and Stats shows
 // the traffic split arriving at the configured fraction.
 func TestAutotuneServesCorrectly(t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, Autotune: true, AutotuneFraction: 0.25}
+	// On go4x4 this shape's incumbent is an FMM plan, so the traversal-flip
+	// arm is among the challengers.
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, Autotune: true, AutotuneFraction: 0.25, Kernel: "go4x4"}
 	mu := NewMultiplier(cfg, PaperArch())
 	rng := rand.New(rand.NewSource(70))
 	a, b := NewMatrix(192, 160), NewMatrix(160, 176)
@@ -103,7 +105,7 @@ func TestAutotuneServesCorrectly(t *testing.T) {
 // promotion record, roles after, and the measured-feedback visible in the
 // incumbent swap.
 func TestAutotunePromotionLifecycle(t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, Autotune: true, AutotuneFraction: 0.25}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, Autotune: true, AutotuneFraction: 0.25, Kernel: "go4x4"}
 	mu := NewMultiplier(cfg, PaperArch())
 	// Build the shape class's tuner through the serving path.
 	c, a, b := NewMatrix(192, 192), NewMatrix(192, 192), NewMatrix(192, 192)

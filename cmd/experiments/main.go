@@ -3,10 +3,13 @@
 // TSV series on stdout.
 //
 // Actual (measured) curves run on the micro-kernel backend the FMMFAM_KERNEL
-// environment variable names (fmmfam.EnvKernel; unset is the default pure-Go
-// kernel, "avx2" the assembly one — an unknown or unavailable name is an
-// error, never a silent fallback), against an Arch calibrated through that
-// backend; the "# calibrated:" header records which. They run at a reduced
+// environment variable names (fmmfam.EnvKernel; "avx2" is the assembly one —
+// an unknown or unavailable name is an error, never a silent fallback),
+// against an Arch calibrated through that backend; the "# calibrated:" header
+// records which. Unset, they run on the reference pure-Go kernel "go4x4" on
+// every host: the figures are built on internal/gemm directly, where an empty
+// name keeps that meaning, not on an fmmfam.Config, where it means the host's
+// fastest backend. They run at a reduced
 // default scale — the pure-Go kernel is roughly an order of magnitude slower
 // than the paper's assembly kernel, so the paper's m=n=14400 sweeps are
 // impractical to sweep exhaustively; pass -scale=paper to run the original

@@ -10,7 +10,8 @@
 //	         [-coalesce-window 500µs] [-coalesce-maxjobs 32] [-admission-depth 256]
 //
 // The flags are the whole deployment surface; FMMFAM_KERNEL is the default of
-// -kernel and no other variable is read. An unavailable kernel selection
+// -kernel and no other variable is read; with neither, both engines run on
+// the fastest backend the host registered. An unavailable kernel selection
 // (e.g. avx2 on a host without AVX2+FMA) fails boot with the recorded
 // reason; /v1/stats reports every backend's availability and which one
 // each engine resolved. SIGINT/SIGTERM trigger graceful shutdown: the
@@ -78,7 +79,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", fmmfam.DefaultServeAddr, "listen address")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = all CPUs)")
 	autotune := fs.Bool("autotune", false, "enable online plan autotuning on served traffic")
-	kernelName := fs.String("kernel", fmmfam.EnvKernel(), "micro-kernel backend for both engines (default $FMMFAM_KERNEL, else the engine default; /v1/stats lists availability)")
+	kernelName := fs.String("kernel", fmmfam.EnvKernel(), "micro-kernel backend for both engines (default $FMMFAM_KERNEL, else the fastest backend this host registered; go4x4 pins the bit-stable reference kernel)")
 	window := fs.Duration("coalesce-window", 0, "coalescing window for small requests (0 = engine default, negative disables)")
 	maxJobs := fs.Int("coalesce-maxjobs", 0, "max requests per coalescing window (0 = engine default)")
 	depth := fs.Int("admission-depth", 0, "max in-flight requests before 429 (0 = engine default)")
@@ -100,8 +101,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.AdmissionDepth = *depth
 	cfg.ServeAddr = *addr
 
-	arch := fmmfam.PaperArch()
-	srv, err := serve.New(cfg, arch)
+	srv, err := serve.New(cfg, fmmfam.PaperArch())
 	if err != nil {
 		return err
 	}
@@ -110,9 +110,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		srv.Close()
 		return err
 	}
-	// The backend cfg.Kernel resolves to, as /v1/stats names it per engine.
-	resolved := fmmfam.NewMultiplier(cfg, arch).Stats().Kernel
-	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d autotune=%v kernel=%s)\n", ln.Addr(), cfg.Threads, cfg.Autotune, resolved)
+	// The backend cfg.Kernel resolved to, as /v1/stats names it per engine.
+	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d autotune=%v kernel=%s)\n", ln.Addr(), cfg.Threads, cfg.Autotune, srv.Stats().Multiplier.Kernel)
 
 	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)

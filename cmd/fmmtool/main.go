@@ -5,6 +5,8 @@
 //	fmmtool verify  [-shape m,k,n]        Brent-verify one shape or the catalog
 //	fmmtool gen -levels "2,2,2;3,3,3" -variant ABC [-pkg p -func F -selftest -o file]
 //	fmmtool model -m 14400 -k 480 -n 14400 [-top 10]
+//	fmmtool explain m k n [-kernel name] [-threads t] [-dtype f32|f64]
+//	                                      what a Multiplier would do with one product, and why
 //	fmmtool discover -shape 2,2,2 -rank 7 [-restarts 10 -iters 1500 -seed 2]
 //	fmmtool morton [-levels 3]
 //	fmmtool export -shape 2,3,2 [-o file]   write a ⟦U,V,W⟧ coefficient file
@@ -15,14 +17,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
+	"fmmfam"
 	"fmmfam/internal/codegen"
 	"fmmfam/internal/coeffio"
 	"fmmfam/internal/core"
 	"fmmfam/internal/discover"
 	"fmmfam/internal/fmmexec"
+	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/model"
 	"fmmfam/internal/morton"
@@ -44,6 +49,8 @@ func main() {
 		cmdGen(args)
 	case "model":
 		cmdModel(args)
+	case "explain":
+		cmdExplain(args)
 	case "discover":
 		cmdDiscover(args)
 	case "morton":
@@ -58,7 +65,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: fmmtool list|describe|verify|gen|model|discover|morton [flags]")
+	fmt.Fprintln(os.Stderr, "usage: fmmtool list|describe|verify|gen|model|explain|discover|morton|export|import [flags]")
 	os.Exit(2)
 }
 
@@ -190,6 +197,87 @@ func cmdModel(args []string) {
 		}
 		fmt.Printf("%d\t%s\t%.3f\t%.2f\t%+.1f%%\n", i+1, r.Candidate.Name(), r.Predicted,
 			model.EffectiveGFLOPS(*m, *k, *n, r.Predicted), (gm/r.Predicted-1)*100)
+	}
+}
+
+// cmdExplain prints the decisions a Multiplier built from DefaultConfig (with
+// the given kernel and threads) and the paper's machine constants makes for
+// one product, as the Multiplier reports them (Explain): the backend and how
+// it was chosen, the constants the selector prices with, whether the product
+// shards, and the model's ranking of the shape each plan is chosen for. `fmmtool model` stays the paper's table —
+// Ivy Bridge constants on the reference kernel, by name; this is the host's.
+func cmdExplain(args []string) {
+	fs := flag.NewFlagSet("explain", flag.ExitOnError)
+	kern := fs.String("kernel", "", "micro-kernel backend (default: the fastest this host registered)")
+	threads := fs.Int("threads", runtime.GOMAXPROCS(0), "Config.Threads")
+	dtype := fs.String("dtype", "f64", "element type, f64 or f32")
+	var dims []int
+	for rest := args; ; { // m k n may stand before, between or after the flags
+		fs.Parse(rest)
+		if rest = fs.Args(); len(rest) == 0 {
+			break
+		}
+		v, err := strconv.Atoi(rest[0])
+		if err != nil || v < 1 {
+			fatal(fmt.Errorf("explain: bad dimension %q", rest[0]))
+		}
+		dims, rest = append(dims, v), rest[1:]
+	}
+	if len(dims) != 3 {
+		fatal(fmt.Errorf("explain: want three dimensions m k n, got %v", dims))
+	}
+	cfg := fmmfam.DefaultConfig()
+	cfg.Threads, cfg.Kernel = *threads, *kern
+	switch *dtype {
+	case "f64":
+		explain[float64](cfg, dims[0], dims[1], dims[2])
+	case "f32":
+		explain[float32](cfg, dims[0], dims[1], dims[2])
+	default:
+		fatal(fmt.Errorf("explain: -dtype %q, want f64 or f32", *dtype))
+	}
+}
+
+func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
+	dt := matrix.DtypeOf[E]()
+	mu := fmmfam.NewGenericMultiplier[E](cfg, fmmfam.PaperArch())
+	ex, err := mu.Explain(m, k, n) // an invalid cfg — an unavailable kernel — surfaces here
+	if err != nil {
+		fatal(err)
+	}
+	how := "named"
+	if cfg.Kernel == "" {
+		how = "fastest registered: " + ex.Kernel
+		for _, other := range kernel.BackendsFor(dt) {
+			if other != ex.Kernel {
+				how += " > " + other
+			}
+		}
+	}
+	arch := ex.Arch
+	fmt.Printf("problem\t%d×%d×%d %s, %d threads\n", m, k, n, dt, cfg.Threads)
+	fmt.Printf("kernel\t%s (%s)\n", ex.Kernel, how)
+	fmt.Printf("arch\tpaper Ivy Bridge priced for %s/%s: tau_a=%.3g s/flop tau_b=%.3g s/elem lambda=%.2f MC=%d KC=%d NC=%d; FMM break-even %d³\n",
+		ex.Kernel, dt, arch.TauA, arch.TauB, arch.Lambda, arch.MC, arch.KC, arch.NC, ex.MinTile)
+	if ex.GridM > 0 {
+		fmt.Printf("sharding\t%d×%d×%d grid (m×n×k): %d tiles of up to %d×%d×%d, each on its own width-1 plan\n",
+			ex.GridM, ex.GridN, ex.GridK, ex.GridM*ex.GridN*ex.GridK, ex.M, ex.K, ex.N)
+	} else {
+		fmt.Printf("sharding\tno (needs ≥ 2 threads, a dimension ≥ %d and room for two tiles ≥ %d): one width-%d plan\n",
+			fmmfam.DefaultShardThreshold, ex.MinTile, ex.Threads)
+	}
+	fmt.Printf("serves\t%s", ex.Plan)
+	if ex.Traversal != "" {
+		fmt.Printf(" (traversal %s)", ex.Traversal)
+	}
+	// The ranking the plan came from: the selector's own Rank on the
+	// multiplier's Arch and the shape it chose a plan for.
+	fmt.Printf("\nranking\t%d×%d×%d, one core of the model's machine\n", ex.M, ex.K, ex.N)
+	fmt.Println("rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS")
+	for i, r := range model.Rank(arch, model.DefaultCandidates(), ex.M, ex.K, ex.N)[:3] {
+		b := model.Predict(arch, r.Candidate.Stats(), r.Candidate.Variant, ex.M, ex.K, ex.N)
+		fmt.Printf("%d\t%s\t%.4g\t%.4g\t%.4g\t%.2f\n", i+1, r.Candidate.Name(), b.Ta, b.Tm, b.Total(),
+			model.EffectiveGFLOPS(ex.M, ex.K, ex.N, b.Total()))
 	}
 }
 

@@ -63,6 +63,55 @@ func TestCLIModel(t *testing.T) {
 	}
 }
 
+// TestCLIExplain: one product explained on each backend. The reference kernel,
+// by name, shards default_square's 1024³ into two tiles and serves each a
+// two-level plan; avx2, where the host registered it, is what an empty
+// -kernel resolves to, and abstains: one unsharded GEMM.
+func TestCLIExplain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs the toolchain")
+	}
+	out, err := run(t, "explain", "1024", "1024", "1024", "-kernel", "go4x4", "-threads", "2")
+	for _, want := range []string{
+		"kernel\tgo4x4 (named)",
+		"priced for go4x4/float64: tau_a=", "FMM break-even 148³",
+		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512",
+		"serves\t<2,2,2>+<2,2,2> ABC",
+		"rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS",
+		"\n1\t<2,2,2>+<2,2,2> ABC\t", "\n3\t",
+	} {
+		if err != nil || !strings.Contains(out, want) {
+			t.Fatalf("explain on go4x4: %v, output lacks %q:\n%s", err, want, out)
+		}
+	}
+	if strings.Contains(out, "\n4\t") {
+		t.Fatalf("explain printed more than the top 3:\n%s", out)
+	}
+
+	out, err = run(t, "explain", "-threads", "2", "-dtype", "f32", "1024", "1024", "1024")
+	if err != nil {
+		t.Fatalf("explain with no -kernel: %v\n%s", err, out)
+	}
+	// The child is built without this test's tags, so its own first line of
+	// evidence — not this process's CPU probe — says which backend it has.
+	if !strings.Contains(out, "kernel\tavx2 ") {
+		if !strings.Contains(out, "kernel\tgo4x4 (fastest registered: go4x4)") || !strings.Contains(out, "float32") {
+			t.Fatalf("explain without avx2:\n%s", out)
+		}
+		return
+	}
+	for _, want := range []string{
+		"kernel\tavx2 (fastest registered: avx2 > go4x4)",
+		"priced for avx2/float32", "FMM break-even 1793³",
+		"sharding\tno (", "one width-2 plan",
+		"serves\tgemm\n", "\n1\tgemm\t",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain on avx2: output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestCLIGenParses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the toolchain")

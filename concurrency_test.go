@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,8 +207,8 @@ func TestGoroutineCeiling(t *testing.T) {
 		f, _ := runtime.CallersFrames(pc).Next()
 		claim = f.Function
 	}}, {Run: func() {}}})
-	if !strings.HasPrefix(claim, "fmmfam/internal/sched.(*Pool).Run.") {
-		t.Fatalf("jobs run under %q, want a closure of sched.(*Pool).Run", claim)
+	if claim != "fmmfam/internal/sched.(*run).claim" {
+		t.Fatalf("jobs run under %q, want sched's claim loop", claim)
 	}
 	helper, inClaim := []byte("created by fmmfam/internal/sched.(*Pool).Run"), []byte(claim+"(")
 	stacks := make([]byte, 1<<20)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 // TestConfigValidate is the table-driven contract of Config.Validate: every
 // knob's failure mode, including per-backend blocking floors (MC=4 is legal
-// for the 4×4 kernel, illegal for avx2's 8-row tile) and that avx2 is a valid
+// for the 4×4 kernel, illegal for avx2's 6-row tile) and that avx2 is a valid
 // Kernel exactly where the host registered it.
 func TestConfigValidate(t *testing.T) {
 	hasAVX2 := HostCPU().AVX2
@@ -43,6 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		{"MC below default backend MR", func(c *Config) { c.MC = 3 }, false},
 		{"MC=4 ok for go4x4", func(c *Config) { c.MC = 4; c.Kernel = "go4x4" }, true},
 		{"MC=4 below avx2 MR", func(c *Config) { c.MC = 4; c.Kernel = "avx2" }, false},
+		{"MC=4 with an empty kernel fits iff go4x4 is the fastest here", func(c *Config) { c.MC = 4 }, !hasAVX2},
 		{"negative ShardMinTile", func(c *Config) { c.ShardMinTile = -1 }, false},
 		{"negative QueueDepth", func(c *Config) { c.QueueDepth = -2 }, false},
 		{"serve knobs set", func(c *Config) {
@@ -67,6 +69,30 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNamesTheResolvedKernel: when blocking that fits the reference
+// kernel's 4×4 tile fails against the backend an empty Config.Kernel
+// resolved to, the error says which backend that was and how to pin the
+// reference one — the caller never wrote "avx2" anywhere.
+func TestValidateNamesTheResolvedKernel(t *testing.T) {
+	if !HostCPU().AVX2 {
+		t.Skip("an empty kernel resolves to go4x4 here: MC=4 is valid")
+	}
+	err := Config{MC: 4, KC: 256, NC: 2048, Threads: 1}.Validate()
+	if err == nil {
+		t.Fatal("MC=4 accepted against avx2's 6-row tile")
+	}
+	for _, want := range []string{"too small for kernel avx2", `resolved to "avx2"`, `Kernel: "go4x4" pins the reference kernel`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
+		}
+	}
+	// A named kernel gets the plain error: the caller knows what they chose.
+	err = Config{MC: 4, KC: 256, NC: 2048, Threads: 1, Kernel: "avx2"}.Validate()
+	if err == nil || strings.Contains(err.Error(), "resolved to") {
+		t.Errorf("named avx2 with MC=4: %v", err)
+	}
+}
+
 // TestInvalidConfigSurfacesFromEveryEntryPoint: a Multiplier built from an
 // invalid config reports the validation error from MulAdd, MulAddBatch, and
 // MulAddAsync instead of panicking deep in the stack.
@@ -85,8 +111,9 @@ func TestInvalidConfigSurfacesFromEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// TestDefaultKernelPlanGolden pins the plan→execution path on the default
-// backend to the exact bits it produced before the Backend interface existed
+// TestDefaultKernelPlanGolden pins the plan→execution path on the reference
+// backend ("go4x4", the default until an empty Config.Kernel came to mean the
+// host's fastest) to the exact bits it produced before the Backend interface existed
 // (hash captured from the PR-3 tree on amd64): <2,2,2> ABC at 96³, the plan
 // the selector served there until GEMM became a candidate — 96³ is below the
 // default backend's break-even, so the plan is now built by name — and the
@@ -107,7 +134,9 @@ func TestDefaultKernelPlanGolden(t *testing.T) {
 		return NewMatrix(n, n), a, b
 	}
 	c, a, b := operands(96)
-	p, err := NewPlan(DefaultConfig(), ABC, Generate(2, 2, 2))
+	cfg := DefaultConfig()
+	cfg.Kernel = "go4x4" // the goldens are the reference kernel's, by name
+	p, err := NewPlan(cfg, ABC, Generate(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +146,12 @@ func TestDefaultKernelPlanGolden(t *testing.T) {
 			got, uint64(0xcf7d1834413624e4))
 	}
 	c, a, b = operands(192)
-	mu := NewMultiplier(DefaultConfig(), PaperArch())
+	mu := NewMultiplier(cfg, PaperArch())
 	if err := mu.MulAdd(c, a, b); err != nil {
 		t.Fatal(err)
 	}
 	if sel, _ := mu.PlanFor(192, 192, 192); sel.String() != "<2,2,2> ABC" {
-		t.Errorf("192³ on the default backend selected %s, want <2,2,2> ABC", sel)
+		t.Errorf("192³ on the reference backend selected %s, want <2,2,2> ABC", sel)
 	}
 	if got := c.Fingerprint(); got != 0x6dab96631598aae6 {
 		t.Errorf("selected plan path fingerprint %#x, want %#x (no longer bit-identical to the selector before GEMM was a candidate)",

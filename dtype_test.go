@@ -28,11 +28,13 @@ var kSplitAcceptanceShapes = [][3]int{
 }
 
 // kSplitServingCfg is the blocking the PR-3 acceptance tests shard those
-// shapes under.
+// shapes under, on the reference kernel, where slabs this small still get
+// FMM plans.
 func kSplitServingCfg() Config {
 	return Config{
 		MC: 16, KC: 16, NC: 32, Threads: 4,
 		ShardThreshold: 256, ShardMinTile: 48,
+		Kernel: "go4x4",
 	}
 }
 

@@ -29,7 +29,9 @@ func main() {
 	// GEMM baseline.
 	const m, k, n = 960, 320, 960
 	cand := fmmfam.Recommend(arch, m, k, n)
-	plan, err := fmmfam.NewPlan(fmmfam.DefaultConfig(), cand.Variant, cand.Levels...)
+	cfg := fmmfam.DefaultConfig()
+	cfg.Kernel = "go4x4" // the kernel arch's constants price; empty would be the host's fastest
+	plan, err := fmmfam.NewPlan(cfg, cand.Variant, cand.Levels...)
 	if err != nil {
 		panic(err)
 	}

@@ -111,12 +111,20 @@ type Config struct {
 	Threads int
 
 	// Kernel selects the micro-kernel backend by registry name (see
-	// Kernels). Empty selects the default backend ("go4x4", the original
-	// bit-stable pure-Go kernel, present on every build); "avx2" is the amd64
-	// assembly backend, valid only where the host CPU and build carry it.
-	// The package-level Multiply family reads the FMMFAM_KERNEL environment
-	// variable instead (EnvKernel). The blocking must satisfy the backend's
-	// tile shape (MC ≥ MR, NC ≥ NR); Validate checks this.
+	// Kernels). Empty selects the fastest backend this host registered, by a
+	// static order that depends on GOARCH, build tags and CPUID, never on
+	// timing: "avx2", the amd64 assembly backend, where the host CPU and
+	// build carry it, else "go4x4". Naming one pins it: "go4x4" is the
+	// portable reference kernel, present on every build and the one the
+	// float64 golden fingerprints are recorded on; a name that is unknown or
+	// unavailable here fails Validate with the reason and never falls back.
+	// Results are run-to-run deterministic per backend but differ in bits
+	// between backends (avx2 uses FMA on a 6×8 tile), so code that needs the
+	// same bits on every host names its kernel. The package-level Multiply
+	// family takes the name from the FMMFAM_KERNEL environment variable
+	// (EnvKernel), empty meaning the same. The blocking must satisfy the
+	// backend's tile shape (MC ≥ MR, NC ≥ NR); Validate checks this against
+	// the backend the name resolves to.
 	Kernel string
 
 	// ShardThreshold is the problem size at or above which MulAdd
@@ -331,8 +339,25 @@ func (c Config) gemmConfig() gemm.Config {
 	return gemm.Config{MC: c.MC, KC: c.KC, NC: c.NC, Threads: c.Threads, Kernel: c.Kernel}
 }
 
+// kernelFor is the one place a Config.Kernel becomes a backend name for
+// element type E: a named kernel is itself, registered or not (validation
+// reports the ones that are not); the empty name is the fastest backend the
+// host registered for E. Each construction asks once — resolveConfig for a
+// multiplier, newPlan for a plan — and stores the answer back into its Config,
+// so everything after — model pricing, the calibration cache, the engine
+// table, the autotune kernel arms, Stats — reads one field. Below this
+// package the empty name keeps meaning the reference kernel (kernel.Resolve,
+// gemm.Config).
+func kernelFor[E matrix.Element](name string) string {
+	if name == "" {
+		return kernel.Fastest(matrix.DtypeOf[E]())
+	}
+	return name
+}
+
 // Validate checks the configuration against the float64 surface: the kernel
-// backend must be registered for the dtype, the blocking must fit that
+// backend — the named one, or the fastest registered when Kernel is empty —
+// must be registered for the dtype, the blocking must fit that
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
 // source — the serving knobs that have no negative sentinel (ShardMinTile,
@@ -342,33 +367,45 @@ func (c Config) gemmConfig() gemm.Config {
 // NewMultiplier32, which validates against the float32 registry instead)
 // records the result and surfaces it from every entry point, so an invalid
 // config fails fast instead of computing with nonsense parameters.
-func (c Config) Validate() error { return validateConfig[float64](c) }
+func (c Config) Validate() error {
+	_, err := resolveConfig[float64](c)
+	return err
+}
 
-// validateConfig is Validate for one element type.
-func validateConfig[E matrix.Element](c Config) error {
+// resolveConfig is Validate for one element type; it returns c with Kernel
+// resolved (kernelFor) beside the verdict, so a constructor resolves once.
+func resolveConfig[E matrix.Element](c Config) (Config, error) {
+	named := c.Kernel != ""
+	c.Kernel = kernelFor[E](c.Kernel)
 	if err := gemm.ValidateFor[E](c.gemmConfig()); err != nil {
-		return fmt.Errorf("fmmfam: %w", err)
+		if !named && c.Kernel != kernel.DefaultBackend {
+			// The caller never named this backend: say where it came from and
+			// how to get the one the blocking may have been written for.
+			return c, fmt.Errorf("fmmfam: %w (an empty Config.Kernel resolved to %q, the fastest backend this host registered; Kernel: %q pins the reference kernel)", err, c.Kernel, kernel.DefaultBackend)
+		}
+		return c, fmt.Errorf("fmmfam: %w", err)
 	}
 	if c.ShardMinTile < 0 {
-		return fmt.Errorf("fmmfam: ShardMinTile=%d, need ≥ 0 (0 = model break-even floor)", c.ShardMinTile)
+		return c, fmt.Errorf("fmmfam: ShardMinTile=%d, need ≥ 0 (0 = model break-even floor)", c.ShardMinTile)
 	}
 	if c.QueueDepth < 0 {
-		return fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
+		return c, fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
 	}
 	if err := c.checkTraversal(); err != nil {
-		return err
+		return c, err
 	}
 	// The fraction is checked even with Autotune off: flipping the switch
 	// later must not be what surfaces a bad value.
 	if c.AutotuneFraction < 0 || c.AutotuneFraction > 0.5 {
-		return fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", c.AutotuneFraction, autotune.DefaultFraction)
+		return c, fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", c.AutotuneFraction, autotune.DefaultFraction)
 	}
 	_, err := c.ServeParams()
-	return err
+	return c, err
 }
 
 // EnvKernel returns the backend the FMMFAM_KERNEL environment variable
-// selects ("" when unset): the Config.Kernel the package-level Multiply
+// selects ("" when unset, which like an empty Config.Kernel means the fastest
+// registered backend): the Config.Kernel the package-level Multiply
 // family runs with — it has no Config to carry one — and cmd/fmmserve and
 // cmd/experiments start from. It is the library's only read of the
 // environment; no Config consults it.
@@ -497,6 +534,7 @@ func newPlan[E matrix.Element](cfg Config, v Variant, levels []Algorithm) (*fmme
 	if err := cfg.checkTraversal(); err != nil {
 		return nil, err
 	}
+	cfg.Kernel = kernelFor[E](cfg.Kernel)
 	return fmmexec.NewPlanTraversal[E](cfg.gemmConfig(), v, forcedSteps(cfg.Traversal, len(levels)), levels...)
 }
 

@@ -36,7 +36,6 @@ package gemm
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
@@ -279,6 +278,8 @@ func (ctx *Context[E]) FusedMulAddWS(ws *Workspace[E], cTerms, aTerms, bTerms []
 // packB fills the B̃ buffer, splitting the column-panel range across workers
 // when parallel (packing is memory-bound and, for FMM term lists, a large
 // serial fraction otherwise — BLIS likewise packs in parallel).
+//
+//fmm:hotpath
 func (ctx *Context[E]) packB(ws *Workspace[E], bTerms []Term[E], pc, jc, kcur, ncur int) {
 	nr := ctx.bk.NR()
 	panels := (ncur + nr - 1) / nr
@@ -290,23 +291,24 @@ func (ctx *Context[E]) packB(ws *Workspace[E], bTerms []Term[E], pc, jc, kcur, n
 	// One job per panel chunk, run on the context's sched.Pool (the caller
 	// participates, helpers join as the shared budget allows). Chunks write
 	// disjoint B̃ panel ranges, so the packed buffer is bit-identical under
-	// any schedule.
+	// any schedule. The jobs are the workspace's own, bound to its worker
+	// slots when it was built: only this block's values are written here.
+	ws.call = blockCall[E]{ctx: ctx, bTerms: bTerms, pc: pc, jc: jc, kcur: kcur, ncur: ncur}
 	chunk := (panels + workers - 1) / workers
-	jobs := make([]sched.Job, 0, workers)
+	n := 0
 	for lo := 0; lo < panels; lo += chunk {
-		lo, hi := lo, min(lo+chunk, panels)
-		jobs = append(jobs, sched.Job{
-			Cost: int64(hi-lo) * int64(kcur),
-			Run: func() {
-				ctx.bk.PackBRange(ws.bbuf, bTerms, pc, jc, kcur, ncur, lo, hi)
-			},
-		})
+		hi := min(lo+chunk, panels)
+		ws.slots[n].lo, ws.slots[n].hi = lo, hi
+		ws.packJobs[n].Cost = int64(hi-lo) * int64(kcur)
+		n++
 	}
-	ctx.sp.Run(jobs)
+	ctx.sp.Run(ws.packJobs[:n])
 }
 
 // icLoop runs the third loop around the micro-kernel, parallelized over
 // mC-sized row panels.
+//
+//fmm:hotpath
 func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc, m, kcur, ncur int) {
 	cfg := ctx.cfg
 	nBlocks := (m + cfg.MC - 1) / cfg.MC
@@ -320,30 +322,16 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 	// One job per worker slot on the context's sched.Pool: job w exclusively
 	// owns Ã buffer and accumulator w (each job runs exactly once, so no two
 	// goroutines ever share a buffer), and a shared atomic counter deals out
-	// MC row-blocks dynamically — the same schedule the previous bare-
-	// goroutine fan-out realized, now drawing from the bounded worker budget.
-	// Blocks write disjoint C row panels, so C is bit-identical under any
-	// schedule.
-	var nextBlock atomic.Int64
+	// MC row-blocks dynamically. Blocks write disjoint C row panels, so C is
+	// bit-identical under any schedule. As in packB the jobs are the
+	// workspace's own; they all carry one cost, so the pool skips its sort.
+	ws.call = blockCall[E]{ctx: ctx, cTerms: cTerms, aTerms: aTerms, pc: pc, jc: jc, m: m, kcur: kcur, ncur: ncur, nBlocks: nBlocks}
+	ws.nextBlock.Store(0)
 	jobCost := int64(nBlocks/workers+1) * int64(cfg.MC) * int64(kcur)
-	jobs := make([]sched.Job, workers)
-	for w := range jobs {
-		abuf, acc := ws.abufs[w], ws.accs[w]
-		jobs[w] = sched.Job{
-			Cost: jobCost,
-			Run: func() {
-				for {
-					b := int(nextBlock.Add(1)) - 1
-					if b >= nBlocks {
-						return
-					}
-					ic := b * cfg.MC
-					ctx.macroKernel(ws, abuf, acc, cTerms, aTerms, ic, pc, jc, min(cfg.MC, m-ic), kcur, ncur)
-				}
-			},
-		}
+	for w := 0; w < workers; w++ {
+		ws.icJobs[w].Cost = jobCost
 	}
-	ctx.sp.Run(jobs)
+	ctx.sp.Run(ws.icJobs[:workers])
 }
 
 // macroKernel packs one Ã block and sweeps the second and first loops around

@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -374,9 +375,11 @@ func TestSerialViewSharesEngine(t *testing.T) {
 // (entries past the final length are stale views from wider terms) so a
 // pooled workspace pins nothing.
 func TestWorkspaceTermListsCleared(t *testing.T) {
-	ctx := MustNewContext[float64](smallCfg())
+	cfg := smallCfg()
+	cfg.Threads = 2 // 32×32 at MC=8, NC=16 takes the parallel branch: ws.call is written
+	ctx := MustNewContext[float64](cfg)
 	ws := ctx.GetWorkspace()
-	m := matrix.New[float64](4, 4)
+	m := matrix.New[float64](32, 32)
 	for i := 0; i < 5; i++ {
 		ws.ATerms = append(ws.ATerms, Term[float64]{Coef: 1, M: m})
 		ws.BTerms = append(ws.BTerms, Term[float64]{Coef: 1, M: m})
@@ -389,6 +392,9 @@ func TestWorkspaceTermListsCleared(t *testing.T) {
 		if tm.M.Data != nil {
 			t.Fatalf("single-term list %d still pins a caller matrix", i)
 		}
+	}
+	if ws.call.ctx != nil || ws.call.aTerms != nil || ws.call.bTerms != nil || ws.call.cTerms != nil {
+		t.Fatalf("parallel block parameters still pin the caller's operands: %+v", ws.call)
 	}
 	for _, l := range [][]Term[float64]{ws.ATerms, ws.BTerms, ws.CTerms} {
 		if len(l) != 0 {
@@ -408,24 +414,40 @@ func TestWorkspaceTermListsCleared(t *testing.T) {
 // their per-tile descriptors on the stack.
 func TestSerialMulAddAllocatesNothing(t *testing.T) {
 	for _, name := range kernel.Backends() {
-		t.Run(name+"/float64", func(t *testing.T) { checkSerialMulAddAllocs[float64](t, name) })
-		t.Run(name+"/float32", func(t *testing.T) { checkSerialMulAddAllocs[float32](t, name) })
+		cfg := DefaultConfig()
+		cfg.Kernel = name
+		// Full and fringe tiles, more than one kc slab.
+		t.Run(name+"/float64", func(t *testing.T) { checkMulAddAllocs[float64](t, cfg, 50, 300, 70) })
+		t.Run(name+"/float32", func(t *testing.T) { checkMulAddAllocs[float32](t, cfg, 50, 300, 70) })
 	}
 }
 
-func checkSerialMulAddAllocs[E matrix.Element](t *testing.T, name string) {
-	cfg := DefaultConfig()
-	cfg.Kernel = name
+// TestParallelMulAddAllocatesNothing: neither does a parallel one, however
+// many (jc, pc) blocks it walks — here 3 × 4, with fringe tiles in every
+// dimension and a last jc block narrow enough to pack serially. The B̃-pack
+// and ic-loop jobs are the rented workspace's own and the pool's run state
+// is the pool's (sched's TestPoolRunAllocatesNothingWarm).
+func TestParallelMulAddAllocatesNothing(t *testing.T) {
+	for _, name := range kernel.Backends() {
+		for _, threads := range []int{2, 4} {
+			cfg := Config{MC: 24, KC: 32, NC: 48, Threads: threads, Kernel: name}
+			t.Run(fmt.Sprintf("%s/float64/T=%d", name, threads), func(t *testing.T) { checkMulAddAllocs[float64](t, cfg, 100, 101, 103) })
+			t.Run(fmt.Sprintf("%s/float32/T=%d", name, threads), func(t *testing.T) { checkMulAddAllocs[float32](t, cfg, 100, 101, 103) })
+		}
+	}
+}
+
+func checkMulAddAllocs[E matrix.Element](t *testing.T, cfg Config, m, k, n int) {
 	ctx, err := NewContext[E](cfg)
 	if err != nil {
 		t.Skipf("%v", err)
 	}
-	// Full and fringe tiles, more than one kc slab.
-	a, b, c := matrix.New[E](50, 300), matrix.New[E](300, 70), matrix.New[E](50, 70)
+	a, b, c := matrix.New[E](m, k), matrix.New[E](k, n), matrix.New[E](m, n)
 	a.FillRand(rand.New(rand.NewSource(1)))
 	b.FillRand(rand.New(rand.NewSource(2)))
+	ctx.MulAdd(c, a, b) // warm: the pool's run state, with helpers recruited
 	if n := testing.AllocsPerRun(10, func() { ctx.MulAdd(c, a, b) }); n != 0 {
-		t.Fatalf("serial MulAdd allocates %v times per call", n)
+		t.Fatalf("warm MulAdd (Threads=%d) allocates %v times per call", cfg.Threads, n)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/sched"
 )
 
 // Workspace holds the mutable per-call state of one FusedMulAdd execution:
@@ -36,6 +38,57 @@ type Workspace[E matrix.Element] struct {
 	// single holds MulAddWS's three one-term lists (C, A, B), so plain GEMM
 	// allocates nothing per call; cleared with the lists above.
 	single [3]Term[E]
+
+	// The parallel branch's jobs live here, not on the heap of every (jc, pc)
+	// block: slot w owns Ã buffer and accumulator w, packJobs[w].Run and
+	// icJobs[w].Run are its packB and ic methods, bound once in newWorkspace,
+	// and call holds the block in flight — written by packB/icLoop before the
+	// hand-off to the pool, read by the slots, cleared with the lists above.
+	// nextBlock deals the ic loop's MC row-blocks out to the slots.
+	slots     []slot[E]
+	packJobs  []sched.Job
+	icJobs    []sched.Job
+	call      blockCall[E]
+	nextBlock atomic.Int64
+}
+
+// blockCall is one (jc, pc) block of a parallel FusedMulAddWS as its jobs see
+// it: the context driving it, the operand lists, and the block's extents.
+type blockCall[E matrix.Element] struct {
+	ctx                    *Context[E]
+	cTerms, aTerms, bTerms []Term[E]
+	pc, jc, m, kcur, ncur  int
+	nBlocks                int
+}
+
+// slot is one worker's share of a parallel block: its index into the
+// workspace's per-worker buffers and, for B̃ packing, its panel range.
+type slot[E matrix.Element] struct {
+	ws     *Workspace[E]
+	w      int
+	lo, hi int
+}
+
+// packB packs the slot's B̃ panel range of the block in flight.
+func (s *slot[E]) packB() {
+	c := &s.ws.call
+	c.ctx.bk.PackBRange(s.ws.bbuf, c.bTerms, c.pc, c.jc, c.kcur, c.ncur, s.lo, s.hi)
+}
+
+// ic claims MC row-blocks of the block in flight until none remain, running
+// the macro-kernel on each with the slot's own Ã buffer and accumulator.
+func (s *slot[E]) ic() {
+	ws := s.ws
+	c := &ws.call
+	mc := c.ctx.cfg.MC
+	for {
+		b := int(ws.nextBlock.Add(1)) - 1
+		if b >= c.nBlocks {
+			return
+		}
+		ic := b * mc
+		c.ctx.macroKernel(ws, ws.abufs[s.w], ws.accs[s.w], c.cTerms, c.aTerms, ic, c.pc, c.jc, min(mc, c.m-ic), c.kcur, c.ncur)
+	}
 }
 
 // clearTerms zeroes the operand lists to their full capacity — entries past
@@ -46,6 +99,7 @@ func (ws *Workspace[E]) clearTerms() {
 	ws.BTerms = clearTermList(ws.BTerms)
 	ws.CTerms = clearTermList(ws.CTerms)
 	ws.single = [3]Term[E]{}
+	ws.call = blockCall[E]{}
 }
 
 func clearTermList[E matrix.Element](l []Term[E]) []Term[E] {
@@ -65,6 +119,17 @@ func newWorkspace[E matrix.Element](cfg Config, bk kernel.Backend[E]) *Workspace
 	for i := range ws.abufs {
 		ws.abufs[i] = alignedBuf[E](bk.PackABufLen(cfg.MC, cfg.KC), align)
 		ws.accs[i] = alignedBuf[E](bk.MR()*bk.NR(), align)
+	}
+	if cfg.Threads > 1 {
+		ws.slots = make([]slot[E], cfg.Threads)
+		ws.packJobs = make([]sched.Job, cfg.Threads)
+		ws.icJobs = make([]sched.Job, cfg.Threads)
+		for w := range ws.slots {
+			s := &ws.slots[w]
+			s.ws, s.w = ws, w
+			ws.packJobs[w].Run = s.packB
+			ws.icJobs[w].Run = s.ic
+		}
 	}
 	// Assert — not just compute — the backend's alignment contract on every
 	// packed-panel start. A SIMD backend that declared Align and received a

@@ -62,10 +62,24 @@ type Backend[E matrix.Element] interface {
 	PackBBufLen(kc, nc int) int
 }
 
-// DefaultBackend is the registry name an empty kernel selection resolves to:
-// the original MR=NR=4 pure-Go kernel, kept bit-identical across releases
-// for float64.
+// DefaultBackend is the registry name an empty kernel selection resolves to
+// in this package and internal/gemm: the portable reference kernel — the
+// original MR=NR=4 pure-Go kernel, kept bit-identical across releases for
+// float64 and registered on every build.
 const DefaultBackend = "go4x4"
+
+// Fastest names the fastest backend registered for element type d: the
+// assembly kernel where it registered, else the portable one. The choice is
+// static — whether AVX2Backend registers is decided by GOARCH, build tags and
+// the CPUID probe, never by timing — so one binary on one host always gets the
+// same answer. It is what an empty fmmfam.Config.Kernel resolves to; below
+// the public package the empty name keeps meaning DefaultBackend (Resolve).
+func Fastest(d matrix.Dtype) string {
+	if _, ok := registry[regKey{name: AVX2Backend, dtype: d}]; ok {
+		return AVX2Backend
+	}
+	return DefaultBackend
+}
 
 // regKey identifies one registered backend: its registry name and the
 // element type it implements.

@@ -101,3 +101,18 @@ func TestResolveUnknownVsUnavailable(t *testing.T) {
 		t.Fatalf("unavailable-name error = %v, want the recorded reason", err)
 	}
 }
+
+// TestFastestIsRegistered: Fastest names a backend registered for the dtype —
+// the assembly kernel wherever the host carries it, else the reference one.
+func TestFastestIsRegistered(t *testing.T) {
+	for _, d := range []matrix.Dtype{matrix.Float64, matrix.Float32} {
+		want := DefaultBackend
+		if HostCPU().AVX2 {
+			want = AVX2Backend
+		}
+		got := Fastest(d)
+		if _, ok := ResolveNameFor(got, d); !ok || got != want {
+			t.Fatalf("%s: Fastest = %q (registered: %v), want %q (HostCPU %+v)", d, got, ok, want, HostCPU())
+		}
+	}
+}

@@ -160,3 +160,34 @@ func TestPoolRunRace(t *testing.T) {
 		t.Fatalf("ran %d jobs, want %d", got, 6*20*9)
 	}
 }
+
+// TestPoolRunAllocatesNothingWarm: once a pool has served one Run of a given
+// width, further Runs rent their state — cursor, wait-group, claim order —
+// and start helpers off a bound method, so they allocate nothing: neither on
+// equal-cost jobs (the gemm ic loop; no sort) nor on mixed-cost ones (batch
+// jobs, B̃ pack chunks; the order slice is reused).
+func TestPoolRunAllocatesNothingWarm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cost func(i int) int64
+	}{
+		{"equal-cost", func(int) int64 { return 7 }},
+		{"mixed-cost", func(i int) int64 { return int64(i % 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(4)
+			var ran atomic.Int64
+			jobs := make([]Job, 64)
+			for i := range jobs {
+				jobs[i] = Job{Cost: tc.cost(i), Run: func() { ran.Add(1) }}
+			}
+			p.Run(jobs) // warm: the run state and its order slice
+			if avg := testing.AllocsPerRun(50, func() { p.Run(jobs) }); avg != 0 {
+				t.Fatalf("warm Pool.Run allocates %.1f objects per call, want 0", avg)
+			}
+			if got := ran.Load(); got != 52*64 {
+				t.Fatalf("ran %d jobs, want %d", got, 52*64)
+			}
+		})
+	}
+}

@@ -57,6 +57,10 @@ func Run(workers int, jobs []Job) {
 // goroutines.
 type Pool struct {
 	tokens chan struct{}
+	// free banks idle run states (one per helper token: a Run needs one only
+	// while it holds a token), so a warm Run reuses its cursor, wait-group
+	// and claim order instead of allocating them.
+	free chan *run
 }
 
 // NewPool returns a Pool with a budget of workers goroutines (the caller of
@@ -66,7 +70,7 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{tokens: make(chan struct{}, workers-1)}
+	p := &Pool{tokens: make(chan struct{}, workers-1), free: make(chan *run, workers-1)}
 	for i := 0; i < workers-1; i++ {
 		p.tokens <- struct{}{}
 	}
@@ -76,6 +80,80 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool's goroutine budget: the size it was built with.
 func (p *Pool) Workers() int { return cap(p.tokens) + 1 }
 
+// run is the state of one Pool.Run call that recruited helpers: the jobs,
+// their claim order, the shared cursor and the helpers' wait-group. It is
+// rented from the pool for the call — a helper touches it last when it
+// signals wg, which Run waits for before handing it back.
+type run struct {
+	p    *Pool
+	jobs []Job
+	// order is the costliest-first claim order; empty when every job carries
+	// the same cost, where the claim order is the submission order.
+	order []int
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	// help is r.helper, bound once so starting a helper allocates no closure.
+	help func()
+}
+
+func (p *Pool) rent() *run {
+	select {
+	case r := <-p.free:
+		return r
+	default:
+		r := &run{p: p}
+		r.help = r.helper
+		return r
+	}
+}
+
+func (p *Pool) release(r *run) {
+	r.jobs = nil // pin none of the caller's closures while idle
+	select {
+	case p.free <- r:
+	default: // more runs were live than tokens exist: drop, the GC reclaims it
+	}
+}
+
+// setOrder fills r.order with the stable costliest-first permutation of
+// r.jobs, or empties it when the costs are all equal.
+func (r *run) setOrder() {
+	jobs := r.jobs
+	r.order = r.order[:0]
+	if !slices.ContainsFunc(jobs, func(j Job) bool { return j.Cost != jobs[0].Cost }) {
+		return
+	}
+	for i := range jobs {
+		r.order = append(r.order, i)
+	}
+	slices.SortStableFunc(r.order, func(a, b int) int { return cmp.Compare(jobs[b].Cost, jobs[a].Cost) })
+}
+
+// claim runs jobs off the shared cursor, in claim order, until none remain.
+//
+//fmm:hotpath
+func (r *run) claim() {
+	n := int64(len(r.jobs))
+	for {
+		pos := r.next.Add(1) - 1
+		if pos >= n {
+			return
+		}
+		if len(r.order) > 0 {
+			pos = int64(r.order[pos])
+		}
+		r.jobs[pos].Run()
+	}
+}
+
+// helper is one recruited goroutine: it claims until the jobs run out, banks
+// its token, and only then signals the wait-group.
+func (r *run) helper() {
+	r.claim()
+	r.p.tokens <- struct{}{}
+	r.wg.Done()
+}
+
 // Run executes every job exactly once and returns when all have finished.
 // The calling goroutine participates as a worker, joined by however many
 // helper tokens were free, so Run is safe to call from inside a job running
@@ -84,6 +162,7 @@ func (p *Pool) Workers() int { return cap(p.tokens) + 1 }
 // claims the next job in that order until none remain, so the claim order is
 // deterministic though the execution interleaving is not. With no free tokens
 // (or a single job) the jobs run serially on the caller in submission order.
+// A warm Run allocates nothing: its state is rented from the pool.
 func (p *Pool) Run(jobs []Job) {
 	n := len(jobs)
 	if n == 0 {
@@ -109,30 +188,15 @@ func (p *Pool) Run(jobs []Job) {
 		}
 		return
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[b].Cost, jobs[a].Cost) })
-	var next atomic.Int64
-	claim := func() {
-		for {
-			pos := next.Add(1) - 1
-			if pos >= int64(n) {
-				return
-			}
-			jobs[order[pos]].Run()
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
+	r := p.rent()
+	r.jobs = jobs
+	r.setOrder()
+	r.next.Store(0)
+	r.wg.Add(helpers)
 	for w := 0; w < helpers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() { p.tokens <- struct{}{} }()
-			claim()
-		}()
+		go r.help()
 	}
-	claim()
-	wg.Wait()
+	r.claim()
+	r.wg.Wait()
+	p.release(r)
 }

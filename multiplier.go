@@ -9,7 +9,6 @@ import (
 
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/gemm"
-	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/model"
 	"fmmfam/internal/sched"
@@ -104,8 +103,8 @@ type GenericMultiplier[E matrix.Element] struct {
 	pool  *sched.Pool // the one worker budget
 	plans *planCache[E]
 
-	// engines is the lazily filled table resolved kernel name → the one
-	// gemm.Context every plan of that backend executes on.
+	// engines is the lazily filled table kernel name → the one gemm.Context
+	// every plan of that backend executes on.
 	engines struct {
 		sync.Mutex
 		m map[string]*gemm.Context[E]
@@ -156,16 +155,12 @@ type archKey struct {
 // first time a (kernel, dtype) pair is seen.
 const calibrateProbe = 256
 
-// calibratedArch returns the measured Arch for cfg's (kernel, dtype) pair,
-// measuring on first use and caching process-wide. The probe runs
+// calibratedArch returns the measured Arch for a validated cfg's (kernel,
+// dtype) pair, measuring on first use and caching process-wide. The probe runs
 // single-threaded regardless of cfg.Threads so τa stays a per-core constant,
 // exactly as the paper's model defines it.
 func calibratedArch[E matrix.Element](gcfg gemm.Config) (Arch, error) {
-	name, ok := kernel.ResolveNameFor(gcfg.Kernel, matrix.DtypeOf[E]())
-	if !ok {
-		return Arch{}, fmt.Errorf("fmmfam: calibrate: unknown kernel %q for %s", gcfg.Kernel, matrix.DtypeOf[E]())
-	}
-	key := archKey{kernel: name, dtype: matrix.DtypeOf[E]()}
+	key := archKey{kernel: gcfg.Kernel, dtype: matrix.DtypeOf[E]()}
 	archCache.Lock()
 	defer archCache.Unlock()
 	if a, ok := archCache.m[key]; ok {
@@ -181,7 +176,9 @@ func calibratedArch[E matrix.Element](gcfg gemm.Config) (Arch, error) {
 }
 
 // NewGenericMultiplier returns a multiplier for element type E using the
-// given blocking/threads and machine parameters for selection. The arch is
+// given blocking/threads and machine parameters for selection. An empty
+// cfg.Kernel is resolved here, once, to the fastest backend registered for E
+// (resolveConfig) and stored. The arch is
 // re-priced for E (model.ArchForDtype — float32 halves the per-element
 // bandwidth cost τb) and for cfg.Kernel's backend (model.ArchForKernel), so
 // plan selection, the shard tile floor, and the shard grid score all price
@@ -191,7 +188,7 @@ func calibratedArch[E matrix.Element](gcfg gemm.Config) (Arch, error) {
 // process-wide per (kernel, dtype). An invalid cfg is reported by every entry
 // point's first call (see Config.Validate).
 func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMultiplier[E] {
-	cfgErr := validateConfig[E](cfg)
+	cfg, cfgErr := resolveConfig[E](cfg)
 	if cfgErr == nil && cfg.Calibrate {
 		if measured, err := calibratedArch[E](cfg.gemmConfig()); err == nil {
 			arch = measured
@@ -439,19 +436,15 @@ func (mu *GenericMultiplier[E]) engine(kern string, threads int) (*gemm.Context[
 	if kern != "" {
 		gcfg.Kernel = kern
 	}
-	// Key by the resolved name so "" and the default backend's own name
-	// share an engine; an unresolvable name falls through to NewContextOn's
-	// error.
-	name, _ := kernel.ResolveNameFor(gcfg.Kernel, matrix.DtypeOf[E]())
 	mu.engines.Lock()
 	defer mu.engines.Unlock()
-	ctx := mu.engines.m[name]
+	ctx := mu.engines.m[gcfg.Kernel]
 	if ctx == nil {
 		var err error
 		if ctx, err = gemm.NewContextOn[E](gcfg, mu.pool); err != nil {
 			return nil, err
 		}
-		mu.engines.m[name] = ctx
+		mu.engines.m[gcfg.Kernel] = ctx
 	}
 	if threads == 1 {
 		return ctx.Serial(), nil
@@ -467,6 +460,57 @@ func (mu *GenericMultiplier[E]) PlanFor(m, k, n int) (*fmmexec.Plan[E], error) {
 		return nil, err
 	}
 	return e.p, nil
+}
+
+// Explanation is what a multiplier does with one product and what it priced
+// to decide: MulAdd's decisions without the multiplication.
+type Explanation struct {
+	// Kernel is the backend the engine runs on (Stats().Kernel).
+	Kernel string
+	// Arch holds the machine constants the selector prices with: the
+	// constructor's arch re-priced for the element type and Kernel, or the
+	// calibrated one.
+	Arch Arch
+	// MinTile is the shard tile floor: Config.ShardMinTile, or the model's
+	// FMM break-even on Arch.
+	MinTile int
+	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
+	// is served whole.
+	GridM, GridN, GridK int
+	// M, K, N and Threads are the shape and width a plan is chosen for: the
+	// product at Config.Threads, or its largest shard tile at width 1.
+	M, K, N, Threads int
+	// Plan names the plan serving that shape; Traversal is its per-level term
+	// traversal, empty for the serial term loop.
+	Plan      string
+	Traversal string
+}
+
+// Explain reports what MulAdd would do with an m×k×n product, without
+// multiplying: it asks the same shardSpec and entryFor the call asks, so it
+// fills the plan cache exactly as the call would. With Autotune set the grid
+// and plan are the model's picks the tuners start from (Stats has where they
+// have moved since).
+func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
+	if mu.cfgErr != nil {
+		return Explanation{}, mu.cfgErr
+	}
+	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: mu.shardMinTile(),
+		M: m, K: k, N: n, Threads: mu.cfg.Threads}
+	if spec, ok := mu.shardSpec(m, k, n); ok {
+		t := spec.Tiles()[0]
+		ex.GridM, ex.GridN, ex.GridK = spec.GridM, spec.GridN, max(spec.GridK, 1)
+		ex.M, ex.K, ex.N, ex.Threads = t.Rows, t.Depth, t.Cols, 1
+	}
+	e, err := mu.entryFor(ex.M, ex.K, ex.N, ex.Threads)
+	if err != nil {
+		return Explanation{}, err
+	}
+	ex.Plan = e.p.String()
+	if tr := e.p.Traversal(); len(tr) > 0 {
+		ex.Traversal = fmt.Sprint(tr)
+	}
+	return ex, nil
 }
 
 // entryFor returns the cached plan-cache entry for a problem's shape class
@@ -648,9 +692,10 @@ func defaultCandidates() []Candidate {
 // paper's machine model, shared by all callers so repeated package-level
 // calls hit the plan cache instead of rebuilding a plan per call — and built
 // on first use, so a program that never touches float32 pays nothing for it.
-// The FMMFAM_KERNEL environment variable selects the micro-kernel backend
-// (EnvKernel; see Kernels); an unknown name is reported by every call through
-// a default multiplier rather than silently falling back.
+// The FMMFAM_KERNEL environment variable names the micro-kernel backend
+// (EnvKernel; see Kernels), unset meaning the fastest registered one; an
+// unknown name is reported by every call through a default multiplier rather
+// than silently falling back.
 var defaultMultipliers [2]struct {
 	sync.Once
 	mu any // *GenericMultiplier[E] of the slot's element type

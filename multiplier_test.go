@@ -28,7 +28,7 @@ func TestMultiplierCorrectAcrossShapes(t *testing.T) {
 }
 
 func TestMultiplierCachesPlans(t *testing.T) {
-	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1}, PaperArch())
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1, Kernel: "go4x4"}, PaperArch()) // gemm and an FMM plan
 	p1, err := mu.PlanFor(100, 100, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 // of buffers to fill.
 func TestMultiplierPlansShareOnePool(t *testing.T) {
 	for _, traversal := range []string{TraversalAuto, TraversalBFS} {
-		mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4, Traversal: traversal}, PaperArch())
+		mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4, Traversal: traversal, Kernel: "go4x4"}, PaperArch()) // 200³ is an FMM plan here
 		for _, n := range []int{24, 96, 200} {
 			for _, threads := range []int{1, 4} {
 				if _, err := mu.entryFor(n, n, n, threads); err != nil {
@@ -232,12 +232,8 @@ func TestMultiplierPlansShareOnePool(t *testing.T) {
 // workspace per cached plan kept 4–5 MiB per plan, about 200 MiB here. The
 // operands are allocated before the baseline reading.
 func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
-	kernels := []string{""}
-	for _, name := range Kernels() {
-		if name == "avx2" {
-			kernels = append(kernels, name)
-		}
-	}
+	// The host's fastest backend, then every backend by name.
+	kernels := append([]string{""}, Kernels()...)
 	dims := []int{24, 48, 96, 160} // one per power-of-two bucket
 	rng := rand.New(rand.NewSource(13))
 	var jobs []BatchJob

@@ -500,8 +500,9 @@ func (s *Server) handleAsyncCollect(w http.ResponseWriter, r *http.Request) {
 	w.Write(p.frame())
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// Stats snapshots the server's counters, per-endpoint latency histograms and
+// both engines' MultiplierStats — the body GET /v1/stats serves.
+func (s *Server) Stats() Stats {
 	st := Stats{
 		Completed:    s.completed.Load(),
 		Errors:       s.errcount.Load(),
@@ -522,6 +523,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.asyncs.Lock()
 	st.AsyncPending = len(s.asyncs.m)
 	s.asyncs.Unlock()
+	return st
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	st := s.Stats()
 	s.hist["stats"].observe(time.Since(start))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

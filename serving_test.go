@@ -17,11 +17,14 @@ import (
 
 // servingCfg is a small-blocking config that shards aggressively so the
 // tests cover the sharded path at test-sized problems: any max(m,n) ≥ 128
-// with tiles ≥ 48 splits.
+// with tiles ≥ 48 splits. It names the reference kernel, whose break-even
+// (~148) test-sized problems clear, so tiles and unsharded products run FMM
+// plans; TestKernelBackendEndToEnd takes every backend down the same paths.
 func servingCfg() Config {
 	return Config{
 		MC: 16, KC: 16, NC: 32, Threads: 4,
 		ShardThreshold: 128, ShardMinTile: 48,
+		Kernel: "go4x4",
 	}
 }
 

@@ -37,7 +37,7 @@ func TestConfigTraversalValidation(t *testing.T) {
 // Threads=1 auto path build the serial term loop, on both the Multiplier and
 // the direct NewPlan/NewPlan32 surfaces.
 func TestForcedTraversalShapesPlans(t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4, Traversal: TraversalBFS}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4, Traversal: TraversalBFS, Kernel: "go4x4"} // 256³ clears go4x4's break-even: an FMM plan to fan
 	mu := NewMultiplier(cfg, PaperArch())
 	p, err := mu.PlanFor(256, 256, 256)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestForcedTraversalShapesPlans(t *testing.T) {
 // BFS: correctness against the reference on divisible and fringed sizes,
 // and run-to-run bit-identical repeats (the BFS determinism contract).
 func TestTraversalBFSEndToEnd(t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4, Traversal: TraversalBFS}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4, Traversal: TraversalBFS, Kernel: "go4x4"} // FMM plans at these sizes
 	mu := NewMultiplier(cfg, PaperArch())
 	rng := rand.New(rand.NewSource(60))
 	for _, s := range [][3]int{{128, 128, 128}, {200, 130, 170}, {97, 61, 113}} {
@@ -113,7 +113,7 @@ func TestTraversalBFSEndToEnd(t *testing.T) {
 // multiplier produces exactly the serial multiplier's bits — the property
 // that keeps the float64 golden fingerprints valid with the knob thrown.
 func TestTraversalDFSKeepsSerialBits(t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 1, Traversal: TraversalDFS}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 1, Traversal: TraversalDFS, Kernel: "go4x4"}
 	rng := rand.New(rand.NewSource(61))
 	a, b := NewMatrix(160, 144), NewMatrix(144, 176)
 	a.FillRand(rng)
@@ -136,7 +136,7 @@ func TestTraversalDFSKeepsSerialBits(t *testing.T) {
 // parallel multiplier, results must match the reference and stay
 // deterministic across repeats.
 func TestTraversalAutoMatchesReference(t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 4, Kernel: "go4x4"} // FMM plans at these sizes
 	mu := NewMultiplier(cfg, PaperArch())
 	rng := rand.New(rand.NewSource(62))
 	a, b := NewMatrix(256, 256), NewMatrix(256, 256)
