@@ -48,12 +48,17 @@ type rentSpec struct {
 }
 
 // rentSpecs lists every rent/release pair of the engine: all pooled memory
-// belongs to a gemm.Context. TestSeededViolations leaks through each entry's
-// real method, so a spec naming a method that no longer exists fails there.
+// belongs to a gemm.Context. The last two entries are that context's scratch
+// list as the layers above reach it — through a multiplier, and through the
+// two-method interface package serve calls the multiplier by.
+// TestSeededViolations leaks through each entry's real method, so a spec
+// naming a method that no longer exists fails there.
 var rentSpecs = []rentSpec{
 	{recv: "Context", rent: "GetWorkspace", release: "PutWorkspace"},
 	{recv: "workspacePool", rent: "get", release: "put"},
 	{recv: "Context", rent: "RentMat", release: "ReturnMat"},
+	{recv: "GenericMultiplier", rent: "RentMat", release: "ReturnMat"},
+	{recv: "matLender", rent: "RentMat", release: "ReturnMat"},
 }
 
 func rentSpecFor(f *types.Func) *rentSpec {

@@ -89,6 +89,9 @@ var seededRentSites = map[string]struct{ dir, pkg, imports, recv, args string }{
 	"Context.GetWorkspace": {"internal/fmmexec", "fmmexec", `import "fmmfam/internal/gemm"`, "*gemm.Context[float64]", ""},
 	"Context.RentMat":      {"internal/fmmexec", "fmmexec", `import "fmmfam/internal/gemm"`, "*gemm.Context[float64]", "2, 2"},
 	"workspacePool.get":    {"internal/gemm", "gemm", "", "*workspacePool[float64]", ""},
+
+	"GenericMultiplier.RentMat": {"serve", "serve", `import "fmmfam"`, "*fmmfam.GenericMultiplier[float64]", "2, 2"},
+	"matLender.RentMat":         {"serve", "serve", "", "matLender[float32]", "2, 2"},
 }
 
 // checkSeeded overlays one seeded source file onto the live tree, runs the

@@ -452,6 +452,28 @@ func (mu *GenericMultiplier[E]) engine(kern string, threads int) (*gemm.Context[
 	return ctx, nil
 }
 
+// RentMat returns a rows×cols matrix with unspecified contents from the
+// scratch list of the engine the multiplier's products run on — the one
+// bounded store of buffers a multiplier keeps warm, shared with its plans'
+// temporaries. It is how a front-end that builds operands and results per
+// request (package serve) avoids a second pool: give the matrix back with
+// ReturnMat once no product that reads or writes it can still be running. A
+// matrix that is never returned is simply collected.
+func (mu *GenericMultiplier[E]) RentMat(rows, cols int) matrix.Mat[E] {
+	ctx, err := mu.engine("", 1)
+	if err != nil { // invalid Config: every product fails with it; nothing to pool
+		return matrix.New[E](rows, cols)
+	}
+	return ctx.RentMat(rows, cols)
+}
+
+// ReturnMat gives a RentMat matrix back; the caller must not use it after.
+func (mu *GenericMultiplier[E]) ReturnMat(m matrix.Mat[E]) {
+	if ctx, err := mu.engine("", 1); err == nil {
+		ctx.ReturnMat(m)
+	}
+}
+
 // PlanFor exposes the plan a direct, unsharded MulAdd would use for a problem
 // size (useful for inspection and testing).
 func (mu *GenericMultiplier[E]) PlanFor(m, k, n int) (*fmmexec.Plan[E], error) {

@@ -59,12 +59,13 @@ func (cl *Client) do(method, path string, body []byte) ([]byte, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		out, err := io.ReadAll(resp.Body)
+		ok := resp.StatusCode >= 200 && resp.StatusCode < 300
+		out, err := readResponse(resp, ok)
 		resp.Body.Close()
 		if err != nil {
 			return nil, resp.StatusCode, err
 		}
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		if ok {
 			return out, resp.StatusCode, nil
 		}
 		herr := &HTTPError{Status: resp.StatusCode, Msg: errorMessage(out)}
@@ -81,6 +82,25 @@ func (cl *Client) do(method, path string, body []byte) ([]byte, int, error) {
 	}
 }
 
+// maxErrorBody caps how much of a non-2xx response is read: the server's
+// error bodies are one line of JSON, and a proxy's HTML page is only quoted.
+const maxErrorBody = 64 << 10
+
+// readResponse reads a response body: a result in one read sized by the
+// declared Content-Length (a server streaming result frames always declares
+// it), an error body up to maxErrorBody.
+func readResponse(resp *http.Response, ok bool) ([]byte, error) {
+	if !ok {
+		return io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	}
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		out := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, out)
+		return out, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // errorMessage extracts the server's {"error": ...} body, falling back to
 // the raw bytes.
 func errorMessage(body []byte) string {
@@ -92,9 +112,9 @@ func errorMessage(body []byte) string {
 }
 
 // multiply is the dtype-generic body of Multiply/Multiply32: POST one
-// request frame, decode the product frame, fold it into c (the wire
-// computes C = A·B; adding the product into a zeroed c reproduces MulAdd's
-// bits exactly).
+// request frame and fold the product frame into c (the wire computes
+// C = A·B; adding the product into a zeroed c reproduces MulAdd's bits
+// exactly).
 func multiply[E matrix.Element](cl *Client, c, a, b matrix.Mat[E]) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return fmt.Errorf("serve: dims C(%d×%d) += A(%d×%d)·B(%d×%d)", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
@@ -103,12 +123,7 @@ func multiply[E matrix.Element](cl *Client, c, a, b matrix.Mat[E]) error {
 	if err != nil {
 		return err
 	}
-	got, err := DecodeResult[E](body)
-	if err != nil {
-		return err
-	}
-	c.AddScaled(1, got)
-	return nil
+	return addResult(c, body)
 }
 
 // Multiply computes c += a·b on the server (float64).
@@ -141,11 +156,9 @@ func (cl *Client) MultiplyBatch(jobs []fmmfam.BatchJob) error {
 		if int64(len(out)) < fl {
 			return fmt.Errorf("serve: batch response truncated at job %d", i)
 		}
-		got, err := DecodeResult[float64](out[:fl])
-		if err != nil {
+		if err := addResult(j.C, out[:fl]); err != nil {
 			return fmt.Errorf("serve: batch response job %d: %w", i, err)
 		}
-		j.C.AddScaled(1, got)
 		out = out[fl:]
 	}
 	return nil
@@ -187,12 +200,7 @@ func (h *AsyncHandle) Collect() error {
 	if err != nil {
 		return err
 	}
-	got, err := DecodeResult[float64](body)
-	if err != nil {
-		return err
-	}
-	h.c.AddScaled(1, got)
-	return nil
+	return addResult(h.c, body)
 }
 
 // Stats fetches the server's /v1/stats snapshot.

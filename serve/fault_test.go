@@ -4,11 +4,16 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,68 +23,121 @@ import (
 	"fmmfam/serve/servetest"
 )
 
-// postRaw posts raw bytes to a harness endpoint and returns the status.
-func postRaw(t *testing.T, h *servetest.Harness, path string, body []byte) int {
+// wireCase is one raw request of the malformed-request table and the status
+// it must get.
+type wireCase struct {
+	name string
+	path string
+	body []byte
+	// declared is the Content-Length the request claims: 0 for the body's
+	// own, -1 for none (chunked), and any other value for exactly that, sent
+	// over a bare connection with only body behind it — a server that went on
+	// to wait for the bytes the declaration promises would hang the row.
+	declared int64
+	want     int
+}
+
+// post sends the case to a harness and returns the status.
+func (tc wireCase) post(t *testing.T, h *servetest.Harness) int {
 	t.Helper()
-	resp, err := http.Post(h.URL+path, "application/octet-stream", bytes.NewReader(body))
+	if tc.declared > 0 {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(h.URL, "http://"))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: fmm\r\nConnection: close\r\nContent-Length: %d\r\n\r\n", tc.path, tc.declared)
+		conn.Write(tc.body)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("POST %s declaring %d bytes, sending %d: %v", tc.path, tc.declared, len(tc.body), err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var body io.Reader = bytes.NewReader(tc.body)
+	if tc.declared < 0 {
+		body = struct{ io.Reader }{body} // length hidden: the client chunks it
+	}
+	resp, err := http.Post(h.URL+tc.path, "application/octet-stream", body)
 	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
+		t.Fatalf("POST %s: %v", tc.path, err)
 	}
 	resp.Body.Close()
 	return resp.StatusCode
 }
 
-// TestServeMalformedRequests drives each decode failure through the real
-// HTTP stack and checks the mapped status: frame-shape garbage is a client
-// error (400), anything that tripped a size cap is 413, and none of it may
-// consume an admission slot or count as a completed request.
-func TestServeMalformedRequests(t *testing.T) {
-	h := startHarness(t, serveCfg())
-	defer h.Close()
-
-	a, b := fmmfam.NewMatrix(2, 3), fmmfam.NewMatrix(3, 2)
-	good := serve.AppendRequest[float64](nil, a, b)
-
+// malformedCases is the table TestServeMalformedRequests drives; good is a
+// well-formed float64 request frame the rows are cut from.
+func malformedCases(good []byte) []wireCase {
 	badMagic := append([]byte("NOPE"), good[4:]...)
 	badDtype := append([]byte(nil), good...)
 	badDtype[4] = 99
 	trailing := append(append([]byte(nil), good...), 0xAB)
 	oversize := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(oversize[5:], 1<<20) // m far past MaxDim
-
-	cases := []struct {
-		name string
-		path string
-		body []byte
-		want int
-	}{
-		{"empty-body", "/v1/multiply", nil, http.StatusBadRequest},
-		{"bad-magic", "/v1/multiply", badMagic, http.StatusBadRequest},
-		{"bad-dtype", "/v1/multiply", badDtype, http.StatusBadRequest},
-		{"truncated", "/v1/multiply", good[:len(good)-5], http.StatusBadRequest},
-		{"trailing", "/v1/multiply", trailing, http.StatusBadRequest},
-		{"oversize-dims", "/v1/multiply", oversize, http.StatusRequestEntityTooLarge},
-		{"async-bad-magic", "/v1/async", badMagic, http.StatusBadRequest},
-		{"batch-no-count", "/v1/batch", []byte{1, 2}, http.StatusBadRequest},
-		{"batch-count-overrun", "/v1/batch", func() []byte {
-			body := make([]byte, 4)
-			binary.LittleEndian.PutUint32(body, 3) // claims 3 frames, carries 1
-			return append(body, good...)
-		}(), http.StatusBadRequest},
-		{"batch-count-cap", "/v1/batch", func() []byte {
-			body := make([]byte, 4)
-			binary.LittleEndian.PutUint32(body, 1<<20)
-			return append(body, good...)
-		}(), http.StatusRequestEntityTooLarge},
-		{"batch-trailing", "/v1/batch", func() []byte {
-			body := make([]byte, 4)
-			binary.LittleEndian.PutUint32(body, 1)
-			return append(append(body, good...), 0xCD)
-		}(), http.StatusBadRequest},
+	batchOf := func(count uint32, frames ...[]byte) []byte {
+		body := binary.LittleEndian.AppendUint32(nil, count)
+		for _, f := range frames {
+			body = append(body, f...)
+		}
+		return body
 	}
-	for _, tc := range cases {
+	header := good[:17]
+	full := int64(len(good))
+
+	return []wireCase{
+		{"empty-body", "/v1/multiply", nil, 0, http.StatusBadRequest},
+		{"bad-magic", "/v1/multiply", badMagic, 0, http.StatusBadRequest},
+		{"bad-dtype", "/v1/multiply", badDtype, 0, http.StatusBadRequest},
+		{"truncated", "/v1/multiply", good[:len(good)-5], 0, http.StatusBadRequest},
+		{"trailing", "/v1/multiply", trailing, 0, http.StatusBadRequest},
+		{"oversize-dims", "/v1/multiply", oversize, 0, http.StatusRequestEntityTooLarge},
+		{"async-bad-magic", "/v1/async", badMagic, 0, http.StatusBadRequest},
+		{"batch-no-count", "/v1/batch", []byte{1, 2}, 0, http.StatusBadRequest},
+		{"batch-count-overrun", "/v1/batch", batchOf(3, good), 0, http.StatusBadRequest}, // claims 3 frames, carries 1
+		{"batch-count-cap", "/v1/batch", batchOf(1<<20, good), 0, http.StatusRequestEntityTooLarge},
+		{"batch-trailing", "/v1/batch", append(batchOf(1, good), 0xCD), 0, http.StatusBadRequest},
+
+		// A declared length that is not what the header implies is refused on
+		// the header: only the 17 header bytes are ever sent.
+		{"declared-short", "/v1/multiply", header, full - 5, http.StatusBadRequest},
+		{"declared-long", "/v1/multiply", header, full + 1, http.StatusBadRequest},
+		{"declared-over-cap", "/v1/multiply", header, 1 << 40, http.StatusRequestEntityTooLarge},
+		{"async-declared-short", "/v1/async", header, full - 8, http.StatusBadRequest},
+		{"async-declared-over-cap", "/v1/async", header, 1 << 40, http.StatusRequestEntityTooLarge},
+		{"batch-declared-short", "/v1/batch", batchOf(2, good, header), 4 + 2*full - 1, http.StatusBadRequest},
+		{"batch-declared-long", "/v1/batch", batchOf(2, good, header), 4 + 2*full + 1, http.StatusBadRequest},
+		{"batch-declared-over-cap", "/v1/batch", batchOf(1), 1 << 40, http.StatusRequestEntityTooLarge},
+
+		// No declared length: the same frames, the same checks.
+		{"chunked-good", "/v1/multiply", good, -1, http.StatusOK},
+		{"chunked-truncated", "/v1/multiply", good[:len(good)-5], -1, http.StatusBadRequest},
+		{"chunked-trailing", "/v1/multiply", trailing, -1, http.StatusBadRequest},
+		{"chunked-batch-good", "/v1/batch", batchOf(2, good, good), -1, http.StatusOK},
+		{"chunked-batch-trailing", "/v1/batch", append(batchOf(1, good), 0xCD), -1, http.StatusBadRequest},
+	}
+}
+
+// TestServeMalformedRequests drives each decode failure through the real
+// HTTP stack and checks the mapped status: frame-shape garbage is a client
+// error (400), anything that tripped a size cap is 413, and none of it may
+// consume an admission slot or count as a completed request — nor keep a
+// matrix it rented.
+func TestServeMalformedRequests(t *testing.T) {
+	h := startHarness(t, serveCfg())
+	defer h.Close()
+	mats := serve.CountMats(h.Server)
+
+	a, b := fmmfam.NewMatrix(2, 3), fmmfam.NewMatrix(3, 2)
+	var wellFormed uint64
+	for _, tc := range malformedCases(serve.AppendRequest[float64](nil, a, b)) {
+		if tc.want == http.StatusOK {
+			wellFormed++
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			if got := postRaw(t, h, tc.path, tc.body); got != tc.want {
+			if got := tc.post(t, h); got != tc.want {
 				t.Fatalf("POST %s (%s) = %d, want %d", tc.path, tc.name, got, tc.want)
 			}
 		})
@@ -104,14 +162,33 @@ func TestServeMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if st.Completed != 0 {
-		t.Errorf("malformed requests counted as completed: %d", st.Completed)
+	if st.Completed != wellFormed {
+		t.Errorf("malformed requests counted as completed: %d, want the %d well-formed rows", st.Completed, wellFormed)
 	}
 	if st.Admission.InFlight != 0 {
 		t.Errorf("malformed requests left %d admission slots held", st.Admission.InFlight)
 	}
-	if st.Admission.Admitted != 0 {
-		t.Errorf("malformed requests acquired %d admission slots before failing decode", st.Admission.Admitted)
+	if st.Admission.Admitted != wellFormed {
+		t.Errorf("malformed requests acquired admission slots before failing decode: %d admitted, want the %d well-formed rows", st.Admission.Admitted, wellFormed)
+	}
+	checkMatsReturned(t, mats)
+}
+
+// checkMatsReturned requires that the data path has rented matrices and
+// returned every one. A handler returns its matrices after the response is on
+// the wire, so the last returns may trail the client by a moment.
+func checkMatsReturned(t *testing.T, mats func() (rents, returns int64)) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rents, returns := mats()
+		if rents == returns && rents > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d matrices rented, %d returned", rents, returns)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -9,9 +9,42 @@
 //
 // The wire format is deliberately dumb: a fixed little-endian header naming
 // the element type and dimensions, followed by the operands' row-major
-// bits. No compression, no self-describing schema — a multiply request is
-// decoded with two slice casts' worth of work, which matters when the
+// bits. No compression, no self-describing schema — on a little-endian host
+// a matrix on the wire is the matrix in memory, which matters when the
 // payloads are 32×32 matrices arriving from 64 concurrent clients.
+//
+// The data path touches each byte once. A compute handler reads a frame's 17
+// header bytes, validates them exactly as DecodeRequest does (magic, dtype,
+// zero dimensions, MaxDim, MaxFrameElems for the payload and for the result,
+// and — when the request declared a Content-Length — that it is the length
+// the header implies), and only then rents A and B from the engine's scratch
+// list (GenericMultiplier.RentMat: the one bounded store of buffers an engine
+// keeps, shared with its plans' temporaries — the server has no pool of its
+// own and an idle server holds nothing beyond that bound) and reads the
+// payload from the connection straight into their storage. A body that
+// declared no length (chunked) takes the same path and is held to the same
+// exact-length and trailing-byte checks as it streams. C is rented and
+// zeroed after admission, the product runs, and the result header and C's
+// storage are written straight to the connection under an explicit
+// Content-Length. /v1/batch does this per frame after its count prefix.
+//
+// Who owns a rented matrix: the handler, from the rent until the engine can
+// no longer read or write it — MulAdd, MulAddBatch and a coalescing window
+// all return only after the product has run — and it returns the matrix on
+// every path out, refusals and broken connections included. /v1/async hands
+// the operands to the Future's watcher, which returns them when the Future
+// resolves, and C to the pending table, which returns it at collect; a
+// result nobody collects is left to the garbage collector. Nothing read from
+// a rented matrix is ever what it held before: operands are overwritten in
+// full, C is zeroed.
+//
+// Endianness: frames are little-endian whatever the host. On a little-endian
+// host the exported codec (AppendRequest, AppendResult, DecodeRequest,
+// DecodeResult — caller-owned buffers and freshly allocated matrices, for
+// clients) moves whole rows with copy and the handlers read and write matrix
+// storage as it is; on a big-endian host the codec converts element by
+// element and the handlers byte-swap a payload in place, so there is one data
+// path either way.
 //
 // Endpoints (see the README "Serving over the wire" section):
 //
@@ -27,7 +60,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"fmmfam/internal/matrix"
 )
@@ -53,8 +89,8 @@ const (
 	MaxDim = 1 << 16
 	// MaxFrameElems caps the total element count of one frame's payload
 	// (both operands of a request together): 2²⁶ elements is 512 MiB of
-	// float64s. Oversized requests are refused with ErrTooLarge before any
-	// allocation happens.
+	// float64s. Oversized requests are refused with ErrTooLarge on their
+	// header, before any memory is rented or allocated for them.
 	MaxFrameElems = 1 << 26
 )
 
@@ -87,15 +123,19 @@ type Header struct {
 	M, K, N int
 }
 
-// appendHeader writes a frame header. Result frames pass n == 0.
+// putHeader writes a frame header. Result frames pass n == 0.
+func putHeader(dst *[headerLen]byte, dt matrix.Dtype, m, k, n int) {
+	copy(dst[:4], Magic)
+	dst[4] = byte(dt)
+	binary.LittleEndian.PutUint32(dst[5:], uint32(m))
+	binary.LittleEndian.PutUint32(dst[9:], uint32(k))
+	binary.LittleEndian.PutUint32(dst[13:], uint32(n))
+}
+
 func appendHeader(dst []byte, dt matrix.Dtype, m, k, n int) []byte {
-	dst = append(dst, Magic...)
-	dst = append(dst, byte(dt))
-	var dims [12]byte
-	binary.LittleEndian.PutUint32(dims[0:], uint32(m))
-	binary.LittleEndian.PutUint32(dims[4:], uint32(k))
-	binary.LittleEndian.PutUint32(dims[8:], uint32(n))
-	return append(dst, dims[:]...)
+	var hdr [headerLen]byte
+	putHeader(&hdr, dt, m, k, n)
+	return append(dst, hdr[:]...)
 }
 
 // DecodeHeader decodes and validates a frame header: magic, a known dtype
@@ -135,10 +175,40 @@ func (h Header) reqElems() int64 {
 	return int64(h.M)*int64(h.K) + int64(h.K)*int64(h.N)
 }
 
+// checkRequest validates a decoded header as a request frame's: no zero
+// dimension, and both the payload and the result it names within
+// MaxFrameElems. Everything a frame can be refused for short of its length
+// is decided here, before a byte of payload is read or stored.
+func (h Header) checkRequest() error {
+	if h.M < 1 || h.K < 1 || h.N < 1 {
+		return fmt.Errorf("%w: dims %d×%d×%d", ErrBadDims, h.M, h.K, h.N)
+	}
+	// Cap the result alongside the operands: with k small, m·k + k·n can sit
+	// far under the payload cap while m·n names a huge C allocation.
+	if elems, res := h.reqElems(), int64(h.M)*int64(h.N); elems > MaxFrameElems || res > MaxFrameElems {
+		return fmt.Errorf("%w: %d payload + %d result elements, cap %d", ErrTooLarge, elems, res, MaxFrameElems)
+	}
+	return nil
+}
+
+// reqBytes is the payload length in bytes of a request frame with header h.
+func (h Header) reqBytes() int64 { return h.reqElems() * int64(h.Dtype.Size()) }
+
+// lengthError reports a frame whose payload is have bytes where its header
+// needs want: ErrTruncated when short, ErrTrailing when long.
+func (h Header) lengthError(have, want int64) error {
+	sentinel := ErrTruncated
+	if have > want {
+		sentinel = ErrTrailing
+	}
+	return fmt.Errorf("%w: %d payload bytes, dims %d×%d×%d need %d", sentinel, have, h.M, h.K, h.N, want)
+}
+
 // AppendRequest encodes one multiply request frame, C(m×n) = A·B, appending
 // to dst. The operands may be strided views; the wire always carries tight
 // row-major data.
 func AppendRequest[E matrix.Element](dst []byte, a, b matrix.Mat[E]) []byte {
+	dst = slices.Grow(dst, headerLen+(a.Rows*a.Cols+b.Rows*b.Cols)*matrix.DtypeOf[E]().Size())
 	dst = appendHeader(dst, matrix.DtypeOf[E](), a.Rows, a.Cols, b.Cols)
 	dst = appendElems(dst, a)
 	return appendElems(dst, b)
@@ -152,25 +222,12 @@ func DecodeRequest(buf []byte) (h Header, a64, b64 matrix.Mat[float64], a32, b32
 	if err != nil {
 		return
 	}
-	if h.M < 1 || h.K < 1 || h.N < 1 {
-		err = fmt.Errorf("%w: dims %d×%d×%d", ErrBadDims, h.M, h.K, h.N)
-		return
-	}
-	// Cap the result alongside the operands: with k small, m·k + k·n can sit
-	// far under the payload cap while m·n names a huge C allocation.
-	elems := h.reqElems()
-	if elems > MaxFrameElems || int64(h.M)*int64(h.N) > MaxFrameElems {
-		err = fmt.Errorf("%w: %d payload + %d result elements, cap %d", ErrTooLarge, elems, int64(h.M)*int64(h.N), MaxFrameElems)
+	if err = h.checkRequest(); err != nil {
 		return
 	}
 	payload := buf[headerLen:]
-	want := elems * int64(h.Dtype.Size())
-	switch {
-	case int64(len(payload)) < want:
-		err = fmt.Errorf("%w: %d payload bytes, dims %d×%d×%d need %d", ErrTruncated, len(payload), h.M, h.K, h.N, want)
-		return
-	case int64(len(payload)) > want:
-		err = fmt.Errorf("%w: %d payload bytes, dims %d×%d×%d need %d", ErrTrailing, len(payload), h.M, h.K, h.N, want)
+	if want := h.reqBytes(); int64(len(payload)) != want {
+		err = h.lengthError(int64(len(payload)), want)
 		return
 	}
 	if h.Dtype == matrix.Float32 {
@@ -186,6 +243,7 @@ func DecodeRequest(buf []byte) (h Header, a64, b64 matrix.Mat[float64], a32, b32
 // AppendResult encodes one result frame (rows×cols matrix C), appending to
 // dst.
 func AppendResult[E matrix.Element](dst []byte, c matrix.Mat[E]) []byte {
+	dst = slices.Grow(dst, headerLen+c.Rows*c.Cols*matrix.DtypeOf[E]().Size())
 	dst = appendHeader(dst, matrix.DtypeOf[E](), c.Rows, c.Cols, 0)
 	return appendElems(dst, c)
 }
@@ -193,40 +251,122 @@ func AppendResult[E matrix.Element](dst []byte, c matrix.Mat[E]) []byte {
 // DecodeResult decodes a result frame of element type E. The frame's dtype
 // tag must match E and the payload must size to rows×cols exactly.
 func DecodeResult[E matrix.Element](buf []byte) (matrix.Mat[E], error) {
-	h, err := DecodeHeader(buf)
+	h, payload, err := resultPayload[E](buf)
 	if err != nil {
 		return matrix.Mat[E]{}, err
-	}
-	if h.Dtype != matrix.DtypeOf[E]() {
-		return matrix.Mat[E]{}, fmt.Errorf("%w: result dtype %s, want %s", ErrBadDtype, h.Dtype, matrix.DtypeOf[E]())
-	}
-	elems := int64(h.M) * int64(h.K)
-	if elems > MaxFrameElems {
-		return matrix.Mat[E]{}, fmt.Errorf("%w: %d payload elements, cap %d", ErrTooLarge, elems, MaxFrameElems)
-	}
-	payload := buf[headerLen:]
-	want := elems * int64(h.Dtype.Size())
-	if int64(len(payload)) != want {
-		return matrix.Mat[E]{}, fmt.Errorf("%w: %d payload bytes, %d×%d result needs %d", ErrTruncated, len(payload), h.M, h.K, want)
 	}
 	return decodeElems[E](payload, h.M, h.K), nil
 }
 
-// appendElems appends m's elements row-major little-endian. Strided views
-// are walked row by row; the wire layout is always tight.
-func appendElems[E matrix.Element](dst []byte, m matrix.Mat[E]) []byte {
-	var scratch [8]byte
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for _, v := range row {
-			switch v := any(v).(type) {
-			case float64:
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-				dst = append(dst, scratch[:8]...)
-			case float32:
-				binary.LittleEndian.PutUint32(scratch[:4], math.Float32bits(v))
-				dst = append(dst, scratch[:4]...)
+// resultPayload validates buf as one result frame of element type E and
+// returns its header and payload.
+func resultPayload[E matrix.Element](buf []byte) (Header, []byte, error) {
+	h, err := DecodeHeader(buf)
+	if err != nil {
+		return h, nil, err
+	}
+	if h.Dtype != matrix.DtypeOf[E]() {
+		return h, nil, fmt.Errorf("%w: result dtype %s, want %s", ErrBadDtype, h.Dtype, matrix.DtypeOf[E]())
+	}
+	elems := int64(h.M) * int64(h.K)
+	if elems > MaxFrameElems {
+		return h, nil, fmt.Errorf("%w: %d payload elements, cap %d", ErrTooLarge, elems, MaxFrameElems)
+	}
+	payload := buf[headerLen:]
+	want := elems * int64(h.Dtype.Size())
+	if int64(len(payload)) != want {
+		return h, nil, fmt.Errorf("%w: %d payload bytes, %d×%d result needs %d", ErrTruncated, len(payload), h.M, h.K, want)
+	}
+	return h, payload, nil
+}
+
+// addResult folds the result frame buf into c, c += the frame's matrix, in
+// one pass over the payload — what a client does with a product the wire
+// computed as C = A·B. The frame must be of element type E and c's shape.
+func addResult[E matrix.Element](c matrix.Mat[E], buf []byte) error {
+	h, payload, err := resultPayload[E](buf)
+	if err != nil {
+		return err
+	}
+	if h.M != c.Rows || h.K != c.Cols {
+		return fmt.Errorf("serve: result frame is %d×%d, want %d×%d", h.M, h.K, c.Rows, c.Cols)
+	}
+	rowBytes := c.Cols * h.Dtype.Size()
+	for i := 0; i < c.Rows; i++ {
+		src := payload[i*rowBytes : (i+1)*rowBytes]
+		switch row := any(c.Data[i*c.Stride : i*c.Stride+c.Cols]).(type) {
+		case []float64:
+			for j := range row {
+				row[j] += math.Float64frombits(binary.LittleEndian.Uint64(src[j*8:]))
 			}
+		case []float32:
+			for j := range row {
+				row[j] += math.Float32frombits(binary.LittleEndian.Uint32(src[j*4:]))
+			}
+		}
+	}
+	return nil
+}
+
+// readElems fills the tight matrix m from r's next m.Rows·m.Cols
+// little-endian elements, reading straight into m's storage.
+//
+//fmm:hotpath
+func readElems[E matrix.Element](r io.Reader, m matrix.Mat[E]) error {
+	buf := elemBytes(m.Data[:m.Rows*m.Cols])
+	_, err := io.ReadFull(r, buf)
+	if !hostLittleEndian {
+		swapElems(buf, matrix.DtypeOf[E]().Size())
+	}
+	return err
+}
+
+// writeElems writes the tight matrix m to w as little-endian elements,
+// straight from m's storage. On a big-endian host m is left byte-swapped:
+// the caller is done with it.
+//
+//fmm:hotpath
+func writeElems[E matrix.Element](w io.Writer, m matrix.Mat[E]) error {
+	buf := elemBytes(m.Data[:m.Rows*m.Cols])
+	if !hostLittleEndian {
+		swapElems(buf, matrix.DtypeOf[E]().Size())
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// hostLittleEndian reports whether element bytes in memory are already the
+// wire's: then a row moves with one copy, and a handler reads a payload
+// straight into a matrix. On a big-endian host the codec converts element by
+// element (appendRowPortable, decodeRowPortable — also the oracle the copy
+// path is tested against) and the handlers byte-swap a payload in place.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// elemBytes views s as its bytes in memory: the one unsafe cast of the
+// package. A []E is aligned for E, so the view is always valid; the reverse
+// cast (wire bytes as elements) is never made, since a frame's payload starts
+// at an odd offset.
+func elemBytes[E matrix.Element](s []E) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// appendElems appends m's elements row-major little-endian. Strided views
+// are walked row by row, a tight matrix as one long row; the wire layout is
+// always tight.
+func appendElems[E matrix.Element](dst []byte, m matrix.Mat[E]) []byte {
+	rows, cols := m.Rows, m.Cols
+	if m.Stride == cols {
+		rows, cols = min(rows, 1), rows*cols
+	}
+	for i := 0; i < rows; i++ {
+		row := m.Data[i*m.Stride : i*m.Stride+cols]
+		if hostLittleEndian {
+			dst = append(dst, elemBytes(row)...)
+		} else {
+			dst = appendRowPortable(dst, row)
 		}
 	}
 	return dst
@@ -237,16 +377,50 @@ func appendElems[E matrix.Element](dst []byte, m matrix.Mat[E]) []byte {
 // checked payload is long enough.
 func decodeElems[E matrix.Element](payload []byte, rows, cols int) matrix.Mat[E] {
 	out := matrix.New[E](rows, cols)
-	if matrix.DtypeOf[E]() == matrix.Float32 {
-		data := any(out.Data).([]float32)
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:]))
-		}
+	if hostLittleEndian {
+		copy(elemBytes(out.Data), payload)
 	} else {
-		data := any(out.Data).([]float64)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
+		decodeRowPortable(out.Data, payload)
 	}
 	return out
+}
+
+// appendRowPortable appends row's elements little-endian on any host.
+func appendRowPortable[E matrix.Element](dst []byte, row []E) []byte {
+	switch row := any(row).(type) {
+	case []float64:
+		for _, v := range row {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	case []float32:
+		for _, v := range row {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+		}
+	}
+	return dst
+}
+
+// decodeRowPortable fills row from little-endian elements at the front of
+// payload on any host.
+func decodeRowPortable[E matrix.Element](row []E, payload []byte) {
+	switch row := any(row).(type) {
+	case []float64:
+		for i := range row {
+			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+		}
+	case []float32:
+		for i := range row {
+			row[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:]))
+		}
+	}
+}
+
+// swapElems reverses the bytes of every size-byte element of buf in place:
+// wire order to host order and back on a big-endian host.
+func swapElems(buf []byte, size int) {
+	for ; len(buf) >= size; buf = buf[size:] {
+		for i, j := 0, size-1; i < j; i, j = i+1, j-1 {
+			buf[i], buf[j] = buf[j], buf[i]
+		}
+	}
 }
