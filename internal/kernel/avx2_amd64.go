@@ -15,10 +15,11 @@ import (
 // values are broadcast against one B̃ row held as two ymm, so each pair of
 // accumulators is a 64-byte row of the C tile and the fused update of
 // Figure 1 (right) is plain vector loads and stores straight from the
-// registers (MicroScatter), with the tile's rows prefetched under the
-// rank-kc loop. On these panel shapes the packers vectorise too: a B̃ panel
-// row is a two-ymm copy, an Ã panel a 6×4 (6×8 for float32) in-register
-// transpose, each with the term's coefficient broadcast.
+// registers (MicroScatter), with the tiles' rows prefetched under the
+// rank-kc loop, one C term per segment of it. On these panel shapes the
+// packers vectorise too: a B̃ panel row is a two-ymm copy, an Ã panel a 6×4
+// (6×8 for float32) in-register transpose, each with the term's coefficient
+// broadcast.
 //
 // Everything the assembly does not do is the generic Go path, by the same
 // arithmetic: fringe tiles (mr < MR or nr < NR) and C-term lists longer than
@@ -155,6 +156,24 @@ func packBRangeAVX2[E matrix.Element](pack packTermFunc[E], nr int, dst []E, ter
 	}
 }
 
+// fusedSegTrips is the prefetch schedule of the fused micro-kernels
+// (RANK_KC_PREFETCH_C in avx2_amd64.s, which says why): the kc/4 four-step
+// trips of the rank-kc loop run as n segments with one C term's tile
+// requested ahead of each, and every segment but the last is
+// fusedSegTrips(kc, n) trips long — 1/n of the loop, or fusedSegCap trips
+// where that is shorter. The last segment takes the remainder, which is the
+// whole loop when n is 1: plain GEMM divides nothing.
+const fusedSegCap = 24
+
+//fmm:hotpath
+func fusedSegTrips(kc, n int) int {
+	trips := kc >> 2
+	if n == 1 {
+		return trips
+	}
+	return min(fusedSegCap, trips/n)
+}
+
 // Assembly entry points (avx2_amd64.s). The wrappers below establish every
 // bounds invariant before the call: the assembly trusts its pointers. All are
 // //go:noescape — they keep no pointer past the call, and without the
@@ -174,10 +193,10 @@ func scatterF64AVX2(dst *float64, stride int, coef float64, acc *float64)
 func scatterF32AVX2(dst *float32, stride int, coef float32, acc *float32)
 
 //go:noescape
-func microScatterF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n int)
+func microScatterF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, seg int)
 
 //go:noescape
-func microScatterF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n int)
+func microScatterF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, seg int)
 
 //go:noescape
 func packATermF64AVX2(dst, src *float64, stride uintptr, coef float64, steps, mode int)
@@ -252,9 +271,10 @@ func (avx2F64) Scatter(m matrix.Mat[float64], r0, c0 int, coef float64, acc []fl
 // MicroScatter is the fused micro-kernel: for a full tile and a C-term list
 // within MaxFusedTerms it describes each term's tile to the assembly
 // (indexing a tile's first and last element is the bounds proof), which
-// prefetches the tiles, runs the rank-kc loop and updates every term from
-// the accumulator registers; acc is not touched. refs lives on this frame —
-// the stub is //go:noescape. Anything else is Micro + the generic scatter.
+// runs the rank-kc loop, prefetching one term's tile per segment of it
+// (fusedSegTrips), and updates every term from the accumulator registers;
+// acc is not touched. refs lives on this frame — the stub is //go:noescape.
+// Anything else is Micro + the generic scatter.
 //
 //fmm:hotpath
 func (b avx2F64) MicroScatter(kc int, ap, bp, acc []float64, cTerms []Term[float64], r0, c0, mr, nr int) {
@@ -273,7 +293,7 @@ func (b avx2F64) MicroScatter(kc int, ap, bp, acc []float64, cTerms []Term[float
 		_ = m.Data[base+(mrAVX2-1)*m.Stride+nrAVX2F64-1]
 		refs[t] = tileRef[float64]{p: &m.Data[base], stride: uintptr(m.Stride) * 8, coef: cTerms[t].Coef}
 	}
-	microScatterF64AVX2(kc, &ap[0], &bp[0], &refs[0], n)
+	microScatterF64AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
 }
 
 func (avx2F64) PackABufLen(mc, kc int) int { return packABufLen(mrAVX2, mc, kc) }
@@ -351,7 +371,7 @@ func (b avx2F32) MicroScatter(kc int, ap, bp, acc []float32, cTerms []Term[float
 		_ = m.Data[base+(mrAVX2-1)*m.Stride+nrAVX2F32-1]
 		refs[t] = tileRef[float32]{p: &m.Data[base], stride: uintptr(m.Stride) * 4, coef: cTerms[t].Coef}
 	}
-	microScatterF32AVX2(kc, &ap[0], &bp[0], &refs[0], n)
+	microScatterF32AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
 }
 
 func (avx2F32) PackABufLen(mc, kc int) int { return packABufLen(mrAVX2, mc, kc) }

@@ -27,6 +27,19 @@
 //     multiply and add, or copy the first term when its coefficient is 1 —
 //     exactly packAGeneric/packBGeneric, element for element.
 //
+// C-tile prefetch in the fused kernels: the rank-kc loop is cut into one
+// segment per C term and each segment starts by requesting that term's six
+// tile rows — never all 6·n rows ahead of the loop. Measured on the host this
+// was tuned on (BenchmarkMicroScatterTerms), a burst of twelve or more C
+// lines that all lie in the same half of their 128-byte line pairs stalls the
+// core for about a third of the call: a second term cost +38 % where C's row
+// stride is a multiple of 128 bytes (2048, 2064, 2880 doubles — FMM quadrants
+// of such a matrix are whole line pairs apart, so every row of every term's
+// tile is in the same half) against +6 % where it is an odd multiple of 64
+// (2056), and prefetching alone, with the update's loads and stores removed,
+// paid all of it. Six lines at a time, a memory latency apart, do not. See
+// RANK_KC_PREFETCH_C for the schedule.
+//
 // Loads and stores use the unaligned forms throughout: C tiles and packing
 // sources are views at arbitrary offsets, and on AVX2 hardware an unaligned
 // instruction on aligned data (the 32-byte aligned packed buffers) costs the
@@ -93,60 +106,59 @@
 	VFMADD231PS  Y12, Y14, Y10;   \
 	VFMADD231PS  Y13, Y14, Y11
 
-// The rank-kc loop: kc in CX (≥ 1), Ã panel in SI, B̃ panel in BX; four
-// k-steps per trip, then the kc%4 tail. Clobbers AX. The order of the FMAs
-// into any one accumulator is p ascending whatever the unrolling.
-#define RANK_KC_F64(loop4, tail, loop1, done) \
-	MOVQ CX, AX;     \
-	SHRQ $2, CX;     \
-	ANDQ $3, AX;     \
-	TESTQ CX, CX;    \
-	JZ   tail;       \
-loop4:               \
+// Four k-steps and one k-step of either dtype, with the panel pointers moved
+// past them: the bodies of the rank-kc loops below.
+#define TRIP4_F64 \
 	KSTEP_F64(0, 0);     \
 	KSTEP_F64(48, 64);   \
 	KSTEP_F64(96, 128);  \
 	KSTEP_F64(144, 192); \
-	ADDQ $192, SI;   \
-	ADDQ $256, BX;   \
-	DECQ CX;         \
-	JNZ  loop4;      \
-tail:                \
-	TESTQ AX, AX;    \
-	JZ   done;       \
-loop1:               \
+	ADDQ $192, SI;       \
+	ADDQ $256, BX
+
+#define TRIP1_F64 \
 	KSTEP_F64(0, 0); \
 	ADDQ $48, SI;    \
-	ADDQ $64, BX;    \
-	DECQ AX;         \
-	JNZ  loop1;      \
-done:
+	ADDQ $64, BX
 
-#define RANK_KC_F32(loop4, tail, loop1, done) \
-	MOVQ CX, AX;     \
-	SHRQ $2, CX;     \
-	ANDQ $3, AX;     \
-	TESTQ CX, CX;    \
-	JZ   tail;       \
-loop4:               \
+#define TRIP4_F32 \
 	KSTEP_F32(0, 0);    \
 	KSTEP_F32(24, 64);  \
 	KSTEP_F32(48, 128); \
 	KSTEP_F32(72, 192); \
-	ADDQ $96, SI;    \
-	ADDQ $256, BX;   \
-	DECQ CX;         \
-	JNZ  loop4;      \
-tail:                \
-	TESTQ AX, AX;    \
-	JZ   done;       \
-loop1:               \
+	ADDQ $96, SI;       \
+	ADDQ $256, BX
+
+#define TRIP1_F32 \
 	KSTEP_F32(0, 0); \
 	ADDQ $24, SI;    \
-	ADDQ $64, BX;    \
-	DECQ AX;         \
-	JNZ  loop1;      \
+	ADDQ $64, BX
+
+// The kc%4 tail of a rank-kc loop: k-steps left in AX.
+#define RANK_KC_TAIL(trip1, loop1, done) \
+	TESTQ AX, AX; \
+	JZ   done;    \
+loop1:            \
+	trip1;        \
+	DECQ AX;      \
+	JNZ  loop1;   \
 done:
+
+// The rank-kc loop: kc in CX (≥ 1), Ã panel in SI, B̃ panel in BX; four
+// k-steps per trip, then the kc%4 tail. Clobbers AX. The order of the FMAs
+// into any one accumulator is p ascending whatever the unrolling.
+#define RANK_KC(trip4, trip1, loop4, tail, loop1, done) \
+	MOVQ CX, AX;  \
+	SHRQ $2, CX;  \
+	ANDQ $3, AX;  \
+	TESTQ CX, CX; \
+	JZ   tail;    \
+loop4:            \
+	trip4;        \
+	DECQ CX;      \
+	JNZ  loop4;   \
+tail:             \
+	RANK_KC_TAIL(trip1, loop1, done)
 
 // Store the accumulator grid to acc (DI), row-major MR×NR: 64 bytes a row in
 // either dtype.
@@ -164,37 +176,71 @@ done:
 	VMOVUPD Y10, 320(DI); \
 	VMOVUPD Y11, 352(DI)
 
-// Prefetch the six 64-byte rows of every C-term tile before the rank-kc loop
-// hides their latency: tileRef list in R8, count in R9 (≥ 1). A tile row is
-// 64 bytes but a peeled or blocked view is not line-aligned, so it can
-// straddle two lines — touch its first and its last byte. Clobbers R10, R11,
-// DI, DX.
-#define PREFETCH_C(loop) \
-	MOVQ R8, R10;        \
-	MOVQ R9, R11;        \
-loop:                    \
-	MOVQ (R10), DI;      \
-	MOVQ 8(R10), DX;     \
-	PREFETCHT0 (DI);     \
-	PREFETCHT0 63(DI);   \
-	ADDQ DX, DI;         \
-	PREFETCHT0 (DI);     \
-	PREFETCHT0 63(DI);   \
-	ADDQ DX, DI;         \
-	PREFETCHT0 (DI);     \
-	PREFETCHT0 63(DI);   \
-	ADDQ DX, DI;         \
-	PREFETCHT0 (DI);     \
-	PREFETCHT0 63(DI);   \
-	ADDQ DX, DI;         \
-	PREFETCHT0 (DI);     \
-	PREFETCHT0 63(DI);   \
-	ADDQ DX, DI;         \
-	PREFETCHT0 (DI);     \
-	PREFETCHT0 63(DI);   \
-	ADDQ $24, R10;       \
-	DECQ R11;            \
-	JNZ  loop
+// Prefetch the six 64-byte rows of one C-term tile: its tileRef at R10, which
+// moves on to the next term. A tile row is 64 bytes but a peeled or blocked
+// view is not line-aligned, so it can straddle two lines — touch its first
+// and its last byte. Clobbers DI, DX.
+#define PREFETCH_C_TERM \
+	MOVQ (R10), DI;    \
+	MOVQ 8(R10), DX;   \
+	PREFETCHT0 (DI);   \
+	PREFETCHT0 63(DI); \
+	ADDQ DX, DI;       \
+	PREFETCHT0 (DI);   \
+	PREFETCHT0 63(DI); \
+	ADDQ DX, DI;       \
+	PREFETCHT0 (DI);   \
+	PREFETCHT0 63(DI); \
+	ADDQ DX, DI;       \
+	PREFETCHT0 (DI);   \
+	PREFETCHT0 63(DI); \
+	ADDQ DX, DI;       \
+	PREFETCHT0 (DI);   \
+	PREFETCHT0 63(DI); \
+	ADDQ DX, DI;       \
+	PREFETCHT0 (DI);   \
+	PREFETCHT0 63(DI); \
+	ADDQ $24, R10
+
+// The fused kernels' rank-kc loop, with the C-term tiles prefetched under it:
+// kc in CX (≥ 1), Ã panel in SI, B̃ panel in BX, tileRef list in R8, its
+// length n in R9 (≥ 1), the segment length in R12 (fusedSegTrips in
+// avx2_amd64.go: ⌊(kc/4)/n⌋ four-step trips, at most 24). The kc/4 trips run
+// as n segments — n−1 of R12 trips, then one of whatever is left, then the
+// kc%4 tail — and segment t is preceded by the prefetch of term t's tile and
+// nothing else: at most six C lines are requested at once, and the last term
+// still has at least 1/n of the loop to arrive before the update reads it.
+// The cap of 24 trips (96 k-steps, about a memory latency) is there for that
+// last term: where bursts do not stall, a second term requested at the
+// midpoint of a 256-step loop arrived late and cost 3–6 % of the call over
+// the burst, while 96 steps in costs what the burst did; where bursts do
+// stall, terms 64 steps apart or more measured alike and closer was worse.
+// n = 1 is one prefetch and one segment: six rows, then the whole loop, no
+// branch added to a trip. Segments are cut between trips, so the FMA order
+// into every accumulator is p ascending as in RANK_KC. Clobbers AX, DX, DI,
+// R10, R11, R13.
+#define RANK_KC_PREFETCH_C(trip4, trip1, seg, loop4, next, loop1, done) \
+	MOVQ CX, AX;     \
+	SHRQ $2, CX;     \
+	ANDQ $3, AX;     \
+	MOVQ R8, R10;    \
+	MOVQ R9, R11;    \
+seg:                 \
+	PREFETCH_C_TERM; \
+	MOVQ R12, R13;   \
+	DECQ R11;        \
+	CMOVQEQ CX, R13; \
+	SUBQ R13, CX;    \
+	TESTQ R13, R13;  \
+	JZ   next;       \
+loop4:               \
+	trip4;           \
+	DECQ R13;        \
+	JNZ  loop4;      \
+next:                \
+	TESTQ R11, R11;  \
+	JNZ  seg;        \
+	RANK_KC_TAIL(trip1, loop1, done)
 
 // One row of one C term from registers: C[i][:] += w·acc[i][:] with w
 // broadcast in Y12, the row at DI, the row stride in DX.
@@ -225,7 +271,7 @@ TEXT ·microF64AVX2(SB), NOSPLIT, $0-32
 	MOVQ bp+16(FP), BX
 	MOVQ acc+24(FP), DI
 	ZERO_ACC
-	RANK_KC_F64(m64loop4, m64tail, m64loop1, m64done)
+	RANK_KC(TRIP4_F64, TRIP1_F64, m64loop4, m64tail, m64loop1, m64done)
 	STORE_ACC
 	VZEROUPPER
 	RET
@@ -238,25 +284,26 @@ TEXT ·microF32AVX2(SB), NOSPLIT, $0-32
 	MOVQ bp+16(FP), BX
 	MOVQ acc+24(FP), DI
 	ZERO_ACC
-	RANK_KC_F32(m32loop4, m32tail, m32loop1, m32done)
+	RANK_KC(TRIP4_F32, TRIP1_F32, m32loop4, m32tail, m32loop1, m32done)
 	STORE_ACC
 	VZEROUPPER
 	RET
 
-// func microScatterF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n int)
+// func microScatterF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, seg int)
 // The fused micro-kernel of Figure 1 (right): the 6×8 rank-kc product stays
 // in Y0–Y11 and is added, weighted, into each of the n C-term tiles refs
 // describes (24 bytes each: pointer, row stride in bytes, coefficient),
-// whose rows are prefetched first. kc ≥ 1 and 1 ≤ n are the wrapper's.
-TEXT ·microScatterF64AVX2(SB), NOSPLIT, $0-40
+// whose rows are prefetched one term per segment of the loop. kc ≥ 1, 1 ≤ n
+// and seg = fusedSegTrips(kc, n) are the wrapper's.
+TEXT ·microScatterF64AVX2(SB), NOSPLIT, $0-48
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), BX
 	MOVQ refs+24(FP), R8
 	MOVQ n+32(FP), R9
-	PREFETCH_C(ms64pf)
+	MOVQ seg+40(FP), R12
 	ZERO_ACC
-	RANK_KC_F64(ms64loop4, ms64tail, ms64loop1, ms64done)
+	RANK_KC_PREFETCH_C(TRIP4_F64, TRIP1_F64, ms64seg, ms64loop4, ms64next, ms64loop1, ms64done)
 
 ms64term:
 	MOVQ         (R8), DI
@@ -275,17 +322,17 @@ ms64term:
 	VZEROUPPER
 	RET
 
-// func microScatterF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n int)
+// func microScatterF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, seg int)
 // The 6×16 float32 counterpart of microScatterF64AVX2.
-TEXT ·microScatterF32AVX2(SB), NOSPLIT, $0-40
+TEXT ·microScatterF32AVX2(SB), NOSPLIT, $0-48
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), BX
 	MOVQ refs+24(FP), R8
 	MOVQ n+32(FP), R9
-	PREFETCH_C(ms32pf)
+	MOVQ seg+40(FP), R12
 	ZERO_ACC
-	RANK_KC_F32(ms32loop4, ms32tail, ms32loop1, ms32done)
+	RANK_KC_PREFETCH_C(TRIP4_F32, TRIP1_F32, ms32seg, ms32loop4, ms32next, ms32loop1, ms32done)
 
 ms32term:
 	MOVQ         (R8), DI

@@ -305,19 +305,59 @@ func checkScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 	}
 }
 
+// scatterKCs and scatterTermCounts are the rank-kc lengths and C-term list
+// lengths checkMicroScatter crosses. A backend may cut its rank-kc loop into
+// one stretch per term (avx2 prefetches one term's tile ahead of each), so
+// the pairs cover every edge of such a cut for unrollings up to four: fewer
+// unrolled trips than terms (stretches of zero), a trip count the term count
+// does not divide, kc off the unrolling, the driver's KC and its neighbours,
+// and lists at the fused cap and one past it.
+var (
+	scatterKCs        = []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 255, 256, 257}
+	scatterTermCounts = []int{1, 2, 3, 4, 7, kernel.MaxFusedTerms, kernel.MaxFusedTerms + 1}
+)
+
+// scatterLayout places the C terms of one checkMicroScatter case in
+// canary-filled hosts: a term's view starts one row down and off columns
+// into a host whose row stride is the smallest multiple of strideUnit with
+// room for the view and a canary column after it; stacked puts every term in
+// one host, one below the other, instead of a host each.
+type scatterLayout struct {
+	name            string
+	off, strideUnit int
+	stacked         bool
+}
+
+// scatterLayouts: each term alone in a host with room for the canary ring
+// only; each at an odd column offset of a wider host; and all of them views
+// of one host, stacked at one column origin a whole 128-byte line pair in,
+// with rows a page apart — every row of every term's tile then has the same
+// offset in its line pair and in its page, as the quadrants of a matrix with
+// a power-of-two row stride have, which is the layout a prefetch schedule is
+// most sensitive to.
+func scatterLayouts[E matrix.Element]() []scatterLayout {
+	size := matrix.DtypeOf[E]().Size()
+	return []scatterLayout{
+		{name: "whole", off: 1, strideUnit: 1},
+		{name: "oddview", off: 7, strideUnit: 13},
+		{name: "onehost", off: 128 / size, strideUnit: 4096 / size, stacked: true},
+	}
+}
+
 // checkMicroScatter: the fused micro-kernel leaves in C exactly the bits that
 // Micro followed by one Scatter per term, in list order, leaves — on full and
-// fringe tiles, for term lists within the fused cap and one past it, for
-// coefficients that multiply exactly and ones that round, and for C terms
-// that are whole matrices or views at odd column offsets. Each C term is a
-// view one element inside a canary-filled host, so a store outside the mr×nr
-// tile shows as a changed canary.
+// fringe tiles, across scatterKCs × scatterTermCounts, for coefficients that
+// multiply exactly and ones that round, and in every scatterLayouts
+// placement. Everything outside the mr×nr tiles is canary, so a store outside
+// a tile shows as a changed canary.
 func checkMicroScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 	rng := rand.New(rand.NewSource(108))
 	mr, nr := bk.MR(), bk.NR()
 	const canary = 77
+	const r0, c0 = 2, 3 // the tile's origin inside each term
 	coefs := []E{1, -1, 0.5, -0.375, 3, 1.0 / 3}
-	for _, kc := range []int{1, gemm.DefaultConfig().KC} {
+	layouts := scatterLayouts[E]()
+	for _, kc := range scatterKCs {
 		a, b := matrix.New[E](mr, kc), matrix.New[E](kc, nr)
 		a.FillRand(rng)
 		b.FillRand(rng)
@@ -327,37 +367,37 @@ func checkMicroScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 		bk.PackB(bp, kernel.SingleTerm(b), 0, 0, kc, nr)
 		for _, tile := range [][2]int{{mr, nr}, {max(mr-1, 1), nr}, {mr, max(nr-1, 1)}, {1, 1}} {
 			tm, tn := tile[0], tile[1]
-			for _, nTerms := range []int{1, 2, 4, kernel.MaxFusedTerms, kernel.MaxFusedTerms + 1} {
-				for _, view := range []bool{false, true} {
-					// Tile origin inside each term, and each term's place in
-					// its host: contiguous terms start at the host's (1,1)
-					// with room for the canary ring only, views sit at an odd
-					// column offset of a wider host.
-					r0, c0 := 2, 3
-					rows, cols := r0+tm, c0+tn
-					hostCols, off := cols+2, 1
-					if view {
-						hostCols, off = cols+13, 7
+			rows, cols := r0+tm, c0+tn
+			for _, nTerms := range scatterTermCounts {
+				for _, layout := range layouts {
+					count, hostRows := nTerms, rows+2
+					if layout.stacked {
+						count, hostRows = 1, nTerms*(rows+2)
 					}
-					fused := make([]matrix.Mat[E], nTerms)
-					split := make([]matrix.Mat[E], nTerms)
-					fTerms := make([]kernel.Term[E], nTerms)
-					sTerms := make([]kernel.Term[E], nTerms)
-					for i := range fused {
-						fused[i] = matrix.New[E](rows+2, hostCols)
-						fused[i].FillRand(rng)
-						fv := fused[i].View(1, off, rows, cols)
-						for r := 0; r < fused[i].Rows; r++ {
-							for c := 0; c < fused[i].Cols; c++ {
-								if r < 1+r0 || r >= 1+r0+tm || c < off+c0 || c >= off+c0+tn {
-									fused[i].Set(r, c, canary)
-								}
-							}
+					hostCols := (layout.off + cols + layout.strideUnit) / layout.strideUnit * layout.strideUnit
+					view := func(hosts []matrix.Mat[E], i int) matrix.Mat[E] {
+						if layout.stacked {
+							return hosts[0].View(1+i*(rows+2), layout.off, rows, cols)
 						}
-						split[i] = fused[i].Clone()
-						coef := coefs[(i+nTerms)%len(coefs)]
-						fTerms[i] = kernel.Term[E]{Coef: coef, M: fv}
-						sTerms[i] = kernel.Term[E]{Coef: coef, M: split[i].View(1, off, rows, cols)}
+						return hosts[i].View(1, layout.off, rows, cols)
+					}
+					fused := make([]matrix.Mat[E], count)
+					for h := range fused {
+						fused[h] = matrix.New[E](hostRows, hostCols)
+						fused[h].Fill(canary)
+					}
+					fTerms := make([]kernel.Term[E], nTerms)
+					for i := range fTerms {
+						fTerms[i] = kernel.Term[E]{Coef: coefs[(i+nTerms)%len(coefs)], M: view(fused, i)}
+						fTerms[i].M.View(r0, c0, tm, tn).FillRand(rng)
+					}
+					split := make([]matrix.Mat[E], count)
+					for h := range split {
+						split[h] = fused[h].Clone()
+					}
+					sTerms := make([]kernel.Term[E], nTerms)
+					for i := range sTerms {
+						sTerms[i] = kernel.Term[E]{Coef: fTerms[i].Coef, M: view(split, i)}
 					}
 					acc := make([]E, mr*nr)
 					bk.MicroScatter(kc, ap, bp, acc, fTerms, r0, c0, tm, tn)
@@ -365,18 +405,26 @@ func checkMicroScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 					for _, st := range sTerms {
 						bk.Scatter(st.M, r0, c0, st.Coef, acc, tm, tn)
 					}
-					for i := range fused {
-						for r := 0; r < fused[i].Rows; r++ {
-							for c := 0; c < fused[i].Cols; c++ {
-								got, want := fused[i].At(r, c), split[i].At(r, c)
-								inTile := r >= 1+r0 && r < 1+r0+tm && c >= off+c0 && c < off+c0+tn
-								if !inTile && got != canary {
-									t.Fatalf("kc=%d tile %d×%d terms=%d view=%v: term %d canary at (%d,%d) overwritten with %v",
-										kc, tm, tn, nTerms, view, i, r, c, got)
-								}
+					// Tiles bit for bit, then blanked so that what is left of
+					// every host must be canary.
+					for i := range fTerms {
+						for r := r0; r < rows; r++ {
+							for c := c0; c < cols; c++ {
+								got, want := fTerms[i].M.At(r, c), sTerms[i].M.At(r, c)
 								if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
-									t.Fatalf("kc=%d tile %d×%d terms=%d view=%v: term %d (%d,%d) fused %v, Micro+Scatter %v",
-										kc, tm, tn, nTerms, view, i, r, c, got, want)
+									t.Fatalf("kc=%d tile %d×%d terms=%d %s: term %d (%d,%d) fused %v, Micro+Scatter %v",
+										kc, tm, tn, nTerms, layout.name, i, r-r0, c-c0, got, want)
+								}
+								fTerms[i].M.Set(r, c, canary)
+							}
+						}
+					}
+					for h := range fused {
+						for r := 0; r < hostRows; r++ {
+							for c := 0; c < hostCols; c++ {
+								if got := fused[h].At(r, c); got != canary {
+									t.Fatalf("kc=%d tile %d×%d terms=%d %s: host %d canary at (%d,%d) overwritten with %v",
+										kc, tm, tn, nTerms, layout.name, h, r, c, got)
 								}
 							}
 						}

@@ -154,3 +154,39 @@ func checkAVX2Packers[E matrix.Element](t *testing.T, bk Backend[E]) {
 		}
 	}
 }
+
+// TestFusedSegTrips pins the fused kernels' prefetch schedule. The assembly
+// runs n segments — n−1 of fusedSegTrips(kc, n) four-step trips, then one of
+// whatever is left — so the rule is sound when those n−1 never outrun the
+// kc/4 trips there are and the last segment is not the short one (its term's
+// tile has had the least time to arrive); and one term is one segment, the
+// whole loop, which keeps plain GEMM on the unsegmented sequence.
+func TestFusedSegTrips(t *testing.T) {
+	for kc := 1; kc <= 1024; kc++ {
+		trips := kc / 4
+		if got := fusedSegTrips(kc, 1); got != trips {
+			t.Fatalf("fusedSegTrips(%d, 1) = %d, want the whole loop, %d", kc, got, trips)
+		}
+		for n := 2; n <= MaxFusedTerms; n++ {
+			seg := fusedSegTrips(kc, n)
+			if want := min(fusedSegCap, trips/n); seg != want {
+				t.Fatalf("fusedSegTrips(%d, %d) = %d, want %d", kc, n, seg, want)
+			}
+			// Replay RANK_KC_PREFETCH_C's counters.
+			left := trips
+			for segs := n; segs > 0; segs-- {
+				run := seg
+				if segs == 1 {
+					run = left
+				}
+				if run < seg || run > left {
+					t.Fatalf("kc=%d n=%d: segment of %d trips with %d left (seg %d)", kc, n, run, left, seg)
+				}
+				left -= run
+			}
+			if left != 0 {
+				t.Fatalf("kc=%d n=%d: %d of %d trips never run", kc, n, left, trips)
+			}
+		}
+	}
+}

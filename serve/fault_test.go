@@ -86,6 +86,9 @@ func malformedCases(good []byte) []wireCase {
 	}
 	header := good[:17]
 	full := int64(len(good))
+	// An outer product whose result is exactly the frame cap on 128 KiB of
+	// payload: one is a legal frame, two name twice the cap of C between them.
+	outer := serve.AppendRequest[float64](nil, fmmfam.NewMatrix(1<<13, 1), fmmfam.NewMatrix(1, 1<<13))
 
 	return []wireCase{
 		{"empty-body", "/v1/multiply", nil, 0, http.StatusBadRequest},
@@ -99,6 +102,8 @@ func malformedCases(good []byte) []wireCase {
 		{"batch-count-overrun", "/v1/batch", batchOf(3, good), 0, http.StatusBadRequest}, // claims 3 frames, carries 1
 		{"batch-count-cap", "/v1/batch", batchOf(1<<20, good), 0, http.StatusRequestEntityTooLarge},
 		{"batch-trailing", "/v1/batch", append(batchOf(1, good), 0xCD), 0, http.StatusBadRequest},
+		// Refused on the second frame's header — none of its payload is sent.
+		{"batch-results-over-cap", "/v1/batch", batchOf(2, outer, outer[:17]), 0, http.StatusRequestEntityTooLarge},
 
 		// A declared length that is not what the header implies is refused on
 		// the header: only the 17 header bytes are ever sent.

@@ -439,8 +439,10 @@ func returnJobs[E matrix.Element](ln *lane[E], jobs []fmmfam.GenericBatchJob[E])
 // bt, frame by frame: header, checks, then payload into rented operands. A
 // declared length is held to the frames' as their headers arrive — a frame
 // that would run past it, or a last frame that stops short of it, is refused
-// before its payload is read — and the total payload budget is enforced the
-// same way. On error the caller frees what bt holds so far.
+// before its payload is read — and the batch's budgets are enforced the same
+// way: its payloads together, and the results it names together (every C is
+// rented at once when the batch runs), are each held to one frame's cap,
+// MaxFrameElems. On error the caller frees what bt holds so far.
 func (s *Server) readBatch(body io.Reader, declared int64, bt *batch) error {
 	var cnt [4]byte
 	if _, err := io.ReadFull(body, cnt[:]); err != nil {
@@ -452,7 +454,7 @@ func (s *Server) readBatch(body io.Reader, declared int64, bt *batch) error {
 	}
 	bt.order = make([]matrix.Dtype, 0, count)
 	left := declared - int64(len(cnt)) // declared bytes not yet accounted for
-	var totalElems int64
+	var totalElems, totalRes int64
 	for i := 0; i < count; i++ {
 		h, err := readHeader(body)
 		if err != nil {
@@ -460,6 +462,9 @@ func (s *Server) readBatch(body io.Reader, declared int64, bt *batch) error {
 		}
 		if totalElems += h.reqElems(); totalElems > MaxFrameElems {
 			return fmt.Errorf("%w: batch payload %d elements by frame %d, cap %d", ErrTooLarge, totalElems, i, MaxFrameElems)
+		}
+		if totalRes += h.resElems(); totalRes > MaxFrameElems {
+			return fmt.Errorf("%w: batch results %d elements by frame %d, cap %d", ErrTooLarge, totalRes, i, MaxFrameElems)
 		}
 		if declared >= 0 {
 			// The frames still to come are a header each at the least.

@@ -26,7 +26,9 @@
 // exact-length and trailing-byte checks as it streams. C is rented and
 // zeroed after admission, the product runs, and the result header and C's
 // storage are written straight to the connection under an explicit
-// Content-Length. /v1/batch does this per frame after its count prefix.
+// Content-Length. /v1/batch does this per frame after its count prefix, and
+// holds the batch as a whole to one frame's budget: its payloads together and
+// the results it names together each stay within MaxFrameElems.
 //
 // Who owns a rented matrix: the handler, from the rent until the engine can
 // no longer read or write it — MulAdd, MulAddBatch and a coalescing window
@@ -175,6 +177,10 @@ func (h Header) reqElems() int64 {
 	return int64(h.M)*int64(h.K) + int64(h.K)*int64(h.N)
 }
 
+// resElems is the element count of the result a request frame with header h
+// names.
+func (h Header) resElems() int64 { return int64(h.M) * int64(h.N) }
+
 // checkRequest validates a decoded header as a request frame's: no zero
 // dimension, and both the payload and the result it names within
 // MaxFrameElems. Everything a frame can be refused for short of its length
@@ -185,7 +191,7 @@ func (h Header) checkRequest() error {
 	}
 	// Cap the result alongside the operands: with k small, m·k + k·n can sit
 	// far under the payload cap while m·n names a huge C allocation.
-	if elems, res := h.reqElems(), int64(h.M)*int64(h.N); elems > MaxFrameElems || res > MaxFrameElems {
+	if elems, res := h.reqElems(), h.resElems(); elems > MaxFrameElems || res > MaxFrameElems {
 		return fmt.Errorf("%w: %d payload + %d result elements, cap %d", ErrTooLarge, elems, res, MaxFrameElems)
 	}
 	return nil
