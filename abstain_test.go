@@ -42,6 +42,9 @@ func TestRecommendAbstains(t *testing.T) {
 		{kernel.AVX2Backend, matrix.Float64, 2048, 2048, 2048, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, matrix.Float64, 2880, 480, 2880, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, matrix.Float32, 104, 104, 104, gemm},
+		{kernel.AVX512Backend, matrix.Float64, 1024, 1024, 1024, gemm}, // default_square where avx512 is the fastest registered
+		{kernel.AVX512Backend, matrix.Float64, 2048, 2048, 2048, gemm}, // below the break-even, 3841
+		{kernel.AVX512Backend, matrix.Float64, 2880, 480, 2880, gemm},
 		{kernel.DefaultBackend, matrix.Float64, 64, 64, 64, gemm},
 		{kernel.DefaultBackend, matrix.Float64, 1024, 1024, 512, "<2,2,2>+<2,2,2> ABC"}, // default_square's tiles
 		{kernel.DefaultBackend, matrix.Float64, 1024, 1024, 1024, "<2,2,2>+<2,2,2> ABC"},
@@ -75,6 +78,7 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 		{kernel.AVX2Backend, 2880, 480, 2880, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, 256, 8192, 256, fmmexec.GEMMName},
 		{kernel.AVX2Backend, 1024, 1024, 1024, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 1024, 1024, 1024, fmmexec.GEMMName},
 	}
 	for _, tc := range cases {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
@@ -100,8 +104,9 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 // TestDefaultSquareRoute: the route the benchmark's default_square (1024³,
 // T = 2) takes on each kernel an empty Config.Kernel can resolve to. On go4x4
 // the product shards into two 1024×1024×512 tiles, each an FMM plan; on avx2
-// 1024 is below the modelled break-even (~1793), so there is no tile floor
-// two tiles could clear and the selector abstains: one unsharded GEMM.
+// and avx512 1024 is below the modelled break-even (~1793, ~3841), so there
+// is no tile floor two tiles could clear and the selector abstains: one
+// unsharded GEMM.
 func TestDefaultSquareRoute(t *testing.T) {
 	for _, tc := range []struct {
 		kern    string
@@ -109,6 +114,7 @@ func TestDefaultSquareRoute(t *testing.T) {
 	}{
 		{kernel.DefaultBackend, "1×2×1"},
 		{kernel.AVX2Backend, ""},
+		{kernel.AVX512Backend, ""},
 	} {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
 			continue

@@ -3,8 +3,9 @@
 // TSV series on stdout.
 //
 // Actual (measured) curves run on the micro-kernel backend the FMMFAM_KERNEL
-// environment variable names (fmmfam.EnvKernel; "avx2" is the assembly one —
-// an unknown or unavailable name is an error, never a silent fallback),
+// environment variable names (fmmfam.EnvKernel; "avx2" and "avx512" are the
+// assembly ones — an unknown or unavailable name is an error, never a silent
+// fallback),
 // against an Arch calibrated through that backend; the "# calibrated:" header
 // records which. Unset, they run on the reference pure-Go kernel "go4x4" on
 // every host: the figures are built on internal/gemm directly, where an empty

@@ -65,8 +65,9 @@ func TestCLIModel(t *testing.T) {
 
 // TestCLIExplain: one product explained on each backend. The reference kernel,
 // by name, shards default_square's 1024³ into two tiles and serves each a
-// two-level plan; avx2, where the host registered it, is what an empty
-// -kernel resolves to, and abstains: one unsharded GEMM.
+// two-level plan; the fastest assembly backend the host registered (avx512,
+// else avx2) is what an empty -kernel resolves to, and abstains: one
+// unsharded GEMM.
 func TestCLIExplain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the toolchain")
@@ -94,20 +95,27 @@ func TestCLIExplain(t *testing.T) {
 	}
 	// The child is built without this test's tags, so its own first line of
 	// evidence — not this process's CPU probe — says which backend it has.
-	if !strings.Contains(out, "kernel\tavx2 ") {
+	var order, breakEven string
+	switch {
+	case strings.Contains(out, "kernel\tavx512 "):
+		order, breakEven = "avx512 > avx2 > go4x4", "3841"
+	case strings.Contains(out, "kernel\tavx2 "):
+		order, breakEven = "avx2 > go4x4", "1793"
+	default:
 		if !strings.Contains(out, "kernel\tgo4x4 (fastest registered: go4x4)") || !strings.Contains(out, "float32") {
-			t.Fatalf("explain without avx2:\n%s", out)
+			t.Fatalf("explain without an assembly backend:\n%s", out)
 		}
 		return
 	}
+	kern, _, _ := strings.Cut(order, " ")
 	for _, want := range []string{
-		"kernel\tavx2 (fastest registered: avx2 > go4x4)",
-		"priced for avx2/float32", "FMM break-even 1793³",
+		"kernel\t" + kern + " (fastest registered: " + order + ")",
+		"priced for " + kern + "/float32", "FMM break-even " + breakEven + "³",
 		"sharding\tno (", "one width-2 plan",
 		"serves\tgemm\n", "\n1\tgemm\t",
 	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("explain on avx2: output lacks %q:\n%s", want, out)
+			t.Fatalf("explain on %s: output lacks %q:\n%s", kern, want, out)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // TestConfigValidate is the table-driven contract of Config.Validate: every
 // knob's failure mode, including per-backend blocking floors (MC=4 is legal
-// for the 4×4 kernel, illegal for avx2's 6-row tile) and that avx2 is a valid
-// Kernel exactly where the host registered it.
+// for the 4×4 kernel, illegal for avx2's 6-row tile) and that avx2 and avx512
+// are valid Kernels exactly where the host registered them.
 func TestConfigValidate(t *testing.T) {
 	hasAVX2 := HostCPU().AVX2
 	valid := Config{MC: 96, KC: 256, NC: 2048, Threads: 1}
@@ -27,6 +27,7 @@ func TestConfigValidate(t *testing.T) {
 		{"parallel", func(c *Config) { c.Threads = 8 }, true},
 		{"explicit default kernel", func(c *Config) { c.Kernel = "go4x4" }, true},
 		{"avx2 kernel iff the host has it", func(c *Config) { c.Kernel = "avx2" }, hasAVX2},
+		{"avx512 kernel iff the host has it", func(c *Config) { c.Kernel = "avx512" }, HostCPU().AVX512},
 		{"serving knobs at defaults", func(c *Config) {
 			c.ShardThreshold, c.ShardMinTile, c.QueueDepth, c.PlanCacheCap = 0, 0, 0, 0
 		}, true},
@@ -36,7 +37,7 @@ func TestConfigValidate(t *testing.T) {
 
 		{"zero workers", func(c *Config) { c.Threads = 0 }, false},
 		{"negative workers", func(c *Config) { c.Threads = -4 }, false},
-		{"unknown kernel", func(c *Config) { c.Kernel = "avx512-not-yet" }, false},
+		{"unknown kernel", func(c *Config) { c.Kernel = "no-such-kernel" }, false},
 		{"zero blocking", func(c *Config) { c.MC, c.KC, c.NC = 0, 0, 0 }, false},
 		{"negative MC", func(c *Config) { c.MC = -96 }, false},
 		{"KC zero", func(c *Config) { c.KC = 0 }, false},
@@ -71,25 +72,26 @@ func TestConfigValidate(t *testing.T) {
 
 // TestValidateNamesTheResolvedKernel: when blocking that fits the reference
 // kernel's 4×4 tile fails against the backend an empty Config.Kernel
-// resolved to, the error says which backend that was and how to pin the
-// reference one — the caller never wrote "avx2" anywhere.
+// resolved to (avx512 or avx2, both six rows), the error says which backend
+// that was and how to pin the reference one — the caller never named it.
 func TestValidateNamesTheResolvedKernel(t *testing.T) {
-	if !HostCPU().AVX2 {
+	resolved := fastestHere()
+	if resolved == "go4x4" {
 		t.Skip("an empty kernel resolves to go4x4 here: MC=4 is valid")
 	}
 	err := Config{MC: 4, KC: 256, NC: 2048, Threads: 1}.Validate()
 	if err == nil {
-		t.Fatal("MC=4 accepted against avx2's 6-row tile")
+		t.Fatalf("MC=4 accepted against %s's 6-row tile", resolved)
 	}
-	for _, want := range []string{"too small for kernel avx2", `resolved to "avx2"`, `Kernel: "go4x4" pins the reference kernel`} {
+	for _, want := range []string{"too small for kernel " + resolved, `resolved to "` + resolved + `"`, `Kernel: "go4x4" pins the reference kernel`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q lacks %q", err, want)
 		}
 	}
 	// A named kernel gets the plain error: the caller knows what they chose.
-	err = Config{MC: 4, KC: 256, NC: 2048, Threads: 1, Kernel: "avx2"}.Validate()
+	err = Config{MC: 4, KC: 256, NC: 2048, Threads: 1, Kernel: resolved}.Validate()
 	if err == nil || strings.Contains(err.Error(), "resolved to") {
-		t.Errorf("named avx2 with MC=4: %v", err)
+		t.Errorf("named %s with MC=4: %v", resolved, err)
 	}
 }
 
@@ -206,14 +208,20 @@ func TestKernelBackendEndToEnd(t *testing.T) {
 }
 
 // TestBackendsClosedSet: the backend set is closed — Kernels() is exactly
-// go4x4, plus avx2 iff the host CPU and build carry it, each registered at
-// both dtypes — so the accepted Config.Kernel / FMMFAM_KERNEL values are
-// those two and nothing registers from outside internal/kernel.
+// go4x4, plus avx2 iff the CPU probe found AVX2+FMA and avx512 iff it found
+// AVX-512F (each in an assembly build), each registered at both dtypes — so
+// the accepted Config.Kernel / FMMFAM_KERNEL values are those and nothing
+// registers from outside internal/kernel.
 func TestBackendsClosedSet(t *testing.T) {
-	want := []string{"go4x4"}
-	if HostCPU().AVX2 {
-		want = []string{"avx2", "go4x4"}
+	cpu := HostCPU()
+	var want []string
+	if cpu.AVX2 {
+		want = append(want, "avx2")
 	}
+	if cpu.AVX512 {
+		want = append(want, "avx512")
+	}
+	want = append(want, "go4x4")
 	if got := Kernels(); !slices.Equal(got, want) {
 		t.Fatalf("Kernels() = %v, want exactly %v", got, want)
 	}

@@ -113,14 +113,15 @@ type Config struct {
 	// Kernel selects the micro-kernel backend by registry name (see
 	// Kernels). Empty selects the fastest backend this host registered, by a
 	// static order that depends on GOARCH, build tags and CPUID, never on
-	// timing: "avx2", the amd64 assembly backend, where the host CPU and
-	// build carry it, else "go4x4". Naming one pins it: "go4x4" is the
-	// portable reference kernel, present on every build and the one the
-	// float64 golden fingerprints are recorded on; a name that is unknown or
-	// unavailable here fails Validate with the reason and never falls back.
-	// Results are run-to-run deterministic per backend but differ in bits
-	// between backends (avx2 uses FMA on a 6×8 tile), so code that needs the
-	// same bits on every host names its kernel. The package-level Multiply
+	// timing: "avx512", the amd64 AVX-512 backend, where the host CPU and
+	// build carry it, else "avx2", the amd64 AVX2 backend, else "go4x4".
+	// Naming one pins it: "go4x4" is the portable reference kernel, present
+	// on every build and the one the float64 golden fingerprints are recorded
+	// on; a name that is unknown or unavailable here fails Validate with the
+	// reason and never falls back. Results are run-to-run deterministic per
+	// backend but differ in bits between backends (avx2 and avx512 use FMA, on
+	// 6×8 and 6×16 tiles), so code that needs the same bits on every host
+	// names its kernel. The package-level Multiply
 	// family takes the name from the FMMFAM_KERNEL environment variable
 	// (EnvKernel), empty meaning the same. The blocking must satisfy the
 	// backend's tile shape (MC ≥ MR, NC ≥ NR); Validate checks this against
@@ -415,7 +416,8 @@ func EnvKernel() string { return os.Getenv("FMMFAM_KERNEL") }
 // them is a valid Config.Kernel / FMMFAM_KERNEL value. See
 // internal/kernel/conformance for what a new backend must pass to join, and
 // KernelStatuses for per-backend availability detail (the avx2 assembly
-// backend only registers on amd64 hosts with AVX2+FMA).
+// backend only registers on amd64 hosts with AVX2+FMA, avx512 only where
+// AVX-512F is there too).
 func Kernels() []string { return kernel.Backends() }
 
 // KernelStatus is one backend's availability on this host and build.
@@ -434,11 +436,13 @@ type KernelStatus struct {
 }
 
 // CPUInfo reports the host properties kernel dispatch consulted: the
-// architecture, whether the AVX2+FMA probe passed, and whether this build
-// carries assembly backends at all.
+// architecture, whether the AVX2+FMA probe passed, whether the AVX-512 probe
+// (AVX-512F with OS-enabled ZMM state) passed, and whether this build carries
+// assembly backends at all.
 type CPUInfo struct {
 	Arch   string
 	AVX2   bool
+	AVX512 bool
 	PureGo bool
 }
 
@@ -458,7 +462,7 @@ func KernelStatuses() []KernelStatus {
 // HostCPU reports the dispatch-relevant CPU features of this host and build.
 func HostCPU() CPUInfo {
 	f := kernel.HostCPU()
-	return CPUInfo{Arch: f.Arch, AVX2: f.AVX2, PureGo: f.PureGo}
+	return CPUInfo{Arch: f.Arch, AVX2: f.AVX2, AVX512: f.AVX512, PureGo: f.PureGo}
 }
 
 func (c Config) shardThreshold() int {

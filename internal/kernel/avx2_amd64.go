@@ -174,6 +174,21 @@ func fusedSegTrips(kc, n int) int {
 	return min(fusedSegCap, trips/n)
 }
 
+// fusedTiles describes each C term's mr×nr tile at (r0, c0) to a fused
+// assembly kernel, in refs (the caller's stack array; len(cTerms) ≤
+// MaxFusedTerms). Indexing a tile's first and last element is the bounds proof
+// for the assembly's strided loads and stores.
+//
+//fmm:hotpath
+func fusedTiles[E matrix.Element](refs *[MaxFusedTerms]tileRef[E], cTerms []Term[E], r0, c0, mr, nr int) {
+	for t := range cTerms {
+		m, coef := &cTerms[t].M, cTerms[t].Coef
+		base := r0*m.Stride + c0
+		_ = m.Data[base+(mr-1)*m.Stride+nr-1]
+		refs[t] = tileRef[E]{p: &m.Data[base], stride: uintptr(m.Stride) * unsafe.Sizeof(coef), coef: coef}
+	}
+}
+
 // Assembly entry points (avx2_amd64.s). The wrappers below establish every
 // bounds invariant before the call: the assembly trusts its pointers. All are
 // //go:noescape — they keep no pointer past the call, and without the
@@ -270,11 +285,10 @@ func (avx2F64) Scatter(m matrix.Mat[float64], r0, c0 int, coef float64, acc []fl
 
 // MicroScatter is the fused micro-kernel: for a full tile and a C-term list
 // within MaxFusedTerms it describes each term's tile to the assembly
-// (indexing a tile's first and last element is the bounds proof), which
-// runs the rank-kc loop, prefetching one term's tile per segment of it
-// (fusedSegTrips), and updates every term from the accumulator registers;
-// acc is not touched. refs lives on this frame — the stub is //go:noescape.
-// Anything else is Micro + the generic scatter.
+// (fusedTiles), which runs the rank-kc loop, prefetching one term's tile per
+// segment of it (fusedSegTrips), and updates every term from the accumulator
+// registers; acc is not touched. refs lives on this frame — the stub is
+// //go:noescape. Anything else is Micro + the generic scatter.
 //
 //fmm:hotpath
 func (b avx2F64) MicroScatter(kc int, ap, bp, acc []float64, cTerms []Term[float64], r0, c0, mr, nr int) {
@@ -287,12 +301,7 @@ func (b avx2F64) MicroScatter(kc int, ap, bp, acc []float64, cTerms []Term[float
 	ap = ap[: kc*mrAVX2 : kc*mrAVX2]
 	bp = bp[: kc*nrAVX2F64 : kc*nrAVX2F64]
 	var refs [MaxFusedTerms]tileRef[float64]
-	for t := range cTerms {
-		m := &cTerms[t].M
-		base := r0*m.Stride + c0
-		_ = m.Data[base+(mrAVX2-1)*m.Stride+nrAVX2F64-1]
-		refs[t] = tileRef[float64]{p: &m.Data[base], stride: uintptr(m.Stride) * 8, coef: cTerms[t].Coef}
-	}
+	fusedTiles(&refs, cTerms, r0, c0, mrAVX2, nrAVX2F64)
 	microScatterF64AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
 }
 
@@ -365,12 +374,7 @@ func (b avx2F32) MicroScatter(kc int, ap, bp, acc []float32, cTerms []Term[float
 	ap = ap[: kc*mrAVX2 : kc*mrAVX2]
 	bp = bp[: kc*nrAVX2F32 : kc*nrAVX2F32]
 	var refs [MaxFusedTerms]tileRef[float32]
-	for t := range cTerms {
-		m := &cTerms[t].M
-		base := r0*m.Stride + c0
-		_ = m.Data[base+(mrAVX2-1)*m.Stride+nrAVX2F32-1]
-		refs[t] = tileRef[float32]{p: &m.Data[base], stride: uintptr(m.Stride) * 4, coef: cTerms[t].Coef}
-	}
+	fusedTiles(&refs, cTerms, r0, c0, mrAVX2, nrAVX2F32)
 	microScatterF32AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
 }
 

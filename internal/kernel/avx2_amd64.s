@@ -38,7 +38,7 @@
 // tile is in the same half) against +6 % where it is an odd multiple of 64
 // (2056), and prefetching alone, with the update's loads and stores removed,
 // paid all of it. Six lines at a time, a memory latency apart, do not. See
-// RANK_KC_PREFETCH_C for the schedule.
+// RANK_KC_PREFETCH_C (rankkc_amd64.h) for the schedule.
 //
 // Loads and stores use the unaligned forms throughout: C tiles and packing
 // sources are views at arbitrary offsets, and on AVX2 hardware an unaligned
@@ -134,32 +134,6 @@
 	ADDQ $24, SI;    \
 	ADDQ $64, BX
 
-// The kc%4 tail of a rank-kc loop: k-steps left in AX.
-#define RANK_KC_TAIL(trip1, loop1, done) \
-	TESTQ AX, AX; \
-	JZ   done;    \
-loop1:            \
-	trip1;        \
-	DECQ AX;      \
-	JNZ  loop1;   \
-done:
-
-// The rank-kc loop: kc in CX (≥ 1), Ã panel in SI, B̃ panel in BX; four
-// k-steps per trip, then the kc%4 tail. Clobbers AX. The order of the FMAs
-// into any one accumulator is p ascending whatever the unrolling.
-#define RANK_KC(trip4, trip1, loop4, tail, loop1, done) \
-	MOVQ CX, AX;  \
-	SHRQ $2, CX;  \
-	ANDQ $3, AX;  \
-	TESTQ CX, CX; \
-	JZ   tail;    \
-loop4:            \
-	trip4;        \
-	DECQ CX;      \
-	JNZ  loop4;   \
-tail:             \
-	RANK_KC_TAIL(trip1, loop1, done)
-
 // Store the accumulator grid to acc (DI), row-major MR×NR: 64 bytes a row in
 // either dtype.
 #define STORE_ACC \
@@ -202,45 +176,9 @@ tail:             \
 	PREFETCHT0 63(DI); \
 	ADDQ $24, R10
 
-// The fused kernels' rank-kc loop, with the C-term tiles prefetched under it:
-// kc in CX (≥ 1), Ã panel in SI, B̃ panel in BX, tileRef list in R8, its
-// length n in R9 (≥ 1), the segment length in R12 (fusedSegTrips in
-// avx2_amd64.go: ⌊(kc/4)/n⌋ four-step trips, at most 24). The kc/4 trips run
-// as n segments — n−1 of R12 trips, then one of whatever is left, then the
-// kc%4 tail — and segment t is preceded by the prefetch of term t's tile and
-// nothing else: at most six C lines are requested at once, and the last term
-// still has at least 1/n of the loop to arrive before the update reads it.
-// The cap of 24 trips (96 k-steps, about a memory latency) is there for that
-// last term: where bursts do not stall, a second term requested at the
-// midpoint of a 256-step loop arrived late and cost 3–6 % of the call over
-// the burst, while 96 steps in costs what the burst did; where bursts do
-// stall, terms 64 steps apart or more measured alike and closer was worse.
-// n = 1 is one prefetch and one segment: six rows, then the whole loop, no
-// branch added to a trip. Segments are cut between trips, so the FMA order
-// into every accumulator is p ascending as in RANK_KC. Clobbers AX, DX, DI,
-// R10, R11, R13.
-#define RANK_KC_PREFETCH_C(trip4, trip1, seg, loop4, next, loop1, done) \
-	MOVQ CX, AX;     \
-	SHRQ $2, CX;     \
-	ANDQ $3, AX;     \
-	MOVQ R8, R10;    \
-	MOVQ R9, R11;    \
-seg:                 \
-	PREFETCH_C_TERM; \
-	MOVQ R12, R13;   \
-	DECQ R11;        \
-	CMOVQEQ CX, R13; \
-	SUBQ R13, CX;    \
-	TESTQ R13, R13;  \
-	JZ   next;       \
-loop4:               \
-	trip4;           \
-	DECQ R13;        \
-	JNZ  loop4;      \
-next:                \
-	TESTQ R11, R11;  \
-	JNZ  seg;        \
-	RANK_KC_TAIL(trip1, loop1, done)
+// RANK_KC and RANK_KC_PREFETCH_C, the plain and the fused kernels' rank-kc
+// loops, with the segment schedule the C-prefetch note above describes.
+#include "rankkc_amd64.h"
 
 // One row of one C term from registers: C[i][:] += w·acc[i][:] with w
 // broadcast in Y12, the row at DI, the row stride in DX.

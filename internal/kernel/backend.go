@@ -14,8 +14,8 @@ import (
 // interface only — swapping the backend swaps the innermost loops while the
 // five-loop structure, workspace pooling, and FMM fusion stay fixed, which
 // is exactly how the paper ports across architectures. A backend is
-// registered under its (Name, dtype) pair; go4x4 and avx2 both register for
-// float64 and float32.
+// registered under its (Name, dtype) pair; go4x4, avx2 and avx512 each
+// register for float64 and float32.
 //
 // Contract (enforced by internal/kernel/conformance — every registered
 // backend must pass that suite for each dtype it registers):
@@ -42,7 +42,8 @@ import (
 //   - PackABufLen/PackBBufLen size packing buffers, including zero padding,
 //     in elements.
 //   - Align is the required alignment of packed-buffer starts, in elements
-//     (1 = any; the avx2 float32 backend returns 8 for 32-byte loads).
+//     (1 = any; the avx2 float32 backend returns 8 for 32-byte loads, avx512
+//     16 for 64-byte ones).
 //     Workspace allocation (internal/gemm) honors it.
 type Backend[E matrix.Element] interface {
 	// Name is the registry key, e.g. "go4x4". Stable across releases: users
@@ -68,15 +69,22 @@ type Backend[E matrix.Element] interface {
 // float64 and registered on every build.
 const DefaultBackend = "go4x4"
 
-// Fastest names the fastest backend registered for element type d: the
-// assembly kernel where it registered, else the portable one. The choice is
-// static — whether AVX2Backend registers is decided by GOARCH, build tags and
+// fastestOrder ranks the closed backend set fastest first; Fastest returns the
+// first entry registered for a dtype. DefaultBackend is last and registers on
+// every build.
+var fastestOrder = [...]string{AVX512Backend, AVX2Backend, DefaultBackend}
+
+// Fastest names the fastest backend registered for element type d: avx512
+// where it registered, else avx2, else the portable go4x4. The order is a
+// static list — which backends register is decided by GOARCH, build tags and
 // the CPUID probe, never by timing — so one binary on one host always gets the
 // same answer. It is what an empty fmmfam.Config.Kernel resolves to; below
 // the public package the empty name keeps meaning DefaultBackend (Resolve).
 func Fastest(d matrix.Dtype) string {
-	if _, ok := registry[regKey{name: AVX2Backend, dtype: d}]; ok {
-		return AVX2Backend
+	for _, name := range fastestOrder {
+		if _, ok := registry[regKey{name: name, dtype: d}]; ok {
+			return name
+		}
 	}
 	return DefaultBackend
 }

@@ -34,9 +34,9 @@ func TestRegisteredBackendsConform(t *testing.T) {
 }
 
 // Differential fuzz targets, one per (backend, dtype) pair (go test -fuzz
-// runs a single target at a time, so each pair gets its own). The avx2
-// targets skip themselves where the backend could not register (purego,
-// non-amd64, no AVX2+FMA) — see FuzzDifferential.
+// runs a single target at a time, so each pair gets its own). The avx2 and
+// avx512 targets skip themselves where the backend could not register
+// (purego, non-amd64, no AVX2+FMA or no AVX-512F) — see FuzzDifferential.
 
 func FuzzConformGo4x4(f *testing.F) { conformance.FuzzDifferential[float64](f, "go4x4") }
 
@@ -45,3 +45,9 @@ func FuzzConformGo4x4F32(f *testing.F) { conformance.FuzzDifferential[float32](f
 func FuzzConformAVX2(f *testing.F) { conformance.FuzzDifferential[float64](f, kernel.AVX2Backend) }
 
 func FuzzConformAVX2F32(f *testing.F) { conformance.FuzzDifferential[float32](f, kernel.AVX2Backend) }
+
+func FuzzConformAVX512(f *testing.F) { conformance.FuzzDifferential[float64](f, kernel.AVX512Backend) }
+
+func FuzzConformAVX512F32(f *testing.F) {
+	conformance.FuzzDifferential[float32](f, kernel.AVX512Backend)
+}

@@ -12,6 +12,13 @@ import (
 // amd64 assembly.
 const AVX2Backend = "avx2"
 
+// AVX512Backend is the registry name of the amd64 AVX-512 backend
+// (avx512_amd64.s): 512-bit FMA micro-kernels on a row-major tile — 6×16 for
+// float64, 6×32 for float32 — with the fused C update, registered only when
+// the host CPU supports AVX-512F beside AVX2+FMA, the OS enables ZMM state
+// and the build includes amd64 assembly.
+const AVX512Backend = "avx512"
+
 // CPUFeatures describes the host properties backend dispatch consults. It is
 // a build- and boot-time constant: detection runs once at init.
 type CPUFeatures struct {
@@ -21,6 +28,10 @@ type CPUFeatures struct {
 	// XGETBV probe the avx2 backend's registration is gated on). Always false
 	// on non-amd64 architectures and in purego builds.
 	AVX2 bool
+	// AVX512 reports AVX-512F on top of AVX2, with OS-enabled opmask and ZMM
+	// state (the probe the avx512 backend's registration is gated on). Implies
+	// AVX2; always false on non-amd64 architectures and in purego builds.
+	AVX512 bool
 	// PureGo reports a build without assembly backends — the purego build
 	// tag, or a GOARCH with no assembly kernels.
 	PureGo bool
@@ -28,7 +39,7 @@ type CPUFeatures struct {
 
 // HostCPU reports the dispatch-relevant features of this host and build.
 func HostCPU() CPUFeatures {
-	return CPUFeatures{Arch: runtime.GOARCH, AVX2: hostAVX2, PureGo: pureGoBuild}
+	return CPUFeatures{Arch: runtime.GOARCH, AVX2: hostAVX2, AVX512: hostAVX512, PureGo: pureGoBuild}
 }
 
 // unavailable records backend names that are known to this build but could

@@ -46,3 +46,30 @@ func detectAVX2FMA() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&cpuidAVX2 != 0
 }
+
+// hostAVX512 is the boot-time result of the AVX-512 probe; avx512Missing says
+// what the host lacked when it failed ("" when it passed).
+var hostAVX512, avx512Missing = detectAVX512()
+
+// detectAVX512 reports whether this CPU can run the avx512 backend: the avx2
+// probe's AVX2+FMA with YMM state (the backend reuses avx2's Ã packers),
+// AVX-512F, and OS-managed opmask and ZMM state — XCR0 bits 5 (k0–k7), 6
+// (the upper halves of Z0–Z15) and 7 (Z16–Z31), without which the OS would not
+// preserve zmm registers across a context switch. A failed probe says which
+// requirement was missing, for the unavailable reason.
+func detectAVX512() (bool, string) {
+	if !hostAVX2 {
+		return false, "host CPU lacks AVX2+FMA (or the OS does not enable YMM state)"
+	}
+	const (
+		cpuidAVX512F = 1 << 16 // leaf 7 EBX: AVX-512 Foundation
+		xcr0ZMM      = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	)
+	if _, ebx7, _, _ := cpuid(7, 0); ebx7&cpuidAVX512F == 0 {
+		return false, "host CPU lacks AVX-512F"
+	}
+	if xlo, _ := xgetbv0(); xlo&xcr0ZMM != xcr0ZMM {
+		return false, "the OS does not enable opmask and ZMM register state (XCR0 bits 5–7)"
+	}
+	return true, ""
+}

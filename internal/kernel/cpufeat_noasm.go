@@ -7,5 +7,6 @@ package kernel
 // pure-Go backend.
 const (
 	hostAVX2    = false
+	hostAVX512  = false
 	pureGoBuild = true
 )

@@ -14,23 +14,27 @@ import (
 // registered for both dtypes exactly when the CPUID probe reports AVX2+FMA
 // with OS-enabled YMM state, and carries an explanatory reason otherwise.
 func TestAVX2RegistrationMatchesProbe(t *testing.T) {
-	cpu := HostCPU()
-	if cpu.PureGo {
+	checkRegistrationMatchesProbe(t, AVX2Backend, HostCPU().AVX2)
+}
+
+// TestAVX512RegistrationMatchesProbe: likewise avx512, against the AVX-512F
+// + ZMM-state probe.
+func TestAVX512RegistrationMatchesProbe(t *testing.T) {
+	checkRegistrationMatchesProbe(t, AVX512Backend, HostCPU().AVX512)
+}
+
+func checkRegistrationMatchesProbe(t *testing.T, name string, probed bool) {
+	if HostCPU().PureGo {
 		t.Fatal("PureGo reported on an amd64 assembly build")
 	}
 	for _, d := range []matrix.Dtype{matrix.Float64, matrix.Float32} {
-		registered := false
-		for _, name := range BackendsFor(d) {
-			if name == AVX2Backend {
-				registered = true
-			}
-		}
-		if registered != cpu.AVX2 {
-			t.Fatalf("avx2 registered=%v for %s but HostCPU().AVX2=%v", registered, d, cpu.AVX2)
+		_, registered := ResolveNameFor(name, d)
+		if registered != probed {
+			t.Fatalf("%s registered=%v for %s but the probe says %v (%+v)", name, registered, d, probed, HostCPU())
 		}
 	}
-	if !cpu.AVX2 && UnavailableReason(AVX2Backend) == "" {
-		t.Fatal("avx2 unregistered on amd64 without a recorded reason")
+	if !probed && UnavailableReason(name) == "" {
+		t.Fatalf("%s unregistered on amd64 without a recorded reason", name)
 	}
 }
 
@@ -41,30 +45,52 @@ func TestAVX2TileShape(t *testing.T) {
 	if !HostCPU().AVX2 {
 		t.Skip("host lacks AVX2+FMA")
 	}
-	b64 := MustResolve[float64](AVX2Backend)
-	if b64.MR() != 6 || b64.NR() != 8 || b64.Align() != 4 {
-		t.Fatalf("float64 tile = %d×%d align %d, want 6×8 align 4", b64.MR(), b64.NR(), b64.Align())
+	checkTileShape(t, AVX2Backend, 8, 4, 16, 8)
+}
+
+// TestAVX512TileShape: 6×16 float64 and 6×32 float32 tiles — one 128-byte row
+// of C — and 64-byte alignment.
+func TestAVX512TileShape(t *testing.T) {
+	if !HostCPU().AVX512 {
+		t.Skip("host lacks AVX-512F")
 	}
-	b32 := MustResolve[float32](AVX2Backend)
-	if b32.MR() != 6 || b32.NR() != 16 || b32.Align() != 8 {
-		t.Fatalf("float32 tile = %d×%d align %d, want 6×16 align 8", b32.MR(), b32.NR(), b32.Align())
+	checkTileShape(t, AVX512Backend, 16, 8, 32, 16)
+}
+
+func checkTileShape(t *testing.T, name string, nr64, align64, nr32, align32 int) {
+	b64 := MustResolve[float64](name)
+	if b64.MR() != 6 || b64.NR() != nr64 || b64.Align() != align64 {
+		t.Fatalf("%s float64 tile = %d×%d align %d, want 6×%d align %d", name, b64.MR(), b64.NR(), b64.Align(), nr64, align64)
+	}
+	b32 := MustResolve[float32](name)
+	if b32.MR() != 6 || b32.NR() != nr32 || b32.Align() != align32 {
+		t.Fatalf("%s float32 tile = %d×%d align %d, want 6×%d align %d", name, b32.MR(), b32.NR(), b32.Align(), nr32, align32)
 	}
 }
 
-// TestAVX2PackersMatchGeneric holds the assembly packers to their oracle:
-// whatever mix of assembly (full panels, whole transpose steps) and generic
-// code (fringe panel, k-tail) writes a packed buffer, every element carries
-// exactly the bits packAGeneric/packBGeneric produce — including the signs of
-// zeros, which is where "copy the first term" and "accumulate from +0" differ.
+// TestAVX2PackersMatchGeneric and TestAVX512PackersMatchGeneric hold the
+// assembly packers to their oracle: whatever mix of assembly (full panels,
+// whole transpose steps) and generic code (fringe panel, k-tail) writes a
+// packed buffer, every element carries exactly the bits
+// packAGeneric/packBGeneric produce — including the signs of zeros, which is
+// where "copy the first term" and "accumulate from +0" differ.
 func TestAVX2PackersMatchGeneric(t *testing.T) {
 	if !HostCPU().AVX2 {
 		t.Skip("host lacks AVX2+FMA")
 	}
-	t.Run("float64", func(t *testing.T) { checkAVX2Packers[float64](t, avx2F64{}) })
-	t.Run("float32", func(t *testing.T) { checkAVX2Packers[float32](t, avx2F32{}) })
+	t.Run("float64", func(t *testing.T) { checkPackersMatchGeneric[float64](t, avx2F64{}) })
+	t.Run("float32", func(t *testing.T) { checkPackersMatchGeneric[float32](t, avx2F32{}) })
 }
 
-func checkAVX2Packers[E matrix.Element](t *testing.T, bk Backend[E]) {
+func TestAVX512PackersMatchGeneric(t *testing.T) {
+	if !HostCPU().AVX512 {
+		t.Skip("host lacks AVX-512F")
+	}
+	t.Run("float64", func(t *testing.T) { checkPackersMatchGeneric[float64](t, avx512F64{}) })
+	t.Run("float32", func(t *testing.T) { checkPackersMatchGeneric[float32](t, avx512F32{}) })
+}
+
+func checkPackersMatchGeneric[E matrix.Element](t *testing.T, bk Backend[E]) {
 	mr, nr := bk.MR(), bk.NR()
 	rng := rand.New(rand.NewSource(17))
 	// Coefficient lists, 1…4 terms: a leading 1 (the copied term), a leading

@@ -9,53 +9,61 @@ import (
 )
 
 // TestHostCPUCoherent pins the invariants the dispatch gate relies on,
-// whatever host the test runs on: AVX2 can only be reported on amd64
-// assembly builds, and a pure-Go build never reports it.
+// whatever host the test runs on: AVX2 and AVX-512 can only be reported on
+// amd64 assembly builds, a pure-Go build never reports them, and AVX-512
+// implies AVX2 (the avx512 backend reuses avx2's Ã packers).
 func TestHostCPUCoherent(t *testing.T) {
 	cpu := HostCPU()
 	if cpu.Arch != runtime.GOARCH {
 		t.Fatalf("HostCPU().Arch = %q, want %q", cpu.Arch, runtime.GOARCH)
 	}
-	if cpu.AVX2 && cpu.PureGo {
-		t.Fatal("HostCPU reports AVX2 on a pure-Go build")
+	if (cpu.AVX2 || cpu.AVX512) && cpu.PureGo {
+		t.Fatalf("HostCPU reports SIMD features on a pure-Go build: %+v", cpu)
 	}
-	if cpu.AVX2 && cpu.Arch != "amd64" {
-		t.Fatalf("HostCPU reports AVX2 on %s", cpu.Arch)
+	if (cpu.AVX2 || cpu.AVX512) && cpu.Arch != "amd64" {
+		t.Fatalf("HostCPU reports SIMD features on %s: %+v", cpu.Arch, cpu)
+	}
+	if cpu.AVX512 && !cpu.AVX2 {
+		t.Fatalf("HostCPU reports AVX-512 without AVX2: %+v", cpu)
 	}
 }
 
-// TestAVX2AlwaysKnown: on every build and host, "avx2" is either registered
-// or explains its absence via Statuses — it never silently disappears into
-// a bare "unknown backend".
-func TestAVX2AlwaysKnown(t *testing.T) {
+// TestAVX2AlwaysKnown and TestAVX512AlwaysKnown: on every build and host,
+// each assembly backend is either registered — for both dtypes, exactly when
+// the probe behind it passed — or explains its absence via Statuses (no
+// AVX2+FMA or no AVX-512F, OS-disabled vector state, purego, a foreign
+// GOARCH); it never silently disappears into a bare "unknown backend".
+func TestAVX2AlwaysKnown(t *testing.T)   { checkAlwaysKnown(t, AVX2Backend, HostCPU().AVX2) }
+func TestAVX512AlwaysKnown(t *testing.T) { checkAlwaysKnown(t, AVX512Backend, HostCPU().AVX512) }
+
+func checkAlwaysKnown(t *testing.T, name string, probed bool) {
 	var st *BackendStatus
 	for _, s := range Statuses() {
-		if s.Name == AVX2Backend {
+		if s.Name == name {
 			st = &s
 			break
 		}
 	}
 	if st == nil {
-		t.Fatalf("Statuses() omits %q entirely: %+v", AVX2Backend, Statuses())
+		t.Fatalf("Statuses() omits %q entirely: %+v", name, Statuses())
+	}
+	if st.Available != probed {
+		t.Fatalf("%s available=%v but the probe says %v (%+v)", name, st.Available, probed, HostCPU())
 	}
 	if st.Available {
 		if len(st.Dtypes) != 2 {
-			t.Fatalf("available avx2 registered for %v, want both dtypes", st.Dtypes)
+			t.Fatalf("available %s registered for %v, want both dtypes", name, st.Dtypes)
 		}
 		if st.Reason != "" {
-			t.Fatalf("available avx2 carries reason %q", st.Reason)
+			t.Fatalf("available %s carries reason %q", name, st.Reason)
 		}
-		if !HostCPU().AVX2 {
-			t.Fatal("avx2 registered but HostCPU().AVX2 is false")
-		}
-	} else {
-		if st.Reason == "" {
-			t.Fatal("unavailable avx2 carries no reason")
-		}
-		if UnavailableReason(AVX2Backend) != st.Reason {
-			t.Fatalf("UnavailableReason %q != status reason %q",
-				UnavailableReason(AVX2Backend), st.Reason)
-		}
+		return
+	}
+	if st.Reason == "" {
+		t.Fatalf("unavailable %s carries no reason", name)
+	}
+	if UnavailableReason(name) != st.Reason {
+		t.Fatalf("UnavailableReason(%s) %q != status reason %q", name, UnavailableReason(name), st.Reason)
 	}
 }
 
@@ -103,11 +111,16 @@ func TestResolveUnknownVsUnavailable(t *testing.T) {
 }
 
 // TestFastestIsRegistered: Fastest names a backend registered for the dtype —
-// the assembly kernel wherever the host carries it, else the reference one.
+// avx512 where the probe found AVX-512, else avx2 where it found AVX2+FMA,
+// else the reference one. The expectation comes from the probe, not from the
+// registry Fastest reads.
 func TestFastestIsRegistered(t *testing.T) {
 	for _, d := range []matrix.Dtype{matrix.Float64, matrix.Float32} {
 		want := DefaultBackend
-		if HostCPU().AVX2 {
+		switch cpu := HostCPU(); {
+		case cpu.AVX512:
+			want = AVX512Backend
+		case cpu.AVX2:
 			want = AVX2Backend
 		}
 		got := Fastest(d)

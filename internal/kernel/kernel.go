@@ -14,12 +14,15 @@
 // Backend interface (backend.go) abstracts micro-tile shape, packing, and the
 // micro-kernel, and the GEMM driver reaches every backend through it. The
 // set of backends is closed — go4x4 (go4x4.go), the pure-Go 4×4 kernel that
-// runs on every build, and avx2 (avx2_amd64.go), the assembly counterpart of
-// the paper's kernels, present when the build and host CPU allow it: a 6×8
+// runs on every build; avx2 (avx2_amd64.go), the assembly counterpart of the
+// paper's kernels, present when the build and host CPU allow it: a 6×8
 // (float64) / 6×16 (float32) tile whose accumulator registers are rows of
 // the row-major C tile, so C is updated from the registers, with assembly
-// packers for full panels. The routines in this file are the definition the
-// assembly is held to, bit for bit — a packed element is built from +0 in
+// packers for full panels; and avx512 (avx512_amd64.go), the same design on
+// zmm registers — a 6×16 / 6×32 tile — where the host has AVX-512F. Fastest
+// picks the widest registered, by the static order avx512, avx2, go4x4. The
+// routines in this file are the definition the assembly is held to, bit for
+// bit — a packed element is built from +0 in
 // term order by a separately rounded multiply and add (a leading
 // coefficient-1 term is copied), a C element receives round(w·acc) — and
 // they remain every backend's fringe path, the purego build and the test

@@ -79,14 +79,16 @@ type effKey struct {
 // versus the default backend at float64 (= 1.0): eff > 1 means the pair
 // retires flops faster, so its τa is smaller. One entry per registered pair —
 // a new backend adds its lines here. go4x4 is a scalar kernel, so its float32
-// rate matches float64. The avx2 entries only take effect on hosts where the
-// backend registered (ArchForKernel checks the registry before pricing); the
-// ratios are measured micro-kernel rates from BenchmarkAblationKernel (kc=256,
-// best of repeated runs on the AVX2 dev container): the twelve-accumulator
-// float64 FMA kernel retires ~12× the default backend's scalar rate, and the
-// float32 kernel doubles that again — twice the lanes per 256-bit register.
+// rate matches float64. The avx2 and avx512 entries only take effect on hosts
+// where the backend registered (ArchForKernel checks the registry before
+// pricing); the ratios are measured micro-kernel rates from
+// BenchmarkAblationKernel (kc=256, best of repeated runs on a 2-vCPU Xeon VM
+// with AVX-512): the twelve-accumulator float64 avx2 kernel retires ~12× the
+// default backend's scalar rate and the avx512 one, with the same twelve
+// accumulators on zmm, twice that again (24×, measured 1.8–2.1× avx2); each
+// float32 kernel doubles its float64 rate — twice the lanes per register.
 // The ratios describe the rank-kc loop alone (12 FMAs per k-step on the
-// 6×8 / 6×16 tile), not packing or the C update. Calibrate
+// 6×8 / 6×16 / 6×32 tile), not packing or the C update. Calibrate
 // supersedes the table with a live measurement whenever it runs, so the
 // constants only steer selection until calibration happens.
 var kernelEff = map[effKey]float64{
@@ -94,6 +96,8 @@ var kernelEff = map[effKey]float64{
 	{kernel.DefaultBackend, matrix.Float32}: 1.0,
 	{kernel.AVX2Backend, matrix.Float64}:    12.0,
 	{kernel.AVX2Backend, matrix.Float32}:    24.0,
+	{kernel.AVX512Backend, matrix.Float64}:  24.0,
+	{kernel.AVX512Backend, matrix.Float32}:  48.0,
 }
 
 // kernelEfficiency returns the relative flop rate of a (backend, dtype) pair;

@@ -411,9 +411,9 @@ func TestBreakEvenSquare(t *testing.T) {
 	// and fmmbench's sharder mirror both pass DefaultCandidates()), and the
 	// per-kernel values at the paper's constants are pinned: they are where
 	// selection switches from gemm to a fast plan.
-	for kern, want := range map[string]int{kernel.DefaultBackend: 148, kernel.AVX2Backend: 1793} {
+	for kern, want := range map[string]int{kernel.DefaultBackend: 148, kernel.AVX2Backend: 1793, kernel.AVX512Backend: 3841} {
 		if _, ok := kernel.ResolveNameFor(kern, matrix.Float64); !ok {
-			continue // avx2 is not registered on this host/build
+			continue // an assembly backend not registered on this host/build
 		}
 		ka := ArchForKernel(arch, kern)
 		with, without := BreakEvenSquare(ka, cands), BreakEvenSquare(ka, cands[1:])

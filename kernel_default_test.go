@@ -11,10 +11,14 @@ import (
 
 // fastestHere is what an empty kernel name must resolve to on this host and
 // build, derived from the CPU probe rather than from the code under test:
-// avx2 where it registered (amd64 assembly build, AVX2+FMA), go4x4 under
-// -tags purego, off amd64 and on older CPUs.
+// avx512 where it registered (amd64 assembly build, AVX-512F with ZMM state),
+// else avx2 (AVX2+FMA), else go4x4 — under -tags purego, off amd64 and on
+// older CPUs.
 func fastestHere() string {
-	if HostCPU().AVX2 {
+	switch cpu := HostCPU(); {
+	case cpu.AVX512:
+		return kernel.AVX512Backend
+	case cpu.AVX2:
 		return kernel.AVX2Backend
 	}
 	return kernel.DefaultBackend
@@ -69,14 +73,17 @@ func TestEmptyKernelResolvesToFastest(t *testing.T) {
 	if got := mu.Stats().Kernel; got != "no-such-kernel (unavailable)" {
 		t.Errorf("unknown kernel reported as %q", got)
 	}
-	if !HostCPU().AVX2 {
-		reason := kernel.UnavailableReason(kernel.AVX2Backend)
-		cfg.Kernel = kernel.AVX2Backend
+	for name, probed := range map[string]bool{kernel.AVX2Backend: HostCPU().AVX2, kernel.AVX512Backend: HostCPU().AVX512} {
+		if probed {
+			continue
+		}
+		reason := kernel.UnavailableReason(name)
+		cfg.Kernel = name
 		if err := NewMultiplier(cfg, PaperArch()).MulAdd(c, a, b); err == nil || reason == "" || !strings.Contains(err.Error(), reason) {
-			t.Errorf("avx2 where it did not register: MulAdd error %v, want the recorded reason %q", err, reason)
+			t.Errorf("%s where it did not register: MulAdd error %v, want the recorded reason %q", name, err, reason)
 		}
 		if _, err := NewPlan(cfg, ABC, Strassen()); err == nil || !strings.Contains(err.Error(), reason) {
-			t.Errorf("avx2 where it did not register: NewPlan error %v", err)
+			t.Errorf("%s where it did not register: NewPlan error %v", name, err)
 		}
 	}
 }

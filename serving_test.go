@@ -237,18 +237,21 @@ func TestShardGating(t *testing.T) {
 	if _, ok := NewMultiplier(off, PaperArch()).shardSpec(4096, 4096, 4096); ok {
 		t.Fatal("ShardThreshold<0 must disable sharding")
 	}
-	// Default knobs derive the tile floor from the model: a large problem on
-	// a parallel config shards out of the box.
+	// Default knobs derive the tile floor from the model: a problem with room
+	// for two tiles above it, on a parallel config, shards out of the box. The
+	// floor is the break-even of whichever kernel an empty Config.Kernel
+	// resolved to here, so the problem is sized from it.
 	def := DefaultConfig()
 	def.Threads = 8
 	mu := NewMultiplier(def, PaperArch())
-	spec, ok := mu.shardSpec(4096, 4096, 4096)
-	if !ok {
-		t.Fatal("default parallel config must shard a 4096³ problem")
-	}
 	floor := mu.shardMinTile()
 	if floor < 64 || floor > 1<<15 {
 		t.Fatalf("model-derived tile floor %d out of range", floor)
+	}
+	side := max(2*floor, DefaultShardThreshold)
+	spec, ok := mu.shardSpec(side, side, side)
+	if !ok {
+		t.Fatalf("default parallel config must shard a %d³ problem (tile floor %d)", side, floor)
 	}
 	for _, tl := range spec.Tiles() {
 		if tl.Rows < floor || tl.Cols < floor {
