@@ -1,6 +1,7 @@
 package fmmfam
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -101,54 +102,79 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 	}
 }
 
-// TestDefaultSquareRoute: the route the benchmark's default_square (1024³,
-// T = 2) takes on each kernel an empty Config.Kernel can resolve to. On go4x4
-// the product shards into two 1024×1024×512 tiles, each an FMM plan; on avx2
-// and avx512 1024 is below the modelled break-even (~1793, ~3841), so there
-// is no tile floor two tiles could clear and the selector abstains: one
-// unsharded GEMM.
+// TestDefaultSquareRoute: the route a product takes — shard grid, tile floor
+// and the plan of the shape the plan is chosen for — per kernel and width, on
+// default_square (1024³ at T = 2, through every kernel an empty Config.Kernel
+// can resolve to) and the shapes that pin the floor rule. The floor is the
+// break-even, lowered to half the threshold for a 2-D grid with a tile per
+// thread that GEMM serves whole (1024³ at T = 2 on avx2 and avx512) or whose
+// largest tile is still FMM (avx2 2880×480×2880). Everything else keeps the
+// break-even route: FMM products whose half-threshold tiles would be GEMM
+// (avx2 2048³, avx512 4096³, unsharded), K-split grids (256×16384×256, 1×1×2
+// on every kernel), grids with fewer tiles than threads (avx2/avx512
+// 1024×600×600 at T = 4 and 1024³ at T = 8, unsharded), and go4x4, whose
+// break-even is already below half the threshold (2×2×1 at T = 4, 2×4×1 at
+// T = 8).
 func TestDefaultSquareRoute(t *testing.T) {
+	const half = DefaultShardThreshold / 2
 	for _, tc := range []struct {
 		kern    string
-		sharded string // "" = unsharded
+		threads int
+		m, k, n int
+		grid    string // "" = unsharded
+		floor   int    // 0 = the model break-even
+		plan    string // the tile's when sharded, else the product's
 	}{
-		{kernel.DefaultBackend, "1×2×1"},
-		{kernel.AVX2Backend, ""},
-		{kernel.AVX512Backend, ""},
+		{kernel.DefaultBackend, 2, 1024, 1024, 1024, "1×2×1", 0, "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 1024, 1024, 1024, "1×2×1", half, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 1024, 1024, 1024, "1×2×1", half, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 2880, 480, 2880, "1×2×1", half, "<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 2048, 2048, 2048, "", 0, "<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 4096, 4096, 4096, "", 0, "<2,2,2> AB"},
+		{kernel.DefaultBackend, 2, 256, 16384, 256, "1×1×2", 0, "<2,2,2> AB"},
+		{kernel.AVX2Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
+		{kernel.DefaultBackend, 4, 1024, 600, 600, "2×2×1", 0, "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 4, 1024, 600, 600, "", 0, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 4, 1024, 600, 600, "", 0, fmmexec.GEMMName},
+		{kernel.DefaultBackend, 8, 1024, 1024, 1024, "2×4×1", 0, "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 8, 1024, 1024, 1024, "", 0, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 8, 1024, 1024, 1024, "", 0, fmmexec.GEMMName},
 	} {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
 			continue
 		}
 		cfg := DefaultConfig()
-		cfg.Kernel, cfg.Threads = tc.kern, 2
+		cfg.Kernel, cfg.Threads = tc.kern, tc.threads
 		mu := NewMultiplier(cfg, PaperArch())
-		spec, ok := mu.shardSpec(1024, 1024, 1024)
+		route, ok := mu.shardSpec(tc.m, tc.k, tc.n)
 		got := ""
 		if ok {
-			got = fmt.Sprintf("%d×%d×%d", spec.GridM, spec.GridN, spec.GridK)
+			got = fmt.Sprintf("%d×%d×%d", route.GridM, route.GridN, route.GridK)
 		}
-		if got != tc.sharded {
-			t.Errorf("%s: 1024³ at T=2 shards as %q, want %q", tc.kern, got, tc.sharded)
+		name := fmt.Sprintf("%s %d×%d×%d at T=%d", tc.kern, tc.m, tc.k, tc.n, tc.threads)
+		if got != tc.grid {
+			t.Errorf("%s shards as %q, want %q", name, got, tc.grid)
 		}
-		// Explain reports that route: the grid, and the plan of the shape it
-		// is chosen for — a tile's on a width-1 plan, else the product's.
-		ex, err := mu.Explain(1024, 1024, 1024)
+		// Explain reports that route: the grid, the floor it was cut at, and
+		// the plan of the shape it is chosen for — a tile's on a width-1 plan,
+		// else the product's.
+		ex, err := mu.Explain(tc.m, tc.k, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Explanation{Kernel: tc.kern, Arch: mu.arch, MinTile: mu.shardMinTile(), M: 1024, K: 1024, N: 1024, Threads: 2, Plan: fmmexec.GEMMName}
+		want := Explanation{Kernel: tc.kern, Arch: mu.arch, MinTile: cmp.Or(tc.floor, mu.breakEvenTile()),
+			M: tc.m, K: tc.k, N: tc.n, Threads: tc.threads, Plan: tc.plan}
 		if ok {
-			want.GridM, want.GridN, want.GridK = 1, 2, 1
-			want.N, want.Threads = 512, 1
-			cfg.Threads = 1
-			p, err := NewMultiplier(cfg, PaperArch()).PlanFor(1024, 1024, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Plan = p.String()
+			tl := route.Tile(0)
+			want.GridM, want.GridN, want.GridK = route.GridM, route.GridN, route.GridK
+			want.M, want.K, want.N, want.Threads = tl.Rows, tl.Depth, tl.Cols, 1
+		}
+		if ex.Traversal != "" { // width-T FMM plans may fan their terms
+			want.Traversal = ex.Traversal
 		}
 		if ex != want {
-			t.Errorf("%s: Explain(1024³) = %+v, want %+v", tc.kern, ex, want)
+			t.Errorf("%s: Explain = %+v, want %+v", name, ex, want)
 		}
 	}
 }

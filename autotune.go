@@ -191,10 +191,11 @@ func gridArmKey(gm, gn, gk int) string {
 // shardTunerFor returns (building on first use) the shape class's grid
 // tuner. The incumbent arm is the grid the model just chose for this call;
 // the single challenger is the second-best grid — found by re-running the
-// shard search with the incumbent's grid priced out — when a distinct one
-// exists. Returns nil (serve untuned) once the tuner map has reached the
-// plan-cache cap, so diverse-shape servers stay bounded.
-func (mu *GenericMultiplier[E]) shardTunerFor(spec shard.Spec, m, k, n int) *shardTuner {
+// shard search at the tile floor that chose the incumbent, with the
+// incumbent's grid priced out — when a distinct one exists. Returns nil
+// (serve untuned) once the tuner map has reached the plan-cache cap, so
+// diverse-shape servers stay bounded.
+func (mu *GenericMultiplier[E]) shardTunerFor(route shardRoute, m, k, n int) *shardTuner {
 	key := shapeClass(m, k, n, mu.cfg.Threads)
 	mu.shardTuns.Lock()
 	defer mu.shardTuns.Unlock()
@@ -207,12 +208,12 @@ func (mu *GenericMultiplier[E]) shardTunerFor(spec shard.Spec, m, k, n int) *sha
 	if cap := mu.cfg.planCacheCap(); cap > 0 && len(mu.shardTuns.m) >= cap {
 		return nil
 	}
-	inc := [3]int{spec.GridM, spec.GridN, spec.GridK}
+	inc := [3]int{route.GridM, route.GridN, route.GridK}
 	st := &shardTuner{grids: map[string][3]int{gridArmKey(inc[0], inc[1], inc[2]): inc}}
 	var chal []string
 	alt, ok := shard.Split(m, k, n, shard.Options{
 		Workers: mu.cfg.Threads,
-		MinTile: mu.shardMinTile(),
+		MinTile: route.floor,
 		KSplit:  mu.cfg.shardKSplit(),
 		Cost: func(gm, gn, gk int) float64 {
 			if gm == inc[0] && gn == inc[1] && gk == inc[2] {
@@ -240,14 +241,14 @@ func (mu *GenericMultiplier[E]) shardTunerFor(spec shard.Spec, m, k, n int) *sha
 // wall time under the grid that actually ran. A routed grid that does not
 // fit the concrete dimensions falls back to the model's spec — its sample
 // then lands on the incumbent arm, or is dropped if the grid is unknown.
-func (mu *GenericMultiplier[E]) mulAddShardedTuned(spec shard.Spec, c, a, b matrix.Mat[E]) error {
+func (mu *GenericMultiplier[E]) mulAddShardedTuned(route shardRoute, c, a, b matrix.Mat[E]) error {
 	m, k, n := a.Rows, a.Cols, b.Cols
-	st := mu.shardTunerFor(spec, m, k, n)
+	st := mu.shardTunerFor(route, m, k, n)
 	if st == nil {
-		return mu.mulAddSharded(spec, c, a, b)
+		return mu.mulAddSharded(route.Spec, c, a, b)
 	}
 	key, _ := st.tuner.Route()
-	use := spec
+	use := route.Spec
 	if g, ok := st.grids[key]; ok && g[0] <= m && g[1] <= n && g[2] <= k {
 		use = shard.Spec{M: m, K: k, N: n, GridM: g[0], GridN: g[1], GridK: g[2]}
 	}

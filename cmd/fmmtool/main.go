@@ -14,6 +14,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -203,9 +204,11 @@ func cmdModel(args []string) {
 // cmdExplain prints the decisions a Multiplier built from DefaultConfig (with
 // the given kernel and threads) and the paper's machine constants makes for
 // one product, as the Multiplier reports them (Explain): the backend and how
-// it was chosen, the constants the selector prices with, whether the product
-// shards, and the model's ranking of the shape each plan is chosen for. `fmmtool model` stays the paper's table —
-// Ivy Bridge constants on the reference kernel, by name; this is the host's.
+// it was chosen, the constants the selector prices with and their FMM
+// break-even, the shard threshold, the tile floor applied and why, whether
+// the product shards, and the model's ranking of the shape each plan is
+// chosen for. `fmmtool model` stays the paper's table — Ivy Bridge constants
+// on the reference kernel, by name; this is the host's.
 func cmdExplain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	kern := fs.String("kernel", "", "micro-kernel backend (default: the fastest this host registered)")
@@ -255,16 +258,33 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 		}
 	}
 	arch := ex.Arch
+	breakEven := model.BreakEvenSquare(arch, model.DefaultCandidates())
+	thr := cmp.Or(cfg.ShardThreshold, fmmfam.DefaultShardThreshold)
 	fmt.Printf("problem\t%d×%d×%d %s, %d threads\n", m, k, n, dt, cfg.Threads)
 	fmt.Printf("kernel\t%s (%s)\n", ex.Kernel, how)
 	fmt.Printf("arch\tpaper Ivy Bridge priced for %s/%s: tau_a=%.3g s/flop tau_b=%.3g s/elem lambda=%.2f MC=%d KC=%d NC=%d; FMM break-even %d³\n",
-		ex.Kernel, dt, arch.TauA, arch.TauB, arch.Lambda, arch.MC, arch.KC, arch.NC, ex.MinTile)
-	if ex.GridM > 0 {
+		ex.Kernel, dt, arch.TauA, arch.TauB, arch.Lambda, arch.MC, arch.KC, arch.NC, breakEven)
+	fmt.Printf("threshold\t%d: a product shards when max(m,n), or k with K-split, reaches it\n", thr)
+	switch {
+	case ex.MinTile == 0:
+		fmt.Printf("tile floor\tnone: the product is not considered for sharding (needs ≥ 2 threads and a dimension ≥ %d)\n", thr)
+	case ex.MinTile == breakEven && breakEven <= thr/2:
+		fmt.Printf("tile floor\t%d, the FMM break-even, already at or below half the threshold\n", ex.MinTile)
+	case ex.MinTile == breakEven:
+		fmt.Printf("tile floor\t%d, the FMM break-even: no grid at half the threshold qualifies (2-D, a tile per thread, FMM tiles for an FMM product)\n", ex.MinTile)
+	case ex.Plan == fmmexec.GEMMName:
+		fmt.Printf("tile floor\t%d, half the threshold: gemm serves the tiles, and independent width-1 tiles outrun one in-call loop\n", ex.MinTile)
+	default:
+		fmt.Printf("tile floor\t%d, half the threshold: a fast algorithm serves the tiles\n", ex.MinTile)
+	}
+	switch {
+	case ex.GridM > 0:
 		fmt.Printf("sharding\t%d×%d×%d grid (m×n×k): %d tiles of up to %d×%d×%d, each on its own width-1 plan\n",
 			ex.GridM, ex.GridN, ex.GridK, ex.GridM*ex.GridN*ex.GridK, ex.M, ex.K, ex.N)
-	} else {
-		fmt.Printf("sharding\tno (needs ≥ 2 threads, a dimension ≥ %d and room for two tiles ≥ %d): one width-%d plan\n",
-			fmmfam.DefaultShardThreshold, ex.MinTile, ex.Threads)
+	case ex.MinTile == 0:
+		fmt.Printf("sharding\tno: one width-%d plan\n", ex.Threads)
+	default:
+		fmt.Printf("sharding\tno (no room for two tiles ≥ %d): one width-%d plan\n", ex.MinTile, ex.Threads)
 	}
 	fmt.Printf("serves\t%s", ex.Plan)
 	if ex.Traversal != "" {

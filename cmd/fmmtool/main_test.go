@@ -65,9 +65,12 @@ func TestCLIModel(t *testing.T) {
 
 // TestCLIExplain: one product explained on each backend. The reference kernel,
 // by name, shards default_square's 1024³ into two tiles and serves each a
-// two-level plan; the fastest assembly backend the host registered (avx512,
-// else avx2) is what an empty -kernel resolves to, and abstains: one
-// unsharded GEMM.
+// two-level plan at its own break-even, which is below half the threshold;
+// the fastest assembly backend the host registered (avx512, else avx2) is
+// what an empty -kernel resolves to, and abstains: GEMM serves the product,
+// so it splits into two width-1 GEMM tiles at half the threshold. At four
+// threads 1024×600×600 has no grid at half the threshold with a tile per
+// thread, so the floor stays the break-even and the product is not sharded.
 func TestCLIExplain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the toolchain")
@@ -76,6 +79,8 @@ func TestCLIExplain(t *testing.T) {
 	for _, want := range []string{
 		"kernel\tgo4x4 (named)",
 		"priced for go4x4/float64: tau_a=", "FMM break-even 148³",
+		"threshold\t1024: ",
+		"tile floor\t148, the FMM break-even, already at or below half the threshold",
 		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512",
 		"serves\t<2,2,2>+<2,2,2> ABC",
 		"rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS",
@@ -111,11 +116,23 @@ func TestCLIExplain(t *testing.T) {
 	for _, want := range []string{
 		"kernel\t" + kern + " (fastest registered: " + order + ")",
 		"priced for " + kern + "/float32", "FMM break-even " + breakEven + "³",
-		"sharding\tno (", "one width-2 plan",
+		"tile floor\t512, half the threshold: gemm serves the tiles",
+		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512",
 		"serves\tgemm\n", "\n1\tgemm\t",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain on %s: output lacks %q:\n%s", kern, want, out)
+		}
+	}
+
+	out, err = run(t, "explain", "-threads", "4", "-dtype", "f32", "-kernel", kern, "1024", "600", "600")
+	for _, want := range []string{
+		"tile floor\t" + breakEven + ", the FMM break-even: no grid at half the threshold qualifies",
+		"sharding\tno (no room for two tiles ≥ " + breakEven + "): one width-4 plan",
+		"serves\tgemm\n",
+	} {
+		if err != nil || !strings.Contains(out, want) {
+			t.Fatalf("explain on %s at 4 threads: %v, output lacks %q:\n%s", kern, err, want, out)
 		}
 	}
 }

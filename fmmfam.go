@@ -135,10 +135,14 @@ type Config struct {
 	// disables sharding.
 	ShardThreshold int
 	// ShardMinTile floors every cut dimension of a shard tile — rows and
-	// cols, and slab depth when K is split. 0 derives the floor from the
-	// performance model's fast-algorithm break-even on this multiplier's
-	// Arch, so each shard still clears the size where an FMM plan beats
-	// plain GEMM.
+	// cols, and slab depth when K is split. 0 lets the floor follow the plan
+	// that serves the product: the performance model's fast-algorithm
+	// break-even on this multiplier's Arch, lowered to half the resolved
+	// ShardThreshold when the grid cut there is 2-D with a tile per thread
+	// and either plain GEMM serves the product (so at Threads = 2 a product
+	// at the threshold splits in two) or a fast algorithm still serves that
+	// grid's largest tile — sharding never demotes an FMM product to GEMM
+	// tiles. Multiplier.Explain reports the floor a product got.
 	ShardMinTile int
 	// ShardKSplit controls whether sharding may also cut the inner (K)
 	// dimension into slabs with per-tile reduction buffers — the path that
@@ -244,9 +248,13 @@ const (
 // Serving-layer defaults for the zero Config knobs.
 const (
 	// DefaultShardThreshold is the problem size — max(m,n), or k when
-	// K-split is enabled — at which MulAdd starts auto-sharding; large
-	// enough that sub-threshold problems are better served by in-call loop
-	// parallelism.
+	// K-split is enabled — at which MulAdd starts auto-sharding, and twice
+	// the lowered tile floor (see Config.ShardMinTile). It is not where the in-call
+	// loop starts losing: on a 2-vCPU AVX-512 host, two independent width-1
+	// GEMM column tiles ran 11–18 % faster than one width-2 GEMM at
+	// 384–1024 on both avx2 and avx512, and about even at 1536. It keeps
+	// small products off the sharded path, whose grid search and tile
+	// dispatch they would not amortize.
 	DefaultShardThreshold = 1024
 	// DefaultPlanCacheCap bounds the plan cache; each plan is a few KiB of
 	// coefficient lists and owns no buffers (all memory belongs to the
@@ -387,7 +395,7 @@ func resolveConfig[E matrix.Element](c Config) (Config, error) {
 		return c, fmt.Errorf("fmmfam: %w", err)
 	}
 	if c.ShardMinTile < 0 {
-		return c, fmt.Errorf("fmmfam: ShardMinTile=%d, need ≥ 0 (0 = model break-even floor)", c.ShardMinTile)
+		return c, fmt.Errorf("fmmfam: ShardMinTile=%d, need ≥ 0 (0 = the floor follows the serving plan)", c.ShardMinTile)
 	}
 	if c.QueueDepth < 0 {
 		return c, fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)

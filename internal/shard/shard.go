@@ -27,13 +27,17 @@
 // folds for K-split grids, or the caller's Options.Cost hook (typically the
 // performance model's ShardMakespan, which prices the same schedule in
 // seconds) — subject to every cut dimension staying at or above a
-// caller-given floor (the performance model's fast-algorithm break-even, so
-// each shard still clears the size at which an FMM plan beats plain GEMM).
-// Ties go to the grid with the largest minimum output-tile side, then the
-// fewest tiles, then the fewest K slabs: bigger tiles keep per-tile plan
-// selection in the multi-level regime and amortize packing, worker-aligned
-// tile counts avoid the straggler round a 9-tiles-on-4-workers schedule
-// pays, and K stays whole unless splitting it actually wins.
+// caller-given floor. The multiplier's floor is the performance model's
+// fast-algorithm break-even, lowered to half its shard threshold when the
+// grid cut there is 2-D with a tile per worker and either plain GEMM serves
+// the product (independent width-1 GEMM tiles outrun one product's in-call
+// loop parallelism) or a fast algorithm still serves the largest tile, so
+// sharding never demotes an FMM product to GEMM tiles. Ties go to the grid
+// with the largest minimum output-tile side, then the fewest tiles, then the
+// fewest K slabs: bigger tiles keep per-tile plan selection in the
+// multi-level regime and amortize packing, worker-aligned tile counts avoid
+// the straggler round a 9-tiles-on-4-workers schedule pays, and K stays
+// whole unless splitting it actually wins.
 package shard
 
 import "fmt"
@@ -55,8 +59,9 @@ type Options struct {
 	// Workers is the scheduling width the shards will be fed to (≥1).
 	Workers int
 	// MinTile is the floor for every cut dimension — tile rows and cols,
-	// and slab depth when K is split — typically the model's fast-algorithm
-	// break-even size (≥1). An uncut dimension may stay below the floor.
+	// and slab depth when K is split (≥1; see the package comment for how
+	// the multiplier chooses it). An uncut dimension may stay below the
+	// floor.
 	MinTile int
 	// Oversub bounds the search at Workers×Oversub tiles; 0 means
 	// DefaultOversub.
@@ -208,41 +213,36 @@ func (s Spec) NumTiles() int { return s.GridM * s.GridN * s.gridK() }
 // then K-slabs innermost — so the GridK slabs of one output tile are
 // consecutive, in ascending P, which is the order the executor folds their
 // reduction buffers into C. Within a dimension, cut sizes are balanced
-// (they differ by at most one, larger first). The tiles exactly partition
-// the M×N×K iteration space.
+// (they differ by at most one, larger first), so Tiles()[0] is the largest
+// tile in every dimension. The tiles exactly partition the M×N×K iteration
+// space.
 func (s Spec) Tiles() []Tile {
-	rows := cuts(s.M, s.GridM)
-	cols := cuts(s.N, s.GridN)
-	deps := cuts(s.K, s.gridK())
-	out := make([]Tile, 0, s.NumTiles())
-	i := 0
-	for _, r := range rows {
-		j := 0
-		for _, c := range cols {
-			p := 0
-			for _, d := range deps {
-				out = append(out, Tile{I: i, J: j, P: p, Rows: r, Cols: c, Depth: d})
-				p += d
-			}
-			j += c
-		}
-		i += r
+	out := make([]Tile, s.NumTiles())
+	for i := range out {
+		out[i] = s.Tile(i)
 	}
 	return out
 }
 
-// cuts splits extent into g balanced parts (sizes differ by ≤1, larger
-// parts first).
-func cuts(extent, g int) []int {
+// Tile is Tiles()[i], computed without building the list.
+func (s Spec) Tile(i int) Tile {
+	gk := s.gridK()
+	p, dep := cut(s.K, gk, i%gk)
+	i /= gk
+	j, cols := cut(s.N, s.GridN, i%s.GridN)
+	r, rows := cut(s.M, s.GridM, i/s.GridN)
+	return Tile{I: r, J: j, P: p, Rows: rows, Cols: cols, Depth: dep}
+}
+
+// cut is part idx of extent split into g balanced parts (sizes differ by ≤1,
+// larger parts first): its offset and size.
+func cut(extent, g, idx int) (off, size int) {
 	base, rem := extent/g, extent%g
-	out := make([]int, g)
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
+	off = idx*base + min(idx, rem)
+	if size = base; idx < rem {
+		size++
 	}
-	return out
+	return off, size
 }
 
 // String renders the decomposition for logs and errors. The reported tile

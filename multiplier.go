@@ -59,15 +59,15 @@ import (
 // (model.DefaultCandidates), priced by the model's own GEMM column, and its
 // plan is the zero-level fmmexec.Plan — gemm.Context.MulAdd straight through.
 // So below the kernel's break-even (model.BreakEvenSquare: ~148 on go4x4,
-// ~1793 on avx2 at the paper's machine constants) the multiplier serves GEMM,
-// bit-identical to the bare driver, and above it the fast plan the model
-// ranks first. There is no size threshold and no second code path: the only
-// thing deciding GEMM versus FMM is model.Rank on this multiplier's Arch, and
-// every route to a plan abstains the same way — a direct call, each batch
-// job, each shard tile and K-split slab (a sharded product whose tiles fall
-// below the break-even is a tiled GEMM), each async job and coalesced wire
-// request, and each autotune arm, where gemm is an arm like any other: it can
-// be the incumbent with fast plans shadowing it, or the challenger.
+// ~1793 on avx2, ~3841 on avx512 at the paper's machine constants) the
+// multiplier serves GEMM, bit-identical to a bare gemm.Context, and above it
+// the fast plan the model ranks first. There is no size threshold and no second
+// code path: the only thing deciding GEMM versus FMM is model.Rank on this
+// multiplier's Arch, and every route to a plan abstains the same way — a
+// direct call, each batch job, each shard tile and K-split slab, each async
+// job and coalesced wire request, and each autotune arm, where gemm is an arm
+// like any other: it can be the incumbent with fast plans shadowing it, or
+// the challenger.
 //
 // One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
 // runs its class's width-Threads plan (intra-GEMM fan-out, model-chosen
@@ -83,6 +83,11 @@ import (
 // output and, for K-dominant shapes with Config.ShardKSplit enabled, the
 // inner dimension too; MulAddAsync submits work to a bounded queue and
 // returns a Future; the plan cache is LRU-bounded by Config.PlanCacheCap.
+// The tile floor is the break-even, lowered to half the threshold for a 2-D
+// grid with a tile per thread when GEMM serves the product (independent
+// width-1 GEMM tiles outrun one product's in-call loop) or a fast algorithm
+// still serves its largest tile — sharding never demotes an FMM product to
+// GEMM tiles (shardSpec).
 type GenericMultiplier[E matrix.Element] struct {
 	cfg  Config
 	arch Arch
@@ -119,9 +124,14 @@ type GenericMultiplier[E matrix.Element] struct {
 		m map[planKey]*shardTuner
 	}
 
-	// minTile is the lazily-computed shard tile floor (model break-even).
-	minTileOnce sync.Once
-	minTile     int
+	// breakEven is the lazily-computed model break-even (breakEvenTile).
+	breakEvenOnce sync.Once
+	breakEven     int
+
+	// shardRuns banks idle sharded-call states. Threads of them cover
+	// Threads concurrent sharded calls, more than the pool can run at full
+	// width; callers beyond that build a state the GC takes back.
+	shardRuns chan *shardRun[E]
 
 	async asyncQueue[E]
 }
@@ -197,11 +207,12 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		}
 	}
 	mu := &GenericMultiplier[E]{
-		cfg:    cfg,
-		arch:   model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
-		cfgErr: cfgErr,
-		pool:   sched.NewPool(cfg.Threads),
-		plans:  newPlanCache[E](cfg.planCacheCap()),
+		cfg:       cfg,
+		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
+		cfgErr:    cfgErr,
+		pool:      sched.NewPool(cfg.Threads),
+		plans:     newPlanCache[E](cfg.planCacheCap()),
+		shardRuns: make(chan *shardRun[E], max(cfg.Threads, 1)),
 	}
 	mu.engines.m = make(map[string]*gemm.Context[E])
 	if cfg.Autotune {
@@ -255,11 +266,11 @@ func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int) error
 		return nil
 	}
 	if threads > 1 {
-		if spec, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
+		if route, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
 			if mu.cfg.Autotune {
-				return mu.mulAddShardedTuned(spec, c, a, b)
+				return mu.mulAddShardedTuned(route, c, a, b)
 			}
-			return mu.mulAddSharded(spec, c, a, b)
+			return mu.mulAddSharded(route.Spec, c, a, b)
 		}
 	}
 	e, err := mu.entryFor(a.Rows, a.Cols, b.Cols, threads)
@@ -313,42 +324,90 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 	return errors.Join(errs...)
 }
 
-// shardMinTile resolves the shard tile floor: the configured override, or
-// the model's fast-algorithm break-even for this multiplier's arch.
-func (mu *GenericMultiplier[E]) shardMinTile() int {
-	if mu.cfg.ShardMinTile > 0 {
-		return mu.cfg.ShardMinTile
-	}
-	mu.minTileOnce.Do(func() {
-		mu.minTile = model.BreakEvenSquare(mu.arch, defaultCandidates())
+// breakEvenTile is the model's fast-algorithm break-even on this
+// multiplier's arch (model.BreakEvenSquare), computed once: the shard tile
+// floor unless shardSpec lowers it to half the threshold.
+func (mu *GenericMultiplier[E]) breakEvenTile() int {
+	mu.breakEvenOnce.Do(func() {
+		mu.breakEven = model.BreakEvenSquare(mu.arch, defaultCandidates())
 	})
-	return mu.minTile
+	return mu.breakEven
+}
+
+// shardRoute is how MulAdd cuts one product: the grid, and the tile floor it
+// was cut at — 0 when the product was not considered for sharding (Threads <
+// 2, or no dimension reaches the threshold).
+type shardRoute struct {
+	shard.Spec
+	floor int
 }
 
 // shardSpec decides whether C(m×n) += A(m×k)·B(k×n) should be sharded and,
 // if so, how. Sharding needs a pool to feed (Threads ≥ 2), a problem at or
 // above the threshold — in m or n, or in k when K-split is enabled — and
-// room for at least two tiles above the break-even floor. Candidate grids
-// are scored with the performance model's makespan (model.ShardMakespan on
-// this multiplier's arch), so the K dimension is split only when the slab
-// products' smaller operand traffic pays for the reduction folds.
-func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shard.Spec, bool) {
+// room for at least two tiles above the tile floor. An explicit
+// Config.ShardMinTile is the floor. Otherwise the floor is the model's
+// fast-algorithm break-even, lowered to half the threshold when the grid cut
+// there is 2-D, gives every thread a tile, and keeps the product's plan kind
+// where it matters: a product plain GEMM serves at width Threads takes it
+// whatever its tiles get (independent width-1 GEMM tiles outrun its in-call
+// loop), and one a fast algorithm serves only while the width-1 plan of its
+// largest tile is still a fast algorithm, so sharding never demotes it to
+// GEMM tiles. A break-even already at or below half the threshold (go4x4's)
+// is never raised. The lower floor was measured only at Threads = 2; the
+// tile-per-thread condition keeps wider pools on the break-even route until
+// it is measured there. Both plan-kind checks read the plan cache, and the
+// product's plan is looked up only when the tile's is GEMM, so a warm call
+// ranks nothing. Candidate grids are scored with the performance model's
+// makespan (model.ShardMakespan on this multiplier's arch), so the K
+// dimension is split only when the slab products' smaller operand traffic
+// pays for the reduction folds.
+func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shardRoute, bool) {
 	if mu.cfg.Threads < 2 {
-		return shard.Spec{}, false
+		return shardRoute{}, false
 	}
 	thr := mu.cfg.shardThreshold()
-	kSplit := mu.cfg.shardKSplit()
-	if thr == 0 || (m < thr && n < thr && (!kSplit || k < thr)) {
-		return shard.Spec{}, false
+	if thr == 0 || (m < thr && n < thr && (!mu.cfg.shardKSplit() || k < thr)) {
+		return shardRoute{}, false
 	}
-	return shard.Split(m, k, n, shard.Options{
+	if mu.cfg.ShardMinTile > 0 {
+		return mu.splitAt(m, k, n, mu.cfg.ShardMinTile)
+	}
+	breakEven := mu.breakEvenTile()
+	if half := max(thr/2, 1); half < breakEven {
+		route, ok := mu.splitAt(m, k, n, half)
+		if ok && route.GridK == 1 && route.NumTiles() >= mu.cfg.Threads {
+			t := route.Tile(0)
+			if mu.servesFMM(t.Rows, t.Depth, t.Cols, 1) || !mu.servesFMM(m, k, n, mu.cfg.Threads) {
+				return route, true
+			}
+		}
+	}
+	return mu.splitAt(m, k, n, breakEven)
+}
+
+// splitAt asks shard.Split for the grid of an m×k×n product at one tile
+// floor.
+func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int) (shardRoute, bool) {
+	spec, ok := shard.Split(m, k, n, shard.Options{
 		Workers: mu.cfg.Threads,
-		MinTile: mu.shardMinTile(),
-		KSplit:  kSplit,
+		MinTile: floor,
+		KSplit:  mu.cfg.shardKSplit(),
 		Cost: func(gm, gn, gk int) float64 {
 			return model.ShardMakespan(mu.arch, m, k, n, gm, gn, gk, mu.cfg.Threads)
 		},
 	})
+	return shardRoute{Spec: spec, floor: floor}, ok
+}
+
+// servesFMM reports whether the plan an m×k×n product gets at the given width
+// is a fast algorithm rather than the zero-level GEMM plan, reading (and on
+// first use filling) the plan cache exactly as the call would. A class whose
+// plan cannot be built counts as GEMM: the call reports that error wherever
+// it runs the class.
+func (mu *GenericMultiplier[E]) servesFMM(m, k, n, threads int) bool {
+	e, err := mu.entryFor(m, k, n, threads)
+	return err == nil && len(e.p.Levels) > 0
 }
 
 // kGroup is the per-output-tile state of a sharded execution: the C view the
@@ -361,32 +420,122 @@ type kGroup[E matrix.Element] struct {
 	remaining atomic.Int32
 }
 
+// shardRun is one sharded MulAdd in flight: the operands and grid, one kGroup
+// per output tile, the reduction buffers, and one error and one pool job per
+// (tile, slab) pair. Like sched.Pool's run it is rented for the call from a
+// bounded free list (the multiplier's shardRuns), and its jobs are bound to
+// it once — job i always runs r.tile(i) — so its slices grow to the largest
+// grid it has served and a warm sharded call allocates nothing. Only the
+// first NumTiles jobs and errors, and the first GridM·GridN groups, belong
+// to the current call.
+type shardRun[E matrix.Element] struct {
+	mu     *GenericMultiplier[E]
+	spec   shard.Spec
+	gk     int // GridK, 1 when K is whole
+	a, b   matrix.Mat[E]
+	groups []kGroup[E]
+	bufs   []matrix.Mat[E]
+	errs   []error
+	jobs   []sched.Job
+}
+
+// grow returns s lengthened to at least n elements, keeping its contents.
+func grow[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
+// rentShardRun takes an idle shardRun off the free list (or builds one) and
+// sets it up for spec.
+func (mu *GenericMultiplier[E]) rentShardRun(spec shard.Spec, a, b matrix.Mat[E]) *shardRun[E] {
+	var r *shardRun[E]
+	select {
+	case r = <-mu.shardRuns:
+	default:
+		r = &shardRun[E]{mu: mu}
+	}
+	r.reset(spec, a, b)
+	return r
+}
+
+// reset sizes r for spec: groups, buffers and errors (released cleared), and
+// jobs bound and costed.
+func (r *shardRun[E]) reset(spec shard.Spec, a, b matrix.Mat[E]) {
+	n, tiles := spec.NumTiles(), spec.GridM*spec.GridN
+	r.spec, r.gk, r.a, r.b = spec, max(spec.GridK, 1), a, b
+	r.groups = grow(r.groups, tiles)
+	r.bufs = grow(r.bufs, n-tiles)
+	r.errs = grow(r.errs, n)
+	for i := len(r.jobs); i < n; i++ {
+		r.jobs = append(r.jobs, sched.Job{Run: func() { r.tile(i) }})
+	}
+	for i := range n {
+		t := spec.Tile(i)
+		r.jobs[i].Cost = int64(t.Rows) * int64(t.Cols) * int64(t.Depth)
+	}
+}
+
+// releaseShardRun banks r for the next sharded call, first dropping its
+// references to the caller's operands and the returned reduction buffers.
+func (mu *GenericMultiplier[E]) releaseShardRun(r *shardRun[E]) {
+	r.a, r.b = matrix.Mat[E]{}, matrix.Mat[E]{}
+	clear(r.groups)
+	clear(r.bufs)
+	clear(r.errs)
+	select {
+	case mu.shardRuns <- r:
+	default: // more sharded calls were live than the list holds: the GC takes it
+	}
+}
+
+// tile runs job i of a sharded call: one (output tile, K slab) block product
+// on its width-1 plan — slab 0 into the tile's C view, slab s > 0 into
+// reduction buffer s−1 — and, when it is the tile's last slab to finish, the
+// fold of the tile's buffers into C in ascending slab order.
+//
+//fmm:hotpath
+func (r *shardRun[E]) tile(i int) {
+	t, g := r.spec.Tile(i), &r.groups[i/r.gk]
+	cv := g.c
+	if s := i % r.gk; s > 0 {
+		cv = g.bufs[s-1]
+	}
+	r.errs[i] = r.mu.mulAdd(cv, r.a.View(t.I, t.P, t.Rows, t.Depth), r.b.View(t.P, t.J, t.Depth, t.Cols), 1)
+	if g.remaining.Add(-1) == 0 {
+		for _, buf := range g.bufs {
+			g.c.AddScaled(1, buf)
+		}
+	}
+}
+
 // mulAddSharded executes a sharded MulAdd: every (tile, slab) pair is one
 // scheduled job computing A[ti, p0:p1]·B[p0:p1, tj] on views of the operands
-// with its width-1 plan. Slab 0 accumulates directly into the tile's C view;
-// each later slab accumulates into a zeroed reduction buffer rented from the
-// configured kernel's engine; and whichever worker finishes a tile's last slab
-// folds that tile's buffers into C in ascending slab order. With K whole
-// (GridK == 1) there is only slab 0: tiles write disjoint regions of C and
-// nothing is folded, so the result is bit-identical to executing the tiles
-// one after another, however the pool interleaves them. With K split the fold
-// order is fixed, so repeated runs produce bit-identical C even though the
-// schedule is not deterministic — the serving determinism contract for
-// K-split.
+// with its width-1 plan (shardRun.tile). Slab 0 accumulates directly into the
+// tile's C view; each later slab accumulates into a zeroed reduction buffer
+// rented from the configured kernel's engine; and whichever worker finishes a
+// tile's last slab folds that tile's buffers into C in ascending slab order.
+// With K whole (GridK == 1) there is only slab 0: tiles write disjoint
+// regions of C and nothing is folded, so the result is bit-identical to
+// executing the tiles one after another, however the pool interleaves them.
+// With K split the fold order is fixed, so repeated runs produce bit-identical
+// C even though the schedule is not deterministic — the serving determinism
+// contract for K-split. The call's state is rented (rentShardRun), so a warm
+// call allocates nothing.
 func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Mat[E]) error {
-	tiles := spec.Tiles() // GridK consecutive slabs per output tile, ascending P
-	groups := make([]kGroup[E], spec.GridM*spec.GridN)
-	gk := len(tiles) / len(groups) // GridK, 1 when K is whole
-	bufs := make([]matrix.Mat[E], len(groups)*(gk-1))
 	var ctx *gemm.Context[E] // rents the reduction buffers; unused with K whole
-	if gk > 1 {
+	if spec.GridK > 1 {
 		var err error
 		if ctx, err = mu.engine("", 1); err != nil {
 			return fmt.Errorf("%v: %w", spec, err)
 		}
 	}
+	r := mu.rentShardRun(spec, a, b)
+	n, gk := spec.NumTiles(), r.gk
+	groups, bufs := r.groups[:n/gk], r.bufs[:n-n/gk]
 	for gi := range groups {
-		t0 := tiles[gi*gk]
+		t0 := spec.Tile(gi * gk) // GridK consecutive slabs per output tile, ascending P
 		g := &groups[gi]
 		g.c = c.View(t0.I, t0.J, t0.Rows, t0.Cols)
 		g.bufs = bufs[gi*(gk-1) : (gi+1)*(gk-1)]
@@ -396,32 +545,13 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Ma
 		}
 		g.remaining.Store(int32(gk))
 	}
-	errs := make([]error, len(tiles))
-	run := func(i int) {
-		t, g := tiles[i], &groups[i/gk]
-		cv := g.c
-		if s := i % gk; s > 0 {
-			cv = g.bufs[s-1]
-		}
-		errs[i] = mu.mulAdd(cv, a.View(t.I, t.P, t.Rows, t.Depth), b.View(t.P, t.J, t.Depth, t.Cols), 1)
-		if g.remaining.Add(-1) == 0 {
-			for _, buf := range g.bufs {
-				g.c.AddScaled(1, buf)
-			}
-		}
-	}
-	sjobs := make([]sched.Job, len(tiles))
-	for i, t := range tiles {
-		sjobs[i] = sched.Job{
-			Cost: int64(t.Rows) * int64(t.Cols) * int64(t.Depth),
-			Run:  func() { run(i) },
-		}
-	}
-	mu.pool.Run(sjobs)
+	mu.pool.Run(r.jobs[:n])
 	for _, buf := range bufs {
 		ctx.ReturnMat(buf)
 	}
-	if err := errors.Join(errs...); err != nil {
+	err := errors.Join(r.errs[:n]...)
+	mu.releaseShardRun(r)
+	if err != nil {
 		return fmt.Errorf("%v: %w", spec, err)
 	}
 	return nil
@@ -493,8 +623,13 @@ type Explanation struct {
 	// constructor's arch re-priced for the element type and Kernel, or the
 	// calibrated one.
 	Arch Arch
-	// MinTile is the shard tile floor: Config.ShardMinTile, or the model's
-	// FMM break-even on Arch.
+	// MinTile is the shard tile floor the product was cut at, or would have
+	// been had two tiles fit: Config.ShardMinTile when set; else half the
+	// shard threshold when it is below the break-even and its grid is 2-D,
+	// has a tile per thread, and either GEMM serves the product or a fast
+	// algorithm still serves that grid's largest tile; else the model's FMM
+	// break-even on Arch. 0 when the product is not considered for sharding
+	// (Threads < 2, or no dimension reaches the threshold).
 	MinTile int
 	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
 	// is served whole.
@@ -517,11 +652,12 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 	if mu.cfgErr != nil {
 		return Explanation{}, mu.cfgErr
 	}
-	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: mu.shardMinTile(),
+	route, ok := mu.shardSpec(m, k, n)
+	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: route.floor,
 		M: m, K: k, N: n, Threads: mu.cfg.Threads}
-	if spec, ok := mu.shardSpec(m, k, n); ok {
-		t := spec.Tiles()[0]
-		ex.GridM, ex.GridN, ex.GridK = spec.GridM, spec.GridN, max(spec.GridK, 1)
+	if ok {
+		t := route.Tile(0)
+		ex.GridM, ex.GridN, ex.GridK = route.GridM, route.GridN, max(route.GridK, 1)
 		ex.M, ex.K, ex.N, ex.Threads = t.Rows, t.Depth, t.Cols, 1
 	}
 	e, err := mu.entryFor(ex.M, ex.K, ex.N, ex.Threads)

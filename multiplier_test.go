@@ -1,10 +1,12 @@
 package fmmfam
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 )
 
@@ -280,6 +282,61 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 				t.Fatalf("cache holds %d width-1 and %d full-width plans, want ≥ 40 and %d", serial, wide, len(dims))
 			}
 			runtime.KeepAlive(jobs)
+		})
+	}
+}
+
+// TestShardedMulAddAllocatesNothing: a warm sharded MulAdd allocates nothing,
+// like the warm unsharded one (gemm's TestParallelMulAddAllocatesNothing):
+// its per-call state — tile groups, errors, pool jobs bound once — is rented
+// from the multiplier, and its K-split reduction buffers from the engine. On
+// avx2 at T = 2 that covers 1024³ cut into GEMM tiles, 2880×480×2880 cut into
+// FMM tiles and 256×16384×256 cut along K; on the reference kernel, the same
+// three kinds at test sizes.
+func TestShardedMulAddAllocatesNothing(t *testing.T) {
+	avx2 := DefaultConfig()
+	avx2.Kernel, avx2.Threads = kernel.AVX2Backend, 2
+	for _, tc := range []struct {
+		cfg     Config
+		m, k, n int
+		kind    string // what the tiles are: "gemm", "fmm" or "k-split"
+	}{
+		{avx2, 1024, 1024, 1024, "gemm"},
+		{avx2, 2880, 480, 2880, "fmm"},
+		{avx2, 256, 16384, 256, "k-split"},
+		{servingCfg(), 96, 64, 256, "gemm"},
+		{servingCfg(), 512, 256, 512, "fmm"},
+		{servingCfg(), 48, 512, 48, "k-split"},
+	} {
+		name := fmt.Sprintf("%s/%dx%dx%d", tc.cfg.Kernel, tc.m, tc.k, tc.n)
+		t.Run(name, func(t *testing.T) {
+			if _, ok := archOf(tc.cfg.Kernel, matrix.Float64); !ok {
+				t.Skipf("%s not registered on this host/build", tc.cfg.Kernel)
+			}
+			mu := NewMultiplier(tc.cfg, PaperArch())
+			route, ok := mu.shardSpec(tc.m, tc.k, tc.n)
+			if !ok {
+				t.Fatal("product does not shard")
+			}
+			kind := "gemm"
+			if tl := route.Tile(0); route.GridK > 1 {
+				kind = "k-split"
+			} else if mu.servesFMM(tl.Rows, tl.Depth, tl.Cols, 1) {
+				kind = "fmm"
+			}
+			if kind != tc.kind {
+				t.Fatalf("%v: %s tiles, want %s", route, kind, tc.kind)
+			}
+			rng := rand.New(rand.NewSource(26))
+			a, b, c := NewMatrix(tc.m, tc.k), NewMatrix(tc.k, tc.n), NewMatrix(tc.m, tc.n)
+			a.FillRand(rng)
+			b.FillRand(rng)
+			if err := mu.MulAdd(c, a, b); err != nil { // warm: plans, run state, buffers
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(3, func() { mu.MulAdd(c, a, b) }); n != 0 {
+				t.Fatalf("warm sharded MulAdd (%v) allocates %v times per call", route, n)
+			}
 		})
 	}
 }

@@ -192,23 +192,26 @@ func TestShardedKSplit(t *testing.T) {
 
 // TestKDominantAcceptanceShape pins the acceptance criterion: the
 // 256×32768×256 inner-product shape on a default parallel config — which
-// PR 2's 2D decomposition left unsharded on one worker — now shards via
-// K-split, and the C += A·B it computes at a scaled-down K stays correct
-// and bit-deterministic.
+// the 2D-only decomposition leaves unsharded on one worker — shards via K-split
+// at the break-even floor (a K-split grid never takes the lower one), every
+// slab at least that deep.
 func TestKDominantAcceptanceShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threads = 4
 	mu := NewMultiplier(cfg, PaperArch())
-	spec, ok := mu.shardSpec(256, 32768, 256)
+	route, ok := mu.shardSpec(256, 32768, 256)
 	if !ok {
 		t.Fatal("256×32768×256 must shard on the default parallel config")
 	}
-	if spec.GridK < 2 {
-		t.Fatalf("256×32768×256 sharded without K-split: %v", spec)
+	if route.GridK < 2 {
+		t.Fatalf("256×32768×256 sharded without K-split: %v", route)
 	}
-	for _, tl := range spec.Tiles() {
-		if tl.Depth < mu.shardMinTile() {
-			t.Fatalf("%v: slab %+v under the model tile floor %d", spec, tl, mu.shardMinTile())
+	if route.floor != mu.breakEvenTile() {
+		t.Fatalf("%v cut at floor %d, want the break-even %d", route, route.floor, mu.breakEvenTile())
+	}
+	for _, tl := range route.Tiles() {
+		if tl.Depth < route.floor {
+			t.Fatalf("%v: slab %+v under the break-even floor %d", route, tl, route.floor)
 		}
 	}
 	// 2D-only would not shard it at all (the PR 2 behavior).
@@ -237,25 +240,37 @@ func TestShardGating(t *testing.T) {
 	if _, ok := NewMultiplier(off, PaperArch()).shardSpec(4096, 4096, 4096); ok {
 		t.Fatal("ShardThreshold<0 must disable sharding")
 	}
-	// Default knobs derive the tile floor from the model: a problem with room
-	// for two tiles above it, on a parallel config, shards out of the box. The
-	// floor is the break-even of whichever kernel an empty Config.Kernel
-	// resolved to here, so the problem is sized from it.
+	// Default knobs derive the tile floor from the model's break-even, and a
+	// product with room for two tiles at or above the floor it was cut at
+	// shards out of the box. At T = 2 a product at the threshold splits at the
+	// lower of half the threshold and the break-even: its 2-D halves give
+	// each thread a tile, and either GEMM serves it or the break-even is
+	// already lower. At T = 8 a product twice the break-even shards at one
+	// of the two floors.
 	def := DefaultConfig()
-	def.Threads = 8
-	mu := NewMultiplier(def, PaperArch())
-	floor := mu.shardMinTile()
-	if floor < 64 || floor > 1<<15 {
-		t.Fatalf("model-derived tile floor %d out of range", floor)
+	def.Threads = 2
+	breakEven := NewMultiplier(def, PaperArch()).breakEvenTile()
+	if breakEven < 64 || breakEven > 1<<15 {
+		t.Fatalf("model break-even %d out of range", breakEven)
 	}
-	side := max(2*floor, DefaultShardThreshold)
-	spec, ok := mu.shardSpec(side, side, side)
-	if !ok {
-		t.Fatalf("default parallel config must shard a %d³ problem (tile floor %d)", side, floor)
-	}
-	for _, tl := range spec.Tiles() {
-		if tl.Rows < floor || tl.Cols < floor {
-			t.Fatalf("tile %+v under model floor %d", tl, floor)
+	half := DefaultShardThreshold / 2
+	for _, tc := range []struct{ threads, side int }{
+		{2, DefaultShardThreshold},
+		{8, max(2*breakEven, DefaultShardThreshold)},
+	} {
+		def.Threads = tc.threads
+		route, ok := NewMultiplier(def, PaperArch()).shardSpec(tc.side, tc.side, tc.side)
+		if !ok {
+			t.Fatalf("default config at T=%d must shard a %d³ problem (floor %d)", tc.threads, tc.side, route.floor)
+		}
+		if route.floor != half && route.floor != breakEven ||
+			tc.threads == 2 && route.floor != min(half, breakEven) {
+			t.Fatalf("%d³ at T=%d cut at floor %d (half the threshold %d, break-even %d)", tc.side, tc.threads, route.floor, half, breakEven)
+		}
+		for _, tl := range route.Tiles() {
+			if tl.Rows < route.floor || tl.Cols < route.floor {
+				t.Fatalf("tile %+v under the applied floor %d", tl, route.floor)
+			}
 		}
 	}
 }
