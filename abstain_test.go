@@ -4,10 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
-	"fmmfam/internal/autotune"
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
@@ -241,127 +239,5 @@ func smallShapesServeGEMM[E matrix.Element](t *testing.T, tol float64) {
 		if e.p.String() != fmmexec.GEMMName || key.threads != 1 {
 			t.Errorf("class %v width %d cached plan %q, want only width-1 gemm plans", key, key.threads, e.p)
 		}
-	}
-}
-
-// seedPromotion drives pt's bandit with synthetic wall times until the arm
-// `to` is the incumbent: the incumbent measures 2 units, `to` 1 unit, any
-// other challenger 3 units (confirmed slower, so the rotation moves on). unit
-// is far below any model prediction for the class, so the medians a promotion
-// feeds back outrank every analytic candidate.
-func seedPromotion[E matrix.Element](t *testing.T, mu *GenericMultiplier[E], pt *planTuner[E], to string) {
-	t.Helper()
-	const unit = 1e-8
-	for i := 0; i < 1024; i++ {
-		snap := pt.tuner.Snapshot()
-		if snap.Arms[0].Plan == to {
-			return
-		}
-		if len(snap.Arms) < 2 {
-			break
-		}
-		jitter := float64(i%3) * 1e-4 * unit
-		pt.tuner.Record(snap.Arms[0].Plan, 2*unit+jitter)
-		sec := 3 * unit
-		if snap.Arms[1].Plan == to {
-			sec = unit
-		}
-		if promo, ok := pt.tuner.Record(snap.Arms[1].Plan, sec+jitter); ok {
-			mu.tunePromoted(pt, promo)
-		}
-	}
-	t.Fatalf("arm %q never promoted; tuner: %+v", to, pt.tuner.Snapshot())
-}
-
-// TestAutotuneGEMMArm: with autotuning on, gemm is an arm like any other. On
-// avx2 a 96³ class has it as the incumbent — with no traversal challenger,
-// there being no level to flip — and an FMM plan among the challengers;
-// Stats and model.Feedback name it "gemm"; and promotions in either direction
-// (FMM over gemm, then gemm back over FMM in the class rebuilt from the
-// measured feedback) leave results within tolerance.
-func TestAutotuneGEMMArm(t *testing.T) {
-	if _, ok := archOf(kernel.AVX2Backend, matrix.Float64); !ok {
-		t.Skip("avx2 backend not registered on this host/build")
-	}
-	cfg := DefaultConfig()
-	cfg.Kernel, cfg.Threads, cfg.Autotune, cfg.AutotuneFraction = kernel.AVX2Backend, 2, true, 0.25
-	mu := NewMultiplier(cfg, PaperArch())
-	rng := rand.New(rand.NewSource(96))
-	a, b := NewMatrix(96, 96), NewMatrix(96, 96)
-	a.FillRand(rng)
-	b.FillRand(rng)
-	want := NewMatrix(96, 96)
-	matrix.MulAdd(want, a, b)
-	serve := func(stage string, f func(c Matrix) error) {
-		t.Helper()
-		for i := 0; i < 8; i++ { // 8 calls at fraction 1/4: both incumbent and challenger serve
-			c := NewMatrix(96, 96)
-			if err := f(c); err != nil {
-				t.Fatal(err)
-			}
-			if d := c.MaxAbsDiff(want); d > 1e-9 {
-				t.Fatalf("%s, call %d: diff %g", stage, i, d)
-			}
-		}
-	}
-	direct := func(c Matrix) error { return mu.MulAdd(c, a, b) }
-	serve("fresh class", direct)
-
-	e, err := mu.entryFor(96, 96, 96, cfg.Threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gemmKey := e.tun.tuner.Incumbent()
-	if e.p.String() != fmmexec.GEMMName || !strings.HasPrefix(gemmKey, fmmexec.GEMMName+"|tr=dfs|") {
-		t.Fatalf("96³ on avx2: incumbent %q (plan %q), want gemm", gemmKey, e.p)
-	}
-	fmmKey := ""
-	for _, arm := range e.tun.tuner.Snapshot().Arms[1:] {
-		pa := e.tun.arms[arm.Plan]
-		switch {
-		case len(pa.cand.Levels) == 0 && pa.depth != 0:
-			t.Fatalf("gemm got a traversal challenger: %q", arm.Plan)
-		case len(pa.cand.Levels) > 0 && fmmKey == "":
-			fmmKey = arm.Plan
-		}
-	}
-	if fmmKey == "" {
-		t.Fatalf("no FMM challenger beside gemm: %+v", e.tun.tuner.Snapshot().Arms)
-	}
-
-	// One way: the FMM challenger is measured faster and takes the class.
-	seedPromotion(t, mu, e.tun, fmmKey)
-	serve("FMM promoted over gemm", direct)
-	shape := e.tun.key.String()
-	if _, ok := mu.feedback.Lookup(shape, fmmexec.GEMMName); !ok {
-		t.Fatalf("promotion did not record feedback under %q", fmmexec.GEMMName)
-	}
-	var promos []autotune.Promotion
-	for _, sh := range mu.Stats().Shapes {
-		if sh.Shape == shape && sh.Kind == "plan" && !sh.Serial {
-			promos = sh.Promotions
-		}
-	}
-	if len(promos) != 1 || promos[0].From != gemmKey || promos[0].To != fmmKey {
-		t.Fatalf("stats after promotion report %+v, want %q → %q", promos, gemmKey, fmmKey)
-	}
-
-	// The other way: rebuilt from the measured feedback (as after a cache
-	// eviction) the class has the FMM plan as incumbent and gemm as a
-	// challenger; measured faster, gemm takes it back.
-	pt, err := mu.newPlanTuner(e.tun.key, 96, 96, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc := pt.arms[pt.tuner.Incumbent()]; inc.cand.Name() != e.tun.arms[fmmKey].cand.Name() {
-		t.Fatalf("rebuilt class incumbent %q, want the promoted %q", inc.cand.Name(), e.tun.arms[fmmKey].cand.Name())
-	}
-	if _, ok := pt.arms[gemmKey]; !ok {
-		t.Fatalf("rebuilt class lost the gemm arm: %+v", pt.tuner.Snapshot().Arms)
-	}
-	seedPromotion(t, mu, pt, gemmKey)
-	serve("gemm promoted over FMM", func(c Matrix) error { return pt.mulAdd(mu, c, a, b) })
-	if pt.arms[pt.tuner.Incumbent()].plan.String() != fmmexec.GEMMName {
-		t.Fatalf("incumbent after the second promotion: %q", pt.tuner.Incumbent())
 	}
 }

@@ -13,6 +13,7 @@ package fmmfam
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,19 +123,21 @@ func BenchmarkAblationPeeling(b *testing.B) {
 }
 
 // BenchmarkAblationKernel isolates the micro-kernel (every registered
-// backend at both element types — the GFLOPS ratio between backends is what
-// model's kernel efficiency table records; the micro32 rows are where the
-// avx2 backend's doubled float32 lanes show as doubled flop rate) and the
-// fused packing, timed through each backend's PackA — the call the driver
-// makes.
+// backend at both element types, in one "micro" row — the GFLOPS ratio
+// between backends is what model's kernel efficiency table records; the
+// micro32 metrics are where the assembly backends' doubled float32 lanes show
+// as doubled flop rate) and the fused packing, timed through each backend's
+// PackA — the call the driver makes.
 func BenchmarkAblationKernel(b *testing.B) {
 	const kc = 256
+	var micros []*microRun
 	for _, name := range kernel.BackendsFor(matrix.Float64) {
-		benchMicro[float64](b, "micro/"+name, name, kc)
+		micros = append(micros, newMicroRun[float64]("micro/"+name, name, kc))
 	}
 	for _, name := range kernel.BackendsFor(matrix.Float32) {
-		benchMicro[float32](b, "micro32/"+name, name, kc)
+		micros = append(micros, newMicroRun[float32]("micro32/"+name, name, kc))
 	}
+	b.Run("micro", func(b *testing.B) { benchMicros(b, micros) })
 	src1, src2 := matrix.New[float64](96, kc), matrix.New[float64](96, kc)
 	src1.Fill(1)
 	src2.Fill(2)
@@ -158,10 +161,17 @@ func benchPackA(b *testing.B, row, name string, terms []kernel.Term[float64]) {
 	})
 }
 
-// benchMicro times one backend's micro-kernel at element type E over a
-// steady rank-kc update and reports realized GFLOPS.
-func benchMicro[E matrix.Element](b *testing.B, row, name string, kc int) {
-	bk := kernel.MustResolve[E](name)
+// microRun is one (backend, element type) micro-kernel configuration of
+// benchMicros: a steady rank-kc update and the GFLOP/s samples it read.
+type microRun struct {
+	name    string
+	flops   float64 // per call
+	call    func()
+	samples []float64
+}
+
+func newMicroRun[E matrix.Element](name, backend string, kc int) *microRun {
+	bk := kernel.MustResolve[E](backend)
 	ap := make([]E, bk.PackABufLen(bk.MR(), kc))
 	bp := make([]E, bk.PackBBufLen(kc, bk.NR()))
 	for i := range ap {
@@ -170,15 +180,42 @@ func benchMicro[E matrix.Element](b *testing.B, row, name string, kc int) {
 	for i := range bp {
 		bp[i] = -0.5
 	}
-	b.Run(row, func(b *testing.B) {
-		acc := make([]E, bk.MR()*bk.NR())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bk.Micro(kc, ap, bp, acc)
+	acc := make([]E, bk.MR()*bk.NR())
+	return &microRun{
+		name:  name,
+		flops: 2 * float64(bk.MR()) * float64(bk.NR()) * float64(kc),
+		call:  func() { bk.Micro(kc, ap, bp, acc) },
+	}
+}
+
+// benchMicros times every micro-kernel configuration round-robin, as
+// BenchmarkMicroScatterTerms does in internal/kernel: host noise moves one
+// configuration by more than the backends differ when each is timed in its
+// own stretch of the run, so one iteration is one pass over all of them, each
+// configuration's 512 calls in a pass are one sample, and each reports the
+// best and the median of its b.N samples in GFLOP/s. Compare ratios within a
+// run (avx512 over avx2, f32 over f64), not numbers across runs; -benchtime
+// 20x or more is a measurement.
+func benchMicros(b *testing.B, runs []*microRun) {
+	const calls = 512
+	for _, r := range runs {
+		r.samples = r.samples[:0]
+	}
+	for round := 0; round < b.N; round++ {
+		for _, r := range runs {
+			start := time.Now()
+			for range calls {
+				r.call()
+			}
+			r.samples = append(r.samples, calls*r.flops/float64(time.Since(start).Nanoseconds()))
 		}
-		secs := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(2*float64(bk.MR())*float64(bk.NR())*float64(kc)/secs*1e-9, "GFLOPS")
-	})
+	}
+	b.ReportMetric(0, "ns/op") // a round mixes every configuration; its mean says nothing
+	for _, r := range runs {
+		slices.Sort(r.samples)
+		b.ReportMetric(r.samples[len(r.samples)-1], r.name+"-best-GF/s")
+		b.ReportMetric(r.samples[len(r.samples)/2], r.name+"-med-GF/s")
+	}
 }
 
 // BenchmarkIntraPlan measures the PR-6 tentpole: term-level BFS fan-out

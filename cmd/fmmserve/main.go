@@ -6,7 +6,7 @@
 // fmmfam/serve; this binary just binds them to a socket and a signal
 // handler.
 //
-//	fmmserve [-addr :8077] [-threads N] [-autotune] [-kernel avx2] \
+//	fmmserve [-addr :8077] [-threads N] [-kernel avx2] \
 //	         [-coalesce-window 500µs] [-coalesce-maxjobs 32] [-admission-depth 256]
 //
 // The flags are the whole deployment surface; FMMFAM_KERNEL is the default of
@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	addr := fs.String("addr", fmmfam.DefaultServeAddr, "listen address")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = all CPUs)")
-	autotune := fs.Bool("autotune", false, "enable online plan autotuning on served traffic")
 	kernelName := fs.String("kernel", fmmfam.EnvKernel(), "micro-kernel backend for both engines (default $FMMFAM_KERNEL, else the fastest backend this host registered; go4x4 pins the bit-stable reference kernel)")
 	window := fs.Duration("coalesce-window", 0, "coalescing window for small requests (0 = engine default, negative disables)")
 	maxJobs := fs.Int("coalesce-maxjobs", 0, "max requests per coalescing window (0 = engine default)")
@@ -94,7 +93,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *threads > 0 {
 		cfg.Threads = *threads
 	}
-	cfg.Autotune = *autotune
 	cfg.Kernel = *kernelName
 	cfg.CoalesceWindow = *window
 	cfg.CoalesceMaxJobs = *maxJobs
@@ -111,7 +109,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	// The backend cfg.Kernel resolved to, as /v1/stats names it per engine.
-	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d autotune=%v kernel=%s)\n", ln.Addr(), cfg.Threads, cfg.Autotune, srv.Stats().Multiplier.Kernel)
+	fmt.Fprintf(out, "fmmserve listening on %s (threads=%d kernel=%s)\n", ln.Addr(), cfg.Threads, srv.Stats().Multiplier.Kernel)
 
 	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)

@@ -34,14 +34,13 @@ func TestHTTPServerTimeouts(t *testing.T) {
 func TestRunBootServeShutdown(t *testing.T) {
 	t.Setenv("FMMFAM_SERVE_ADDR", "127.0.0.1:1")
 	t.Setenv("FMMFAM_ADMISSION_DEPTH", "99")
-	t.Setenv("FMMFAM_AUTOTUNE", "off")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	pr, pw := io.Pipe()
 	runErr := make(chan error, 1)
 	go func() {
-		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-threads", "2", "-admission-depth", "3", "-autotune"}, pw)
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-threads", "2", "-admission-depth", "3"}, pw)
 		pw.Close()
 		runErr <- err
 	}()
@@ -76,8 +75,8 @@ func TestRunBootServeShutdown(t *testing.T) {
 	if st.Completed != 1 {
 		t.Fatalf("stats.Completed = %d, want 1", st.Completed)
 	}
-	if st.Admission.Depth != 3 || !st.Multiplier.Autotune {
-		t.Errorf("admission depth %d, autotune %v; want the flags' 3 and true", st.Admission.Depth, st.Multiplier.Autotune)
+	if st.Admission.Depth != 3 {
+		t.Errorf("admission depth %d, want the flag's 3", st.Admission.Depth)
 	}
 	if want := "kernel=" + st.Multiplier.Kernel + ")"; !strings.Contains(line, want) {
 		t.Errorf("banner %q does not name the resolved kernel (%s)", line, want)

@@ -54,7 +54,6 @@ import (
 	"runtime"
 	"time"
 
-	"fmmfam/internal/autotune"
 	"fmmfam/internal/core"
 	"fmmfam/internal/discover"
 	"fmmfam/internal/fmmexec"
@@ -177,24 +176,6 @@ type Config struct {
 	// negative means unbounded.
 	PlanCacheCap int
 
-	// Autotune enables the online autotuner (see README "Autotuning"): every
-	// MulAdd records its monotonic wall time against the plan that served it,
-	// keyed by shape class, and a small fraction of each shape class's
-	// traffic shadows one challenger arm — an alternative term traversal,
-	// kernel backend, model candidate, or shard grid. A challenger whose
-	// window median beats the incumbent's with a 95% confidence interval
-	// excluding zero at two consecutive checkpoints is promoted to serve, and
-	// its measured median feeds back into model selection and the
-	// traversal-model fold-cost calibration. Off by default: serving is then
-	// exactly the static model-selected path. Promotion only ever swaps which
-	// deterministic plan runs — per-call determinism guarantees are those of
-	// whichever plan served the call.
-	Autotune bool
-	// AutotuneFraction is the share of each shape class's calls routed to
-	// the challenger arm, in (0, 0.5]. 0 means the default (0.05 — one call
-	// in 20). Validate rejects values outside [0, 0.5].
-	AutotuneFraction float64
-
 	// ServeAddr is the listen address of the fmmserve wire front-end
 	// (cmd/fmmserve, package serve). Empty means DefaultServeAddr. The
 	// in-library MulAdd/MulAddBatch/MulAddAsync surfaces ignore it.
@@ -258,7 +239,7 @@ const (
 	DefaultShardThreshold = 1024
 	// DefaultPlanCacheCap bounds the plan cache; each plan is a few KiB of
 	// coefficient lists and owns no buffers (all memory belongs to the
-	// multiplier's one engine per kernel).
+	// multiplier's one engine).
 	DefaultPlanCacheCap = 64
 	// DefaultServeAddr is the wire front-end's default listen address.
 	DefaultServeAddr = ":8077"
@@ -321,15 +302,6 @@ func (c Config) checkTraversal() error {
 	return fmt.Errorf("fmmfam: Traversal=%q, need %q, %q, %q, or empty", c.Traversal, TraversalAuto, TraversalDFS, TraversalBFS)
 }
 
-// autotuneFraction is the challenger share autotuning runs at: 0 when off,
-// the default when AutotuneFraction is left zero.
-func (c Config) autotuneFraction() float64 {
-	if !c.Autotune {
-		return 0
-	}
-	return cmp.Or(c.AutotuneFraction, autotune.DefaultFraction)
-}
-
 // DefaultConfig returns the single-threaded default blocking with default
 // serving knobs.
 func DefaultConfig() Config {
@@ -353,8 +325,8 @@ func (c Config) gemmConfig() gemm.Config {
 // reports the ones that are not); the empty name is the fastest backend the
 // host registered for E. Each construction asks once — resolveConfig for a
 // multiplier, newPlan for a plan — and stores the answer back into its Config,
-// so everything after — model pricing, the calibration cache, the engine
-// table, the autotune kernel arms, Stats — reads one field. Below this
+// so everything after — model pricing, the calibration cache, the engine,
+// Stats — reads one field. Below this
 // package the empty name keeps meaning the reference kernel (kernel.Resolve,
 // gemm.Config).
 func kernelFor[E matrix.Element](name string) string {
@@ -370,9 +342,8 @@ func kernelFor[E matrix.Element](name string) string {
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
 // source — the serving knobs that have no negative sentinel (ShardMinTile,
-// QueueDepth, CoalesceMaxJobs, AdmissionDepth) must be non-negative,
-// Traversal must be one of its named values and AutotuneFraction must lie in
-// [0, 0.5]. The result depends on the Config alone. NewMultiplier (and
+// QueueDepth, CoalesceMaxJobs, AdmissionDepth) must be non-negative and
+// Traversal must be one of its named values. The result depends on the Config alone. NewMultiplier (and
 // NewMultiplier32, which validates against the float32 registry instead)
 // records the result and surfaces it from every entry point, so an invalid
 // config fails fast instead of computing with nonsense parameters.
@@ -402,11 +373,6 @@ func resolveConfig[E matrix.Element](c Config) (Config, error) {
 	}
 	if err := c.checkTraversal(); err != nil {
 		return c, err
-	}
-	// The fraction is checked even with Autotune off: flipping the switch
-	// later must not be what surfaces a bad value.
-	if c.AutotuneFraction < 0 || c.AutotuneFraction > 0.5 {
-		return c, fmt.Errorf("fmmfam: AutotuneFraction=%g, need 0 ≤ f ≤ 0.5 (0 = default %g)", c.AutotuneFraction, autotune.DefaultFraction)
 	}
 	_, err := c.ServeParams()
 	return c, err

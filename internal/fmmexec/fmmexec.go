@@ -30,7 +30,7 @@
 // gemm.Context.MulAdd. It exists so that "do not use a fast algorithm here"
 // is a plan like any other: the model ranks it (model.PredictGEMM), the
 // Multiplier caches it, and every path that runs a plan — direct calls, batch
-// jobs, shard tiles, K-split slabs, async jobs, autotune arms — abstains from
+// jobs, shard tiles, K-split slabs, async jobs — abstains from
 // FMM through the one path it already has.
 //
 // # Traversal

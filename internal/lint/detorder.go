@@ -47,7 +47,7 @@ why).`,
 // detOrderPkgs are the determinism-critical packages, matched by final
 // import-path element so fixtures exercise the same scoping.
 var detOrderPkgs = map[string]bool{
-	"fmmfam":  true, // the module root: multiplier, async queue, autotune wiring
+	"fmmfam":  true, // the module root: multiplier, async queue
 	"fmmexec": true,
 	"gemm":    true,
 	"shard":   true,

@@ -34,27 +34,10 @@ import (
 // serial loop). Ties keep the shallower depth — less memory for the same
 // predicted time. workers < 2, an empty plan, or a problem smaller than the
 // composite partition always returns nil.
-//
-// TraversalPlan evaluates the analytic fold cost as-is; TraversalPlanScaled
-// lets the online autotuner feed a measured correction back in.
 func TraversalPlan(arch Arch, v fmmexec.Variant, m, k, n int, levels []core.Algorithm, workers int) []fmmexec.Step {
-	return TraversalPlanScaled(arch, v, m, k, n, levels, workers, 1)
-}
-
-// TraversalPlanScaled is TraversalPlan with the BFS reduction-fold τb terms
-// multiplied by foldScale: 1 reproduces the analytic model, while the
-// autotuner derives a scale from measured BFS-vs-DFS promotions
-// (FitFoldScale) so the fold-cost constants track what this machine's
-// memory system actually charges rather than the analytic τb estimate —
-// the "calibrate TraversalPlan fold-cost from measured runs" loop.
-// foldScale ≤ 0 is treated as 1.
-func TraversalPlanScaled(arch Arch, v fmmexec.Variant, m, k, n int, levels []core.Algorithm, workers int, foldScale float64) []fmmexec.Step {
 	L := len(levels)
 	if workers < 2 || L == 0 {
 		return nil
-	}
-	if foldScale <= 0 {
-		foldScale = 1
 	}
 	s := StatsOf(levels...)
 	sm, sk, sn := m/s.MT, k/s.KT, n/s.NT
@@ -68,8 +51,7 @@ func TraversalPlanScaled(arch Arch, v fmmexec.Variant, m, k, n int, levels []cor
 	best := dfsCost(arch, s, sm, sk, sn, workers)
 	bestDepth := 0
 	for d := 1; d <= L; d++ {
-		compute, fold := bfsCost(arch, v, s, sm, sk, sn, levels, d, workers)
-		if cost := compute + foldScale*fold; cost < best {
+		if cost := bfsCost(arch, v, s, sm, sk, sn, levels, d, workers); cost < best {
 			best = cost
 			bestDepth = d
 		}
@@ -92,11 +74,9 @@ func dfsCost(arch Arch, s Stats, sm, sk, sn, workers int) float64 {
 	return float64(s.R) * perTerm * math.Ceil(float64(nb)/float64(workers)) / float64(nb)
 }
 
-// bfsCost splits the BFS cost at prefix depth d into its compute part
-// (⌈F/w⌉ rounds of R/F serial terms) and its reduction-fold part (the τb
-// buffer traffic), so callers can scale the fold term independently — the
-// seam both TraversalPlanScaled and FitFoldScale stand on.
-func bfsCost(arch Arch, v fmmexec.Variant, s Stats, sm, sk, sn int, levels []core.Algorithm, depth, workers int) (compute, fold float64) {
+// bfsCost is the BFS cost at prefix depth d: ⌈F/w⌉ rounds of R/F serial
+// terms, plus the reduction fold's τb buffer traffic.
+func bfsCost(arch Arch, v fmmexec.Variant, s Stats, sm, sk, sn int, levels []core.Algorithm, depth, workers int) float64 {
 	perTerm := PredictGEMM(arch, sm, sk, sn).Total()
 	w := float64(workers)
 	F := 1
@@ -104,57 +84,11 @@ func bfsCost(arch Arch, v fmmexec.Variant, s Stats, sm, sk, sn int, levels []cor
 		F *= levels[i].R
 	}
 	chunk := float64(s.R / F)
-	compute = math.Ceil(float64(F)/w) * chunk * perTerm
+	compute := math.Ceil(float64(F)/w) * chunk * perTerm
 	m1 := float64(sm * s.MT)
 	n1 := float64(sn * s.NT)
-	switch v {
-	case fmmexec.ABC:
-		fold = 4 * arch.TauB * float64(F) * m1 * n1
-	default: // Naive, AB: per-term product buffers
-		fold = arch.TauB * float64(s.R) * float64(sm) * float64(sn)
+	if v == fmmexec.ABC {
+		return compute + 4*arch.TauB*float64(F)*m1*n1
 	}
-	return compute, fold
-}
-
-// Admissible range for a fitted fold scale: outside it the measurement is
-// more likely polluted (a paused goroutine, a thermal event) than the
-// model wrong by that much, so the fit clamps rather than swinging
-// selection to an extreme.
-const (
-	foldScaleMin = 0.25
-	foldScaleMax = 8.0
-)
-
-// FitFoldScale solves for the fold-cost scale that makes the model's BFS
-// prediction at the given prefix depth match a measured wall time:
-// measured = compute + scale·fold, so scale = (measured − compute)/fold,
-// clamped to [0.25, 8] (a measurement faster than the compute part alone
-// clamps to the floor — evidence that folds are far cheaper than modeled,
-// bounded so one polluted sample can't zero the term). Degenerate inputs —
-// a depth the plan doesn't have, a zero fold term, a non-positive
-// measurement — return 1, the analytic scale. The autotuner calls
-// this when a promotion crosses traversal modes (measured evidence that
-// the analytic fold cost mispriced BFS) and feeds the result back into
-// TraversalPlanScaled for subsequent plan construction.
-func FitFoldScale(arch Arch, v fmmexec.Variant, m, k, n int, levels []core.Algorithm, workers, depth int, measured float64) float64 {
-	if depth < 1 || depth > len(levels) || workers < 1 || measured <= 0 {
-		return 1
-	}
-	s := StatsOf(levels...)
-	sm, sk, sn := m/s.MT, k/s.KT, n/s.NT
-	if sm < 1 || sk < 1 || sn < 1 {
-		return 1
-	}
-	compute, fold := bfsCost(arch, v, s, sm, sk, sn, levels, depth, workers)
-	if fold <= 0 {
-		return 1
-	}
-	scale := (measured - compute) / fold
-	if scale < foldScaleMin {
-		return foldScaleMin
-	}
-	if scale > foldScaleMax {
-		return foldScaleMax
-	}
-	return scale
+	return compute + arch.TauB*float64(s.R)*float64(sm)*float64(sn) // Naive, AB: per-term product buffers
 }

@@ -3,12 +3,12 @@ package fmmfam
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/gemm"
+	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/model"
 	"fmmfam/internal/sched"
@@ -35,18 +35,16 @@ import (
 // per element — a float32 buffer can never be handed to a float64 call,
 // however the two surfaces interleave.
 //
-// One engine per kernel: every plan of one micro-kernel backend, at either
-// width, executes on one gemm.Context (width-1 plans on its Serial() view),
-// built on first use — one in normal serving, one more per alternative
-// backend the autotuner tries. The context owns all the memory; plans own
-// none. So the multiplier's idle retained memory is bounded by gemm.Context's
-// invariant times the kernels in use, independent of Config.PlanCacheCap and
-// of how many shapes were served.
+// One engine: every plan, at either width, executes on one gemm.Context of
+// the configured kernel backend (width-1 plans on its Serial() view), built on
+// first use. The context owns all the memory; plans own none. So the
+// multiplier's idle retained memory is bounded by gemm.Context's invariant,
+// independent of Config.PlanCacheCap and of how many shapes were served.
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
-// works too) and builds every engine on it. Batch jobs, shard
-// tiles, K-split slabs, BFS term jobs, row-split adds, the gemm ic loop and
+// works too) and builds its engine on it. Batch jobs, shard tiles,
+// K-split slabs, BFS term jobs, row-split adds, the gemm ic loop and
 // B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
 // run the jobs serially on the caller — is what bounds goroutines, for any
 // mix and nesting of concurrent callers:
@@ -65,9 +63,7 @@ import (
 // code path: the only thing deciding GEMM versus FMM is model.Rank on this
 // multiplier's Arch, and every route to a plan abstains the same way — a
 // direct call, each batch job, each shard tile and K-split slab, each async
-// job and coalesced wire request, and each autotune arm, where gemm is an arm
-// like any other: it can be the incumbent with fast plans shadowing it, or
-// the challenger.
+// job and coalesced wire request.
 //
 // One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
 // runs its class's width-Threads plan (intra-GEMM fan-out, model-chosen
@@ -96,33 +92,14 @@ type GenericMultiplier[E matrix.Element] struct {
 	// point returns it so an invalid multiplier fails fast and uniformly.
 	cfgErr error
 
-	// With Config.Autotune set, plan-cache entries carry a bandit and its arm
-	// plans, MulAdd times every call, and feedback holds the measured medians
-	// promotions write back for selection (model.RankMeasured). foldScale is
-	// the fitted traversal fold-cost scale (math.Float64bits; 0 = analytic),
-	// written on promotions that cross traversal modes and read by
-	// traversalFor.
-	feedback  *model.Feedback
-	foldScale atomic.Uint64
-
 	pool  *sched.Pool // the one worker budget
 	plans *planCache[E]
 
-	// engines is the lazily filled table kernel name → the one gemm.Context
-	// every plan of that backend executes on.
-	engines struct {
-		sync.Mutex
-		m map[string]*gemm.Context[E]
-	}
-
-	// shardTuns holds the per-shape-class shard-grid tuners (the sharded
-	// path has no plan-cache entry to hang a bandit off). Bounded by the
-	// plan-cache cap: beyond it new shape classes serve untuned rather than
-	// growing without bound.
-	shardTuns struct {
-		sync.Mutex
-		m map[planKey]*shardTuner
-	}
+	// ctx is the one gemm.Context every plan executes on, built on first use
+	// (engine); ctxErr is why it could not be.
+	ctxOnce sync.Once
+	ctx     *gemm.Context[E]
+	ctxErr  error
 
 	// breakEven is the lazily-computed model break-even (breakEvenTile).
 	breakEvenOnce sync.Once
@@ -206,7 +183,7 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 			cfgErr = err
 		}
 	}
-	mu := &GenericMultiplier[E]{
+	return &GenericMultiplier[E]{
 		cfg:       cfg,
 		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
 		cfgErr:    cfgErr,
@@ -214,11 +191,6 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		plans:     newPlanCache[E](cfg.planCacheCap()),
 		shardRuns: make(chan *shardRun[E], max(cfg.Threads, 1)),
 	}
-	mu.engines.m = make(map[string]*gemm.Context[E])
-	if cfg.Autotune {
-		mu.feedback = model.NewFeedback()
-	}
-	return mu
 }
 
 // NewMultiplier returns a float64 Multiplier; see NewGenericMultiplier. Use
@@ -267,18 +239,12 @@ func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int) error
 	}
 	if threads > 1 {
 		if route, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
-			if mu.cfg.Autotune {
-				return mu.mulAddShardedTuned(route, c, a, b)
-			}
 			return mu.mulAddSharded(route.Spec, c, a, b)
 		}
 	}
 	e, err := mu.entryFor(a.Rows, a.Cols, b.Cols, threads)
 	if err != nil {
 		return err
-	}
-	if e.tun != nil {
-		return e.tun.mulAdd(mu, c, a, b)
 	}
 	e.p.MulAdd(c, a, b)
 	return nil
@@ -514,8 +480,8 @@ func (r *shardRun[E]) tile(i int) {
 // scheduled job computing A[ti, p0:p1]·B[p0:p1, tj] on views of the operands
 // with its width-1 plan (shardRun.tile). Slab 0 accumulates directly into the
 // tile's C view; each later slab accumulates into a zeroed reduction buffer
-// rented from the configured kernel's engine; and whichever worker finishes a
-// tile's last slab folds that tile's buffers into C in ascending slab order.
+// rented from the engine; and whichever worker finishes a tile's last slab
+// folds that tile's buffers into C in ascending slab order.
 // With K whole (GridK == 1) there is only slab 0: tiles write disjoint
 // regions of C and nothing is folded, so the result is bit-identical to
 // executing the tiles one after another, however the pool interleaves them.
@@ -527,7 +493,7 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Ma
 	var ctx *gemm.Context[E] // rents the reduction buffers; unused with K whole
 	if spec.GridK > 1 {
 		var err error
-		if ctx, err = mu.engine("", 1); err != nil {
+		if ctx, err = mu.engine(1); err != nil {
 			return fmt.Errorf("%v: %w", spec, err)
 		}
 	}
@@ -557,29 +523,20 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Ma
 	return nil
 }
 
-// engine returns the one gemm.Context plans of the given kernel backend
-// (empty = the configured one) execute on, at the given width — the context
-// itself at Config.Threads, its Serial() view at 1 — building it on the
-// multiplier's pool on first use.
-func (mu *GenericMultiplier[E]) engine(kern string, threads int) (*gemm.Context[E], error) {
-	gcfg := mu.cfg.gemmConfig()
-	if kern != "" {
-		gcfg.Kernel = kern
-	}
-	mu.engines.Lock()
-	defer mu.engines.Unlock()
-	ctx := mu.engines.m[gcfg.Kernel]
-	if ctx == nil {
-		var err error
-		if ctx, err = gemm.NewContextOn[E](gcfg, mu.pool); err != nil {
-			return nil, err
-		}
-		mu.engines.m[gcfg.Kernel] = ctx
+// engine returns the one gemm.Context every plan executes on, at the given
+// width — the context itself at Config.Threads, its Serial() view at 1 —
+// building it on the multiplier's pool on first use.
+func (mu *GenericMultiplier[E]) engine(threads int) (*gemm.Context[E], error) {
+	mu.ctxOnce.Do(func() {
+		mu.ctx, mu.ctxErr = gemm.NewContextOn[E](mu.cfg.gemmConfig(), mu.pool)
+	})
+	if mu.ctxErr != nil {
+		return nil, mu.ctxErr
 	}
 	if threads == 1 {
-		return ctx.Serial(), nil
+		return mu.ctx.Serial(), nil
 	}
-	return ctx, nil
+	return mu.ctx, nil
 }
 
 // RentMat returns a rows×cols matrix with unspecified contents from the
@@ -590,7 +547,7 @@ func (mu *GenericMultiplier[E]) engine(kern string, threads int) (*gemm.Context[
 // ReturnMat once no product that reads or writes it can still be running. A
 // matrix that is never returned is simply collected.
 func (mu *GenericMultiplier[E]) RentMat(rows, cols int) matrix.Mat[E] {
-	ctx, err := mu.engine("", 1)
+	ctx, err := mu.engine(1)
 	if err != nil { // invalid Config: every product fails with it; nothing to pool
 		return matrix.New[E](rows, cols)
 	}
@@ -599,9 +556,36 @@ func (mu *GenericMultiplier[E]) RentMat(rows, cols int) matrix.Mat[E] {
 
 // ReturnMat gives a RentMat matrix back; the caller must not use it after.
 func (mu *GenericMultiplier[E]) ReturnMat(m matrix.Mat[E]) {
-	if ctx, err := mu.engine("", 1); err == nil {
+	if ctx, err := mu.engine(1); err == nil {
 		ctx.ReturnMat(m)
 	}
+}
+
+// MultiplierStats is the multiplier's observability surface.
+type MultiplierStats struct {
+	// Kernel is the micro-kernel backend this engine resolved from its
+	// configuration (Config.Kernel; an empty selection resolves to the
+	// fastest backend registered). A configured-but-unavailable backend is
+	// reported with an " (unavailable)" suffix — every compute call is
+	// failing validation in that state.
+	Kernel string
+	// CachedPlans mirrors CachedPlans(): every cached plan, both widths.
+	CachedPlans int
+}
+
+// Stats returns a point-in-time snapshot of the multiplier's serving state.
+// Safe for concurrent use with serving traffic.
+func (mu *GenericMultiplier[E]) Stats() MultiplierStats {
+	return MultiplierStats{Kernel: mu.resolvedKernel(), CachedPlans: mu.plans.len()}
+}
+
+// resolvedKernel names the backend this engine runs on, marking a named
+// selection that is not registered for its element type on this host.
+func (mu *GenericMultiplier[E]) resolvedKernel() string {
+	if _, ok := kernel.ResolveNameFor(mu.cfg.Kernel, matrix.DtypeOf[E]()); !ok {
+		return mu.cfg.Kernel + " (unavailable)"
+	}
+	return mu.cfg.Kernel
 }
 
 // PlanFor exposes the plan a direct, unsharded MulAdd would use for a problem
@@ -645,9 +629,7 @@ type Explanation struct {
 
 // Explain reports what MulAdd would do with an m×k×n product, without
 // multiplying: it asks the same shardSpec and entryFor the call asks, so it
-// fills the plan cache exactly as the call would. With Autotune set the grid
-// and plan are the model's picks the tuners start from (Stats has where they
-// have moved since).
+// fills the plan cache exactly as the call would.
 func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 	if mu.cfgErr != nil {
 		return Explanation{}, mu.cfgErr
@@ -672,27 +654,23 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 }
 
 // entryFor returns the cached plan-cache entry for a problem's shape class
-// at the given width, building it on first use: the model-selected plan,
-// plus — when autotuning is on — the shape class's bandit and its challenger
-// arm plans.
+// at the given width, building it on first use: the model-selected plan with
+// its traversal, on the multiplier's engine at that width.
 func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], error) {
 	key := shapeClass(m, k, n, threads)
 	if e, ok := mu.plans.get(key); ok {
 		return e, nil
 	}
-	if mu.cfg.Autotune {
-		tun, err := mu.newPlanTuner(key, m, k, n)
-		if err != nil {
-			return nil, err
-		}
-		return mu.plans.add(key, &planEntry[E]{p: tun.arms[tun.tuner.Incumbent()].plan, tun: tun}), nil
-	}
-	cand := Recommend(mu.arch, m, k, n)
-	_, arm, err := mu.buildArm(cand, mu.traversalFor(cand, m, k, n, threads), "", threads)
+	ctx, err := mu.engine(threads)
 	if err != nil {
 		return nil, err
 	}
-	return mu.plans.add(key, &planEntry[E]{p: arm.plan}), nil
+	cand := Recommend(mu.arch, m, k, n)
+	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, mu.traversalFor(cand, m, k, n, threads), cand.Levels...)
+	if err != nil {
+		return nil, err
+	}
+	return mu.plans.add(key, &planEntry[E]{p: p}), nil
 }
 
 // traversalFor resolves a plan's per-level term traversal: forced modes map
@@ -710,16 +688,7 @@ func (mu *GenericMultiplier[E]) traversalFor(cand Candidate, m, k, n, threads in
 	case TraversalBFS:
 		return forcedSteps(TraversalBFS, len(cand.Levels))
 	}
-	return model.TraversalPlanScaled(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, threads, mu.foldScaleVal())
-}
-
-// foldScaleVal reads the fitted traversal fold-cost scale: 1 (the analytic
-// model) until an autotune promotion crossing traversal modes fits one.
-func (mu *GenericMultiplier[E]) foldScaleVal() float64 {
-	if bits := mu.foldScale.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return 1
+	return model.TraversalPlan(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, threads)
 }
 
 // CachedPlans reports how many plans are cached, over both widths (a shape
@@ -737,13 +706,9 @@ type planCache[E matrix.Element] struct {
 	m  map[planKey]*planEntry[E]
 }
 
-// planEntry is one cached shape class: the plan untuned serving executes,
-// and — when autotuning — the bandit plus its arm plans (tun non-nil; tun's
-// incumbent arm and p start out the same plan, and p stays the construction-
-// time pick for PlanFor inspection while the tuner's incumbent may move).
+// planEntry is one cached shape class: its plan and when it was last used.
 type planEntry[E matrix.Element] struct {
 	p    *fmmexec.Plan[E]
-	tun  *planTuner[E]
 	last atomic.Int64 // logical timestamp of the most recent use
 }
 
@@ -764,7 +729,7 @@ func (pc *planCache[E]) get(key planKey) (*planEntry[E], bool) {
 
 // add inserts e under key unless another caller won the race, in which case
 // the incumbent entry is returned — callers of the same shape class always
-// share one plan (and one tuner). When the cache is over capacity the
+// share one plan. When the cache is over capacity the
 // least-recently-used entry is evicted.
 func (pc *planCache[E]) add(key planKey, e *planEntry[E]) *planEntry[E] {
 	pc.mu.Lock()
@@ -815,12 +780,6 @@ type planKey struct{ bm, bk, bn, threads int }
 
 func shapeClass(m, k, n, threads int) planKey {
 	return planKey{bucket(m), bucket(k), bucket(n), threads}
-}
-
-// String names the shape class alone ("m/k/n"): the key model.Feedback and
-// ShapeTuning.Shape use, shared by a class's two widths.
-func (k planKey) String() string {
-	return fmt.Sprintf("%d/%d/%d", k.bm, k.bk, k.bn)
 }
 
 func bucket(x int) int {

@@ -173,19 +173,22 @@ func TestPlanCacheBoundAcrossWidths(t *testing.T) {
 	}
 }
 
-// checkPlansShareEngine asserts the one-engine-per-kernel structure over
-// every cached plan of mu: all plans of one width report the same Context()
-// pointer — the configured kernel's engine for full-width plans, that
-// engine's Serial() view for width-1 ones — on the multiplier's own pool. It
-// returns how many plans of each width it saw.
+// checkPlansShareEngine asserts the one-engine structure over every cached
+// plan of mu: all plans of one width report the same Context() pointer — the
+// multiplier's engine, on the configured kernel backend, for full-width plans,
+// that engine's Serial() view for width-1 ones — on the multiplier's own pool.
+// It returns how many plans of each width it saw.
 func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 	t.Helper()
-	engine, err := mu.engine("", mu.cfg.Threads)
+	engine, err := mu.engine(mu.cfg.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if engine.Pool() != mu.pool {
 		t.Fatal("engine runs on a pool of its own")
+	}
+	if got := engine.Backend().Name(); got != mu.cfg.Kernel {
+		t.Fatalf("engine runs backend %q, want the configured %q", got, mu.cfg.Kernel)
 	}
 	for key, e := range mu.plans.entries() {
 		want := engine
@@ -232,7 +235,10 @@ func TestMultiplierPlansShareOnePool(t *testing.T) {
 // (plans, engine, pooled buffers) is below one maxRetainedFloats worth of
 // float64s — where one private context, workspace pool and pre-allocated
 // workspace per cached plan kept 4–5 MiB per plan, about 200 MiB here. The
-// operands are allocated before the baseline reading.
+// multiplier pinned to avx2 also serves one product down every other route —
+// direct, 1×2 column tiles, K-split slabs and an async job — and every plan
+// and buffer of all of them must be on its one avx2 engine. The operands are
+// allocated before the baseline reading.
 func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 	// The host's fastest backend, then every backend by name.
 	kernels := append([]string{""}, Kernels()...)
@@ -248,6 +254,17 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 				jobs = append(jobs, BatchJob{C: NewMatrix(m, n), A: a, B: b})
 			}
 		}
+	}
+	routes := []struct {
+		m, k, n int
+		grid    string // the route's shard grid, "" = unsharded
+	}{{160, 160, 160, ""}, {1024, 128, 1024, "1×2×1"}, {128, 4096, 128, "1×1×2"}}
+	routeJobs := make([]BatchJob, len(routes))
+	for i, r := range routes {
+		a, b := NewMatrix(r.m, r.k), NewMatrix(r.k, r.n)
+		a.FillRand(rng)
+		b.FillRand(rng)
+		routeJobs[i] = BatchJob{C: NewMatrix(r.m, r.n), A: a, B: b}
 	}
 	heap := func() int64 {
 		runtime.GC()
@@ -271,17 +288,42 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if kern == kernel.AVX2Backend {
+				for i, r := range routes {
+					ex, err := mu.Explain(r.m, r.k, r.n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if grid := fmt.Sprintf("%d×%d×%d", ex.GridM, ex.GridN, ex.GridK); r.grid != "" && grid != r.grid || r.grid == "" && ex.GridM != 0 {
+						t.Fatalf("%d×%d×%d shards as %s, want %q", r.m, r.k, r.n, grid, r.grid)
+					}
+					j := routeJobs[i]
+					if err := mu.MulAdd(j.C, j.A, j.B); err != nil {
+						t.Fatal(err)
+					}
+				}
+				j := jobs[0]
+				if err := mu.MulAddAsync(j.C, j.A, j.B).Wait(); err != nil {
+					t.Fatal(err)
+				}
+				mu.Close()
+			}
 			growth := heap() - before
 			const bound = 64 << 20 // gemm's maxRetainedFloats, in float64 bytes
 			t.Logf("%d cached plans retain %.1f MiB", mu.CachedPlans(), float64(growth)/(1<<20))
 			if growth > bound {
 				t.Fatalf("%d cached plans retain %d MiB, want < %d MiB", mu.CachedPlans(), growth>>20, bound>>20)
 			}
+			wantWide := len(dims)
+			if kern == kernel.AVX2Backend {
+				wantWide++ // shardSpec's look at the 1024×128×1024 product's own plan
+			}
 			serial, wide := checkPlansShareEngine(t, mu)
-			if serial < 40 || wide != len(dims) {
-				t.Fatalf("cache holds %d width-1 and %d full-width plans, want ≥ 40 and %d", serial, wide, len(dims))
+			if serial < 40 || wide != wantWide {
+				t.Fatalf("cache holds %d width-1 and %d full-width plans, want ≥ 40 and %d", serial, wide, wantWide)
 			}
 			runtime.KeepAlive(jobs)
+			runtime.KeepAlive(routeJobs)
 		})
 	}
 }

@@ -1,9 +1,8 @@
 // Race-detector stress: coalescing windows filling and flushing while the
-// engines autotune on served traffic and a poller hammers /v1/stats. This is
-// the serving-layer extension of the engine's stats_race_test — same idea,
-// but through real sockets with the coalescer's timer/size flush race in the
-// loop. The assertions are tolerance-based because autotuning deliberately
-// routes calls across plan variants.
+// engines fill their plan caches on served traffic and a poller hammers
+// /v1/stats. This is the serving-layer extension of the engine's
+// stats_race_test — same idea, but through real sockets with the coalescer's
+// timer/size flush race in the loop.
 package serve_test
 
 import (
@@ -18,12 +17,11 @@ import (
 	"fmmfam"
 )
 
-func TestServeRaceCoalesceAutotuneStats(t *testing.T) {
+func TestServeRaceCoalesceStats(t *testing.T) {
 	beforeGoroutines := runtime.NumGoroutine()
 	cfg := fmmfam.Config{
 		MC: 16, KC: 16, NC: 32, Threads: 2,
 		ShardThreshold: 128, ShardMinTile: 48, ShardKSplit: -1,
-		Autotune: true, AutotuneFraction: 0.5,
 		CoalesceWindow: 100 * time.Microsecond, CoalesceMaxJobs: 4,
 		AdmissionDepth: 32,
 	}
@@ -42,7 +40,6 @@ func TestServeRaceCoalesceAutotuneStats(t *testing.T) {
 	want := fmmfam.NewMatrix(48, 48)
 	refCfg := cfg
 	refCfg.Threads = 1
-	refCfg.Autotune = false
 	ref := fmmfam.NewMultiplier(refCfg, fmmfam.PaperArch())
 	if err := ref.MulAdd(want, a, b); err != nil {
 		t.Fatalf("reference: %v", err)
@@ -71,8 +68,8 @@ func TestServeRaceCoalesceAutotuneStats(t *testing.T) {
 				t.Errorf("stats poll: %v", err)
 				return
 			}
-			if !st.Multiplier.Autotune || st.Multiplier.Fraction != 0.5 {
-				t.Errorf("stats: autotune knobs lost in flight: %+v", st.Multiplier)
+			if st.Multiplier.Kernel == "" {
+				t.Errorf("stats: engine stats lost in flight: %+v", st.Multiplier)
 				return
 			}
 			if st.Coalesce64.Jobs < st.Coalesce64.Batches {
@@ -97,11 +94,11 @@ func TestServeRaceCoalesceAutotuneStats(t *testing.T) {
 					t.Errorf("client %d iter %d: %v", g, it, err)
 					return
 				}
-				// Autotune routes a fraction of calls to alternate plans, so
-				// equality is up to roundoff, matching the engine's own
-				// autotune race test.
+				// A request dispatched alone runs its class's full-width
+				// plan, a coalesced one the width-1 plan: equality is up to
+				// roundoff.
 				if d := c.MaxAbsDiff(want); d > 1e-9 {
-					t.Errorf("client %d iter %d: off by %g under autotune", g, it, d)
+					t.Errorf("client %d iter %d: off by %g", g, it, d)
 					return
 				}
 			}

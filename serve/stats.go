@@ -143,8 +143,7 @@ type Stats struct {
 	// the server.
 	AsyncPending int
 	// Multiplier and Multiplier32 are the engines' own observability
-	// surfaces (resolved kernel backend, plan cache, autotune arms,
-	// promotions).
+	// surfaces (resolved kernel backend, plan cache).
 	Multiplier   fmmfam.MultiplierStats
 	Multiplier32 fmmfam.MultiplierStats
 	// CPU and Kernels report the host's dispatch-relevant CPU features and

@@ -6,20 +6,15 @@ import (
 	"testing"
 )
 
-// TestStatsConcurrentWithServingAndAutotune hammers Stats() from dedicated
-// reader goroutines while servers drive traffic through a multiplier with
-// autotuning at its maximum exploration fraction — so bandit records,
-// verdict checkpoints, and promotions/demotions race against snapshotting.
-// Under -race this proves the observability surface never tears against the
-// tuner state it reports. Results are still checked against the naive
-// reference: autotuning may swap which plan serves a call, never what it
-// computes.
-func TestStatsConcurrentWithServingAndAutotune(t *testing.T) {
-	mu := NewMultiplier(Config{
-		MC: 16, KC: 16, NC: 32, Threads: 2,
-		Autotune: true, AutotuneFraction: 0.5,
-	}, PaperArch())
+// TestStatsConcurrentWithServing hammers Stats() from dedicated reader
+// goroutines while servers drive traffic through a multiplier, so plan-cache
+// inserts race against snapshotting. Under -race this proves the
+// observability surface never tears against the serving state it reports.
+// Results are still checked against the naive reference.
+func TestStatsConcurrentWithServing(t *testing.T) {
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 2}, PaperArch())
 	refs := makeRefProducts(7)
+	kern := mu.Stats().Kernel
 
 	var stop atomic.Bool
 	var readers sync.WaitGroup
@@ -28,18 +23,9 @@ func TestStatsConcurrentWithServingAndAutotune(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for !stop.Load() {
-				s := mu.Stats()
-				if !s.Autotune || s.Fraction != 0.5 {
-					t.Errorf("Stats() = {Autotune: %v, Fraction: %g}; want {true, 0.5}", s.Autotune, s.Fraction)
+				if s := mu.Stats(); s.Kernel != kern {
+					t.Errorf("Stats() = %+v; want kernel %q", s, kern)
 					return
-				}
-				// Walk the whole snapshot so the race detector observes the
-				// reads against concurrent tuner writes.
-				for _, sh := range s.Shapes {
-					for _, a := range sh.Arms {
-						_ = a.Samples
-					}
-					_ = len(sh.Promotions)
 				}
 			}
 		}()
@@ -75,20 +61,7 @@ func TestStatsConcurrentWithServingAndAutotune(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := mu.Stats()
-	if s.CachedPlans == 0 {
+	if s := mu.Stats(); s.CachedPlans == 0 {
 		t.Error("Stats().CachedPlans = 0 after serving traffic")
-	}
-	if len(s.Shapes) == 0 {
-		t.Error("Stats().Shapes empty after serving autotuned traffic")
-	}
-	for _, sh := range s.Shapes {
-		var total uint64
-		for _, a := range sh.Arms {
-			total += a.Samples
-		}
-		if total == 0 {
-			t.Errorf("shape %s (%s): tuner exists but recorded no samples", sh.Shape, sh.Kind)
-		}
 	}
 }
