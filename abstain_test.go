@@ -177,23 +177,6 @@ func TestDefaultSquareRoute(t *testing.T) {
 	}
 }
 
-// TestZeroLevelPlanUnderForcedTraversal: a forced "bfs" traversal has no
-// level to fan on the zero-level plan, through the Multiplier and NewPlan.
-func TestZeroLevelPlanUnderForcedTraversal(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Threads, cfg.Traversal = 2, TraversalBFS
-	p, err := NewMultiplier(cfg, PaperArch()).PlanFor(64, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.String() != fmmexec.GEMMName || p.Traversal() != nil {
-		t.Fatalf("multiplier: plan %q traversal %v", p, p.Traversal())
-	}
-	if p, err = NewPlan(cfg, ABC); err != nil || p.String() != fmmexec.GEMMName || p.Traversal() != nil {
-		t.Fatalf("NewPlan with no levels: %v, %v", p, err)
-	}
-}
-
 // TestSmallShapesServeGEMM: on avx2 a batch of small products (the
 // benchmark's small_batch population, dims in [16,192]) is served entirely by
 // zero-level plans — nothing else enters the plan cache — with results inside

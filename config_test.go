@@ -29,10 +29,10 @@ func TestConfigValidate(t *testing.T) {
 		{"avx2 kernel iff the host has it", func(c *Config) { c.Kernel = "avx2" }, hasAVX2},
 		{"avx512 kernel iff the host has it", func(c *Config) { c.Kernel = "avx512" }, HostCPU().AVX512},
 		{"serving knobs at defaults", func(c *Config) {
-			c.ShardThreshold, c.ShardMinTile, c.QueueDepth, c.PlanCacheCap = 0, 0, 0, 0
+			c.ShardThreshold, c.QueueDepth = 0, 0
 		}, true},
 		{"negative sentinels allowed", func(c *Config) {
-			c.ShardThreshold, c.ShardKSplit, c.PlanCacheCap = -1, -1, -1
+			c.ShardThreshold, c.CoalesceWindow = -1, -1
 		}, true},
 
 		{"zero workers", func(c *Config) { c.Threads = 0 }, false},
@@ -46,7 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		{"MC=4 ok for go4x4", func(c *Config) { c.MC = 4; c.Kernel = "go4x4" }, true},
 		{"MC=4 below avx2 MR", func(c *Config) { c.MC = 4; c.Kernel = "avx2" }, false},
 		{"MC=4 with an empty kernel fits iff go4x4 is the fastest here", func(c *Config) { c.MC = 4 }, !hasAVX2},
-		{"negative ShardMinTile", func(c *Config) { c.ShardMinTile = -1 }, false},
 		{"negative QueueDepth", func(c *Config) { c.QueueDepth = -2 }, false},
 		{"serve knobs set", func(c *Config) {
 			c.ServeAddr, c.CoalesceWindow, c.CoalesceMaxJobs, c.AdmissionDepth = "127.0.0.1:0", 250e3, 16, 8
@@ -163,23 +162,29 @@ func TestDefaultKernelPlanGolden(t *testing.T) {
 
 // TestKernelBackendEndToEnd drives every registered backend through the full
 // Multiplier stack — plan selection, sharding, batch — and checks results
-// against the reference.
+// against the reference. The product shards on every backend: into FMM tiles
+// at the break-even on go4x4, into GEMM tiles at half the threshold on avx2
+// and avx512.
 func TestKernelBackendEndToEnd(t *testing.T) {
+	const m, k, n = 300, 130, 200
 	rng := rand.New(rand.NewSource(5))
-	a, b := NewMatrix(200, 130), NewMatrix(130, 170)
+	a, b := NewMatrix(m, k), NewMatrix(k, n)
 	a.FillRand(rng)
 	b.FillRand(rng)
-	want := NewMatrix(200, 170)
+	want := NewMatrix(m, n)
 	matrix.MulAdd(want, a, b)
 	for _, name := range Kernels() {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{
 				MC: 32, KC: 32, NC: 64, Threads: 4,
 				Kernel:         name,
-				ShardThreshold: 128, ShardMinTile: 48, // force the sharded path
+				ShardThreshold: 128, // force the sharded path
 			}
 			mu := NewMultiplier(cfg, PaperArch())
-			c := NewMatrix(200, 170)
+			if spec, ok := mu.shardSpec(m, k, n); !ok {
+				t.Fatalf("product does not shard: %v", spec)
+			}
+			c := NewMatrix(m, n)
 			if err := mu.MulAdd(c, a, b); err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +193,7 @@ func TestKernelBackendEndToEnd(t *testing.T) {
 			}
 			// Repeat must be bit-identical (the serving determinism contract
 			// holds for every conforming backend).
-			c2 := NewMatrix(200, 170)
+			c2 := NewMatrix(m, n)
 			if err := mu.MulAdd(c2, a, b); err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +201,7 @@ func TestKernelBackendEndToEnd(t *testing.T) {
 				t.Fatalf("backend %s not deterministic under sharding: %g", name, d)
 			}
 			// Batch path.
-			c3 := NewMatrix(200, 170)
+			c3 := NewMatrix(m, n)
 			if err := mu.MulAddBatch([]BatchJob{{C: c3, A: a, B: b}}); err != nil {
 				t.Fatal(err)
 			}

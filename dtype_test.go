@@ -28,13 +28,14 @@ var kSplitAcceptanceShapes = [][3]int{
 }
 
 // kSplitServingCfg is the blocking the PR-3 acceptance tests shard those
-// shapes under, on the reference kernel, where slabs this small still get
-// FMM plans.
+// shapes under, on the reference kernel: its break-even (~148) is the slab
+// floor, low enough that these K's cut into three or four slabs, and slabs
+// this small still get FMM plans.
 func kSplitServingCfg() Config {
 	return Config{
 		MC: 16, KC: 16, NC: 32, Threads: 4,
-		ShardThreshold: 256, ShardMinTile: 48,
-		Kernel: "go4x4",
+		ShardThreshold: 256,
+		Kernel:         "go4x4",
 	}
 }
 

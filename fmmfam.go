@@ -40,11 +40,11 @@
 // Serving layer: above Config.ShardThreshold a MulAdd is automatically split
 // into independent block products scheduled on that pool (internal/shard +
 // internal/sched) — cutting the M×N output into full-K tiles (bit-identical
-// results), or, for K-dominant problems with Config.ShardKSplit enabled, the
-// inner dimension into reduction slabs (run-to-run deterministic results,
-// fixed fold order); MulAddAsync submits work to a bounded queue and returns
-// a Future; the plan cache is LRU-bounded so servers with diverse shapes
-// stay bounded.
+// results), or, for K-dominant problems, the inner dimension into reduction
+// slabs (run-to-run deterministic results, fixed fold order); MulAddAsync
+// submits work to a bounded queue and returns a Future; the plan cache is
+// LRU-bounded at DefaultPlanCacheCap so servers with diverse shapes stay
+// bounded.
 package fmmfam
 
 import (
@@ -96,8 +96,8 @@ const (
 )
 
 // Config configures a Multiplier or Plan: the GEMM driver's cache blocking
-// {MC,KC,NC} and worker count, plus the serving-layer knobs (sharding,
-// async queue, plan-cache bound). The zero value of every serving knob
+// {MC,KC,NC} and worker count, plus the serving-layer knobs (shard
+// threshold, async queue, wire front-end). The zero value of every serving knob
 // selects a sensible default; the blocking fields must be set (use
 // DefaultConfig). A Config is the whole input: nothing built from one reads
 // the process environment.
@@ -129,52 +129,18 @@ type Config struct {
 
 	// ShardThreshold is the problem size at or above which MulAdd
 	// automatically splits into independent block products scheduled across
-	// the pool (Threads ≥ 2 required): max(m,n) — or k, when K-split is
-	// enabled — must reach it. 0 means DefaultShardThreshold; negative
+	// the pool (Threads ≥ 2 required): max(m,k,n) must reach it. Tiles are
+	// cut in M and N, and in K (into slabs with per-tile reduction buffers,
+	// run-to-run deterministic but not bit-identical to the 2-D path) only
+	// where the performance model prices that faster. Every cut dimension
+	// stays at or above a floor that follows the plan serving the product
+	// (Explanation.MinTile). 0 means DefaultShardThreshold; negative
 	// disables sharding.
 	ShardThreshold int
-	// ShardMinTile floors every cut dimension of a shard tile — rows and
-	// cols, and slab depth when K is split. 0 lets the floor follow the plan
-	// that serves the product: the performance model's fast-algorithm
-	// break-even on this multiplier's Arch, lowered to half the resolved
-	// ShardThreshold when the grid cut there is 2-D with a tile per thread
-	// and either plain GEMM serves the product (so at Threads = 2 a product
-	// at the threshold splits in two) or a fast algorithm still serves that
-	// grid's largest tile — sharding never demotes an FMM product to GEMM
-	// tiles. Multiplier.Explain reports the floor a product got.
-	ShardMinTile int
-	// ShardKSplit controls whether sharding may also cut the inner (K)
-	// dimension into slabs with per-tile reduction buffers — the path that
-	// lets K-dominant problems (small M×N output, huge inner dimension)
-	// shard at all. K-split results are run-to-run deterministic (fixed
-	// reduction fold order) but not bit-identical to the 2D path. 0 means
-	// enabled (the default); negative disables, restricting sharding to the
-	// 2D decomposition; positive also enables.
-	ShardKSplit int
-
-	// Traversal selects how a plan traverses its R multiplication terms
-	// per call (see README "Parallelism"): "" or "auto" lets the
-	// performance model choose per shape — BFS term fan-out across the
-	// worker pool where sub-blocks are too small to keep the workers busy
-	// inside one GEMM, DFS otherwise; "dfs" forces the historical serial
-	// term loop (the bit-stable reference path the float64 golden
-	// fingerprints pin); "bfs" forces term fan-out at every level (ABC
-	// plans buffer one core-C shadow per fanned chunk, so forcing deep BFS
-	// on memory-tight machines is the user's call).
-	// Direct NewPlan/NewPlan32 construction has no problem size for the
-	// model, so "auto" there means DFS; the Multiplier path is where auto
-	// selection happens.
-	Traversal string
 
 	// QueueDepth bounds the MulAddAsync submission queue; submitters block
 	// when it is full (backpressure). 0 means 4×Threads.
 	QueueDepth int
-
-	// PlanCacheCap bounds the number of cached plans per Multiplier,
-	// evicting least-recently-used shape classes, so long-running servers
-	// seeing diverse shapes stay bounded. 0 means DefaultPlanCacheCap;
-	// negative means unbounded.
-	PlanCacheCap int
 
 	// ServeAddr is the listen address of the fmmserve wire front-end
 	// (cmd/fmmserve, package serve). Empty means DefaultServeAddr. The
@@ -214,30 +180,21 @@ type Config struct {
 	Calibrate bool
 }
 
-// Config.Traversal values.
-const (
-	// TraversalAuto lets the performance model pick BFS/DFS per level and
-	// shape (the default; "" means the same).
-	TraversalAuto = "auto"
-	// TraversalDFS forces the serial term loop with intra-GEMM threading —
-	// the historical bit-stable path.
-	TraversalDFS = "dfs"
-	// TraversalBFS forces term fan-out at every recursion level.
-	TraversalBFS = "bfs"
-)
-
 // Serving-layer defaults for the zero Config knobs.
 const (
-	// DefaultShardThreshold is the problem size — max(m,n), or k when
-	// K-split is enabled — at which MulAdd starts auto-sharding, and twice
-	// the lowered tile floor (see Config.ShardMinTile). It is not where the in-call
+	// DefaultShardThreshold is the problem size — max(m,k,n) — at which
+	// MulAdd starts auto-sharding, and twice the lowered tile floor (see
+	// Explanation.MinTile). It is not where the in-call
 	// loop starts losing: on a 2-vCPU AVX-512 host, two independent width-1
 	// GEMM column tiles ran 11–18 % faster than one width-2 GEMM at
 	// 384–1024 on both avx2 and avx512, and about even at 1536. It keeps
 	// small products off the sharded path, whose grid search and tile
 	// dispatch they would not amortize.
 	DefaultShardThreshold = 1024
-	// DefaultPlanCacheCap bounds the plan cache; each plan is a few KiB of
+	// DefaultPlanCacheCap is the bound of every Multiplier's plan cache: the
+	// number of plans it keeps over both widths, evicting the
+	// least-recently-used shape class beyond it, so long-running servers
+	// seeing diverse shapes stay bounded. Each plan is a few KiB of
 	// coefficient lists and owns no buffers (all memory belongs to the
 	// multiplier's one engine).
 	DefaultPlanCacheCap = 64
@@ -293,15 +250,6 @@ func (c Config) ServeParams() (ServeParams, error) {
 	}, nil
 }
 
-// checkTraversal rejects a Traversal outside its named values.
-func (c Config) checkTraversal() error {
-	switch c.Traversal {
-	case "", TraversalAuto, TraversalDFS, TraversalBFS:
-		return nil
-	}
-	return fmt.Errorf("fmmfam: Traversal=%q, need %q, %q, %q, or empty", c.Traversal, TraversalAuto, TraversalDFS, TraversalBFS)
-}
-
 // DefaultConfig returns the single-threaded default blocking with default
 // serving knobs.
 func DefaultConfig() Config {
@@ -341,9 +289,9 @@ func kernelFor[E matrix.Element](name string) string {
 // must be registered for the dtype, the blocking must fit that
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
-// source — the serving knobs that have no negative sentinel (ShardMinTile,
-// QueueDepth, CoalesceMaxJobs, AdmissionDepth) must be non-negative and
-// Traversal must be one of its named values. The result depends on the Config alone. NewMultiplier (and
+// source — and the serving knobs that have no negative sentinel (QueueDepth,
+// CoalesceMaxJobs, AdmissionDepth) must be non-negative. The result depends
+// on the Config alone. NewMultiplier (and
 // NewMultiplier32, which validates against the float32 registry instead)
 // records the result and surfaces it from every entry point, so an invalid
 // config fails fast instead of computing with nonsense parameters.
@@ -365,14 +313,8 @@ func resolveConfig[E matrix.Element](c Config) (Config, error) {
 		}
 		return c, fmt.Errorf("fmmfam: %w", err)
 	}
-	if c.ShardMinTile < 0 {
-		return c, fmt.Errorf("fmmfam: ShardMinTile=%d, need ≥ 0 (0 = the floor follows the serving plan)", c.ShardMinTile)
-	}
 	if c.QueueDepth < 0 {
 		return c, fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
-	}
-	if err := c.checkTraversal(); err != nil {
-		return c, err
 	}
 	_, err := c.ServeParams()
 	return c, err
@@ -450,24 +392,11 @@ func (c Config) shardThreshold() int {
 	}
 }
 
-func (c Config) shardKSplit() bool { return c.ShardKSplit >= 0 }
-
 func (c Config) queueDepth() int {
 	if c.QueueDepth > 0 {
 		return c.QueueDepth
 	}
 	return 4 * c.Threads
-}
-
-func (c Config) planCacheCap() int {
-	switch {
-	case c.PlanCacheCap < 0:
-		return 0 // unbounded
-	case c.PlanCacheCap == 0:
-		return DefaultPlanCacheCap
-	default:
-		return c.PlanCacheCap
-	}
 }
 
 // Plan is a ready-to-run float64 FMM implementation; see NewPlan.
@@ -492,11 +421,10 @@ func Catalog() []CatalogEntry { return core.Catalog() }
 
 // NewPlan builds an executable multi-level float64 FMM plan. Levels are
 // outermost first; hybrid partitions simply pass different algorithms per
-// level, and no levels at all is the zero-level plan, plain GEMM.
-// Config.Traversal "bfs" builds the plan with term fan-out at every level;
-// "dfs", "auto", and empty build the serial term loop (a direct plan
-// has no problem size for the model — auto selection happens on the
-// Multiplier path).
+// level, and no levels at all is the zero-level plan, plain GEMM. The plan
+// runs its terms in the serial term loop: a direct plan has no problem size
+// for the model, so term fan-out across the pool is chosen per shape class on
+// the Multiplier path only.
 func NewPlan(cfg Config, v Variant, levels ...Algorithm) (*Plan, error) {
 	return newPlan[float64](cfg, v, levels)
 }
@@ -509,25 +437,8 @@ func NewPlan32(cfg Config, v Variant, levels ...Algorithm) (*Plan32, error) {
 }
 
 func newPlan[E matrix.Element](cfg Config, v Variant, levels []Algorithm) (*fmmexec.Plan[E], error) {
-	if err := cfg.checkTraversal(); err != nil {
-		return nil, err
-	}
 	cfg.Kernel = kernelFor[E](cfg.Kernel)
-	return fmmexec.NewPlanTraversal[E](cfg.gemmConfig(), v, forcedSteps(cfg.Traversal, len(levels)), levels...)
-}
-
-// forcedSteps maps a forced traversal mode to explicit per-level steps: nil
-// (the serial loop) unless the mode is "bfs", which fans every level — of
-// which the zero-level plan, plain GEMM, has none.
-func forcedSteps(mode string, levels int) []fmmexec.Step {
-	if mode != TraversalBFS || levels == 0 {
-		return nil
-	}
-	steps := make([]fmmexec.Step, levels)
-	for i := range steps {
-		steps[i] = fmmexec.BFS
-	}
-	return steps
+	return fmmexec.NewPlan[E](cfg.gemmConfig(), v, levels...)
 }
 
 // Arch holds performance-model machine parameters.

@@ -25,7 +25,7 @@ func TestHostileEnvironmentChangesNothing(t *testing.T) {
 		"FMMFAM_COALESCE_MAXJOBS": "many",
 		"FMMFAM_ADMISSION_DEPTH":  "-2",
 	}
-	cfg := fmmfam.Config{MC: 32, KC: 32, NC: 64, Threads: 4, Traversal: fmmfam.TraversalBFS, AdmissionDepth: 5, Kernel: "go4x4"} // 256³ selects an FMM plan on go4x4
+	cfg := fmmfam.Config{MC: 32, KC: 32, NC: 64, Threads: 4, AdmissionDepth: 5, Kernel: "go4x4"} // 256³ selects an FMM plan on go4x4
 	rng := rand.New(rand.NewSource(20))
 	a, b := fmmfam.NewMatrix(256, 256), fmmfam.NewMatrix(256, 256)
 	a.FillRand(rng)

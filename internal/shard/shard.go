@@ -100,7 +100,8 @@ type Spec struct {
 // Split chooses a decomposition for C(m×n) += A(m×k)·B(k×n) under o. The
 // second return is false when the problem should not be sharded: fewer than
 // two tiles fit above the MinTile floor (or the Workers×Oversub bound
-// forbids even two tiles).
+// forbids even two tiles). A refused Spec carries the problem's dimensions
+// and no grid.
 //
 // Every admissible grid up to Workers×Oversub tiles is scored by o.Cost (or
 // the built-in volume-based makespan — ⌈tiles/Workers⌉ rounds of the
@@ -109,8 +110,9 @@ type Spec struct {
 // output-tile side, then fewer tiles, then fewer K slabs; see the package
 // comment for why.
 func Split(m, k, n int, o Options) (Spec, bool) {
+	refused := Spec{M: m, K: k, N: n}
 	if m < 1 || k < 1 || n < 1 {
-		return Spec{}, false
+		return refused, false
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -177,7 +179,7 @@ func Split(m, k, n int, o Options) (Spec, bool) {
 		}
 	}
 	if !found {
-		return Spec{}, false
+		return refused, false
 	}
 	return Spec{M: m, K: k, N: n, GridM: bestM, GridN: bestN, GridK: bestK}, true
 }
@@ -248,7 +250,12 @@ func cut(extent, g, idx int) (off, size int) {
 // String renders the decomposition for logs and errors. The reported tile
 // size is the actual largest cut (ceiling division), which for non-dividing
 // grids is one more than the floor-division size an earlier version showed.
+// A Spec without an output grid — what Split returns when it refuses — renders
+// as unsharded.
 func (s Spec) String() string {
+	if s.GridM < 1 || s.GridN < 1 {
+		return fmt.Sprintf("%d×%d×%d unsharded", s.M, s.K, s.N)
+	}
 	if s.gridK() == 1 {
 		return fmt.Sprintf("shard %d×%d×%d into %d×%d tiles (%d shards, ~%d×%d each)",
 			s.M, s.K, s.N, s.GridM, s.GridN, s.NumTiles(),

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -85,7 +86,9 @@ func TestTilesBalanced(t *testing.T) {
 }
 
 // TestSplitRefusals: problems with no room for two above-floor tiles, or
-// degenerate dimensions, must not shard.
+// degenerate dimensions, must not shard, and the refused Spec — what a
+// caller's "expected to shard" failure prints — renders plainly as the
+// unsharded problem.
 func TestSplitRefusals(t *testing.T) {
 	cases := []struct {
 		m, k, n int
@@ -97,9 +100,17 @@ func TestSplitRefusals(t *testing.T) {
 		{10, 0, 10, Options{Workers: 4, MinTile: 1}},
 	}
 	for _, tc := range cases {
-		if spec, ok := Split(tc.m, tc.k, tc.n, tc.o); ok {
+		spec, ok := Split(tc.m, tc.k, tc.n, tc.o)
+		if ok {
 			t.Fatalf("Split(%d,%d,%d,%+v) sharded as %v, want refusal", tc.m, tc.k, tc.n, tc.o, spec)
 		}
+		want := fmt.Sprintf("%d×%d×%d unsharded", tc.m, tc.k, tc.n)
+		if got := fmt.Sprint(spec); got != want || spec.NumTiles() != 0 {
+			t.Fatalf("refused Split(%d,%d,%d) renders %q with %d tiles, want %q and none", tc.m, tc.k, tc.n, got, spec.NumTiles(), want)
+		}
+	}
+	if got := fmt.Sprint(Spec{}); got != "0×0×0 unsharded" {
+		t.Fatalf("zero Spec renders %q", got)
 	}
 }
 

@@ -89,20 +89,35 @@ func TestEmptyKernelResolvesToFastest(t *testing.T) {
 }
 
 // TestEmptyKernelBitIdenticalToNamed: resolving an empty name is only a
-// naming step — direct, sharded and batch results are those of a multiplier
-// that names the same backend, bit for bit, at both element types.
+// naming step — direct, 2-D sharded, K-split and batch results are those of a
+// multiplier that names the same backend, bit for bit, at both element types.
+// A K-split slab is at least the break-even deep, so the K-split product's
+// k = 8192 clears twice the largest one (avx512's ~3841).
 func TestEmptyKernelBitIdenticalToNamed(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { emptyKernelBitIdentical[float64](t) })
 	t.Run("float32", func(t *testing.T) { emptyKernelBitIdentical[float32](t) })
 }
 
 func emptyKernelBitIdentical[E matrix.Element](t *testing.T) {
-	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, ShardThreshold: 256, ShardMinTile: 64}
+	cfg := Config{MC: 32, KC: 32, NC: 64, Threads: 2, ShardThreshold: 256}
 	named := cfg
 	named.Kernel = fastestHere()
 	muEmpty, muNamed := NewGenericMultiplier[E](cfg, PaperArch()), NewGenericMultiplier[E](named, PaperArch())
 	rng := rand.New(rand.NewSource(21))
-	for _, s := range [][3]int{{100, 70, 90}, {256, 96, 200}, {48, 512, 48}} { // direct, 2-D sharded, K-split
+	for _, tc := range []struct {
+		s     [3]int
+		route string
+	}{{[3]int{100, 70, 90}, "direct"}, {[3]int{256, 96, 200}, "2-D"}, {[3]int{48, 8192, 48}, "K-split"}} {
+		s := tc.s
+		route := "direct"
+		if spec, ok := muEmpty.shardSpec(s[0], s[1], s[2]); ok && spec.GridK > 1 {
+			route = "K-split"
+		} else if ok {
+			route = "2-D"
+		}
+		if route != tc.route {
+			t.Fatalf("%v takes the %s route, want %s", s, route, tc.route)
+		}
 		a, b := matrix.New[E](s[0], s[1]), matrix.New[E](s[1], s[2])
 		a.FillRand(rng)
 		b.FillRand(rng)

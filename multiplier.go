@@ -39,7 +39,7 @@ import (
 // the configured kernel backend (width-1 plans on its Serial() view), built on
 // first use. The context owns all the memory; plans own none. So the
 // multiplier's idle retained memory is bounded by gemm.Context's invariant,
-// independent of Config.PlanCacheCap and of how many shapes were served.
+// independent of how many plans are cached and of how many shapes were served.
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
@@ -76,9 +76,9 @@ import (
 //
 // Serving behavior: problems at or above Config.ShardThreshold (with
 // Threads ≥ 2) are split into independent block products — cutting the M×N
-// output and, for K-dominant shapes with Config.ShardKSplit enabled, the
-// inner dimension too; MulAddAsync submits work to a bounded queue and
-// returns a Future; the plan cache is LRU-bounded by Config.PlanCacheCap.
+// output and, for K-dominant shapes, the inner dimension too; MulAddAsync
+// submits work to a bounded queue and returns a Future; the plan cache is
+// LRU-bounded at DefaultPlanCacheCap.
 // The tile floor is the break-even, lowered to half the threshold for a 2-D
 // grid with a tile per thread when GEMM serves the product (independent
 // width-1 GEMM tiles outrun one product's in-call loop) or a fast algorithm
@@ -188,7 +188,7 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
 		cfgErr:    cfgErr,
 		pool:      sched.NewPool(cfg.Threads),
-		plans:     newPlanCache[E](cfg.planCacheCap()),
+		plans:     newPlanCache[E](DefaultPlanCacheCap),
 		shardRuns: make(chan *shardRun[E], max(cfg.Threads, 1)),
 	}
 }
@@ -310,9 +310,8 @@ type shardRoute struct {
 
 // shardSpec decides whether C(m×n) += A(m×k)·B(k×n) should be sharded and,
 // if so, how. Sharding needs a pool to feed (Threads ≥ 2), a problem at or
-// above the threshold — in m or n, or in k when K-split is enabled — and
-// room for at least two tiles above the tile floor. An explicit
-// Config.ShardMinTile is the floor. Otherwise the floor is the model's
+// above the threshold in some dimension, and room for at least two tiles
+// above the tile floor. The floor is the model's
 // fast-algorithm break-even, lowered to half the threshold when the grid cut
 // there is 2-D, gives every thread a tile, and keeps the product's plan kind
 // where it matters: a product plain GEMM serves at width Threads takes it
@@ -333,11 +332,8 @@ func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shardRoute, bool) {
 		return shardRoute{}, false
 	}
 	thr := mu.cfg.shardThreshold()
-	if thr == 0 || (m < thr && n < thr && (!mu.cfg.shardKSplit() || k < thr)) {
+	if thr == 0 || max(m, k, n) < thr {
 		return shardRoute{}, false
-	}
-	if mu.cfg.ShardMinTile > 0 {
-		return mu.splitAt(m, k, n, mu.cfg.ShardMinTile)
 	}
 	breakEven := mu.breakEvenTile()
 	if half := max(thr/2, 1); half < breakEven {
@@ -358,7 +354,7 @@ func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int) (shardRoute, bool) {
 	spec, ok := shard.Split(m, k, n, shard.Options{
 		Workers: mu.cfg.Threads,
 		MinTile: floor,
-		KSplit:  mu.cfg.shardKSplit(),
+		KSplit:  true,
 		Cost: func(gm, gn, gk int) float64 {
 			return model.ShardMakespan(mu.arch, m, k, n, gm, gn, gk, mu.cfg.Threads)
 		},
@@ -608,12 +604,12 @@ type Explanation struct {
 	// calibrated one.
 	Arch Arch
 	// MinTile is the shard tile floor the product was cut at, or would have
-	// been had two tiles fit: Config.ShardMinTile when set; else half the
-	// shard threshold when it is below the break-even and its grid is 2-D,
-	// has a tile per thread, and either GEMM serves the product or a fast
-	// algorithm still serves that grid's largest tile; else the model's FMM
-	// break-even on Arch. 0 when the product is not considered for sharding
-	// (Threads < 2, or no dimension reaches the threshold).
+	// been had two tiles fit: half the shard threshold when it is below the
+	// break-even and its grid is 2-D, has a tile per thread, and either GEMM
+	// serves the product or a fast algorithm still serves that grid's largest
+	// tile; else the model's FMM break-even on Arch. 0 when the product is not
+	// considered for sharding (Threads < 2, or no dimension reaches the
+	// threshold).
 	MinTile int
 	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
 	// is served whole.
@@ -654,8 +650,15 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 }
 
 // entryFor returns the cached plan-cache entry for a problem's shape class
-// at the given width, building it on first use: the model-selected plan with
-// its traversal, on the multiplier's engine at that width.
+// at the given width, building it on first use: the model-selected plan on
+// the multiplier's engine at that width. Its per-level term traversal is the
+// performance model's (model.TraversalPlan), priced at the shape-class
+// bucket sizes — the same bucketing that keys the plan cache, so a cached
+// plan's traversal is a stable property of its shape class rather than of
+// whichever concrete size happened to construct it first. At width 1 the
+// model always keeps the serial term loop, so batch, sharded, and async jobs
+// never fan their terms — intra-plan fan-out composes with, never
+// multiplies, cross-job parallelism.
 func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], error) {
 	key := shapeClass(m, k, n, threads)
 	if e, ok := mu.plans.get(key); ok {
@@ -666,29 +669,12 @@ func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], e
 		return nil, err
 	}
 	cand := Recommend(mu.arch, m, k, n)
-	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, mu.traversalFor(cand, m, k, n, threads), cand.Levels...)
+	steps := model.TraversalPlan(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, threads)
+	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, steps, cand.Levels...)
 	if err != nil {
 		return nil, err
 	}
 	return mu.plans.add(key, &planEntry[E]{p: p}), nil
-}
-
-// traversalFor resolves a plan's per-level term traversal: forced modes map
-// directly (nil steps for "dfs", all-BFS for "bfs"), and "auto" asks the
-// performance model (model.TraversalPlan) with the shape-class bucket sizes —
-// the same bucketing that keys the plan cache, so a cached plan's traversal
-// is a stable property of its shape class rather than of whichever concrete
-// size happened to construct it first. At width 1 auto always resolves to
-// nil, so batch, sharded, and async jobs keep the serial term loop —
-// intra-plan fan-out composes with, never multiplies, cross-job parallelism.
-func (mu *GenericMultiplier[E]) traversalFor(cand Candidate, m, k, n, threads int) []fmmexec.Step {
-	switch mu.cfg.Traversal {
-	case TraversalDFS:
-		return nil
-	case TraversalBFS:
-		return forcedSteps(TraversalBFS, len(cand.Levels))
-	}
-	return model.TraversalPlan(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, threads)
 }
 
 // CachedPlans reports how many plans are cached, over both widths (a shape
@@ -699,7 +685,7 @@ func (mu *GenericMultiplier[E]) CachedPlans() int { return mu.plans.len() }
 // RWMutex for the hot read path, with least-recently-used eviction driven by
 // per-entry atomic timestamps so cache hits never take the write lock.
 type planCache[E matrix.Element] struct {
-	cap  int // ≤0 means unbounded
+	cap  int
 	tick atomic.Int64
 
 	mu sync.RWMutex
@@ -740,17 +726,15 @@ func (pc *planCache[E]) add(key planKey, e *planEntry[E]) *planEntry[E] {
 	}
 	e.last.Store(pc.tick.Add(1))
 	pc.m[key] = e
-	if pc.cap > 0 {
-		for len(pc.m) > pc.cap {
-			var oldestKey planKey
-			oldest := int64(1<<63 - 1)
-			for k, v := range pc.m {
-				if last := v.last.Load(); last < oldest {
-					oldest, oldestKey = last, k
-				}
+	for len(pc.m) > pc.cap {
+		var oldestKey planKey
+		oldest := int64(1<<63 - 1)
+		for k, v := range pc.m {
+			if last := v.last.Load(); last < oldest {
+				oldest, oldestKey = last, k
 			}
-			delete(pc.m, oldestKey)
 		}
+		delete(pc.m, oldestKey)
 	}
 	return e
 }

@@ -1,9 +1,11 @@
 package fmmfam
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fmmfam/internal/kernel"
@@ -70,63 +72,67 @@ func TestMultiplierZeroSizeNoop(t *testing.T) {
 }
 
 // TestPlanCacheLRUEviction pins the bounded-cache contract for long-running
-// servers: with PlanCacheCap distinct shape classes in flight the cache
-// never exceeds its cap, the least-recently-used class is the one evicted,
-// and recently-touched plans keep their identity (callers of a live shape
-// class always share one plan).
+// servers: over DefaultPlanCacheCap + 1 distinct shape classes the cache
+// never exceeds DefaultPlanCacheCap, the least-recently-used class is the one
+// evicted, and recently-touched plans keep their identity (callers of a live
+// shape class always share one plan).
 func TestPlanCacheLRUEviction(t *testing.T) {
-	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 1, PlanCacheCap: 2}
-	mu := NewMultiplier(cfg, PaperArch())
-	pA, err := mu.PlanFor(64, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pB, err := mu.PlanFor(128, 128, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := mu.PlanFor(64, 64, 64); again != pA {
-		t.Fatal("cache hit must return the shared plan")
-	}
-	// Inserting a third class evicts the LRU class — B, since A was just
-	// touched.
-	if _, err := mu.PlanFor(256, 64, 256); err != nil {
-		t.Fatal(err)
-	}
-	if got := mu.CachedPlans(); got != 2 {
-		t.Fatalf("cache holds %d plans, cap is 2", got)
-	}
-	if pA2, _ := mu.PlanFor(64, 64, 64); pA2 != pA {
-		t.Fatal("recently-used plan was evicted")
-	}
-	if pB2, _ := mu.PlanFor(128, 128, 128); pB2 == pB {
-		t.Fatal("LRU plan should have been evicted and rebuilt")
-	}
-	if got := mu.CachedPlans(); got != 2 {
-		t.Fatalf("cache holds %d plans after refill, cap is 2", got)
-	}
-
-	// Negative cap means unbounded.
-	unb := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1, PlanCacheCap: -1}, PaperArch())
-	for _, s := range [][3]int{{64, 64, 64}, {128, 64, 64}, {256, 64, 64}, {512, 64, 64}} {
-		if _, err := unb.PlanFor(s[0], s[1], s[2]); err != nil {
-			t.Fatal(err)
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1}, PaperArch())
+	// DefaultPlanCacheCap + 1 shape classes: one power-of-two bucket per
+	// dimension each, all of them small enough to be GEMM plans.
+	var classes [][3]int
+	for m := 1; m <= 64; m *= 2 {
+		for k := 1; k <= 64; k *= 2 {
+			for n := 1; n <= 2; n *= 2 {
+				classes = append(classes, [3]int{m, k, n})
+			}
 		}
 	}
-	if got := unb.CachedPlans(); got != 4 {
-		t.Fatalf("unbounded cache holds %d plans, want 4", got)
+	classes = classes[:DefaultPlanCacheCap+1]
+	plans := make([]*Plan, len(classes))
+	for i, s := range classes[:DefaultPlanCacheCap] {
+		p, err := mu.PlanFor(s[0], s[1], s[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = p
+	}
+	a := classes[0]
+	if again, _ := mu.PlanFor(a[0], a[1], a[2]); again != plans[0] {
+		t.Fatal("cache hit must return the shared plan")
+	}
+	// One class past the bound evicts the LRU class — the second, since the
+	// first was just touched.
+	last := classes[DefaultPlanCacheCap]
+	if _, err := mu.PlanFor(last[0], last[1], last[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := mu.CachedPlans(); got != DefaultPlanCacheCap {
+		t.Fatalf("cache holds %d plans, bound is %d", got, DefaultPlanCacheCap)
+	}
+	if p, _ := mu.PlanFor(a[0], a[1], a[2]); p != plans[0] {
+		t.Fatal("recently-used plan was evicted")
+	}
+	b := classes[1]
+	if p, _ := mu.PlanFor(b[0], b[1], b[2]); p == plans[1] {
+		t.Fatal("LRU plan should have been evicted and rebuilt")
+	}
+	if got := mu.CachedPlans(); got != DefaultPlanCacheCap {
+		t.Fatalf("cache holds %d plans after refill, bound is %d", got, DefaultPlanCacheCap)
 	}
 }
 
 // TestPlanCacheBoundAcrossWidths: direct traffic (full-width plans) and
-// batch traffic (width-1 plans) share one cache and one PlanCacheCap. A
-// multiplier serving both over more shape classes than the cap never
-// reports — or retains — more than cap plans, reports the width-1 plans it
-// holds, and evicts least-recently-used across widths.
+// batch traffic (width-1 plans) share one cache and one bound. A multiplier
+// serving both over more shape classes than the bound — a small one here, set
+// on the cache itself — never reports, or retains, more than that many plans,
+// reports the width-1 plans it holds, and evicts least-recently-used across
+// widths.
 func TestPlanCacheBoundAcrossWidths(t *testing.T) {
 	const limit = 4
-	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, PlanCacheCap: limit}
+	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2}
 	mu := NewMultiplier(cfg, PaperArch())
+	mu.plans = newPlanCache[float64](limit)
 	check := func(step string, want int) {
 		t.Helper()
 		if got := mu.CachedPlans(); got != want {
@@ -212,19 +218,28 @@ func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 // width and under either traversal, executes on the multiplier's one engine
 // — hence on the multiplier's own pool, the one MulAddBatch and the shard
 // paths dispatch on — so there is one worker budget to exhaust and one store
-// of buffers to fill.
+// of buffers to fill. At four threads every plan keeps the serial term loop;
+// at eight (bfsCfg) the 256³ class's full-width plan fans its terms, while
+// its width-1 plan never does.
 func TestMultiplierPlansShareOnePool(t *testing.T) {
-	for _, traversal := range []string{TraversalAuto, TraversalBFS} {
-		mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 4, Traversal: traversal, Kernel: "go4x4"}, PaperArch()) // 200³ is an FMM plan here
-		for _, n := range []int{24, 96, 200} {
-			for _, threads := range []int{1, 4} {
-				if _, err := mu.entryFor(n, n, n, threads); err != nil {
+	dfs := bfsCfg()
+	dfs.Threads = 4
+	for _, cfg := range []Config{dfs, bfsCfg()} {
+		mu := NewMultiplier(cfg, PaperArch())
+		for _, n := range []int{24, 96, 256} {
+			for _, threads := range []int{1, cfg.Threads} {
+				e, err := mu.entryFor(n, n, n, threads)
+				if err != nil {
 					t.Fatal(err)
+				}
+				bfs := threads == 8 && n == 256
+				if got := e.p.Fanout(); bfs && got < 2 || !bfs && got != 1 {
+					t.Fatalf("T=%d: %d³ width-%d plan %s has fanout %d", cfg.Threads, n, threads, e.p, got)
 				}
 			}
 		}
 		if serial, wide := checkPlansShareEngine(t, mu); serial != 3 || wide != 3 {
-			t.Fatalf("traversal %s: saw %d width-1 and %d full-width plans, want 3 and 3", traversal, serial, wide)
+			t.Fatalf("T=%d: saw %d width-1 and %d full-width plans, want 3 and 3", cfg.Threads, serial, wide)
 		}
 	}
 }
@@ -373,7 +388,22 @@ func TestShardedMulAddAllocatesNothing(t *testing.T) {
 			a, b, c := NewMatrix(tc.m, tc.k), NewMatrix(tc.k, tc.n), NewMatrix(tc.m, tc.n)
 			a.FillRand(rng)
 			b.FillRand(rng)
-			if err := mu.MulAdd(c, a, b); err != nil { // warm: plans, run state, buffers
+			// Warm plans, run states and buffers with Threads calls at once: the
+			// engine's free lists grow to the most tiles that ever overlapped,
+			// and one call's tiles overlap by however many helpers the host
+			// happens to wake, so a single warm call can leave a later one
+			// short of a workspace.
+			errs := make([]error, tc.cfg.Threads)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = mu.MulAdd(NewMatrix(tc.m, tc.n), a, b)
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
 				t.Fatal(err)
 			}
 			if n := testing.AllocsPerRun(3, func() { mu.MulAdd(c, a, b) }); n != 0 {

@@ -21,7 +21,7 @@ func TestServeRaceCoalesceStats(t *testing.T) {
 	beforeGoroutines := runtime.NumGoroutine()
 	cfg := fmmfam.Config{
 		MC: 16, KC: 16, NC: 32, Threads: 2,
-		ShardThreshold: 128, ShardMinTile: 48, ShardKSplit: -1,
+		ShardThreshold: 128,
 		CoalesceWindow: 100 * time.Microsecond, CoalesceMaxJobs: 4,
 		AdmissionDepth: 32,
 	}

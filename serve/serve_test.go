@@ -20,13 +20,14 @@ import (
 
 // serveCfg is the integration config: small blocking and the reference
 // kernel by name so test-sized problems exercise real plan recursion (and run
-// long enough to hold an admission slot), aggressive 2D-only sharding
-// (ShardKSplit disabled keeps the sharded path bit-deterministic), and a
-// short coalescing window so both flush paths fire at test speeds.
+// long enough to hold an admission slot), aggressive sharding (a low
+// threshold; a K-split slab is at least go4x4's ~148 break-even deep, so no k
+// here is split), and a short coalescing window so both flush paths fire at
+// test speeds.
 func serveCfg() fmmfam.Config {
 	return fmmfam.Config{
 		MC: 16, KC: 16, NC: 32, Threads: 4, Kernel: "go4x4",
-		ShardThreshold: 128, ShardMinTile: 48, ShardKSplit: -1,
+		ShardThreshold: 128,
 		CoalesceWindow: 200 * time.Microsecond, CoalesceMaxJobs: 8,
 		AdmissionDepth: 64,
 	}

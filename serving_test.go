@@ -16,15 +16,17 @@ import (
 )
 
 // servingCfg is a small-blocking config that shards aggressively so the
-// tests cover the sharded path at test-sized problems: any max(m,n) ≥ 128
-// with tiles ≥ 48 splits. It names the reference kernel, whose break-even
-// (~148) test-sized problems clear, so tiles and unsharded products run FMM
-// plans; TestKernelBackendEndToEnd takes every backend down the same paths.
+// tests cover the sharded path at test-sized problems: a product reaching 128
+// in some dimension splits with tiles of at least 64 (half the threshold)
+// where that gives each of the four threads a 2-D tile, else at the
+// break-even. It names the reference kernel, whose break-even (~148)
+// test-sized problems clear, so tiles and unsharded products run FMM plans;
+// TestKernelBackendEndToEnd takes every backend down the same paths.
 func servingCfg() Config {
 	return Config{
 		MC: 16, KC: 16, NC: 32, Threads: 4,
-		ShardThreshold: 128, ShardMinTile: 48,
-		Kernel: "go4x4",
+		ShardThreshold: 128,
+		Kernel:         "go4x4",
 	}
 }
 
@@ -45,7 +47,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		{256, 256, 256}, // square
 		{512, 96, 64},   // tall: shards along M only
 		{64, 96, 512},   // wide: shards along N only
-		{257, 129, 193}, // non-power-of-two everywhere
+		{257, 97, 193},  // non-power-of-two everywhere
 		{300, 40, 200},  // shallow K below the tile floor
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -54,7 +56,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		mu := NewMultiplier(servingCfg(), PaperArch())
 		spec, ok := mu.shardSpec(m, k, n)
 		if !ok {
-			t.Fatalf("shape %v: expected the serving config to shard", s)
+			t.Fatalf("shape %v: expected the serving config to shard, got %v", s, spec)
 		}
 		a, b := NewMatrix(m, k), NewMatrix(k, n)
 		a.FillRand(rng)
@@ -125,23 +127,12 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 //  2. the result matches the naive triple-loop reference within tolerance;
 //  3. repeated runs are bit-identical — the reduction buffers fold into C
 //     in fixed slab order, so scheduling nondeterminism must not leak into
-//     the numbers (the K-split determinism contract);
-//  4. disabling Config.ShardKSplit restores the PR 2 behavior: the problem
-//     does not shard, and still computes the same product unsharded.
+//     the numbers (the K-split determinism contract).
 func TestShardedKSplit(t *testing.T) {
-	shapes := [][3]int{
-		{48, 512, 48},  // K-dominant, divisible
-		{40, 513, 52},  // non-dividing K and ragged output
-		{64, 1024, 80}, // deeper K, more slabs available
-	}
 	rng := rand.New(rand.NewSource(17))
-	for _, s := range shapes {
+	for _, s := range kSplitAcceptanceShapes {
 		m, k, n := s[0], s[1], s[2]
-		cfg := Config{
-			MC: 16, KC: 16, NC: 32, Threads: 4,
-			ShardThreshold: 256, ShardMinTile: 48,
-		}
-		mu := NewMultiplier(cfg, PaperArch())
+		mu := NewMultiplier(kSplitServingCfg(), PaperArch())
 		spec, ok := mu.shardSpec(m, k, n)
 		if !ok || spec.GridK < 2 {
 			t.Fatalf("shape %v: expected a K-split, got %v ok=%v", s, spec, ok)
@@ -172,29 +163,14 @@ func TestShardedKSplit(t *testing.T) {
 				t.Fatalf("shape %v rep %d: K-split not bit-deterministic, diff %g", s, rep, d)
 			}
 		}
-
-		// Knob off: no shard for this shape, same product unsharded.
-		off := cfg
-		off.ShardKSplit = -1
-		muOff := NewMultiplier(off, PaperArch())
-		if spec, ok := muOff.shardSpec(m, k, n); ok {
-			t.Fatalf("shape %v: ShardKSplit<0 still sharded as %v", s, spec)
-		}
-		unsharded := NewMatrix(m, n)
-		if err := muOff.MulAdd(unsharded, a, b); err != nil {
-			t.Fatalf("shape %v: %v", s, err)
-		}
-		if d := unsharded.MaxAbsDiff(want); d > 1e-9 {
-			t.Fatalf("shape %v: unsharded vs reference diff %g", s, d)
-		}
 	}
 }
 
 // TestKDominantAcceptanceShape pins the acceptance criterion: the
-// 256×32768×256 inner-product shape on a default parallel config — which
-// the 2D-only decomposition leaves unsharded on one worker — shards via K-split
-// at the break-even floor (a K-split grid never takes the lower one), every
-// slab at least that deep.
+// 256×32768×256 inner-product shape on a default parallel config — which a
+// 2-D-only decomposition would leave unsharded on one worker — shards via
+// K-split at the break-even floor (a K-split grid never takes the lower one),
+// every slab at least that deep.
 func TestKDominantAcceptanceShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threads = 4
@@ -213,12 +189,6 @@ func TestKDominantAcceptanceShape(t *testing.T) {
 		if tl.Depth < route.floor {
 			t.Fatalf("%v: slab %+v under the break-even floor %d", route, tl, route.floor)
 		}
-	}
-	// 2D-only would not shard it at all (the PR 2 behavior).
-	off := cfg
-	off.ShardKSplit = -1
-	if spec, ok := NewMultiplier(off, PaperArch()).shardSpec(256, 32768, 256); ok {
-		t.Fatalf("2D-only decomposition sharded the K-dominant shape as %v", spec)
 	}
 }
 
