@@ -14,6 +14,7 @@ import (
 	"errors"
 	"sync"
 
+	"fmmfam/internal/gemm"
 	"fmmfam/internal/matrix"
 )
 
@@ -75,7 +76,7 @@ func (mu *GenericMultiplier[E]) startAsync() {
 		go func() { //fmm:go-ok queue drainer: blocks on the channel until Close, computes only through mulAdd
 			defer p.wg.Done()
 			for j := range p.q {
-				j.f.err = mu.mulAdd(j.c, j.a, j.b, 1)
+				j.f.err = mu.mulAdd(j.c, j.a, j.b, 1, gemm.Operands[E]{})
 				close(j.f.done)
 			}
 		}()

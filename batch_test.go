@@ -1,0 +1,183 @@
+package fmmfam
+
+// Contract tests for MulAddBatch's claim-ahead scheduler: whatever the worker
+// count, and whatever successor each job prefetched, a batch leaves every C
+// bit-identical to running its jobs one by one through MulAdd on a Threads=1
+// multiplier, reports the same errors, and a warm batch allocates nothing.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"fmmfam/internal/matrix"
+)
+
+// batchShape is one job of the contract batch; strided jobs take every
+// operand as an interior view of a larger matrix (Stride > Cols).
+type batchShape struct {
+	m, k, n int
+	strided bool
+}
+
+// contractShapes mixes what a batch may hold: products the reference kernel
+// serves with a fast algorithm (above its ~148 break-even) beside GEMM-served
+// ones, fringes, strided views, zero-size jobs, and — in the middle — a job
+// whose dimensions disagree (k = -1 marks it).
+var contractShapes = []batchShape{
+	{200, 180, 210, false},
+	{40, 33, 57, false},
+	{0, 12, 9, false},
+	{64, 96, 31, true},
+	{3, -1, 3, false},
+	{7, 0, 5, false},
+	{256, 160, 220, true},
+	{1, 1, 1, false},
+	{130, 70, 190, true},
+	{9, 13, 0, false},
+}
+
+// contractBatch builds the batch from seed: the jobs and the matrices their
+// C's are views of, so that what a job must not touch is checked too.
+func contractBatch[E matrix.Element](seed int64) ([]GenericBatchJob[E], []matrix.Mat[E]) {
+	rng := rand.New(rand.NewSource(seed))
+	operand := func(rows, cols int, strided bool) (view, host matrix.Mat[E]) {
+		if !strided {
+			host = matrix.New[E](rows, cols)
+			host.FillRand(rng)
+			return host, host
+		}
+		host = matrix.New[E](rows+3, cols+5)
+		host.FillRand(rng)
+		return host.View(1, 2, rows, cols), host
+	}
+	var jobs []GenericBatchJob[E]
+	var hosts []matrix.Mat[E]
+	for _, s := range contractShapes {
+		var j GenericBatchJob[E]
+		var c matrix.Mat[E]
+		if s.k < 0 { // A is m×(m+1), B is (m+2)×m
+			j.A, _ = operand(s.m, s.m+1, false)
+			j.B, _ = operand(s.m+2, s.m, false)
+			j.C, c = operand(s.m, s.m, false)
+		} else {
+			j.A, _ = operand(s.m, s.k, s.strided)
+			j.B, _ = operand(s.k, s.n, s.strided)
+			j.C, c = operand(s.m, s.n, s.strided)
+		}
+		jobs = append(jobs, j)
+		hosts = append(hosts, c)
+	}
+	return jobs, hosts
+}
+
+// TestMulAddBatchMatchesSerialMulAdd holds MulAddBatch to per-job serial
+// MulAdd bit for bit at both precisions, at 1, 2 and 4 workers, on the
+// reference kernel (where the batch mixes FMM- and GEMM-served jobs) and on
+// the fastest one (where GEMM serves every job, so every job prefetches its
+// successor): same C bits in and around every view, the same joined error
+// from the mismatched job, and every other C computed.
+func TestMulAddBatchMatchesSerialMulAdd(t *testing.T) {
+	kernels := []string{"go4x4"}
+	if k := fastestHere(); k != "go4x4" {
+		kernels = append(kernels, k)
+	}
+	for _, kern := range kernels {
+		for _, threads := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/T=%d/float64", kern, threads), func(t *testing.T) { checkBatchMatchesSerial[float64](t, kern, threads) })
+			t.Run(fmt.Sprintf("%s/T=%d/float32", kern, threads), func(t *testing.T) { checkBatchMatchesSerial[float32](t, kern, threads) })
+		}
+	}
+}
+
+func checkBatchMatchesSerial[E matrix.Element](t *testing.T, kern string, threads int) {
+	cfg := DefaultConfig()
+	cfg.Kernel, cfg.Threads = kern, threads
+	mu := NewGenericMultiplier[E](cfg, PaperArch())
+	jobs, hosts := contractBatch[E](17)
+	err := mu.MulAddBatch(jobs)
+
+	cfg.Threads = 1
+	ref := NewGenericMultiplier[E](cfg, PaperArch())
+	refJobs, refHosts := contractBatch[E](17)
+	var refErrs []error
+	for _, j := range refJobs {
+		refErrs = append(refErrs, ref.MulAdd(j.C, j.A, j.B))
+	}
+	want := errors.Join(refErrs...)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("batch error %v, want %v", err, want)
+	}
+	for i := range hosts {
+		if hosts[i].Fingerprint() != refHosts[i].Fingerprint() {
+			t.Fatalf("job %d (%+v): C differs from serial MulAdd", i, contractShapes[i])
+		}
+	}
+	if kern == "go4x4" {
+		fmm, gemm := 0, 0
+		for _, j := range jobs {
+			if j.A.Rows == 0 || j.A.Cols == 0 || j.B.Cols == 0 || !dimsAgree(j.C, j.A, j.B) {
+				continue
+			}
+			if mu.servesFMM(j.A.Rows, j.A.Cols, j.B.Cols, 1) {
+				fmm++
+			} else {
+				gemm++
+			}
+		}
+		if fmm == 0 || gemm == 0 {
+			t.Fatalf("the batch should mix plan kinds: %d FMM-served, %d GEMM-served jobs", fmm, gemm)
+		}
+	}
+}
+
+// TestMulAddBatchWarmAllocatesNothing: a warm batch of cached shape classes
+// rents its scheduling state, so it allocates nothing at any width (the
+// scheduler it replaced allocated a closure per job).
+func TestMulAddBatchWarmAllocatesNothing(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("T=%d/float64", threads), func(t *testing.T) { checkBatchAllocs[float64](t, threads) })
+		t.Run(fmt.Sprintf("T=%d/float32", threads), func(t *testing.T) { checkBatchAllocs[float32](t, threads) })
+	}
+}
+
+func checkBatchAllocs[E matrix.Element](t *testing.T, threads int) {
+	cfg := DefaultConfig()
+	cfg.Threads = threads
+	mu := NewGenericMultiplier[E](cfg, PaperArch())
+	rng := rand.New(rand.NewSource(5))
+	var jobs []GenericBatchJob[E]
+	for _, s := range [][3]int{{48, 40, 56}, {17, 33, 9}, {64, 64, 64}, {5, 80, 30}, {48, 40, 56}, {100, 20, 70}} {
+		a, b := matrix.New[E](s[0], s[1]), matrix.New[E](s[1], s[2])
+		a.FillRand(rng)
+		b.FillRand(rng)
+		jobs = append(jobs, GenericBatchJob[E]{C: matrix.New[E](s[0], s[2]), A: a, B: b})
+	}
+	for range 3 {
+		if err := mu.MulAddBatch(jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { mu.MulAddBatch(jobs) }); n != 0 {
+		t.Fatalf("warm MulAddBatch allocates %v times per call", n)
+	}
+}
+
+// TestBatchClaimOrder: jobs are claimed costliest-first, ties in submission
+// order, and a batch's run state keeps none of the caller's jobs once banked.
+func TestBatchClaimOrder(t *testing.T) {
+	mu := NewMultiplier(DefaultConfig(), PaperArch())
+	job := func(m, k, n int) BatchJob {
+		return BatchJob{C: Matrix{Rows: m, Cols: n}, A: Matrix{Rows: m, Cols: k}, B: Matrix{Rows: k, Cols: n}}
+	}
+	jobs := []BatchJob{job(2, 5, 1), job(3, 10, 1), job(10, 3, 1), job(1, 1, 1), job(5, 6, 1)}
+	r := mu.rentBatchRun(jobs)
+	if got, want := fmt.Sprint(r.order), "[1 2 4 0 3]"; got != want {
+		t.Fatalf("claim order %s, want %s", got, want)
+	}
+	mu.releaseBatchRun(r)
+	if r.jobs != nil {
+		t.Fatal("a banked batch run still pins the caller's jobs")
+	}
+}

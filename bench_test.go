@@ -1,17 +1,20 @@
 package fmmfam
 
-// The four micro-benchmarks nothing else measures. "Did this commit get
+// The five micro-benchmarks nothing else measures. "Did this commit get
 // slower?" is fmmbench's question (bash fmmbench/run.sh: six verified
 // workloads, bounds from BENCHMARK.json) and "does the paper's figure
 // reproduce?" is cmd/experiments'; what stays here is the selector's measured
 // crossover against the model's break-even (BenchmarkSelectorVsGEMM), the
 // per-backend micro-kernel and packing rates (BenchmarkAblationKernel), the
-// dynamic-peeling overhead (BenchmarkAblationPeeling) and the term-traversal
-// sweep across worker counts (BenchmarkIntraPlan). Every timed product reports
-// effective GFLOPS (2·m·n·k/time), the paper's metric.
+// dynamic-peeling overhead (BenchmarkAblationPeeling), the term-traversal
+// sweep across worker counts (BenchmarkIntraPlan) and the cold-operand gap of
+// a batch larger than the cache (BenchmarkMulAddBatchCold). Every timed
+// product reports effective GFLOPS (2·m·n·k/time), the paper's metric.
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -273,3 +276,103 @@ func benchIntraPlan[E matrix.Element](b *testing.B, size, workers int, bfs bool)
 	secs := b.Elapsed().Seconds() / float64(b.N)
 	b.ReportMetric(model.EffectiveGFLOPS(size, size, size, secs), "effGFLOPS")
 }
+
+// coldWorkingSet is the operand bytes BenchmarkMulAddBatchCold's batch spans:
+// twice the 32 MiB L3 of the AMD EPYC host it was written on, so every job's
+// operands have left the cache by the time the next round reaches them.
+const coldWorkingSet = 64 << 20
+
+// BenchmarkMulAddBatchCold measures what the cache costs a batch of small
+// products whose operands do not fit in it, per float64 backend: the
+// fmmbench small_batch workload's Halton shape grid (every dimension in
+// 16…192, jobs alternating float64 and float32), extended until the operands
+// span coldWorkingSet bytes, on a Threads=1 multiplier. One iteration runs
+// one MulAddBatch per dtype (batch-GF/s), then the warm reference
+// (warm-GF/s): the same jobs one by one through MulAdd, the same width-1
+// plans, each job's A, B and C read untimed just before it runs. cold/warm is
+// the share of the warm rate the batch keeps — what MulAddBatch's
+// claim-ahead prefetch of each job's successor is there to raise.
+func BenchmarkMulAddBatchCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var j64 []BatchJob
+	var j32 []BatchJob32
+	for i, bytes := 0, 0; bytes < coldWorkingSet; i++ {
+		span := float64(192 - 16 + 1)
+		m, k, n := 16+int(halton(i, 2)*span), 16+int(halton(i, 3)*span), 16+int(halton(i, 5)*span)
+		if i%2 == 0 {
+			j64 = append(j64, coldJob[float64](rng, m, k, n))
+			bytes += 8 * (m*k + k*n + m*n)
+		} else {
+			j32 = append(j32, coldJob[float32](rng, m, k, n))
+			bytes += 4 * (m*k + k*n + m*n)
+		}
+	}
+	flops := batchFlops(j64) + batchFlops(j32)
+	for _, kern := range kernel.BackendsFor(matrix.Float64) {
+		cfg := DefaultConfig()
+		cfg.Kernel, cfg.Threads = kern, 1
+		mu64, mu32 := NewMultiplier(cfg, PaperArch()), NewMultiplier32(cfg, PaperArch())
+		b.Run(kern, func(b *testing.B) {
+			var cold, warm time.Duration
+			for range b.N {
+				t0 := time.Now()
+				if err := errors.Join(mu64.MulAddBatch(j64), mu32.MulAddBatch(j32)); err != nil {
+					b.Fatal(err)
+				}
+				cold += time.Since(t0)
+				warm += warmJobs(b, mu64, j64) + warmJobs(b, mu32, j32)
+			}
+			b.ReportMetric(flops*float64(b.N)/cold.Seconds()/1e9, "batch-GF/s")
+			b.ReportMetric(flops*float64(b.N)/warm.Seconds()/1e9, "warm-GF/s")
+			b.ReportMetric(warm.Seconds()/cold.Seconds(), "cold/warm")
+		})
+	}
+}
+
+// halton is the i-th element (i ≥ 0) of the base-b van der Corput sequence:
+// the fmmbench shape grid's coordinates.
+func halton(i, b int) float64 {
+	f, r := 1.0, 0.0
+	for i++; i > 0; i /= b {
+		f /= float64(b)
+		r += f * float64(i%b)
+	}
+	return r
+}
+
+func coldJob[E matrix.Element](rng *rand.Rand, m, k, n int) GenericBatchJob[E] {
+	a, bm := matrix.New[E](m, k), matrix.New[E](k, n)
+	a.FillRand(rng)
+	bm.FillRand(rng)
+	return GenericBatchJob[E]{C: matrix.New[E](m, n), A: a, B: bm}
+}
+
+func batchFlops[E matrix.Element](jobs []GenericBatchJob[E]) (f float64) {
+	for _, j := range jobs {
+		f += 2 * float64(j.A.Rows) * float64(j.A.Cols) * float64(j.B.Cols)
+	}
+	return f
+}
+
+// warmJobs runs the jobs one by one, reading each job's operands untimed
+// first, and returns the time spent multiplying.
+func warmJobs[E matrix.Element](b *testing.B, mu *GenericMultiplier[E], jobs []GenericBatchJob[E]) (d time.Duration) {
+	for _, j := range jobs {
+		for _, m := range []matrix.Mat[E]{j.A, j.B, j.C} {
+			for i := range m.Rows {
+				for _, v := range m.Data[i*m.Stride : i*m.Stride+m.Cols] {
+					touchSink += float64(v)
+				}
+			}
+		}
+		t0 := time.Now()
+		if err := mu.MulAdd(j.C, j.A, j.B); err != nil {
+			b.Fatal(err)
+		}
+		d += time.Since(t0)
+	}
+	return d
+}
+
+// touchSink keeps warmJobs' operand reads from being optimized away.
+var touchSink float64

@@ -27,7 +27,8 @@
 // context's MulAdd straight through — one workspace rent, no peeling split,
 // no term lists, no variant temporaries (the variant is carried but unused),
 // nil traversal, fan-out 1 — so its results are bit-identical to
-// gemm.Context.MulAdd. It exists so that "do not use a fast algorithm here"
+// gemm.Context.MulAdd. It is also the one plan that takes a successor hint
+// (MulAddNext). It exists so that "do not use a fast algorithm here"
 // is a plan like any other: the model ranks it (model.PredictGEMM), the
 // Multiplier caches it, and every path that runs a plan — direct calls, batch
 // jobs, shard tiles, K-split slabs, async jobs — abstains from
@@ -283,6 +284,17 @@ func (p *Plan[E]) Fanout() int { return p.fanout }
 // MulAdd computes c += a·b. Arbitrary sizes are supported via dynamic
 // peeling; inputs may be views. c must not alias a or b.
 func (p *Plan[E]) MulAdd(c, a, b matrix.Mat[E]) {
+	p.MulAddNext(c, a, b, gemm.Operands[E]{})
+}
+
+// MulAddNext is MulAdd for a caller that multiplies next's operands after
+// it: the zero-level plan hands next to its one GEMM call
+// (gemm.Context.MulAddNext), which prefetches next's operands under that call
+// when the plan is width-1. A fast-algorithm plan ignores the hint: its call
+// is a sequence of term products and peeling fringes, not one micro-kernel
+// sweep to spread the successor over. Either way the result bits never
+// depend on next.
+func (p *Plan[E]) MulAddNext(c, a, b matrix.Mat[E], next gemm.Operands[E]) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if b.Rows != k || c.Rows != m || c.Cols != n {
 		panic(fmt.Sprintf("fmmexec: dims C(%d×%d) += A(%d×%d)·B(%d×%d)", c.Rows, c.Cols, m, k, b.Rows, n))
@@ -291,7 +303,7 @@ func (p *Plan[E]) MulAdd(c, a, b matrix.Mat[E]) {
 		return
 	}
 	if len(p.Levels) == 0 {
-		p.ctx.MulAdd(c, a, b) // the zero-level plan is plain GEMM
+		p.ctx.MulAddNext(c, a, b, next) // the zero-level plan is plain GEMM
 		return
 	}
 	// One packing workspace serves the whole call: the per-term loop and the

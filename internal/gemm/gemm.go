@@ -31,6 +31,17 @@
 // same engine: same backend, worker pool and both free lists, so a caller
 // that gets its parallelism elsewhere (batch jobs, BFS term jobs) adds no
 // memory of its own. See Context for the resulting retained-memory bound.
+//
+// Successor hint: a renter that knows which product it runs next (a batch
+// worker that claimed its next job ahead) names that product's operands on
+// its Workspace with SetNext. The next width-1 call on the workspace then
+// spreads their cache lines evenly over its own micro-kernel calls — ⌈lines ÷
+// calls⌉ prefetched after each MicroScatter in macroKernel — so the
+// successor's cold operand traffic hides under this call's compute instead of
+// stalling its own packing. Wide calls ignore the hint (their worker slots
+// share no cursor), a successor over prefetchBudget bytes gets none, and
+// prefetching never enters the arithmetic: bits are unchanged. PutWorkspace
+// clears the hint.
 package gemm
 
 import (
@@ -222,8 +233,15 @@ func (ctx *Context[E]) ScratchHeld() (buffers, elements int) {
 // MulAdd computes c += a·b (plain GEMM through the fused path). Safe for
 // concurrent callers, and allocation-free once the workspace pool is warm.
 func (ctx *Context[E]) MulAdd(c, a, b matrix.Mat[E]) {
+	ctx.MulAddNext(c, a, b, Operands[E]{})
+}
+
+// MulAddNext is MulAdd for a caller that multiplies next's operands after
+// it: the rented workspace carries next as its successor hint (SetNext).
+func (ctx *Context[E]) MulAddNext(c, a, b matrix.Mat[E], next Operands[E]) {
 	ws := ctx.pool.get()
 	defer ctx.pool.put(ws)
+	ws.SetNext(next)
 	ctx.MulAddWS(ws, c, a, b)
 }
 
@@ -253,7 +271,9 @@ func (ctx *Context[E]) FusedMulAdd(cTerms, aTerms, bTerms []Term[E]) {
 
 // FusedMulAddWS is FusedMulAdd with a caller-managed Workspace (see
 // GetWorkspace). The workspace must have been rented from this context or its
-// Serial() view and must not be used by another call concurrently.
+// Serial() view and must not be used by another call concurrently. On a
+// width-1 context the call spends the workspace's successor hint (SetNext),
+// if any, under its micro-kernel calls.
 func (ctx *Context[E]) FusedMulAddWS(ws *Workspace[E], cTerms, aTerms, bTerms []Term[E]) {
 	m, k := dims(aTerms, "A")
 	k2, n := dims(bTerms, "B")
@@ -265,6 +285,9 @@ func (ctx *Context[E]) FusedMulAddWS(ws *Workspace[E], cTerms, aTerms, bTerms []
 		return
 	}
 	cfg := ctx.cfg
+	if cfg.Threads == 1 {
+		ws.next.arm(m, k, n, cfg.KC, ctx.bk.MR(), ctx.bk.NR())
+	}
 	for jc := 0; jc < n; jc += cfg.NC {
 		ncur := min(cfg.NC, n-jc)
 		for pc := 0; pc < k; pc += cfg.KC {
@@ -273,6 +296,7 @@ func (ctx *Context[E]) FusedMulAddWS(ws *Workspace[E], cTerms, aTerms, bTerms []
 			ctx.icLoop(ws, cTerms, aTerms, pc, jc, m, kcur, ncur)
 		}
 	}
+	ws.next.step = 0
 }
 
 // packB fills the B̃ buffer, splitting the column-panel range across workers
@@ -342,7 +366,9 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 // are the calling worker's private Ã buffer and accumulator tile. It is the
 // one inner loop of the driver: every backend, the default included, is
 // reached through the kernel.Backend interface here and nowhere else, with
-// no per-backend branch.
+// no per-backend branch. An armed width-1 call (FusedMulAddWS) prefetches the
+// next step of its successor hint after every micro-kernel call, so the
+// successor's cold operand traffic hides under this call's compute.
 //
 //fmm:hotpath
 func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTerms []Term[E], ic, pc, jc, mcur, kcur, ncur int) {
@@ -356,6 +382,9 @@ func (ctx *Context[E]) macroKernel(ws *Workspace[E], abuf, acc []E, cTerms, aTer
 			mr := min(mrk, mcur-ir)
 			ap := abuf[(ir/mrk)*mrk*kcur:]
 			bk.MicroScatter(kcur, ap, bp, acc, cTerms, ic+ir, jc+jr, mr, nr)
+			if ws.next.step > 0 {
+				ws.next.advance()
+			}
 		}
 	}
 }

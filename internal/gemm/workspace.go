@@ -39,6 +39,11 @@ type Workspace[E matrix.Element] struct {
 	// allocates nothing per call; cleared with the lists above.
 	single [3]Term[E]
 
+	// next is the successor hint (SetNext): views of the operands the renter
+	// multiplies after this call, prefetched under its micro-kernel calls;
+	// cleared with the lists above.
+	next successor[E]
+
 	// The parallel branch's jobs live here, not on the heap of every (jc, pc)
 	// block: slot w owns Ã buffer and accumulator w, packJobs[w].Run and
 	// icJobs[w].Run are its packB and ic methods, bound once in newWorkspace,
@@ -92,13 +97,15 @@ func (s *slot[E]) ic() {
 }
 
 // clearTerms zeroes the operand lists to their full capacity — entries past
-// the current length are stale views from earlier, wider terms — so a pooled
-// workspace pins none of its last renter's matrices.
+// the current length are stale views from earlier, wider terms — and the
+// successor hint, so a pooled workspace pins none of its last renter's
+// matrices.
 func (ws *Workspace[E]) clearTerms() {
 	ws.ATerms = clearTermList(ws.ATerms)
 	ws.BTerms = clearTermList(ws.BTerms)
 	ws.CTerms = clearTermList(ws.CTerms)
 	ws.single = [3]Term[E]{}
+	ws.next = successor[E]{}
 	ws.call = blockCall[E]{}
 }
 

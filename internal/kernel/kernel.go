@@ -34,7 +34,24 @@
 // element.
 package kernel
 
-import "fmmfam/internal/matrix"
+import (
+	"unsafe"
+
+	"fmmfam/internal/matrix"
+)
+
+// Prefetch asks the core to bring every cache line s occupies into L1
+// (PREFETCHT0 on amd64) and returns without waiting for them. It is a hint:
+// it reads nothing in the language's sense, may be dropped, and never changes
+// a result. Without amd64 assembly (purego, other GOARCHes) it does nothing.
+//
+//fmm:hotpath
+func Prefetch[E matrix.Element](s []E) {
+	if len(s) == 0 {
+		return
+	}
+	prefetchLines(unsafe.Pointer(&s[0]), uintptr(len(s))*unsafe.Sizeof(s[0]))
+}
 
 // Term is one weighted operand of a fused linear combination: Coef·M. All
 // terms of a list have identical dimensions.

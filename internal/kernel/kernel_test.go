@@ -231,3 +231,23 @@ func TestPackBRangeEqualsWholePack(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchIsAHint: Prefetch accepts empty, one-element, unaligned and
+// backing-end slices of either dtype and leaves every element as it was.
+func TestPrefetchIsAHint(t *testing.T) {
+	d64 := make([]float64, 1000)
+	d32 := make([]float32, 1000)
+	for i := range d64 {
+		d64[i], d32[i] = float64(i), float32(i)
+	}
+	for _, r := range [][2]int{{0, 0}, {5, 6}, {3, 1000}, {999, 1000}, {1, 17}, {0, 1000}} {
+		Prefetch(d64[r[0]:r[1]])
+		Prefetch(d32[r[0]:r[1]])
+	}
+	Prefetch[float64](nil)
+	for i := range d64 {
+		if d64[i] != float64(i) || d32[i] != float32(i) {
+			t.Fatalf("element %d changed", i)
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package fmmfam
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +45,7 @@ import (
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
-// works too) and builds its engine on it. Batch jobs, shard tiles,
+// works too) and builds its engine on it. Batch workers, shard tiles,
 // K-split slabs, BFS term jobs, row-split adds, the gemm ic loop and
 // B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
 // run the jobs serially on the caller — is what bounds goroutines, for any
@@ -109,6 +111,8 @@ type GenericMultiplier[E matrix.Element] struct {
 	// Threads concurrent sharded calls, more than the pool can run at full
 	// width; callers beyond that build a state the GC takes back.
 	shardRuns chan *shardRun[E]
+	// batchRuns banks idle batch states the same way.
+	batchRuns chan *batchRun[E]
 
 	async asyncQueue[E]
 }
@@ -190,6 +194,7 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		pool:      sched.NewPool(cfg.Threads),
 		plans:     newPlanCache[E](DefaultPlanCacheCap),
 		shardRuns: make(chan *shardRun[E], max(cfg.Threads, 1)),
+		batchRuns: make(chan *batchRun[E], max(cfg.Threads, 1)),
 	}
 }
 
@@ -207,11 +212,15 @@ func NewMultiplier32(cfg Config, arch Arch) *Multiplier32 {
 
 // checkMulDims validates C(m×n) += A(m×k)·B(k×n) dimensions.
 func checkMulDims[E matrix.Element](c, a, b matrix.Mat[E]) error {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
+	if !dimsAgree(c, a, b) {
 		return fmt.Errorf("fmmfam: dims C(%d×%d) += A(%d×%d)·B(%d×%d)",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	return nil
+}
+
+func dimsAgree[E matrix.Element](c, a, b matrix.Mat[E]) bool {
+	return a.Cols == b.Rows && c.Rows == a.Rows && c.Cols == b.Cols
 }
 
 // MulAdd computes c += a·b, choosing and caching an implementation for the
@@ -223,14 +232,17 @@ func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 	if mu.cfgErr != nil {
 		return mu.cfgErr
 	}
-	return mu.mulAdd(c, a, b, mu.cfg.Threads)
+	return mu.mulAdd(c, a, b, mu.cfg.Threads, gemm.Operands[E]{})
 }
 
 // mulAdd is c += a·b at one plan width. MulAdd asks for Config.Threads: the
 // problem may shard, and otherwise runs its class's full-width plan. Pool
 // jobs (batch, shard tile, K-split slab, async) ask for 1: no re-sharding,
-// and the plan a Threads=1 multiplier would run.
-func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int) error {
+// and the plan a Threads=1 multiplier would run. next names the product the
+// caller runs after this one (a batch worker's claimed-ahead job), handed to
+// the plan as its successor hint (fmmexec.Plan.MulAddNext); the zero
+// Operands names none.
+func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int, next gemm.Operands[E]) error {
 	if err := checkMulDims(c, a, b); err != nil {
 		return err
 	}
@@ -246,7 +258,7 @@ func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int) error
 	if err != nil {
 		return err
 	}
-	e.p.MulAdd(c, a, b)
+	e.p.MulAddNext(c, a, b, next)
 	return nil
 }
 
@@ -261,14 +273,22 @@ type BatchJob = GenericBatchJob[float64]
 // BatchJob32 is the float32 batch job.
 type BatchJob32 = GenericBatchJob[float32]
 
-// MulAddBatch schedules the jobs on the multiplier's worker pool: jobs are
-// handed out costliest-first (by classical flop count 2·m·k·n), each free
-// worker claiming the next one, so mixed-size batches don't pay a straggler
-// round. Batch contract: every job executes its shape class's width-1 plan — the
+// MulAddBatch runs the jobs on the multiplier's worker pool: up to Threads
+// workers claim them costliest-first (by classical flop count 2·m·k·n) off
+// one shared cursor, so mixed-size batches don't pay a straggler round. Each
+// worker claims ahead: it holds the next job it will run and runs the current
+// one with that job's operands as the successor hint, so a GEMM-served job
+// prefetches its successor's A, B and C under its own micro-kernel calls
+// (gemm.Workspace.SetNext; FMM-served jobs ignore the hint). The price is a
+// tail imbalance of at most one job per worker — the smallest ones, by the
+// claim order — held by a worker that is still running while another has run
+// out. Batch contract: every job executes its shape class's width-1 plan — the
 // parallelism is across jobs, not within one — so results and plan selection
-// are identical whether the pool has one worker or many. Jobs must be
-// independent (no C aliases another job's operands). It returns the join of
-// all per-job errors; jobs after a failed one still run.
+// are identical whether the pool has one worker or many, and the prefetch
+// never changes a bit. Jobs must be independent (no C aliases another job's
+// operands). It returns the join of all per-job errors; jobs after a failed
+// one still run. The call's state is rented (batchRun), so a warm batch of
+// cached shape classes allocates nothing.
 func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 	if mu.cfgErr != nil {
 		return mu.cfgErr
@@ -276,18 +296,94 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	errs := make([]error, len(jobs))
-	sjobs := make([]sched.Job, len(jobs))
-	for i := range jobs {
-		i := i
-		j := jobs[i]
-		sjobs[i] = sched.Job{
-			Cost: 2 * int64(j.A.Rows) * int64(j.A.Cols) * int64(j.B.Cols),
-			Run:  func() { errs[i] = mu.mulAdd(j.C, j.A, j.B, 1) },
+	r := mu.rentBatchRun(jobs)
+	mu.pool.Run(r.workers[:min(len(r.workers), len(jobs))])
+	err := errors.Join(r.errs[:len(jobs)]...)
+	mu.releaseBatchRun(r)
+	return err
+}
+
+// batchRun is one MulAddBatch in flight: the jobs, their costliest-first
+// claim order and the cursor into it, one error per job, and Threads pool
+// jobs bound once to work. Like shardRun it is rented for the call from a
+// bounded free list (the multiplier's batchRuns), and its slices grow to the
+// largest batch it has served.
+type batchRun[E matrix.Element] struct {
+	mu      *GenericMultiplier[E]
+	jobs    []GenericBatchJob[E]
+	order   []int
+	cursor  atomic.Int64
+	errs    []error
+	workers []sched.Job
+}
+
+// rentBatchRun takes an idle batchRun off the free list (or builds one) and
+// sets it up for jobs.
+func (mu *GenericMultiplier[E]) rentBatchRun(jobs []GenericBatchJob[E]) *batchRun[E] {
+	var r *batchRun[E]
+	select {
+	case r = <-mu.batchRuns:
+	default:
+		r = &batchRun[E]{mu: mu}
+		r.workers = make([]sched.Job, max(mu.cfg.Threads, 1))
+		for w := range r.workers {
+			r.workers[w] = sched.Job{Cost: 1, Run: r.work}
 		}
 	}
-	mu.pool.Run(sjobs)
-	return errors.Join(errs...)
+	r.jobs = jobs
+	r.order = r.order[:0]
+	for i := range jobs {
+		r.order = append(r.order, i)
+	}
+	slices.SortStableFunc(r.order, func(x, y int) int { return cmp.Compare(jobCost(jobs[y]), jobCost(jobs[x])) })
+	r.cursor.Store(0)
+	r.errs = grow(r.errs, len(jobs))
+	return r
+}
+
+// releaseBatchRun banks r for the next batch, first dropping its references
+// to the caller's jobs and errors.
+func (mu *GenericMultiplier[E]) releaseBatchRun(r *batchRun[E]) {
+	r.jobs = nil
+	clear(r.errs)
+	select {
+	case mu.batchRuns <- r:
+	default: // more batches were live than the list holds: the GC takes it
+	}
+}
+
+// jobCost is a batch job's classical flop count, its claim priority.
+func jobCost[E matrix.Element](j GenericBatchJob[E]) int64 {
+	return 2 * int64(j.A.Rows) * int64(j.A.Cols) * int64(j.B.Cols)
+}
+
+// claim returns the index of the next unclaimed job in claim order.
+func (r *batchRun[E]) claim() (int, bool) {
+	pos := int(r.cursor.Add(1)) - 1
+	if pos >= len(r.order) {
+		return 0, false
+	}
+	return r.order[pos], true
+}
+
+// work is one batch worker: it runs jobs until none are left to claim,
+// claiming each successor before running the job it holds, and hands the
+// successor's operands to that job as its hint — unless their dimensions
+// disagree, in which case the successor only reports its error.
+func (r *batchRun[E]) work() {
+	i, ok := r.claim()
+	for ok {
+		j, more := r.claim()
+		var next gemm.Operands[E]
+		if more {
+			if s := r.jobs[j]; dimsAgree(s.C, s.A, s.B) {
+				next = gemm.Operands[E](s)
+			}
+		}
+		job := &r.jobs[i]
+		r.errs[i] = r.mu.mulAdd(job.C, job.A, job.B, 1, next)
+		i, ok = j, more
+	}
 }
 
 // breakEvenTile is the model's fast-algorithm break-even on this
@@ -464,7 +560,7 @@ func (r *shardRun[E]) tile(i int) {
 	if s := i % r.gk; s > 0 {
 		cv = g.bufs[s-1]
 	}
-	r.errs[i] = r.mu.mulAdd(cv, r.a.View(t.I, t.P, t.Rows, t.Depth), r.b.View(t.P, t.J, t.Depth, t.Cols), 1)
+	r.errs[i] = r.mu.mulAdd(cv, r.a.View(t.I, t.P, t.Rows, t.Depth), r.b.View(t.P, t.J, t.Depth, t.Cols), 1, gemm.Operands[E]{})
 	if g.remaining.Add(-1) == 0 {
 		for _, buf := range g.bufs {
 			g.c.AddScaled(1, buf)
