@@ -3,7 +3,8 @@ package fmmfam
 // Contract tests for MulAddBatch's claim-ahead scheduler: whatever the worker
 // count, and whatever successor each job prefetched, a batch leaves every C
 // bit-identical to running its jobs one by one through MulAdd on a Threads=1
-// multiplier, reports the same errors, and a warm batch allocates nothing.
+// multiplier, reports the same errors, and a warm batch allocates nothing. A
+// worker claims ahead only while every other worker still has a job to claim.
 
 import (
 	"errors"
@@ -164,20 +165,93 @@ func checkBatchAllocs[E matrix.Element](t *testing.T, threads int) {
 	}
 }
 
+// shapeJob is a batch job of the given shape with no data, for tests that
+// only claim jobs.
+func shapeJob(m, k, n int) BatchJob {
+	return BatchJob{C: Matrix{Rows: m, Cols: n}, A: Matrix{Rows: m, Cols: k}, B: Matrix{Rows: k, Cols: n}}
+}
+
 // TestBatchClaimOrder: jobs are claimed costliest-first, ties in submission
-// order, and a batch's run state keeps none of the caller's jobs once banked.
+// order, and a banked runner keeps none of the caller's jobs, nor the tile
+// views of a sharded call.
 func TestBatchClaimOrder(t *testing.T) {
 	mu := NewMultiplier(DefaultConfig(), PaperArch())
-	job := func(m, k, n int) BatchJob {
-		return BatchJob{C: Matrix{Rows: m, Cols: n}, A: Matrix{Rows: m, Cols: k}, B: Matrix{Rows: k, Cols: n}}
-	}
-	jobs := []BatchJob{job(2, 5, 1), job(3, 10, 1), job(10, 3, 1), job(1, 1, 1), job(5, 6, 1)}
-	r := mu.rentBatchRun(jobs)
+	jobs := []BatchJob{shapeJob(2, 5, 1), shapeJob(3, 10, 1), shapeJob(10, 3, 1), shapeJob(1, 1, 1), shapeJob(5, 6, 1)}
+	r := mu.rentBatchRun()
+	r.load(jobs)
 	if got, want := fmt.Sprint(r.order), "[1 2 4 0 3]"; got != want {
 		t.Fatalf("claim order %s, want %s", got, want)
 	}
 	mu.releaseBatchRun(r)
 	if r.jobs != nil {
 		t.Fatal("a banked batch run still pins the caller's jobs")
+	}
+
+	sharded := NewMultiplier(kSplitServingCfg(), PaperArch())
+	if err := sharded.MulAdd(NewMatrix(48, 48), NewMatrix(48, 512), NewMatrix(512, 48)); err != nil {
+		t.Fatal(err)
+	}
+	r = <-sharded.batchRuns
+	if len(r.tiles) < 2 {
+		t.Fatalf("the sharded call banked %d tile jobs, want its grid", len(r.tiles))
+	}
+	for i, j := range r.tiles {
+		if j.C.Data != nil || j.A.Data != nil || j.B.Data != nil {
+			t.Fatalf("a banked runner still pins tile job %d's matrices", i)
+		}
+	}
+}
+
+// TestBatchClaimAhead drives two workers' claims from one goroutine: a worker
+// claims a successor ahead of the job it holds only while at least as many
+// jobs are unclaimed as the batch has workers. Two jobs on two workers run
+// one each, however early the first worker starts; five claim ahead until
+// fewer than two are unclaimed.
+func TestBatchClaimAhead(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Threads = 2
+	mu := NewMultiplier(cfg, PaperArch())
+	r := mu.rentBatchRun()
+	defer mu.releaseBatchRun(r)
+	type step struct {
+		worker string
+		ahead  bool // claimAhead, else claim
+		job    int  // -1: nothing claimed
+	}
+	for _, tc := range []struct {
+		jobs  int
+		steps []step
+	}{
+		{2, []step{
+			{"A", false, 0}, {"A", true, -1}, // A holds job 0 and leaves job 1 to B
+			{"B", false, 1}, {"B", true, -1},
+			{"A", false, -1}, {"B", false, -1},
+		}},
+		{5, []step{
+			{"A", false, 0}, {"A", true, 1}, // 4 unclaimed, then 3
+			{"B", false, 2}, {"B", true, 3}, // 2 unclaimed, then 1
+			{"A", true, -1}, {"B", true, -1}, // A ran 0 and holds 1, B ran 2 and holds 3: 1 unclaimed
+			{"A", false, 4}, {"A", true, -1}, // A ran 1
+			{"B", false, -1}, {"A", false, -1},
+		}},
+	} {
+		jobs := make([]BatchJob, tc.jobs)
+		for i := range jobs {
+			jobs[i] = shapeJob(tc.jobs-i, 1, 1) // claim order = submission order
+		}
+		r.load(jobs)
+		for n, s := range tc.steps {
+			claim := r.claim
+			if s.ahead {
+				claim = r.claimAhead
+			}
+			job, ok := claim()
+			if !ok {
+				job = -1
+			}
+			if job != s.job {
+				t.Fatalf("%d jobs on 2 workers, step %d: worker %s (ahead %v) claimed job %d, want %d", tc.jobs, n, s.worker, s.ahead, job, s.job)
+			}
+		}
 	}
 }

@@ -203,8 +203,9 @@ func (ctx *Context[E]) Pool() *sched.Pool { return ctx.sp }
 // Serial returns the Threads=1 view of the context: the same backend,
 // blocking, worker pool, workspaces and scratch list, with no intra-call
 // fan-out — what a job runs on when its parallelism is across jobs (batch
-// jobs, shard tiles, BFS term jobs). It is the receiver when Threads is 1,
-// and gemm results are bit-identical between a context and its serial view.
+// jobs, which include shard tiles and K-split slabs, and BFS term jobs). It
+// is the receiver when Threads is 1, and gemm results are bit-identical
+// between a context and its serial view.
 func (ctx *Context[E]) Serial() *Context[E] { return ctx.serial }
 
 // RentMat returns a rows×cols scratch matrix with unspecified contents from

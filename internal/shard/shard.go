@@ -42,10 +42,10 @@ package shard
 
 import "fmt"
 
-// DefaultOversub bounds the grid search at Workers×Oversub tiles. Grids
-// beyond one tile per worker only win on ragged shapes where uneven tiles
-// make an extra round cheaper; a small factor is enough headroom to find
-// those without searching absurd grids.
+// DefaultOversub bounds the grid search at Workers×DefaultOversub tiles.
+// Grids beyond one tile per worker only win on ragged shapes where uneven
+// tiles make an extra round cheaper; a small factor is enough headroom to
+// find those without searching absurd grids.
 const DefaultOversub = 2
 
 // defaultReduceCost weighs one reduction-fold element (read slab buffer,
@@ -63,9 +63,6 @@ type Options struct {
 	// the multiplier chooses it). An uncut dimension may stay below the
 	// floor.
 	MinTile int
-	// Oversub bounds the search at Workers×Oversub tiles; 0 means
-	// DefaultOversub.
-	Oversub int
 	// KSplit permits cutting the K dimension into GridK slabs. The executor
 	// then needs per-slab reduction buffers, and results are run-to-run
 	// deterministic rather than bit-identical to the 2D path, so the score
@@ -99,12 +96,12 @@ type Spec struct {
 
 // Split chooses a decomposition for C(m×n) += A(m×k)·B(k×n) under o. The
 // second return is false when the problem should not be sharded: fewer than
-// two tiles fit above the MinTile floor (or the Workers×Oversub bound
+// two tiles fit above the MinTile floor (or the Workers×DefaultOversub bound
 // forbids even two tiles). A refused Spec carries the problem's dimensions
 // and no grid.
 //
-// Every admissible grid up to Workers×Oversub tiles is scored by o.Cost (or
-// the built-in volume-based makespan — ⌈tiles/Workers⌉ rounds of the
+// Every admissible grid up to Workers×DefaultOversub tiles is scored by
+// o.Cost (or the built-in volume-based makespan — ⌈tiles/Workers⌉ rounds of the
 // largest tile's volume, plus m·n·(gk−1) weighted reduction folds for
 // K-split grids) and the minimum wins. Ties prefer the larger minimum
 // output-tile side, then fewer tiles, then fewer K slabs; see the package
@@ -119,10 +116,6 @@ func Split(m, k, n int, o Options) (Spec, bool) {
 	}
 	if o.MinTile < 1 {
 		o.MinTile = 1
-	}
-	oversub := o.Oversub
-	if oversub < 1 {
-		oversub = DefaultOversub
 	}
 	cost := o.Cost
 	if cost == nil {
@@ -142,7 +135,7 @@ func Split(m, k, n int, o Options) (Spec, bool) {
 			gkMax = 1
 		}
 	}
-	maxTiles := o.Workers * oversub
+	maxTiles := o.Workers * DefaultOversub
 	var (
 		found               bool
 		bestM, bestN, bestK int

@@ -21,7 +21,7 @@ func TestTilesPartitionExactly(t *testing.T) {
 		{333, 177, 257, Options{Workers: 3, MinTile: 40}}, // non-power-of-two
 		{4096, 4096, 4096, Options{Workers: 16, MinTile: 148}},
 		{130, 10, 130, Options{Workers: 2, MinTile: 64}}, // barely shardable
-		{1 << 14, 8, 1 << 14, Options{Workers: 64, MinTile: 100, Oversub: 3}},
+		{1 << 14, 8, 1 << 14, Options{Workers: 64, MinTile: 100}},
 	}
 	for _, tc := range cases {
 		spec, ok := Split(tc.m, tc.k, tc.n, tc.o)
@@ -156,7 +156,7 @@ func TestSplitKDominant(t *testing.T) {
 		t.Fatalf("K-dominant split chose %v, want 1×1 output grid with ≥2 K-slabs", spec)
 	}
 	if spec.NumTiles() > o.Workers*DefaultOversub {
-		t.Fatalf("%v exceeds the Workers×Oversub bound", spec)
+		t.Fatalf("%v exceeds the Workers×DefaultOversub bound", spec)
 	}
 	for _, tl := range spec.Tiles() {
 		if tl.Depth < o.MinTile {

@@ -45,8 +45,9 @@ import (
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
-// works too) and builds its engine on it. Batch workers, shard tiles,
-// K-split slabs, BFS term jobs, row-split adds, the gemm ic loop and
+// works too) and builds its engine on it. Batch workers (one cross-job
+// runner serves MulAddBatch's jobs and a sharded MulAdd's tiles and K-split
+// slabs alike), BFS term jobs, row-split adds, the gemm ic loop and
 // B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
 // run the jobs serially on the caller — is what bounds goroutines, for any
 // mix and nesting of concurrent callers:
@@ -107,11 +108,10 @@ type GenericMultiplier[E matrix.Element] struct {
 	breakEvenOnce sync.Once
 	breakEven     int
 
-	// shardRuns banks idle sharded-call states. Threads of them cover
-	// Threads concurrent sharded calls, more than the pool can run at full
-	// width; callers beyond that build a state the GC takes back.
-	shardRuns chan *shardRun[E]
-	// batchRuns banks idle batch states the same way.
+	// batchRuns banks idle cross-job runners, the state of one MulAddBatch or
+	// sharded MulAdd. Threads of them cover Threads concurrent calls, more
+	// than the pool can run at full width; callers beyond that build a
+	// runner the GC takes back.
 	batchRuns chan *batchRun[E]
 
 	async asyncQueue[E]
@@ -193,7 +193,6 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		cfgErr:    cfgErr,
 		pool:      sched.NewPool(cfg.Threads),
 		plans:     newPlanCache[E](DefaultPlanCacheCap),
-		shardRuns: make(chan *shardRun[E], max(cfg.Threads, 1)),
 		batchRuns: make(chan *batchRun[E], max(cfg.Threads, 1)),
 	}
 }
@@ -275,20 +274,23 @@ type BatchJob32 = GenericBatchJob[float32]
 
 // MulAddBatch runs the jobs on the multiplier's worker pool: up to Threads
 // workers claim them costliest-first (by classical flop count 2·m·k·n) off
-// one shared cursor, so mixed-size batches don't pay a straggler round. Each
-// worker claims ahead: it holds the next job it will run and runs the current
-// one with that job's operands as the successor hint, so a GEMM-served job
+// one shared cursor, so mixed-size batches don't pay a straggler round. While
+// at least as many jobs are unclaimed as the batch has workers, each worker
+// claims ahead: it holds the next job it will run and runs the current one
+// with that job's operands as the successor hint, so a GEMM-served job
 // prefetches its successor's A, B and C under its own micro-kernel calls
-// (gemm.Workspace.SetNext; FMM-served jobs ignore the hint). The price is a
-// tail imbalance of at most one job per worker — the smallest ones, by the
-// claim order — held by a worker that is still running while another has run
-// out. Batch contract: every job executes its shape class's width-1 plan — the
-// parallelism is across jobs, not within one — so results and plan selection
-// are identical whether the pool has one worker or many, and the prefetch
-// never changes a bit. Jobs must be independent (no C aliases another job's
-// operands). It returns the join of all per-job errors; jobs after a failed
-// one still run. The call's state is rented (batchRun), so a warm batch of
-// cached shape classes allocates nothing.
+// (gemm.Workspace.SetNext; FMM-served jobs ignore the hint). Below that it
+// claims one job at a time, so a batch of no more jobs than workers runs one
+// job per worker. The price is a tail imbalance of at most one job per worker
+// — the smallest ones, by the claim order — held by a worker that is still
+// running while another has run out. Batch contract: every job executes its
+// shape class's width-1 plan — the parallelism is across jobs, not within one
+// — so results and plan selection are identical whether the pool has one
+// worker or many, and the prefetch never changes a bit. Jobs must be
+// independent (no C aliases another job's operands). It returns the join of
+// all per-job errors; jobs after a failed one still run. The call's state is
+// rented (batchRun), so a warm batch of cached shape classes allocates
+// nothing.
 func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 	if mu.cfgErr != nil {
 		return mu.cfgErr
@@ -296,30 +298,32 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	r := mu.rentBatchRun(jobs)
-	mu.pool.Run(r.workers[:min(len(r.workers), len(jobs))])
-	err := errors.Join(r.errs[:len(jobs)]...)
+	r := mu.rentBatchRun()
+	err := r.run(jobs)
 	mu.releaseBatchRun(r)
 	return err
 }
 
-// batchRun is one MulAddBatch in flight: the jobs, their costliest-first
-// claim order and the cursor into it, one error per job, and Threads pool
-// jobs bound once to work. Like shardRun it is rented for the call from a
-// bounded free list (the multiplier's batchRuns), and its slices grow to the
-// largest batch it has served.
+// batchRun is the multiplier's one cross-job runner: the state of one
+// MulAddBatch or sharded MulAdd in flight — the jobs, their costliest-first
+// claim order and the cursor into it, how many workers run them, one error
+// per job, and Threads pool jobs bound once to work. A sharded call builds
+// its jobs in tiles, which the runner banks between calls. It is rented for
+// the call from a bounded free list (the multiplier's batchRuns), and its
+// slices grow to the largest call it has served.
 type batchRun[E matrix.Element] struct {
 	mu      *GenericMultiplier[E]
 	jobs    []GenericBatchJob[E]
 	order   []int
 	cursor  atomic.Int64
+	width   int // workers submitted for jobs: min(Threads, len(jobs))
 	errs    []error
+	tiles   []GenericBatchJob[E]
 	workers []sched.Job
 }
 
-// rentBatchRun takes an idle batchRun off the free list (or builds one) and
-// sets it up for jobs.
-func (mu *GenericMultiplier[E]) rentBatchRun(jobs []GenericBatchJob[E]) *batchRun[E] {
+// rentBatchRun takes an idle batchRun off the free list, or builds one.
+func (mu *GenericMultiplier[E]) rentBatchRun() *batchRun[E] {
 	var r *batchRun[E]
 	select {
 	case r = <-mu.batchRuns:
@@ -330,6 +334,12 @@ func (mu *GenericMultiplier[E]) rentBatchRun(jobs []GenericBatchJob[E]) *batchRu
 			r.workers[w] = sched.Job{Cost: 1, Run: r.work}
 		}
 	}
+	return r
+}
+
+// load sets r up to run jobs: the claim order, the cursor, the worker count
+// and one error slot per job.
+func (r *batchRun[E]) load(jobs []GenericBatchJob[E]) {
 	r.jobs = jobs
 	r.order = r.order[:0]
 	for i := range jobs {
@@ -337,18 +347,27 @@ func (mu *GenericMultiplier[E]) rentBatchRun(jobs []GenericBatchJob[E]) *batchRu
 	}
 	slices.SortStableFunc(r.order, func(x, y int) int { return cmp.Compare(jobCost(jobs[y]), jobCost(jobs[x])) })
 	r.cursor.Store(0)
+	r.width = min(len(r.workers), len(jobs))
 	r.errs = grow(r.errs, len(jobs))
-	return r
 }
 
-// releaseBatchRun banks r for the next batch, first dropping its references
-// to the caller's jobs and errors.
+// run executes jobs on the multiplier's pool and returns the join of their
+// errors once every job has finished.
+func (r *batchRun[E]) run(jobs []GenericBatchJob[E]) error {
+	r.load(jobs)
+	r.mu.pool.Run(r.workers[:r.width])
+	return errors.Join(r.errs[:len(jobs)]...)
+}
+
+// releaseBatchRun banks r for the next call, first dropping its references
+// to the caller's jobs, tile views and errors.
 func (mu *GenericMultiplier[E]) releaseBatchRun(r *batchRun[E]) {
 	r.jobs = nil
+	clear(r.tiles)
 	clear(r.errs)
 	select {
 	case mu.batchRuns <- r:
-	default: // more batches were live than the list holds: the GC takes it
+	default: // more calls were live than the list holds: the GC takes it
 	}
 }
 
@@ -366,23 +385,40 @@ func (r *batchRun[E]) claim() (int, bool) {
 	return r.order[pos], true
 }
 
-// work is one batch worker: it runs jobs until none are left to claim,
-// claiming each successor before running the job it holds, and hands the
-// successor's operands to that job as its hint — unless their dimensions
-// disagree, in which case the successor only reports its error.
+// claimAhead claims a successor for the job a worker holds, but only while
+// at least as many jobs are unclaimed as the batch has workers: a worker that
+// took a job another one would have started at once would serialize them.
+func (r *batchRun[E]) claimAhead() (int, bool) {
+	if len(r.order)-int(r.cursor.Load()) < r.width {
+		return 0, false
+	}
+	return r.claim()
+}
+
+// work is one batch worker: it runs jobs until none are left to claim. When
+// it claims a successor ahead of the job it holds, it hands the successor's
+// operands to that job as its hint — unless their dimensions disagree, in
+// which case the successor only reports its error; otherwise it claims its
+// next job once the one it holds is done.
+//
+//fmm:hotpath
 func (r *batchRun[E]) work() {
 	i, ok := r.claim()
 	for ok {
-		j, more := r.claim()
+		j, ahead := r.claimAhead()
 		var next gemm.Operands[E]
-		if more {
+		if ahead {
 			if s := r.jobs[j]; dimsAgree(s.C, s.A, s.B) {
 				next = gemm.Operands[E](s)
 			}
 		}
 		job := &r.jobs[i]
 		r.errs[i] = r.mu.mulAdd(job.C, job.A, job.B, 1, next)
-		i, ok = j, more
+		if ahead {
+			i = j
+		} else {
+			i, ok = r.claim()
+		}
 	}
 }
 
@@ -468,35 +504,6 @@ func (mu *GenericMultiplier[E]) servesFMM(m, k, n, threads int) bool {
 	return err == nil && len(e.p.Levels) > 0
 }
 
-// kGroup is the per-output-tile state of a sharded execution: the C view the
-// tile owns, the reduction buffers of slabs 1…GridK−1 (slab 0 accumulates
-// straight into C, so a tile with K whole has none), and the count of slabs
-// still running.
-type kGroup[E matrix.Element] struct {
-	c         matrix.Mat[E]
-	bufs      []matrix.Mat[E]
-	remaining atomic.Int32
-}
-
-// shardRun is one sharded MulAdd in flight: the operands and grid, one kGroup
-// per output tile, the reduction buffers, and one error and one pool job per
-// (tile, slab) pair. Like sched.Pool's run it is rented for the call from a
-// bounded free list (the multiplier's shardRuns), and its jobs are bound to
-// it once — job i always runs r.tile(i) — so its slices grow to the largest
-// grid it has served and a warm sharded call allocates nothing. Only the
-// first NumTiles jobs and errors, and the first GridM·GridN groups, belong
-// to the current call.
-type shardRun[E matrix.Element] struct {
-	mu     *GenericMultiplier[E]
-	spec   shard.Spec
-	gk     int // GridK, 1 when K is whole
-	a, b   matrix.Mat[E]
-	groups []kGroup[E]
-	bufs   []matrix.Mat[E]
-	errs   []error
-	jobs   []sched.Job
-}
-
 // grow returns s lengthened to at least n elements, keeping its contents.
 func grow[T any](s []T, n int) []T {
 	if n > len(s) {
@@ -505,82 +512,19 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
-// rentShardRun takes an idle shardRun off the free list (or builds one) and
-// sets it up for spec.
-func (mu *GenericMultiplier[E]) rentShardRun(spec shard.Spec, a, b matrix.Mat[E]) *shardRun[E] {
-	var r *shardRun[E]
-	select {
-	case r = <-mu.shardRuns:
-	default:
-		r = &shardRun[E]{mu: mu}
-	}
-	r.reset(spec, a, b)
-	return r
-}
-
-// reset sizes r for spec: groups, buffers and errors (released cleared), and
-// jobs bound and costed.
-func (r *shardRun[E]) reset(spec shard.Spec, a, b matrix.Mat[E]) {
-	n, tiles := spec.NumTiles(), spec.GridM*spec.GridN
-	r.spec, r.gk, r.a, r.b = spec, max(spec.GridK, 1), a, b
-	r.groups = grow(r.groups, tiles)
-	r.bufs = grow(r.bufs, n-tiles)
-	r.errs = grow(r.errs, n)
-	for i := len(r.jobs); i < n; i++ {
-		r.jobs = append(r.jobs, sched.Job{Run: func() { r.tile(i) }})
-	}
-	for i := range n {
-		t := spec.Tile(i)
-		r.jobs[i].Cost = int64(t.Rows) * int64(t.Cols) * int64(t.Depth)
-	}
-}
-
-// releaseShardRun banks r for the next sharded call, first dropping its
-// references to the caller's operands and the returned reduction buffers.
-func (mu *GenericMultiplier[E]) releaseShardRun(r *shardRun[E]) {
-	r.a, r.b = matrix.Mat[E]{}, matrix.Mat[E]{}
-	clear(r.groups)
-	clear(r.bufs)
-	clear(r.errs)
-	select {
-	case mu.shardRuns <- r:
-	default: // more sharded calls were live than the list holds: the GC takes it
-	}
-}
-
-// tile runs job i of a sharded call: one (output tile, K slab) block product
-// on its width-1 plan — slab 0 into the tile's C view, slab s > 0 into
-// reduction buffer s−1 — and, when it is the tile's last slab to finish, the
-// fold of the tile's buffers into C in ascending slab order.
-//
-//fmm:hotpath
-func (r *shardRun[E]) tile(i int) {
-	t, g := r.spec.Tile(i), &r.groups[i/r.gk]
-	cv := g.c
-	if s := i % r.gk; s > 0 {
-		cv = g.bufs[s-1]
-	}
-	r.errs[i] = r.mu.mulAdd(cv, r.a.View(t.I, t.P, t.Rows, t.Depth), r.b.View(t.P, t.J, t.Depth, t.Cols), 1, gemm.Operands[E]{})
-	if g.remaining.Add(-1) == 0 {
-		for _, buf := range g.bufs {
-			g.c.AddScaled(1, buf)
-		}
-	}
-}
-
-// mulAddSharded executes a sharded MulAdd: every (tile, slab) pair is one
-// scheduled job computing A[ti, p0:p1]·B[p0:p1, tj] on views of the operands
-// with its width-1 plan (shardRun.tile). Slab 0 accumulates directly into the
-// tile's C view; each later slab accumulates into a zeroed reduction buffer
-// rented from the engine; and whichever worker finishes a tile's last slab
-// folds that tile's buffers into C in ascending slab order.
-// With K whole (GridK == 1) there is only slab 0: tiles write disjoint
-// regions of C and nothing is folded, so the result is bit-identical to
-// executing the tiles one after another, however the pool interleaves them.
-// With K split the fold order is fixed, so repeated runs produce bit-identical
-// C even though the schedule is not deterministic — the serving determinism
-// contract for K-split. The call's state is rented (rentShardRun), so a warm
-// call allocates nothing.
+// mulAddSharded executes a sharded MulAdd as a batch: every (tile, slab)
+// pair is one batch job computing A[ti, p0:p1]·B[p0:p1, tj] on views of the
+// operands with its width-1 plan, run by the same workers as MulAddBatch's
+// jobs. Slab 0 accumulates directly into the tile's C view; each later slab
+// accumulates into a zeroed reduction buffer rented from the engine; and once
+// every job has finished, the caller folds each tile's buffers into C in
+// ascending slab order. With K whole (GridK == 1) there is only slab 0: tiles
+// write disjoint regions of C and nothing is folded, so the result is
+// bit-identical to executing the tiles one after another, however the pool
+// interleaves them. With K split the fold order is fixed, so repeated runs
+// produce bit-identical C even though the schedule is not deterministic — the
+// serving determinism contract for K-split. The call's runner and its tile
+// jobs are rented (batchRun), so a warm call allocates nothing.
 func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Mat[E]) error {
 	var ctx *gemm.Context[E] // rents the reduction buffers; unused with K whole
 	if spec.GridK > 1 {
@@ -589,26 +533,28 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Ma
 			return fmt.Errorf("%v: %w", spec, err)
 		}
 	}
-	r := mu.rentShardRun(spec, a, b)
-	n, gk := spec.NumTiles(), r.gk
-	groups, bufs := r.groups[:n/gk], r.bufs[:n-n/gk]
-	for gi := range groups {
-		t0 := spec.Tile(gi * gk) // GridK consecutive slabs per output tile, ascending P
-		g := &groups[gi]
-		g.c = c.View(t0.I, t0.J, t0.Rows, t0.Cols)
-		g.bufs = bufs[gi*(gk-1) : (gi+1)*(gk-1)]
-		for s := range g.bufs {
-			g.bufs[s] = ctx.RentMat(t0.Rows, t0.Cols)
-			g.bufs[s].Zero()
+	n, gk := spec.NumTiles(), max(spec.GridK, 1)
+	r := mu.rentBatchRun()
+	r.tiles = grow(r.tiles, n)
+	tiles := r.tiles[:n] // GridK consecutive slabs per output tile, ascending P
+	for i := range tiles {
+		t := spec.Tile(i)
+		tiles[i] = GenericBatchJob[E]{A: a.View(t.I, t.P, t.Rows, t.Depth), B: b.View(t.P, t.J, t.Depth, t.Cols)}
+		if i%gk == 0 {
+			tiles[i].C = c.View(t.I, t.J, t.Rows, t.Cols)
+		} else {
+			tiles[i].C = ctx.RentMat(t.Rows, t.Cols)
+			tiles[i].C.Zero()
 		}
-		g.remaining.Store(int32(gk))
 	}
-	mu.pool.Run(r.jobs[:n])
-	for _, buf := range bufs {
-		ctx.ReturnMat(buf)
+	err := r.run(tiles)
+	for i := range tiles {
+		if s := i % gk; s > 0 {
+			tiles[i-s].C.AddScaled(1, tiles[i].C)
+			ctx.ReturnMat(tiles[i].C)
+		}
 	}
-	err := errors.Join(r.errs[:n]...)
-	mu.releaseShardRun(r)
+	mu.releaseBatchRun(r)
 	if err != nil {
 		return fmt.Errorf("%v: %w", spec, err)
 	}

@@ -6,13 +6,16 @@ package fmmfam
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"fmmfam/internal/gemm"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/shard"
 )
 
 // servingCfg is a small-blocking config that shards aggressively so the
@@ -74,17 +77,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shape %v: expected the 2D decomposition, got %v", s, spec)
 		}
 		seq := NewMatrix(m, n)
-		seqCfg := servingCfg()
-		seqCfg.Threads = 1
-		exec := NewMultiplier(seqCfg, PaperArch())
-		for _, tl := range spec.Tiles() {
-			if err := exec.MulAdd(
-				seq.View(tl.I, tl.J, tl.Rows, tl.Cols),
-				a.View(tl.I, tl.P, tl.Rows, tl.Depth),
-				b.View(tl.P, tl.J, tl.Depth, tl.Cols),
-			); err != nil {
-				t.Fatalf("shape %v tile %+v: %v", s, tl, err)
-			}
+		if err := replaySharded(serialTwin(mu).MulAdd, spec.Spec, seq, a, b); err != nil {
+			t.Fatalf("shape %v: %v", s, err)
 		}
 		if d := sharded.MaxAbsDiff(seq); d != 0 {
 			t.Fatalf("shape %v: pool scheduling perturbed the result by %g", s, d)
@@ -119,13 +113,50 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// serialTwin is a Threads=1 multiplier of mu's configuration: what a sharded
+// call's tiles are replayed on.
+func serialTwin[E matrix.Element](mu *GenericMultiplier[E]) *GenericMultiplier[E] {
+	cfg := mu.cfg
+	cfg.Threads = 1
+	return NewGenericMultiplier[E](cfg, PaperArch())
+}
+
+// replaySharded replays a sharded c += a·b one (tile, slab) product at a time
+// through mulAdd: slab 0 of each output tile into the tile's C view, each
+// later slab into a zeroed matrix, and those folded into the tile's view in
+// ascending slab order. With K whole that is the tiles run one after another.
+func replaySharded[E matrix.Element](mulAdd func(c, a, b matrix.Mat[E]) error, spec shard.Spec, c, a, b matrix.Mat[E]) error {
+	gk := max(spec.GridK, 1)
+	tiles := spec.Tiles()
+	for g := 0; g < len(tiles); g += gk {
+		t0 := tiles[g]
+		cv := c.View(t0.I, t0.J, t0.Rows, t0.Cols)
+		bufs := []matrix.Mat[E]{cv}
+		for range gk - 1 {
+			bufs = append(bufs, matrix.New[E](t0.Rows, t0.Cols))
+		}
+		for s, tl := range tiles[g : g+gk] {
+			if err := mulAdd(bufs[s], a.View(tl.I, tl.P, tl.Rows, tl.Depth), b.View(tl.P, tl.J, tl.Depth, tl.Cols)); err != nil {
+				return fmt.Errorf("tile %+v: %w", tl, err)
+			}
+		}
+		for _, buf := range bufs[1:] {
+			cv.AddScaled(1, buf)
+		}
+	}
+	return nil
+}
+
 // TestShardedKSplit drives the K-split path on K-dominant shapes (M×N too
 // small to cut, huge inner dimension) and checks, per shape:
 //
 //  1. the problem actually takes the 3D path (GridK ≥ 2) — these shapes
 //     never sharded at all under the 2D-only decomposition;
 //  2. the result matches the naive triple-loop reference within tolerance;
-//  3. repeated runs are bit-identical — the reduction buffers fold into C
+//  3. the result is bit-identical to replaying the slabs on a Threads=1
+//     multiplier and folding them in ascending slab order (replaySharded) —
+//     the fold order is part of the contract, not only its determinism;
+//  4. repeated runs are bit-identical — the reduction buffers fold into C
 //     in fixed slab order, so scheduling nondeterminism must not leak into
 //     the numbers (the K-split determinism contract).
 func TestShardedKSplit(t *testing.T) {
@@ -150,6 +181,13 @@ func TestShardedKSplit(t *testing.T) {
 		if d := got.MaxAbsDiff(want); d > 1e-9 {
 			t.Fatalf("shape %v: K-split vs reference diff %g", s, d)
 		}
+		replay := NewMatrix(m, n)
+		if err := replaySharded(serialTwin(mu).MulAdd, spec.Spec, replay, a, b); err != nil {
+			t.Fatalf("shape %v: %v", s, err)
+		}
+		if d := got.MaxAbsDiff(replay); d != 0 {
+			t.Fatalf("shape %v: K-split differs from its slab-by-slab replay by %g", s, d)
+		}
 
 		// Run-to-run bit determinism, several times so the scheduler gets
 		// chances to interleave differently (and the reduction-buffer pool
@@ -164,6 +202,57 @@ func TestShardedKSplit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzShardedMulAdd: on go4x4 multipliers that shard from 128 up, every
+// sharded MulAdd of a random m, n ≤ 400, k ≤ 1200 product onto a random C —
+// 2-D grids, single-tile and multi-tile K-splits alike — leaves C
+// bit-identical to its replay (replaySharded). Threads is 3, or 4 when wide:
+// with m, n ≤ 400 the model never cuts a multi-tile K-split for three
+// workers, where its six tiles would take two rounds. Shapes that do not
+// shard are skipped. The seeds cover the three grid kinds.
+//
+// The replay runs on the multiplier's own width-1 plans, the plans a
+// Threads=1 multiplier would build, rather than on a second multiplier: a
+// shape class's plan is chosen for the concrete size that first builds it
+// (71×278×151 gets <2,2,2> ABC, 71×278×150 GEMM, one class), so after many
+// random shapes two multipliers' caches can serve a class differently.
+func FuzzShardedMulAdd(f *testing.F) {
+	f.Add(uint16(256), uint16(96), uint16(200), false, int64(1)) // 3×1 tiles
+	f.Add(uint16(48), uint16(700), uint16(60), false, int64(2))  // one tile, 3 K-slabs
+	f.Add(uint16(70), uint16(300), uint16(300), true, int64(3))  // 1×2 tiles, 2 K-slabs each
+	cfg := servingCfg()
+	cfg.Threads = 3
+	narrow := NewMultiplier(cfg, PaperArch())
+	cfg.Threads = 4
+	wideMu := NewMultiplier(cfg, PaperArch())
+	f.Fuzz(func(t *testing.T, m, k, n uint16, wide bool, seed int64) {
+		mu := narrow
+		if wide {
+			mu = wideMu
+		}
+		dm, dk, dn := 1+int(m)%400, 1+int(k)%1200, 1+int(n)%400
+		route, ok := mu.shardSpec(dm, dk, dn)
+		if !ok {
+			t.Skipf("%d×%d×%d does not shard", dm, dk, dn)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		a, b, c := NewMatrix(dm, dk), NewMatrix(dk, dn), NewMatrix(dm, dn)
+		a.FillRand(rng)
+		b.FillRand(rng)
+		c.FillRand(rng)
+		want := c.Clone()
+		if err := mu.MulAdd(c, a, b); err != nil {
+			t.Fatalf("%v: %v", route, err)
+		}
+		widthOne := func(c, a, b Matrix) error { return mu.mulAdd(c, a, b, 1, gemm.Operands[float64]{}) }
+		if err := replaySharded(widthOne, route.Spec, want, a, b); err != nil {
+			t.Fatalf("%v: %v", route, err)
+		}
+		if d := c.MaxAbsDiff(want); d != 0 {
+			t.Fatalf("%v: sharded MulAdd differs from its replay by %g", route, d)
+		}
+	})
 }
 
 // TestKDominantAcceptanceShape pins the acceptance criterion: the
