@@ -1,21 +1,19 @@
 package fmmfam
 
-// The five micro-benchmarks nothing else measures. "Did this commit get
+// The four micro-benchmarks nothing else measures. "Did this commit get
 // slower?" is fmmbench's question (bash fmmbench/run.sh: six verified
 // workloads, bounds from BENCHMARK.json) and "does the paper's figure
 // reproduce?" is cmd/experiments'; what stays here is the selector's measured
 // crossover against the model's break-even (BenchmarkSelectorVsGEMM), the
 // per-backend micro-kernel and packing rates (BenchmarkAblationKernel), the
-// dynamic-peeling overhead (BenchmarkAblationPeeling), the term-traversal
-// sweep across worker counts (BenchmarkIntraPlan) and the cold-operand gap of
-// a batch larger than the cache (BenchmarkMulAddBatchCold). Every timed
+// dynamic-peeling overhead (BenchmarkAblationPeeling) and the cold-operand
+// gap of a batch larger than the cache (BenchmarkMulAddBatchCold). Every timed
 // product reports effective GFLOPS (2·m·n·k/time), the paper's metric.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -219,62 +217,6 @@ func benchMicros(b *testing.B, runs []*microRun) {
 		b.ReportMetric(r.samples[len(r.samples)-1], r.name+"-best-GF/s")
 		b.ReportMetric(r.samples[len(r.samples)/2], r.name+"-med-GF/s")
 	}
-}
-
-// BenchmarkIntraPlan measures the PR-6 tentpole: term-level BFS fan-out
-// inside one medium MulAdd (below the shard threshold) against the serial
-// DFS traversal, across worker counts and both dtypes, on a two-level
-// Strassen ABC plan with the model's typical prefix traversal (BFS at the
-// outer level, DFS inside — fanout 7). The 1024³ case is the acceptance
-// shape ("bfs/w8 ≥ 3× dfs/w1"); the 2048³ sweep (~8× the work per iteration,
-// plus ~7 core-C shadow buffers) runs unless -short.
-func BenchmarkIntraPlan(b *testing.B) {
-	sizes := []int{1024}
-	if !testing.Short() {
-		sizes = append(sizes, 2048)
-	}
-	workers := []int{1, 4}
-	if w := runtime.GOMAXPROCS(0); w != 1 && w != 4 {
-		workers = append(workers, w)
-	}
-	for _, size := range sizes {
-		for _, w := range workers {
-			for _, tr := range []string{"dfs", "bfs"} {
-				b.Run(fmt.Sprintf("%d/%s/w%d/f64", size, tr, w), func(b *testing.B) {
-					benchIntraPlan[float64](b, size, w, tr == "bfs")
-				})
-				b.Run(fmt.Sprintf("%d/%s/w%d/f32", size, tr, w), func(b *testing.B) {
-					benchIntraPlan[float32](b, size, w, tr == "bfs")
-				})
-			}
-		}
-	}
-}
-
-func benchIntraPlan[E matrix.Element](b *testing.B, size, workers int, bfs bool) {
-	b.Helper()
-	cfg := gemm.DefaultConfig()
-	cfg.Threads = workers
-	var steps []fmmexec.Step
-	if bfs {
-		steps = []fmmexec.Step{fmmexec.BFS, fmmexec.DFS}
-	}
-	p, err := fmmexec.NewPlanTraversal[E](cfg, fmmexec.ABC, steps, core.Strassen(), core.Strassen())
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, bm := matrix.New[E](size, size), matrix.New[E](size, size)
-	a.Fill(1.0 / 3)
-	bm.Fill(-2.0 / 3)
-	c := matrix.New[E](size, size)
-	p.MulAdd(c, a, bm) // warm workspace and reduction-buffer pools
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MulAdd(c, a, bm)
-	}
-	b.StopTimer()
-	secs := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(model.EffectiveGFLOPS(size, size, size, secs), "effGFLOPS")
 }
 
 // coldWorkingSet is the operand bytes BenchmarkMulAddBatchCold's batch spans:

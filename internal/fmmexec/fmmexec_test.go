@@ -197,10 +197,31 @@ func TestWorkspaceReuseAcrossCalls(t *testing.T) {
 	check(t, p, 32, 32, 32, 14) // reuse at full size
 }
 
-func TestNewPlanErrors(t *testing.T) {
-	if _, err := NewPlanTraversal[float64](smallCfg(), ABC, []Step{BFS}); err == nil {
-		t.Fatal("a traversal step accepted for the zero-level plan")
+// TestNewPlanTraversalValidation pins the shim fmmbench compiles against:
+// no steps or DFS steps build NewPlan's plan, any other step is an error.
+func TestNewPlanTraversalValidation(t *testing.T) {
+	if _, err := NewPlanTraversal[float64](smallCfg(), ABC, []Step{DFS, Step(1)}, core.Strassen(), core.Strassen()); err == nil {
+		t.Fatal("a non-DFS step accepted")
 	}
+	for _, steps := range [][]Step{nil, {DFS}} {
+		p, err := NewPlanTraversal[float64](smallCfg(), ABC, steps, core.Strassen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.String() != "<2,2,2> ABC" || p.Traversal() != nil {
+			t.Fatalf("steps %v: plan %s, traversal %v", steps, p, p.Traversal())
+		}
+	}
+}
+
+// TestStepString covers the Step stringer.
+func TestStepString(t *testing.T) {
+	if DFS.String() != "dfs" || Step(9).String() != "Step(9)" {
+		t.Fatalf("step names %q, %q", DFS, Step(9))
+	}
+}
+
+func TestNewPlanErrors(t *testing.T) {
 	if _, err := NewPlan[float64](smallCfg(), Variant(9), core.Strassen()); err == nil {
 		t.Fatal("bad variant accepted")
 	}

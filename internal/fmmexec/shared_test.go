@@ -10,6 +10,7 @@ import (
 	"fmmfam/internal/core"
 	"fmmfam/internal/gemm"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/sched"
 )
 
 // TestScratchBoundedAcrossSizes pins the fix for the per-plan state map that
@@ -26,7 +27,7 @@ func TestScratchBoundedAcrossSizes(t *testing.T) {
 	}
 	var plans []*Plan[float64]
 	for _, v := range []Variant{AB, Naive} {
-		p, err := NewPlanOn(ctx, v, nil, core.Strassen())
+		p, err := NewPlanOn(ctx, v, core.Strassen())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,39 +68,41 @@ func TestScratchBoundedAcrossSizes(t *testing.T) {
 	}
 }
 
-// sharedCase is one plan shape of TestSharedContextBitIdentical.
-type sharedCase struct {
-	v     Variant
-	steps []Step
+// fingerprintMulAdd runs c += a·b through p on fixed inputs and returns C's
+// bit fingerprint.
+func fingerprintMulAdd[E matrix.Element](p *Plan[E], m, k, n int, seed int64) uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	a, b := matrix.New[E](m, k), matrix.New[E](k, n)
+	a.FillRand(rng)
+	b.FillRand(rng)
+	c := matrix.New[E](m, n)
+	p.MulAdd(c, a, b)
+	return c.Fingerprint()
 }
 
-func (sc sharedCase) String() string { return fmt.Sprintf("%s/%v", sc.v, sc.steps) }
-
-// testSharedContextBitIdentical: every variant × {DFS, one-level BFS} plan
-// built with NewPlanOn on one shared context — five other live plans beside
-// it — produces a C byte-identical to the same plan built privately with
-// NewPlanTraversal, called one at a time and with 8 goroutines hammering
-// different plans of the shared context at once (run under -race). Which
-// buffer a product lands in never reaches the bits.
+// testSharedContextBitIdentical: every variant's plan built with NewPlanOn
+// on one shared Threads=4 context — two other live plans beside it —
+// produces a C byte-identical to the same plan built privately at Threads=1,
+// called one at a time and with 8 goroutines hammering different plans of
+// the shared context at once (run under -race). Neither the buffer a product
+// lands in nor the plan's width reaches the bits.
 func testSharedContextBitIdentical[E matrix.Element](t *testing.T) {
 	cfg := gemm.Config{MC: 8, KC: 8, NC: 16, Threads: 4}
 	shared, err := gemm.NewContext[E](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cases []sharedCase
-	for _, v := range Variants {
-		cases = append(cases, sharedCase{v, nil}, sharedCase{v, []Step{BFS}})
-	}
+	serialCfg := cfg
+	serialCfg.Threads = 1
 	sizes := [][3]int{{36, 36, 36}, {30, 26, 34}, {17, 40, 23}}
-	plans := make([]*Plan[E], len(cases))
-	want := make([][]uint64, len(cases))
-	for i, sc := range cases {
-		private, err := NewPlanTraversal[E](cfg, sc.v, sc.steps, core.Strassen())
+	plans := make([]*Plan[E], len(Variants))
+	want := make([][]uint64, len(Variants))
+	for i, v := range Variants {
+		private, err := NewPlan[E](serialCfg, v, core.Strassen())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plans[i], err = NewPlanOn(shared, sc.v, sc.steps, core.Strassen()); err != nil {
+		if plans[i], err = NewPlanOn(shared, v, core.Strassen()); err != nil {
 			t.Fatal(err)
 		}
 		for j, s := range sizes {
@@ -109,12 +112,12 @@ func testSharedContextBitIdentical[E matrix.Element](t *testing.T) {
 	run := func(i int) error {
 		for j, s := range sizes {
 			if got := fingerprintMulAdd(plans[i], s[0], s[1], s[2], 1400+int64(j)); got != want[i][j] {
-				return fmt.Errorf("%s on %v: shared-context fingerprint %#x != private %#x", cases[i], s, got, want[i][j])
+				return fmt.Errorf("%s on %v: shared-context fingerprint %#x != private %#x", plans[i], s, got, want[i][j])
 			}
 		}
 		return nil
 	}
-	for i := range cases {
+	for i := range plans {
 		if err := run(i); err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
@@ -125,7 +128,7 @@ func testSharedContextBitIdentical[E matrix.Element](t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 6; it++ {
-				if err := run((g + it) % len(cases)); err != nil {
+				if err := run((g + it) % len(plans)); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
@@ -138,4 +141,53 @@ func testSharedContextBitIdentical[E matrix.Element](t *testing.T) {
 func TestSharedContextBitIdentical(t *testing.T) {
 	t.Run("float64", testSharedContextBitIdentical[float64])
 	t.Run("float32", testSharedContextBitIdentical[float32])
+}
+
+// TestPlanOnSharedPool: a plan built on a caller's context executes on that
+// context and nothing else — its context's serial view, on which the
+// multiplier builds its width-1 plans, shares the worker pool, the
+// workspaces and the scratch list — and a plan built without one gets a
+// private context with the same shape. A plan never holds a second worker
+// budget or a second store of buffers.
+func TestPlanOnSharedPool(t *testing.T) {
+	cfg := gemm.Config{MC: 16, KC: 16, NC: 32, Threads: 4}
+	shared, err := gemm.NewContextOn[float64](cfg, sched.NewPool(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onShared, err := NewPlanOn(shared, AB, core.Strassen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onShared.Context() != shared {
+		t.Fatal("plan ignored the context it was built on")
+	}
+	private, err := NewPlan[float64](cfg, AB, core.Strassen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Plan[float64]{onShared, private} {
+		ctx := p.Context()
+		s := ctx.Serial()
+		if s == ctx || s.Config().Threads != 1 {
+			t.Fatal("plan's context has no Threads=1 view")
+		}
+		if ctx.Pool() == nil || ctx.Pool() != s.Pool() {
+			t.Fatal("plan's context and its serial view run on different pools")
+		}
+		ws := ctx.GetWorkspace()
+		ctx.PutWorkspace(ws)
+		if got := s.GetWorkspace(); got != ws {
+			t.Fatal("serial view rents from a workspace pool of its own")
+		} else {
+			s.PutWorkspace(got)
+		}
+		m := ctx.RentMat(8, 8)
+		ctx.ReturnMat(m)
+		if got := s.RentMat(8, 8); &got.Data[0] != &m.Data[0] {
+			t.Fatal("serial view rents from a scratch list of its own")
+		} else {
+			s.ReturnMat(got)
+		}
+	}
 }

@@ -12,27 +12,25 @@ import (
 )
 
 // TestZeroLevelPlanShape: a plan with no levels is the ⟨1,1,1⟩;1 identity
-// named "gemm", whatever variant or (empty) traversal it was built with.
+// named "gemm", whatever variant it was built with.
 func TestZeroLevelPlanShape(t *testing.T) {
 	for _, v := range Variants {
-		for _, steps := range [][]Step{nil, {}} {
-			p, err := NewPlanTraversal[float64](smallCfg(), v, steps)
-			if err != nil {
-				t.Fatalf("%v: %v", v, err)
-			}
-			if p.String() != GEMMName {
-				t.Fatalf("String() = %q, want %q", p.String(), GEMMName)
-			}
-			f := p.Flat
-			if f.M != 1 || f.K != 1 || f.N != 1 || f.R != 1 {
-				t.Fatalf("Flat = %s R=%d, want <1,1,1> R=1", f.ShapeString(), f.R)
-			}
-			if u, vv, w := f.NNZ(); u != 1 || vv != 1 || w != 1 {
-				t.Fatalf("Flat nnz = %d,%d,%d, want 1,1,1", u, vv, w)
-			}
-			if len(p.Levels) != 0 || p.Variant != v || p.Traversal() != nil || p.Fanout() != 1 {
-				t.Fatalf("levels %d variant %v traversal %v fanout %d", len(p.Levels), p.Variant, p.Traversal(), p.Fanout())
-			}
+		p, err := NewPlan[float64](smallCfg(), v)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if p.String() != GEMMName {
+			t.Fatalf("String() = %q, want %q", p.String(), GEMMName)
+		}
+		f := p.Flat
+		if f.M != 1 || f.K != 1 || f.N != 1 || f.R != 1 {
+			t.Fatalf("Flat = %s R=%d, want <1,1,1> R=1", f.ShapeString(), f.R)
+		}
+		if u, vv, w := f.NNZ(); u != 1 || vv != 1 || w != 1 {
+			t.Fatalf("Flat nnz = %d,%d,%d, want 1,1,1", u, vv, w)
+		}
+		if len(p.Levels) != 0 || p.Variant != v {
+			t.Fatalf("levels %d variant %v", len(p.Levels), p.Variant)
 		}
 	}
 	if got := Name(ABC, []core.Algorithm{core.Strassen(), core.Generate(3, 3, 3)}); got != "<2,2,2>+<3,3,3> ABC" {
@@ -72,7 +70,7 @@ func zeroLevelBitIdentical[E matrix.Element](t *testing.T, name string) {
 		return host.View(1, 2, r, c)
 	}
 	for _, ctx := range []*gemm.Context[E]{wide, wide.Serial()} {
-		p, err := NewPlanOn(ctx, Naive, nil)
+		p, err := NewPlanOn(ctx, Naive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +100,7 @@ func zeroLevelBitIdentical[E matrix.Element](t *testing.T, name string) {
 // costs exactly the allocations of the gemm call it forwards to.
 func TestZeroLevelPlanAllocatesNothingBeyondGEMM(t *testing.T) {
 	ctx := gemm.MustNewContext[float64](gemm.Config{MC: 96, KC: 256, NC: 2048, Threads: 1})
-	p, err := NewPlanOn(ctx, Naive, nil)
+	p, err := NewPlanOn(ctx, Naive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,12 @@
 // and it is the only owner of mutable memory in the execution layers. It
 // holds two bounded free lists — packing Workspaces (the Ã/B̃ buffers, rented
 // per call) and raw scratch matrices (RentMat/ReturnMat: the FMM executor's
-// variant temporaries, BFS term products and C shadows, the Multiplier's
-// K-split reduction buffers) — and everything built on it (plans, the
-// Multiplier) is a pure description. Serial() is the Threads=1 view of the
-// same engine: same backend, worker pool and both free lists, so a caller
-// that gets its parallelism elsewhere (batch jobs, BFS term jobs) adds no
-// memory of its own. See Context for the resulting retained-memory bound.
+// variant temporaries, the Multiplier's K-split reduction buffers) — and
+// everything built on it (plans, the Multiplier) is a pure description.
+// Serial() is the Threads=1 view of the same engine: same backend, worker
+// pool and both free lists, so a caller that gets its parallelism elsewhere
+// (batch jobs) adds no memory of its own. See Context for the resulting
+// retained-memory bound.
 //
 // Successor hint: a renter that knows which product it runs next (a batch
 // worker that claimed its next job ahead) names that product's operands on
@@ -203,9 +203,9 @@ func (ctx *Context[E]) Pool() *sched.Pool { return ctx.sp }
 // Serial returns the Threads=1 view of the context: the same backend,
 // blocking, worker pool, workspaces and scratch list, with no intra-call
 // fan-out — what a job runs on when its parallelism is across jobs (batch
-// jobs, which include shard tiles and K-split slabs, and BFS term jobs). It
-// is the receiver when Threads is 1, and gemm results are bit-identical
-// between a context and its serial view.
+// jobs, which include shard tiles and K-split slabs). It is the receiver
+// when Threads is 1, and gemm results are bit-identical between a context
+// and its serial view.
 func (ctx *Context[E]) Serial() *Context[E] { return ctx.serial }
 
 // RentMat returns a rows×cols scratch matrix with unspecified contents from

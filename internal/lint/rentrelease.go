@@ -23,7 +23,7 @@ import (
 //
 // Ownership transfers end tracking rather than being chased across
 // functions — the analyzer is deliberately intraprocedural, so patterns
-// like renting into a slice that a later loop releases (mulCoreBFS) are
+// like renting into a slice that a later loop releases (mulAddSharded) are
 // accepted, not verified. The cost is a false negative, never a false
 // positive.
 var RentRelease = &Analyzer{

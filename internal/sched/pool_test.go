@@ -32,8 +32,8 @@ func TestPoolRunExecutesAllJobsExactlyOnce(t *testing.T) {
 }
 
 // TestPoolSerialFallbackKeepsOrder: a single-worker pool (no helper tokens)
-// must run jobs on the caller in submission order — the property the BFS
-// executor's Threads=1 degradation and the addScaled fallback rely on.
+// must run jobs on the caller in submission order — the property the
+// addScaled fallback relies on.
 func TestPoolSerialFallbackKeepsOrder(t *testing.T) {
 	p := NewPool(1)
 	var order []int

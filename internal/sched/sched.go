@@ -10,8 +10,8 @@
 // There is one implementation: Pool.Run draws helpers from a bounded token
 // budget with the caller participating — the nesting-safe form every layer
 // of the library submits through (the multiplier's batch workers, which run
-// batch jobs, shard tiles and K-split slabs alike; BFS term jobs; row-split
-// adds; the gemm ic loop and B̃ packing), so jobs that are themselves pool
+// batch jobs, shard tiles and K-split slabs alike; row-split adds; the gemm
+// ic loop and B̃ packing), so jobs that are themselves pool
 // workers can submit more work. The package-level
 // Run is the same call on a throwaway Pool, for callers outside the library's
 // worker budget (benchmarks, tests).

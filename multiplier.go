@@ -47,7 +47,7 @@ import (
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
 // works too) and builds its engine on it. Batch workers (one cross-job
 // runner serves MulAddBatch's jobs and a sharded MulAdd's tiles and K-split
-// slabs alike), BFS term jobs, row-split adds, the gemm ic loop and
+// slabs alike), row-split adds, the gemm ic loop and
 // B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
 // run the jobs serially on the caller — is what bounds goroutines, for any
 // mix and nesting of concurrent callers:
@@ -69,13 +69,13 @@ import (
 // job and coalesced wire request.
 //
 // One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
-// runs its class's width-Threads plan (intra-GEMM fan-out, model-chosen
-// traversal); shard tiles, K-split slabs, batch and async jobs run the
-// width-1 plan, their parallelism being across jobs. The determinism
-// contracts depend on which plan runs and on the fixed fold orders, never on
-// who runs a job: batch and tile results do not depend on Threads, and a 2-D
-// sharded result equals the sequential execution of its tiles on a Threads=1
-// multiplier bit for bit.
+// runs its class's width-Threads plan (intra-GEMM fan-out); shard tiles,
+// K-split slabs, batch and async jobs run the width-1 plan, their
+// parallelism being across jobs. A plan's bits do not depend on its width,
+// so the determinism contracts depend on which plan runs and on the fixed
+// fold orders, never on who runs a job: batch and tile results do not depend
+// on Threads, and a 2-D sharded result equals the sequential execution of
+// its tiles on a Threads=1 multiplier bit for bit.
 //
 // Serving behavior: problems at or above Config.ShardThreshold (with
 // Threads ≥ 2) are split into independent block products — cutting the M×N
@@ -659,10 +659,8 @@ type Explanation struct {
 	// M, K, N and Threads are the shape and width a plan is chosen for: the
 	// product at Config.Threads, or its largest shard tile at width 1.
 	M, K, N, Threads int
-	// Plan names the plan serving that shape; Traversal is its per-level term
-	// traversal, empty for the serial term loop.
-	Plan      string
-	Traversal string
+	// Plan names the plan serving that shape.
+	Plan string
 }
 
 // Explain reports what MulAdd would do with an m×k×n product, without
@@ -685,22 +683,14 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 		return Explanation{}, err
 	}
 	ex.Plan = e.p.String()
-	if tr := e.p.Traversal(); len(tr) > 0 {
-		ex.Traversal = fmt.Sprint(tr)
-	}
 	return ex, nil
 }
 
 // entryFor returns the cached plan-cache entry for a problem's shape class
 // at the given width, building it on first use: the model-selected plan on
-// the multiplier's engine at that width. Its per-level term traversal is the
-// performance model's (model.TraversalPlan), priced at the shape-class
-// bucket sizes — the same bucketing that keys the plan cache, so a cached
-// plan's traversal is a stable property of its shape class rather than of
-// whichever concrete size happened to construct it first. At width 1 the
-// model always keeps the serial term loop, so batch, sharded, and async jobs
-// never fan their terms — intra-plan fan-out composes with, never
-// multiplies, cross-job parallelism.
+// the multiplier's engine at that width (its Serial() view at width 1). The
+// width decides only how many workers each term's GEMM may use, never the
+// result bits.
 func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], error) {
 	key := shapeClass(m, k, n, threads)
 	if e, ok := mu.plans.get(key); ok {
@@ -711,8 +701,7 @@ func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], e
 		return nil, err
 	}
 	cand := Recommend(mu.arch, m, k, n)
-	steps := model.TraversalPlan(mu.arch, cand.Variant, bucket(m), bucket(k), bucket(n), cand.Levels, threads)
-	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, steps, cand.Levels...)
+	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, cand.Levels...)
 	if err != nil {
 		return nil, err
 	}

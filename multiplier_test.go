@@ -215,26 +215,19 @@ func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 }
 
 // TestMultiplierPlansShareOnePool: every plan a multiplier builds, at either
-// width and under either traversal, executes on the multiplier's one engine
-// — hence on the multiplier's own pool, the one MulAddBatch and the shard
-// paths dispatch on — so there is one worker budget to exhaust and one store
-// of buffers to fill. At four threads every plan keeps the serial term loop;
-// at eight (bfsCfg) the 256³ class's full-width plan fans its terms, while
-// its width-1 plan never does.
+// width, executes on the multiplier's one engine — hence on the multiplier's
+// own pool, the one MulAddBatch and the shard paths dispatch on — so there is
+// one worker budget to exhaust and one store of buffers to fill, at four
+// threads and at eight (wideCfg).
 func TestMultiplierPlansShareOnePool(t *testing.T) {
-	dfs := bfsCfg()
-	dfs.Threads = 4
-	for _, cfg := range []Config{dfs, bfsCfg()} {
+	four := wideCfg()
+	four.Threads = 4
+	for _, cfg := range []Config{four, wideCfg()} {
 		mu := NewMultiplier(cfg, PaperArch())
 		for _, n := range []int{24, 96, 256} {
 			for _, threads := range []int{1, cfg.Threads} {
-				e, err := mu.entryFor(n, n, n, threads)
-				if err != nil {
+				if _, err := mu.entryFor(n, n, n, threads); err != nil {
 					t.Fatal(err)
-				}
-				bfs := threads == 8 && n == 256
-				if got := e.p.Fanout(); bfs && got < 2 || !bfs && got != 1 {
-					t.Fatalf("T=%d: %d³ width-%d plan %s has fanout %d", cfg.Threads, n, threads, e.p, got)
 				}
 			}
 		}
