@@ -143,6 +143,83 @@ func TestSharedContextBitIdentical(t *testing.T) {
 	t.Run("float32", testSharedContextBitIdentical[float32])
 }
 
+// TestBFSBitIdenticalToSerialNaiveAB: a Threads=4 plan of the Naive and AB
+// variants is bit-identical to the Threads=1 plan, at two levels in float64
+// and one in float32, repeated to give the pool room to interleave
+// differently. The name dates from the term fan-out (BFS) these variants
+// once replayed; every plan now runs its terms in order at any width.
+func TestBFSBitIdenticalToSerialNaiveAB(t *testing.T) {
+	reps := 20
+	if testing.Short() {
+		reps = 5
+	}
+	serialCfg := gemm.Config{MC: 8, KC: 8, NC: 16, Threads: 1}
+	parCfg := gemm.Config{MC: 8, KC: 8, NC: 16, Threads: 4}
+	for _, v := range []Variant{Naive, AB} {
+		t.Run(v.String(), func(t *testing.T) {
+			ps := MustNewPlan[float64](serialCfg, v, core.Strassen(), core.Strassen())
+			pp := MustNewPlan[float64](parCfg, v, core.Strassen(), core.Strassen())
+			want := fingerprintMulAdd(ps, 36, 36, 36, 600)
+			for i := 0; i < reps; i++ {
+				if got := fingerprintMulAdd(pp, 36, 36, 36, 600); got != want {
+					t.Fatalf("%s rep %d: Threads=4 fingerprint %#x != serial %#x", v, i, got, want)
+				}
+			}
+			ps32 := MustNewPlan[float32](serialCfg, v, core.Strassen())
+			pp32 := MustNewPlan[float32](parCfg, v, core.Strassen())
+			want32 := fingerprintMulAdd(ps32, 30, 26, 34, 601)
+			for i := 0; i < reps; i++ {
+				if got := fingerprintMulAdd(pp32, 30, 26, 34, 601); got != want32 {
+					t.Fatalf("%s rep %d: float32 Threads=4 fingerprint %#x != serial %#x", v, i, got, want32)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentBFSMulAdd hammers one two-level hybrid plan per variant at
+// Threads=3 from many goroutines on fringed sizes: under -race this checks
+// that the nested term loops' rented sums, products and term lists are never
+// shared across concurrent calls on one pool. The name dates from the term
+// fan-out (BFS) it was written for.
+func TestConcurrentBFSMulAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(800))
+	type job struct{ a, b, want matrix.Mat[float64] }
+	sizes := [][3]int{{16, 16, 16}, {24, 20, 28}, {15, 17, 13}, {32, 8, 32}}
+	jobs := make([]job, len(sizes))
+	for i, s := range sizes {
+		a, b := matrix.New[float64](s[0], s[1]), matrix.New[float64](s[1], s[2])
+		a.FillRand(rng)
+		b.FillRand(rng)
+		want := matrix.New[float64](s[0], s[2])
+		matrix.MulAdd(want, a, b)
+		jobs[i] = job{a, b, want}
+	}
+	for _, v := range Variants {
+		t.Run(v.String(), func(t *testing.T) {
+			t.Parallel()
+			p := MustNewPlan[float64](gemm.Config{MC: 8, KC: 8, NC: 16, Threads: 3}, v, core.Strassen(), core.Generate(2, 3, 2))
+			var wg sync.WaitGroup
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for it := 0; it < 4; it++ {
+						j := jobs[(g+it)%len(jobs)]
+						c := matrix.New[float64](j.want.Rows, j.want.Cols)
+						p.MulAdd(c, j.a, j.b)
+						if d := c.MaxAbsDiff(j.want); d > 1e-9 {
+							t.Errorf("goroutine %d: diff %g", g, d)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
 // TestPlanOnSharedPool: a plan built on a caller's context executes on that
 // context and nothing else — its context's serial view, on which the
 // multiplier builds its width-1 plans, shares the worker pool, the
