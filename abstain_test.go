@@ -3,9 +3,11 @@ package fmmfam
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"fmmfam/internal/core"
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
@@ -24,7 +26,7 @@ func archOf(kern string, dt matrix.Dtype) (Arch, bool) {
 // TestRecommendAbstains pins the win-or-abstain decision at the paper's
 // machine constants: below a kernel's break-even the selector returns gemm,
 // the zero-level candidate; above it, the fast plan it returned before GEMM
-// was a candidate. Nothing but model.Rank on the Arch decides.
+// was a candidate. Nothing but the model's ranking on the Arch decides.
 func TestRecommendAbstains(t *testing.T) {
 	const gemm = fmmexec.GEMMName
 	cases := []struct {
@@ -57,6 +59,94 @@ func TestRecommendAbstains(t *testing.T) {
 		if got := Recommend(arch, tc.m, tc.k, tc.n).Name(); got != tc.want {
 			t.Errorf("%s %s %d×%d×%d: recommended %q, want %q", tc.kern, tc.dt, tc.m, tc.k, tc.n, got, tc.want)
 		}
+	}
+}
+
+// TestBestMatchesRank: selection's one-pass argmin over the family's stored
+// stats is the full ranking's head — the same candidate, the same predicted
+// time to the bit — on every registered (kernel, dtype) pair, over squares
+// from 64 to 8192, rank-k, K-dominant, tiny and ragged shapes and both sides
+// of the three float64 break-evens, and Recommend returns it. A hand-built
+// copy of the family, which computes its own stats, prices exactly like the
+// family, and an exact tie goes to the first candidate, gemm.
+func TestBestMatchesRank(t *testing.T) {
+	fam := model.DefaultCandidates()
+	hand := make([]Candidate, len(fam))
+	for i, c := range fam {
+		if got, want := c.Stats(), model.StatsOf(c.Levels...); got != want {
+			t.Fatalf("%s: stored stats %+v, StatsOf %+v", c.Name(), got, want)
+		}
+		hand[i] = Candidate{Levels: c.Levels, Variant: c.Variant}
+	}
+	var shapes [][3]int
+	for s := 64; s <= 8192; s *= 2 {
+		shapes = append(shapes, [3]int{s, s, s})
+	}
+	for _, be := range []int{148, 1793, 3841} {
+		shapes = append(shapes, [3]int{be - 1, be - 1, be - 1}, [3]int{be, be, be})
+	}
+	shapes = append(shapes,
+		[3]int{2880, 480, 2880}, [3]int{14400, 480, 14400}, [3]int{4096, 256, 4096}, // rank-k
+		[3]int{256, 16384, 256}, [3]int{256, 8192, 256}, [3]int{64, 65536, 64}, // K-dominant
+		[3]int{1, 1, 1}, [3]int{2, 3, 5}, [3]int{16, 16, 16}, [3]int{7, 1, 9}, // tiny
+		[3]int{71, 278, 151}, [3]int{71, 278, 150}, [3]int{104, 96, 17}, [3]int{4097, 513, 5000}, [3]int{1023, 1025, 999}, // ragged
+	)
+	same := func(a, b model.Ranked) bool {
+		return a.Candidate.Name() == b.Candidate.Name() && math.Float64bits(a.Predicted) == math.Float64bits(b.Predicted)
+	}
+	for _, kern := range []string{kernel.DefaultBackend, kernel.AVX2Backend, kernel.AVX512Backend} {
+		for _, dt := range []matrix.Dtype{matrix.Float64, matrix.Float32} {
+			arch, ok := archOf(kern, dt)
+			if !ok {
+				t.Logf("%s/%s not registered here: skipping", kern, dt)
+				continue
+			}
+			for _, s := range shapes {
+				m, k, n := s[0], s[1], s[2]
+				want := model.Rank(arch, fam, m, k, n)[0]
+				if got := model.Best(arch, fam, m, k, n); !same(got, want) {
+					t.Errorf("%s %s %d×%d×%d: Best %q at %v, Rank[0] %q at %v", kern, dt, m, k, n,
+						got.Candidate.Name(), got.Predicted, want.Candidate.Name(), want.Predicted)
+				}
+				if got := model.Best(arch, hand, m, k, n); !same(got, want) {
+					t.Errorf("%s %s %d×%d×%d: hand-built Best %q at %v, want %q at %v", kern, dt, m, k, n,
+						got.Candidate.Name(), got.Predicted, want.Candidate.Name(), want.Predicted)
+				}
+				if got := Recommend(arch, m, k, n).Name(); got != want.Candidate.Name() {
+					t.Errorf("%s %s %d×%d×%d: Recommend %q, Rank[0] %q", kern, dt, m, k, n, got, want.Candidate.Name())
+				}
+				for i := range fam {
+					f, h := Predict(arch, fam[i], m, k, n), Predict(arch, hand[i], m, k, n)
+					if math.Float64bits(f) != math.Float64bits(h) {
+						t.Fatalf("%s %s %d×%d×%d: %s priced %v in the family, %v hand-built", kern, dt, m, k, n, fam[i].Name(), f, h)
+					}
+				}
+			}
+		}
+	}
+
+	// A one-level classical <1,1,1> has gemm's stats and so its price: an
+	// exact tie, which the first candidate wins in Best as in Rank.
+	arch := PaperArch()
+	twin := Candidate{Levels: []Algorithm{core.Classical(1, 1, 1)}, Variant: fmmexec.ABC}
+	for _, order := range [][]Candidate{{{}, twin}, {twin, {}}} {
+		want := model.Rank(arch, order, 300, 300, 300)
+		got := model.Best(arch, order, 300, 300, 300)
+		if want[0].Predicted != want[1].Predicted || !same(got, want[0]) || got.Candidate.Name() != order[0].Name() {
+			t.Errorf("tie %q vs %q: Best %q at %v, Rank %q at %v then %v", order[0].Name(), order[1].Name(),
+				got.Candidate.Name(), got.Predicted, want[0].Candidate.Name(), want[0].Predicted, want[1].Predicted)
+		}
+	}
+}
+
+// TestRecommendAllocatesNothing: once the family is enumerated, choosing a
+// plan allocates nothing, so a plan-cache miss pays only the model's
+// arithmetic.
+func TestRecommendAllocatesNothing(t *testing.T) {
+	arch := PaperArch()
+	Recommend(arch, 300, 300, 300) // enumerate the family
+	if a := testing.AllocsPerRun(100, func() { Recommend(arch, 71, 278, 151) }); a != 0 {
+		t.Fatalf("a warm Recommend allocates %v times", a)
 	}
 }
 

@@ -287,8 +287,9 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 		fmt.Printf("sharding\tno (no room for two tiles ≥ %d): one width-%d plan\n", ex.MinTile, ex.Threads)
 	}
 	fmt.Printf("serves\t%s\n", ex.Plan)
-	// The ranking the plan came from: the selector's own Rank on the
-	// multiplier's Arch and the shape it chose a plan for.
+	// The ranking the plan came from: the model's full Rank, whose head is
+	// what the selector's Best picked, on the multiplier's Arch and the shape
+	// it chose a plan for.
 	fmt.Printf("ranking\t%d×%d×%d, one core of the model's machine\n", ex.M, ex.K, ex.N)
 	fmt.Println("rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS")
 	for i, r := range model.Rank(arch, model.DefaultCandidates(), ex.M, ex.K, ex.N)[:3] {

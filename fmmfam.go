@@ -422,9 +422,8 @@ func Catalog() []CatalogEntry { return core.Catalog() }
 // NewPlan builds an executable multi-level float64 FMM plan. Levels are
 // outermost first; hybrid partitions simply pass different algorithms per
 // level, and no levels at all is the zero-level plan, plain GEMM. The plan
-// runs its terms in the serial term loop: a direct plan has no problem size
-// for the model, so term fan-out across the pool is chosen per shape class on
-// the Multiplier path only.
+// runs its R terms in order, one after another, each term's GEMM drawing on
+// the plan's Threads; its result bits do not depend on Threads.
 func NewPlan(cfg Config, v Variant, levels ...Algorithm) (*Plan, error) {
 	return newPlan[float64](cfg, v, levels)
 }
@@ -456,13 +455,14 @@ func Predict(arch Arch, c Candidate, m, k, n int) float64 {
 	return model.Predict(arch, c.Stats(), c.Variant, m, k, n).Total()
 }
 
-// Recommend ranks the default candidate family (plain GEMM, every catalog
+// Recommend prices the default candidate family (plain GEMM, every catalog
 // shape at one and two levels in all variants, and the Figure-9 hybrids) for
 // problem size (m,k,n) on arch and returns the predicted-fastest candidate —
 // the zero-level candidate "gemm" wherever no fast plan is predicted to pay.
+// It reads each candidate's precomputed stats and allocates nothing, so a
+// plan-cache miss spends microseconds choosing its plan.
 func Recommend(arch Arch, m, k, n int) Candidate {
-	ranked := model.Rank(arch, defaultCandidates(), m, k, n)
-	return ranked[0].Candidate
+	return model.Best(arch, defaultCandidates(), m, k, n).Candidate
 }
 
 // Multiply computes c += a·b using the model-recommended plan (a fast

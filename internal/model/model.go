@@ -160,11 +160,15 @@ type Stats struct {
 	NnzU, NnzV, NnzW int
 }
 
+// gemmStats are the stats of the ⟨1,1,1⟩;1 identity, all ones: StatsOf() of
+// no levels, plain GEMM.
+var gemmStats = Stats{MT: 1, KT: 1, NT: 1, R: 1, NnzU: 1, NnzV: 1, NnzW: 1}
+
 // StatsOf computes composite stats for a multi-level plan (nnz of a Kronecker
 // product is the product of the factors' nnz). No levels gives the stats of
 // the ⟨1,1,1⟩;1 identity, all ones — plain GEMM.
 func StatsOf(levels ...core.Algorithm) Stats {
-	s := Stats{MT: 1, KT: 1, NT: 1, R: 1, NnzU: 1, NnzV: 1, NnzW: 1}
+	s := gemmStats
 	for _, l := range levels {
 		u, v, w := l.NNZ()
 		s.MT *= l.M
@@ -211,7 +215,7 @@ func PredictGEMM(arch Arch, m, k, n int) Breakdown {
 // variant columns applies, and ranking it against FMM candidates needs no
 // comparison other than the predicted times.
 func Predict(arch Arch, s Stats, v fmmexec.Variant, m, k, n int) Breakdown {
-	if s == StatsOf() {
+	if s == gemmStats {
 		return PredictGEMM(arch, m, k, n)
 	}
 	sm := float64(m) / float64(s.MT)
@@ -257,14 +261,27 @@ func Predict(arch Arch, s Stats, v fmmexec.Variant, m, k, n int) Breakdown {
 type Candidate struct {
 	Levels  []core.Algorithm
 	Variant fmmexec.Variant
+
+	// stats is StatsOf(Levels...), stored by DefaultCandidates so that
+	// pricing a family member counts no non-zeros; nil for a hand-built
+	// candidate, which computes its own.
+	stats *Stats
 }
 
 // Name renders the candidate like the paper's legends, e.g.
 // "<2,2,2>+<3,3,3> ABC"; the zero-level candidate is "gemm".
 func (c Candidate) Name() string { return fmmexec.Name(c.Variant, c.Levels) }
 
-// Stats returns the candidate's composite model stats.
-func (c Candidate) Stats() Stats { return StatsOf(c.Levels...) }
+// Stats returns the candidate's composite model stats: the value
+// DefaultCandidates stored for a family member, StatsOf(c.Levels...)
+// otherwise. A family member's Levels are the family's; replace them and the
+// stored stats no longer describe the candidate.
+func (c Candidate) Stats() Stats {
+	if c.stats != nil {
+		return *c.stats
+	}
+	return StatsOf(c.Levels...)
+}
 
 // Ranked pairs a candidate with its predicted time.
 type Ranked struct {
@@ -273,7 +290,8 @@ type Ranked struct {
 }
 
 // Rank predicts every candidate for problem size (m,k,n) and returns them
-// sorted by predicted time, fastest first.
+// sorted by predicted time, fastest first. Selection needs only the first:
+// Best returns it without building the list.
 func Rank(arch Arch, cands []Candidate, m, k, n int) []Ranked {
 	out := make([]Ranked, len(cands))
 	for i, c := range cands {
@@ -281,6 +299,21 @@ func Rank(arch Arch, cands []Candidate, m, k, n int) []Ranked {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Predicted < out[j].Predicted })
 	return out
+}
+
+// Best returns the predicted-fastest of cands for problem size (m,k,n):
+// exactly Rank(arch, cands, m, k, n)[0], the first candidate winning an exact
+// tie, found in one pass with no allocation. cands must not be empty.
+//
+//fmm:hotpath
+func Best(arch Arch, cands []Candidate, m, k, n int) Ranked {
+	best := Ranked{Candidate: cands[0], Predicted: Predict(arch, cands[0].Stats(), cands[0].Variant, m, k, n).Total()}
+	for _, c := range cands[1:] {
+		if t := Predict(arch, c.Stats(), c.Variant, m, k, n).Total(); t < best.Predicted {
+			best = Ranked{Candidate: c, Predicted: t}
+		}
+	}
+	return best
 }
 
 // Select implements §4.4: take the top two candidates by predicted time,
@@ -306,8 +339,9 @@ func Select(arch Arch, cands []Candidate, m, k, n int, measure func(Candidate) f
 // experiments sweep — every Figure-2 catalog shape at one and two
 // (homogeneous) levels in all three variants, plus the Figure-9 hybrids —
 // behind plain GEMM, the zero-level candidate. GEMM comes first so that Rank's
-// stable sort resolves an exact tie in its favour: a fast plan is selected
-// only where it is predicted to be strictly faster.
+// stable sort and Best resolve an exact tie in its favour: a fast plan is
+// selected only where it is predicted to be strictly faster. Each candidate's
+// stats are computed here, once, and stored with it.
 func DefaultCandidates() []Candidate {
 	out := []Candidate{{}}
 	cat := core.Catalog()
@@ -324,6 +358,11 @@ func DefaultCandidates() []Candidate {
 			out = append(out, Candidate{Levels: []core.Algorithm{s, h}, Variant: v})
 		}
 	}
+	stats := make([]Stats, len(out))
+	for i := range out {
+		stats[i] = StatsOf(out[i].Levels...)
+		out[i].stats = &stats[i]
+	}
 	return out
 }
 
@@ -338,7 +377,7 @@ const (
 // BreakEvenSquare returns the smallest square problem size s in
 // [64, 32768] at which the predicted-fastest of cands beats the plain-GEMM
 // prediction on arch — the size below which a fast plan is not worth
-// dispatching, and below which Rank puts the gemm candidate first. The
+// dispatching, and below which Best picks the gemm candidate. The
 // sharding layer uses it as the tile floor so every shard still clears the
 // fast-algorithm pay-off. If no probed size wins, the ceiling 32768 is
 // returned. The gemm candidate in cands does not move the answer: it is
@@ -352,8 +391,7 @@ func BreakEvenSquare(arch Arch, cands []Candidate) int {
 		return breakEvenHi
 	}
 	fastWins := func(s int) bool {
-		best := Rank(arch, cands, s, s, s)[0].Predicted
-		return best < PredictGEMM(arch, s, s, s).Total()
+		return Best(arch, cands, s, s, s).Predicted < PredictGEMM(arch, s, s, s).Total()
 	}
 	lo := breakEvenLo
 	if fastWins(lo) {

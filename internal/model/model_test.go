@@ -551,3 +551,34 @@ func TestArchForDtype(t *testing.T) {
 		t.Fatal("measured float32 arch must pass through unchanged")
 	}
 }
+
+// BenchmarkRecommend times one plan choice over the default family, as a
+// plan-cache miss makes it: "best" is the one-pass argmin selection uses,
+// "rank" the full sorted ranking fmmtool prints.
+func BenchmarkRecommend(b *testing.B) {
+	arch := ArchForKernel(PaperIvyBridge(), kernel.AVX2Backend)
+	cands := DefaultCandidates()
+	b.Run("best", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Best(arch, cands, 71, 278, 151)
+		}
+	})
+	b.Run("rank", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Rank(arch, cands, 71, 278, 151)
+		}
+	})
+}
+
+// BenchmarkBreakEvenSquare times the break-even probe each multiplier runs
+// once for its shard tile floor.
+func BenchmarkBreakEvenSquare(b *testing.B) {
+	arch := ArchForKernel(PaperIvyBridge(), kernel.AVX2Backend)
+	cands := DefaultCandidates()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BreakEvenSquare(arch, cands)
+	}
+}

@@ -41,10 +41,10 @@ func Run(workers int, jobs []Job) {
 }
 
 // Pool is a shared worker budget for fork-join parallelism that may nest:
-// term-level fan-out inside one FMM call, row-split submatrix additions
-// inside one of those terms, and concurrent top-level calls all draw helper
-// goroutines from one budget instead of each spawning their own workers and
-// oversubscribing the machine.
+// batch jobs and shard tiles, gemm's ic loop and B̃ packing inside each of
+// an FMM plan's in-order terms, row-split submatrix additions, and concurrent
+// top-level calls all draw helper goroutines from one budget instead of each
+// spawning their own workers and oversubscribing the machine.
 //
 // A Pool of size W holds W−1 helper tokens. Pool.Run always executes jobs on
 // the calling goroutine and additionally recruits up to min(len(jobs)−1,

@@ -63,10 +63,10 @@ import (
 // ~1793 on avx2, ~3841 on avx512 at the paper's machine constants) the
 // multiplier serves GEMM, bit-identical to a bare gemm.Context, and above it
 // the fast plan the model ranks first. There is no size threshold and no second
-// code path: the only thing deciding GEMM versus FMM is model.Rank on this
-// multiplier's Arch, and every route to a plan abstains the same way — a
-// direct call, each batch job, each shard tile and K-split slab, each async
-// job and coalesced wire request.
+// code path: the only thing deciding GEMM versus FMM is model.Best (the head
+// of model.Rank) on this multiplier's Arch, and every route to a plan
+// abstains the same way — a direct call, each batch job, each shard tile and
+// K-split slab, each async job and coalesced wire request.
 //
 // One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
 // runs its class's width-Threads plan (intra-GEMM fan-out); shard tiles,
@@ -805,7 +805,9 @@ func bucket(x int) int {
 	return b
 }
 
-// defaultCandidates avoids re-enumerating candidates on every planFor call.
+// defaultCandidates is model.DefaultCandidates, enumerated (and its stats
+// computed) once per process: every Recommend, and so every plan-cache miss
+// in entryFor, and every multiplier's break-even read this one table.
 var defaultCandidatesOnce struct {
 	sync.Once
 	cands []Candidate
