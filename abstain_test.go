@@ -91,6 +91,11 @@ func TestBestMatchesRank(t *testing.T) {
 		[3]int{1, 1, 1}, [3]int{2, 3, 5}, [3]int{16, 16, 16}, [3]int{7, 1, 9}, // tiny
 		[3]int{71, 278, 151}, [3]int{71, 278, 150}, [3]int{104, 96, 17}, [3]int{4097, 513, 5000}, [3]int{1023, 1025, 999}, // ragged
 	)
+	// best is Best's pick of cands, priced as Rank prices it.
+	best := func(arch Arch, cands []Candidate, m, k, n int) model.Ranked {
+		c := cands[model.Best(arch, cands, m, k, n)]
+		return model.Ranked{Candidate: c, Predicted: Predict(arch, c, m, k, n)}
+	}
 	same := func(a, b model.Ranked) bool {
 		return a.Candidate.Name() == b.Candidate.Name() && math.Float64bits(a.Predicted) == math.Float64bits(b.Predicted)
 	}
@@ -104,11 +109,11 @@ func TestBestMatchesRank(t *testing.T) {
 			for _, s := range shapes {
 				m, k, n := s[0], s[1], s[2]
 				want := model.Rank(arch, fam, m, k, n)[0]
-				if got := model.Best(arch, fam, m, k, n); !same(got, want) {
+				if got := best(arch, fam, m, k, n); !same(got, want) {
 					t.Errorf("%s %s %d×%d×%d: Best %q at %v, Rank[0] %q at %v", kern, dt, m, k, n,
 						got.Candidate.Name(), got.Predicted, want.Candidate.Name(), want.Predicted)
 				}
-				if got := model.Best(arch, hand, m, k, n); !same(got, want) {
+				if got := best(arch, hand, m, k, n); !same(got, want) {
 					t.Errorf("%s %s %d×%d×%d: hand-built Best %q at %v, want %q at %v", kern, dt, m, k, n,
 						got.Candidate.Name(), got.Predicted, want.Candidate.Name(), want.Predicted)
 				}
@@ -131,7 +136,7 @@ func TestBestMatchesRank(t *testing.T) {
 	twin := Candidate{Levels: []Algorithm{core.Classical(1, 1, 1)}, Variant: fmmexec.ABC}
 	for _, order := range [][]Candidate{{{}, twin}, {twin, {}}} {
 		want := model.Rank(arch, order, 300, 300, 300)
-		got := model.Best(arch, order, 300, 300, 300)
+		got := best(arch, order, 300, 300, 300)
 		if want[0].Predicted != want[1].Predicted || !same(got, want[0]) || got.Candidate.Name() != order[0].Name() {
 			t.Errorf("tie %q vs %q: Best %q at %v, Rank %q at %v then %v", order[0].Name(), order[1].Name(),
 				got.Candidate.Name(), got.Predicted, want[0].Candidate.Name(), want[0].Predicted, want[1].Predicted)
@@ -140,7 +145,7 @@ func TestBestMatchesRank(t *testing.T) {
 }
 
 // TestRecommendAllocatesNothing: once the family is enumerated, choosing a
-// plan allocates nothing, so a plan-cache miss pays only the model's
+// plan allocates nothing, so a class fill pays only the model's
 // arithmetic.
 func TestRecommendAllocatesNothing(t *testing.T) {
 	arch := PaperArch()
@@ -266,7 +271,7 @@ func TestDefaultSquareRoute(t *testing.T) {
 
 // TestSmallShapesServeGEMM: on avx2 a batch of small products (the
 // benchmark's small_batch population, dims in [16,192]) is served entirely by
-// zero-level plans — nothing else enters the plan cache — with results inside
+// zero-level plans — no other family member is built — with results inside
 // the usual tolerance, at both element types.
 func TestSmallShapesServeGEMM(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { smallShapesServeGEMM[float64](t, 1e-9) })
@@ -301,13 +306,16 @@ func smallShapesServeGEMM[E matrix.Element](t *testing.T, tol float64) {
 			t.Fatalf("job %d (%d×%d×%d): diff %g", i, j.A.Rows, j.A.Cols, j.B.Cols, d)
 		}
 	}
-	entries := mu.plans.entries()
-	if len(entries) == 0 {
-		t.Fatal("batch cached no plans")
+	classes := classPlans(mu)
+	if len(classes) == 0 {
+		t.Fatal("batch filled no shape classes")
 	}
-	for key, e := range entries {
-		if e.p.String() != fmmexec.GEMMName || key.threads != 1 {
-			t.Errorf("class %v width %d cached plan %q, want only width-1 gemm plans", key, key.threads, e.p)
+	for key, p := range classes {
+		if p.String() != fmmexec.GEMMName || key.threads != 1 {
+			t.Errorf("class %v width %d serves plan %q, want only width-1 gemm plans", key, key.threads, p)
 		}
+	}
+	if built := builtPlans(mu); len(built[0]) != 1 || len(built[1]) != 0 {
+		t.Errorf("built %d width-1 and %d full-width plans, want the one width-1 gemm plan", len(built[0]), len(built[1]))
 	}
 }

@@ -45,7 +45,7 @@ func makeRefProducts(seed int64) []refProduct {
 // TestMultiplierConcurrentMixedShapes hammers one Multiplier from many
 // goroutines with mixed shapes and checks every result against the naive
 // reference. Under -race this proves MulAdd shares no mutable state across
-// callers (plan cache, packing workspaces, scratch rents).
+// callers (plan table, packing workspaces, scratch rents).
 func TestMultiplierConcurrentMixedShapes(t *testing.T) {
 	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 2}, PaperArch())
 	refs := makeRefProducts(1)
@@ -185,7 +185,7 @@ func TestGoroutineCeiling(t *testing.T) {
 	}
 	problems := []problem{
 		mk(100, 100, 100, false), mk(60, 120, 90, false), mk(120, 40, 30, false), // unsharded, three shape classes
-		mk(256, 96, 256, false), mk(192, 64, 160, false), // 2-D sharded
+		mk(256, 32, 256, false), mk(192, 64, 160, false), // 2-D sharded
 		mk(48, 512, 48, false),                      // K-split
 		mk(90, 70, 80, true), mk(40, 100, 60, true), // batches of these
 	}

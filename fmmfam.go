@@ -42,9 +42,9 @@
 // internal/sched) — cutting the M×N output into full-K tiles (bit-identical
 // results), or, for K-dominant problems, the inner dimension into reduction
 // slabs (run-to-run deterministic results, fixed fold order); MulAddAsync
-// submits work to a bounded queue and returns a Future; the plan cache is
-// LRU-bounded at DefaultPlanCacheCap so servers with diverse shapes stay
-// bounded.
+// submits work to a bounded queue and returns a Future; a Multiplier builds
+// at most one plan per family member and width, so servers with diverse
+// shapes stay bounded.
 package fmmfam
 
 import (
@@ -191,13 +191,6 @@ const (
 	// small products off the sharded path, whose grid search and tile
 	// dispatch they would not amortize.
 	DefaultShardThreshold = 1024
-	// DefaultPlanCacheCap is the bound of every Multiplier's plan cache: the
-	// number of plans it keeps over both widths, evicting the
-	// least-recently-used shape class beyond it, so long-running servers
-	// seeing diverse shapes stay bounded. Each plan is a few KiB of
-	// coefficient lists and owns no buffers (all memory belongs to the
-	// multiplier's one engine).
-	DefaultPlanCacheCap = 64
 	// DefaultServeAddr is the wire front-end's default listen address.
 	DefaultServeAddr = ":8077"
 	// DefaultCoalesceWindow is the default bound on a coalescing window's
@@ -460,9 +453,10 @@ func Predict(arch Arch, c Candidate, m, k, n int) float64 {
 // problem size (m,k,n) on arch and returns the predicted-fastest candidate —
 // the zero-level candidate "gemm" wherever no fast plan is predicted to pay.
 // It reads each candidate's precomputed stats and allocates nothing, so a
-// plan-cache miss spends microseconds choosing its plan.
+// multiplier spends microseconds choosing a shape class's family member.
 func Recommend(arch Arch, m, k, n int) Candidate {
-	return model.Best(arch, defaultCandidates(), m, k, n).Candidate
+	cands := defaultCandidates()
+	return cands[model.Best(arch, cands, m, k, n)]
 }
 
 // Multiply computes c += a·b using the model-recommended plan (a fast
@@ -471,7 +465,7 @@ func Recommend(arch Arch, m, k, n int) Candidate {
 // operands run at float64, Matrix32 operands at float32 (accuracy then
 // follows the FLOP-scaled float32 bounds of README "Precision"). It
 // delegates to a lazily-initialized package-level multiplier per element
-// type, so repeated calls of similar sizes reuse cached plans instead of
+// type, so repeated calls of similar sizes reuse built plans instead of
 // rebuilding one per call. Safe for concurrent callers; for custom blocking
 // or machine models, build your own Multiplier.
 func Multiply[E Element](c, a, b matrix.Mat[E]) error {

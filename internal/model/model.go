@@ -291,7 +291,7 @@ type Ranked struct {
 
 // Rank predicts every candidate for problem size (m,k,n) and returns them
 // sorted by predicted time, fastest first. Selection needs only the first:
-// Best returns it without building the list.
+// Best finds it without building the list.
 func Rank(arch Arch, cands []Candidate, m, k, n int) []Ranked {
 	out := make([]Ranked, len(cands))
 	for i, c := range cands {
@@ -301,16 +301,17 @@ func Rank(arch Arch, cands []Candidate, m, k, n int) []Ranked {
 	return out
 }
 
-// Best returns the predicted-fastest of cands for problem size (m,k,n):
-// exactly Rank(arch, cands, m, k, n)[0], the first candidate winning an exact
-// tie, found in one pass with no allocation. cands must not be empty.
+// Best returns the index in cands of the predicted-fastest candidate for
+// problem size (m,k,n): the candidate of Rank(arch, cands, m, k, n)[0], the
+// first one winning an exact tie, found in one pass with no allocation.
+// cands must not be empty.
 //
 //fmm:hotpath
-func Best(arch Arch, cands []Candidate, m, k, n int) Ranked {
-	best := Ranked{Candidate: cands[0], Predicted: Predict(arch, cands[0].Stats(), cands[0].Variant, m, k, n).Total()}
-	for _, c := range cands[1:] {
-		if t := Predict(arch, c.Stats(), c.Variant, m, k, n).Total(); t < best.Predicted {
-			best = Ranked{Candidate: c, Predicted: t}
+func Best(arch Arch, cands []Candidate, m, k, n int) int {
+	best, bestT := 0, Predict(arch, cands[0].Stats(), cands[0].Variant, m, k, n).Total()
+	for i, c := range cands[1:] {
+		if t := Predict(arch, c.Stats(), c.Variant, m, k, n).Total(); t < bestT {
+			best, bestT = i+1, t
 		}
 	}
 	return best
@@ -391,7 +392,8 @@ func BreakEvenSquare(arch Arch, cands []Candidate) int {
 		return breakEvenHi
 	}
 	fastWins := func(s int) bool {
-		return Best(arch, cands, s, s, s).Predicted < PredictGEMM(arch, s, s, s).Total()
+		c := cands[Best(arch, cands, s, s, s)]
+		return Predict(arch, c.Stats(), c.Variant, s, s, s).Total() < PredictGEMM(arch, s, s, s).Total()
 	}
 	lo := breakEvenLo
 	if fastWins(lo) {

@@ -553,7 +553,7 @@ func TestArchForDtype(t *testing.T) {
 }
 
 // BenchmarkRecommend times one plan choice over the default family, as a
-// plan-cache miss makes it: "best" is the one-pass argmin selection uses,
+// multiplier's class fill makes it: "best" is the one-pass argmin selection uses,
 // "rank" the full sorted ranking fmmtool prints.
 func BenchmarkRecommend(b *testing.B) {
 	arch := ArchForKernel(PaperIvyBridge(), kernel.AVX2Backend)

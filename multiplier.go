@@ -22,7 +22,7 @@ import (
 // incorporated into libraries for practical use"), generic over the element
 // type: a reusable multiplier that selects an implementation per problem
 // shape with the performance model — a fast algorithm where one is predicted
-// to pay, plain GEMM where none is — and caches the constructed plans, so
+// to pay, plain GEMM where none is — and keeps the constructed plans, so
 // steady-state calls pay no selection or setup cost. Multiplier and
 // Multiplier32 are its float64 and float32 instantiations; the float64
 // surface is the historical bit-stable one, the float32 surface trades
@@ -41,7 +41,7 @@ import (
 // the configured kernel backend (width-1 plans on its Serial() view), built on
 // first use. The context owns all the memory; plans own none. So the
 // multiplier's idle retained memory is bounded by gemm.Context's invariant,
-// independent of how many plans are cached and of how many shapes were served.
+// independent of how many plans are built and of how many shapes were served.
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
@@ -59,19 +59,25 @@ import (
 // Win or abstain: plain GEMM is candidate zero of the family the model ranks
 // (model.DefaultCandidates), priced by the model's own GEMM column, and its
 // plan is the zero-level fmmexec.Plan — gemm.Context.MulAdd straight through.
-// So below the kernel's break-even (model.BreakEvenSquare: ~148 on go4x4,
-// ~1793 on avx2, ~3841 on avx512 at the paper's machine constants) the
-// multiplier serves GEMM, bit-identical to a bare gemm.Context, and above it
-// the fast plan the model ranks first. There is no size threshold and no second
-// code path: the only thing deciding GEMM versus FMM is model.Best (the head
-// of model.Rank) on this multiplier's Arch, and every route to a plan
-// abstains the same way — a direct call, each batch job, each shard tile and
-// K-split slab, each async job and coalesced wire request.
+// A product's shape class (each dimension rounded up to a power of two) is
+// priced at its upper corner, so where the class's corner is below the
+// kernel's break-even (model.BreakEvenSquare: ~148 on go4x4, ~1793 on avx2,
+// ~3841 on avx512 at the paper's machine constants) the multiplier serves
+// GEMM, bit-identical to a bare gemm.Context, and above it the fast plan the
+// model ranks first there. There is no size threshold and no second code
+// path: the only thing deciding GEMM versus FMM is model.Best (the head of
+// model.Rank) on this multiplier's Arch, and every route to a plan abstains
+// the same way — a direct call, each batch job, each shard tile and K-split
+// slab, each async job and coalesced wire request.
 //
-// One plan cache, keyed by (shape class, width): a direct unsharded MulAdd
-// runs its class's width-Threads plan (intra-GEMM fan-out); shard tiles,
-// K-split slabs, batch and async jobs run the width-1 plan, their
-// parallelism being across jobs. A plan's bits do not depend on its width,
+// One plan table, per width: a direct unsharded MulAdd runs its class's
+// width-Threads plan (intra-GEMM fan-out); shard tiles, K-split slabs, batch
+// and async jobs run the width-1 plan, their parallelism being across jobs.
+// A plan belongs to the family, not to a shape: each width has one slot per
+// family member, built once on first use, and a class is only an index into
+// it — a pure function of (kernel, dtype, width, class), never of which
+// sizes came first, so two multipliers serve every product alike and nothing
+// is evicted (planTable). A plan's bits do not depend on its width,
 // so the determinism contracts depend on which plan runs and on the fixed
 // fold orders, never on who runs a job: batch and tile results do not depend
 // on Threads, and a 2-D sharded result equals the sequential execution of
@@ -80,8 +86,7 @@ import (
 // Serving behavior: problems at or above Config.ShardThreshold (with
 // Threads ≥ 2) are split into independent block products — cutting the M×N
 // output and, for K-dominant shapes, the inner dimension too; MulAddAsync
-// submits work to a bounded queue and returns a Future; the plan cache is
-// LRU-bounded at DefaultPlanCacheCap.
+// submits work to a bounded queue and returns a Future.
 // The tile floor is the break-even, lowered to half the threshold for a 2-D
 // grid with a tile per thread when GEMM serves the product (independent
 // width-1 GEMM tiles outrun one product's in-call loop) or a fast algorithm
@@ -96,7 +101,7 @@ type GenericMultiplier[E matrix.Element] struct {
 	cfgErr error
 
 	pool  *sched.Pool // the one worker budget
-	plans *planCache[E]
+	plans *planTable[E]
 
 	// ctx is the one gemm.Context every plan executes on, built on first use
 	// (engine); ctxErr is why it could not be.
@@ -192,7 +197,7 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
 		cfgErr:    cfgErr,
 		pool:      sched.NewPool(cfg.Threads),
-		plans:     newPlanCache[E](DefaultPlanCacheCap),
+		plans:     newPlanTable[E](),
 		batchRuns: make(chan *batchRun[E], max(cfg.Threads, 1)),
 	}
 }
@@ -253,11 +258,11 @@ func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int, next 
 			return mu.mulAddSharded(route.Spec, c, a, b)
 		}
 	}
-	e, err := mu.entryFor(a.Rows, a.Cols, b.Cols, threads)
+	p, err := mu.planAt(a.Rows, a.Cols, b.Cols, threads)
 	if err != nil {
 		return err
 	}
-	e.p.MulAddNext(c, a, b, next)
+	p.MulAddNext(c, a, b, next)
 	return nil
 }
 
@@ -453,7 +458,7 @@ type shardRoute struct {
 // GEMM tiles. A break-even already at or below half the threshold (go4x4's)
 // is never raised. The lower floor was measured only at Threads = 2; the
 // tile-per-thread condition keeps wider pools on the break-even route until
-// it is measured there. Both plan-kind checks read the plan cache, and the
+// it is measured there. Both plan-kind checks read the plan table, and the
 // product's plan is looked up only when the tile's is GEMM, so a warm call
 // ranks nothing. Candidate grids are scored with the performance model's
 // makespan (model.ShardMakespan on this multiplier's arch), so the K
@@ -496,12 +501,12 @@ func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int) (shardRoute, bool) {
 
 // servesFMM reports whether the plan an m×k×n product gets at the given width
 // is a fast algorithm rather than the zero-level GEMM plan, reading (and on
-// first use filling) the plan cache exactly as the call would. A class whose
+// first use filling) the plan table exactly as the call would. A class whose
 // plan cannot be built counts as GEMM: the call reports that error wherever
 // it runs the class.
 func (mu *GenericMultiplier[E]) servesFMM(m, k, n, threads int) bool {
-	e, err := mu.entryFor(m, k, n, threads)
-	return err == nil && len(e.p.Levels) > 0
+	p, err := mu.planAt(m, k, n, threads)
+	return err == nil && len(p.Levels) > 0
 }
 
 // grow returns s lengthened to at least n elements, keeping its contents.
@@ -607,14 +612,15 @@ type MultiplierStats struct {
 	// reported with an " (unavailable)" suffix — every compute call is
 	// failing validation in that state.
 	Kernel string
-	// CachedPlans mirrors CachedPlans(): every cached plan, both widths.
+	// CachedPlans mirrors CachedPlans(): the family members whose plans
+	// are built, both widths.
 	CachedPlans int
 }
 
 // Stats returns a point-in-time snapshot of the multiplier's serving state.
 // Safe for concurrent use with serving traffic.
 func (mu *GenericMultiplier[E]) Stats() MultiplierStats {
-	return MultiplierStats{Kernel: mu.resolvedKernel(), CachedPlans: mu.plans.len()}
+	return MultiplierStats{Kernel: mu.resolvedKernel(), CachedPlans: mu.CachedPlans()}
 }
 
 // resolvedKernel names the backend this engine runs on, marking a named
@@ -627,13 +633,25 @@ func (mu *GenericMultiplier[E]) resolvedKernel() string {
 }
 
 // PlanFor exposes the plan a direct, unsharded MulAdd would use for a problem
-// size (useful for inspection and testing).
+// size (useful for inspection and testing). An invalid Config or a negative
+// dimension is an error.
 func (mu *GenericMultiplier[E]) PlanFor(m, k, n int) (*fmmexec.Plan[E], error) {
-	e, err := mu.entryFor(m, k, n, mu.cfg.Threads)
-	if err != nil {
+	if err := mu.checkDims(m, k, n); err != nil {
 		return nil, err
 	}
-	return e.p, nil
+	return mu.planAt(m, k, n, mu.cfg.Threads)
+}
+
+// checkDims is PlanFor's and Explain's argument check: the multiplier's
+// Config error, or a negative dimension, which no product has.
+func (mu *GenericMultiplier[E]) checkDims(m, k, n int) error {
+	if mu.cfgErr != nil {
+		return mu.cfgErr
+	}
+	if min(m, k, n) < 0 {
+		return fmt.Errorf("fmmfam: dims %d×%d×%d", m, k, n)
+	}
+	return nil
 }
 
 // Explanation is what a multiplier does with one product and what it priced
@@ -664,11 +682,12 @@ type Explanation struct {
 }
 
 // Explain reports what MulAdd would do with an m×k×n product, without
-// multiplying: it asks the same shardSpec and entryFor the call asks, so it
-// fills the plan cache exactly as the call would.
+// multiplying: it asks the same shardSpec and planAt the call asks, so it
+// fills the plan table exactly as the call would. A negative dimension is an
+// error.
 func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
-	if mu.cfgErr != nil {
-		return Explanation{}, mu.cfgErr
+	if err := mu.checkDims(m, k, n); err != nil {
+		return Explanation{}, err
 	}
 	route, ok := mu.shardSpec(m, k, n)
 	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: route.floor,
@@ -678,124 +697,97 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 		ex.GridM, ex.GridN, ex.GridK = route.GridM, route.GridN, max(route.GridK, 1)
 		ex.M, ex.K, ex.N, ex.Threads = t.Rows, t.Depth, t.Cols, 1
 	}
-	e, err := mu.entryFor(ex.M, ex.K, ex.N, ex.Threads)
+	p, err := mu.planAt(ex.M, ex.K, ex.N, ex.Threads)
 	if err != nil {
 		return Explanation{}, err
 	}
-	ex.Plan = e.p.String()
+	ex.Plan = p.String()
 	return ex, nil
 }
 
-// entryFor returns the cached plan-cache entry for a problem's shape class
-// at the given width, building it on first use: the model-selected plan on
-// the multiplier's engine at that width (its Serial() view at width 1). The
-// width decides only how many workers each term's GEMM may use, never the
-// result bits.
-func (mu *GenericMultiplier[E]) entryFor(m, k, n, threads int) (*planEntry[E], error) {
-	key := shapeClass(m, k, n, threads)
-	if e, ok := mu.plans.get(key); ok {
-		return e, nil
+// planAt returns the plan an m×k×n product runs at the given width (1 or
+// Config.Threads): its shape class's family member, on the engine at that
+// width (its Serial() view at width 1). The width never changes result bits.
+func (mu *GenericMultiplier[E]) planAt(m, k, n, threads int) (*fmmexec.Plan[E], error) {
+	key := planKey{bucket(m), bucket(k), bucket(n), threads}
+	if p := mu.plans.lookup(key); p != nil {
+		return p, nil
 	}
-	ctx, err := mu.engine(threads)
-	if err != nil {
-		return nil, err
-	}
-	cand := Recommend(mu.arch, m, k, n)
-	p, err := fmmexec.NewPlanOn(ctx, cand.Variant, cand.Levels...)
-	if err != nil {
-		return nil, err
-	}
-	return mu.plans.add(key, &planEntry[E]{p: p}), nil
+	return mu.fillClass(key)
 }
 
-// CachedPlans reports how many plans are cached, over both widths (a shape
-// class served both directly and through pool jobs counts twice).
-func (mu *GenericMultiplier[E]) CachedPlans() int { return mu.plans.len() }
-
-// planCache is the multiplier's bounded plan cache: a map guarded by an
-// RWMutex for the hot read path, with least-recently-used eviction driven by
-// per-entry atomic timestamps so cache hits never take the write lock.
-type planCache[E matrix.Element] struct {
-	cap  int
-	tick atomic.Int64
-
-	mu sync.RWMutex
-	m  map[planKey]*planEntry[E]
-}
-
-// planEntry is one cached shape class: its plan and when it was last used.
-type planEntry[E matrix.Element] struct {
-	p    *fmmexec.Plan[E]
-	last atomic.Int64 // logical timestamp of the most recent use
-}
-
-func newPlanCache[E matrix.Element](cap int) *planCache[E] {
-	return &planCache[E]{cap: cap, m: make(map[planKey]*planEntry[E])}
-}
-
-func (pc *planCache[E]) get(key planKey) (*planEntry[E], bool) {
-	pc.mu.RLock()
-	e := pc.m[key]
-	pc.mu.RUnlock()
-	if e == nil {
-		return nil, false
-	}
-	e.last.Store(pc.tick.Add(1))
-	return e, true
-}
-
-// add inserts e under key unless another caller won the race, in which case
-// the incumbent entry is returned — callers of the same shape class always
-// share one plan. When the cache is over capacity the
-// least-recently-used entry is evicted.
-func (pc *planCache[E]) add(key planKey, e *planEntry[E]) *planEntry[E] {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if have, ok := pc.m[key]; ok {
-		have.last.Store(pc.tick.Add(1))
-		return have
-	}
-	e.last.Store(pc.tick.Add(1))
-	pc.m[key] = e
-	for len(pc.m) > pc.cap {
-		var oldestKey planKey
-		oldest := int64(1<<63 - 1)
-		for k, v := range pc.m {
-			if last := v.last.Load(); last < oldest {
-				oldest, oldestKey = last, k
-			}
+// fillClass sends a shape class to the family member model.Best picks at the
+// class's upper corner — so it depends on the class alone, never on which of
+// its sizes came first — building that member's plan at the class's width if
+// no class has yet. Racing fills of one class record the same plan.
+func (mu *GenericMultiplier[E]) fillClass(key planKey) (*fmmexec.Plan[E], error) {
+	cands := defaultCandidates()
+	i := model.Best(mu.arch, cands, key.bm, key.bk, key.bn)
+	w := min(key.threads, 2) - 1
+	fp := &mu.plans.family[w][i]
+	fp.once.Do(func() {
+		ctx, err := mu.engine(key.threads)
+		if err == nil {
+			fp.p, err = fmmexec.NewPlanOn(ctx, cands[i].Variant, cands[i].Levels...)
 		}
-		delete(pc.m, oldestKey)
+		if fp.err = err; err == nil {
+			mu.plans.built.Add(1)
+		}
+	})
+	if fp.err != nil {
+		return nil, fp.err
 	}
-	return e
+	mu.plans.mu.Lock()
+	mu.plans.classes[key] = fp.p
+	mu.plans.mu.Unlock()
+	return fp.p, nil
 }
 
-// entries returns a point-in-time copy of the cache's (key, entry) pairs.
-func (pc *planCache[E]) entries() map[planKey]*planEntry[E] {
-	pc.mu.RLock()
-	defer pc.mu.RUnlock()
-	out := make(map[planKey]*planEntry[E], len(pc.m))
-	for k, v := range pc.m {
-		out[k] = v
+// CachedPlans reports how many family members' plans the multiplier has
+// built, over both widths: at most twice the family's size.
+func (mu *GenericMultiplier[E]) CachedPlans() int { return int(mu.plans.built.Load()) }
+
+// planTable holds a multiplier's plans: per width (row 0 width 1, row 1
+// Config.Threads), one slot per family member (defaultCandidates), built on
+// first use and kept; and a map sending every shape class served so far to
+// its member's plan. Nothing is evicted: the family bounds the plans.
+type planTable[E matrix.Element] struct {
+	family [2][]familyPlan[E]
+	built  atomic.Int64 // members built, both rows
+
+	mu      sync.RWMutex
+	classes map[planKey]*fmmexec.Plan[E]
+}
+
+// familyPlan is one family member's plan at one width, or why it failed.
+type familyPlan[E matrix.Element] struct {
+	once sync.Once
+	p    *fmmexec.Plan[E]
+	err  error
+}
+
+func newPlanTable[E matrix.Element]() *planTable[E] {
+	n := len(defaultCandidates())
+	return &planTable[E]{
+		family:  [2][]familyPlan[E]{make([]familyPlan[E], n), make([]familyPlan[E], n)},
+		classes: make(map[planKey]*fmmexec.Plan[E]),
 	}
-	return out
 }
 
-func (pc *planCache[E]) len() int {
-	pc.mu.RLock()
-	defer pc.mu.RUnlock()
-	return len(pc.m)
+// lookup returns the plan a shape class was sent to, or nil before its first
+// fill: the one read a warm call makes.
+//
+//fmm:hotpath
+func (t *planTable[E]) lookup(key planKey) *fmmexec.Plan[E] {
+	t.mu.RLock()
+	p := t.classes[key]
+	t.mu.RUnlock()
+	return p
 }
 
-// planKey identifies one cached plan: a shape class — each dimension rounded
-// up to its power-of-two bucket, so nearby sizes share a plan (the model's
-// selection is stable well beyond this granularity) — and the gemm thread
-// count the plan was built for (1 or Config.Threads).
+// planKey is a shape class at one width: each dimension rounded up to its
+// power-of-two bucket, and the width its plan runs at.
 type planKey struct{ bm, bk, bn, threads int }
-
-func shapeClass(m, k, n, threads int) planKey {
-	return planKey{bucket(m), bucket(k), bucket(n), threads}
-}
 
 func bucket(x int) int {
 	b := 1
@@ -806,8 +798,8 @@ func bucket(x int) int {
 }
 
 // defaultCandidates is model.DefaultCandidates, enumerated (and its stats
-// computed) once per process: every Recommend, and so every plan-cache miss
-// in entryFor, and every multiplier's break-even read this one table.
+// computed) once per process: every Recommend, every class fill, every
+// multiplier's plan table and break-even read this one table.
 var defaultCandidatesOnce struct {
 	sync.Once
 	cands []Candidate
@@ -824,7 +816,7 @@ func defaultCandidates() []Candidate {
 // MultiplyAsync: per element type (indexed by matrix.Dtype) one
 // lazily-initialized multiplier with default parallel blocking and the
 // paper's machine model, shared by all callers so repeated package-level
-// calls hit the plan cache instead of rebuilding a plan per call — and built
+// calls reuse its plans instead of rebuilding a plan per call — and built
 // on first use, so a program that never touches float32 pays nothing for it.
 // The FMMFAM_KERNEL environment variable names the micro-kernel backend
 // (EnvKernel; see Kernels), unset meaning the fastest registered one; an

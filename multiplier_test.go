@@ -3,11 +3,16 @@ package fmmfam
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"fmmfam/internal/fmmexec"
+	"fmmfam/internal/gemm"
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 )
@@ -42,13 +47,25 @@ func TestMultiplierCachesPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Fatal("nearby sizes should share a cached plan")
+		t.Fatal("nearby sizes should share a plan")
 	}
-	if _, err := mu.PlanFor(1000, 100, 1000); err != nil {
+	p3, err := mu.PlanFor(1000, 100, 1000)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if p3 == p1 {
+		t.Fatalf("1000×100×1000 and 100³ share plan %s, want gemm and a fast plan", p1)
 	}
 	if mu.CachedPlans() != 2 {
 		t.Fatalf("cached %d plans, want 2", mu.CachedPlans())
+	}
+	// Another class sent to an already built family member shares its plan.
+	p4, err := mu.PlanFor(40, 50, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p4 != p1 || mu.CachedPlans() != 2 {
+		t.Fatalf("40×50×60 got %s (%d plans built), want the 100³ class's %s and still 2", p4, mu.CachedPlans(), p1)
 	}
 }
 
@@ -71,119 +88,106 @@ func TestMultiplierZeroSizeNoop(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction pins the bounded-cache contract for long-running
-// servers: over DefaultPlanCacheCap + 1 distinct shape classes the cache
-// never exceeds DefaultPlanCacheCap, the least-recently-used class is the one
-// evicted, and recently-touched plans keep their identity (callers of a live
-// shape class always share one plan).
-func TestPlanCacheLRUEviction(t *testing.T) {
-	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1}, PaperArch())
-	// DefaultPlanCacheCap + 1 shape classes: one power-of-two bucket per
-	// dimension each, all of them small enough to be GEMM plans.
-	var classes [][3]int
-	for m := 1; m <= 64; m *= 2 {
-		for k := 1; k <= 64; k *= 2 {
-			for n := 1; n <= 2; n *= 2 {
-				classes = append(classes, [3]int{m, k, n})
-			}
-		}
-	}
-	classes = classes[:DefaultPlanCacheCap+1]
-	plans := make([]*Plan, len(classes))
-	for i, s := range classes[:DefaultPlanCacheCap] {
-		p, err := mu.PlanFor(s[0], s[1], s[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[i] = p
-	}
-	a := classes[0]
-	if again, _ := mu.PlanFor(a[0], a[1], a[2]); again != plans[0] {
-		t.Fatal("cache hit must return the shared plan")
-	}
-	// One class past the bound evicts the LRU class — the second, since the
-	// first was just touched.
-	last := classes[DefaultPlanCacheCap]
-	if _, err := mu.PlanFor(last[0], last[1], last[2]); err != nil {
-		t.Fatal(err)
-	}
-	if got := mu.CachedPlans(); got != DefaultPlanCacheCap {
-		t.Fatalf("cache holds %d plans, bound is %d", got, DefaultPlanCacheCap)
-	}
-	if p, _ := mu.PlanFor(a[0], a[1], a[2]); p != plans[0] {
-		t.Fatal("recently-used plan was evicted")
-	}
-	b := classes[1]
-	if p, _ := mu.PlanFor(b[0], b[1], b[2]); p == plans[1] {
-		t.Fatal("LRU plan should have been evicted and rebuilt")
-	}
-	if got := mu.CachedPlans(); got != DefaultPlanCacheCap {
-		t.Fatalf("cache holds %d plans after refill, bound is %d", got, DefaultPlanCacheCap)
-	}
-}
-
 // TestPlanCacheBoundAcrossWidths: direct traffic (full-width plans) and
-// batch traffic (width-1 plans) share one cache and one bound. A multiplier
-// serving both over more shape classes than the bound — a small one here, set
-// on the cache itself — never reports, or retains, more than that many plans,
-// reports the width-1 plans it holds, and evicts least-recently-used across
-// widths.
+// batch traffic (width-1 plans) share one plan table. Over more than 200
+// shape classes at each width, from 1 to 4096 in every dimension, it builds
+// at most one plan per family member per width, CachedPlans and Stats report
+// exactly the members built, and nothing is evicted: every class still
+// serves the plan it got first.
 func TestPlanCacheBoundAcrossWidths(t *testing.T) {
-	const limit = 4
-	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2}
+	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, Kernel: "go4x4"}
 	mu := NewMultiplier(cfg, PaperArch())
-	mu.plans = newPlanCache[float64](limit)
-	check := func(step string, want int) {
+	check := func(step string) {
 		t.Helper()
+		built := builtPlans(mu)
+		want := len(built[0]) + len(built[1])
 		if got := mu.CachedPlans(); got != want {
-			t.Fatalf("%s: CachedPlans() = %d, want %d (cap %d)", step, got, want, limit)
+			t.Fatalf("%s: CachedPlans() = %d, want the %d members built", step, got, want)
 		}
 		if got := mu.Stats().CachedPlans; got != want {
 			t.Fatalf("%s: Stats().CachedPlans = %d, want %d", step, got, want)
 		}
-		if got := len(mu.plans.entries()); got > limit {
-			t.Fatalf("%s: multiplier retains %d plans, cap is %d", step, got, limit)
+		for w, row := range built {
+			if family := len(defaultCandidates()); len(row) > family {
+				t.Fatalf("%s: width row %d holds %d plans, the family has %d members", step, w, len(row), family)
+			}
 		}
 	}
-	mul := func(n int, batch bool) {
-		t.Helper()
-		c, a, b := NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n)
-		var err error
-		if batch {
-			err = mu.MulAddBatch([]BatchJob{{C: c, A: a, B: b}})
-		} else {
-			err = mu.MulAdd(c, a, b)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Batch traffic alone is visible: three small classes, one gemm member.
+	var jobs []BatchJob
+	for _, n := range []int{8, 16, 32} {
+		jobs = append(jobs, BatchJob{C: NewMatrix(n, n), A: NewMatrix(n, n), B: NewMatrix(n, n)})
 	}
-	// Batch traffic alone is visible: three shape classes, three plans.
-	for i, n := range []int{8, 16, 32} {
-		mul(n, true)
-		check("batch", i+1)
+	if err := mu.MulAddBatch(jobs); err != nil {
+		t.Fatal(err)
 	}
-	// Direct traffic on three more classes crosses the cap: the total stays
-	// at the cap, and the oldest entries — width-1 ones — are the evicted.
-	for i, n := range []int{64, 100, 8} {
-		mul(n, false)
-		check("direct", min(3+i+1, limit))
+	check("batch")
+	if got := mu.CachedPlans(); got != 1 {
+		t.Fatalf("a batch of three gemm classes built %d plans, want 1", got)
 	}
-	for _, n := range []int{8, 16} {
-		if _, ok := mu.plans.entries()[shapeClass(n, n, n, 1)]; ok {
-			t.Fatalf("width-1 plan of the %d³ class survived %d newer insertions at cap %d", n, 3, limit)
+	dims := []int{1, 3, 12, 40, 100, 300, 1000, 4000}
+	first := make(map[planKey]*Plan)
+	for _, m := range dims {
+		for _, k := range dims {
+			for _, n := range dims {
+				for _, threads := range []int{1, cfg.Threads} {
+					p, err := mu.planAt(m, k, n, threads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					first[shapeClass(m, k, n, threads)] = p
+				}
+			}
 		}
 	}
-	if _, ok := mu.plans.entries()[shapeClass(8, 8, 8, cfg.Threads)]; !ok {
-		t.Fatal("most recent full-width plan missing from the cache")
+	check("classes")
+	var perWidth [2]int
+	for key := range classPlans(mu) {
+		perWidth[min(key.threads, 2)-1]++
+	}
+	if perWidth[0] < 200 || perWidth[1] < 200 {
+		t.Fatalf("%d width-1 and %d full-width classes filled, want ≥ 200 each", perWidth[0], perWidth[1])
+	}
+	for key, p := range first {
+		if got := mu.plans.lookup(key); got != p {
+			t.Fatalf("class %v now serves %v, first %s", key, got, p)
+		}
 	}
 }
 
-// checkPlansShareEngine asserts the one-engine structure over every cached
-// plan of mu: all plans of one width report the same Context() pointer — the
-// multiplier's engine, on the configured kernel backend, for full-width plans,
-// that engine's Serial() view for width-1 ones — on the multiplier's own pool.
-// It returns how many plans of each width it saw.
+// shapeClass is the plan table's key for an m×k×n product at one width.
+func shapeClass(m, k, n, threads int) planKey {
+	return planKey{bucket(m), bucket(k), bucket(n), threads}
+}
+
+// builtPlans returns the family members' plans mu's table has built, per
+// width row (0: width 1, 1: Config.Threads), in family order. Call it with
+// no call on mu in flight.
+func builtPlans[E matrix.Element](mu *GenericMultiplier[E]) (rows [2][]*fmmexec.Plan[E]) {
+	for w := range mu.plans.family {
+		for i := range mu.plans.family[w] {
+			if p := mu.plans.family[w][i].p; p != nil {
+				rows[w] = append(rows[w], p)
+			}
+		}
+	}
+	return rows
+}
+
+// classPlans returns a copy of mu's map from shape class to plan.
+func classPlans[E matrix.Element](mu *GenericMultiplier[E]) map[planKey]*fmmexec.Plan[E] {
+	mu.plans.mu.RLock()
+	defer mu.plans.mu.RUnlock()
+	return maps.Clone(mu.plans.classes)
+}
+
+// checkPlansShareEngine asserts the one-engine structure over mu's plan
+// table: every built family plan of one width reports the same Context()
+// pointer — the multiplier's engine, on the configured kernel backend, for
+// full-width plans, that engine's Serial() view for width-1 ones — on the
+// multiplier's own pool; every shape class served maps to a built plan of its
+// width, and every built plan serves some class. It returns how many classes
+// of each width it saw.
 func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 	t.Helper()
 	engine, err := mu.engine(mu.cfg.Threads)
@@ -196,19 +200,38 @@ func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 	if got := engine.Backend().Name(); got != mu.cfg.Kernel {
 		t.Fatalf("engine runs backend %q, want the configured %q", got, mu.cfg.Kernel)
 	}
-	for key, e := range mu.plans.entries() {
-		want := engine
-		if key.threads == 1 {
-			want = engine.Serial()
+	built := builtPlans(mu)
+	var served [2]map[*Plan]bool
+	for key, p := range classPlans(mu) {
+		w := min(key.threads, 2) - 1
+		if w == 0 {
 			serial++
 		} else {
 			wide++
 		}
-		if e.p.Context() != want {
-			t.Fatalf("plan %v (%s) executes on a context of its own", key, e.p)
+		if !slices.Contains(built[w], p) {
+			t.Fatalf("class %v serves %s, no built family plan of its width", key, p)
 		}
-		if got := e.p.Context().Config().Threads; got != key.threads {
-			t.Fatalf("width-%d entry %v holds a Threads=%d plan", key.threads, key, got)
+		if served[w] == nil {
+			served[w] = make(map[*Plan]bool)
+		}
+		served[w][p] = true
+	}
+	for w, row := range built {
+		want, threads := engine.Serial(), 1
+		if w == 1 {
+			want, threads = engine, mu.cfg.Threads
+		}
+		for _, p := range row {
+			if p.Context() != want {
+				t.Fatalf("plan %s executes on a context of its own", p)
+			}
+			if got := p.Context().Config().Threads; got != threads {
+				t.Fatalf("width-%d row holds a Threads=%d plan %s", threads, got, p)
+			}
+			if !served[w][p] {
+				t.Fatalf("width-%d plan %s was built for no class", threads, p)
+			}
 		}
 	}
 	return serial, wide
@@ -226,13 +249,13 @@ func TestMultiplierPlansShareOnePool(t *testing.T) {
 		mu := NewMultiplier(cfg, PaperArch())
 		for _, n := range []int{24, 96, 256} {
 			for _, threads := range []int{1, cfg.Threads} {
-				if _, err := mu.entryFor(n, n, n, threads); err != nil {
+				if _, err := mu.planAt(n, n, n, threads); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		if serial, wide := checkPlansShareEngine(t, mu); serial != 3 || wide != 3 {
-			t.Fatalf("T=%d: saw %d width-1 and %d full-width plans, want 3 and 3", cfg.Threads, serial, wide)
+			t.Fatalf("T=%d: saw %d width-1 and %d full-width classes, want 3 and 3", cfg.Threads, serial, wide)
 		}
 	}
 }
@@ -328,7 +351,7 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 			}
 			serial, wide := checkPlansShareEngine(t, mu)
 			if serial < 40 || wide != wantWide {
-				t.Fatalf("cache holds %d width-1 and %d full-width plans, want ≥ 40 and %d", serial, wide, wantWide)
+				t.Fatalf("table holds %d width-1 and %d full-width classes, want ≥ 40 and %d", serial, wide, wantWide)
 			}
 			runtime.KeepAlive(jobs)
 			runtime.KeepAlive(routeJobs)
@@ -411,6 +434,207 @@ func TestBucketPowersOfTwo(t *testing.T) {
 	for x, want := range cases {
 		if got := bucket(x); got != want {
 			t.Fatalf("bucket(%d) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// TestClassPlanIndependentOfHistory: a shape class's plan is a pure function
+// of (kernel, dtype, width, class). On every registered kernel, at both
+// element types and at width 1 and Threads, two multipliers fill each class
+// from opposite sizes — one from the class's smallest size, the other from
+// its largest — and then serve both sizes the same plan, and below 2^24
+// multiply-adds the same bits. One pair is 71×278×151 and 71×278×150, which
+// got <2,2,2> ABC or GEMM on go4x4 by whichever came first while a class was
+// priced at the size that filled it.
+func TestClassPlanIndependentOfHistory(t *testing.T) {
+	t.Run("float64", classPlanIndependentOfHistory[float64])
+	t.Run("float32", classPlanIndependentOfHistory[float32])
+}
+
+func classPlanIndependentOfHistory[E matrix.Element](t *testing.T) {
+	var pairs [][2][3]int // two sizes of one class
+	for _, s := range [][3]int{{71, 278, 151}, {100, 100, 100}, {200, 40, 300}, {24, 500, 90},
+		{3000, 3000, 3000}, {2880, 480, 2880}, {1500, 1800, 1700}, {5000, 300, 6000}} {
+		var lo, hi [3]int
+		for d := range s {
+			hi[d] = bucket(s[d])
+			lo[d] = hi[d]/2 + 1
+		}
+		pairs = append(pairs, [2][3]int{lo, hi})
+	}
+	pairs = append(pairs, [2][3]int{{71, 278, 151}, {71, 278, 150}})
+	rng := rand.New(rand.NewSource(36))
+	for _, kern := range Kernels() {
+		if _, ok := archOf(kern, matrix.DtypeOf[E]()); !ok {
+			t.Logf("%s not registered here for %s: skipping", kern, matrix.DtypeOf[E]())
+			continue
+		}
+		cfg := DefaultConfig()
+		cfg.Kernel, cfg.Threads = kern, 2
+		for _, pair := range pairs {
+			x, y := NewGenericMultiplier[E](cfg, PaperArch()), NewGenericMultiplier[E](cfg, PaperArch())
+			for _, threads := range []int{1, cfg.Threads} {
+				plan := func(mu *GenericMultiplier[E], s [3]int) *fmmexec.Plan[E] {
+					p, err := mu.planAt(s[0], s[1], s[2], threads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
+				}
+				plan(x, pair[0])
+				plan(y, pair[1])
+				for _, s := range pair {
+					if px, py := plan(x, s), plan(y, s); px.String() != py.String() {
+						t.Errorf("%s width %d %v: %s filled from %v, %s filled from %v",
+							kern, threads, s, px, pair[0], py, pair[1])
+					}
+				}
+				for _, s := range pair {
+					if s[0]*s[1]*s[2] > 1<<24 {
+						continue
+					}
+					a, b, c := matrix.New[E](s[0], s[1]), matrix.New[E](s[1], s[2]), matrix.New[E](s[0], s[2])
+					a.FillRand(rng)
+					b.FillRand(rng)
+					c.FillRand(rng)
+					cx, cy := c.Clone(), c.Clone()
+					if err := errors.Join(x.mulAdd(cx, a, b, threads, gemm.Operands[E]{}), y.mulAdd(cy, a, b, threads, gemm.Operands[E]{})); err != nil {
+						t.Fatal(err)
+					}
+					if d := cx.MaxAbsDiff(cy); d != 0 {
+						t.Errorf("%s width %d %v: results differ by %g between the two fill orders", kern, threads, s, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExplainMatchesServedPlan: Explain names the plan MulAdd serves, for
+// sizes sampled across one class whatever order they come in. One multiplier
+// runs the sizes; another, fresh, explains them in the reverse order; after
+// each call the plan of the class the call ran — the product's, or its
+// largest shard tile's at width 1 — must be the one Explain named. The
+// unsharded class is 71×278×151's on go4x4 at T = 2, which straddles the
+// break-even; the sharded one is cut into tiles at T = 4 (servingCfg).
+func TestExplainMatchesServedPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	in := func(lo, hi int) int { return lo + rng.Intn(hi-lo+1) }
+	for _, tc := range []struct {
+		cfg    Config
+		lo, hi [3]int // the class's smallest and largest size
+	}{
+		{Config{MC: 16, KC: 16, NC: 32, Threads: 2, Kernel: "go4x4"}, [3]int{65, 257, 129}, [3]int{128, 512, 256}},
+		{servingCfg(), [3]int{129, 33, 129}, [3]int{256, 64, 256}},
+	} {
+		sizes := [][3]int{tc.lo, tc.hi}
+		for range 10 {
+			sizes = append(sizes, [3]int{in(tc.lo[0], tc.hi[0]), in(tc.lo[1], tc.hi[1]), in(tc.lo[2], tc.hi[2])})
+		}
+		explainer := NewMultiplier(tc.cfg, PaperArch())
+		explained := make([]Explanation, len(sizes))
+		for i := len(sizes) - 1; i >= 0; i-- {
+			s := sizes[i]
+			ex, err := explainer.Explain(s[0], s[1], s[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			explained[i] = ex
+		}
+		runner := NewMultiplier(tc.cfg, PaperArch())
+		sharded := 0
+		for i, s := range sizes {
+			a, b, c := NewMatrix(s[0], s[1]), NewMatrix(s[1], s[2]), NewMatrix(s[0], s[2])
+			a.FillRand(rng)
+			b.FillRand(rng)
+			if err := runner.MulAdd(c, a, b); err != nil {
+				t.Fatal(err)
+			}
+			ex := explained[i]
+			if ex.GridM > 0 {
+				sharded++
+			}
+			served := runner.plans.lookup(shapeClass(ex.M, ex.K, ex.N, ex.Threads))
+			if served == nil || served.String() != ex.Plan {
+				t.Errorf("T=%d %v: Explain names %q for %d×%d×%d at width %d, MulAdd ran %v",
+					tc.cfg.Threads, s, ex.Plan, ex.M, ex.K, ex.N, ex.Threads, served)
+			}
+		}
+		if tc.cfg.ShardThreshold > 0 && sharded == 0 {
+			t.Errorf("T=%d: no size of the class sharded", tc.cfg.Threads)
+		}
+	}
+}
+
+// TestConcurrentFirstFill: goroutines hitting distinct sizes of one new
+// class at once all get one plan, and the table builds it once (run it under
+// -race).
+func TestConcurrentFirstFill(t *testing.T) {
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 2, Kernel: "go4x4"}, PaperArch())
+	const callers = 8
+	plans := make([]*Plan, callers)
+	errs := make([]error, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range callers {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			plans[i], errs[i] = mu.PlanFor(129+16*i, 300+i, 256-i) // class 256×512×256
+		}()
+	}
+	start.Done()
+	done.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("caller %d got plan %p (%s), caller 0 %p (%s)", i, p, p, plans[0], plans[0])
+		}
+	}
+	if got := mu.CachedPlans(); got != 1 {
+		t.Fatalf("one class filled by %d callers built %d plans, want 1", callers, got)
+	}
+	if got := len(classPlans(mu)); got != 1 {
+		t.Fatalf("table holds %d classes, want 1", got)
+	}
+}
+
+// TestPlanForAndExplainRejectBadArgs: PlanFor and Explain refuse a negative
+// dimension with a dims error, as MulAdd's operand check does, and file no
+// class for it; a zero dimension is still an (empty) product. A multiplier
+// with an invalid Config reports its error from both.
+func TestPlanForAndExplainRejectBadArgs(t *testing.T) {
+	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 2, Kernel: "go4x4"}, PaperArch())
+	for _, s := range [][3]int{{-3, 5, 5}, {5, -1, 5}, {5, 5, -7}} {
+		if p, err := mu.PlanFor(s[0], s[1], s[2]); err == nil || !strings.Contains(err.Error(), "dims") {
+			t.Errorf("PlanFor%v = %v, %v; want a dims error", s, p, err)
+		}
+		if ex, err := mu.Explain(s[0], s[1], s[2]); err == nil || !strings.Contains(err.Error(), "dims") {
+			t.Errorf("Explain%v = %+v, %v; want a dims error", s, ex, err)
+		}
+	}
+	if n, classes := mu.CachedPlans(), len(classPlans(mu)); n != 0 || classes != 0 {
+		t.Fatalf("negative dims built %d plans and filed %d classes", n, classes)
+	}
+	if _, err := mu.PlanFor(0, 5, 5); err != nil {
+		t.Fatalf("PlanFor(0, 5, 5): %v", err)
+	}
+	if _, err := mu.Explain(0, 5, 5); err != nil {
+		t.Fatalf("Explain(0, 5, 5): %v", err)
+	}
+	for _, cfg := range []Config{{MC: 16, KC: 16, NC: 32, Threads: 0}, {MC: 16, KC: 16, NC: 32, Threads: 2, QueueDepth: -1}} {
+		bad := NewMultiplier(cfg, PaperArch())
+		if bad.cfgErr == nil {
+			t.Fatalf("%+v passed validation", cfg)
+		}
+		if _, err := bad.PlanFor(8, 8, 8); err == nil || err.Error() != bad.cfgErr.Error() {
+			t.Errorf("%+v: PlanFor error %v, want the Config error %v", cfg, err, bad.cfgErr)
+		}
+		if _, err := bad.Explain(8, 8, 8); err == nil || err.Error() != bad.cfgErr.Error() {
+			t.Errorf("%+v: Explain error %v, want the Config error %v", cfg, err, bad.cfgErr)
 		}
 	}
 }

@@ -16,7 +16,7 @@ var ErrServerClosed = errors.New("serve: server closed")
 // coalesceSizeLimit is the threshold below which a multiply request is
 // coalesced instead of dispatched directly: requests with max(m,k,n) ≤ this
 // join a window and ship as one MulAddBatch. 128 keeps coalescing to the
-// regime where per-call overhead (HTTP handling, plan-cache lookup, pool
+// regime where per-call overhead (HTTP handling, plan lookup, pool
 // dispatch) is comparable to the product itself — the small-matrix
 // ML-inference traffic the batch path amortizes — while anything larger
 // goes straight to MulAdd, whose auto-sharding and intra-plan parallelism

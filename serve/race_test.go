@@ -1,5 +1,5 @@
 // Race-detector stress: coalescing windows filling and flushing while the
-// engines fill their plan caches on served traffic and a poller hammers
+// engines fill their plan tables on served traffic and a poller hammers
 // /v1/stats. This is the serving-layer extension of the engine's
 // stats_race_test — same idea, but through real sockets with the coalescer's
 // timer/size flush race in the loop.

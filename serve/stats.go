@@ -143,7 +143,7 @@ type Stats struct {
 	// the server.
 	AsyncPending int
 	// Multiplier and Multiplier32 are the engines' own observability
-	// surfaces (resolved kernel backend, plan cache).
+	// surfaces (resolved kernel backend, built plans).
 	Multiplier   fmmfam.MultiplierStats
 	Multiplier32 fmmfam.MultiplierStats
 	// CPU and Kernels report the host's dispatch-relevant CPU features and

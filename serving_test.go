@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"fmmfam/internal/gemm"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/shard"
 )
@@ -212,11 +211,10 @@ func TestShardedKSplit(t *testing.T) {
 // workers, where its six tiles would take two rounds. Shapes that do not
 // shard are skipped. The seeds cover the three grid kinds.
 //
-// The replay runs on the multiplier's own width-1 plans, the plans a
-// Threads=1 multiplier would build, rather than on a second multiplier: a
-// shape class's plan is chosen for the concrete size that first builds it
-// (71×278×151 gets <2,2,2> ABC, 71×278×150 GEMM, one class), so after many
-// random shapes two multipliers' caches can serve a class differently.
+// The replay runs on one Threads=1 multiplier shared by every input: a shape
+// class's plan depends on the class alone, never on which of its sizes
+// either multiplier saw first, so however the fuzzer's shapes interleave,
+// the twin serves each tile the plan the sharded call ran it with.
 func FuzzShardedMulAdd(f *testing.F) {
 	f.Add(uint16(256), uint16(96), uint16(200), false, int64(1)) // 3×1 tiles
 	f.Add(uint16(48), uint16(700), uint16(60), false, int64(2))  // one tile, 3 K-slabs
@@ -226,6 +224,8 @@ func FuzzShardedMulAdd(f *testing.F) {
 	narrow := NewMultiplier(cfg, PaperArch())
 	cfg.Threads = 4
 	wideMu := NewMultiplier(cfg, PaperArch())
+	cfg.Threads = 1
+	twin := NewMultiplier(cfg, PaperArch())
 	f.Fuzz(func(t *testing.T, m, k, n uint16, wide bool, seed int64) {
 		mu := narrow
 		if wide {
@@ -245,8 +245,7 @@ func FuzzShardedMulAdd(f *testing.F) {
 		if err := mu.MulAdd(c, a, b); err != nil {
 			t.Fatalf("%v: %v", route, err)
 		}
-		widthOne := func(c, a, b Matrix) error { return mu.mulAdd(c, a, b, 1, gemm.Operands[float64]{}) }
-		if err := replaySharded(widthOne, route.Spec, want, a, b); err != nil {
+		if err := replaySharded(twin.MulAdd, route.Spec, want, a, b); err != nil {
 			t.Fatalf("%v: %v", route, err)
 		}
 		if d := c.MaxAbsDiff(want); d != 0 {
@@ -336,8 +335,8 @@ func TestShardGating(t *testing.T) {
 
 // TestMulAddBatchIndependentOfThreads pins the unified batch contract:
 // whatever the worker count, batch jobs plan and execute at width 1, so
-// batch results and cache behavior do not depend on Threads — one batch of
-// one shape caches exactly one plan.
+// batch results and plan table behavior do not depend on Threads — one batch
+// of one shape builds exactly one plan.
 func TestMulAddBatchIndependentOfThreads(t *testing.T) {
 	run := func(threads int) (*Multiplier, Matrix) {
 		cfg := Config{MC: 16, KC: 16, NC: 32, Threads: threads}
@@ -361,7 +360,7 @@ func TestMulAddBatchIndependentOfThreads(t *testing.T) {
 		if got := mu.CachedPlans(); got != 1 {
 			t.Fatalf("Threads=%d: one batch of one shape cached %d plans, want 1", mu.cfg.Threads, got)
 		}
-		if _, ok := mu.plans.get(shapeClass(96, 64, 96, 1)); !ok {
+		if mu.plans.lookup(shapeClass(96, 64, 96, 1)) == nil {
 			t.Fatalf("Threads=%d: batch did not plan at width 1", mu.cfg.Threads)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestStatsConcurrentWithServing hammers Stats() from dedicated reader
-// goroutines while servers drive traffic through a multiplier, so plan-cache
+// goroutines while servers drive traffic through a multiplier, so plan-table
 // inserts race against snapshotting. Under -race this proves the
 // observability surface never tears against the serving state it reports.
 // Results are still checked against the naive reference.
