@@ -7,9 +7,11 @@ package fmmfam
 // worker claims ahead only while every other worker still has a job to claim.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fmmfam/internal/matrix"
@@ -162,6 +164,32 @@ func checkBatchAllocs[E matrix.Element](t *testing.T, threads int) {
 	}
 	if n := testing.AllocsPerRun(20, func() { mu.MulAddBatch(jobs) }); n != 0 {
 		t.Fatalf("warm MulAddBatch allocates %v times per call", n)
+	}
+}
+
+// TestBatchClaimOrderMatchesStableSort: the claim order, sorted once by
+// (cost descending, index ascending), is the order a stable sort by
+// descending cost gives, on a batch where most costs tie.
+func TestBatchClaimOrderMatchesStableSort(t *testing.T) {
+	mu := NewMultiplier(DefaultConfig(), PaperArch())
+	rng := rand.New(rand.NewSource(38))
+	dims := []int{1, 2, 4, 8}
+	jobs := make([]BatchJob, 200)
+	for i := range jobs {
+		jobs[i] = shapeJob(dims[rng.Intn(len(dims))], dims[rng.Intn(len(dims))], dims[rng.Intn(len(dims))])
+	}
+	r := mu.rentBatchRun()
+	defer mu.releaseBatchRun(r)
+	for _, n := range []int{len(jobs), 7, len(jobs)} { // a shorter batch between, on the same runner
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(x, y int) int { return cmp.Compare(jobCost(jobs[y]), jobCost(jobs[x])) })
+		r.load(jobs[:n])
+		if !slices.Equal(r.order, want) {
+			t.Fatalf("%d jobs: claim order %v, stable sort %v", n, r.order, want)
+		}
 	}
 }
 

@@ -363,8 +363,10 @@ func (ctx *Context[E]) icLoop(ws *Workspace[E], cTerms, aTerms []Term[E], pc, jc
 // the micro-kernel: one fused Backend.MicroScatter call per tile computes the
 // rank-kc product and adds it, weighted, into every C-side term — from the
 // registers where the backend can (Figure 1, right: "update multiple
-// submatrices of C"), through the worker's acc tile on fringes. abuf and acc
-// are the calling worker's private Ã buffer and accumulator tile. It is the
+// submatrices of C"), fringe tiles included on avx2, and through the
+// worker's acc tile where a backend does not (go4x4, avx512's fringes,
+// C-term lists over kernel.MaxFusedTerms). abuf and acc are the calling
+// worker's private Ã buffer and accumulator tile. It is the
 // one inner loop of the driver: every backend, the default included, is
 // reached through the kernel.Backend interface here and nowhere else, with
 // no per-backend branch. An armed width-1 call (FusedMulAddWS) prefetches the

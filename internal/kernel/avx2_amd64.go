@@ -16,19 +16,21 @@ import (
 // accumulators is a 64-byte row of the C tile and the fused update of
 // Figure 1 (right) is plain vector loads and stores straight from the
 // registers (MicroScatter), with the tiles' rows prefetched under the
-// rank-kc loop, one C term per segment of it. On these panel shapes the
-// packers vectorise too: a B̃ panel row is a two-ymm copy, an Ã panel a 6×4
-// (6×8 for float32) in-register transpose, each with the term's coefficient
-// broadcast.
+// rank-kc loop, one C term per segment of it. The packers vectorise too: a
+// B̃ panel row is a two-ymm copy, an Ã panel a 6×4 (6×8 for float32)
+// in-register transpose, each with the term's coefficient broadcast.
 //
-// Everything the assembly does not do is the generic Go path, by the same
-// arithmetic: fringe tiles (mr < MR or nr < NR) and C-term lists longer than
-// MaxFusedTerms take Micro into acc + scatterGeneric; fringe panels and the
-// Ã k-tail (kc mod 4, mod 8 for float32) take packAGeneric/packBGeneric.
-// The assembly packers build every element the way those do — from +0, in
-// term order, multiply and add rounded separately, a leading coefficient-1
-// term copied — so a packed buffer has the same bits whichever path wrote
-// which part, and the generic packers are the test oracle.
+// Fringes stay in assembly, cut to their real extent by lane masks: a fringe
+// tile (mr < MR or nr < NR) takes a masked fused kernel, or for nr ≤ NR/2 a
+// half-width one (6×4, 6×8 for float32) that runs half the FMAs; a fringe
+// B̃ panel and an Ã panel of fewer than six rows or with a k-tail (kc mod 4,
+// mod 8 for float32) take masked packers. Only C-term lists longer than
+// MaxFusedTerms are the generic Go path, Micro into acc + scatterGeneric.
+// Every path keeps the generic arithmetic — one FMA chain per C element in
+// k order, C += round(w·acc), and packed elements built from +0, in term
+// order, multiply and add rounded separately, a leading coefficient-1 term
+// copied — so the bits do not depend on which path ran, and the generic
+// routines are the test oracle.
 //
 // Registration is gated at init on the CPUID probe (cpufeat_amd64.go): on an
 // amd64 host without AVX2+FMA (or with OS-disabled YMM state) the backend
@@ -68,29 +70,33 @@ type tileRef[E matrix.Element] struct {
 	coef   E
 }
 
-// Packer modes of packATerm*/packBTerm* (see avx2_amd64.s).
+// Packer modes of the assembly packers (see avx2_amd64.s).
 const (
 	packCopy = iota // dst = src
 	packSet         // dst = +0 + coef·src
 	packAdd         // dst += coef·src
 )
 
-// packTermFunc is the signature the four assembly packers share: one term of
-// one full panel, n row-or-step units from src (rows stride bytes apart)
-// into the dense panel at dst, in the given mode.
-type packTermFunc[E matrix.Element] func(dst, src *E, stride uintptr, coef E, n, mode int)
+// packTermFunc is the signature the assembly packers share: one term of one
+// panel — the rows×cols block at src, rows stride bytes apart — into the
+// dense panel at dst, in the given mode. The full-panel packers take whole
+// panels (six rows and a multiple of kStep columns for Ã, NR columns for
+// B̃); the fringe ones any extent up to that.
+type packTermFunc[E matrix.Element] func(dst, src *E, stride uintptr, coef E, rows, cols, mode int)
 
-// packPanelTerms writes one full panel through the assembly, one call per
+// packPanelTerms writes one panel through the assembly, one call per
 // contributing term, choosing each call's mode so that the packed value is
 // built exactly as the generic packers build it: zero-coefficient terms are
 // skipped, the list's first term is copied when its coefficient is 1, the
 // first term that contributes otherwise starts from +0, later ones
 // accumulate, and a panel nothing contributes to is zero. (row, col) is the
-// panel's origin in every term and (rows, cols) its extent there — indexing
-// the far corner is the bounds proof for the assembly's strided reads.
+// panel's origin in every term and (rows, cols) its real extent there —
+// indexing its last element is the bounds proof for the assembly's strided
+// reads, which stop there on fringes too. out is exactly the panel the call
+// writes.
 //
 //fmm:hotpath
-func packPanelTerms[E matrix.Element](pack packTermFunc[E], out []E, terms []Term[E], row, col, rows, cols, n int) {
+func packPanelTerms[E matrix.Element](pack packTermFunc[E], out []E, terms []Term[E], row, col, rows, cols int) {
 	first := true
 	for t := range terms {
 		coef, m := terms[t].Coef, &terms[t].M
@@ -106,7 +112,7 @@ func packPanelTerms[E matrix.Element](pack packTermFunc[E], out []E, terms []Ter
 		case first:
 			mode = packSet
 		}
-		pack(&out[0], &m.Data[base], uintptr(m.Stride)*unsafe.Sizeof(coef), coef, n, mode)
+		pack(&out[0], &m.Data[base], uintptr(m.Stride)*unsafe.Sizeof(coef), coef, rows, cols, mode)
 		first = false
 	}
 	if first {
@@ -114,13 +120,14 @@ func packPanelTerms[E matrix.Element](pack packTermFunc[E], out []E, terms []Ter
 	}
 }
 
-// packAAVX2 packs full 6-row panels kStep k-columns at a time in assembly;
-// the kc%kStep tail columns of those panels and the fringe panel are the
-// generic packer's, which addresses a panel's tail as a panel of its own (the
-// layout inside a panel is k-major).
+// packAAVX2 packs every Ã panel in assembly: a full 6-row panel's whole
+// kStep-column steps with the full packer (pack) and its kc mod kStep tail
+// columns with the fringe packer (the layout inside a panel is k-major, so
+// the tail is a panel of its own), and the partial panel of the block's last
+// mc mod 6 rows with the fringe packer, tail included.
 //
 //fmm:hotpath
-func packAAVX2[E matrix.Element](pack packTermFunc[E], kStep int, dst []E, terms []Term[E], r0, c0, mc, kc int) int {
+func packAAVX2[E matrix.Element](pack, fringe packTermFunc[E], kStep int, dst []E, terms []Term[E], r0, c0, mc, kc int) int {
 	const mr = mrAVX2
 	n := packABufLen(mr, mc, kc)
 	dst = dst[:n]
@@ -129,30 +136,35 @@ func packAAVX2[E matrix.Element](pack packTermFunc[E], kStep int, dst []E, terms
 	for j := 0; j < full; j++ {
 		panel := dst[j*mr*kc : (j+1)*mr*kc]
 		if kv > 0 {
-			packPanelTerms(pack, panel[:mr*kv], terms, r0+j*mr, c0, mr, kv, kv/kStep)
+			packPanelTerms(pack, panel[:mr*kv], terms, r0+j*mr, c0, mr, kv)
 		}
 		if kv < kc {
-			packAGeneric(mr, panel[mr*kv:], terms, r0+j*mr, c0+kv, mr, kc-kv)
+			packPanelTerms(fringe, panel[mr*kv:], terms, r0+j*mr, c0+kv, mr, kc-kv)
 		}
 	}
-	if full*mr < mc {
-		packAGeneric(mr, dst[full*mr*kc:], terms, r0+full*mr, c0, mc-full*mr, kc)
+	if rows := mc - full*mr; rows > 0 && kc > 0 {
+		packPanelTerms(fringe, dst[full*mr*kc:], terms, r0+full*mr, c0, rows, kc)
 	}
 	return n
 }
 
-// packBRangeAVX2 packs the full nr-column panels of [panelLo, panelHi) in
-// assembly — each panel row is a two-ymm row copy scaled by the term's
-// coefficient — and leaves the fringe panel to the generic packer.
+// packBRangeAVX2 packs the nr-column panels of [panelLo, panelHi) in
+// assembly: a full panel row is a two-vector row copy scaled by the term's
+// coefficient, and the fringe panel of the block's last nc mod nr columns
+// takes the fringe packer — or, where that is nil (avx512), the generic one.
 //
 //fmm:hotpath
-func packBRangeAVX2[E matrix.Element](pack packTermFunc[E], nr int, dst []E, terms []Term[E], r0, c0, kc, nc, panelLo, panelHi int) {
+func packBRangeAVX2[E matrix.Element](pack, fringe packTermFunc[E], nr int, dst []E, terms []Term[E], r0, c0, kc, nc, panelLo, panelHi int) {
 	full := min(panelHi, nc/nr)
 	for panel := panelLo; panel < full && kc > 0; panel++ {
-		packPanelTerms(pack, dst[panel*kc*nr:(panel+1)*kc*nr], terms, r0, c0+panel*nr, kc, nr, kc)
+		packPanelTerms(pack, dst[panel*kc*nr:(panel+1)*kc*nr], terms, r0, c0+panel*nr, kc, nr)
 	}
-	if lo := max(panelLo, full); lo < panelHi {
+	switch lo := max(panelLo, full); {
+	case lo >= panelHi || kc <= 0:
+	case fringe == nil:
 		packBRangeGeneric(nr, dst, terms, r0, c0, kc, nc, lo, panelHi)
+	default:
+		packPanelTerms(fringe, dst[lo*kc*nr:(lo+1)*kc*nr], terms, r0, c0+lo*nr, kc, nc-lo*nr)
 	}
 }
 
@@ -214,16 +226,40 @@ func microScatterF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, seg
 func microScatterF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, seg int)
 
 //go:noescape
-func packATermF64AVX2(dst, src *float64, stride uintptr, coef float64, steps, mode int)
+func microScatterMaskF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, mr, nr int)
 
 //go:noescape
-func packATermF32AVX2(dst, src *float32, stride uintptr, coef float32, steps, mode int)
+func microScatterMaskF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, mr, nr int)
 
 //go:noescape
-func packBTermF64AVX2(dst, src *float64, stride uintptr, coef float64, kc, mode int)
+func microScatterHalfF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, mr, nr int)
 
 //go:noescape
-func packBTermF32AVX2(dst, src *float32, stride uintptr, coef float32, kc, mode int)
+func microScatterHalfF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, mr, nr int)
+
+//go:noescape
+func packATermF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+
+//go:noescape
+func packATermF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
+
+//go:noescape
+func packAFringeF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+
+//go:noescape
+func packAFringeF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
+
+//go:noescape
+func packBTermF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+
+//go:noescape
+func packBTermF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
+
+//go:noescape
+func packBFringeF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+
+//go:noescape
+func packBFringeF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
 
 // avx2F64 is the float64 half of the avx2 backend: 6×8 doubles per
 // micro-tile, 12 ymm accumulators.
@@ -235,7 +271,7 @@ func (avx2F64) NR() int      { return nrAVX2F64 }
 func (avx2F64) Align() int   { return alignAVX2Bytes / 8 }
 
 func (avx2F64) PackA(dst []float64, terms []Term[float64], r0, c0, mc, kc int) int {
-	return packAAVX2(packATermF64AVX2, kStepAVX2F64, dst, terms, r0, c0, mc, kc)
+	return packAAVX2(packATermF64AVX2, packAFringeF64AVX2, kStepAVX2F64, dst, terms, r0, c0, mc, kc)
 }
 
 func (b avx2F64) PackB(dst []float64, terms []Term[float64], r0, c0, kc, nc int) int {
@@ -245,7 +281,7 @@ func (b avx2F64) PackB(dst []float64, terms []Term[float64], r0, c0, kc, nc int)
 }
 
 func (avx2F64) PackBRange(dst []float64, terms []Term[float64], r0, c0, kc, nc, panelLo, panelHi int) {
-	packBRangeAVX2(packBTermF64AVX2, nrAVX2F64, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
+	packBRangeAVX2(packBTermF64AVX2, packBFringeF64AVX2, nrAVX2F64, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
 }
 
 // Micro dispatches the 6×8 rank-kc FMA kernel. The reslicings are the bounds
@@ -267,10 +303,11 @@ func (avx2F64) Micro(kc int, ap, bp, acc []float64) {
 }
 
 // Scatter adds coef·acc into C: full 6×8 tiles ride the vectorized assembly
-// path, fringe tiles (mr < MR or nr < NR) fall back to the generic scalar
-// scatter — same arithmetic, no masked tail logic to get wrong. The indexing
-// of the tile's last element is the bounds proof for the strided assembly
-// stores.
+// path, fringe tiles (mr < MR or nr < NR) the generic scalar scatter — same
+// arithmetic. The GEMM driver never calls it (MicroScatter updates C from
+// the registers, fringes included); it is the conformance suite's
+// reference. The indexing of the tile's last element is the bounds proof for
+// the strided assembly stores.
 //
 //fmm:hotpath
 func (avx2F64) Scatter(m matrix.Mat[float64], r0, c0 int, coef float64, acc []float64, mr, nr int) {
@@ -283,17 +320,21 @@ func (avx2F64) Scatter(m matrix.Mat[float64], r0, c0 int, coef float64, acc []fl
 	scatterGeneric(nrAVX2F64, m, r0, c0, coef, acc, mr, nr)
 }
 
-// MicroScatter is the fused micro-kernel: for a full tile and a C-term list
-// within MaxFusedTerms it describes each term's tile to the assembly
-// (fusedTiles), which runs the rank-kc loop, prefetching one term's tile per
-// segment of it (fusedSegTrips), and updates every term from the accumulator
-// registers; acc is not touched. refs lives on this frame — the stub is
-// //go:noescape. Anything else is Micro + the generic scatter.
+// MicroScatter is the fused micro-kernel: for a C-term list within
+// MaxFusedTerms it describes each term's mr×nr tile to the assembly
+// (fusedTiles), which runs the rank-kc loop and updates every term from the
+// accumulator registers; acc is not touched. A full tile prefetches one
+// term's tile per segment of the loop (fusedSegTrips). A fringe tile takes
+// the masked kernel, which updates the first mr rows and nr columns, or,
+// for nr ≤ NR/2, the half-width one, which also skips the padded half of
+// the FMAs — the choice reads nr alone. refs lives on this frame — the stubs
+// are //go:noescape. Longer lists (and kc ≤ 0) are Micro + the generic
+// scatter.
 //
 //fmm:hotpath
 func (b avx2F64) MicroScatter(kc int, ap, bp, acc []float64, cTerms []Term[float64], r0, c0, mr, nr int) {
 	n := len(cTerms)
-	if mr != mrAVX2 || nr != nrAVX2F64 || kc <= 0 || n == 0 || n > MaxFusedTerms {
+	if kc <= 0 || n == 0 || n > MaxFusedTerms || mr < 1 || mr > mrAVX2 || nr < 1 || nr > nrAVX2F64 {
 		b.Micro(kc, ap, bp, acc)
 		scatterTerms(nrAVX2F64, cTerms, r0, c0, acc, mr, nr)
 		return
@@ -301,8 +342,15 @@ func (b avx2F64) MicroScatter(kc int, ap, bp, acc []float64, cTerms []Term[float
 	ap = ap[: kc*mrAVX2 : kc*mrAVX2]
 	bp = bp[: kc*nrAVX2F64 : kc*nrAVX2F64]
 	var refs [MaxFusedTerms]tileRef[float64]
-	fusedTiles(&refs, cTerms, r0, c0, mrAVX2, nrAVX2F64)
-	microScatterF64AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
+	fusedTiles(&refs, cTerms, r0, c0, mr, nr)
+	switch {
+	case mr == mrAVX2 && nr == nrAVX2F64:
+		microScatterF64AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
+	case nr <= nrAVX2F64/2:
+		microScatterHalfF64AVX2(kc, &ap[0], &bp[0], &refs[0], n, mr, nr)
+	default:
+		microScatterMaskF64AVX2(kc, &ap[0], &bp[0], &refs[0], n, mr, nr)
+	}
 }
 
 func (avx2F64) PackABufLen(mc, kc int) int { return packABufLen(mrAVX2, mc, kc) }
@@ -319,7 +367,7 @@ func (avx2F32) NR() int      { return nrAVX2F32 }
 func (avx2F32) Align() int   { return alignAVX2Bytes / 4 }
 
 func (avx2F32) PackA(dst []float32, terms []Term[float32], r0, c0, mc, kc int) int {
-	return packAAVX2(packATermF32AVX2, kStepAVX2F32, dst, terms, r0, c0, mc, kc)
+	return packAAVX2(packATermF32AVX2, packAFringeF32AVX2, kStepAVX2F32, dst, terms, r0, c0, mc, kc)
 }
 
 func (b avx2F32) PackB(dst []float32, terms []Term[float32], r0, c0, kc, nc int) int {
@@ -329,7 +377,7 @@ func (b avx2F32) PackB(dst []float32, terms []Term[float32], r0, c0, kc, nc int)
 }
 
 func (avx2F32) PackBRange(dst []float32, terms []Term[float32], r0, c0, kc, nc, panelLo, panelHi int) {
-	packBRangeAVX2(packBTermF32AVX2, nrAVX2F32, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
+	packBRangeAVX2(packBTermF32AVX2, packBFringeF32AVX2, nrAVX2F32, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
 }
 
 // Micro dispatches the 6×16 rank-kc FMA kernel; see avx2F64.Micro for the
@@ -361,12 +409,13 @@ func (avx2F32) Scatter(m matrix.Mat[float32], r0, c0 int, coef float32, acc []fl
 	scatterGeneric(nrAVX2F32, m, r0, c0, coef, acc, mr, nr)
 }
 
-// MicroScatter: the fused 6×16 kernel; see avx2F64.MicroScatter.
+// MicroScatter: the fused 6×16 kernel, with the 6×8 half-width one for
+// nr ≤ 8; see avx2F64.MicroScatter.
 //
 //fmm:hotpath
 func (b avx2F32) MicroScatter(kc int, ap, bp, acc []float32, cTerms []Term[float32], r0, c0, mr, nr int) {
 	n := len(cTerms)
-	if mr != mrAVX2 || nr != nrAVX2F32 || kc <= 0 || n == 0 || n > MaxFusedTerms {
+	if kc <= 0 || n == 0 || n > MaxFusedTerms || mr < 1 || mr > mrAVX2 || nr < 1 || nr > nrAVX2F32 {
 		b.Micro(kc, ap, bp, acc)
 		scatterTerms(nrAVX2F32, cTerms, r0, c0, acc, mr, nr)
 		return
@@ -374,8 +423,15 @@ func (b avx2F32) MicroScatter(kc int, ap, bp, acc []float32, cTerms []Term[float
 	ap = ap[: kc*mrAVX2 : kc*mrAVX2]
 	bp = bp[: kc*nrAVX2F32 : kc*nrAVX2F32]
 	var refs [MaxFusedTerms]tileRef[float32]
-	fusedTiles(&refs, cTerms, r0, c0, mrAVX2, nrAVX2F32)
-	microScatterF32AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
+	fusedTiles(&refs, cTerms, r0, c0, mr, nr)
+	switch {
+	case mr == mrAVX2 && nr == nrAVX2F32:
+		microScatterF32AVX2(kc, &ap[0], &bp[0], &refs[0], n, fusedSegTrips(kc, n))
+	case nr <= nrAVX2F32/2:
+		microScatterHalfF32AVX2(kc, &ap[0], &bp[0], &refs[0], n, mr, nr)
+	default:
+		microScatterMaskF32AVX2(kc, &ap[0], &bp[0], &refs[0], n, mr, nr)
+	}
 }
 
 func (avx2F32) PackABufLen(mc, kc int) int { return packABufLen(mrAVX2, mc, kc) }

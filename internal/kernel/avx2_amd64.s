@@ -334,8 +334,9 @@ s32row:
 	VZEROUPPER
 	RET
 
-// The packers move one term of one full panel per call; the Go wrappers walk
-// panels and terms and pick the mode:
+// The packers move one term of one panel per call; the Go wrappers walk
+// panels and terms and pick the mode. Every packer takes the panel's extent
+// in the source, rows × cols, and reads only those elements:
 //
 //	packCopy  dst = src            (first term of the list, coefficient 1)
 //	packSet   dst = +0 + coef·src  (first term with a non-zero coefficient)
@@ -346,16 +347,16 @@ s32row:
 // packSet adds the product to +0 rather than storing it because that is
 // where the two differ: −0 products come out +0, as they do in Go.
 
-// func packBTermF64AVX2(dst, src *float64, stride uintptr, coef float64, kc, mode int)
-// One term of one B̃ column-panel: kc rows of 8 doubles (two ymm) from src,
-// stride bytes apart, into the dense panel at dst.
-TEXT ·packBTermF64AVX2(SB), NOSPLIT, $0-48
+// func packBTermF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+// One term of one full B̃ column-panel: rows (kc) rows of 8 doubles (two
+// ymm) from src, stride bytes apart, into the dense panel at dst; cols is 8.
+TEXT ·packBTermF64AVX2(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         stride+16(FP), DX
 	VBROADCASTSD coef+24(FP), Y12
-	MOVQ         kc+32(FP), CX
-	MOVQ         mode+40(FP), AX
+	MOVQ         rows+32(FP), CX
+	MOVQ         mode+48(FP), AX
 	CMPQ         AX, $1
 	JEQ          pb64set
 	JA           pb64add
@@ -403,15 +404,15 @@ pb64add:
 	VZEROUPPER
 	RET
 
-// func packBTermF32AVX2(dst, src *float32, stride uintptr, coef float32, kc, mode int)
+// func packBTermF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
 // The float32 B̃ panel row is 16 singles — the same 64 bytes.
-TEXT ·packBTermF32AVX2(SB), NOSPLIT, $0-48
+TEXT ·packBTermF32AVX2(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         stride+16(FP), DX
 	VBROADCASTSS coef+24(FP), Y12
-	MOVQ         kc+32(FP), CX
-	MOVQ         mode+40(FP), AX
+	MOVQ         rows+32(FP), CX
+	MOVQ         mode+48(FP), AX
 	CMPQ         AX, $1
 	JEQ          pb32set
 	JA           pb32add
@@ -521,16 +522,18 @@ pb32add:
 	ADDQ    $32, R8;     \
 	ADDQ    $192, DI
 
-// func packATermF64AVX2(dst, src *float64, stride uintptr, coef float64, steps, mode int)
-// One term of one full Ã row-panel: steps groups of four k-columns of the six
-// rows at src (stride bytes apart) into the panel at dst, 24 doubles a group.
-TEXT ·packATermF64AVX2(SB), NOSPLIT, $0-48
+// func packATermF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+// One term of one full Ã row-panel: the six rows (rows is 6) at src, stride
+// bytes apart, cols k-columns long (a multiple of four), into the panel at
+// dst — cols/4 transpose steps of 24 doubles.
+TEXT ·packATermF64AVX2(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         stride+16(FP), DX
 	VBROADCASTSD coef+24(FP), Y12
-	MOVQ         steps+32(FP), CX
-	MOVQ         mode+40(FP), AX
+	MOVQ         cols+40(FP), CX
+	SHRQ         $2, CX // four-column steps
+	MOVQ         mode+48(FP), AX
 	LEAQ         (SI)(DX*2), R8
 	ADDQ         DX, R8
 	CMPQ         AX, $1
@@ -634,16 +637,17 @@ pa64add:
 	ADDQ $32, R8;                \
 	ADDQ $192, DI
 
-// func packATermF32AVX2(dst, src *float32, stride uintptr, coef float32, steps, mode int)
-// One term of one full float32 Ã row-panel: steps groups of eight k-columns,
-// 48 singles a group.
-TEXT ·packATermF32AVX2(SB), NOSPLIT, $0-48
+// func packATermF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
+// One term of one full float32 Ã row-panel: cols (a multiple of eight)/8
+// steps of eight k-columns, 48 singles a step.
+TEXT ·packATermF32AVX2(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         stride+16(FP), DX
 	VBROADCASTSS coef+24(FP), Y12
-	MOVQ         steps+32(FP), CX
-	MOVQ         mode+40(FP), AX
+	MOVQ         cols+40(FP), CX
+	SHRQ         $3, CX // eight-column steps
+	MOVQ         mode+48(FP), AX
 	LEAQ         (SI)(DX*2), R8
 	ADDQ         DX, R8
 	CMPQ         AX, $1
@@ -691,3 +695,812 @@ pa32add:
 	JNZ  pa32add
 	VZEROUPPER
 	RET
+
+// Fringes: the partial tiles and panels at the right and bottom edges of a
+// block — a tile of mr < 6 rows or nr < NR columns, an Ã panel of fewer than
+// six rows or with a k-tail of kc mod 4 (mod 8 for float32) columns, a B̃
+// panel of fewer than NR columns. They run the same arithmetic as the full
+// routines, element for element; what they read and write is cut to the
+// real extent with VMASKMOVPD/VMASKMOVPS lane masks (a lane whose mask bit
+// is clear is neither read nor written, and loads as +0) and, for Ã rows,
+// with row pointers clamped to the last real row and a mask that clears what
+// they load.
+//
+// maskTab<>: 192 bytes of ones, then 192 bytes of zeros. The 32 bytes at
+// maskTab<>+192−k·size are a lane mask with its first k lanes set (size 8
+// for float64, 4 for float32); the 32 bytes at maskTab<>+192−32·r+32·i are
+// all ones for i < r and all zeros otherwise.
+DATA maskTab<>+0(SB)/8, $-1
+DATA maskTab<>+8(SB)/8, $-1
+DATA maskTab<>+16(SB)/8, $-1
+DATA maskTab<>+24(SB)/8, $-1
+DATA maskTab<>+32(SB)/8, $-1
+DATA maskTab<>+40(SB)/8, $-1
+DATA maskTab<>+48(SB)/8, $-1
+DATA maskTab<>+56(SB)/8, $-1
+DATA maskTab<>+64(SB)/8, $-1
+DATA maskTab<>+72(SB)/8, $-1
+DATA maskTab<>+80(SB)/8, $-1
+DATA maskTab<>+88(SB)/8, $-1
+DATA maskTab<>+96(SB)/8, $-1
+DATA maskTab<>+104(SB)/8, $-1
+DATA maskTab<>+112(SB)/8, $-1
+DATA maskTab<>+120(SB)/8, $-1
+DATA maskTab<>+128(SB)/8, $-1
+DATA maskTab<>+136(SB)/8, $-1
+DATA maskTab<>+144(SB)/8, $-1
+DATA maskTab<>+152(SB)/8, $-1
+DATA maskTab<>+160(SB)/8, $-1
+DATA maskTab<>+168(SB)/8, $-1
+DATA maskTab<>+176(SB)/8, $-1
+DATA maskTab<>+184(SB)/8, $-1
+GLOBL maskTab<>(SB), RODATA|NOPTR, $384
+
+// Fringe tiles. Both kernels run the unsegmented rank-kc loop (a fringe
+// tile's rows are not the six full lines PREFETCH_C_TERM requests) and then
+// update, term by term, the tile's first mr rows from the registers, by the
+// rule the full tile follows: C += round(w·acc).
+//
+// microScatterMask*: the full-width kernel, for NR/2 < nr ≤ NR or mr < 6.
+// The low half of every row is whole; the high half's nr − NR/2 lanes are
+// masked by Y13. The row update needs the coefficient, the mask, the
+// product and the loaded C, one register more than Y12–Y14, so the
+// coefficient is broadcast from the tileRef for each half.
+#define CROW_MASK_F64(lo, hi) \
+	VBROADCASTSD 16(R8), Y12;      \
+	VMULPD       lo, Y12, Y12;     \
+	VADDPD       (DI), Y12, Y12;   \
+	VMOVUPD      Y12, (DI);        \
+	VBROADCASTSD 16(R8), Y14;      \
+	VMULPD       hi, Y14, Y14;     \
+	VMASKMOVPD   32(DI), Y13, Y12; \
+	VADDPD       Y12, Y14, Y14;    \
+	VMASKMOVPD   Y14, Y13, 32(DI); \
+	ADDQ         DX, DI
+
+#define CROW_MASK_F32(lo, hi) \
+	VBROADCASTSS 16(R8), Y12;      \
+	VMULPS       lo, Y12, Y12;     \
+	VADDPS       (DI), Y12, Y12;   \
+	VMOVUPS      Y12, (DI);        \
+	VBROADCASTSS 16(R8), Y14;      \
+	VMULPS       hi, Y14, Y14;     \
+	VMASKMOVPS   32(DI), Y13, Y12; \
+	VADDPS       Y12, Y14, Y14;    \
+	VMASKMOVPS   Y14, Y13, 32(DI); \
+	ADDQ         DX, DI
+
+// The first mr rows of one term's tile (tileRef at R8, mr in R11): each row
+// but the sixth is followed by an exit once mr rows are done.
+#define CTILE_ROWS(crow, out) \
+	MOVQ (R8), DI;  \
+	MOVQ 8(R8), DX; \
+	MOVQ R11, AX;   \
+	crow(Y0, Y1);   \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y2, Y3);   \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y4, Y5);   \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y6, Y7);   \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y8, Y9);   \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y10, Y11)
+
+// func microScatterMaskF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, mr, nr int)
+// The 6×8 rank-kc product added, weighted, into the first mr rows and nr
+// columns (4 < nr ≤ 8, or nr = 8 with mr < 6) of each of the n C-term tiles
+// refs describes. kc ≥ 1 and 1 ≤ n are the wrapper's.
+TEXT ·microScatterMaskF64AVX2(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), BX
+	MOVQ refs+24(FP), R8
+	MOVQ n+32(FP), R9
+	MOVQ mr+40(FP), R11
+	ZERO_ACC
+	RANK_KC(TRIP4_F64, TRIP1_F64, mm64loop4, mm64tail, mm64loop1, mm64done)
+	MOVQ    nr+48(FP), AX
+	SHLQ    $3, AX
+	LEAQ    maskTab<>+224(SB), DX // high half: nr−4 lanes
+	SUBQ    AX, DX
+	VMOVUPD (DX), Y13
+
+mm64term:
+	CTILE_ROWS(CROW_MASK_F64, mm64next)
+
+mm64next:
+	ADDQ $24, R8
+	DECQ R9
+	JNZ  mm64term
+
+	VZEROUPPER
+	RET
+
+// func microScatterMaskF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, mr, nr int)
+// The 6×16 float32 counterpart: 8 < nr ≤ 16, or nr = 16 with mr < 6.
+TEXT ·microScatterMaskF32AVX2(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), BX
+	MOVQ refs+24(FP), R8
+	MOVQ n+32(FP), R9
+	MOVQ mr+40(FP), R11
+	ZERO_ACC
+	RANK_KC(TRIP4_F32, TRIP1_F32, mm32loop4, mm32tail, mm32loop1, mm32done)
+	MOVQ    nr+48(FP), AX
+	SHLQ    $2, AX
+	LEAQ    maskTab<>+224(SB), DX // high half: nr−8 lanes
+	SUBQ    AX, DX
+	VMOVUPS (DX), Y13
+
+mm32term:
+	CTILE_ROWS(CROW_MASK_F32, mm32next)
+
+mm32next:
+	ADDQ $24, R8
+	DECQ R9
+	JNZ  mm32term
+
+	VZEROUPPER
+	RET
+
+// microScatterHalf*: the half-width kernel for an n-fringe of nr ≤ NR/2
+// columns. Each k-step loads only the first half of the B̃ row (the panel
+// keeps its NR-wide rows) against the six broadcasts, so the tile is six
+// accumulators, Y0–Y5, row i in Y(i), and half the FMAs of the full kernel;
+// each is the same chain over p = 0…kc−1 from +0 as that column's
+// accumulator in the full kernel. The update masks all nr lanes (Y13), with
+// the coefficient in Y12 and Y6 free for the loaded C.
+#define KSTEP_HALF_F64(a, b) \
+	VMOVUPD      b(BX), Y12;      \
+	VBROADCASTSD a(SI), Y14;      \
+	VFMADD231PD  Y12, Y14, Y0;    \
+	VBROADCASTSD (a+8)(SI), Y14;  \
+	VFMADD231PD  Y12, Y14, Y1;    \
+	VBROADCASTSD (a+16)(SI), Y14; \
+	VFMADD231PD  Y12, Y14, Y2;    \
+	VBROADCASTSD (a+24)(SI), Y14; \
+	VFMADD231PD  Y12, Y14, Y3;    \
+	VBROADCASTSD (a+32)(SI), Y14; \
+	VFMADD231PD  Y12, Y14, Y4;    \
+	VBROADCASTSD (a+40)(SI), Y14; \
+	VFMADD231PD  Y12, Y14, Y5
+
+#define KSTEP_HALF_F32(a, b) \
+	VMOVUPS      b(BX), Y12;      \
+	VBROADCASTSS a(SI), Y14;      \
+	VFMADD231PS  Y12, Y14, Y0;    \
+	VBROADCASTSS (a+4)(SI), Y14;  \
+	VFMADD231PS  Y12, Y14, Y1;    \
+	VBROADCASTSS (a+8)(SI), Y14;  \
+	VFMADD231PS  Y12, Y14, Y2;    \
+	VBROADCASTSS (a+12)(SI), Y14; \
+	VFMADD231PS  Y12, Y14, Y3;    \
+	VBROADCASTSS (a+16)(SI), Y14; \
+	VFMADD231PS  Y12, Y14, Y4;    \
+	VBROADCASTSS (a+20)(SI), Y14; \
+	VFMADD231PS  Y12, Y14, Y5
+
+#define TRIP4_HALF_F64 \
+	KSTEP_HALF_F64(0, 0);     \
+	KSTEP_HALF_F64(48, 64);   \
+	KSTEP_HALF_F64(96, 128);  \
+	KSTEP_HALF_F64(144, 192); \
+	ADDQ $192, SI;            \
+	ADDQ $256, BX
+
+#define TRIP1_HALF_F64 \
+	KSTEP_HALF_F64(0, 0); \
+	ADDQ $48, SI;         \
+	ADDQ $64, BX
+
+#define TRIP4_HALF_F32 \
+	KSTEP_HALF_F32(0, 0);    \
+	KSTEP_HALF_F32(24, 64);  \
+	KSTEP_HALF_F32(48, 128); \
+	KSTEP_HALF_F32(72, 192); \
+	ADDQ $96, SI;            \
+	ADDQ $256, BX
+
+#define TRIP1_HALF_F32 \
+	KSTEP_HALF_F32(0, 0); \
+	ADDQ $24, SI;         \
+	ADDQ $64, BX
+
+#define CROW_HALF_F64(acc) \
+	VMULPD     acc, Y12, Y14;   \
+	VMASKMOVPD (DI), Y13, Y6;   \
+	VADDPD     Y6, Y14, Y14;    \
+	VMASKMOVPD Y14, Y13, (DI);  \
+	ADDQ       DX, DI
+
+#define CROW_HALF_F32(acc) \
+	VMULPS     acc, Y12, Y14;   \
+	VMASKMOVPS (DI), Y13, Y6;   \
+	VADDPS     Y6, Y14, Y14;    \
+	VMASKMOVPS Y14, Y13, (DI);  \
+	ADDQ       DX, DI
+
+// The half-width tile's rows: accumulators Y0–Y5 in order.
+#define CTILE_ROWS_HALF(crow, out) \
+	MOVQ (R8), DI;  \
+	MOVQ 8(R8), DX; \
+	MOVQ R11, AX;   \
+	crow(Y0);    \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y1);    \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y2);    \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y3);    \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y4);    \
+	DECQ AX;        \
+	JZ   out;       \
+	crow(Y5)
+
+// func microScatterHalfF64AVX2(kc int, ap, bp *float64, refs *tileRef[float64], n, mr, nr int)
+// The 6×4 half-width kernel: 1 ≤ nr ≤ 4.
+TEXT ·microScatterHalfF64AVX2(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), BX
+	MOVQ refs+24(FP), R8
+	MOVQ n+32(FP), R9
+	MOVQ mr+40(FP), R11
+	ZERO_ACC
+	RANK_KC(TRIP4_HALF_F64, TRIP1_HALF_F64, mh64loop4, mh64tail, mh64loop1, mh64done)
+	MOVQ    nr+48(FP), AX
+	SHLQ    $3, AX
+	LEAQ    maskTab<>+192(SB), DX // nr lanes
+	SUBQ    AX, DX
+	VMOVUPD (DX), Y13
+
+mh64term:
+	VBROADCASTSD 16(R8), Y12
+	CTILE_ROWS_HALF(CROW_HALF_F64, mh64next)
+
+mh64next:
+	ADDQ $24, R8
+	DECQ R9
+	JNZ  mh64term
+
+	VZEROUPPER
+	RET
+
+// func microScatterHalfF32AVX2(kc int, ap, bp *float32, refs *tileRef[float32], n, mr, nr int)
+// The 6×8 float32 half-width kernel: 1 ≤ nr ≤ 8.
+TEXT ·microScatterHalfF32AVX2(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), BX
+	MOVQ refs+24(FP), R8
+	MOVQ n+32(FP), R9
+	MOVQ mr+40(FP), R11
+	ZERO_ACC
+	RANK_KC(TRIP4_HALF_F32, TRIP1_HALF_F32, mh32loop4, mh32tail, mh32loop1, mh32done)
+	MOVQ    nr+48(FP), AX
+	SHLQ    $2, AX
+	LEAQ    maskTab<>+192(SB), DX // nr lanes
+	SUBQ    AX, DX
+	VMOVUPS (DX), Y13
+
+mh32term:
+	VBROADCASTSS 16(R8), Y12
+	CTILE_ROWS_HALF(CROW_HALF_F32, mh32next)
+
+mh32next:
+	ADDQ $24, R8
+	DECQ R9
+	JNZ  mh32term
+
+	VZEROUPPER
+	RET
+
+// Fringe B̃ panels: a panel of cols < NR source columns. Each row is read
+// through the lane masks Y10/Y11 (its first cols lanes) and stored as a whole
+// NR-wide panel row, so the columns past cols come out +0 — in the modes that
+// multiply, the product is masked again, so that no coefficient (an infinite
+// one times +0) can turn them into anything else.
+
+// func packBFringeF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+// One term of a B̃ panel of rows (kc) rows and 1 ≤ cols < 8 columns.
+TEXT ·packBFringeF64AVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         stride+16(FP), DX
+	VBROADCASTSD coef+24(FP), Y12
+	MOVQ         rows+32(FP), CX
+	MOVQ         cols+40(FP), AX
+	SHLQ         $3, AX
+	LEAQ         maskTab<>+192(SB), BX
+	SUBQ         AX, BX
+	VMOVUPD      (BX), Y10
+	VMOVUPD      32(BX), Y11
+	MOVQ         mode+48(FP), AX
+	CMPQ         AX, $1
+	JEQ          pbf64set
+	JA           pbf64add
+
+pbf64copy:
+	VMASKMOVPD (SI), Y10, Y0
+	VMASKMOVPD 32(SI), Y11, Y1
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	ADDQ       DX, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pbf64copy
+	VZEROUPPER
+	RET
+
+pbf64set:
+	VXORPD Y13, Y13, Y13
+
+pbf64setrow:
+	VMASKMOVPD (SI), Y10, Y0
+	VMASKMOVPD 32(SI), Y11, Y1
+	VMULPD     Y0, Y12, Y0
+	VMULPD     Y1, Y12, Y1
+	VANDPD     Y10, Y0, Y0
+	VANDPD     Y11, Y1, Y1
+	VADDPD     Y13, Y0, Y0
+	VADDPD     Y13, Y1, Y1
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	ADDQ       DX, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pbf64setrow
+	VZEROUPPER
+	RET
+
+pbf64add:
+	VMASKMOVPD (SI), Y10, Y0
+	VMASKMOVPD 32(SI), Y11, Y1
+	VMULPD     Y0, Y12, Y0
+	VMULPD     Y1, Y12, Y1
+	VANDPD     Y10, Y0, Y0
+	VANDPD     Y11, Y1, Y1
+	VADDPD     (DI), Y0, Y0
+	VADDPD     32(DI), Y1, Y1
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	ADDQ       DX, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pbf64add
+	VZEROUPPER
+	RET
+
+// func packBFringeF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
+// One term of a float32 B̃ panel of rows (kc) rows and 1 ≤ cols < 16 columns.
+TEXT ·packBFringeF32AVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         stride+16(FP), DX
+	VBROADCASTSS coef+24(FP), Y12
+	MOVQ         rows+32(FP), CX
+	MOVQ         cols+40(FP), AX
+	SHLQ         $2, AX
+	LEAQ         maskTab<>+192(SB), BX
+	SUBQ         AX, BX
+	VMOVUPS      (BX), Y10
+	VMOVUPS      32(BX), Y11
+	MOVQ         mode+48(FP), AX
+	CMPQ         AX, $1
+	JEQ          pbf32set
+	JA           pbf32add
+
+pbf32copy:
+	VMASKMOVPS (SI), Y10, Y0
+	VMASKMOVPS 32(SI), Y11, Y1
+	VMOVUPS    Y0, (DI)
+	VMOVUPS    Y1, 32(DI)
+	ADDQ       DX, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pbf32copy
+	VZEROUPPER
+	RET
+
+pbf32set:
+	VXORPS Y13, Y13, Y13
+
+pbf32setrow:
+	VMASKMOVPS (SI), Y10, Y0
+	VMASKMOVPS 32(SI), Y11, Y1
+	VMULPS     Y0, Y12, Y0
+	VMULPS     Y1, Y12, Y1
+	VANDPS     Y10, Y0, Y0
+	VANDPS     Y11, Y1, Y1
+	VADDPS     Y13, Y0, Y0
+	VADDPS     Y13, Y1, Y1
+	VMOVUPS    Y0, (DI)
+	VMOVUPS    Y1, 32(DI)
+	ADDQ       DX, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pbf32setrow
+	VZEROUPPER
+	RET
+
+pbf32add:
+	VMASKMOVPS (SI), Y10, Y0
+	VMASKMOVPS 32(SI), Y11, Y1
+	VMULPS     Y0, Y12, Y0
+	VMULPS     Y1, Y12, Y1
+	VANDPS     Y10, Y0, Y0
+	VANDPS     Y11, Y1, Y1
+	VADDPS     (DI), Y0, Y0
+	VADDPS     32(DI), Y1, Y1
+	VMOVUPS    Y0, (DI)
+	VMOVUPS    Y1, 32(DI)
+	ADDQ       DX, SI
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pbf32add
+	VZEROUPPER
+	RET
+
+// Fringe Ã panels: a panel of 1 ≤ rows ≤ 6 source rows — the partial panel
+// at the bottom of a block — or a k-tail, or both. Rows: row i is read
+// through its own pointer, SI and R9–R13, clamped to the last real row
+// (ROWPTR), and what it yields is ANDed with its row mask at 32·i(R8) — ones
+// for a real row, zeros past it — so the padding rows come out +0 in every
+// mode (after the product, as on B̃). Columns: ⌊cols/kStep⌋ whole transpose
+// steps, then one over the t = cols mod kStep tail columns, whose loads take
+// their first t lanes (mask Y14) and whose six output vectors — the panel's
+// last 6·t elements and what would lie past them — are loaded and stored
+// through the lane masks at 32·j(BX). Setup, for both dtypes: AX holds t,
+// CX the whole steps.
+
+// Row i's pointer: SI + min(i, AX)·DX, AX the last real row. Clobbers BX.
+#define ROWPTR(i, r) \
+	MOVQ    $i, BX;    \
+	CMPQ    BX, AX;    \
+	CMOVQGT AX, BX;    \
+	IMULQ   DX, BX;    \
+	LEAQ    (SI)(BX*1), r
+
+// The row pointers and the row masks for rows (in AX) real rows.
+#define AFRINGE_ROWS \
+	DECQ AX;                     \
+	ROWPTR(1, R9);               \
+	ROWPTR(2, R10);              \
+	ROWPTR(3, R11);              \
+	ROWPTR(4, R12);              \
+	ROWPTR(5, R13);              \
+	SHLQ $5, AX;                 \
+	LEAQ maskTab<>+160(SB), R8;  \
+	SUBQ AX, R8
+
+// Bitwise, so for either dtype: clear the rows past the real ones.
+#define ANDROWS_A \
+	VANDPS 0(R8), Y0, Y0;   \
+	VANDPS 32(R8), Y1, Y1;  \
+	VANDPS 64(R8), Y2, Y2;  \
+	VANDPS 96(R8), Y3, Y3;  \
+	VANDPS 128(R8), Y4, Y4; \
+	VANDPS 160(R8), Y5, Y5
+
+#define ADVANCE_A \
+	ADDQ $32, SI;  \
+	ADDQ $32, R9;  \
+	ADDQ $32, R10; \
+	ADDQ $32, R11; \
+	ADDQ $32, R12; \
+	ADDQ $32, R13; \
+	ADDQ $192, DI
+
+// The rows through the pointers: plain, multiplied by Y12, and masked to the
+// tail's lanes (Y14).
+#define ROWS_A(op) \
+	op (SI), Y0;  \
+	op (R9), Y1;  \
+	op (R10), Y2; \
+	op (R11), Y3; \
+	op (R12), Y4; \
+	op (R13), Y5
+
+#define MULROWS_A(mul) \
+	mul (SI), Y12, Y0;  \
+	mul (R9), Y12, Y1;  \
+	mul (R10), Y12, Y2; \
+	mul (R11), Y12, Y3; \
+	mul (R12), Y12, Y4; \
+	mul (R13), Y12, Y5
+
+#define MASKROWS_A(maskmov) \
+	maskmov (SI), Y14, Y0;  \
+	maskmov (R9), Y14, Y1;  \
+	maskmov (R10), Y14, Y2; \
+	maskmov (R11), Y14, Y3; \
+	maskmov (R12), Y14, Y4; \
+	maskmov (R13), Y14, Y5
+
+#define MULREG_A(mul) \
+	mul Y0, Y12, Y0; \
+	mul Y1, Y12, Y1; \
+	mul Y2, Y12, Y2; \
+	mul Y3, Y12, Y3; \
+	mul Y4, Y12, Y4; \
+	mul Y5, Y12, Y5
+
+// The tail's six output vectors y0…y5, 32 bytes each from DI, through their
+// lane masks; MADDSTORE6_A adds the panel's current values first (loaded
+// through the same masks into tmp).
+#define MSTORE_A(maskmov, off, y) \
+	VMOVUPS off(BX), Y14; \
+	maskmov y, Y14, off(DI)
+
+#define MSTORE6_A(maskmov, y0, y1, y2, y3, y4, y5) \
+	MSTORE_A(maskmov, 0, y0);   \
+	MSTORE_A(maskmov, 32, y1);  \
+	MSTORE_A(maskmov, 64, y2);  \
+	MSTORE_A(maskmov, 96, y3);  \
+	MSTORE_A(maskmov, 128, y4); \
+	MSTORE_A(maskmov, 160, y5)
+
+#define MADDSTORE_A(maskmov, add, tmp, off, y) \
+	VMOVUPS off(BX), Y14;      \
+	maskmov off(DI), Y14, tmp; \
+	add     tmp, y, y;         \
+	maskmov y, Y14, off(DI)
+
+#define MADDSTORE6_A(maskmov, add, tmp, y0, y1, y2, y3, y4, y5) \
+	MADDSTORE_A(maskmov, add, tmp, 0, y0);   \
+	MADDSTORE_A(maskmov, add, tmp, 32, y1);  \
+	MADDSTORE_A(maskmov, add, tmp, 64, y2);  \
+	MADDSTORE_A(maskmov, add, tmp, 96, y3);  \
+	MADDSTORE_A(maskmov, add, tmp, 128, y4); \
+	MADDSTORE_A(maskmov, add, tmp, 160, y5)
+
+#define STORER_A_F64 \
+	VMOVUPD Y0, 0(DI);   \
+	VMOVUPD Y4, 32(DI);  \
+	VMOVUPD Y5, 64(DI);  \
+	VMOVUPD Y2, 96(DI);  \
+	VMOVUPD Y6, 128(DI); \
+	VMOVUPD Y7, 160(DI); \
+	ADVANCE_A
+
+// func packAFringeF64AVX2(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+// One term of an Ã row-panel of rows source rows (1…6) and cols k-columns.
+TEXT ·packAFringeF64AVX2(SB), NOSPLIT, $0-56
+	MOVQ         src+8(FP), SI
+	MOVQ         stride+16(FP), DX
+	VBROADCASTSD coef+24(FP), Y12
+	MOVQ         rows+32(FP), AX
+	AFRINGE_ROWS
+	MOVQ         cols+40(FP), CX
+	MOVQ         CX, AX
+	ANDQ         $3, AX // t
+	SHRQ         $2, CX
+	MOVQ         AX, BX
+	SHLQ         $3, BX
+	LEAQ         maskTab<>+192(SB), DI
+	SUBQ         BX, DI
+	VMOVUPD      (DI), Y14 // t lanes
+	IMUL3Q       $48, AX, DI
+	LEAQ         maskTab<>+192(SB), BX
+	SUBQ         DI, BX // 6·t lanes from output vector 0 on
+	MOVQ         dst+0(FP), DI
+	CMPQ         mode+48(FP), $1
+	JEQ          paf64set
+	JA           paf64add
+
+	TESTQ CX, CX
+	JZ    paf64copytail
+
+paf64copystep:
+	ROWS_A(VMOVUPD)
+	ANDROWS_A
+	TRANSPOSE_A_F64
+	STORER_A_F64
+	DECQ CX
+	JNZ  paf64copystep
+
+paf64copytail:
+	TESTQ AX, AX
+	JZ    paf64done
+	MASKROWS_A(VMASKMOVPD)
+	ANDROWS_A
+	TRANSPOSE_A_F64
+	MSTORE6_A(VMASKMOVPD, Y0, Y4, Y5, Y2, Y6, Y7)
+
+paf64done:
+	VZEROUPPER
+	RET
+
+paf64set:
+	VXORPD Y13, Y13, Y13
+	TESTQ  CX, CX
+	JZ     paf64settail
+
+paf64setstep:
+	MULROWS_A(VMULPD)
+	ANDROWS_A
+	TRANSPOSE_A_F64
+	ADD_A_F64(Y13, Y13, Y13, Y13, Y13, Y13)
+	STORER_A_F64
+	DECQ CX
+	JNZ  paf64setstep
+
+paf64settail:
+	TESTQ AX, AX
+	JZ    paf64done
+	MASKROWS_A(VMASKMOVPD)
+	MULREG_A(VMULPD)
+	ANDROWS_A
+	TRANSPOSE_A_F64
+	ADD_A_F64(Y13, Y13, Y13, Y13, Y13, Y13)
+	MSTORE6_A(VMASKMOVPD, Y0, Y4, Y5, Y2, Y6, Y7)
+	JMP paf64done
+
+paf64add:
+	TESTQ CX, CX
+	JZ    paf64addtail
+
+paf64addstep:
+	MULROWS_A(VMULPD)
+	ANDROWS_A
+	TRANSPOSE_A_F64
+	ADD_A_F64(0(DI), 32(DI), 64(DI), 96(DI), 128(DI), 160(DI))
+	STORER_A_F64
+	DECQ CX
+	JNZ  paf64addstep
+
+paf64addtail:
+	TESTQ AX, AX
+	JZ    paf64done
+	MASKROWS_A(VMASKMOVPD)
+	MULREG_A(VMULPD)
+	ANDROWS_A
+	TRANSPOSE_A_F64
+	MADDSTORE6_A(VMASKMOVPD, VADDPD, Y8, Y0, Y4, Y5, Y2, Y6, Y7)
+	JMP paf64done
+
+#define STORER_A_F32 \
+	STOREPAIR_A_F32(0, X0, Y0);  \
+	STOREPAIR_A_F32(16, X4, Y4); \
+	STOREPAIR_A_F32(32, X5, Y5); \
+	STOREPAIR_A_F32(48, X2, Y2); \
+	STOREPAIR_A_F32(64, X6, Y6); \
+	STOREPAIR_A_F32(80, X7, Y7); \
+	ADVANCE_A
+
+// The float32 tail step's outputs in panel order, one 32-byte vector each:
+// Y8 = (Y0 Y4 low lanes), Y9 = (Y5 Y2), Y10 = (Y6 Y7), then the high lanes
+// in Y11, Y1, Y3 (see TRANSPOSE_A_F32 for where each lane belongs).
+#define LINEAR_A_F32 \
+	VPERM2F128 $0x20, Y4, Y0, Y8;  \
+	VPERM2F128 $0x20, Y2, Y5, Y9;  \
+	VPERM2F128 $0x20, Y7, Y6, Y10; \
+	VPERM2F128 $0x31, Y4, Y0, Y11; \
+	VPERM2F128 $0x31, Y2, Y5, Y1;  \
+	VPERM2F128 $0x31, Y7, Y6, Y3
+
+#define ADDZ_A_F32(y0, y1, y2, y3, y4, y5) \
+	VADDPS Y13, y0, y0; \
+	VADDPS Y13, y1, y1; \
+	VADDPS Y13, y2, y2; \
+	VADDPS Y13, y3, y3; \
+	VADDPS Y13, y4, y4; \
+	VADDPS Y13, y5, y5
+
+// func packAFringeF32AVX2(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
+// One term of a float32 Ã row-panel of rows source rows (1…6) and cols
+// k-columns.
+TEXT ·packAFringeF32AVX2(SB), NOSPLIT, $0-56
+	MOVQ         src+8(FP), SI
+	MOVQ         stride+16(FP), DX
+	VBROADCASTSS coef+24(FP), Y12
+	MOVQ         rows+32(FP), AX
+	AFRINGE_ROWS
+	MOVQ         cols+40(FP), CX
+	MOVQ         CX, AX
+	ANDQ         $7, AX // t
+	SHRQ         $3, CX
+	MOVQ         AX, BX
+	SHLQ         $2, BX
+	LEAQ         maskTab<>+192(SB), DI
+	SUBQ         BX, DI
+	VMOVUPS      (DI), Y14 // t lanes
+	IMUL3Q       $24, AX, DI
+	LEAQ         maskTab<>+192(SB), BX
+	SUBQ         DI, BX // 6·t lanes from output vector 0 on
+	MOVQ         dst+0(FP), DI
+	CMPQ         mode+48(FP), $1
+	JEQ          paf32set
+	JA           paf32add
+
+	TESTQ CX, CX
+	JZ    paf32copytail
+
+paf32copystep:
+	ROWS_A(VMOVUPS)
+	ANDROWS_A
+	TRANSPOSE_A_F32
+	STORER_A_F32
+	DECQ CX
+	JNZ  paf32copystep
+
+paf32copytail:
+	TESTQ AX, AX
+	JZ    paf32done
+	MASKROWS_A(VMASKMOVPS)
+	ANDROWS_A
+	TRANSPOSE_A_F32
+	LINEAR_A_F32
+	MSTORE6_A(VMASKMOVPS, Y8, Y9, Y10, Y11, Y1, Y3)
+
+paf32done:
+	VZEROUPPER
+	RET
+
+paf32set:
+	VXORPS Y13, Y13, Y13
+	TESTQ  CX, CX
+	JZ     paf32settail
+
+paf32setstep:
+	MULROWS_A(VMULPS)
+	ANDROWS_A
+	TRANSPOSE_A_F32
+	ADDZ_A_F32(Y0, Y4, Y5, Y2, Y6, Y7)
+	STORER_A_F32
+	DECQ CX
+	JNZ  paf32setstep
+
+paf32settail:
+	TESTQ AX, AX
+	JZ    paf32done
+	MASKROWS_A(VMASKMOVPS)
+	MULREG_A(VMULPS)
+	ANDROWS_A
+	TRANSPOSE_A_F32
+	LINEAR_A_F32
+	ADDZ_A_F32(Y8, Y9, Y10, Y11, Y1, Y3)
+	MSTORE6_A(VMASKMOVPS, Y8, Y9, Y10, Y11, Y1, Y3)
+	JMP paf32done
+
+paf32add:
+	TESTQ CX, CX
+	JZ    paf32addtail
+
+paf32addstep:
+	MULROWS_A(VMULPS)
+	ANDROWS_A
+	TRANSPOSE_A_F32
+	ADDMEM_A_F32(0, Y0)
+	ADDMEM_A_F32(16, Y4)
+	ADDMEM_A_F32(32, Y5)
+	ADDMEM_A_F32(48, Y2)
+	ADDMEM_A_F32(64, Y6)
+	ADDMEM_A_F32(80, Y7)
+	STORER_A_F32
+	DECQ CX
+	JNZ  paf32addstep
+
+paf32addtail:
+	TESTQ AX, AX
+	JZ    paf32done
+	MASKROWS_A(VMASKMOVPS)
+	MULREG_A(VMULPS)
+	ANDROWS_A
+	TRANSPOSE_A_F32
+	LINEAR_A_F32
+	MADDSTORE6_A(VMASKMOVPS, VADDPS, Y0, Y8, Y9, Y10, Y11, Y1, Y3)
+	JMP paf32done

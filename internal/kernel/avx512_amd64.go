@@ -14,11 +14,11 @@ import "fmmfam/internal/matrix"
 //
 // Only what the width changes is new assembly: Micro, the fused MicroScatter
 // and the B̃ term packer (a two-zmm row copy). MR is six in both backends, so
-// the Ã layout is the same and PackA is avx2's transpose packer unchanged.
-// Scatter is scatterGeneric — the driver updates C from registers and never
-// calls it. Fringe tiles, over-long C-term lists and fringe panels take the
-// generic paths as they do on avx2, by the same arithmetic, so every bit rule
-// of avx2_amd64.s holds here too.
+// the Ã layout is the same and PackA is avx2's packer unchanged, its masked
+// fringe panels and k-tails included. Scatter is scatterGeneric — the GEMM
+// driver updates C from registers and never calls it. Fringe tiles,
+// over-long C-term lists and fringe B̃ panels take the generic paths, by the
+// same arithmetic, so every bit rule of avx2_amd64.s holds here too.
 //
 // Registration is gated at init on the AVX-512 probe (cpufeat_amd64.go): a
 // host without AVX-512F, or whose OS does not enable ZMM state, records the
@@ -57,10 +57,10 @@ func microScatterF64AVX512(kc int, ap, bp *float64, refs *tileRef[float64], n, s
 func microScatterF32AVX512(kc int, ap, bp *float32, refs *tileRef[float32], n, seg int)
 
 //go:noescape
-func packBTermF64AVX512(dst, src *float64, stride uintptr, coef float64, kc, mode int)
+func packBTermF64AVX512(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
 
 //go:noescape
-func packBTermF32AVX512(dst, src *float32, stride uintptr, coef float32, kc, mode int)
+func packBTermF32AVX512(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
 
 // avx512F64 is the float64 half of the avx512 backend: 6×16 doubles per
 // micro-tile, 12 zmm accumulators.
@@ -72,7 +72,7 @@ func (avx512F64) NR() int      { return nrAVX512F64 }
 func (avx512F64) Align() int   { return alignAVX512Bytes / 8 }
 
 func (avx512F64) PackA(dst []float64, terms []Term[float64], r0, c0, mc, kc int) int {
-	return packAAVX2(packATermF64AVX2, kStepAVX2F64, dst, terms, r0, c0, mc, kc)
+	return packAAVX2(packATermF64AVX2, packAFringeF64AVX2, kStepAVX2F64, dst, terms, r0, c0, mc, kc)
 }
 
 func (b avx512F64) PackB(dst []float64, terms []Term[float64], r0, c0, kc, nc int) int {
@@ -82,7 +82,7 @@ func (b avx512F64) PackB(dst []float64, terms []Term[float64], r0, c0, kc, nc in
 }
 
 func (avx512F64) PackBRange(dst []float64, terms []Term[float64], r0, c0, kc, nc, panelLo, panelHi int) {
-	packBRangeAVX2(packBTermF64AVX512, nrAVX512F64, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
+	packBRangeAVX2(packBTermF64AVX512, nil, nrAVX512F64, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
 }
 
 // Micro dispatches the 6×16 rank-kc FMA kernel; see avx2F64.Micro for the
@@ -136,7 +136,7 @@ func (avx512F32) NR() int      { return nrAVX512F32 }
 func (avx512F32) Align() int   { return alignAVX512Bytes / 4 }
 
 func (avx512F32) PackA(dst []float32, terms []Term[float32], r0, c0, mc, kc int) int {
-	return packAAVX2(packATermF32AVX2, kStepAVX2F32, dst, terms, r0, c0, mc, kc)
+	return packAAVX2(packATermF32AVX2, packAFringeF32AVX2, kStepAVX2F32, dst, terms, r0, c0, mc, kc)
 }
 
 func (b avx512F32) PackB(dst []float32, terms []Term[float32], r0, c0, kc, nc int) int {
@@ -146,7 +146,7 @@ func (b avx512F32) PackB(dst []float32, terms []Term[float32], r0, c0, kc, nc in
 }
 
 func (avx512F32) PackBRange(dst []float32, terms []Term[float32], r0, c0, kc, nc, panelLo, panelHi int) {
-	packBRangeAVX2(packBTermF32AVX512, nrAVX512F32, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
+	packBRangeAVX2(packBTermF32AVX512, nil, nrAVX512F32, dst, terms, r0, c0, kc, nc, panelLo, panelHi)
 }
 
 // Micro dispatches the 6×32 rank-kc FMA kernel.

@@ -277,17 +277,17 @@ ms32term:
 
 // The B̃ term packers, in the modes of avx2_amd64.s (packCopy dst = src,
 // packSet dst = +0 + coef·src, packAdd dst += coef·src): one term of one
-// column-panel, kc rows of 128 bytes — two zmm — from src, stride bytes
-// apart, into the dense panel at dst.
+// full column-panel, rows (kc) rows of 128 bytes — two zmm — from src,
+// stride bytes apart, into the dense panel at dst; cols is NR.
 
-// func packBTermF64AVX512(dst, src *float64, stride uintptr, coef float64, kc, mode int)
-TEXT ·packBTermF64AVX512(SB), NOSPLIT, $0-48
+// func packBTermF64AVX512(dst, src *float64, stride uintptr, coef float64, rows, cols, mode int)
+TEXT ·packBTermF64AVX512(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         stride+16(FP), DX
 	VBROADCASTSD coef+24(FP), Z12
-	MOVQ         kc+32(FP), CX
-	MOVQ         mode+40(FP), AX
+	MOVQ         rows+32(FP), CX
+	MOVQ         mode+48(FP), AX
 	CMPQ         AX, $1
 	JEQ          pb64set
 	JA           pb64add
@@ -335,15 +335,15 @@ pb64add:
 	VZEROUPPER
 	RET
 
-// func packBTermF32AVX512(dst, src *float32, stride uintptr, coef float32, kc, mode int)
+// func packBTermF32AVX512(dst, src *float32, stride uintptr, coef float32, rows, cols, mode int)
 // The float32 B̃ panel row is 32 singles — the same 128 bytes.
-TEXT ·packBTermF32AVX512(SB), NOSPLIT, $0-48
+TEXT ·packBTermF32AVX512(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         stride+16(FP), DX
 	VBROADCASTSS coef+24(FP), Z12
-	MOVQ         kc+32(FP), CX
-	MOVQ         mode+40(FP), AX
+	MOVQ         rows+32(FP), CX
+	MOVQ         mode+48(FP), AX
 	CMPQ         AX, $1
 	JEQ          pb32set
 	JA           pb32add

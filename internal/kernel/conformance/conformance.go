@@ -21,6 +21,7 @@
 package conformance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,6 +48,8 @@ func Run[E matrix.Element](t *testing.T, name string) {
 	t.Run("MicroVsReference", func(t *testing.T) { checkMicro(t, bk) })
 	t.Run("Scatter", func(t *testing.T) { checkScatter(t, bk) })
 	t.Run("MicroScatter", func(t *testing.T) { checkMicroScatter(t, bk) })
+	t.Run("MicroScatterFringes", func(t *testing.T) { checkMicroScatterFringes(t, bk) })
+	t.Run("PackFringes", func(t *testing.T) { checkPackFringes(t, bk) })
 	t.Run("EdgeShapes", func(t *testing.T) { checkEdgeShapes(t, bk) })
 	t.Run("FusedMultiTerm", func(t *testing.T) { checkFusedMultiTerm(t, bk) })
 	t.Run("DriverDeterminism", func(t *testing.T) { checkDriverDeterminism(t, bk) })
@@ -429,6 +432,201 @@ func checkMicroScatter[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// fringeKCs are the rank-kc lengths of the fringe sweeps: one k-step, one
+// short of and one past a k-unrolling or an Ã transpose step of four or
+// eight columns, and the lengths of a real block.
+var fringeKCs = []int{1, 3, 5, 7, 9, 96, 256}
+
+// bitsEqual reports whether a and b are the same bit pattern.
+func bitsEqual[E matrix.Element](a, b E) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// edgeTerm returns a rows×cols term inside a host filled with fill: a view
+// one row down and one column in, whose Data — like any view's — ends at its
+// last element, with the host's margin all around it. A wrapper that proved
+// bounds past the real extent panics on it, and an access past it lands in
+// the margin.
+func edgeTerm[E matrix.Element](rows, cols int, fill E) (host, term matrix.Mat[E]) {
+	host = matrix.New[E](rows+2, cols+3)
+	host.Fill(fill)
+	return host, host.View(1, 1, rows, cols)
+}
+
+// checkMicroScatterFringes: at every tile shape (mr, nr) ∈ [1, MR] × [1, NR],
+// with 1, 2 and MaxFusedTerms C terms, coefficients cycling through 1, −1
+// and ½, and every fringeKCs length, the fused micro-kernel leaves in C the
+// bits Micro followed by one Scatter per term leaves. Each term's tile ends
+// its term's backing slice (edgeTerm); the host around it is a finite canary,
+// not NaN, because NaN + x is NaN again and a stray store would not show.
+func checkMicroScatterFringes[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
+	rng := rand.New(rand.NewSource(109))
+	mr, nr := bk.MR(), bk.NR()
+	const canary = 77
+	const r0, c0 = 2, 3
+	coefs := []E{1, -1, 0.5}
+	acc := make([]E, mr*nr)
+	for _, kc := range fringeKCs {
+		a, b := matrix.New[E](mr, kc), matrix.New[E](kc, nr)
+		a.FillRand(rng)
+		b.FillRand(rng)
+		ap := make([]E, bk.PackABufLen(mr, kc))
+		bp := make([]E, bk.PackBBufLen(kc, nr))
+		bk.PackA(ap, kernel.SingleTerm(a), 0, 0, mr, kc)
+		bk.PackB(bp, kernel.SingleTerm(b), 0, 0, kc, nr)
+		for tm := 1; tm <= mr; tm++ {
+			for tn := 1; tn <= nr; tn++ {
+				for _, nTerms := range []int{1, 2, kernel.MaxFusedTerms} {
+					hosts := make([]matrix.Mat[E], 2*nTerms)
+					fTerms := make([]kernel.Term[E], nTerms)
+					sTerms := make([]kernel.Term[E], nTerms)
+					for i := range fTerms {
+						var fm matrix.Mat[E]
+						hosts[i], fm = edgeTerm[E](r0+tm, c0+tn, canary)
+						fm.View(r0, c0, tm, tn).FillRand(rng)
+						hosts[nTerms+i] = hosts[i].Clone()
+						coef := coefs[i%len(coefs)]
+						fTerms[i] = kernel.Term[E]{Coef: coef, M: fm}
+						sTerms[i] = kernel.Term[E]{Coef: coef, M: hosts[nTerms+i].View(1, 1, r0+tm, c0+tn)}
+					}
+					bk.MicroScatter(kc, ap, bp, acc, fTerms, r0, c0, tm, tn)
+					bk.Micro(kc, ap, bp, acc)
+					for _, st := range sTerms {
+						bk.Scatter(st.M, r0, c0, st.Coef, acc, tm, tn)
+					}
+					for i := 0; i < nTerms; i++ {
+						f, s := hosts[i], hosts[nTerms+i]
+						for j := range f.Data {
+							if !bitsEqual(f.Data[j], s.Data[j]) {
+								t.Fatalf("kc=%d tile %d×%d terms=%d: term %d host (%d,%d) fused %v, Micro+Scatter %v",
+									kc, tm, tn, nTerms, i, j/f.Stride, j%f.Stride, f.Data[j], s.Data[j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// refPackA and refPackB are the packers' definition, restated: the generic
+// routines' Ã and B̃ layouts, each element built from +0 in term order by a
+// separately rounded multiply and add, a leading coefficient-1 term copied,
+// zero-coefficient terms skipped and padding +0. Every backend's packers
+// must match them bit for bit.
+func refPackA[E matrix.Element](mr int, terms []kernel.Term[E], r0, c0, mc, kc int) []E {
+	dst := make([]E, ((mc+mr-1)/mr)*mr*kc)
+	for t, term := range terms {
+		if term.Coef == 0 {
+			continue
+		}
+		for i := 0; i < mc; i++ {
+			for p := 0; p < kc; p++ {
+				d := &dst[(i/mr)*mr*kc+p*mr+i%mr]
+				if v := term.M.At(r0+i, c0+p); t == 0 && term.Coef == 1 {
+					*d = v
+				} else {
+					*d += term.Coef * v
+				}
+			}
+		}
+	}
+	return dst
+}
+
+func refPackB[E matrix.Element](nr int, terms []kernel.Term[E], r0, c0, kc, nc int) []E {
+	dst := make([]E, ((nc+nr-1)/nr)*nr*kc)
+	for t, term := range terms {
+		if term.Coef == 0 {
+			continue
+		}
+		for p := 0; p < kc; p++ {
+			for j := 0; j < nc; j++ {
+				d := &dst[(j/nr)*kc*nr+p*nr+j%nr]
+				if v := term.M.At(r0+p, c0+j); t == 0 && term.Coef == 1 {
+					*d = v
+				} else {
+					*d += term.Coef * v
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// packFringeCoefs are the term lists of checkPackFringes, one to three terms:
+// a leading 1 (copied) and leading coefficients other than 1 (built from
+// +0), with a zero coefficient first, in the middle and last.
+var packFringeCoefs = [][]float64{{1}, {-0.5}, {1, -1}, {0, 2}, {1, 0, 0.5}, {-1, 0.25, 0}, {0.5, -2, 1}}
+
+// checkPackFringes: PackA at every partial panel height 1…MR−1 (alone and
+// under a full panel) and every kc mod kStep for a k-step of up to 16, and
+// PackB at every partial panel width 1…NR−1 (alone and beside a full panel),
+// each with the packFringeCoefs term lists, match refPackA/refPackB bit for
+// bit, padding included. Each source block ends its term's backing slice in
+// a NaN-filled host (edgeTerm), so a read past the block, or a padding row or
+// lane a mask should have cleared, shows as a NaN or wrong element; and the
+// packed buffer runs on into a NaN margin that must stay untouched.
+func checkPackFringes[E matrix.Element](t *testing.T, bk kernel.Backend[E]) {
+	rng := rand.New(rand.NewSource(110))
+	mr, nr := bk.MR(), bk.NR()
+	const r0, c0 = 1, 2 // the block's origin inside each term
+	terms := func(coefs []float64, rows, cols int) []kernel.Term[E] {
+		out := make([]kernel.Term[E], len(coefs))
+		for i, c := range coefs {
+			_, m := edgeTerm[E](r0+rows, c0+cols, nan[E]())
+			m.View(r0, c0, rows, cols).FillRand(rng)
+			out[i] = kernel.Term[E]{Coef: E(c), M: m}
+		}
+		return out
+	}
+	// poisoned returns a NaN-filled buffer of n elements whose capacity runs
+	// on into a NaN margin, which check then finds untouched.
+	const margin = 64
+	poisoned := func(n int) []E {
+		buf := make([]E, n+margin)
+		for i := range buf {
+			buf[i] = nan[E]()
+		}
+		return buf[:n]
+	}
+	check := func(what string, got, want []E) {
+		t.Helper()
+		for i := range want {
+			if !bitsEqual(got[i], want[i]) {
+				t.Fatalf("%s: element %d = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+		for i, v := range got[len(got):cap(got)] {
+			if !bitsEqual(v, nan[E]()) {
+				t.Fatalf("%s: wrote %v %d elements past the buffer", what, v, i)
+			}
+		}
+	}
+	for _, coefs := range packFringeCoefs {
+		for h := 1; h < mr; h++ {
+			for _, mc := range []int{h, mr + h} {
+				for kc := 1; kc <= 33; kc++ {
+					aTerms := terms(coefs, mc, kc)
+					got := poisoned(bk.PackABufLen(mc, kc))
+					bk.PackA(got, aTerms, r0, c0, mc, kc)
+					check(fmt.Sprintf("PackA mc=%d kc=%d coefs=%v", mc, kc, coefs), got, refPackA(mr, aTerms, r0, c0, mc, kc))
+				}
+			}
+		}
+		for w := 1; w < nr; w++ {
+			for _, nc := range []int{w, nr + w} {
+				for _, kc := range []int{1, 2, 7, 96} {
+					bTerms := terms(coefs, kc, nc)
+					got := poisoned(bk.PackBBufLen(kc, nc))
+					bk.PackB(got, bTerms, r0, c0, kc, nc)
+					check(fmt.Sprintf("PackB kc=%d nc=%d coefs=%v", kc, nc, coefs), got, refPackB(nr, bTerms, r0, c0, kc, nc))
 				}
 			}
 		}

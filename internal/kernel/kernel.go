@@ -25,8 +25,10 @@
 // bit — a packed element is built from +0 in
 // term order by a separately rounded multiply and add (a leading
 // coefficient-1 term is copied), a C element receives round(w·acc) — and
-// they remain every backend's fringe path, the purego build and the test
-// oracle. Pure Go slows every variant by the same factor, so the experiments
+// they remain go4x4's whole path, the purego build, the test oracle and
+// avx512's fringe path (its fringe tiles and B̃ panels; its Ã packer is
+// avx2's). On avx2 every tile and panel is assembly, fringes included:
+// masked and half-width fused kernels, masked packers. Pure Go slows every variant by the same factor, so the experiments
 // keep their shape. Everything is generic over the element type (float32 or float64):
 // each instantiation compiles to fully specialized code, so the float64
 // loops produce the same bits as the historical non-generic kernel (pinned
@@ -166,7 +168,8 @@ func packBRangeGeneric[E matrix.Element](nr int, dst []E, terms []Term[E], r0, c
 
 // scatterTerms adds the accumulator tile, weighted, into the mr×nr region at
 // (r0, c0) of every C-side term in list order: the reference form of the
-// fused update, and the path fringe tiles take on every backend.
+// fused update, and the path of C-term lists over MaxFusedTerms, of go4x4
+// and of avx512's fringe tiles.
 //
 //fmm:hotpath
 func scatterTerms[E matrix.Element](nrFull int, cTerms []Term[E], r0, c0 int, acc []E, mr, nr int) {

@@ -112,3 +112,98 @@ func BenchmarkMicroScatterTerms(b *testing.B) {
 		b.ReportMetric(c.samples[len(c.samples)/2], c.name+"-med-GF/s")
 	}
 }
+
+// fringeBackends are the backends the fringe benchmarks time: every
+// assembly backend the host registered for E.
+func fringeBackends[E matrix.Element]() []Backend[E] {
+	var out []Backend[E]
+	for _, name := range []string{AVX2Backend, AVX512Backend} {
+		if _, ok := ResolveNameFor(name, matrix.DtypeOf[E]()); ok {
+			out = append(out, MustResolve[E](name))
+		}
+	}
+	return out
+}
+
+// BenchmarkMicroScatterFringe times one MicroScatter call, one C term, on
+// warm panels and a warm C tile, per tile shape: the full MR×NR tile, an
+// n-fringe of NR−1 columns and one of NR/2−1, and an m-fringe of MR−1 rows,
+// for float64 and float32 at kc 32, 96 and 192 on every assembly backend
+// the host registered. ns/op is the call; a fringe tile's over the full
+// tile's at one kc is what the fringe path costs. -benchtime 1x is the
+// compile-and-run smoke.
+func BenchmarkMicroScatterFringe(b *testing.B) {
+	benchMicroScatterFringe[float64](b)
+	benchMicroScatterFringe[float32](b)
+}
+
+func benchMicroScatterFringe[E matrix.Element](b *testing.B) {
+	rng := rand.New(rand.NewSource(38))
+	for _, bk := range fringeBackends[E]() {
+		mr, nr := bk.MR(), bk.NR()
+		for _, kc := range []int{32, 96, 192} {
+			a, bm := matrix.New[E](mr, kc), matrix.New[E](kc, nr)
+			a.FillRand(rng)
+			bm.FillRand(rng)
+			ap := make([]E, bk.PackABufLen(mr, kc))
+			bp := make([]E, bk.PackBBufLen(kc, nr))
+			bk.PackA(ap, SingleTerm(a), 0, 0, mr, kc)
+			bk.PackB(bp, SingleTerm(bm), 0, 0, kc, nr)
+			acc := make([]E, mr*nr)
+			c := matrix.New[E](mr, 64)
+			terms := []Term[E]{{Coef: 1, M: c}}
+			for _, tile := range []struct {
+				name   string
+				tm, tn int
+			}{{"full", mr, nr}, {"n-wide", mr, nr - 1}, {"n-half", mr, nr/2 - 1}, {"m", mr - 1, nr}} {
+				name := fmt.Sprintf("%s/%s/kc%d/%s", bk.Name(), matrix.DtypeOf[E](), kc, tile.name)
+				b.Run(name, func(b *testing.B) {
+					for b.Loop() {
+						bk.MicroScatter(kc, ap, bp, acc, terms, 0, 0, tile.tm, tile.tn)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkPackFringe times one packing call of one term from a warm source
+// of row stride 200, per panel kind: a full Ã panel (MR rows, kc columns),
+// a fringe Ã panel (MR/2 rows), a full Ã panel with a k-tail (kc + 3
+// columns), a full B̃ panel (NR columns) and a fringe B̃ panel (NR − 3), for
+// float64 and float32 at kc 32, 96 and 192 on every assembly backend the
+// host registered. ns/op is the call.
+func BenchmarkPackFringe(b *testing.B) {
+	benchPackFringe[float64](b)
+	benchPackFringe[float32](b)
+}
+
+func benchPackFringe[E matrix.Element](b *testing.B) {
+	rng := rand.New(rand.NewSource(39))
+	src := matrix.New[E](200, 200)
+	src.FillRand(rng)
+	terms := SingleTerm(src)
+	for _, bk := range fringeBackends[E]() {
+		mr, nr := bk.MR(), bk.NR()
+		for _, kc := range []int{32, 96, 192} {
+			dst := make([]E, max(bk.PackABufLen(mr, kc+3), bk.PackBBufLen(kc, nr)))
+			for _, p := range []struct {
+				name string
+				pack func()
+			}{
+				{"a-full", func() { bk.PackA(dst, terms, 0, 0, mr, kc) }},
+				{"a-fringe", func() { bk.PackA(dst, terms, 0, 0, mr/2, kc) }},
+				{"a-ktail", func() { bk.PackA(dst, terms, 0, 0, mr, kc+3) }},
+				{"b-full", func() { bk.PackB(dst, terms, 0, 0, kc, nr) }},
+				{"b-fringe", func() { bk.PackB(dst, terms, 0, 0, kc, nr-3) }},
+			} {
+				name := fmt.Sprintf("%s/%s/kc%d/%s", bk.Name(), matrix.DtypeOf[E](), kc, p.name)
+				b.Run(name, func(b *testing.B) {
+					for b.Loop() {
+						p.pack()
+					}
+				})
+			}
+		}
+	}
+}

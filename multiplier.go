@@ -310,8 +310,8 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 }
 
 // batchRun is the multiplier's one cross-job runner: the state of one
-// MulAddBatch or sharded MulAdd in flight — the jobs, their costliest-first
-// claim order and the cursor into it, how many workers run them, one error
+// MulAddBatch or sharded MulAdd in flight — the jobs, their costs, their
+// costliest-first claim order and the cursor into it, how many workers run them, one error
 // per job, and Threads pool jobs bound once to work. A sharded call builds
 // its jobs in tiles, which the runner banks between calls. It is rented for
 // the call from a bounded free list (the multiplier's batchRuns), and its
@@ -320,6 +320,7 @@ type batchRun[E matrix.Element] struct {
 	mu      *GenericMultiplier[E]
 	jobs    []GenericBatchJob[E]
 	order   []int
+	costs   []int64 // jobCost of each job, by index
 	cursor  atomic.Int64
 	width   int // workers submitted for jobs: min(Threads, len(jobs))
 	errs    []error
@@ -342,15 +343,24 @@ func (mu *GenericMultiplier[E]) rentBatchRun() *batchRun[E] {
 	return r
 }
 
-// load sets r up to run jobs: the claim order, the cursor, the worker count
-// and one error slot per job.
+// load sets r up to run jobs: the claim order — costliest first, ties in
+// submission order, each job's cost computed once — the cursor, the worker
+// count and one error slot per job.
 func (r *batchRun[E]) load(jobs []GenericBatchJob[E]) {
 	r.jobs = jobs
 	r.order = r.order[:0]
+	r.costs = grow(r.costs, len(jobs))
 	for i := range jobs {
 		r.order = append(r.order, i)
+		r.costs[i] = jobCost(jobs[i])
 	}
-	slices.SortStableFunc(r.order, func(x, y int) int { return cmp.Compare(jobCost(jobs[y]), jobCost(jobs[x])) })
+	costs := r.costs
+	slices.SortFunc(r.order, func(x, y int) int {
+		if c := cmp.Compare(costs[y], costs[x]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
 	r.cursor.Store(0)
 	r.width = min(len(r.workers), len(jobs))
 	r.errs = grow(r.errs, len(jobs))
