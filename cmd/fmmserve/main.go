@@ -76,7 +76,7 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fmmserve", flag.ContinueOnError)
 	fs.SetOutput(out)
-	addr := fs.String("addr", fmmfam.DefaultServeAddr, "listen address")
+	addr := fs.String("addr", ":8077", "listen address")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = all CPUs)")
 	kernelName := fs.String("kernel", fmmfam.EnvKernel(), "micro-kernel backend for both engines (default $FMMFAM_KERNEL, else the fastest backend this host registered; go4x4 pins the bit-stable reference kernel)")
 	window := fs.Duration("coalesce-window", 0, "coalescing window for small requests (0 = engine default, negative disables)")
@@ -97,13 +97,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.CoalesceWindow = *window
 	cfg.CoalesceMaxJobs = *maxJobs
 	cfg.AdmissionDepth = *depth
-	cfg.ServeAddr = *addr
 
 	srv, err := serve.New(cfg, fmmfam.PaperArch())
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", srv.Addr())
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		srv.Close()
 		return err

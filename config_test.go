@@ -48,7 +48,7 @@ func TestConfigValidate(t *testing.T) {
 		{"MC=4 with an empty kernel fits iff go4x4 is the fastest here", func(c *Config) { c.MC = 4 }, !hasAVX2},
 		{"negative QueueDepth", func(c *Config) { c.QueueDepth = -2 }, false},
 		{"serve knobs set", func(c *Config) {
-			c.ServeAddr, c.CoalesceWindow, c.CoalesceMaxJobs, c.AdmissionDepth = "127.0.0.1:0", 250e3, 16, 8
+			c.CoalesceWindow, c.CoalesceMaxJobs, c.AdmissionDepth = 250e3, 16, 8
 		}, true},
 		{"coalescing disabled by negative window", func(c *Config) { c.CoalesceWindow = -1 }, true},
 		{"negative CoalesceMaxJobs", func(c *Config) { c.CoalesceMaxJobs = -1 }, false},
@@ -248,7 +248,6 @@ func TestServeParams(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ServeParams{
-			Addr:            DefaultServeAddr,
 			CoalesceWindow:  DefaultCoalesceWindow,
 			CoalesceMaxJobs: DefaultCoalesceMaxJobs,
 			AdmissionDepth:  DefaultAdmissionDepth,
@@ -263,7 +262,6 @@ func TestServeParams(t *testing.T) {
 
 	t.Run("fields", func(t *testing.T) {
 		cfg := base
-		cfg.ServeAddr = "127.0.0.1:9000"
 		cfg.CoalesceWindow = 250 * time.Microsecond
 		cfg.CoalesceMaxJobs = 8
 		cfg.AdmissionDepth = 4
@@ -271,7 +269,7 @@ func TestServeParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ServeParams{Addr: "127.0.0.1:9000", CoalesceWindow: 250 * time.Microsecond, CoalesceMaxJobs: 8, AdmissionDepth: 4}
+		want := ServeParams{CoalesceWindow: 250 * time.Microsecond, CoalesceMaxJobs: 8, AdmissionDepth: 4}
 		if p != want {
 			t.Fatalf("ServeParams() = %+v, want %+v", p, want)
 		}

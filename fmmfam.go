@@ -97,9 +97,9 @@ const (
 
 // Config configures a Multiplier or Plan: the GEMM driver's cache blocking
 // {MC,KC,NC} and worker count, plus the serving-layer knobs (shard
-// threshold, async queue, wire front-end). The zero value of every serving knob
-// selects a sensible default; the blocking fields must be set (use
-// DefaultConfig). A Config is the whole input: nothing built from one reads
+// threshold, async queue, wire coalescing and admission). The zero value of
+// every serving knob selects a sensible default; the blocking fields must be
+// set (use DefaultConfig). A Config is the whole input: nothing built from one reads
 // the process environment.
 type Config struct {
 	// MC, KC, NC are the cache blocking parameters of Figure 1.
@@ -142,10 +142,6 @@ type Config struct {
 	// when it is full (backpressure). 0 means 4×Threads.
 	QueueDepth int
 
-	// ServeAddr is the listen address of the fmmserve wire front-end
-	// (cmd/fmmserve, package serve). Empty means DefaultServeAddr. The
-	// in-library MulAdd/MulAddBatch/MulAddAsync surfaces ignore it.
-	ServeAddr string
 	// CoalesceWindow bounds how long the wire front-end holds a small
 	// request open waiting for others to share a MulAddBatch dispatch with.
 	// Coalescing is group-commit: a request that finds the engine idle runs
@@ -191,8 +187,6 @@ const (
 	// small products off the sharded path, whose grid search and tile
 	// dispatch they would not amortize.
 	DefaultShardThreshold = 1024
-	// DefaultServeAddr is the wire front-end's default listen address.
-	DefaultServeAddr = ":8077"
 	// DefaultCoalesceWindow is the default bound on a coalescing window's
 	// hold: long enough that a 64-client small-matrix workload fills windows
 	// by count, short enough that a request stuck behind a long-running
@@ -211,8 +205,6 @@ const (
 // knobs with their defaults filled. Build one with Config.ServeParams;
 // package serve and cmd/fmmserve consume it.
 type ServeParams struct {
-	// Addr is the resolved listen address.
-	Addr string
 	// CoalesceWindow is the resolved window duration; ≤ 0 means coalescing
 	// is disabled (see Coalesce).
 	CoalesceWindow time.Duration
@@ -225,7 +217,7 @@ type ServeParams struct {
 // Coalesce reports whether small-request coalescing is enabled.
 func (p ServeParams) Coalesce() bool { return p.CoalesceWindow > 0 }
 
-// ServeParams range-checks the serve knobs (ServeAddr, CoalesceWindow,
+// ServeParams range-checks the serve knobs (CoalesceWindow,
 // CoalesceMaxJobs, AdmissionDepth) and fills their defaults. The error is
 // the one Validate reports for the same fields.
 func (c Config) ServeParams() (ServeParams, error) {
@@ -236,7 +228,6 @@ func (c Config) ServeParams() (ServeParams, error) {
 		return ServeParams{}, fmt.Errorf("fmmfam: AdmissionDepth=%d, need ≥ 0 (0 = default %d)", c.AdmissionDepth, DefaultAdmissionDepth)
 	}
 	return ServeParams{
-		Addr:            cmp.Or(c.ServeAddr, DefaultServeAddr),
 		CoalesceWindow:  cmp.Or(c.CoalesceWindow, DefaultCoalesceWindow),
 		CoalesceMaxJobs: cmp.Or(c.CoalesceMaxJobs, DefaultCoalesceMaxJobs),
 		AdmissionDepth:  cmp.Or(c.AdmissionDepth, DefaultAdmissionDepth),

@@ -46,8 +46,8 @@ func TestHostileEnvironmentChangesNothing(t *testing.T) {
 		}
 		defer srv.Close()
 		direct.MulAdd(cd, a, b)
-		return fmt.Sprintf("%+v %s | %v %+v %x | %x",
-			params, srv.Addr(), sel, mu.Stats(), c.Fingerprint(), cd.Fingerprint())
+		return fmt.Sprintf("%+v | %v %+v %x | %x",
+			params, sel, mu.Stats(), c.Fingerprint(), cd.Fingerprint())
 	}
 
 	for name := range hostile {

@@ -25,12 +25,6 @@ var (
 	genMemo map[[3]int]Algorithm
 )
 
-func resetGenerateMemo() {
-	genMu.Lock()
-	genMemo = nil
-	genMu.Unlock()
-}
-
 // Generate returns the lowest-rank algorithm for shape ⟨m,k,n⟩ reachable from
 // the registered seeds, verified. Dimensions must be ≥ 1; the generator is
 // intended for the small partition dimensions used in practice (≤ ~8).

@@ -135,3 +135,28 @@ func TestCatalogShapeMissing(t *testing.T) {
 		t.Fatal("unexpected catalog entry")
 	}
 }
+
+// TestRegisterSeedConcurrentWithGenerate: RegisterSeed and Generate share the
+// seed table under one lock, so registering from one goroutine while another
+// generates (from an empty memo, which reads the table) is race-free. The
+// seeds are classical, so no generated rank changes.
+func TestRegisterSeedConcurrentWithGenerate(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 20; i++ {
+			if err := RegisterSeed(Classical(1, i, 7)); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		genMu.Lock()
+		genMemo = nil
+		genMu.Unlock()
+		if a := Generate(2, 3, 4); a.R != 22 {
+			t.Errorf("Generate(2,3,4) rank %d, want 22", a.R)
+		}
+	}
+	<-done
+}

@@ -87,7 +87,8 @@ func Winograd() Algorithm {
 }
 
 // seeds lists the verified nontrivial base algorithms available to the
-// generator, keyed by shape. RegisterSeed adds more (e.g. from discovery).
+// generator, keyed by shape. RegisterSeed adds more (e.g. from discovery);
+// genMu guards it with the generator memo.
 var seeds = map[[3]int]Algorithm{}
 
 func init() {
@@ -97,16 +98,19 @@ func init() {
 // RegisterSeed verifies a and, if it improves on the current seed for its
 // shape (strictly lower R), makes it available to the generator. It returns
 // an error if the algorithm fails verification. Registering clears the
-// generator memo so subsequent Generate calls see the new seed.
+// generator memo so subsequent Generate calls see the new seed. It is safe to
+// call concurrently with Generate.
 func RegisterSeed(a Algorithm) error {
 	if err := a.Verify(); err != nil {
 		return err
 	}
 	key := [3]int{a.M, a.K, a.N}
+	genMu.Lock()
+	defer genMu.Unlock()
 	if cur, ok := seeds[key]; ok && cur.R <= a.R {
 		return nil
 	}
 	seeds[key] = a
-	resetGenerateMemo()
+	genMemo = nil
 	return nil
 }

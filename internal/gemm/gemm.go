@@ -46,7 +46,6 @@ package gemm
 
 import (
 	"fmt"
-	"runtime"
 
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
@@ -80,24 +79,11 @@ func DefaultConfig() Config {
 	return Config{MC: 96, KC: 256, NC: 2048, Threads: 1}
 }
 
-// Parallel returns c with Threads set to the machine's logical CPU count.
-func (c Config) Parallel() Config {
-	c.Threads = runtime.GOMAXPROCS(0)
-	return c
-}
-
-// Validate checks the driver-facing configuration for the default (float64)
-// element type: the kernel backend must be registered, Threads ≥ 1, and the
-// blocking must fit the backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR).
-// ValidateFor is the dtype-explicit form; together they are the single
-// source of these rules — the top-level fmmfam.Config.Validate delegates
-// here.
-func (c Config) Validate() error {
-	return ValidateFor[float64](c)
-}
-
 // ValidateFor checks the driver-facing configuration against the backends
-// registered for element type E; see Config.Validate.
+// registered for element type E: the kernel backend must be registered,
+// Threads ≥ 1, and the blocking must fit the backend's micro-tile (MC ≥ MR,
+// KC ≥ 1, NC ≥ NR). It is the single source of these rules; the top-level
+// fmmfam.Config.Validate delegates here.
 func ValidateFor[E matrix.Element](c Config) error {
 	_, err := resolveBackend[E](c)
 	return err

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -799,12 +801,16 @@ func (t *planTable[E]) lookup(key planKey) *fmmexec.Plan[E] {
 // power-of-two bucket, and the width its plan runs at.
 type planKey struct{ bm, bk, bn, threads int }
 
+// bucket rounds x up to a power of two. Above 2^62, where the next one
+// overflows int, every x shares the one top class, math.MaxInt.
 func bucket(x int) int {
-	b := 1
-	for b < x {
-		b <<= 1
+	if x <= 1 {
+		return 1
 	}
-	return b
+	if x > 1<<62 {
+		return math.MaxInt
+	}
+	return 1 << bits.Len(uint(x-1))
 }
 
 // defaultCandidates is model.DefaultCandidates, enumerated (and its stats

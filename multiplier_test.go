@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/gemm"
@@ -430,11 +432,37 @@ func TestShardedMulAddAllocatesNothing(t *testing.T) {
 }
 
 func TestBucketPowersOfTwo(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 64: 64, 65: 128, 1000: 1024}
+	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 64: 64, 65: 128, 1000: 1024, 1 << 62: 1 << 62}
 	for x, want := range cases {
 		if got := bucket(x); got != want {
 			t.Fatalf("bucket(%d) = %d, want %d", x, got, want)
 		}
+	}
+}
+
+// TestHugeDimensionReturns: a dimension above 2^62, whose power-of-two
+// bucket would overflow int, still gets an answer from Explain and PlanFor
+// (bucket saturates at math.MaxInt) instead of spinning forever.
+func TestHugeDimensionReturns(t *testing.T) {
+	mu := NewMultiplier(Config{MC: 96, KC: 256, NC: 2048, Threads: 2, Kernel: "go4x4"}, PaperArch())
+	defer mu.Close()
+	const huge = 1<<62 + 1
+	done := make(chan error, 1)
+	go func() {
+		if _, err := mu.Explain(huge, 1, 1); err != nil {
+			done <- err
+			return
+		}
+		_, err := mu.PlanFor(huge, huge, math.MaxInt)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Explain and PlanFor of a %d dimension did not return within 10s", huge)
 	}
 }
 

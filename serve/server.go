@@ -148,10 +148,6 @@ func New(cfg fmmfam.Config, arch fmmfam.Arch) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the resolved listen address (for the owner to listen on;
-// the Server itself never opens a socket).
-func (s *Server) Addr() string { return s.params.Addr }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

@@ -33,8 +33,7 @@ type Harness struct {
 }
 
 // Start builds a serve.Server from cfg and serves it on an ephemeral
-// loopback port (cfg.ServeAddr is ignored — a test
-// harness must never collide on a fixed port). The returned harness is
+// loopback port, so test harnesses never collide on a fixed one. The returned harness is
 // ready: the listener is accepting before Start returns.
 func Start(cfg fmmfam.Config, arch fmmfam.Arch) (*Harness, error) {
 	s, err := serve.New(cfg, arch)
