@@ -196,18 +196,19 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 }
 
 // TestDefaultSquareRoute: the route a product takes — shard grid, tile floor
-// and the plan of the shape the plan is chosen for — per kernel and width, on
-// default_square (1024³ at T = 2, through every kernel an empty Config.Kernel
-// can resolve to) and the shapes that pin the floor rule. The floor is the
-// break-even, lowered to half the threshold for a 2-D grid with a tile per
-// thread that GEMM serves whole (1024³ at T = 2 on avx2 and avx512) or whose
-// largest tile is still FMM (avx2 2880×480×2880). Everything else keeps the
-// break-even route: FMM products whose half-threshold tiles would be GEMM
-// (avx2 2048³, avx512 4096³, unsharded), K-split grids (256×16384×256, 1×1×2
-// on every kernel), grids with fewer tiles than threads (avx2/avx512
-// 1024×600×600 at T = 4 and 1024³ at T = 8, unsharded), and go4x4, whose
-// break-even is already below half the threshold (2×2×1 at T = 4, 2×4×1 at
-// T = 8).
+// and the product's family member, which runs whole or on every tile — per
+// kernel and width, on default_square (1024³ at T = 2, through every kernel
+// an empty Config.Kernel can resolve to) and the shapes that pin the floor
+// rule. The floor is the break-even, lowered to half the threshold for a 2-D
+// grid with a tile per thread, whichever plan serves the product: GEMM
+// (1024³ at T = 2 on avx2 and avx512) or a fast algorithm (avx2 2880×480×2880
+// and 2048³, avx512 4096³ — whose tiles run the product's plan although
+// their own class would pick GEMM). Everything else keeps the break-even
+// route: K-split grids (256×16384×256, 1×1×2 on every kernel), grids with
+// fewer tiles than threads (avx2/avx512 1024×600×600 at T = 4 and 1024³ at
+// T = 8, unsharded), and go4x4, whose break-even is already below half the
+// threshold (2×2×1 at T = 4, 2×4×1 at T = 8). On every sharded row Explain
+// names PlanFor's plan.
 func TestDefaultSquareRoute(t *testing.T) {
 	const half = DefaultShardThreshold / 2
 	for _, tc := range []struct {
@@ -216,14 +217,14 @@ func TestDefaultSquareRoute(t *testing.T) {
 		m, k, n int
 		grid    string // "" = unsharded
 		floor   int    // 0 = the model break-even
-		plan    string // the tile's when sharded, else the product's
+		plan    string // the product's member, whole or on every tile
 	}{
 		{kernel.DefaultBackend, 2, 1024, 1024, 1024, "1×2×1", 0, "<2,2,2>+<2,2,2> ABC"},
 		{kernel.AVX2Backend, 2, 1024, 1024, 1024, "1×2×1", half, fmmexec.GEMMName},
 		{kernel.AVX512Backend, 2, 1024, 1024, 1024, "1×2×1", half, fmmexec.GEMMName},
 		{kernel.AVX2Backend, 2, 2880, 480, 2880, "1×2×1", half, "<2,2,2> ABC"},
-		{kernel.AVX2Backend, 2, 2048, 2048, 2048, "", 0, "<2,2,2> ABC"},
-		{kernel.AVX512Backend, 2, 4096, 4096, 4096, "", 0, "<2,2,2> AB"},
+		{kernel.AVX2Backend, 2, 2048, 2048, 2048, "1×2×1", half, "<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 4096, 4096, 4096, "1×2×1", half, "<2,2,2> AB"},
 		{kernel.DefaultBackend, 2, 256, 16384, 256, "1×1×2", 0, "<2,2,2> AB"},
 		{kernel.AVX2Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
 		{kernel.AVX512Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
@@ -249,12 +250,20 @@ func TestDefaultSquareRoute(t *testing.T) {
 		if got != tc.grid {
 			t.Errorf("%s shards as %q, want %q", name, got, tc.grid)
 		}
-		// Explain reports that route: the grid, the floor it was cut at, and
-		// the plan of the shape it is chosen for — a tile's on a width-1 plan,
-		// else the product's.
+		// Explain reports that route: the grid, the floor it was cut at, the
+		// largest tile at width 1 or the product at T, and the product's plan.
 		ex, err := mu.Explain(tc.m, tc.k, tc.n)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ok {
+			p, err := mu.PlanFor(tc.m, tc.k, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Plan != p.String() {
+				t.Errorf("%s: Explain names %q, PlanFor %q", name, ex.Plan, p)
+			}
 		}
 		want := Explanation{Kernel: tc.kern, Arch: mu.arch, MinTile: cmp.Or(tc.floor, mu.breakEvenTile()),
 			M: tc.m, K: tc.k, N: tc.n, Threads: tc.threads, Plan: tc.plan}

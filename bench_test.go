@@ -1,14 +1,16 @@
 package fmmfam
 
-// The four micro-benchmarks nothing else measures. "Did this commit get
+// The five micro-benchmarks nothing else measures. "Did this commit get
 // slower?" is fmmbench's question (bash fmmbench/run.sh: six verified
 // workloads, bounds from BENCHMARK.json) and "does the paper's figure
 // reproduce?" is cmd/experiments'; what stays here is the selector's measured
 // crossover against the model's break-even (BenchmarkSelectorVsGEMM), the
 // per-backend micro-kernel and packing rates (BenchmarkAblationKernel), the
-// dynamic-peeling overhead (BenchmarkAblationPeeling) and the cold-operand
-// gap of a batch larger than the cache (BenchmarkMulAddBatchCold). Every timed
-// product reports effective GFLOPS (2·m·n·k/time), the paper's metric.
+// dynamic-peeling overhead (BenchmarkAblationPeeling), the cold-operand
+// gap of a batch larger than the cache (BenchmarkMulAddBatchCold) and a
+// sharded FMM product against its in-call and GEMM alternatives
+// (BenchmarkShardedFMM). Every timed product reports effective GFLOPS
+// (2·m·n·k/time), the paper's metric.
 
 import (
 	"errors"
@@ -318,3 +320,88 @@ func warmJobs[E matrix.Element](b *testing.B, mu *GenericMultiplier[E], jobs []G
 
 // touchSink keeps warmJobs' operand reads from being optimized away.
 var touchSink float64
+
+// BenchmarkShardedFMM times the route a large FMM product is served at
+// Threads = 2 — cut into tiles that each run the product's plan at width 1 —
+// against the same family member run whole by a width-2 in-call plan and
+// against width-2 GEMM, on avx2 2048³ (fmmbench's square_large) and, unless
+// -short, avx512 4096³, each where its backend is registered. The three
+// routes are timed round-robin on the same operands, one call each per round
+// as benchMicros does, so host noise lands on all of them alike. Each reports
+// the fast quartile of its per-call GF/s (the 75th percentile of b.N
+// samples), and the served route its ratios to the other two. -benchtime 20x
+// or more is a measurement; 1x only checks that it runs.
+func BenchmarkShardedFMM(b *testing.B) {
+	for _, tc := range []struct {
+		kern string
+		n    int
+	}{{kernel.AVX2Backend, 2048}, {kernel.AVX512Backend, 4096}} {
+		if _, ok := archOf(tc.kern, matrix.Float64); !ok || tc.n > 2048 && testing.Short() {
+			continue
+		}
+		b.Run(fmt.Sprintf("%s/%d", tc.kern, tc.n), func(b *testing.B) { benchShardedFMM(b, tc.kern, tc.n) })
+	}
+}
+
+func benchShardedFMM(b *testing.B, kern string, n int) {
+	cfg := DefaultConfig()
+	cfg.Kernel, cfg.Threads = kern, 2
+	mu := NewMultiplier(cfg, PaperArch())
+	ex, err := mu.Explain(n, n, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := mu.PlanFor(n, n, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ex.GridM == 0 || len(p.Levels) == 0 {
+		b.Fatalf("%d³ on %s is served %s unsharded: not the route this benchmark times", n, kern, p)
+	}
+	ctx, err := gemm.NewContext[float64](cfg.gemmConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	incall, err := fmmexec.NewPlanOn(ctx, p.Variant, p.Levels...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("%s: %d×%d×%d tiles of %s against it in-call and gemm, all at width 2", kern, ex.GridM, ex.GridN, ex.GridK, p)
+	a, bm, c := matrix.New[float64](n, n), matrix.New[float64](n, n), matrix.New[float64](n, n)
+	a.Fill(1.0 / 3)
+	bm.Fill(-2.0 / 3)
+	routes := []struct {
+		name    string
+		run     func()
+		samples []float64
+	}{
+		{name: "served", run: func() {
+			if err := mu.MulAdd(c, a, bm); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{name: "incall", run: func() { incall.MulAdd(c, a, bm) }},
+		{name: "gemm", run: func() { ctx.MulAdd(c, a, bm) }},
+	}
+	for _, r := range routes {
+		r.run() // build plans and fill the engines' free lists untimed
+	}
+	b.ResetTimer()
+	for range b.N {
+		for i := range routes {
+			start := time.Now()
+			routes[i].run()
+			routes[i].samples = append(routes[i].samples, model.EffectiveGFLOPS(n, n, n, time.Since(start).Seconds()))
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(0, "ns/op") // a round mixes every route; its mean says nothing
+	q3 := make([]float64, len(routes))
+	for i, r := range routes {
+		slices.Sort(r.samples)
+		q3[i] = r.samples[3*len(r.samples)/4]
+		b.ReportMetric(q3[i], r.name+"-q3-GF/s")
+	}
+	b.ReportMetric(q3[0]/q3[1], "served/incall")
+	b.ReportMetric(q3[0]/q3[2], "served/gemm")
+}

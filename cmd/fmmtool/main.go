@@ -206,9 +206,10 @@ func cmdModel(args []string) {
 // one product, as the Multiplier reports them (Explain): the backend and how
 // it was chosen, the constants the selector prices with and their FMM
 // break-even, the shard threshold, the tile floor applied and why, whether
-// the product shards, and the model's ranking of the shape each plan is
-// chosen for. `fmmtool model` stays the paper's table — Ivy Bridge constants
-// on the reference kernel, by name; this is the host's.
+// the product shards, the plan it is served — its class's, run whole or on
+// every tile — and the model's ranking of the product. `fmmtool model` stays
+// the paper's table — Ivy Bridge constants on the reference kernel, by name;
+// this is the host's.
 func cmdExplain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	kern := fs.String("kernel", "", "micro-kernel backend (default: the fastest this host registered)")
@@ -271,15 +272,13 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 	case ex.MinTile == breakEven && breakEven <= thr/2:
 		fmt.Printf("tile floor\t%d, the FMM break-even, already at or below half the threshold\n", ex.MinTile)
 	case ex.MinTile == breakEven:
-		fmt.Printf("tile floor\t%d, the FMM break-even: no grid at half the threshold qualifies (2-D, a tile per thread, FMM tiles for an FMM product)\n", ex.MinTile)
-	case ex.Plan == fmmexec.GEMMName:
-		fmt.Printf("tile floor\t%d, half the threshold: gemm serves the tiles, and independent width-1 tiles outrun one in-call loop\n", ex.MinTile)
+		fmt.Printf("tile floor\t%d, the FMM break-even: no grid at half the threshold qualifies (2-D, a tile per thread)\n", ex.MinTile)
 	default:
-		fmt.Printf("tile floor\t%d, half the threshold: a fast algorithm serves the tiles\n", ex.MinTile)
+		fmt.Printf("tile floor\t%d, half the threshold: a 2-D grid with a tile per thread, whose independent width-1 tiles outrun one in-call loop\n", ex.MinTile)
 	}
 	switch {
 	case ex.GridM > 0:
-		fmt.Printf("sharding\t%d×%d×%d grid (m×n×k): %d tiles of up to %d×%d×%d, each on its own width-1 plan\n",
+		fmt.Printf("sharding\t%d×%d×%d grid (m×n×k): %d tiles of up to %d×%d×%d, each running the product's plan at width 1\n",
 			ex.GridM, ex.GridN, ex.GridK, ex.GridM*ex.GridN*ex.GridK, ex.M, ex.K, ex.N)
 	case ex.MinTile == 0:
 		fmt.Printf("sharding\tno: one width-%d plan\n", ex.Threads)
@@ -288,14 +287,14 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 	}
 	fmt.Printf("serves\t%s\n", ex.Plan)
 	// The ranking the plan came from: the model's full Rank, whose head is
-	// what the selector's Best picked, on the multiplier's Arch and the shape
-	// it chose a plan for.
-	fmt.Printf("ranking\t%d×%d×%d, one core of the model's machine\n", ex.M, ex.K, ex.N)
+	// what the selector's Best picked, on the multiplier's Arch and the
+	// product, whose plan runs whole or on every tile.
+	fmt.Printf("ranking\t%d×%d×%d, one core of the model's machine\n", m, k, n)
 	fmt.Println("rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS")
-	for i, r := range model.Rank(arch, model.DefaultCandidates(), ex.M, ex.K, ex.N)[:3] {
-		b := model.Predict(arch, r.Candidate.Stats(), r.Candidate.Variant, ex.M, ex.K, ex.N)
+	for i, r := range model.Rank(arch, model.DefaultCandidates(), m, k, n)[:3] {
+		b := model.Predict(arch, r.Candidate.Stats(), r.Candidate.Variant, m, k, n)
 		fmt.Printf("%d\t%s\t%.4g\t%.4g\t%.4g\t%.2f\n", i+1, r.Candidate.Name(), b.Ta, b.Tm, b.Total(),
-			model.EffectiveGFLOPS(ex.M, ex.K, ex.N, b.Total()))
+			model.EffectiveGFLOPS(m, k, n, b.Total()))
 	}
 }
 

@@ -64,13 +64,15 @@ func TestCLIModel(t *testing.T) {
 }
 
 // TestCLIExplain: one product explained on each backend. The reference kernel,
-// by name, shards default_square's 1024³ into two tiles and serves each a
-// two-level plan at its own break-even, which is below half the threshold;
-// the fastest assembly backend the host registered (avx512, else avx2) is
-// what an empty -kernel resolves to, and abstains: GEMM serves the product,
-// so it splits into two width-1 GEMM tiles at half the threshold. At four
-// threads 1024×600×600 has no grid at half the threshold with a tile per
-// thread, so the floor stays the break-even and the product is not sharded.
+// by name, shards default_square's 1024³ into two tiles at its break-even,
+// which is below half the threshold, and runs the product's two-level plan
+// on each; the fastest assembly backend the host registered (avx512, else
+// avx2) is what an empty -kernel resolves to, and abstains: GEMM serves the
+// product, so it splits into two width-1 GEMM tiles at half the threshold.
+// avx2's 2048³ splits the same way, and its tiles run the product's
+// <2,2,2> ABC. At four threads 1024×600×600 has no grid at half the
+// threshold with a tile per thread, so the floor stays the break-even and
+// the product is not sharded.
 func TestCLIExplain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the toolchain")
@@ -81,8 +83,9 @@ func TestCLIExplain(t *testing.T) {
 		"priced for go4x4/float64: tau_a=", "FMM break-even 148³",
 		"threshold\t1024: ",
 		"tile floor\t148, the FMM break-even, already at or below half the threshold",
-		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512",
+		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512, each running the product's plan at width 1",
 		"serves\t<2,2,2>+<2,2,2> ABC",
+		"ranking\t1024×1024×1024,",
 		"rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS",
 		"\n1\t<2,2,2>+<2,2,2> ABC\t", "\n3\t",
 	} {
@@ -116,12 +119,23 @@ func TestCLIExplain(t *testing.T) {
 	for _, want := range []string{
 		"kernel\t" + kern + " (fastest registered: " + order + ")",
 		"priced for " + kern + "/float32", "FMM break-even " + breakEven + "³",
-		"tile floor\t512, half the threshold: gemm serves the tiles",
+		"tile floor\t512, half the threshold: a 2-D grid with a tile per thread",
 		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512",
 		"serves\tgemm\n", "\n1\tgemm\t",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain on %s: output lacks %q:\n%s", kern, want, out)
+		}
+	}
+
+	out, err = run(t, "explain", "-threads", "2", "-kernel", "avx2", "2048", "2048", "2048")
+	for _, want := range []string{
+		"tile floor\t512, half the threshold",
+		"sharding\t1×2×1 grid", "tiles of up to 2048×2048×1024",
+		"serves\t<2,2,2> ABC\n", "\n1\t<2,2,2> ABC\t",
+	} {
+		if err != nil || !strings.Contains(out, want) {
+			t.Fatalf("explain 2048³ on avx2: %v, output lacks %q:\n%s", err, want, out)
 		}
 	}
 

@@ -262,14 +262,14 @@ func ExampleMultiplier_MulAddAsync() {
 	fmt.Println("8 async products agree with GEMM to 1e-9:", agree)
 
 	// At Config.ShardThreshold (1024) with Threads ≥ 2, MulAdd cuts the
-	// product into tiles and runs them across the pool.
+	// product into tiles and runs the product's plan on each across the pool.
 	ex, err := mu.Explain(1024, 1024, 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("1024³: grid %d×%d×%d, tiles of %d×%d×%d served by %s\n",
+	fmt.Printf("1024³: grid %d×%d×%d, tiles of %d×%d×%d each running %s\n",
 		ex.GridM, ex.GridN, ex.GridK, ex.M, ex.K, ex.N, ex.Plan)
 	// Output:
 	// 8 async products agree with GEMM to 1e-9: true
-	// 1024³: grid 1×2×1, tiles of 1024×1024×512 served by <2,2,2>+<2,2,2> ABC
+	// 1024³: grid 1×2×1, tiles of 1024×1024×512 each running <2,2,2>+<2,2,2> ABC
 }

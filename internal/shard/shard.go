@@ -29,13 +29,12 @@
 // seconds) — subject to every cut dimension staying at or above a
 // caller-given floor. The multiplier's floor is the performance model's
 // fast-algorithm break-even, lowered to half its shard threshold when the
-// grid cut there is 2-D with a tile per worker and either plain GEMM serves
-// the product (independent width-1 GEMM tiles outrun one product's in-call
-// loop parallelism) or a fast algorithm still serves the largest tile, so
-// sharding never demotes an FMM product to GEMM tiles. Ties go to the grid
-// with the largest minimum output-tile side, then the fewest tiles, then the
-// fewest K slabs: bigger tiles keep per-tile plan selection in the
-// multi-level regime and amortize packing, worker-aligned tile counts avoid
+// grid cut there is 2-D with a tile per worker (independent width-1 tiles
+// outrun one product's in-call loop parallelism); every tile runs the plan
+// the multiplier chose for the whole product. Ties go to the grid with the
+// largest minimum output-tile side, then the fewest tiles, then the fewest K
+// slabs: bigger tiles keep the product's plan near the shapes it was chosen
+// for and amortize packing, worker-aligned tile counts avoid
 // the straggler round a 9-tiles-on-4-workers schedule pays, and K stays
 // whole unless splitting it actually wins.
 package shard

@@ -73,8 +73,9 @@ import (
 // slab, each async job and coalesced wire request.
 //
 // One plan table, per width: a direct unsharded MulAdd runs its class's
-// width-Threads plan (intra-GEMM fan-out); shard tiles, K-split slabs, batch
-// and async jobs run the width-1 plan, their parallelism being across jobs.
+// width-Threads plan (intra-GEMM fan-out); a sharded MulAdd runs its own
+// class's width-1 plan on every tile and K-split slab, and batch and async
+// jobs run their class's width-1 plan, their parallelism being across jobs.
 // A plan belongs to the family, not to a shape: each width has one slot per
 // family member, built once on first use, and a class is only an index into
 // it — a pure function of (kernel, dtype, width, class), never of which
@@ -82,18 +83,19 @@ import (
 // is evicted (planTable). A plan's bits do not depend on its width,
 // so the determinism contracts depend on which plan runs and on the fixed
 // fold orders, never on who runs a job: batch and tile results do not depend
-// on Threads, and a 2-D sharded result equals the sequential execution of
-// its tiles on a Threads=1 multiplier bit for bit.
+// on Threads, and a 2-D sharded result equals its product's plan run on the
+// tiles one after another — a Threads=1 multiplier's PlanFor of the product
+// — bit for bit.
 //
 // Serving behavior: problems at or above Config.ShardThreshold (with
 // Threads ≥ 2) are split into independent block products — cutting the M×N
 // output and, for K-dominant shapes, the inner dimension too; MulAddAsync
 // submits work to a bounded queue and returns a Future.
 // The tile floor is the break-even, lowered to half the threshold for a 2-D
-// grid with a tile per thread when GEMM serves the product (independent
-// width-1 GEMM tiles outrun one product's in-call loop) or a fast algorithm
-// still serves its largest tile — sharding never demotes an FMM product to
-// GEMM tiles (shardSpec).
+// grid with a tile per thread (independent width-1 tiles outrun one
+// product's in-call loop). The product's plan is chosen once, at its own
+// shape class, and every tile runs it: sharding decides how a plan is
+// parallelised, never which plan runs (shardSpec, mulAddSharded).
 type GenericMultiplier[E matrix.Element] struct {
 	cfg  Config
 	arch Arch
@@ -242,12 +244,12 @@ func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 }
 
 // mulAdd is c += a·b at one plan width. MulAdd asks for Config.Threads: the
-// problem may shard, and otherwise runs its class's full-width plan. Pool
-// jobs (batch, shard tile, K-split slab, async) ask for 1: no re-sharding,
-// and the plan a Threads=1 multiplier would run. next names the product the
-// caller runs after this one (a batch worker's claimed-ahead job), handed to
-// the plan as its successor hint (fmmexec.Plan.MulAddNext); the zero
-// Operands names none.
+// problem may shard, its class's plan running at width 1 on every tile, and
+// otherwise runs its class's full-width plan. Batch and async jobs ask for
+// 1: no sharding, and the plan a Threads=1 multiplier would run. next names
+// the product the caller runs after this one (a batch worker's
+// claimed-ahead job), handed to the plan as its successor hint
+// (fmmexec.Plan.MulAddNext); the zero Operands names none.
 func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int, next gemm.Operands[E]) error {
 	if err := checkMulDims(c, a, b); err != nil {
 		return err
@@ -255,17 +257,32 @@ func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int, next 
 	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
 		return nil
 	}
-	if threads > 1 {
-		if route, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
-			return mu.mulAddSharded(route.Spec, c, a, b)
-		}
-	}
-	p, err := mu.planAt(a.Rows, a.Cols, b.Cols, threads)
+	route, sharded, p, err := mu.serve(a.Rows, a.Cols, b.Cols, threads)
 	if err != nil {
 		return err
 	}
-	p.MulAddNext(c, a, b, next)
+	if sharded {
+		mu.mulAddSharded(route.Spec, p, c, a, b)
+	} else {
+		p.MulAddNext(c, a, b, next)
+	}
 	return nil
+}
+
+// serve resolves what mulAdd at the given width does with an m×k×n product:
+// its shard route (the floor is set even when the product is served whole)
+// and the plan that runs — the product's shape class's family member, at
+// that width when served whole, at width 1 on every tile and K-slab when
+// sharded. Sharding decides only how the plan is parallelised, never which
+// plan runs.
+func (mu *GenericMultiplier[E]) serve(m, k, n, threads int) (route shardRoute, sharded bool, p *fmmexec.Plan[E], err error) {
+	if threads > 1 {
+		if route, sharded = mu.shardSpec(m, k, n); sharded {
+			threads = 1
+		}
+	}
+	p, err = mu.planAt(m, k, n, threads)
+	return route, sharded, p, err
 }
 
 // GenericBatchJob is one independent multiplication C += A·B of a batch.
@@ -291,9 +308,11 @@ type BatchJob32 = GenericBatchJob[float32]
 // job per worker. The price is a tail imbalance of at most one job per worker
 // — the smallest ones, by the claim order — held by a worker that is still
 // running while another has run out. Batch contract: every job executes its
-// shape class's width-1 plan — the parallelism is across jobs, not within one
-// — so results and plan selection are identical whether the pool has one
-// worker or many, and the prefetch never changes a bit. Jobs must be
+// own shape class's width-1 plan, unsharded — the parallelism is across jobs,
+// not within one; the tiles of a sharded MulAdd, which share this runner,
+// all run their product's plan instead — so results and plan selection are
+// identical whether the pool has one worker or many, and the prefetch never
+// changes a bit. Jobs must be
 // independent (no C aliases another job's operands). It returns the join of
 // all per-job errors; jobs after a failed one still run. The call's state is
 // rented (batchRun), so a warm batch of cached shape classes allocates
@@ -314,12 +333,15 @@ func (mu *GenericMultiplier[E]) MulAddBatch(jobs []GenericBatchJob[E]) error {
 // batchRun is the multiplier's one cross-job runner: the state of one
 // MulAddBatch or sharded MulAdd in flight — the jobs, their costs, their
 // costliest-first claim order and the cursor into it, how many workers run them, one error
-// per job, and Threads pool jobs bound once to work. A sharded call builds
-// its jobs in tiles, which the runner banks between calls. It is rented for
-// the call from a bounded free list (the multiplier's batchRuns), and its
-// slices grow to the largest call it has served.
+// per job, and Threads pool jobs bound once to work. A batch job runs its
+// own shape class's width-1 plan; a sharded call's jobs all run the one
+// plan it hands over (plan), its product's. A sharded call builds its jobs
+// in tiles, which the runner banks between calls. It is rented for the call
+// from a bounded free list (the multiplier's batchRuns), and its slices grow
+// to the largest call it has served.
 type batchRun[E matrix.Element] struct {
 	mu      *GenericMultiplier[E]
+	plan    *fmmexec.Plan[E] // every job's plan when set (sharded); else each job's class's
 	jobs    []GenericBatchJob[E]
 	order   []int
 	costs   []int64 // jobCost of each job, by index
@@ -377,9 +399,9 @@ func (r *batchRun[E]) run(jobs []GenericBatchJob[E]) error {
 }
 
 // releaseBatchRun banks r for the next call, first dropping its references
-// to the caller's jobs, tile views and errors.
+// to the caller's plan, jobs, tile views and errors.
 func (mu *GenericMultiplier[E]) releaseBatchRun(r *batchRun[E]) {
-	r.jobs = nil
+	r.plan, r.jobs = nil, nil
 	clear(r.tiles)
 	clear(r.errs)
 	select {
@@ -412,11 +434,13 @@ func (r *batchRun[E]) claimAhead() (int, bool) {
 	return r.claim()
 }
 
-// work is one batch worker: it runs jobs until none are left to claim. When
-// it claims a successor ahead of the job it holds, it hands the successor's
-// operands to that job as its hint — unless their dimensions disagree, in
-// which case the successor only reports its error; otherwise it claims its
-// next job once the one it holds is done.
+// work is one batch worker: it runs jobs until none are left to claim, each
+// on the run's plan when it has one (a sharded call's tiles, whose views
+// always agree), else through mulAdd at width 1. When it claims a successor
+// ahead of the job it holds, it hands the successor's operands to that job
+// as its hint — unless their dimensions disagree, in which case the
+// successor only reports its error; otherwise it claims its next job once
+// the one it holds is done.
 //
 //fmm:hotpath
 func (r *batchRun[E]) work() {
@@ -430,7 +454,11 @@ func (r *batchRun[E]) work() {
 			}
 		}
 		job := &r.jobs[i]
-		r.errs[i] = r.mu.mulAdd(job.C, job.A, job.B, 1, next)
+		if r.plan != nil {
+			r.plan.MulAddNext(job.C, job.A, job.B, next)
+		} else {
+			r.errs[i] = r.mu.mulAdd(job.C, job.A, job.B, 1, next)
+		}
 		if ahead {
 			i = j
 		} else {
@@ -460,22 +488,18 @@ type shardRoute struct {
 // shardSpec decides whether C(m×n) += A(m×k)·B(k×n) should be sharded and,
 // if so, how. Sharding needs a pool to feed (Threads ≥ 2), a problem at or
 // above the threshold in some dimension, and room for at least two tiles
-// above the tile floor. The floor is the model's
-// fast-algorithm break-even, lowered to half the threshold when the grid cut
-// there is 2-D, gives every thread a tile, and keeps the product's plan kind
-// where it matters: a product plain GEMM serves at width Threads takes it
-// whatever its tiles get (independent width-1 GEMM tiles outrun its in-call
-// loop), and one a fast algorithm serves only while the width-1 plan of its
-// largest tile is still a fast algorithm, so sharding never demotes it to
-// GEMM tiles. A break-even already at or below half the threshold (go4x4's)
-// is never raised. The lower floor was measured only at Threads = 2; the
+// above the tile floor. The floor is the model's fast-algorithm break-even,
+// lowered to half the threshold when the grid cut there is 2-D and gives
+// every thread a tile: independent width-1 tiles outrun one product's
+// in-call loop, whichever plan the product is served (the tiles run the
+// product's own plan, so the grid never changes which plan runs). A
+// break-even already at or below half the threshold (go4x4's) is never
+// raised. The lower floor was measured only at Threads = 2; the
 // tile-per-thread condition keeps wider pools on the break-even route until
-// it is measured there. Both plan-kind checks read the plan table, and the
-// product's plan is looked up only when the tile's is GEMM, so a warm call
-// ranks nothing. Candidate grids are scored with the performance model's
-// makespan (model.ShardMakespan on this multiplier's arch), so the K
+// it is measured there. Candidate grids are scored with the performance
+// model's makespan (model.ShardMakespan on this multiplier's arch), so the K
 // dimension is split only when the slab products' smaller operand traffic
-// pays for the reduction folds.
+// pays for the reduction folds. It reads no plan table.
 func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shardRoute, bool) {
 	if mu.cfg.Threads < 2 {
 		return shardRoute{}, false
@@ -488,10 +512,7 @@ func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shardRoute, bool) {
 	if half := max(thr/2, 1); half < breakEven {
 		route, ok := mu.splitAt(m, k, n, half)
 		if ok && route.GridK == 1 && route.NumTiles() >= mu.cfg.Threads {
-			t := route.Tile(0)
-			if mu.servesFMM(t.Rows, t.Depth, t.Cols, 1) || !mu.servesFMM(m, k, n, mu.cfg.Threads) {
-				return route, true
-			}
+			return route, true
 		}
 	}
 	return mu.splitAt(m, k, n, breakEven)
@@ -511,16 +532,6 @@ func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int) (shardRoute, bool) {
 	return shardRoute{Spec: spec, floor: floor}, ok
 }
 
-// servesFMM reports whether the plan an m×k×n product gets at the given width
-// is a fast algorithm rather than the zero-level GEMM plan, reading (and on
-// first use filling) the plan table exactly as the call would. A class whose
-// plan cannot be built counts as GEMM: the call reports that error wherever
-// it runs the class.
-func (mu *GenericMultiplier[E]) servesFMM(m, k, n, threads int) bool {
-	p, err := mu.planAt(m, k, n, threads)
-	return err == nil && len(p.Levels) > 0
-}
-
 // grow returns s lengthened to at least n elements, keeping its contents.
 func grow[T any](s []T, n int) []T {
 	if n > len(s) {
@@ -531,27 +542,24 @@ func grow[T any](s []T, n int) []T {
 
 // mulAddSharded executes a sharded MulAdd as a batch: every (tile, slab)
 // pair is one batch job computing A[ti, p0:p1]·B[p0:p1, tj] on views of the
-// operands with its width-1 plan, run by the same workers as MulAddBatch's
-// jobs. Slab 0 accumulates directly into the tile's C view; each later slab
-// accumulates into a zeroed reduction buffer rented from the engine; and once
-// every job has finished, the caller folds each tile's buffers into C in
-// ascending slab order. With K whole (GridK == 1) there is only slab 0: tiles
-// write disjoint regions of C and nothing is folded, so the result is
-// bit-identical to executing the tiles one after another, however the pool
-// interleaves them. With K split the fold order is fixed, so repeated runs
-// produce bit-identical C even though the schedule is not deterministic — the
-// serving determinism contract for K-split. The call's runner and its tile
-// jobs are rented (batchRun), so a warm call allocates nothing.
-func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Mat[E]) error {
-	var ctx *gemm.Context[E] // rents the reduction buffers; unused with K whole
-	if spec.GridK > 1 {
-		var err error
-		if ctx, err = mu.engine(1); err != nil {
-			return fmt.Errorf("%v: %w", spec, err)
-		}
-	}
+// operands with p, the product's plan at width 1 — chosen once, at the
+// product's shape class, whatever class a tile's own shape falls in — run by
+// the same workers as MulAddBatch's jobs. Slab 0 accumulates directly into
+// the tile's C view; each later slab accumulates into a zeroed reduction
+// buffer rented from p's engine; and once every job has finished, the caller
+// folds each tile's buffers into C in ascending slab order. With K whole
+// (GridK == 1) there is only slab 0: tiles write disjoint regions of C and
+// nothing is folded, so the result is bit-identical to running p on the
+// tiles one after another, however the pool interleaves them. With K split
+// the fold order is fixed, so repeated runs produce bit-identical C even
+// though the schedule is not deterministic — the serving determinism
+// contract for K-split. The call's runner and its tile jobs are rented
+// (batchRun), so a warm call allocates nothing.
+func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, p *fmmexec.Plan[E], c, a, b matrix.Mat[E]) {
+	ctx := p.Context() // rents the reduction buffers; unused with K whole
 	n, gk := spec.NumTiles(), max(spec.GridK, 1)
 	r := mu.rentBatchRun()
+	r.plan = p
 	r.tiles = grow(r.tiles, n)
 	tiles := r.tiles[:n] // GridK consecutive slabs per output tile, ascending P
 	for i := range tiles {
@@ -564,7 +572,7 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Ma
 			tiles[i].C.Zero()
 		}
 	}
-	err := r.run(tiles)
+	_ = r.run(tiles) // every job runs p, which reports no error
 	for i := range tiles {
 		if s := i % gk; s > 0 {
 			tiles[i-s].C.AddScaled(1, tiles[i].C)
@@ -572,10 +580,6 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, c, a, b matrix.Ma
 		}
 	}
 	mu.releaseBatchRun(r)
-	if err != nil {
-		return fmt.Errorf("%v: %w", spec, err)
-	}
-	return nil
 }
 
 // engine returns the one gemm.Context every plan executes on, at the given
@@ -644,8 +648,11 @@ func (mu *GenericMultiplier[E]) resolvedKernel() string {
 	return mu.cfg.Kernel
 }
 
-// PlanFor exposes the plan a direct, unsharded MulAdd would use for a problem
-// size (useful for inspection and testing). An invalid Config or a negative
+// PlanFor exposes the plan of a problem size's shape class at width Threads
+// (useful for inspection and testing): the plan MulAdd runs when it serves
+// the product whole, and the family member it runs at width 1 on every tile
+// and K-slab when the product shards — the same plan by name and by result
+// bits, a plan's width never changing a bit. An invalid Config or a negative
 // dimension is an error.
 func (mu *GenericMultiplier[E]) PlanFor(m, k, n int) (*fmmexec.Plan[E], error) {
 	if err := mu.checkDims(m, k, n); err != nil {
@@ -677,43 +684,40 @@ type Explanation struct {
 	Arch Arch
 	// MinTile is the shard tile floor the product was cut at, or would have
 	// been had two tiles fit: half the shard threshold when it is below the
-	// break-even and its grid is 2-D, has a tile per thread, and either GEMM
-	// serves the product or a fast algorithm still serves that grid's largest
-	// tile; else the model's FMM break-even on Arch. 0 when the product is not
-	// considered for sharding (Threads < 2, or no dimension reaches the
-	// threshold).
+	// break-even and its grid is 2-D and has a tile per thread; else the
+	// model's FMM break-even on Arch. 0 when the product is not considered
+	// for sharding (Threads < 2, or no dimension reaches the threshold).
 	MinTile int
 	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
 	// is served whole.
 	GridM, GridN, GridK int
-	// M, K, N and Threads are the shape and width a plan is chosen for: the
-	// product at Config.Threads, or its largest shard tile at width 1.
+	// M, K, N and Threads are the shape one job runs and the width its plan
+	// runs at: the product at Config.Threads, or its largest shard tile at
+	// width 1.
 	M, K, N, Threads int
-	// Plan names the plan serving that shape.
+	// Plan names the plan MulAdd runs, as PlanFor does: the family member
+	// the product's shape class picks, whole or on every shard tile.
 	Plan string
 }
 
 // Explain reports what MulAdd would do with an m×k×n product, without
-// multiplying: it asks the same shardSpec and planAt the call asks, so it
-// fills the plan table exactly as the call would. A negative dimension is an
-// error.
+// multiplying: it resolves the route and plan the call resolves, so it fills
+// the plan table exactly as the call would. A negative dimension is an error.
 func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 	if err := mu.checkDims(m, k, n); err != nil {
 		return Explanation{}, err
 	}
-	route, ok := mu.shardSpec(m, k, n)
+	route, sharded, p, err := mu.serve(m, k, n, mu.cfg.Threads)
+	if err != nil {
+		return Explanation{}, err
+	}
 	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: route.floor,
-		M: m, K: k, N: n, Threads: mu.cfg.Threads}
-	if ok {
+		M: m, K: k, N: n, Threads: mu.cfg.Threads, Plan: p.String()}
+	if sharded {
 		t := route.Tile(0)
 		ex.GridM, ex.GridN, ex.GridK = route.GridM, route.GridN, max(route.GridK, 1)
 		ex.M, ex.K, ex.N, ex.Threads = t.Rows, t.Depth, t.Cols, 1
 	}
-	p, err := mu.planAt(ex.M, ex.K, ex.N, ex.Threads)
-	if err != nil {
-		return Explanation{}, err
-	}
-	ex.Plan = p.String()
 	return ex, nil
 }
 

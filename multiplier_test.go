@@ -347,10 +347,7 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 			if growth > bound {
 				t.Fatalf("%d cached plans retain %d MiB, want < %d MiB", mu.CachedPlans(), growth>>20, bound>>20)
 			}
-			wantWide := len(dims)
-			if kern == kernel.AVX2Backend {
-				wantWide++ // shardSpec's look at the 1024×128×1024 product's own plan
-			}
+			wantWide := len(dims) // a sharded product's plan is its class's width-1 one
 			serial, wide := checkPlansShareEngine(t, mu)
 			if serial < 40 || wide != wantWide {
 				t.Fatalf("table holds %d width-1 and %d full-width classes, want ≥ 40 and %d", serial, wide, wantWide)
@@ -363,21 +360,24 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 
 // TestShardedMulAddAllocatesNothing: a warm sharded MulAdd allocates nothing,
 // like the warm unsharded one (gemm's TestParallelMulAddAllocatesNothing):
-// its per-call state — tile groups, errors, pool jobs bound once — is rented
-// from the multiplier, and its K-split reduction buffers from the engine. On
-// avx2 at T = 2 that covers 1024³ cut into GEMM tiles, 2880×480×2880 cut into
-// FMM tiles and 256×16384×256 cut along K; on the reference kernel, the same
-// three kinds at test sizes.
+// its per-call state — tile groups, errors, pool jobs bound once, the
+// product's plan — is rented from the multiplier or read from its plan
+// table, and its K-split reduction buffers from the engine. On avx2 at T = 2
+// that covers 1024³ cut into GEMM tiles, 2880×480×2880 and 2048³ cut into
+// tiles that run the product's FMM plan (2048³'s tiles would pick GEMM in
+// their own class) and 256×16384×256 cut along K; on the reference kernel,
+// the same three kinds at test sizes.
 func TestShardedMulAddAllocatesNothing(t *testing.T) {
 	avx2 := DefaultConfig()
 	avx2.Kernel, avx2.Threads = kernel.AVX2Backend, 2
 	for _, tc := range []struct {
 		cfg     Config
 		m, k, n int
-		kind    string // what the tiles are: "gemm", "fmm" or "k-split"
+		kind    string // what the tiles run: "gemm", "fmm" or "k-split"
 	}{
 		{avx2, 1024, 1024, 1024, "gemm"},
 		{avx2, 2880, 480, 2880, "fmm"},
+		{avx2, 2048, 2048, 2048, "fmm"},
 		{avx2, 256, 16384, 256, "k-split"},
 		{servingCfg(), 96, 64, 256, "gemm"},
 		{servingCfg(), 512, 256, 512, "fmm"},
@@ -393,10 +393,14 @@ func TestShardedMulAddAllocatesNothing(t *testing.T) {
 			if !ok {
 				t.Fatal("product does not shard")
 			}
+			p, err := mu.PlanFor(tc.m, tc.k, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			kind := "gemm"
-			if tl := route.Tile(0); route.GridK > 1 {
+			if route.GridK > 1 {
 				kind = "k-split"
-			} else if mu.servesFMM(tl.Rows, tl.Depth, tl.Cols, 1) {
+			} else if len(p.Levels) > 0 {
 				kind = "fmm"
 			}
 			if kind != tc.kind {
@@ -541,8 +545,8 @@ func classPlanIndependentOfHistory[E matrix.Element](t *testing.T) {
 // TestExplainMatchesServedPlan: Explain names the plan MulAdd serves, for
 // sizes sampled across one class whatever order they come in. One multiplier
 // runs the sizes; another, fresh, explains them in the reverse order; after
-// each call the plan of the class the call ran — the product's, or its
-// largest shard tile's at width 1 — must be the one Explain named. The
+// each call the plan of the product's class, at the width the call ran it —
+// Threads whole, 1 on shard tiles — must be the one Explain named. The
 // unsharded class is 71×278×151's on go4x4 at T = 2, which straddles the
 // break-even; the sharded one is cut into tiles at T = 4 (servingCfg).
 func TestExplainMatchesServedPlan(t *testing.T) {
@@ -582,10 +586,10 @@ func TestExplainMatchesServedPlan(t *testing.T) {
 			if ex.GridM > 0 {
 				sharded++
 			}
-			served := runner.plans.lookup(shapeClass(ex.M, ex.K, ex.N, ex.Threads))
+			served := runner.plans.lookup(shapeClass(s[0], s[1], s[2], ex.Threads))
 			if served == nil || served.String() != ex.Plan {
-				t.Errorf("T=%d %v: Explain names %q for %d×%d×%d at width %d, MulAdd ran %v",
-					tc.cfg.Threads, s, ex.Plan, ex.M, ex.K, ex.N, ex.Threads, served)
+				t.Errorf("T=%d %v: Explain names %q at width %d, MulAdd ran %v",
+					tc.cfg.Threads, s, ex.Plan, ex.Threads, served)
 			}
 		}
 		if tc.cfg.ShardThreshold > 0 && sharded == 0 {

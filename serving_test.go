@@ -6,13 +6,13 @@ package fmmfam
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/shard"
 )
@@ -35,14 +35,14 @@ func servingCfg() Config {
 // TestShardedMatchesUnsharded drives the auto-sharding MulAdd path over
 // square, tall, wide, and non-power-of-two shapes and checks, per shape:
 //
-//  1. the sharded result is bit-identical to executing the same tile
-//     decomposition sequentially on a Threads=1 multiplier — sharding is
+//  1. the sharded result is bit-identical to running the product's plan on
+//     the same tile decomposition sequentially (replaySharded) — sharding is
 //     pure scheduling, so pool interleaving must not perturb a single bit;
 //  2. repeated sharded runs are bit-identical (deterministic serving);
 //  3. the sharded result matches the unsharded plan path within a tight
 //     tolerance — the two paths group the additions of the exact same real
-//     product differently (full-size plan vs per-tile plans), so equality is
-//     up to roundoff, not bitwise;
+//     product differently (one plan on the whole product vs the same plan
+//     per tile), so equality is up to roundoff, not bitwise;
 //  4. the sharded result matches the naive triple-loop reference.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	shapes := [][3]int{
@@ -69,14 +69,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 
-		// (1) bit-identical to sequential execution of the same tiles. This
+		// (1) bit-identical to the product's plan run tile by tile. This
 		// is the 2D contract — these shapes must keep K whole (K-split
 		// would still be correct, but only run-to-run deterministic).
 		if spec.GridK != 1 {
 			t.Fatalf("shape %v: expected the 2D decomposition, got %v", s, spec)
 		}
 		seq := NewMatrix(m, n)
-		if err := replaySharded(serialTwin(mu).MulAdd, spec.Spec, seq, a, b); err != nil {
+		if err := replaySharded(serialTwin(mu), spec.Spec, seq, a, b); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		if d := sharded.MaxAbsDiff(seq); d != 0 {
@@ -112,8 +112,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// serialTwin is a Threads=1 multiplier of mu's configuration: what a sharded
-// call's tiles are replayed on.
+// serialTwin is a Threads=1 multiplier of mu's configuration: its PlanFor of
+// a sharded product is the plan the call runs on every tile.
 func serialTwin[E matrix.Element](mu *GenericMultiplier[E]) *GenericMultiplier[E] {
 	cfg := mu.cfg
 	cfg.Threads = 1
@@ -121,10 +121,16 @@ func serialTwin[E matrix.Element](mu *GenericMultiplier[E]) *GenericMultiplier[E
 }
 
 // replaySharded replays a sharded c += a·b one (tile, slab) product at a time
-// through mulAdd: slab 0 of each output tile into the tile's C view, each
-// later slab into a zeroed matrix, and those folded into the tile's view in
-// ascending slab order. With K whole that is the tiles run one after another.
-func replaySharded[E matrix.Element](mulAdd func(c, a, b matrix.Mat[E]) error, spec shard.Spec, c, a, b matrix.Mat[E]) error {
+// on the product's plan, twin.PlanFor(m, k, n) — the member its own shape
+// class picks, whatever class a tile falls in: slab 0 of each output tile
+// into the tile's C view, each later slab into a zeroed matrix, and those
+// folded into the tile's view in ascending slab order. With K whole that is
+// the plan run on the tiles one after another.
+func replaySharded[E matrix.Element](twin *GenericMultiplier[E], spec shard.Spec, c, a, b matrix.Mat[E]) error {
+	p, err := twin.PlanFor(a.Rows, a.Cols, b.Cols)
+	if err != nil {
+		return err
+	}
 	gk := max(spec.GridK, 1)
 	tiles := spec.Tiles()
 	for g := 0; g < len(tiles); g += gk {
@@ -135,9 +141,7 @@ func replaySharded[E matrix.Element](mulAdd func(c, a, b matrix.Mat[E]) error, s
 			bufs = append(bufs, matrix.New[E](t0.Rows, t0.Cols))
 		}
 		for s, tl := range tiles[g : g+gk] {
-			if err := mulAdd(bufs[s], a.View(tl.I, tl.P, tl.Rows, tl.Depth), b.View(tl.P, tl.J, tl.Depth, tl.Cols)); err != nil {
-				return fmt.Errorf("tile %+v: %w", tl, err)
-			}
+			p.MulAdd(bufs[s], a.View(tl.I, tl.P, tl.Rows, tl.Depth), b.View(tl.P, tl.J, tl.Depth, tl.Cols))
 		}
 		for _, buf := range bufs[1:] {
 			cv.AddScaled(1, buf)
@@ -146,15 +150,80 @@ func replaySharded[E matrix.Element](mulAdd func(c, a, b matrix.Mat[E]) error, s
 	return nil
 }
 
+// TestShardedTilesRunProductPlan: a sharded product runs its own plan on every
+// tile, also where a tile's own shape class would pick another family member.
+// With the shard threshold lowered so that a small product cuts into 1×2
+// tiles at T = 2 — 260³ on go4x4 (the product's class picks
+// <2,2,2>+<2,2,2> ABC, a tile's <2,2,2> ABC) and 1025×520×1025 on avx2
+// (<2,2,2> ABC, a tile's GEMM) — PlanFor names the product's member, and the
+// sharded MulAdd is bit-identical to that plan run tile by tile
+// (replaySharded) and to itself across three runs.
+func TestShardedTilesRunProductPlan(t *testing.T) {
+	for _, tc := range []struct {
+		kern    string
+		thr     int
+		m, k, n int
+	}{
+		{kernel.DefaultBackend, 256, 260, 260, 260},
+		{kernel.AVX2Backend, 512, 1025, 520, 1025},
+	} {
+		t.Run(tc.kern, func(t *testing.T) {
+			if _, ok := archOf(tc.kern, matrix.Float64); !ok {
+				t.Skipf("%s not registered on this host/build", tc.kern)
+			}
+			cfg := DefaultConfig()
+			cfg.Kernel, cfg.Threads, cfg.ShardThreshold = tc.kern, 2, tc.thr
+			mu := NewMultiplier(cfg, PaperArch())
+			route, ok := mu.shardSpec(tc.m, tc.k, tc.n)
+			if !ok || route.GridM*route.GridN != 2 || route.GridK != 1 {
+				t.Fatalf("%d×%d×%d: route %v (sharded %v), want two tiles with K whole", tc.m, tc.k, tc.n, route, ok)
+			}
+			twin := serialTwin(mu)
+			p, err := twin.PlanFor(tc.m, tc.k, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl := route.Tile(0)
+			own, err := twin.PlanFor(tl.Rows, tl.Depth, tl.Cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if own.String() == p.String() {
+				t.Fatalf("a %d×%d×%d tile's class picks the product's %s too: no test", tl.Rows, tl.Depth, tl.Cols, p)
+			}
+			if served, err := mu.PlanFor(tc.m, tc.k, tc.n); err != nil || served.String() != p.String() {
+				t.Fatalf("PlanFor = %v (%v), want the product's %s", served, err, p)
+			}
+			rng := rand.New(rand.NewSource(41))
+			a, b := NewMatrix(tc.m, tc.k), NewMatrix(tc.k, tc.n)
+			a.FillRand(rng)
+			b.FillRand(rng)
+			want := NewMatrix(tc.m, tc.n)
+			if err := replaySharded(twin, route.Spec, want, a, b); err != nil {
+				t.Fatal(err)
+			}
+			for run := range 3 {
+				c := NewMatrix(tc.m, tc.n)
+				if err := mu.MulAdd(c, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if d := c.MaxAbsDiff(want); d != 0 {
+					t.Fatalf("run %d: sharded MulAdd differs from %s run tile by tile by %g", run, p, d)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedKSplit drives the K-split path on K-dominant shapes (M×N too
 // small to cut, huge inner dimension) and checks, per shape:
 //
 //  1. the problem actually takes the 3D path (GridK ≥ 2) — these shapes
 //     never sharded at all under the 2D-only decomposition;
 //  2. the result matches the naive triple-loop reference within tolerance;
-//  3. the result is bit-identical to replaying the slabs on a Threads=1
-//     multiplier and folding them in ascending slab order (replaySharded) —
-//     the fold order is part of the contract, not only its determinism;
+//  3. the result is bit-identical to replaying the slabs on the product's
+//     plan and folding them in ascending slab order (replaySharded) — the
+//     fold order is part of the contract, not only its determinism;
 //  4. repeated runs are bit-identical — the reduction buffers fold into C
 //     in fixed slab order, so scheduling nondeterminism must not leak into
 //     the numbers (the K-split determinism contract).
@@ -181,7 +250,7 @@ func TestShardedKSplit(t *testing.T) {
 			t.Fatalf("shape %v: K-split vs reference diff %g", s, d)
 		}
 		replay := NewMatrix(m, n)
-		if err := replaySharded(serialTwin(mu).MulAdd, spec.Spec, replay, a, b); err != nil {
+		if err := replaySharded(serialTwin(mu), spec.Spec, replay, a, b); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		if d := got.MaxAbsDiff(replay); d != 0 {
@@ -211,10 +280,11 @@ func TestShardedKSplit(t *testing.T) {
 // workers, where its six tiles would take two rounds. Shapes that do not
 // shard are skipped. The seeds cover the three grid kinds.
 //
-// The replay runs on one Threads=1 multiplier shared by every input: a shape
+// The replay runs every tile on the product's plan, taken from one Threads=1
+// multiplier shared by every input (its PlanFor of the product): a shape
 // class's plan depends on the class alone, never on which of its sizes
 // either multiplier saw first, so however the fuzzer's shapes interleave,
-// the twin serves each tile the plan the sharded call ran it with.
+// the twin hands over the plan the sharded call ran its tiles with.
 func FuzzShardedMulAdd(f *testing.F) {
 	f.Add(uint16(256), uint16(96), uint16(200), false, int64(1)) // 3×1 tiles
 	f.Add(uint16(48), uint16(700), uint16(60), false, int64(2))  // one tile, 3 K-slabs
@@ -245,7 +315,7 @@ func FuzzShardedMulAdd(f *testing.F) {
 		if err := mu.MulAdd(c, a, b); err != nil {
 			t.Fatalf("%v: %v", route, err)
 		}
-		if err := replaySharded(twin.MulAdd, route.Spec, want, a, b); err != nil {
+		if err := replaySharded(twin, route.Spec, want, a, b); err != nil {
 			t.Fatalf("%v: %v", route, err)
 		}
 		if d := c.MaxAbsDiff(want); d != 0 {
