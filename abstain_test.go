@@ -196,21 +196,25 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 }
 
 // TestDefaultSquareRoute: the route a product takes — shard grid, tile floor
-// and the product's family member, which runs whole or on every tile — per
-// kernel and width, on default_square (1024³ at T = 2, through every kernel
-// an empty Config.Kernel can resolve to) and the shapes that pin the floor
-// rule. The floor is the break-even, lowered to half the threshold for a 2-D
-// grid with a tile per thread, whichever plan serves the product: GEMM
-// (1024³ at T = 2 on avx2 and avx512) or a fast algorithm (avx2 2880×480×2880
-// and 2048³, avx512 4096³ — whose tiles run the product's plan although
-// their own class would pick GEMM). Everything else keeps the break-even
-// route: K-split grids (256×16384×256, 1×1×2 on every kernel), grids with
-// fewer tiles than threads (avx2/avx512 1024×600×600 at T = 4 and 1024³ at
-// T = 8, unsharded), and go4x4, whose break-even is already below half the
-// threshold (2×2×1 at T = 4, 2×4×1 at T = 8). On every sharded row Explain
-// names PlanFor's plan.
+// and the product's family member, which runs whole or on every tile, always
+// at width 1 — per kernel and width, on default_square (1024³ at T = 2,
+// through every kernel an empty Config.Kernel can resolve to) and the shapes
+// that pin the floor rule. At or above the threshold the floor is the
+// break-even, lowered to half the threshold for a 2-D grid with a tile per
+// thread, whichever plan serves the product: GEMM (1024³ at T = 2 on avx2
+// and avx512) or a fast algorithm (avx2 2880×480×2880 and 2048³, avx512
+// 4096³ — whose tiles run the product's plan although their own class would
+// pick GEMM). K-split grids keep the break-even route (256×16384×256, 1×1×2
+// on every kernel), and so does go4x4, whose break-even is already below half
+// the threshold (2×2×1 at T = 4, 2×4×1 at T = 8). Where neither fits
+// (avx2/avx512 1024×600×600 at T = 4 and 1024³ at T = 8, whose grids at half
+// the threshold have fewer tiles than threads), and below the threshold
+// (wire_mix's big class: avx2 384³ and 640×384×512), the grid is cut at
+// Config.MC with K whole; a product with no room for two such tiles (avx2
+// 160³) runs whole. On every sharded row Explain names PlanFor's plan.
 func TestDefaultSquareRoute(t *testing.T) {
 	const half = DefaultShardThreshold / 2
+	mc := DefaultConfig().MC
 	for _, tc := range []struct {
 		kern    string
 		threads int
@@ -229,11 +233,14 @@ func TestDefaultSquareRoute(t *testing.T) {
 		{kernel.AVX2Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
 		{kernel.AVX512Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
 		{kernel.DefaultBackend, 4, 1024, 600, 600, "2×2×1", 0, "<2,2,2>+<2,2,2> ABC"},
-		{kernel.AVX2Backend, 4, 1024, 600, 600, "", 0, fmmexec.GEMMName},
-		{kernel.AVX512Backend, 4, 1024, 600, 600, "", 0, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 4, 1024, 600, 600, "2×2×1", mc, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 4, 1024, 600, 600, "2×2×1", mc, fmmexec.GEMMName},
 		{kernel.DefaultBackend, 8, 1024, 1024, 1024, "2×4×1", 0, "<2,2,2>+<2,2,2> ABC"},
-		{kernel.AVX2Backend, 8, 1024, 1024, 1024, "", 0, fmmexec.GEMMName},
-		{kernel.AVX512Backend, 8, 1024, 1024, 1024, "", 0, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 8, 1024, 1024, 1024, "2×4×1", mc, fmmexec.GEMMName},
+		{kernel.AVX512Backend, 8, 1024, 1024, 1024, "2×4×1", mc, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 384, 384, 384, "1×2×1", mc, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 640, 384, 512, "2×1×1", mc, fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 160, 160, 160, "", mc, fmmexec.GEMMName},
 	} {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
 			continue
@@ -251,7 +258,7 @@ func TestDefaultSquareRoute(t *testing.T) {
 			t.Errorf("%s shards as %q, want %q", name, got, tc.grid)
 		}
 		// Explain reports that route: the grid, the floor it was cut at, the
-		// largest tile at width 1 or the product at T, and the product's plan.
+		// largest tile or the product, and the product's plan.
 		ex, err := mu.Explain(tc.m, tc.k, tc.n)
 		if err != nil {
 			t.Fatal(err)
@@ -266,11 +273,11 @@ func TestDefaultSquareRoute(t *testing.T) {
 			}
 		}
 		want := Explanation{Kernel: tc.kern, Arch: mu.arch, MinTile: cmp.Or(tc.floor, mu.breakEvenTile()),
-			M: tc.m, K: tc.k, N: tc.n, Threads: tc.threads, Plan: tc.plan}
+			M: tc.m, K: tc.k, N: tc.n, Plan: tc.plan}
 		if ok {
 			tl := route.Tile(0)
 			want.GridM, want.GridN, want.GridK = route.GridM, route.GridN, route.GridK
-			want.M, want.K, want.N, want.Threads = tl.Rows, tl.Depth, tl.Cols, 1
+			want.M, want.K, want.N = tl.Rows, tl.Depth, tl.Cols
 		}
 		if ex != want {
 			t.Errorf("%s: Explain = %+v, want %+v", name, ex, want)
@@ -320,11 +327,11 @@ func smallShapesServeGEMM[E matrix.Element](t *testing.T, tol float64) {
 		t.Fatal("batch filled no shape classes")
 	}
 	for key, p := range classes {
-		if p.String() != fmmexec.GEMMName || key.threads != 1 {
-			t.Errorf("class %v width %d serves plan %q, want only width-1 gemm plans", key, key.threads, p)
+		if p.String() != fmmexec.GEMMName {
+			t.Errorf("class %v serves plan %q, want only gemm plans", key, p)
 		}
 	}
-	if built := builtPlans(mu); len(built[0]) != 1 || len(built[1]) != 0 {
-		t.Errorf("built %d width-1 and %d full-width plans, want the one width-1 gemm plan", len(built[0]), len(built[1]))
+	if built := builtPlans(mu); len(built) != 1 {
+		t.Errorf("built %d plans, want the one gemm plan", len(built))
 	}
 }

@@ -76,7 +76,7 @@ func (mu *GenericMultiplier[E]) startAsync() {
 		go func() { //fmm:go-ok queue drainer: blocks on the channel until Close, computes only through mulAdd
 			defer p.wg.Done()
 			for j := range p.q {
-				j.f.err = mu.mulAdd(j.c, j.a, j.b, 1, gemm.Operands[E]{})
+				j.f.err = mu.mulAdd(j.c, j.a, j.b, gemm.Operands[E]{})
 				close(j.f.done)
 			}
 		}()

@@ -123,7 +123,7 @@ func checkBatchMatchesSerial[E matrix.Element](t *testing.T, kern string, thread
 			if j.A.Rows == 0 || j.A.Cols == 0 || j.B.Cols == 0 || !dimsAgree(j.C, j.A, j.B) {
 				continue
 			}
-			if p, err := mu.planAt(j.A.Rows, j.A.Cols, j.B.Cols, 1); err == nil && len(p.Levels) > 0 {
+			if p, err := mu.PlanFor(j.A.Rows, j.A.Cols, j.B.Cols); err == nil && len(p.Levels) > 0 {
 				fmm++
 			} else {
 				gemm++

@@ -321,67 +321,83 @@ func warmJobs[E matrix.Element](b *testing.B, mu *GenericMultiplier[E], jobs []G
 // touchSink keeps warmJobs' operand reads from being optimized away.
 var touchSink float64
 
-// BenchmarkShardedFMM times the route a large FMM product is served at
-// Threads = 2 — cut into tiles that each run the product's plan at width 1 —
-// against the same family member run whole by a width-2 in-call plan and
-// against width-2 GEMM, on avx2 2048³ (fmmbench's square_large) and, unless
-// -short, avx512 4096³, each where its backend is registered. The three
-// routes are timed round-robin on the same operands, one call each per round
-// as benchMicros does, so host noise lands on all of them alike. Each reports
-// the fast quartile of its per-call GF/s (the 75th percentile of b.N
-// samples), and the served route its ratios to the other two. -benchtime 20x
-// or more is a measurement; 1x only checks that it runs.
+// BenchmarkShardedFMM times the route a product is served at Threads = 2 —
+// cut into tiles that each run the product's plan at width 1, or run whole
+// at width 1 where no grid fits — against the same family member built with
+// NewPlan at Threads = 2, which runs whole with its GEMM fanning out in call
+// ("in-call"). The FMM rows are avx2 2048³ (fmmbench's square_large) and
+// avx512 4096³, also timed against width-2 GEMM; the GEMM-served rows are
+// 160³, 192³, 384³, 640³, 640×384×512 and 96×384×640 on avx2 and avx512,
+// the sizes around the MC floor and wire_mix's big class. Each row runs
+// where its backend is registered; -short keeps avx2 2048³ and avx2 384³.
+// The routes are timed round-robin on the same operands, one call each per
+// round as benchMicros does, so host noise lands on all of them alike. Each
+// reports the fast quartile of its per-call GF/s (the 75th percentile of b.N
+// samples), and the served route its ratios to the others. -benchtime 20x or
+// more is a measurement; 1x only checks that it runs.
 func BenchmarkShardedFMM(b *testing.B) {
-	for _, tc := range []struct {
-		kern string
-		n    int
-	}{{kernel.AVX2Backend, 2048}, {kernel.AVX512Backend, 4096}} {
-		if _, ok := archOf(tc.kern, matrix.Float64); !ok || tc.n > 2048 && testing.Short() {
+	type row struct {
+		kern    string
+		m, k, n int
+		short   bool // kept under -short
+	}
+	rows := []row{{kernel.AVX2Backend, 2048, 2048, 2048, true}, {kernel.AVX512Backend, 4096, 4096, 4096, false}}
+	for _, kern := range []string{kernel.AVX2Backend, kernel.AVX512Backend} {
+		for _, s := range [][3]int{{160, 160, 160}, {192, 192, 192}, {384, 384, 384}, {640, 640, 640}, {640, 384, 512}, {96, 384, 640}} {
+			rows = append(rows, row{kern, s[0], s[1], s[2], kern == kernel.AVX2Backend && s[0] == 384})
+		}
+	}
+	for _, r := range rows {
+		if _, ok := archOf(r.kern, matrix.Float64); !ok || testing.Short() && !r.short {
 			continue
 		}
-		b.Run(fmt.Sprintf("%s/%d", tc.kern, tc.n), func(b *testing.B) { benchShardedFMM(b, tc.kern, tc.n) })
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", r.kern, r.m, r.k, r.n), func(b *testing.B) { benchShardedFMM(b, r.kern, r.m, r.k, r.n) })
 	}
 }
 
-func benchShardedFMM(b *testing.B, kern string, n int) {
+func benchShardedFMM(b *testing.B, kern string, m, k, n int) {
 	cfg := DefaultConfig()
 	cfg.Kernel, cfg.Threads = kern, 2
 	mu := NewMultiplier(cfg, PaperArch())
-	ex, err := mu.Explain(n, n, n)
+	ex, err := mu.Explain(m, k, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := mu.PlanFor(n, n, n)
+	p, err := mu.PlanFor(m, k, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if ex.GridM == 0 || len(p.Levels) == 0 {
-		b.Fatalf("%d³ on %s is served %s unsharded: not the route this benchmark times", n, kern, p)
+	fmm := len(p.Levels) > 0
+	if fmm && ex.GridM == 0 {
+		b.Fatalf("%d×%d×%d on %s is served %s unsharded: not a route this benchmark times", m, k, n, kern, p)
 	}
-	ctx, err := gemm.NewContext[float64](cfg.gemmConfig())
+	incall, err := NewPlan(cfg, p.Variant, p.Levels...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	incall, err := fmmexec.NewPlanOn(ctx, p.Variant, p.Levels...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("%s: %d×%d×%d tiles of %s against it in-call and gemm, all at width 2", kern, ex.GridM, ex.GridN, ex.GridK, p)
-	a, bm, c := matrix.New[float64](n, n), matrix.New[float64](n, n), matrix.New[float64](n, n)
+	b.Logf("%s: %s on a %d×%d×%d grid (0 = whole) against it in-call at width 2", kern, p, ex.GridM, ex.GridN, ex.GridK)
+	a, bm, c := matrix.New[float64](m, k), matrix.New[float64](k, n), matrix.New[float64](m, n)
 	a.Fill(1.0 / 3)
 	bm.Fill(-2.0 / 3)
-	routes := []struct {
+	type route struct {
 		name    string
 		run     func()
 		samples []float64
-	}{
+	}
+	routes := []route{
 		{name: "served", run: func() {
 			if err := mu.MulAdd(c, a, bm); err != nil {
 				b.Fatal(err)
 			}
 		}},
 		{name: "incall", run: func() { incall.MulAdd(c, a, bm) }},
-		{name: "gemm", run: func() { ctx.MulAdd(c, a, bm) }},
+	}
+	if fmm { // a GEMM-served row's in-call plan is width-2 GEMM already
+		ctx, err := gemm.NewContext[float64](cfg.gemmConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		routes = append(routes, route{name: "gemm", run: func() { ctx.MulAdd(c, a, bm) }})
 	}
 	for _, r := range routes {
 		r.run() // build plans and fill the engines' free lists untimed
@@ -391,7 +407,7 @@ func benchShardedFMM(b *testing.B, kern string, n int) {
 		for i := range routes {
 			start := time.Now()
 			routes[i].run()
-			routes[i].samples = append(routes[i].samples, model.EffectiveGFLOPS(n, n, n, time.Since(start).Seconds()))
+			routes[i].samples = append(routes[i].samples, model.EffectiveGFLOPS(m, k, n, time.Since(start).Seconds()))
 		}
 	}
 	b.StopTimer()
@@ -402,6 +418,7 @@ func benchShardedFMM(b *testing.B, kern string, n int) {
 		q3[i] = r.samples[3*len(r.samples)/4]
 		b.ReportMetric(q3[i], r.name+"-q3-GF/s")
 	}
-	b.ReportMetric(q3[0]/q3[1], "served/incall")
-	b.ReportMetric(q3[0]/q3[2], "served/gemm")
+	for i, r := range routes[1:] {
+		b.ReportMetric(q3[0]/q3[i+1], "served/"+r.name)
+	}
 }

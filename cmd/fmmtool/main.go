@@ -265,11 +265,14 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 	fmt.Printf("kernel\t%s (%s)\n", ex.Kernel, how)
 	fmt.Printf("arch\tpaper Ivy Bridge priced for %s/%s: tau_a=%.3g s/flop tau_b=%.3g s/elem lambda=%.2f MC=%d KC=%d NC=%d; FMM break-even %d³\n",
 		ex.Kernel, dt, arch.TauA, arch.TauB, arch.Lambda, arch.MC, arch.KC, arch.NC, breakEven)
-	fmt.Printf("threshold\t%d: a product shards when max(m,n), or k with K-split, reaches it\n", thr)
+	fmt.Printf("threshold\t%d: at or above it in some dimension a product is cut at half of it or at the break-even (K-split allowed); below it, or where neither fits, at MC=%d with K whole\n", thr, cfg.MC)
+	half := max(thr/2, 1)
 	switch {
 	case ex.MinTile == 0:
-		fmt.Printf("tile floor\tnone: the product is not considered for sharding (needs ≥ 2 threads and a dimension ≥ %d)\n", thr)
-	case ex.MinTile == breakEven && breakEven <= thr/2:
+		fmt.Printf("tile floor\tnone: the product is never considered for sharding (needs ≥ 2 threads)\n")
+	case max(m, k, n) < thr || ex.MinTile != breakEven && ex.MinTile != half:
+		fmt.Printf("tile floor\t%d, Config.MC with K whole: the product is below the threshold, or no grid fits at half of it or at the break-even\n", ex.MinTile)
+	case ex.MinTile == breakEven && breakEven <= half:
 		fmt.Printf("tile floor\t%d, the FMM break-even, already at or below half the threshold\n", ex.MinTile)
 	case ex.MinTile == breakEven:
 		fmt.Printf("tile floor\t%d, the FMM break-even: no grid at half the threshold qualifies (2-D, a tile per thread)\n", ex.MinTile)
@@ -281,9 +284,9 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 		fmt.Printf("sharding\t%d×%d×%d grid (m×n×k): %d tiles of up to %d×%d×%d, each running the product's plan at width 1\n",
 			ex.GridM, ex.GridN, ex.GridK, ex.GridM*ex.GridN*ex.GridK, ex.M, ex.K, ex.N)
 	case ex.MinTile == 0:
-		fmt.Printf("sharding\tno: one width-%d plan\n", ex.Threads)
+		fmt.Printf("sharding\tno: one width-1 plan\n")
 	default:
-		fmt.Printf("sharding\tno (no room for two tiles ≥ %d): one width-%d plan\n", ex.MinTile, ex.Threads)
+		fmt.Printf("sharding\tno (no room for two tiles ≥ %d): one width-1 plan\n", ex.MinTile)
 	}
 	fmt.Printf("serves\t%s\n", ex.Plan)
 	// The ranking the plan came from: the model's full Rank, whose head is

@@ -139,14 +139,33 @@ func TestCLIExplain(t *testing.T) {
 		}
 	}
 
-	out, err = run(t, "explain", "-threads", "4", "-dtype", "f32", "-kernel", kern, "1024", "600", "600")
-	for _, want := range []string{
-		"tile floor\t" + breakEven + ", the FMM break-even: no grid at half the threshold qualifies",
-		"sharding\tno (no room for two tiles ≥ " + breakEven + "): one width-4 plan",
-		"serves\tgemm\n",
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-threads", "2", "256", "16384", "256"}, []string{
+			"tile floor\t" + breakEven + ", the FMM break-even: no grid at half the threshold qualifies",
+			"sharding\t1×1×2 grid",
+		}},
+		{[]string{"-threads", "4", "1024", "600", "600"}, []string{
+			"threshold\t1024: at or above it in some dimension a product is cut at half of it or at the break-even (K-split allowed); below it, or where neither fits, at MC=96 with K whole",
+			"tile floor\t96, Config.MC with K whole",
+			"sharding\t2×2×1 grid",
+		}},
+		{[]string{"-threads", "2", "160", "160", "160"}, []string{
+			"tile floor\t96, Config.MC with K whole: the product is below the threshold",
+			"sharding\tno (no room for two tiles ≥ 96): one width-1 plan",
+		}},
+		{[]string{"-threads", "1", "1024", "1024", "1024"}, []string{
+			"tile floor\tnone: the product is never considered for sharding",
+			"sharding\tno: one width-1 plan",
+		}},
 	} {
-		if err != nil || !strings.Contains(out, want) {
-			t.Fatalf("explain on %s at 4 threads: %v, output lacks %q:\n%s", kern, err, want, out)
+		out, err = run(t, append([]string{"explain", "-dtype", "f32", "-kernel", kern}, tc.args...)...)
+		for _, want := range append(tc.want, "serves\tgemm\n") {
+			if err != nil || !strings.Contains(out, want) {
+				t.Fatalf("explain %v on %s: %v, output lacks %q:\n%s", tc.args, kern, err, want, out)
+			}
 		}
 	}
 }

@@ -36,11 +36,13 @@
 // # Term order
 //
 // A plan runs its R multiplication terms in ascending order on the calling
-// goroutine, each term's GEMM parallelized internally across the context's
-// workers — the paper's data parallelism, with no task-parallel layer. gemm
-// results do not depend on the worker count, so neither do a plan's: a plan
-// built on a wide context and the same plan on its Serial() view produce the
-// same bits.
+// goroutine. On a context of Threads > 1 each term's GEMM is parallelized
+// internally across the context's workers — the paper's data parallelism
+// (§5.1), which only directly built plans use: a Multiplier builds every
+// plan on one Threads = 1 context and runs independent width-1 products side
+// by side instead. gemm results do not depend on the worker count, so
+// neither do a plan's: the same plan built on a wide and on a Threads = 1
+// context produces the same bits.
 //
 // # Memory
 //
@@ -48,8 +50,8 @@
 // lists, and the gemm.Context it executes on. Every buffer a call needs —
 // packing workspace and the Naive/AB temporaries — is rented from that
 // context for the duration of the call, so any number of plans built on one
-// context (NewPlanOn; a Multiplier builds all of its plans on one context per
-// kernel) retain no memory of their own.
+// context (NewPlanOn; a Multiplier builds all of its plans on its one
+// context) retain no memory of their own.
 package fmmexec
 
 import (
@@ -155,7 +157,6 @@ func NewPlan[E matrix.Element](cfg gemm.Config, variant Variant, levels ...core.
 // executes on ctx — its blocking, backend, worker pool, workspaces and
 // scratch list — and adds nothing mutable of its own, so every plan built on
 // one context shares one goroutine budget and one bounded store of buffers.
-// A plan built on ctx.Serial() is the width-1 plan of the same engine.
 func NewPlanOn[E matrix.Element](ctx *gemm.Context[E], variant Variant, levels ...core.Algorithm) (*Plan[E], error) {
 	if variant != Naive && variant != AB && variant != ABC {
 		return nil, fmt.Errorf("fmmexec: unknown variant %d", int(variant))
@@ -382,8 +383,8 @@ func (p *Plan[E]) termProduct(ws *gemm.Workspace[E], prod, asum, bsum, a, b matr
 const addScaledParThreshold = 1 << 15
 
 // addScaled computes dst += coef·src, splitting rows across ctx's worker
-// pool (as many ways as ctx is wide; a serial view adds in place) for large
-// operands — the explicit submatrix additions of the Naive and AB variants
+// pool (as many ways as ctx is wide; a Threads = 1 context adds in place)
+// for large operands — the explicit submatrix additions of the Naive and AB variants
 // are memory-bound streams that parallelize like the packing. Row chunks go
 // through the shared sched.Pool, so the split composes with everything else
 // under one worker budget: with the budget exhausted it degrades to the

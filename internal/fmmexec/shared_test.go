@@ -221,50 +221,50 @@ func TestConcurrentBFSMulAdd(t *testing.T) {
 }
 
 // TestPlanOnSharedPool: a plan built on a caller's context executes on that
-// context and nothing else — its context's serial view, on which the
-// multiplier builds its width-1 plans, shares the worker pool, the
-// workspaces and the scratch list — and a plan built without one gets a
-// private context with the same shape. A plan never holds a second worker
+// context and nothing else — two plans on one Threads=1 context built on a
+// wide pool, as a multiplier builds all of its plans, share the worker pool,
+// the workspaces and the scratch list — and a plan built without one gets a
+// private context with its own pool. A plan never holds a second worker
 // budget or a second store of buffers.
 func TestPlanOnSharedPool(t *testing.T) {
-	cfg := gemm.Config{MC: 16, KC: 16, NC: 32, Threads: 4}
-	shared, err := gemm.NewContextOn[float64](cfg, sched.NewPool(4))
+	cfg := gemm.Config{MC: 16, KC: 16, NC: 32, Threads: 1}
+	pool := sched.NewPool(4)
+	shared, err := gemm.NewContextOn[float64](cfg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onShared, err := NewPlanOn(shared, AB, core.Strassen())
-	if err != nil {
-		t.Fatal(err)
+	var plans []*Plan[float64]
+	for _, v := range []Variant{AB, ABC} {
+		p, err := NewPlanOn(shared, v, core.Strassen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Context() != shared || p.Context().Pool() != pool {
+			t.Fatal("plan ignored the context it was built on")
+		}
+		plans = append(plans, p)
 	}
-	if onShared.Context() != shared {
-		t.Fatal("plan ignored the context it was built on")
+	x, y := plans[0].Context(), plans[1].Context()
+	ws := x.GetWorkspace()
+	x.PutWorkspace(ws)
+	if got := y.GetWorkspace(); got != ws {
+		t.Fatal("plans on one context rent from workspace pools of their own")
+	} else {
+		y.PutWorkspace(got)
 	}
+	m := x.RentMat(8, 8)
+	x.ReturnMat(m)
+	if got := y.RentMat(8, 8); &got.Data[0] != &m.Data[0] {
+		t.Fatal("plans on one context rent from scratch lists of their own")
+	} else {
+		y.ReturnMat(got)
+	}
+	cfg.Threads = 4
 	private, err := NewPlan[float64](cfg, AB, core.Strassen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*Plan[float64]{onShared, private} {
-		ctx := p.Context()
-		s := ctx.Serial()
-		if s == ctx || s.Config().Threads != 1 {
-			t.Fatal("plan's context has no Threads=1 view")
-		}
-		if ctx.Pool() == nil || ctx.Pool() != s.Pool() {
-			t.Fatal("plan's context and its serial view run on different pools")
-		}
-		ws := ctx.GetWorkspace()
-		ctx.PutWorkspace(ws)
-		if got := s.GetWorkspace(); got != ws {
-			t.Fatal("serial view rents from a workspace pool of its own")
-		} else {
-			s.PutWorkspace(got)
-		}
-		m := ctx.RentMat(8, 8)
-		ctx.ReturnMat(m)
-		if got := s.RentMat(8, 8); &got.Data[0] != &m.Data[0] {
-			t.Fatal("serial view rents from a scratch list of its own")
-		} else {
-			s.ReturnMat(got)
-		}
+	if ctx := private.Context(); ctx == shared || ctx.Pool() == nil || ctx.Pool() == pool || ctx.Config().Threads != 4 {
+		t.Fatal("a plan built without a context does not get a private one of its config")
 	}
 }

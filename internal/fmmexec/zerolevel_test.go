@@ -69,7 +69,13 @@ func zeroLevelBitIdentical[E matrix.Element](t *testing.T, name string) {
 		host.FillRand(rng)
 		return host.View(1, 2, r, c)
 	}
-	for _, ctx := range []*gemm.Context[E]{wide, wide.Serial()} {
+	narrowCfg := wide.Config()
+	narrowCfg.Threads = 1
+	narrow, err := gemm.NewContextOn[E](narrowCfg, wide.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctx := range []*gemm.Context[E]{wide, narrow} {
 		p, err := NewPlanOn(ctx, Naive)
 		if err != nil {
 			t.Fatal(err)

@@ -15,22 +15,22 @@
 // fully specialized — there is no boxing or dynamic dtype dispatch on the
 // hot path.
 //
-// Parallelism mirrors the paper (§5.1): the third loop around the
-// micro-kernel (the ic loop over mC-sized row panels of A) and the packing of
-// B̃ are divided into jobs on a sched.Pool, the Go analogue of the OpenMP
-// data parallelism of [20] — the pool the context was built on (NewContextOn;
-// a Multiplier builds every context on its one pool) or a private one.
+// Parallelism mirrors the paper (§5.1): on a context of Threads > 1 the
+// third loop around the micro-kernel (the ic loop over mC-sized row panels of
+// A) and the packing of B̃ are divided into jobs on a sched.Pool, the Go
+// analogue of the OpenMP data parallelism of [20] — the pool the context was
+// built on (NewContextOn) or a private one. Only directly built contexts and
+// plans take this branch (the paper's Figures 9–10, GEMM baselines): a
+// Multiplier builds its one context at Threads = 1 on its pool, and gets its
+// parallelism across independent width-1 products instead.
 //
 // Concurrency contract: a Context is safe for unlimited concurrent callers,
 // and it is the only owner of mutable memory in the execution layers. It
 // holds two bounded free lists — packing Workspaces (the Ã/B̃ buffers, rented
 // per call) and raw scratch matrices (RentMat/ReturnMat: the FMM executor's
 // variant temporaries, the Multiplier's K-split reduction buffers) — and
-// everything built on it (plans, the Multiplier) is a pure description.
-// Serial() is the Threads=1 view of the same engine: same backend, worker
-// pool and both free lists, so a caller that gets its parallelism elsewhere
-// (batch jobs) adds no memory of its own. See Context for the resulting
-// retained-memory bound.
+// everything built on it (plans, the Multiplier) is a pure description. See
+// Context for the resulting retained-memory bound.
 //
 // Successor hint: a renter that knows which product it runs next (a batch
 // worker that claimed its next job ahead) names that product's operands on
@@ -114,8 +114,7 @@ func resolveBackend[E matrix.Element](c Config) (kernel.Backend[E], error) {
 // duration of the call, so calls never share mutable state — and each call
 // additionally exploits parallelism internally (Config.Threads workers).
 //
-// Retained-memory invariant: an idle Context, its Serial() view included,
-// keeps at most maxRetainedFloats elements of workspaces plus
+// Retained-memory invariant: an idle Context keeps at most maxRetainedFloats elements of workspaces plus
 // maxRetainedFloats elements of scratch, however many plans were built on it
 // and however many shapes they served; rents beyond that are allocated and
 // left to the GC.
@@ -130,11 +129,10 @@ type Context[E matrix.Element] struct {
 	// of deadlocking.
 	sp *sched.Pool
 
-	// pool and scratch are shared with the Serial() view. Workspaces are
-	// sized for the wide context; a serial call uses worker slot 0 of one.
+	// pool holds workspaces sized for Threads workers, as many as sp's
+	// workers may rent at once; scratch backs RentMat.
 	pool    *workspacePool[E]
 	scratch *scratch[E]
-	serial  *Context[E]
 }
 
 // NewContext validates cfg, resolves its micro-kernel backend for element
@@ -147,7 +145,8 @@ func NewContext[E matrix.Element](cfg Config) (*Context[E], error) {
 // NewContextOn is NewContext on a caller-owned worker pool, so that every
 // context (and plan) built on one pool shares one goroutine budget;
 // cfg.Threads still sizes this context's fan-out (jobs per call, Ã buffers
-// per workspace). A nil pool means a private one of cfg.Threads.
+// per workspace), and the pool's worker count its workspace free list. A nil
+// pool means a private one of cfg.Threads.
 func NewContextOn[E matrix.Element](cfg Config, pool *sched.Pool) (*Context[E], error) {
 	bk, err := resolveBackend[E](cfg)
 	if err != nil {
@@ -157,13 +156,6 @@ func NewContextOn[E matrix.Element](cfg Config, pool *sched.Pool) (*Context[E], 
 		pool = sched.NewPool(cfg.Threads)
 	}
 	ctx := &Context[E]{cfg: cfg, bk: bk, sp: pool, pool: newWorkspacePool[E](cfg, bk, pool.Workers()), scratch: new(scratch[E])}
-	ctx.serial = ctx
-	if cfg.Threads > 1 {
-		s := *ctx
-		s.cfg.Threads = 1
-		s.serial = &s
-		ctx.serial = &s
-	}
 	ctx.pool.put(ctx.pool.alloc())
 	return ctx, nil
 }
@@ -186,16 +178,8 @@ func (ctx *Context[E]) Backend() kernel.Backend[E] { return ctx.bk }
 // Pool returns the worker pool the context fans out on.
 func (ctx *Context[E]) Pool() *sched.Pool { return ctx.sp }
 
-// Serial returns the Threads=1 view of the context: the same backend,
-// blocking, worker pool, workspaces and scratch list, with no intra-call
-// fan-out — what a job runs on when its parallelism is across jobs (batch
-// jobs, which include shard tiles and K-split slabs). It is the receiver
-// when Threads is 1, and gemm results are bit-identical between a context
-// and its serial view.
-func (ctx *Context[E]) Serial() *Context[E] { return ctx.serial }
-
 // RentMat returns a rows×cols scratch matrix with unspecified contents from
-// the context's bounded free list (shared with Serial()), allocating when no
+// the context's bounded free list, allocating when no
 // pooled buffer fits. Return it with ReturnMat.
 func (ctx *Context[E]) RentMat(rows, cols int) matrix.Mat[E] {
 	return matrix.Mat[E]{Rows: rows, Cols: cols, Stride: cols, Data: ctx.scratch.rent(rows * cols)}
@@ -257,8 +241,8 @@ func (ctx *Context[E]) FusedMulAdd(cTerms, aTerms, bTerms []Term[E]) {
 }
 
 // FusedMulAddWS is FusedMulAdd with a caller-managed Workspace (see
-// GetWorkspace). The workspace must have been rented from this context or its
-// Serial() view and must not be used by another call concurrently. On a
+// GetWorkspace). The workspace must have been rented from this context and
+// must not be used by another call concurrently. On a
 // width-1 context the call spends the workspace's successor hint (SetNext),
 // if any, under its micro-kernel calls.
 func (ctx *Context[E]) FusedMulAddWS(ws *Workspace[E], cTerms, aTerms, bTerms []Term[E]) {

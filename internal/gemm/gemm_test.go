@@ -315,7 +315,7 @@ func TestWorkspacePoolBoundRespectsMemoryCap(t *testing.T) {
 		t.Fatal("zero-bound pool retained a workspace")
 	}
 	// Small configs retain 2×workers, whatever the context's own width: a
-	// serial view and a wide context on one pool see the same renters.
+	// Threads=1 context and a wide one on one pool see the same renters.
 	small := smallCfg()
 	sbk := kernel.MustResolve[float64](small.Kernel)
 	for _, workers := range []int{1, 4, 7} {
@@ -338,35 +338,37 @@ func TestWorkspacePoolBoundRespectsMemoryCap(t *testing.T) {
 	}
 }
 
-// TestSerialViewSharesEngine: Serial() is a Threads=1 view of the same
-// engine — same backend, worker pool, workspace pool and scratch list — it
-// is its own serial view, a Threads=1 context is its own too, and a
-// workspace sized for the wide context serves the serial view with
-// bit-identical results.
-func TestSerialViewSharesEngine(t *testing.T) {
-	wide := MustNewContext[float64](Config{MC: 8, KC: 8, NC: 16, Threads: 4})
-	s := wide.Serial()
-	if s == wide || s.Config().Threads != 1 || s.Serial() != s {
-		t.Fatalf("serial view: same=%v threads=%d idempotent=%v", s == wide, s.Config().Threads, s.Serial() == s)
+// TestNarrowContextOnWidePool: a Threads=1 context built on a wide pool —
+// the one context a Multiplier builds — runs on that pool, keeps a workspace
+// free list sized for the pool's workers, builds workspaces with one Ã buffer
+// and no parallel jobs, and is bit-identical to a wide context of the same
+// blocking.
+func TestNarrowContextOnWidePool(t *testing.T) {
+	cfg := Config{MC: 8, KC: 8, NC: 16, Threads: 4}
+	wide := MustNewContext[float64](cfg)
+	cfg.Threads = 1
+	narrow, err := NewContextOn[float64](cfg, wide.Pool())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wide.Serial() != s {
-		t.Fatal("Serial() built a second view")
+	if narrow.Pool() != wide.Pool() || narrow.Backend() != wide.Backend() {
+		t.Fatal("narrow context does not run on the pool and backend it was given")
 	}
-	if s.Pool() != wide.Pool() || s.pool != wide.pool || s.scratch != wide.scratch || s.Backend() != wide.Backend() {
-		t.Fatal("serial view does not share the wide context's pool, workspaces, scratch list and backend")
+	if got := cap(narrow.pool.free); got != 2*wide.Pool().Workers() {
+		t.Fatalf("narrow context on a %d-worker pool retains %d workspaces, want %d", wide.Pool().Workers(), got, 2*wide.Pool().Workers())
 	}
-	if one := MustNewContext[float64](smallCfg()); one.Serial() != one {
-		t.Fatal("a Threads=1 context is not its own serial view")
+	ws := narrow.GetWorkspace()
+	if len(ws.abufs) != 1 || ws.slots != nil || ws.icJobs != nil {
+		t.Fatalf("narrow workspace holds %d Ã buffers and %d slots, want 1 and none", len(ws.abufs), len(ws.slots))
 	}
 	rng := rand.New(rand.NewSource(77))
 	a, b := randMat(rng, 37, 29), randMat(rng, 29, 41)
 	cw, cs := matrix.New[float64](37, 41), matrix.New[float64](37, 41)
 	wide.MulAdd(cw, a, b)
-	ws := wide.GetWorkspace() // a wide workspace, handed to the serial view
-	s.MulAddWS(ws, cs, a, b)
-	wide.PutWorkspace(ws)
+	narrow.MulAddWS(ws, cs, a, b)
+	narrow.PutWorkspace(ws)
 	if cw.Fingerprint() != cs.Fingerprint() {
-		t.Fatal("serial view is not bit-identical to the wide context")
+		t.Fatal("narrow context is not bit-identical to the wide one")
 	}
 }
 
@@ -463,7 +465,7 @@ func TestScratchListBounded(t *testing.T) {
 	}
 	first := &m.Data[0]
 	ctx.ReturnMat(m)
-	if got := ctx.Serial().RentMat(9, 12); &got.Data[0] != first { // 108 elements: same class, via the serial view
+	if got := ctx.RentMat(9, 12); &got.Data[0] != first { // 108 elements: same class
 		t.Fatal("a returned buffer was not reused by the next rent of its class")
 	} else {
 		ctx.ReturnMat(got)

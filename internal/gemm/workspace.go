@@ -20,8 +20,8 @@ import (
 // steady-state calls still allocate nothing.
 // Buffer sizes and the accumulator tile derive from the configured backend's
 // MR/NR, and buffer starts honor the backend's alignment requirement — a
-// Workspace is only valid for the Context it was rented from and that
-// context's Serial() view: the buffers are typed []E, so a float32 workspace
+// Workspace is only valid for the Context it was rented from: the buffers
+// are typed []E, so a float32 workspace
 // can never be handed to a float64 call (the mixed-dtype pooling tests at
 // the top layer pin this).
 type Workspace[E matrix.Element] struct {

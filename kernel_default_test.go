@@ -91,8 +91,9 @@ func TestEmptyKernelResolvesToFastest(t *testing.T) {
 // TestEmptyKernelBitIdenticalToNamed: resolving an empty name is only a
 // naming step — direct, 2-D sharded, K-split and batch results are those of a
 // multiplier that names the same backend, bit for bit, at both element types.
-// A K-split slab is at least the break-even deep, so the K-split product's
-// k = 8192 clears twice the largest one (avx512's ~3841).
+// The direct product is under 2·MC in M and N, so it runs whole. A K-split
+// slab is at least the break-even deep, so the K-split product's k = 8192
+// clears twice the largest one (avx512's ~3841).
 func TestEmptyKernelBitIdenticalToNamed(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { emptyKernelBitIdentical[float64](t) })
 	t.Run("float32", func(t *testing.T) { emptyKernelBitIdentical[float32](t) })
@@ -107,7 +108,7 @@ func emptyKernelBitIdentical[E matrix.Element](t *testing.T) {
 	for _, tc := range []struct {
 		s     [3]int
 		route string
-	}{{[3]int{100, 70, 90}, "direct"}, {[3]int{256, 96, 200}, "2-D"}, {[3]int{48, 8192, 48}, "K-split"}} {
+	}{{[3]int{60, 70, 50}, "direct"}, {[3]int{256, 96, 200}, "2-D"}, {[3]int{48, 8192, 48}, "K-split"}} {
 		s := tc.s
 		route := "direct"
 		if spec, ok := muEmpty.shardSpec(s[0], s[1], s[2]); ok && spec.GridK > 1 {

@@ -39,20 +39,19 @@ import (
 // per element — a float32 buffer can never be handed to a float64 call,
 // however the two surfaces interleave.
 //
-// One engine: every plan, at either width, executes on one gemm.Context of
-// the configured kernel backend (width-1 plans on its Serial() view), built on
-// first use. The context owns all the memory; plans own none. So the
-// multiplier's idle retained memory is bounded by gemm.Context's invariant,
-// independent of how many plans are built and of how many shapes were served.
+// One engine: every plan executes on one Threads=1 gemm.Context of the
+// configured kernel backend, built on first use on the multiplier's pool. The
+// context owns all the memory; plans own none. So the multiplier's idle
+// retained memory is bounded by gemm.Context's invariant, independent of how
+// many plans are built and of how many shapes were served.
 //
 // One worker budget: a multiplier owns exactly one sched.Pool of
 // Config.Threads (Threads − 1 helper tokens; the submitting goroutine always
-// works too) and builds its engine on it. Batch workers (one cross-job
-// runner serves MulAddBatch's jobs and a sharded MulAdd's tiles and K-split
-// slabs alike), row-split adds, the gemm ic loop and
-// B̃ packing all call Pool.Run on that pool, whose one rule — no free token,
-// run the jobs serially on the caller — is what bounds goroutines, for any
-// mix and nesting of concurrent callers:
+// works too), and one cross-job runner (batchRun) is its one parallel
+// mechanism: it serves MulAddBatch's jobs and a sharded MulAdd's tiles and
+// K-split slabs alike, each job a width-1 plan. Pool.Run's one rule — no free
+// token, run the jobs serially on the caller — is what bounds goroutines,
+// for any mix and nesting of concurrent callers:
 //
 //	live compute goroutines ≤ callers + (Threads − 1) helpers,
 //
@@ -72,30 +71,26 @@ import (
 // the same way — a direct call, each batch job, each shard tile and K-split
 // slab, each async job and coalesced wire request.
 //
-// One plan table, per width: a direct unsharded MulAdd runs its class's
-// width-Threads plan (intra-GEMM fan-out); a sharded MulAdd runs its own
-// class's width-1 plan on every tile and K-split slab, and batch and async
-// jobs run their class's width-1 plan, their parallelism being across jobs.
-// A plan belongs to the family, not to a shape: each width has one slot per
-// family member, built once on first use, and a class is only an index into
-// it — a pure function of (kernel, dtype, width, class), never of which
-// sizes came first, so two multipliers serve every product alike and nothing
-// is evicted (planTable). A plan's bits do not depend on its width,
-// so the determinism contracts depend on which plan runs and on the fixed
-// fold orders, never on who runs a job: batch and tile results do not depend
-// on Threads, and a 2-D sharded result equals its product's plan run on the
+// One plan table: one slot per family member, built once on first use, and
+// a class is only an index into it — a pure function of (kernel, dtype,
+// class), never of which sizes came first, so two multipliers serve every
+// product alike and nothing is evicted (planTable). Every plan runs at width
+// 1, so the determinism contracts depend on which plan runs and on the fixed
+// fold orders, never on who runs a job: batch results do not depend on
+// Threads, and a 2-D sharded result equals its product's plan run on the
 // tiles one after another — a Threads=1 multiplier's PlanFor of the product
 // — bit for bit.
 //
-// Serving behavior: problems at or above Config.ShardThreshold (with
-// Threads ≥ 2) are split into independent block products — cutting the M×N
-// output and, for K-dominant shapes, the inner dimension too; MulAddAsync
-// submits work to a bounded queue and returns a Future.
-// The tile floor is the break-even, lowered to half the threshold for a 2-D
-// grid with a tile per thread (independent width-1 tiles outrun one
-// product's in-call loop). The product's plan is chosen once, at its own
-// shape class, and every tile runs it: sharding decides how a plan is
-// parallelised, never which plan runs (shardSpec, mulAddSharded).
+// Serving behavior: with Threads ≥ 2 a MulAdd is cut into independent block
+// products where a grid of at least two tiles fits (shardSpec), and
+// otherwise served whole at width 1; MulAddAsync submits work to a bounded
+// queue and returns a Future. At or above Config.ShardThreshold the tile
+// floor is half the threshold for a 2-D grid with a tile per thread, else
+// the break-even, which may also cut the inner dimension; where neither
+// fits, and below the threshold, a 2-D grid with K whole is cut at Config.MC.
+// The product's plan is chosen once, at its own shape class, and every tile
+// runs it: sharding decides how a plan is parallelised, never which plan
+// runs (shardSpec, mulAddSharded).
 type GenericMultiplier[E matrix.Element] struct {
 	cfg  Config
 	arch Arch
@@ -232,57 +227,45 @@ func dimsAgree[E matrix.Element](c, a, b matrix.Mat[E]) bool {
 }
 
 // MulAdd computes c += a·b, choosing and caching an implementation for the
-// problem's shape class. Problems at or above the configured shard threshold
-// are split into independent block products and scheduled across the worker
-// pool instead of parallelizing one product's loops. Safe for concurrent
+// problem's shape class. With Threads ≥ 2 a product with room for two tiles
+// is split into independent block products scheduled across the worker pool
+// (shardSpec); any other product runs whole at width 1. Safe for concurrent
 // callers.
 func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 	if mu.cfgErr != nil {
 		return mu.cfgErr
 	}
-	return mu.mulAdd(c, a, b, mu.cfg.Threads, gemm.Operands[E]{})
+	if dimsAgree(c, a, b) {
+		if route, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
+			p, err := mu.planFor(a.Rows, a.Cols, b.Cols)
+			if err != nil {
+				return err
+			}
+			mu.mulAddSharded(route.Spec, p, c, a, b)
+			return nil
+		}
+	}
+	return mu.mulAdd(c, a, b, gemm.Operands[E]{})
 }
 
-// mulAdd is c += a·b at one plan width. MulAdd asks for Config.Threads: the
-// problem may shard, its class's plan running at width 1 on every tile, and
-// otherwise runs its class's full-width plan. Batch and async jobs ask for
-// 1: no sharding, and the plan a Threads=1 multiplier would run. next names
-// the product the caller runs after this one (a batch worker's
+// mulAdd is c += a·b served whole: its class's plan, at width 1. MulAdd
+// calls it for a product it does not shard; batch and async jobs always do.
+// next names the product the caller runs after this one (a batch worker's
 // claimed-ahead job), handed to the plan as its successor hint
 // (fmmexec.Plan.MulAddNext); the zero Operands names none.
-func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], threads int, next gemm.Operands[E]) error {
+func (mu *GenericMultiplier[E]) mulAdd(c, a, b matrix.Mat[E], next gemm.Operands[E]) error {
 	if err := checkMulDims(c, a, b); err != nil {
 		return err
 	}
 	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
 		return nil
 	}
-	route, sharded, p, err := mu.serve(a.Rows, a.Cols, b.Cols, threads)
+	p, err := mu.planFor(a.Rows, a.Cols, b.Cols)
 	if err != nil {
 		return err
 	}
-	if sharded {
-		mu.mulAddSharded(route.Spec, p, c, a, b)
-	} else {
-		p.MulAddNext(c, a, b, next)
-	}
+	p.MulAddNext(c, a, b, next)
 	return nil
-}
-
-// serve resolves what mulAdd at the given width does with an m×k×n product:
-// its shard route (the floor is set even when the product is served whole)
-// and the plan that runs — the product's shape class's family member, at
-// that width when served whole, at width 1 on every tile and K-slab when
-// sharded. Sharding decides only how the plan is parallelised, never which
-// plan runs.
-func (mu *GenericMultiplier[E]) serve(m, k, n, threads int) (route shardRoute, sharded bool, p *fmmexec.Plan[E], err error) {
-	if threads > 1 {
-		if route, sharded = mu.shardSpec(m, k, n); sharded {
-			threads = 1
-		}
-	}
-	p, err = mu.planAt(m, k, n, threads)
-	return route, sharded, p, err
 }
 
 // GenericBatchJob is one independent multiplication C += A·B of a batch.
@@ -436,7 +419,7 @@ func (r *batchRun[E]) claimAhead() (int, bool) {
 
 // work is one batch worker: it runs jobs until none are left to claim, each
 // on the run's plan when it has one (a sharded call's tiles, whose views
-// always agree), else through mulAdd at width 1. When it claims a successor
+// always agree), else through mulAdd. When it claims a successor
 // ahead of the job it holds, it hands the successor's operands to that job
 // as its hint — unless their dimensions disagree, in which case the
 // successor only reports its error; otherwise it claims its next job once
@@ -457,7 +440,7 @@ func (r *batchRun[E]) work() {
 		if r.plan != nil {
 			r.plan.MulAddNext(job.C, job.A, job.B, next)
 		} else {
-			r.errs[i] = r.mu.mulAdd(job.C, job.A, job.B, 1, next)
+			r.errs[i] = r.mu.mulAdd(job.C, job.A, job.B, next)
 		}
 		if ahead {
 			i = j
@@ -469,7 +452,8 @@ func (r *batchRun[E]) work() {
 
 // breakEvenTile is the model's fast-algorithm break-even on this
 // multiplier's arch (model.BreakEvenSquare), computed once: the shard tile
-// floor unless shardSpec lowers it to half the threshold.
+// floor of a product at or above the threshold unless shardSpec lowers it to
+// half the threshold.
 func (mu *GenericMultiplier[E]) breakEvenTile() int {
 	mu.breakEvenOnce.Do(func() {
 		mu.breakEven = model.BreakEvenSquare(mu.arch, defaultCandidates())
@@ -478,53 +462,61 @@ func (mu *GenericMultiplier[E]) breakEvenTile() int {
 }
 
 // shardRoute is how MulAdd cuts one product: the grid, and the tile floor it
-// was cut at — 0 when the product was not considered for sharding (Threads <
-// 2, or no dimension reaches the threshold).
+// was cut at — 0 when the product is never considered for sharding (Threads
+// < 2, or a negative ShardThreshold).
 type shardRoute struct {
 	shard.Spec
 	floor int
 }
 
 // shardSpec decides whether C(m×n) += A(m×k)·B(k×n) should be sharded and,
-// if so, how. Sharding needs a pool to feed (Threads ≥ 2), a problem at or
-// above the threshold in some dimension, and room for at least two tiles
-// above the tile floor. The floor is the model's fast-algorithm break-even,
-// lowered to half the threshold when the grid cut there is 2-D and gives
-// every thread a tile: independent width-1 tiles outrun one product's
-// in-call loop, whichever plan the product is served (the tiles run the
-// product's own plan, so the grid never changes which plan runs). A
-// break-even already at or below half the threshold (go4x4's) is never
-// raised. The lower floor was measured only at Threads = 2; the
-// tile-per-thread condition keeps wider pools on the break-even route until
-// it is measured there. Candidate grids are scored with the performance
-// model's makespan (model.ShardMakespan on this multiplier's arch), so the K
-// dimension is split only when the slab products' smaller operand traffic
-// pays for the reduction folds. It reads no plan table.
+// if so, how. Sharding needs a pool to feed (Threads ≥ 2), sharding left on
+// (ShardThreshold ≥ 0), and room for at least two tiles above a tile floor,
+// tried in turn:
+//
+//   - At or above the threshold in some dimension, half the threshold when
+//     it is below the break-even and the grid cut there is 2-D and gives
+//     every thread a tile (measured only at Threads = 2; the tile-per-thread
+//     condition keeps wider pools off it until it is measured there).
+//   - At or above the threshold, the model's fast-algorithm break-even, where
+//     the K dimension may be split too.
+//   - Otherwise, and below the threshold, Config.MC with K whole: a tile
+//     still fills at least one Ã block of the GEMM it runs.
+//
+// Independent width-1 tiles outrun one product's in-call loop whichever
+// plan serves the product, and the tiles run the product's own plan, so the
+// grid never changes which plan runs. Candidate grids are scored with the
+// performance model's makespan (model.ShardMakespan on this multiplier's
+// arch), so K is split only when the slab products' smaller operand traffic
+// pays for the reduction folds. A product no floor fits runs whole at width
+// 1 and wakes nobody. It reads no plan table.
 func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shardRoute, bool) {
-	if mu.cfg.Threads < 2 {
-		return shardRoute{}, false
-	}
 	thr := mu.cfg.shardThreshold()
-	if thr == 0 || max(m, k, n) < thr {
+	if mu.cfg.Threads < 2 || thr == 0 {
 		return shardRoute{}, false
 	}
-	breakEven := mu.breakEvenTile()
-	if half := max(thr/2, 1); half < breakEven {
-		route, ok := mu.splitAt(m, k, n, half)
-		if ok && route.GridK == 1 && route.NumTiles() >= mu.cfg.Threads {
+	if max(m, k, n) >= thr {
+		breakEven := mu.breakEvenTile()
+		if half := max(thr/2, 1); half < breakEven {
+			route, ok := mu.splitAt(m, k, n, half, true)
+			if ok && route.GridK == 1 && route.NumTiles() >= mu.cfg.Threads {
+				return route, true
+			}
+		}
+		if route, ok := mu.splitAt(m, k, n, breakEven, true); ok {
 			return route, true
 		}
 	}
-	return mu.splitAt(m, k, n, breakEven)
+	return mu.splitAt(m, k, n, mu.cfg.MC, false)
 }
 
 // splitAt asks shard.Split for the grid of an m×k×n product at one tile
-// floor.
-func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int) (shardRoute, bool) {
+// floor, with or without cutting K.
+func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int, kSplit bool) (shardRoute, bool) {
 	spec, ok := shard.Split(m, k, n, shard.Options{
 		Workers: mu.cfg.Threads,
 		MinTile: floor,
-		KSplit:  true,
+		KSplit:  kSplit,
 		Cost: func(gm, gn, gk int) float64 {
 			return model.ShardMakespan(mu.arch, m, k, n, gm, gn, gk, mu.cfg.Threads)
 		},
@@ -582,20 +574,17 @@ func (mu *GenericMultiplier[E]) mulAddSharded(spec shard.Spec, p *fmmexec.Plan[E
 	mu.releaseBatchRun(r)
 }
 
-// engine returns the one gemm.Context every plan executes on, at the given
-// width — the context itself at Config.Threads, its Serial() view at 1 —
-// building it on the multiplier's pool on first use.
-func (mu *GenericMultiplier[E]) engine(threads int) (*gemm.Context[E], error) {
+// engine returns the one gemm.Context every plan executes on — Threads = 1,
+// so a plan never fans out within a call, built on the multiplier's pool so
+// its free lists are sized for Threads concurrent workers — building it on
+// first use.
+func (mu *GenericMultiplier[E]) engine() (*gemm.Context[E], error) {
 	mu.ctxOnce.Do(func() {
-		mu.ctx, mu.ctxErr = gemm.NewContextOn[E](mu.cfg.gemmConfig(), mu.pool)
+		cfg := mu.cfg.gemmConfig()
+		cfg.Threads = 1
+		mu.ctx, mu.ctxErr = gemm.NewContextOn[E](cfg, mu.pool)
 	})
-	if mu.ctxErr != nil {
-		return nil, mu.ctxErr
-	}
-	if threads == 1 {
-		return mu.ctx.Serial(), nil
-	}
-	return mu.ctx, nil
+	return mu.ctx, mu.ctxErr
 }
 
 // RentMat returns a rows×cols matrix with unspecified contents from the
@@ -606,7 +595,7 @@ func (mu *GenericMultiplier[E]) engine(threads int) (*gemm.Context[E], error) {
 // ReturnMat once no product that reads or writes it can still be running. A
 // matrix that is never returned is simply collected.
 func (mu *GenericMultiplier[E]) RentMat(rows, cols int) matrix.Mat[E] {
-	ctx, err := mu.engine(1)
+	ctx, err := mu.engine()
 	if err != nil { // invalid Config: every product fails with it; nothing to pool
 		return matrix.New[E](rows, cols)
 	}
@@ -615,7 +604,7 @@ func (mu *GenericMultiplier[E]) RentMat(rows, cols int) matrix.Mat[E] {
 
 // ReturnMat gives a RentMat matrix back; the caller must not use it after.
 func (mu *GenericMultiplier[E]) ReturnMat(m matrix.Mat[E]) {
-	if ctx, err := mu.engine(1); err == nil {
+	if ctx, err := mu.engine(); err == nil {
 		ctx.ReturnMat(m)
 	}
 }
@@ -629,7 +618,7 @@ type MultiplierStats struct {
 	// failing validation in that state.
 	Kernel string
 	// CachedPlans mirrors CachedPlans(): the family members whose plans
-	// are built, both widths.
+	// are built.
 	CachedPlans int
 }
 
@@ -648,17 +637,15 @@ func (mu *GenericMultiplier[E]) resolvedKernel() string {
 	return mu.cfg.Kernel
 }
 
-// PlanFor exposes the plan of a problem size's shape class at width Threads
-// (useful for inspection and testing): the plan MulAdd runs when it serves
-// the product whole, and the family member it runs at width 1 on every tile
-// and K-slab when the product shards — the same plan by name and by result
-// bits, a plan's width never changing a bit. An invalid Config or a negative
-// dimension is an error.
+// PlanFor exposes the plan of a problem size's shape class (useful for
+// inspection and testing): the width-1 plan MulAdd runs when it serves the
+// product whole, and on every tile and K-slab when the product shards. An
+// invalid Config or a negative dimension is an error.
 func (mu *GenericMultiplier[E]) PlanFor(m, k, n int) (*fmmexec.Plan[E], error) {
 	if err := mu.checkDims(m, k, n); err != nil {
 		return nil, err
 	}
-	return mu.planAt(m, k, n, mu.cfg.Threads)
+	return mu.planFor(m, k, n)
 }
 
 // checkDims is PlanFor's and Explain's argument check: the multiplier's
@@ -683,18 +670,18 @@ type Explanation struct {
 	// calibrated one.
 	Arch Arch
 	// MinTile is the shard tile floor the product was cut at, or would have
-	// been had two tiles fit: half the shard threshold when it is below the
-	// break-even and its grid is 2-D and has a tile per thread; else the
-	// model's FMM break-even on Arch. 0 when the product is not considered
-	// for sharding (Threads < 2, or no dimension reaches the threshold).
+	// been had two tiles fit: at or above the shard threshold, half of it
+	// when it is below the break-even and its grid is 2-D with a tile per
+	// thread, else the model's FMM break-even on Arch; where neither fits,
+	// and below the threshold, Config.MC. 0 when the product is never
+	// considered for sharding (Threads < 2, or a negative ShardThreshold).
 	MinTile int
 	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
 	// is served whole.
 	GridM, GridN, GridK int
-	// M, K, N and Threads are the shape one job runs and the width its plan
-	// runs at: the product at Config.Threads, or its largest shard tile at
-	// width 1.
-	M, K, N, Threads int
+	// M, K and N are the shape one job runs, at width 1: the product, or its
+	// largest shard tile.
+	M, K, N int
 	// Plan names the plan MulAdd runs, as PlanFor does: the family member
 	// the product's shape class picks, whole or on every shard tile.
 	Plan string
@@ -707,25 +694,25 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 	if err := mu.checkDims(m, k, n); err != nil {
 		return Explanation{}, err
 	}
-	route, sharded, p, err := mu.serve(m, k, n, mu.cfg.Threads)
+	p, err := mu.planFor(m, k, n)
 	if err != nil {
 		return Explanation{}, err
 	}
+	route, sharded := mu.shardSpec(m, k, n)
 	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: route.floor,
-		M: m, K: k, N: n, Threads: mu.cfg.Threads, Plan: p.String()}
+		M: m, K: k, N: n, Plan: p.String()}
 	if sharded {
 		t := route.Tile(0)
 		ex.GridM, ex.GridN, ex.GridK = route.GridM, route.GridN, max(route.GridK, 1)
-		ex.M, ex.K, ex.N, ex.Threads = t.Rows, t.Depth, t.Cols, 1
+		ex.M, ex.K, ex.N = t.Rows, t.Depth, t.Cols
 	}
 	return ex, nil
 }
 
-// planAt returns the plan an m×k×n product runs at the given width (1 or
-// Config.Threads): its shape class's family member, on the engine at that
-// width (its Serial() view at width 1). The width never changes result bits.
-func (mu *GenericMultiplier[E]) planAt(m, k, n, threads int) (*fmmexec.Plan[E], error) {
-	key := planKey{bucket(m), bucket(k), bucket(n), threads}
+// planFor returns the plan an m×k×n product runs: its shape class's family
+// member, on the engine.
+func (mu *GenericMultiplier[E]) planFor(m, k, n int) (*fmmexec.Plan[E], error) {
+	key := planKey{bucket(m), bucket(k), bucket(n)}
 	if p := mu.plans.lookup(key); p != nil {
 		return p, nil
 	}
@@ -734,15 +721,14 @@ func (mu *GenericMultiplier[E]) planAt(m, k, n, threads int) (*fmmexec.Plan[E], 
 
 // fillClass sends a shape class to the family member model.Best picks at the
 // class's upper corner — so it depends on the class alone, never on which of
-// its sizes came first — building that member's plan at the class's width if
-// no class has yet. Racing fills of one class record the same plan.
+// its sizes came first — building that member's plan if no class has yet.
+// Racing fills of one class record the same plan.
 func (mu *GenericMultiplier[E]) fillClass(key planKey) (*fmmexec.Plan[E], error) {
 	cands := defaultCandidates()
 	i := model.Best(mu.arch, cands, key.bm, key.bk, key.bn)
-	w := min(key.threads, 2) - 1
-	fp := &mu.plans.family[w][i]
+	fp := &mu.plans.family[i]
 	fp.once.Do(func() {
-		ctx, err := mu.engine(key.threads)
+		ctx, err := mu.engine()
 		if err == nil {
 			fp.p, err = fmmexec.NewPlanOn(ctx, cands[i].Variant, cands[i].Levels...)
 		}
@@ -760,22 +746,22 @@ func (mu *GenericMultiplier[E]) fillClass(key planKey) (*fmmexec.Plan[E], error)
 }
 
 // CachedPlans reports how many family members' plans the multiplier has
-// built, over both widths: at most twice the family's size.
+// built: at most the family's size.
 func (mu *GenericMultiplier[E]) CachedPlans() int { return int(mu.plans.built.Load()) }
 
-// planTable holds a multiplier's plans: per width (row 0 width 1, row 1
-// Config.Threads), one slot per family member (defaultCandidates), built on
-// first use and kept; and a map sending every shape class served so far to
-// its member's plan. Nothing is evicted: the family bounds the plans.
+// planTable holds a multiplier's plans: one slot per family member
+// (defaultCandidates), built on first use and kept; and a map sending every
+// shape class served so far to its member's plan. Nothing is evicted: the
+// family bounds the plans.
 type planTable[E matrix.Element] struct {
-	family [2][]familyPlan[E]
-	built  atomic.Int64 // members built, both rows
+	family []familyPlan[E]
+	built  atomic.Int64 // members built
 
 	mu      sync.RWMutex
 	classes map[planKey]*fmmexec.Plan[E]
 }
 
-// familyPlan is one family member's plan at one width, or why it failed.
+// familyPlan is one family member's plan, or why it failed.
 type familyPlan[E matrix.Element] struct {
 	once sync.Once
 	p    *fmmexec.Plan[E]
@@ -783,9 +769,8 @@ type familyPlan[E matrix.Element] struct {
 }
 
 func newPlanTable[E matrix.Element]() *planTable[E] {
-	n := len(defaultCandidates())
 	return &planTable[E]{
-		family:  [2][]familyPlan[E]{make([]familyPlan[E], n), make([]familyPlan[E], n)},
+		family:  make([]familyPlan[E], len(defaultCandidates())),
 		classes: make(map[planKey]*fmmexec.Plan[E]),
 	}
 }
@@ -801,9 +786,9 @@ func (t *planTable[E]) lookup(key planKey) *fmmexec.Plan[E] {
 	return p
 }
 
-// planKey is a shape class at one width: each dimension rounded up to its
-// power-of-two bucket, and the width its plan runs at.
-type planKey struct{ bm, bk, bn, threads int }
+// planKey is a shape class: each dimension rounded up to its power-of-two
+// bucket.
+type planKey struct{ bm, bk, bn int }
 
 // bucket rounds x up to a power of two. Above 2^62, where the next one
 // overflows int, every x shares the one top class, math.MaxInt.

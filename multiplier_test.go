@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"fmmfam/internal/fmmexec"
-	"fmmfam/internal/gemm"
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 )
@@ -90,29 +89,26 @@ func TestMultiplierZeroSizeNoop(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBoundAcrossWidths: direct traffic (full-width plans) and
-// batch traffic (width-1 plans) share one plan table. Over more than 200
-// shape classes at each width, from 1 to 4096 in every dimension, it builds
-// at most one plan per family member per width, CachedPlans and Stats report
-// exactly the members built, and nothing is evicted: every class still
-// serves the plan it got first.
+// TestPlanCacheBoundAcrossWidths: direct traffic and batch traffic share
+// one plan table of width-1 plans (the name dates from the table's former
+// per-width rows). Over more than 200 shape classes, from 1 to 4096 in every
+// dimension, it builds at most one plan per family member, CachedPlans and
+// Stats report exactly the members built, and nothing is evicted: every
+// class still serves the plan it got first.
 func TestPlanCacheBoundAcrossWidths(t *testing.T) {
 	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 2, Kernel: "go4x4"}
 	mu := NewMultiplier(cfg, PaperArch())
 	check := func(step string) {
 		t.Helper()
 		built := builtPlans(mu)
-		want := len(built[0]) + len(built[1])
-		if got := mu.CachedPlans(); got != want {
-			t.Fatalf("%s: CachedPlans() = %d, want the %d members built", step, got, want)
+		if got := mu.CachedPlans(); got != len(built) {
+			t.Fatalf("%s: CachedPlans() = %d, want the %d members built", step, got, len(built))
 		}
-		if got := mu.Stats().CachedPlans; got != want {
-			t.Fatalf("%s: Stats().CachedPlans = %d, want %d", step, got, want)
+		if got := mu.Stats().CachedPlans; got != len(built) {
+			t.Fatalf("%s: Stats().CachedPlans = %d, want %d", step, got, len(built))
 		}
-		for w, row := range built {
-			if family := len(defaultCandidates()); len(row) > family {
-				t.Fatalf("%s: width row %d holds %d plans, the family has %d members", step, w, len(row), family)
-			}
+		if family := len(defaultCandidates()); len(built) > family {
+			t.Fatalf("%s: the table holds %d plans, the family has %d members", step, len(built), family)
 		}
 	}
 	// Batch traffic alone is visible: three small classes, one gemm member.
@@ -132,23 +128,17 @@ func TestPlanCacheBoundAcrossWidths(t *testing.T) {
 	for _, m := range dims {
 		for _, k := range dims {
 			for _, n := range dims {
-				for _, threads := range []int{1, cfg.Threads} {
-					p, err := mu.planAt(m, k, n, threads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					first[shapeClass(m, k, n, threads)] = p
+				p, err := mu.PlanFor(m, k, n)
+				if err != nil {
+					t.Fatal(err)
 				}
+				first[shapeClass(m, k, n)] = p
 			}
 		}
 	}
 	check("classes")
-	var perWidth [2]int
-	for key := range classPlans(mu) {
-		perWidth[min(key.threads, 2)-1]++
-	}
-	if perWidth[0] < 200 || perWidth[1] < 200 {
-		t.Fatalf("%d width-1 and %d full-width classes filled, want ≥ 200 each", perWidth[0], perWidth[1])
+	if n := len(classPlans(mu)); n < 200 {
+		t.Fatalf("%d classes filled, want ≥ 200", n)
 	}
 	for key, p := range first {
 		if got := mu.plans.lookup(key); got != p {
@@ -157,23 +147,20 @@ func TestPlanCacheBoundAcrossWidths(t *testing.T) {
 	}
 }
 
-// shapeClass is the plan table's key for an m×k×n product at one width.
-func shapeClass(m, k, n, threads int) planKey {
-	return planKey{bucket(m), bucket(k), bucket(n), threads}
+// shapeClass is the plan table's key for an m×k×n product.
+func shapeClass(m, k, n int) planKey {
+	return planKey{bucket(m), bucket(k), bucket(n)}
 }
 
-// builtPlans returns the family members' plans mu's table has built, per
-// width row (0: width 1, 1: Config.Threads), in family order. Call it with
-// no call on mu in flight.
-func builtPlans[E matrix.Element](mu *GenericMultiplier[E]) (rows [2][]*fmmexec.Plan[E]) {
-	for w := range mu.plans.family {
-		for i := range mu.plans.family[w] {
-			if p := mu.plans.family[w][i].p; p != nil {
-				rows[w] = append(rows[w], p)
-			}
+// builtPlans returns the family members' plans mu's table has built, in
+// family order. Call it with no call on mu in flight.
+func builtPlans[E matrix.Element](mu *GenericMultiplier[E]) (built []*fmmexec.Plan[E]) {
+	for i := range mu.plans.family {
+		if p := mu.plans.family[i].p; p != nil {
+			built = append(built, p)
 		}
 	}
-	return rows
+	return built
 }
 
 // classPlans returns a copy of mu's map from shape class to plan.
@@ -184,15 +171,14 @@ func classPlans[E matrix.Element](mu *GenericMultiplier[E]) map[planKey]*fmmexec
 }
 
 // checkPlansShareEngine asserts the one-engine structure over mu's plan
-// table: every built family plan of one width reports the same Context()
-// pointer — the multiplier's engine, on the configured kernel backend, for
-// full-width plans, that engine's Serial() view for width-1 ones — on the
-// multiplier's own pool; every shape class served maps to a built plan of its
-// width, and every built plan serves some class. It returns how many classes
-// of each width it saw.
-func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
+// table: every built family plan reports the same Context() pointer — the
+// multiplier's engine, a Threads=1 context on the configured kernel backend
+// and the multiplier's own pool; every shape class served maps to a built
+// plan, and every built plan serves some class. It returns how many classes
+// it saw.
+func checkPlansShareEngine(t *testing.T, mu *Multiplier) (classes int) {
 	t.Helper()
-	engine, err := mu.engine(mu.cfg.Threads)
+	engine, err := mu.engine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,62 +188,45 @@ func checkPlansShareEngine(t *testing.T, mu *Multiplier) (serial, wide int) {
 	if got := engine.Backend().Name(); got != mu.cfg.Kernel {
 		t.Fatalf("engine runs backend %q, want the configured %q", got, mu.cfg.Kernel)
 	}
+	if got := engine.Config().Threads; got != 1 {
+		t.Fatalf("engine runs at width %d, want 1", got)
+	}
 	built := builtPlans(mu)
-	var served [2]map[*Plan]bool
+	served := make(map[*Plan]bool)
 	for key, p := range classPlans(mu) {
-		w := min(key.threads, 2) - 1
-		if w == 0 {
-			serial++
-		} else {
-			wide++
+		if !slices.Contains(built, p) {
+			t.Fatalf("class %v serves %s, no built family plan", key, p)
 		}
-		if !slices.Contains(built[w], p) {
-			t.Fatalf("class %v serves %s, no built family plan of its width", key, p)
-		}
-		if served[w] == nil {
-			served[w] = make(map[*Plan]bool)
-		}
-		served[w][p] = true
+		served[p] = true
 	}
-	for w, row := range built {
-		want, threads := engine.Serial(), 1
-		if w == 1 {
-			want, threads = engine, mu.cfg.Threads
+	for _, p := range built {
+		if p.Context() != engine {
+			t.Fatalf("plan %s executes on a context of its own", p)
 		}
-		for _, p := range row {
-			if p.Context() != want {
-				t.Fatalf("plan %s executes on a context of its own", p)
-			}
-			if got := p.Context().Config().Threads; got != threads {
-				t.Fatalf("width-%d row holds a Threads=%d plan %s", threads, got, p)
-			}
-			if !served[w][p] {
-				t.Fatalf("width-%d plan %s was built for no class", threads, p)
-			}
+		if !served[p] {
+			t.Fatalf("plan %s was built for no class", p)
 		}
 	}
-	return serial, wide
+	return len(classPlans(mu))
 }
 
-// TestMultiplierPlansShareOnePool: every plan a multiplier builds, at either
-// width, executes on the multiplier's one engine — hence on the multiplier's
-// own pool, the one MulAddBatch and the shard paths dispatch on — so there is
-// one worker budget to exhaust and one store of buffers to fill, at four
-// threads and at eight (wideCfg).
+// TestMultiplierPlansShareOnePool: every plan a multiplier builds executes
+// on the multiplier's one engine — hence on the multiplier's own pool, the
+// one MulAddBatch and the shard paths dispatch on — so there is one worker
+// budget to exhaust and one store of buffers to fill, at four threads and at
+// eight (wideCfg).
 func TestMultiplierPlansShareOnePool(t *testing.T) {
 	four := wideCfg()
 	four.Threads = 4
 	for _, cfg := range []Config{four, wideCfg()} {
 		mu := NewMultiplier(cfg, PaperArch())
 		for _, n := range []int{24, 96, 256} {
-			for _, threads := range []int{1, cfg.Threads} {
-				if _, err := mu.planAt(n, n, n, threads); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := mu.PlanFor(n, n, n); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if serial, wide := checkPlansShareEngine(t, mu); serial != 3 || wide != 3 {
-			t.Fatalf("T=%d: saw %d width-1 and %d full-width classes, want 3 and 3", cfg.Threads, serial, wide)
+		if classes := checkPlansShareEngine(t, mu); classes != 3 {
+			t.Fatalf("T=%d: saw %d classes, want 3", cfg.Threads, classes)
 		}
 	}
 }
@@ -269,7 +238,7 @@ func TestMultiplierPlansShareOnePool(t *testing.T) {
 // float64s — where one private context, workspace pool and pre-allocated
 // workspace per cached plan kept 4–5 MiB per plan, about 200 MiB here. The
 // multiplier pinned to avx2 also serves one product down every other route —
-// direct, 1×2 column tiles, K-split slabs and an async job — and every plan
+// whole at width 1, 1×2 column tiles, K-split slabs and an async job — and every plan
 // and buffer of all of them must be on its one avx2 engine. The operands are
 // allocated before the baseline reading.
 func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
@@ -316,11 +285,6 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, n := range dims { // a few full-width plans beside the batch's width-1 ones
-				if _, err := mu.PlanFor(n, n, n); err != nil {
-					t.Fatal(err)
-				}
-			}
 			if kern == kernel.AVX2Backend {
 				for i, r := range routes {
 					ex, err := mu.Explain(r.m, r.k, r.n)
@@ -347,10 +311,8 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 			if growth > bound {
 				t.Fatalf("%d cached plans retain %d MiB, want < %d MiB", mu.CachedPlans(), growth>>20, bound>>20)
 			}
-			wantWide := len(dims) // a sharded product's plan is its class's width-1 one
-			serial, wide := checkPlansShareEngine(t, mu)
-			if serial < 40 || wide != wantWide {
-				t.Fatalf("table holds %d width-1 and %d full-width classes, want ≥ 40 and %d", serial, wide, wantWide)
+			if classes := checkPlansShareEngine(t, mu); classes < 40 {
+				t.Fatalf("table holds %d classes, want ≥ 40", classes)
 			}
 			runtime.KeepAlive(jobs)
 			runtime.KeepAlive(routeJobs)
@@ -365,11 +327,15 @@ func TestRetainedMemoryIndependentOfCachedPlans(t *testing.T) {
 // table, and its K-split reduction buffers from the engine. On avx2 at T = 2
 // that covers 1024³ cut into GEMM tiles, 2880×480×2880 and 2048³ cut into
 // tiles that run the product's FMM plan (2048³'s tiles would pick GEMM in
-// their own class) and 256×16384×256 cut along K; on the reference kernel,
-// the same three kinds at test sizes.
+// their own class), 256×16384×256 cut along K, and 384³ and 640×384×512
+// below the threshold, cut at the MC floor; on the reference kernel, the
+// same kinds at test sizes, the MC-floor one an FMM product below the
+// default threshold.
 func TestShardedMulAddAllocatesNothing(t *testing.T) {
 	avx2 := DefaultConfig()
 	avx2.Kernel, avx2.Threads = kernel.AVX2Backend, 2
+	below := servingCfg()
+	below.ShardThreshold = 0 // DefaultShardThreshold
 	for _, tc := range []struct {
 		cfg     Config
 		m, k, n int
@@ -379,9 +345,12 @@ func TestShardedMulAddAllocatesNothing(t *testing.T) {
 		{avx2, 2880, 480, 2880, "fmm"},
 		{avx2, 2048, 2048, 2048, "fmm"},
 		{avx2, 256, 16384, 256, "k-split"},
+		{avx2, 384, 384, 384, "gemm"},
+		{avx2, 640, 384, 512, "gemm"},
 		{servingCfg(), 96, 64, 256, "gemm"},
 		{servingCfg(), 512, 256, 512, "fmm"},
 		{servingCfg(), 48, 512, 48, "k-split"},
+		{below, 300, 260, 270, "fmm"},
 	} {
 		name := fmt.Sprintf("%s/%dx%dx%d", tc.cfg.Kernel, tc.m, tc.k, tc.n)
 		t.Run(name, func(t *testing.T) {
@@ -471,8 +440,8 @@ func TestHugeDimensionReturns(t *testing.T) {
 }
 
 // TestClassPlanIndependentOfHistory: a shape class's plan is a pure function
-// of (kernel, dtype, width, class). On every registered kernel, at both
-// element types and at width 1 and Threads, two multipliers fill each class
+// of (kernel, dtype, class). On every registered kernel, at both
+// element types, two multipliers fill each class
 // from opposite sizes — one from the class's smallest size, the other from
 // its largest — and then serve both sizes the same plan, and below 2^24
 // multiply-adds the same bits. One pair is 71×278×151 and 71×278×150, which
@@ -505,37 +474,35 @@ func classPlanIndependentOfHistory[E matrix.Element](t *testing.T) {
 		cfg.Kernel, cfg.Threads = kern, 2
 		for _, pair := range pairs {
 			x, y := NewGenericMultiplier[E](cfg, PaperArch()), NewGenericMultiplier[E](cfg, PaperArch())
-			for _, threads := range []int{1, cfg.Threads} {
-				plan := func(mu *GenericMultiplier[E], s [3]int) *fmmexec.Plan[E] {
-					p, err := mu.planAt(s[0], s[1], s[2], threads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return p
+			plan := func(mu *GenericMultiplier[E], s [3]int) *fmmexec.Plan[E] {
+				p, err := mu.PlanFor(s[0], s[1], s[2])
+				if err != nil {
+					t.Fatal(err)
 				}
-				plan(x, pair[0])
-				plan(y, pair[1])
-				for _, s := range pair {
-					if px, py := plan(x, s), plan(y, s); px.String() != py.String() {
-						t.Errorf("%s width %d %v: %s filled from %v, %s filled from %v",
-							kern, threads, s, px, pair[0], py, pair[1])
-					}
+				return p
+			}
+			plan(x, pair[0])
+			plan(y, pair[1])
+			for _, s := range pair {
+				if px, py := plan(x, s), plan(y, s); px.String() != py.String() {
+					t.Errorf("%s %v: %s filled from %v, %s filled from %v",
+						kern, s, px, pair[0], py, pair[1])
 				}
-				for _, s := range pair {
-					if s[0]*s[1]*s[2] > 1<<24 {
-						continue
-					}
-					a, b, c := matrix.New[E](s[0], s[1]), matrix.New[E](s[1], s[2]), matrix.New[E](s[0], s[2])
-					a.FillRand(rng)
-					b.FillRand(rng)
-					c.FillRand(rng)
-					cx, cy := c.Clone(), c.Clone()
-					if err := errors.Join(x.mulAdd(cx, a, b, threads, gemm.Operands[E]{}), y.mulAdd(cy, a, b, threads, gemm.Operands[E]{})); err != nil {
-						t.Fatal(err)
-					}
-					if d := cx.MaxAbsDiff(cy); d != 0 {
-						t.Errorf("%s width %d %v: results differ by %g between the two fill orders", kern, threads, s, d)
-					}
+			}
+			for _, s := range pair {
+				if s[0]*s[1]*s[2] > 1<<24 {
+					continue
+				}
+				a, b, c := matrix.New[E](s[0], s[1]), matrix.New[E](s[1], s[2]), matrix.New[E](s[0], s[2])
+				a.FillRand(rng)
+				b.FillRand(rng)
+				c.FillRand(rng)
+				cx, cy := c.Clone(), c.Clone()
+				if err := errors.Join(x.MulAdd(cx, a, b), y.MulAdd(cy, a, b)); err != nil {
+					t.Fatal(err)
+				}
+				if d := cx.MaxAbsDiff(cy); d != 0 {
+					t.Errorf("%s %v: results differ by %g between the two fill orders", kern, s, d)
 				}
 			}
 		}
@@ -545,8 +512,8 @@ func classPlanIndependentOfHistory[E matrix.Element](t *testing.T) {
 // TestExplainMatchesServedPlan: Explain names the plan MulAdd serves, for
 // sizes sampled across one class whatever order they come in. One multiplier
 // runs the sizes; another, fresh, explains them in the reverse order; after
-// each call the plan of the product's class, at the width the call ran it —
-// Threads whole, 1 on shard tiles — must be the one Explain named. The
+// each call the plan of the product's class — whole or on every shard tile
+// — must be the one Explain named. The
 // unsharded class is 71×278×151's on go4x4 at T = 2, which straddles the
 // break-even; the sharded one is cut into tiles at T = 4 (servingCfg).
 func TestExplainMatchesServedPlan(t *testing.T) {
@@ -586,10 +553,10 @@ func TestExplainMatchesServedPlan(t *testing.T) {
 			if ex.GridM > 0 {
 				sharded++
 			}
-			served := runner.plans.lookup(shapeClass(s[0], s[1], s[2], ex.Threads))
+			served := runner.plans.lookup(shapeClass(s[0], s[1], s[2]))
 			if served == nil || served.String() != ex.Plan {
-				t.Errorf("T=%d %v: Explain names %q at width %d, MulAdd ran %v",
-					tc.cfg.Threads, s, ex.Plan, ex.Threads, served)
+				t.Errorf("T=%d %v: Explain names %q, MulAdd ran %v",
+					tc.cfg.Threads, s, ex.Plan, served)
 			}
 		}
 		if tc.cfg.ShardThreshold > 0 && sharded == 0 {

@@ -278,7 +278,8 @@ func TestShardedKSplit(t *testing.T) {
 // bit-identical to its replay (replaySharded). Threads is 3, or 4 when wide:
 // with m, n ≤ 400 the model never cuts a multi-tile K-split for three
 // workers, where its six tiles would take two rounds. Shapes that do not
-// shard are skipped. The seeds cover the three grid kinds.
+// shard are skipped. The seeds cover the three grid kinds and the MC-floor
+// route below the threshold.
 //
 // The replay runs every tile on the product's plan, taken from one Threads=1
 // multiplier shared by every input (its PlanFor of the product): a shape
@@ -289,6 +290,7 @@ func FuzzShardedMulAdd(f *testing.F) {
 	f.Add(uint16(256), uint16(96), uint16(200), false, int64(1)) // 3×1 tiles
 	f.Add(uint16(48), uint16(700), uint16(60), false, int64(2))  // one tile, 3 K-slabs
 	f.Add(uint16(70), uint16(300), uint16(300), true, int64(3))  // 1×2 tiles, 2 K-slabs each
+	f.Add(uint16(100), uint16(60), uint16(90), false, int64(4))  // below the threshold: MC-floor tiles
 	cfg := servingCfg()
 	cfg.Threads = 3
 	narrow := NewMultiplier(cfg, PaperArch())
@@ -351,8 +353,10 @@ func TestKDominantAcceptanceShape(t *testing.T) {
 }
 
 // TestShardGating: sharding must stay off for single-threaded multipliers,
-// sub-threshold problems, and explicitly disabled configs — those calls take
-// the plain plan path.
+// products with no room for two tiles at the MC floor (smaller than 2·MC in
+// M and N), and explicitly disabled configs — those calls run their plan
+// whole at width 1. A sub-threshold product with that room is cut at the MC
+// floor, K whole.
 func TestShardGating(t *testing.T) {
 	single := servingCfg()
 	single.Threads = 1
@@ -360,13 +364,25 @@ func TestShardGating(t *testing.T) {
 		t.Fatal("Threads=1 must not shard")
 	}
 	small := servingCfg()
-	if _, ok := NewMultiplier(small, PaperArch()).shardSpec(100, 100, 100); ok {
-		t.Fatal("sub-threshold problem must not shard")
+	mu := NewMultiplier(small, PaperArch())
+	if _, ok := mu.shardSpec(24, 100, 24); ok {
+		t.Fatalf("a product under 2·MC = %d in M and N must not shard", 2*small.MC)
+	}
+	route, ok := mu.shardSpec(100, 100, 100)
+	if !ok || route.floor != small.MC || route.GridK != 1 {
+		t.Fatalf("sub-threshold 100³: route %v at floor %d (sharded %v), want a 2-D grid at MC = %d", route, route.floor, ok, small.MC)
+	}
+	for _, tl := range route.Tiles() {
+		if tl.Rows < small.MC || tl.Cols < small.MC {
+			t.Fatalf("tile %+v under the MC floor %d", tl, small.MC)
+		}
 	}
 	off := servingCfg()
 	off.ShardThreshold = -1
-	if _, ok := NewMultiplier(off, PaperArch()).shardSpec(4096, 4096, 4096); ok {
-		t.Fatal("ShardThreshold<0 must disable sharding")
+	for _, side := range []int{100, 4096} {
+		if _, ok := NewMultiplier(off, PaperArch()).shardSpec(side, side, side); ok {
+			t.Fatalf("ShardThreshold<0 must disable sharding, %d³ shards", side)
+		}
 	}
 	// Default knobs derive the tile floor from the model's break-even, and a
 	// product with room for two tiles at or above the floor it was cut at
@@ -430,7 +446,7 @@ func TestMulAddBatchIndependentOfThreads(t *testing.T) {
 		if got := mu.CachedPlans(); got != 1 {
 			t.Fatalf("Threads=%d: one batch of one shape cached %d plans, want 1", mu.cfg.Threads, got)
 		}
-		if mu.plans.lookup(shapeClass(96, 64, 96, 1)) == nil {
+		if mu.plans.lookup(shapeClass(96, 64, 96)) == nil {
 			t.Fatalf("Threads=%d: batch did not plan at width 1", mu.cfg.Threads)
 		}
 	}

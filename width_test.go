@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/shard"
 )
 
 // wideCfg is an eight-thread multiplier on the reference kernel at small
@@ -21,22 +23,25 @@ func fourCfg() Config {
 	return Config{MC: 32, KC: 32, NC: 64, Threads: 4, Kernel: "go4x4"}
 }
 
-// widthRow is one row of the width-independence table.
+// widthRow is one row of the tile-replay table.
 type widthRow struct {
 	cfg     Config
 	m, k, n int
 }
 
-// The traversal tests share one table contract: a plan's result does not
-// depend on its width. On every row the wide multiplier serves a fast
-// algorithm, and its MulAdd equals a Threads=1 multiplier's bit for bit, at
-// both precisions — the property that keeps the float64 golden fingerprints
-// valid at any Threads. Both results also match the reference product, and
-// repeating the wide call reproduces its bits. The names date from when a
-// plan could fan its terms out (BFS) instead of running them in order (DFS).
+// The traversal tests share one table contract, the tile contract every
+// product a multiplier cuts obeys: on every row the multiplier serves a fast
+// algorithm to a product below the shard threshold, cuts it into tiles at
+// the MC floor with K whole, and its MulAdd equals PlanFor's plan replayed
+// tile by tile on Explain's grid, bit for bit, at both precisions. The
+// result also matches the reference product, and repeating the call
+// reproduces its bits. The tiles follow from Threads, so unlike a
+// GEMM-served product's (TestGEMMServedBitsIndependentOfThreads) an FMM
+// product's bits do too. The names date from when a plan could fan its
+// terms out (BFS) instead of running them in order (DFS).
 
-// TestTraversalBFSEndToEnd covers the shapes on which the term fan-out used
-// to be chosen: <2,2,2> ABC on wideCfg at divisible and fringed sizes.
+// TestTraversalBFSEndToEnd covers <2,2,2> ABC on wideCfg at divisible and
+// fringed sizes.
 func TestTraversalBFSEndToEnd(t *testing.T) {
 	runWidthRows(t, 60, []widthRow{
 		{wideCfg(), 256, 256, 256},
@@ -64,45 +69,105 @@ func runWidthRows(t *testing.T, seed int64, rows []widthRow) {
 		name := fmt.Sprintf("%dx%dx%d/T%d", row.m, row.k, row.n, row.cfg.Threads)
 		s := seed + int64(i)
 		t.Run(name+"/float64", func(t *testing.T) {
-			checkWidthIndependent[float64](t, row.cfg, row.m, row.k, row.n, s, 1e-9)
+			checkTileReplay[float64](t, row.cfg, row.m, row.k, row.n, s, 1e-9)
 		})
 		t.Run(name+"/float32", func(t *testing.T) {
-			checkWidthIndependent[float32](t, row.cfg, row.m, row.k, row.n, s, float32Tol(row.k))
+			checkTileReplay[float32](t, row.cfg, row.m, row.k, row.n, s, float32Tol(row.k))
 		})
 	}
 }
 
-func checkWidthIndependent[E matrix.Element](t *testing.T, cfg Config, m, k, n int, seed int64, tol float64) {
-	wide := NewGenericMultiplier[E](cfg, PaperArch())
-	p, err := wide.PlanFor(m, k, n)
+func checkTileReplay[E matrix.Element](t *testing.T, cfg Config, m, k, n int, seed int64, tol float64) {
+	mu := NewGenericMultiplier[E](cfg, PaperArch())
+	p, err := mu.PlanFor(m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Levels) == 0 {
 		t.Fatalf("Threads=%d plan is %s, want a fast algorithm", cfg.Threads, p)
 	}
-	serialCfg := cfg
-	serialCfg.Threads = 1
-	serial := NewGenericMultiplier[E](serialCfg, PaperArch())
+	ex, err := mu.Explain(m, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max(m, k, n) >= cfg.shardThreshold() || ex.GridM == 0 || ex.GridK != 1 || ex.MinTile != cfg.MC {
+		t.Fatalf("Threads=%d: %+v, want MC-floor tiles below the threshold", cfg.Threads, ex)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	a, b := matrix.New[E](m, k), matrix.New[E](k, n)
 	a.FillRand(rng)
 	b.FillRand(rng)
 	want := matrix.New[E](m, n)
 	matrix.MulAdd(want, a, b)
-	var prints []uint64
-	for _, mu := range []*GenericMultiplier[E]{serial, wide, wide} {
+	replay := matrix.New[E](m, n)
+	spec := shard.Spec{M: m, K: k, N: n, GridM: ex.GridM, GridN: ex.GridN, GridK: ex.GridK}
+	if err := replaySharded(serialTwin(mu), spec, replay, a, b); err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
 		c := matrix.New[E](m, n)
 		if err := mu.MulAdd(c, a, b); err != nil {
 			t.Fatal(err)
 		}
 		if d := c.MaxAbsDiff(want); d > tol {
-			t.Fatalf("Threads=%d %s: diff %g from the reference", mu.cfg.Threads, p, d)
+			t.Fatalf("Threads=%d %s: diff %g from the reference", cfg.Threads, p, d)
 		}
-		prints = append(prints, c.Fingerprint())
+		if c.Fingerprint() != replay.Fingerprint() {
+			t.Fatalf("run %d: Threads=%d %s on %d×%d tiles differs from its tile-by-tile replay",
+				run, cfg.Threads, p, ex.GridM, ex.GridN)
+		}
 	}
-	if prints[1] != prints[0] || prints[2] != prints[0] {
-		t.Fatalf("%s: Threads=%d fingerprints %#x, %#x differ from Threads=1's %#x",
-			p, cfg.Threads, prints[1], prints[2], prints[0])
+}
+
+// TestGEMMServedBitsIndependentOfThreads: a GEMM-served product's result
+// does not depend on Threads. On every registered kernel, at both
+// precisions, a product runs whole at Threads = 1 and, at Threads 2 and 3,
+// whole where two MC tiles do not fit and cut into MC-floor tiles where they
+// do, and the three results are identical bit for bit — the property that
+// keeps GEMM-served bits, the float64 golden fingerprints included, valid at
+// any Threads. Shapes a kernel serves with a fast algorithm are skipped
+// there.
+func TestGEMMServedBitsIndependentOfThreads(t *testing.T) {
+	t.Run("float64", gemmServedBitsIndependentOfThreads[float64])
+	t.Run("float32", gemmServedBitsIndependentOfThreads[float32])
+}
+
+func gemmServedBitsIndependentOfThreads[E matrix.Element](t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, kern := range Kernels() {
+		if _, ok := archOf(kern, matrix.DtypeOf[E]()); !ok {
+			continue
+		}
+		for _, s := range [][3]int{{40, 30, 40}, {100, 70, 90}, {128, 128, 128}, {200, 64, 150}, {300, 300, 300}} {
+			a, b := matrix.New[E](s[0], s[1]), matrix.New[E](s[1], s[2])
+			a.FillRand(rng)
+			b.FillRand(rng)
+			var first uint64
+			runs, tiled := 0, false
+			for _, threads := range []int{1, 2, 3} {
+				cfg := Config{MC: 24, KC: 32, NC: 64, Threads: threads, Kernel: kern}
+				mu := NewGenericMultiplier[E](cfg, PaperArch())
+				ex, err := mu.Explain(s[0], s[1], s[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Plan != fmmexec.GEMMName {
+					break
+				}
+				runs, tiled = runs+1, tiled || ex.GridM > 0
+				c := matrix.New[E](s[0], s[2])
+				if err := mu.MulAdd(c, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if threads == 1 {
+					first = c.Fingerprint()
+				} else if c.Fingerprint() != first {
+					t.Fatalf("%s %v: Threads=%d (grid %d×%d×%d) differs from Threads=1", kern, s, threads, ex.GridM, ex.GridN, ex.GridK)
+				}
+			}
+			if runs == 3 && s[0] >= 2*24 && !tiled {
+				t.Fatalf("%s %v: never tiled", kern, s)
+			}
+		}
 	}
 }
