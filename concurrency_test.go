@@ -160,13 +160,14 @@ func TestMulAddBatch(t *testing.T) {
 // TestGoroutineCeiling pins the multiplier's goroutine invariant — live
 // compute goroutines ≤ callers + Threads − 1 helpers, plus the Threads queue
 // drainers once MulAddAsync has been used — under the worst mix: concurrent
-// callers of unsharded MulAdd on distinct shape classes (intra-GEMM fan-out),
-// sharded MulAdd (2-D tiles and K-split slabs) and MulAddBatch, all on one
-// Threads=4 multiplier, while a sampler counts the goroutines in
-// runtime.Stack that are callers or helpers still claiming jobs.
+// callers of MulAdd run whole on distinct shape classes, sharded MulAdd (2-D
+// tiles at the MC floor and above the threshold, and K-split slabs) and
+// MulAddBatch, all on one Threads=4 multiplier, while a sampler counts the
+// goroutines in runtime.Stack that are callers or helpers still claiming
+// jobs.
 func TestGoroutineCeiling(t *testing.T) {
 	const threads = 4
-	cfg := servingCfg() // Threads 4, shards from 128 up with tiles ≥ 48
+	cfg := servingCfg() // Threads 4, ShardThreshold 128, MC 16
 	mu := NewMultiplier(cfg, PaperArch())
 	defer mu.Close()
 
@@ -184,10 +185,17 @@ func TestGoroutineCeiling(t *testing.T) {
 		return problem{a: a, b: b, want: want, batch: batch}
 	}
 	problems := []problem{
-		mk(100, 100, 100, false), mk(60, 120, 90, false), mk(120, 40, 30, false), // unsharded, three shape classes
+		mk(24, 100, 24, false), mk(30, 120, 20, false), // whole, two shape classes
+		mk(100, 100, 100, false),                         // 2-D sharded at the MC floor
 		mk(256, 32, 256, false), mk(192, 64, 160, false), // 2-D sharded
 		mk(48, 512, 48, false),                      // K-split
 		mk(90, 70, 80, true), mk(40, 100, 60, true), // batches of these
+	}
+	for i, p := range problems[:3] {
+		route, ok := mu.shardSpec(p.a.Rows, p.a.Cols, p.b.Cols)
+		if ok != (i == 2) || ok && route.floor != cfg.MC {
+			t.Fatalf("problem %d: shardSpec = %v, %v; the mix needs two whole products and one cut at MC", i, route, ok)
+		}
 	}
 	for i, p := range problems[3:6] {
 		spec, ok := mu.shardSpec(p.a.Rows, p.a.Cols, p.b.Cols)

@@ -37,14 +37,15 @@
 // of Config.Threads that every layer submits to (the goroutine invariant is
 // stated on GenericMultiplier).
 //
-// Serving layer: above Config.ShardThreshold a MulAdd is automatically split
+// Serving layer: a MulAdd with room for two tiles is automatically split
 // into independent block products scheduled on that pool (internal/shard +
 // internal/sched) — cutting the M×N output into full-K tiles (bit-identical
-// results), or, for K-dominant problems, the inner dimension into reduction
-// slabs (run-to-run deterministic results, fixed fold order); MulAddAsync
-// submits work to a bounded queue and returns a Future; a Multiplier builds
-// at most one plan per family member and width, so servers with diverse
-// shapes stay bounded.
+// results), or, for K-dominant problems at or above Config.ShardThreshold,
+// the inner dimension into reduction slabs (run-to-run deterministic
+// results, fixed fold order) — and any other product runs whole, every plan
+// at width 1; MulAddAsync submits work to a bounded queue and returns a
+// Future; a Multiplier builds at most one plan per family member, so
+// servers with diverse shapes stay bounded.
 package fmmfam
 
 import (
@@ -105,8 +106,10 @@ type Config struct {
 	// MC, KC, NC are the cache blocking parameters of Figure 1.
 	MC, KC, NC int
 	// Threads is the worker budget: the size of the one pool a Multiplier
-	// (or a directly built Plan) runs everything on, within one MulAdd and
-	// across batch jobs and shard tiles, and the MulAddAsync drainer count.
+	// runs everything on — shard tiles and batch jobs, each a width-1 plan —
+	// and the MulAddAsync drainer count. A directly built Plan (NewPlan)
+	// spends it within one call instead, its GEMM splitting row panels and
+	// B̃ packing across that many workers.
 	Threads int
 
 	// Kernel selects the micro-kernel backend by registry name (see
@@ -127,15 +130,18 @@ type Config struct {
 	// the backend the name resolves to.
 	Kernel string
 
-	// ShardThreshold is the problem size at or above which MulAdd
-	// automatically splits into independent block products scheduled across
-	// the pool (Threads ≥ 2 required): max(m,k,n) must reach it. Tiles are
-	// cut in M and N, and in K (into slabs with per-tile reduction buffers,
-	// run-to-run deterministic but not bit-identical to the 2-D path) only
-	// where the performance model prices that faster. Every cut dimension
-	// stays at or above a floor that follows the plan serving the product
-	// (Explanation.MinTile). 0 means DefaultShardThreshold; negative
-	// disables sharding.
+	// ShardThreshold is the problem size — max(m,k,n) — at or above which
+	// MulAdd cuts a product at the large-product tile floors: half the
+	// threshold for a 2-D grid with a tile per thread, else the model's
+	// break-even, where K may be split too (into slabs with per-tile
+	// reduction buffers, run-to-run deterministic but not bit-identical to
+	// the 2-D path) where the performance model prices that faster. Below
+	// it, and where neither floor fits, MulAdd cuts a 2-D grid with K whole
+	// at a floor of MC. Tiles run across the pool (Threads ≥ 2 required);
+	// every cut dimension stays at or above the floor applied
+	// (Explanation.MinTile), and a product with no room for two tiles runs
+	// whole at width 1. 0 means DefaultShardThreshold; negative serves every
+	// product whole at width 1.
 	ShardThreshold int
 
 	// QueueDepth bounds the MulAddAsync submission queue; submitters block
@@ -179,13 +185,12 @@ type Config struct {
 // Serving-layer defaults for the zero Config knobs.
 const (
 	// DefaultShardThreshold is the problem size — max(m,k,n) — at which
-	// MulAdd starts auto-sharding, and twice the lowered tile floor (see
-	// Explanation.MinTile). It is not where the in-call
-	// loop starts losing: on a 2-vCPU AVX-512 host, two independent width-1
-	// GEMM column tiles ran 11–18 % faster than one width-2 GEMM at
-	// 384–1024 on both avx2 and avx512, and about even at 1536. It keeps
-	// small products off the sharded path, whose grid search and tile
-	// dispatch they would not amortize.
+	// MulAdd moves from the MC tile floor to the large-product floors, and
+	// twice the lowered one (see Explanation.MinTile). On a 2-vCPU AVX-512
+	// host, two independent width-1 GEMM column tiles ran 11–18 % faster
+	// than one width-2 GEMM at 384–1024 on both avx2 and avx512, and about
+	// even at 1536, so above it a tile of half the threshold still runs at
+	// full speed, while below it a tile need only fill one Ã block.
 	DefaultShardThreshold = 1024
 	// DefaultCoalesceWindow is the default bound on a coalescing window's
 	// hold: long enough that a 64-client small-matrix workload fills windows
@@ -407,7 +412,9 @@ func Catalog() []CatalogEntry { return core.Catalog() }
 // outermost first; hybrid partitions simply pass different algorithms per
 // level, and no levels at all is the zero-level plan, plain GEMM. The plan
 // runs its R terms in order, one after another, each term's GEMM drawing on
-// the plan's Threads; its result bits do not depend on Threads.
+// the plan's Threads; its result bits do not depend on Threads. (A
+// Multiplier builds every plan at width 1 and parallelises across tiles
+// and jobs instead.)
 func NewPlan(cfg Config, v Variant, levels ...Algorithm) (*Plan, error) {
 	return newPlan[float64](cfg, v, levels)
 }

@@ -27,11 +27,13 @@
 // folds for K-split grids, or the caller's Options.Cost hook (typically the
 // performance model's ShardMakespan, which prices the same schedule in
 // seconds) — subject to every cut dimension staying at or above a
-// caller-given floor. The multiplier's floor is the performance model's
-// fast-algorithm break-even, lowered to half its shard threshold when the
-// grid cut there is 2-D with a tile per worker (independent width-1 tiles
-// outrun one product's in-call loop parallelism); every tile runs the plan
-// the multiplier chose for the whole product. Ties go to the grid with the
+// caller-given floor. At or above its shard threshold the multiplier's floor
+// is the performance model's fast-algorithm break-even, lowered to half the
+// threshold when the grid cut there is 2-D with a tile per worker; below the
+// threshold, and where neither fits, it is the GEMM blocking's MC with K
+// whole (independent width-1 tiles outrun one product's in-call loop
+// parallelism). Every tile runs the plan the multiplier chose for the whole
+// product. Ties go to the grid with the
 // largest minimum output-tile side, then the fewest tiles, then the fewest K
 // slabs: bigger tiles keep the product's plan near the shapes it was chosen
 // for and amortize packing, worker-aligned tile counts avoid

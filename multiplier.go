@@ -480,8 +480,8 @@ type shardRoute struct {
 //     condition keeps wider pools off it until it is measured there).
 //   - At or above the threshold, the model's fast-algorithm break-even, where
 //     the K dimension may be split too.
-//   - Otherwise, and below the threshold, Config.MC with K whole: a tile
-//     still fills at least one Ã block of the GEMM it runs.
+//   - Below the threshold, or where neither fits, Config.MC with K whole: a
+//     tile still fills at least one Ã block of the GEMM it runs.
 //
 // Independent width-1 tiles outrun one product's in-call loop whichever
 // plan serves the product, and the tiles run the product's own plan, so the

@@ -19,8 +19,10 @@ var ErrServerClosed = errors.New("serve: server closed")
 // regime where per-call overhead (HTTP handling, plan lookup, pool
 // dispatch) is comparable to the product itself — the small-matrix
 // ML-inference traffic the batch path amortizes — while anything larger
-// goes straight to MulAdd, whose auto-sharding and intra-plan parallelism
-// want the whole worker pool, not a single-threaded batch slot.
+// goes straight to MulAdd, which cuts it into width-1 tiles across the
+// whole worker pool where two tiles of at least Config.MC fit, instead of
+// one batch slot. Between the two, a product under 2·MC runs whole at
+// width 1 either way.
 const coalesceSizeLimit = 128
 
 // coalescer group-commits small multiply requests: while the engine is idle
@@ -40,7 +42,7 @@ const coalesceSizeLimit = 128
 // runs on its submitter without either channel.
 //
 // Results do not depend on how requests were grouped: every job of a batch
-// runs on the engine's serial twin, so a request's bits are those of a
+// runs its class's width-1 plan whole, so a request's bits are those of a
 // direct MulAddBatch of that request alone.
 //
 // Error granularity is per window: MulAddBatch joins per-job errors, and

@@ -94,9 +94,7 @@ func TestServeRaceCoalesceStats(t *testing.T) {
 					t.Errorf("client %d iter %d: %v", g, it, err)
 					return
 				}
-				// A request dispatched alone runs its class's full-width
-				// plan, a coalesced one the width-1 plan: equality is up to
-				// roundoff.
+				// Equality with the reference product is up to roundoff.
 				if d := c.MaxAbsDiff(want); d > 1e-9 {
 					t.Errorf("client %d iter %d: off by %g", g, it, d)
 					return

@@ -356,10 +356,11 @@ func computeStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// dispatch routes one multiply to the engine: sub-threshold problems join
-// the coalescing window (when enabled), everything else goes straight to
-// MulAdd and picks up auto-sharding and intra-plan parallelism there. Either
-// way it returns after the product has run.
+// dispatch routes one multiply to the engine: problems within
+// coalesceSizeLimit join the coalescing window (when enabled), everything
+// else goes straight to MulAdd, which cuts it into width-1 tiles across the
+// pool where they fit and runs it whole at width 1 where not. Either way it
+// returns after the product has run.
 func dispatch[E matrix.Element](ln *lane[E], c, a, b matrix.Mat[E]) error {
 	if ln.co != nil && a.Rows <= coalesceSizeLimit && a.Cols <= coalesceSizeLimit && b.Cols <= coalesceSizeLimit {
 		return ln.co.submit(c, a, b)
