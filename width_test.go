@@ -23,8 +23,8 @@ func fourCfg() Config {
 	return Config{MC: 32, KC: 32, NC: 64, Threads: 4, Kernel: "go4x4"}
 }
 
-// widthRow is one row of the tile-replay table.
-type widthRow struct {
+// tileRow is one row of the tile-replay table.
+type tileRow struct {
 	cfg     Config
 	m, k, n int
 }
@@ -43,7 +43,7 @@ type widthRow struct {
 // TestTraversalBFSEndToEnd covers <2,2,2> ABC on wideCfg at divisible and
 // fringed sizes.
 func TestTraversalBFSEndToEnd(t *testing.T) {
-	runWidthRows(t, 60, []widthRow{
+	runTileRows(t, 60, []tileRow{
 		{wideCfg(), 256, 256, 256},
 		{wideCfg(), 300, 260, 270},
 		{wideCfg(), 211, 197, 203},
@@ -53,18 +53,18 @@ func TestTraversalBFSEndToEnd(t *testing.T) {
 // TestTraversalDFSKeepsSerialBits covers a four-thread multiplier on a
 // fringed shape.
 func TestTraversalDFSKeepsSerialBits(t *testing.T) {
-	runWidthRows(t, 63, []widthRow{{fourCfg(), 160, 144, 176}})
+	runTileRows(t, 63, []tileRow{{fourCfg(), 160, 144, 176}})
 }
 
 // TestTraversalAutoMatchesReference covers a four-thread multiplier on a
 // square problem.
 func TestTraversalAutoMatchesReference(t *testing.T) {
-	runWidthRows(t, 64, []widthRow{{fourCfg(), 256, 256, 256}})
+	runTileRows(t, 64, []tileRow{{fourCfg(), 256, 256, 256}})
 }
 
-// runWidthRows checks each row at float64 and float32, seeding row i with
+// runTileRows checks each row at float64 and float32, seeding row i with
 // seed+i.
-func runWidthRows(t *testing.T, seed int64, rows []widthRow) {
+func runTileRows(t *testing.T, seed int64, rows []tileRow) {
 	for i, row := range rows {
 		name := fmt.Sprintf("%dx%dx%d/T%d", row.m, row.k, row.n, row.cfg.Threads)
 		s := seed + int64(i)
