@@ -1,7 +1,6 @@
 package fmmfam
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -195,52 +194,46 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 	}
 }
 
-// TestDefaultSquareRoute: the route a product takes — shard grid, tile floor
-// and the product's family member, which runs whole or on every tile, always
-// at width 1 — per kernel and width, on default_square (1024³ at T = 2,
-// through every kernel an empty Config.Kernel can resolve to) and the shapes
-// that pin the floor rule. At or above the threshold the floor is the
-// break-even, lowered to half the threshold for a 2-D grid with a tile per
-// thread, whichever plan serves the product: GEMM (1024³ at T = 2 on avx2
-// and avx512) or a fast algorithm (avx2 2880×480×2880 and 2048³, avx512
-// 4096³ — whose tiles run the product's plan although their own class would
-// pick GEMM). K-split grids keep the break-even route (256×16384×256, 1×1×2
-// on every kernel), and so does go4x4, whose break-even is already below half
-// the threshold (2×2×1 at T = 4, 2×4×1 at T = 8). Where neither fits
-// (avx2/avx512 1024×600×600 at T = 4 and 1024³ at T = 8, whose grids at half
-// the threshold have fewer tiles than threads), and below the threshold
-// (wire_mix's big class: avx2 384³ and 640×384×512), the grid is cut at
-// Config.MC with K whole; a product with no room for two such tiles (avx2
-// 160³) runs whole. On every sharded row Explain names PlanFor's plan.
+// TestDefaultSquareRoute: the route a product takes — shard grid and the
+// product's family member, which runs whole or on every tile, always at
+// width 1 — per kernel and width, on default_square (1024³ at T = 2, through
+// every kernel an empty Config.Kernel can resolve to) and the shapes that pin
+// the grid rule: tiles ≥ MC; K slabs ≥ break-even at or above the threshold;
+// the cheaper grid wins. The K-whole grid at MC is served whichever plan
+// serves the product: GEMM (1024³ at T = 2 on avx2 and avx512) or a fast
+// algorithm (avx2 2880×480×2880 and 2048³, avx512 4096³ — whose tiles run
+// the product's plan although their own class would pick GEMM; go4x4 at
+// T = 4 and 8), also below the threshold (wire_mix's big class: avx2 384³
+// and 640×384×512). The K-slab grid at the break-even wins only where the
+// model prices it lower (256×16384×256, 1×1×2 on every kernel). A product
+// with no room for two MC tiles (avx2 160³) runs whole. On every sharded row
+// Explain names PlanFor's plan.
 func TestDefaultSquareRoute(t *testing.T) {
-	const half = DefaultShardThreshold / 2
-	mc := DefaultConfig().MC
 	for _, tc := range []struct {
 		kern    string
 		threads int
 		m, k, n int
 		grid    string // "" = unsharded
-		floor   int    // 0 = the model break-even
 		plan    string // the product's member, whole or on every tile
 	}{
-		{kernel.DefaultBackend, 2, 1024, 1024, 1024, "1×2×1", 0, "<2,2,2>+<2,2,2> ABC"},
-		{kernel.AVX2Backend, 2, 1024, 1024, 1024, "1×2×1", half, fmmexec.GEMMName},
-		{kernel.AVX512Backend, 2, 1024, 1024, 1024, "1×2×1", half, fmmexec.GEMMName},
-		{kernel.AVX2Backend, 2, 2880, 480, 2880, "1×2×1", half, "<2,2,2> ABC"},
-		{kernel.AVX2Backend, 2, 2048, 2048, 2048, "1×2×1", half, "<2,2,2> ABC"},
-		{kernel.AVX512Backend, 2, 4096, 4096, 4096, "1×2×1", half, "<2,2,2> AB"},
-		{kernel.DefaultBackend, 2, 256, 16384, 256, "1×1×2", 0, "<2,2,2> AB"},
-		{kernel.AVX2Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
-		{kernel.AVX512Backend, 2, 256, 16384, 256, "1×1×2", 0, fmmexec.GEMMName},
-		{kernel.DefaultBackend, 4, 1024, 600, 600, "2×2×1", 0, "<2,2,2>+<2,2,2> ABC"},
-		{kernel.AVX2Backend, 4, 1024, 600, 600, "2×2×1", mc, fmmexec.GEMMName},
-		{kernel.AVX512Backend, 4, 1024, 600, 600, "2×2×1", mc, fmmexec.GEMMName},
-		{kernel.DefaultBackend, 8, 1024, 1024, 1024, "2×4×1", 0, "<2,2,2>+<2,2,2> ABC"},
-		{kernel.AVX2Backend, 8, 1024, 1024, 1024, "2×4×1", mc, fmmexec.GEMMName},
-		{kernel.AVX512Backend, 8, 1024, 1024, 1024, "2×4×1", mc, fmmexec.GEMMName},
-		{kernel.AVX2Backend, 2, 384, 384, 384, "1×2×1", mc, fmmexec.GEMMName},
-		{kernel.AVX2Backend, 2, 640, 384, 512, "2×1×1", mc, fmmexec.GEMMName},
-		{kernel.AVX2Backend, 2, 160, 160, 160, "", mc, fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 1024, 1024, 1024, "1×2×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 1024, 1024, 1024, "1×2×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 1024, 1024, 1024, "1×2×1", fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 2880, 480, 2880, "1×2×1", "<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 2048, 2048, 2048, "1×2×1", "<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 4096, 4096, 4096, "1×2×1", "<2,2,2> AB"},
+		{kernel.DefaultBackend, 2, 256, 16384, 256, "1×1×2", "<2,2,2> AB"},
+		{kernel.AVX2Backend, 2, 256, 16384, 256, "1×1×2", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 256, 16384, 256, "1×1×2", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 4, 1024, 600, 600, "2×2×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 4, 1024, 600, 600, "2×2×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 4, 1024, 600, 600, "2×2×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 8, 1024, 1024, 1024, "2×4×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 8, 1024, 1024, 1024, "2×4×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 8, 1024, 1024, 1024, "2×4×1", fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 384, 384, 384, "1×2×1", fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 640, 384, 512, "2×1×1", fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 160, 160, 160, "", fmmexec.GEMMName},
 	} {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
 			continue
@@ -272,8 +265,7 @@ func TestDefaultSquareRoute(t *testing.T) {
 				t.Errorf("%s: Explain names %q, PlanFor %q", name, ex.Plan, p)
 			}
 		}
-		want := Explanation{Kernel: tc.kern, Arch: mu.arch, MinTile: cmp.Or(tc.floor, mu.breakEvenTile()),
-			M: tc.m, K: tc.k, N: tc.n, Plan: tc.plan}
+		want := Explanation{Kernel: tc.kern, Arch: mu.arch, M: tc.m, K: tc.k, N: tc.n, Plan: tc.plan}
 		if ok {
 			tl := route.Tile(0)
 			want.GridM, want.GridN, want.GridK = route.GridM, route.GridN, route.GridK

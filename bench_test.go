@@ -26,6 +26,7 @@ import (
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/model"
+	"fmmfam/internal/shard"
 )
 
 func benchMulAdd(b *testing.B, m, k, n int, fn func(c, a, bm matrix.Mat[float64])) {
@@ -328,8 +329,12 @@ var touchSink float64
 // ("in-call"). The FMM rows are avx2 2048³ (fmmbench's square_large) and
 // avx512 4096³, also timed against width-2 GEMM; the GEMM-served rows are
 // 160³, 192³, 384³, 640³, 640×384×512 and 96×384×640 on avx2 and avx512,
-// the sizes around the MC floor and wire_mix's big class. Each row runs
-// where its backend is registered; -short keeps avx2 2048³ and avx2 384³.
+// the sizes around the MC floor and wire_mix's big class. Two K-dominant avx2
+// rows, 192×4096×1000 and 16×4096×768, are served as 1×2×1 MC-floor tiles
+// that the model prices just below their 1×1×2 K slabs, so they also time
+// those slabs ("slabs", through mulAddSharded): the one pair of grids the
+// model nearly ties on. Each row runs where its backend is
+// registered; -short keeps avx2 2048³ and avx2 384³.
 // The routes are timed round-robin on the same operands, one call each per
 // round as benchMicros does, so host noise lands on all of them alike. Each
 // reports the fast quartile of its per-call GF/s (the 75th percentile of b.N
@@ -340,22 +345,24 @@ func BenchmarkShardedFMM(b *testing.B) {
 		kern    string
 		m, k, n int
 		short   bool // kept under -short
+		slabs   bool // also time the product cut into 1×1×2 K slabs
 	}
-	rows := []row{{kernel.AVX2Backend, 2048, 2048, 2048, true}, {kernel.AVX512Backend, 4096, 4096, 4096, false}}
+	rows := []row{{kernel.AVX2Backend, 2048, 2048, 2048, true, false}, {kernel.AVX512Backend, 4096, 4096, 4096, false, false}}
 	for _, kern := range []string{kernel.AVX2Backend, kernel.AVX512Backend} {
 		for _, s := range [][3]int{{160, 160, 160}, {192, 192, 192}, {384, 384, 384}, {640, 640, 640}, {640, 384, 512}, {96, 384, 640}} {
-			rows = append(rows, row{kern, s[0], s[1], s[2], kern == kernel.AVX2Backend && s[0] == 384})
+			rows = append(rows, row{kern, s[0], s[1], s[2], kern == kernel.AVX2Backend && s[0] == 384, false})
 		}
 	}
+	rows = append(rows, row{kernel.AVX2Backend, 192, 4096, 1000, false, true}, row{kernel.AVX2Backend, 16, 4096, 768, false, true})
 	for _, r := range rows {
 		if _, ok := archOf(r.kern, matrix.Float64); !ok || testing.Short() && !r.short {
 			continue
 		}
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", r.kern, r.m, r.k, r.n), func(b *testing.B) { benchShardedFMM(b, r.kern, r.m, r.k, r.n) })
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", r.kern, r.m, r.k, r.n), func(b *testing.B) { benchShardedFMM(b, r.kern, r.m, r.k, r.n, r.slabs) })
 	}
 }
 
-func benchShardedFMM(b *testing.B, kern string, m, k, n int) {
+func benchShardedFMM(b *testing.B, kern string, m, k, n int, slabs bool) {
 	cfg := DefaultConfig()
 	cfg.Kernel, cfg.Threads = kern, 2
 	mu := NewMultiplier(cfg, PaperArch())
@@ -398,6 +405,10 @@ func benchShardedFMM(b *testing.B, kern string, m, k, n int) {
 			b.Fatal(err)
 		}
 		routes = append(routes, route{name: "gemm", run: func() { ctx.MulAdd(c, a, bm) }})
+	}
+	if slabs {
+		spec := shard.Spec{M: m, K: k, N: n, GridM: 1, GridN: 1, GridK: 2}
+		routes = append(routes, route{name: "slabs", run: func() { mu.mulAddSharded(spec, p, c, a, bm) }})
 	}
 	for _, r := range routes {
 		r.run() // build plans and fill the engines' free lists untimed

@@ -32,6 +32,7 @@ import (
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/model"
 	"fmmfam/internal/morton"
+	"fmmfam/internal/shard"
 )
 
 func main() {
@@ -205,11 +206,11 @@ func cmdModel(args []string) {
 // the given kernel and threads) and the paper's machine constants makes for
 // one product, as the Multiplier reports them (Explain): the backend and how
 // it was chosen, the constants the selector prices with and their FMM
-// break-even, the shard threshold, the tile floor applied and why, whether
-// the product shards, the plan it is served — its class's, run whole or on
-// every tile — and the model's ranking of the product. `fmmtool model` stays
-// the paper's table — Ivy Bridge constants on the reference kernel, by name;
-// this is the host's.
+// break-even, the shard threshold, the two candidate grids with their
+// modelled makespans and which one is served, the plan it is served — its
+// class's, run whole or on every tile — and the model's ranking of the
+// product. `fmmtool model` stays the paper's table — Ivy Bridge constants on
+// the reference kernel, by name; this is the host's.
 func cmdExplain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	kern := fs.String("kernel", "", "micro-kernel backend (default: the fastest this host registered)")
@@ -265,28 +266,19 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 	fmt.Printf("kernel\t%s (%s)\n", ex.Kernel, how)
 	fmt.Printf("arch\tpaper Ivy Bridge priced for %s/%s: tau_a=%.3g s/flop tau_b=%.3g s/elem lambda=%.2f MC=%d KC=%d NC=%d; FMM break-even %d³\n",
 		ex.Kernel, dt, arch.TauA, arch.TauB, arch.Lambda, arch.MC, arch.KC, arch.NC, breakEven)
-	fmt.Printf("threshold\t%d: at or above it in some dimension a product is cut at half of it or at the break-even (K-split allowed); below it, or where neither fits, at MC=%d with K whole\n", thr, cfg.MC)
-	half := max(thr/2, 1)
-	switch {
-	case ex.MinTile == 0:
-		fmt.Printf("tile floor\tnone: the product is never considered for sharding (needs ≥ 2 threads)\n")
-	case max(m, k, n) < thr || ex.MinTile != breakEven && ex.MinTile != half:
-		fmt.Printf("tile floor\t%d, Config.MC with K whole: the product is below the threshold, or no grid fits at half of it or at the break-even\n", ex.MinTile)
-	case ex.MinTile == breakEven && breakEven <= half:
-		fmt.Printf("tile floor\t%d, the FMM break-even, already at or below half the threshold\n", ex.MinTile)
-	case ex.MinTile == breakEven:
-		fmt.Printf("tile floor\t%d, the FMM break-even: no grid at half the threshold qualifies (2-D, a tile per thread)\n", ex.MinTile)
-	default:
-		fmt.Printf("tile floor\t%d, half the threshold: a 2-D grid with a tile per thread, whose independent width-1 tiles outrun one in-call loop\n", ex.MinTile)
+	fmt.Printf("threshold\t%d: tiles ≥ MC=%d; K slabs ≥ break-even %d at or above the threshold; the cheaper grid wins\n", thr, cfg.MC, breakEven)
+	if cfg.Threads < 2 {
+		fmt.Printf("grids\tnone: the product is never considered for sharding (needs ≥ 2 threads)\n")
+	} else if served := explainGrid("K whole", ex, m, k, n, cfg.Threads, cfg.MC, false, false); max(m, k, n) >= thr {
+		explainGrid("K slabs", ex, m, k, n, cfg.Threads, breakEven, true, served)
+	} else {
+		fmt.Printf("grid K slabs\tnot built: every dimension is below the threshold\n")
 	}
-	switch {
-	case ex.GridM > 0:
+	if ex.GridM > 0 {
 		fmt.Printf("sharding\t%d×%d×%d grid (m×n×k): %d tiles of up to %d×%d×%d, each running the product's plan at width 1\n",
 			ex.GridM, ex.GridN, ex.GridK, ex.GridM*ex.GridN*ex.GridK, ex.M, ex.K, ex.N)
-	case ex.MinTile == 0:
+	} else {
 		fmt.Printf("sharding\tno: one width-1 plan\n")
-	default:
-		fmt.Printf("sharding\tno (no room for two tiles ≥ %d): one width-1 plan\n", ex.MinTile)
 	}
 	fmt.Printf("serves\t%s\n", ex.Plan)
 	// The ranking the plan came from: the model's full Rank, whose head is
@@ -299,6 +291,26 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 		fmt.Printf("%d\t%s\t%.4g\t%.4g\t%.4g\t%.2f\n", i+1, r.Candidate.Name(), b.Ta, b.Tm, b.Total(),
 			model.EffectiveGFLOPS(m, k, n, b.Total()))
 	}
+}
+
+// explainGrid prints one candidate grid a multiplier on ex.Arch weighs for
+// an m×k×n product: the grid of least modelled makespan at floor, with K cut
+// or whole, and that makespan — marked served when it is ex's grid and the
+// grid printed before it (taken) is not. It reports whether it was served.
+func explainGrid(name string, ex fmmfam.Explanation, m, k, n, threads, floor int, kSplit, taken bool) bool {
+	cost := func(gm, gn, gk int) float64 { return model.ShardMakespan(ex.Arch, m, k, n, gm, gn, gk, threads) }
+	s, ok := shard.Split(m, k, n, shard.Options{Workers: threads, MinTile: floor, KSplit: kSplit, Cost: cost})
+	if !ok {
+		fmt.Printf("grid %s\tnone: no room for two tiles ≥ %d\n", name, floor)
+		return false
+	}
+	served := !taken && s.GridM == ex.GridM && s.GridN == ex.GridN && s.GridK == ex.GridK
+	mark := ""
+	if served {
+		mark = ", served"
+	}
+	fmt.Printf("grid %s\t%d×%d×%d at ≥ %d: modelled makespan %.4g s%s\n", name, s.GridM, s.GridN, s.GridK, floor, cost(s.GridM, s.GridN, s.GridK), mark)
+	return served
 }
 
 func cmdDiscover(args []string) {

@@ -64,25 +64,36 @@ func TestCLIModel(t *testing.T) {
 }
 
 // TestCLIExplain: one product explained on each backend. The reference kernel,
-// by name, shards default_square's 1024³ into two tiles at its break-even,
-// which is below half the threshold, and runs the product's two-level plan
-// on each; the fastest assembly backend the host registered (avx512, else
-// avx2) is what an empty -kernel resolves to, and abstains: GEMM serves the
-// product, so it splits into two width-1 GEMM tiles at half the threshold.
-// avx2's 2048³ splits the same way, and its tiles run the product's
-// <2,2,2> ABC. At four threads 1024×600×600 has no grid at half the
-// threshold with a tile per thread, so the floor stays the break-even and
-// the product is not sharded.
+// by name, shards default_square's 1024³ into two tiles: its K-whole grid at
+// MC and its K-slab grid at the break-even are both 1×2×1 and tie, so K-whole
+// is served, and each tile runs the product's two-level plan. The fastest
+// assembly backend the host registered (avx512, else avx2) is what an empty
+// -kernel resolves to, and abstains: GEMM serves the product, in two width-1
+// GEMM tiles at MC, since no K-slab grid fits at its break-even. avx2's 2048³
+// splits the same way, and its tiles run the product's <2,2,2> ABC. The
+// K-dominant 256×16384×256 is served its K slabs, which the model prices
+// below the 1×2×1 K-whole grid; at four threads 1024×600×600 is cut 2×2×1 at
+// MC; 160³ has no room for two tiles and is below the threshold; one thread
+// builds no grid.
 func TestCLIExplain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the toolchain")
+	}
+	// served checks the output line about one candidate grid: it starts with
+	// want, and ends in ", served" exactly when served.
+	served := func(out, name, want string, served bool) bool {
+		for _, l := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(l, "grid "+name+"\t"); ok {
+				return strings.HasPrefix(rest, want) && strings.HasSuffix(rest, ", served") == served
+			}
+		}
+		return false
 	}
 	out, err := run(t, "explain", "1024", "1024", "1024", "-kernel", "go4x4", "-threads", "2")
 	for _, want := range []string{
 		"kernel\tgo4x4 (named)",
 		"priced for go4x4/float64: tau_a=", "FMM break-even 148³",
-		"threshold\t1024: ",
-		"tile floor\t148, the FMM break-even, already at or below half the threshold",
+		"threshold\t1024: tiles ≥ MC=96; K slabs ≥ break-even 148 at or above the threshold; the cheaper grid wins\n",
 		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512, each running the product's plan at width 1",
 		"serves\t<2,2,2>+<2,2,2> ABC",
 		"ranking\t1024×1024×1024,",
@@ -92,6 +103,9 @@ func TestCLIExplain(t *testing.T) {
 		if err != nil || !strings.Contains(out, want) {
 			t.Fatalf("explain on go4x4: %v, output lacks %q:\n%s", err, want, out)
 		}
+	}
+	if !served(out, "K whole", "1×2×1 at ≥ 96: modelled makespan ", true) || !served(out, "K slabs", "1×2×1 at ≥ 148: modelled makespan ", false) {
+		t.Fatalf("explain on go4x4: want both grids 1×2×1, K whole served:\n%s", out)
 	}
 	if strings.Contains(out, "\n4\t") {
 		t.Fatalf("explain printed more than the top 3:\n%s", out)
@@ -119,7 +133,7 @@ func TestCLIExplain(t *testing.T) {
 	for _, want := range []string{
 		"kernel\t" + kern + " (fastest registered: " + order + ")",
 		"priced for " + kern + "/float32", "FMM break-even " + breakEven + "³",
-		"tile floor\t512, half the threshold: a 2-D grid with a tile per thread",
+		"grid K slabs\tnone: no room for two tiles ≥ " + breakEven + "\n",
 		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512",
 		"serves\tgemm\n", "\n1\tgemm\t",
 	} {
@@ -127,10 +141,13 @@ func TestCLIExplain(t *testing.T) {
 			t.Fatalf("explain on %s: output lacks %q:\n%s", kern, want, out)
 		}
 	}
+	if !served(out, "K whole", "1×2×1 at ≥ 96: ", true) {
+		t.Fatalf("explain on %s: want the K-whole 1×2×1 grid served:\n%s", kern, out)
+	}
 
 	out, err = run(t, "explain", "-threads", "2", "-kernel", "avx2", "2048", "2048", "2048")
 	for _, want := range []string{
-		"tile floor\t512, half the threshold",
+		"grid K slabs\tnone: no room for two tiles ≥ 1793\n",
 		"sharding\t1×2×1 grid", "tiles of up to 2048×2048×1024",
 		"serves\t<2,2,2> ABC\n", "\n1\t<2,2,2> ABC\t",
 	} {
@@ -138,34 +155,42 @@ func TestCLIExplain(t *testing.T) {
 			t.Fatalf("explain 2048³ on avx2: %v, output lacks %q:\n%s", err, want, out)
 		}
 	}
+	if !served(out, "K whole", "1×2×1 at ≥ 96: ", true) {
+		t.Fatalf("explain 2048³ on avx2: want the K-whole 1×2×1 grid served:\n%s", out)
+	}
 
 	for _, tc := range []struct {
-		args []string
-		want []string
+		args          []string
+		want          []string
+		whole, slabs  string // each grid line's start; "" = not checked
+		servedIsWhole bool
 	}{
-		{[]string{"-threads", "2", "256", "16384", "256"}, []string{
-			"tile floor\t" + breakEven + ", the FMM break-even: no grid at half the threshold qualifies",
-			"sharding\t1×1×2 grid",
-		}},
+		{[]string{"-threads", "2", "256", "16384", "256"}, []string{"sharding\t1×1×2 grid"},
+			"1×2×1 at ≥ 96: ", "1×1×2 at ≥ " + breakEven + ": ", false},
 		{[]string{"-threads", "4", "1024", "600", "600"}, []string{
-			"threshold\t1024: at or above it in some dimension a product is cut at half of it or at the break-even (K-split allowed); below it, or where neither fits, at MC=96 with K whole",
-			"tile floor\t96, Config.MC with K whole",
+			"threshold\t1024: tiles ≥ MC=96; K slabs ≥ break-even " + breakEven + " at or above the threshold; the cheaper grid wins",
+			"grid K slabs\tnone: no room for two tiles ≥ " + breakEven + "\n",
 			"sharding\t2×2×1 grid",
-		}},
+		}, "2×2×1 at ≥ 96: ", "", true},
 		{[]string{"-threads", "2", "160", "160", "160"}, []string{
-			"tile floor\t96, Config.MC with K whole: the product is below the threshold",
-			"sharding\tno (no room for two tiles ≥ 96): one width-1 plan",
-		}},
-		{[]string{"-threads", "1", "1024", "1024", "1024"}, []string{
-			"tile floor\tnone: the product is never considered for sharding",
+			"grid K whole\tnone: no room for two tiles ≥ 96\n",
+			"grid K slabs\tnot built: every dimension is below the threshold\n",
 			"sharding\tno: one width-1 plan",
-		}},
+		}, "", "", false},
+		{[]string{"-threads", "1", "1024", "1024", "1024"}, []string{
+			"grids\tnone: the product is never considered for sharding",
+			"sharding\tno: one width-1 plan",
+		}, "", "", false},
 	} {
 		out, err = run(t, append([]string{"explain", "-dtype", "f32", "-kernel", kern}, tc.args...)...)
 		for _, want := range append(tc.want, "serves\tgemm\n") {
 			if err != nil || !strings.Contains(out, want) {
 				t.Fatalf("explain %v on %s: %v, output lacks %q:\n%s", tc.args, kern, err, want, out)
 			}
+		}
+		if tc.whole != "" && !served(out, "K whole", tc.whole, tc.servedIsWhole) ||
+			tc.slabs != "" && !served(out, "K slabs", tc.slabs, !tc.servedIsWhole) {
+			t.Fatalf("explain %v on %s: want K whole %q and K slabs %q, K whole served %v:\n%s", tc.args, kern, tc.whole, tc.slabs, tc.servedIsWhole, out)
 		}
 	}
 }

@@ -188,12 +188,12 @@ func TestGoroutineCeiling(t *testing.T) {
 		mk(24, 100, 24, false), mk(30, 120, 20, false), // whole, two shape classes
 		mk(100, 100, 100, false),                         // 2-D sharded at the MC floor
 		mk(256, 32, 256, false), mk(192, 64, 160, false), // 2-D sharded
-		mk(48, 512, 48, false),                      // K-split
+		mk(24, 512, 24, false),                      // K-split
 		mk(90, 70, 80, true), mk(40, 100, 60, true), // batches of these
 	}
 	for i, p := range problems[:3] {
 		route, ok := mu.shardSpec(p.a.Rows, p.a.Cols, p.b.Cols)
-		if ok != (i == 2) || ok && route.floor != cfg.MC {
+		if ok != (i == 2) || ok && route.GridK != 1 {
 			t.Fatalf("problem %d: shardSpec = %v, %v; the mix needs two whole products and one cut at MC", i, route, ok)
 		}
 	}

@@ -162,9 +162,8 @@ func TestDefaultKernelPlanGolden(t *testing.T) {
 
 // TestKernelBackendEndToEnd drives every registered backend through the full
 // Multiplier stack — plan selection, sharding, batch — and checks results
-// against the reference. The product shards on every backend: into FMM tiles
-// at the break-even on go4x4, into GEMM tiles at half the threshold on avx2
-// and avx512.
+// against the reference. The product shards on every backend, into MC tiles
+// that run an FMM plan on go4x4 and GEMM on avx2 and avx512.
 func TestKernelBackendEndToEnd(t *testing.T) {
 	const m, k, n = 300, 130, 200
 	rng := rand.New(rand.NewSource(5))

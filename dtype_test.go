@@ -30,10 +30,11 @@ var kSplitAcceptanceShapes = [][3]int{
 // kSplitServingCfg is the blocking the PR-3 acceptance tests shard those
 // shapes under, on the reference kernel: its break-even (~148) is the slab
 // floor, low enough that these K's cut into three or four slabs, and slabs
-// this small still get FMM plans.
+// this small still get FMM plans. MC = 48 leaves their M×N no room for two
+// MC tiles, so the K cut is the only grid that shards them.
 func kSplitServingCfg() Config {
 	return Config{
-		MC: 16, KC: 16, NC: 32, Threads: 4,
+		MC: 48, KC: 16, NC: 32, Threads: 4,
 		ShardThreshold: 256,
 		Kernel:         "go4x4",
 	}

@@ -261,8 +261,8 @@ func ExampleMultiplier_MulAddAsync() {
 	}
 	fmt.Println("8 async products agree with GEMM to 1e-9:", agree)
 
-	// At Config.ShardThreshold (1024) with Threads ≥ 2, MulAdd cuts the
-	// product into tiles and runs the product's plan on each across the pool.
+	// With Threads ≥ 2, MulAdd cuts a product with room for two MC tiles into
+	// tiles and runs the product's plan on each across the pool.
 	ex, err := mu.Explain(1024, 1024, 1024)
 	if err != nil {
 		log.Fatal(err)

@@ -131,17 +131,15 @@ type Config struct {
 	Kernel string
 
 	// ShardThreshold is the problem size — max(m,k,n) — at or above which
-	// MulAdd cuts a product at the large-product tile floors: half the
-	// threshold for a 2-D grid with a tile per thread, else the model's
-	// break-even, where K may be split too (into slabs with per-tile
-	// reduction buffers, run-to-run deterministic but not bit-identical to
-	// the 2-D path) where the performance model prices that faster. Below
-	// it, and where neither floor fits, MulAdd cuts a 2-D grid with K whole
-	// at a floor of MC. Tiles run across the pool (Threads ≥ 2 required);
-	// every cut dimension stays at or above the floor applied
-	// (Explanation.MinTile), and a product with no room for two tiles runs
-	// whole at width 1. 0 means DefaultShardThreshold; negative serves every
-	// product whole at width 1.
+	// MulAdd may also cut K. Tiles ≥ MC; K slabs ≥ break-even at or above
+	// the threshold; the cheaper grid wins: every product with Threads ≥ 2
+	// is offered a 2-D grid with K whole, each cut side at least MC, and at
+	// or above the threshold also a grid that may split K at the model's
+	// break-even (into slabs with per-tile reduction buffers, run-to-run
+	// deterministic but not bit-identical to the 2-D path); MulAdd serves
+	// the one the performance model prices faster, K whole on a tie. A
+	// product neither grid fits runs whole at width 1. 0 means
+	// DefaultShardThreshold; negative serves every product whole at width 1.
 	ShardThreshold int
 
 	// QueueDepth bounds the MulAddAsync submission queue; submitters block
@@ -184,13 +182,12 @@ type Config struct {
 
 // Serving-layer defaults for the zero Config knobs.
 const (
-	// DefaultShardThreshold is the problem size — max(m,k,n) — at which
-	// MulAdd moves from the MC tile floor to the large-product floors, and
-	// twice the lowered one (see Explanation.MinTile). On a 2-vCPU AVX-512
-	// host, two independent width-1 GEMM column tiles ran 11–18 % faster
-	// than one width-2 GEMM at 384–1024 on both avx2 and avx512, and about
-	// even at 1536, so above it a tile of half the threshold still runs at
-	// full speed, while below it a tile need only fill one Ã block.
+	// DefaultShardThreshold is the problem size — max(m,k,n) — from which
+	// MulAdd may also cut K. Tiles ≥ MC; K slabs ≥ break-even at or above
+	// the threshold; the cheaper grid wins. No product below it is split
+	// along K, so a sub-threshold GEMM-served product's bits do not depend
+	// on Threads; the K-dominant shapes that take slabs (256×16384×256)
+	// are far above it.
 	DefaultShardThreshold = 1024
 	// DefaultCoalesceWindow is the default bound on a coalescing window's
 	// hold: long enough that a 64-client small-matrix workload fills windows

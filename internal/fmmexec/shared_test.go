@@ -245,12 +245,18 @@ func TestPlanOnSharedPool(t *testing.T) {
 		plans = append(plans, p)
 	}
 	x, y := plans[0].Context(), plans[1].Context()
-	ws := x.GetWorkspace()
-	x.PutWorkspace(ws)
-	if got := y.GetWorkspace(); got != ws {
+	// The context keeps a workspace per pool worker warm: rent them all
+	// through x, hand one back, and y must rent that one.
+	held := make([]*gemm.Workspace[float64], pool.Workers())
+	for i := range held {
+		held[i] = x.GetWorkspace()
+	}
+	x.PutWorkspace(held[0])
+	if got := y.GetWorkspace(); got != held[0] {
 		t.Fatal("plans on one context rent from workspace pools of their own")
-	} else {
-		y.PutWorkspace(got)
+	}
+	for _, ws := range held {
+		y.PutWorkspace(ws)
 	}
 	m := x.RentMat(8, 8)
 	x.ReturnMat(m)

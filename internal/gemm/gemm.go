@@ -136,8 +136,8 @@ type Context[E matrix.Element] struct {
 }
 
 // NewContext validates cfg, resolves its micro-kernel backend for element
-// type E, and prepares the workspace pool (one workspace is pre-allocated so
-// the first call does not pay the allocation).
+// type E, and prepares the workspace pool (one workspace per call the pool
+// can run at once is pre-allocated; see NewContextOn).
 func NewContext[E matrix.Element](cfg Config) (*Context[E], error) {
 	return NewContextOn[E](cfg, nil)
 }
@@ -145,8 +145,12 @@ func NewContext[E matrix.Element](cfg Config) (*Context[E], error) {
 // NewContextOn is NewContext on a caller-owned worker pool, so that every
 // context (and plan) built on one pool shares one goroutine budget;
 // cfg.Threads still sizes this context's fan-out (jobs per call, Ã buffers
-// per workspace), and the pool's worker count its workspace free list. A nil
-// pool means a private one of cfg.Threads.
+// per workspace), and the pool's worker count its workspace free list. It
+// pre-allocates one workspace per call of cfg.Threads workers the pool can
+// run at once — Workers/Threads, at least one, at most what the free list
+// retains — so no call pays for a workspace until more calls overlap than
+// that: a Threads = 1 context on a pool of W keeps W warm, one per
+// concurrent width-1 job. A nil pool means a private one of cfg.Threads.
 func NewContextOn[E matrix.Element](cfg Config, pool *sched.Pool) (*Context[E], error) {
 	bk, err := resolveBackend[E](cfg)
 	if err != nil {
@@ -156,7 +160,9 @@ func NewContextOn[E matrix.Element](cfg Config, pool *sched.Pool) (*Context[E], 
 		pool = sched.NewPool(cfg.Threads)
 	}
 	ctx := &Context[E]{cfg: cfg, bk: bk, sp: pool, pool: newWorkspacePool[E](cfg, bk, pool.Workers()), scratch: new(scratch[E])}
-	ctx.pool.put(ctx.pool.alloc())
+	for range max(min(pool.Workers()/cfg.Threads, cap(ctx.pool.free)), 1) {
+		ctx.pool.put(ctx.pool.alloc())
+	}
 	return ctx, nil
 }
 

@@ -27,18 +27,19 @@
 // folds for K-split grids, or the caller's Options.Cost hook (typically the
 // performance model's ShardMakespan, which prices the same schedule in
 // seconds) — subject to every cut dimension staying at or above a
-// caller-given floor. At or above its shard threshold the multiplier's floor
-// is the performance model's fast-algorithm break-even, lowered to half the
-// threshold when the grid cut there is 2-D with a tile per worker; below the
-// threshold, and where neither fits, it is the GEMM blocking's MC with K
-// whole (independent width-1 tiles outrun one product's in-call loop
-// parallelism). Every tile runs the plan the multiplier chose for the whole
-// product. Ties go to the grid with the
-// largest minimum output-tile side, then the fewest tiles, then the fewest K
-// slabs: bigger tiles keep the product's plan near the shapes it was chosen
-// for and amortize packing, worker-aligned tile counts avoid
-// the straggler round a 9-tiles-on-4-workers schedule pays, and K stays
-// whole unless splitting it actually wins.
+// caller-given floor. Ties go to the grid with the largest minimum
+// output-tile side, then the fewest tiles, then the fewest K slabs: bigger
+// tiles keep the product's plan near the shapes it was chosen for and
+// amortize packing, worker-aligned tile counts avoid the straggler round a
+// 9-tiles-on-4-workers schedule pays, and K stays whole unless splitting it
+// actually wins.
+//
+// The multiplier asks Split for two grids and serves the one of lower
+// makespan: tiles ≥ MC; K slabs ≥ break-even at or above the threshold; the
+// cheaper grid wins — a grid with K whole at the GEMM blocking's MC, and, for
+// a product at or above its shard threshold, one that may cut K at the
+// performance model's fast-algorithm break-even. Every tile runs the plan the
+// multiplier chose for the whole product.
 package shard
 
 import "fmt"

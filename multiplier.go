@@ -84,13 +84,13 @@ import (
 // Serving behavior: with Threads ≥ 2 a MulAdd is cut into independent block
 // products where a grid of at least two tiles fits (shardSpec), and
 // otherwise served whole at width 1; MulAddAsync submits work to a bounded
-// queue and returns a Future. At or above Config.ShardThreshold the tile
-// floor is half the threshold for a 2-D grid with a tile per thread, else
-// the break-even, which may also cut the inner dimension; where neither
-// fits, and below the threshold, a 2-D grid with K whole is cut at Config.MC.
-// The product's plan is chosen once, at its own shape class, and every tile
-// runs it: sharding decides how a plan is parallelised, never which plan
-// runs (shardSpec, mulAddSharded).
+// queue and returns a Future. Tiles ≥ MC; K slabs ≥ break-even at or above
+// Config.ShardThreshold; the cheaper grid wins: a 2-D grid with K whole is
+// cut at Config.MC, at or above the threshold a grid that may also cut the
+// inner dimension at the model's break-even, and the model's makespan picks
+// between them. The product's plan is chosen once, at its own shape class,
+// and every tile runs it: sharding decides how a plan is parallelised, never
+// which plan runs (shardSpec, mulAddSharded).
 type GenericMultiplier[E matrix.Element] struct {
 	cfg  Config
 	arch Arch
@@ -229,19 +229,20 @@ func dimsAgree[E matrix.Element](c, a, b matrix.Mat[E]) bool {
 // MulAdd computes c += a·b, choosing and caching an implementation for the
 // problem's shape class. With Threads ≥ 2 a product with room for two tiles
 // is split into independent block products scheduled across the worker pool
-// (shardSpec); any other product runs whole at width 1. Safe for concurrent
-// callers.
+// — tiles ≥ MC; K slabs ≥ break-even at or above the threshold; the cheaper
+// grid wins (shardSpec) — and any other product runs whole at width 1. Safe
+// for concurrent callers.
 func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 	if mu.cfgErr != nil {
 		return mu.cfgErr
 	}
 	if dimsAgree(c, a, b) {
-		if route, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
+		if spec, ok := mu.shardSpec(a.Rows, a.Cols, b.Cols); ok {
 			p, err := mu.planFor(a.Rows, a.Cols, b.Cols)
 			if err != nil {
 				return err
 			}
-			mu.mulAddSharded(route.Spec, p, c, a, b)
+			mu.mulAddSharded(spec, p, c, a, b)
 			return nil
 		}
 	}
@@ -451,9 +452,8 @@ func (r *batchRun[E]) work() {
 }
 
 // breakEvenTile is the model's fast-algorithm break-even on this
-// multiplier's arch (model.BreakEvenSquare), computed once: the shard tile
-// floor of a product at or above the threshold unless shardSpec lowers it to
-// half the threshold.
+// multiplier's arch (model.BreakEvenSquare), computed once: the slab floor of
+// the K-split grid shardSpec builds at or above the threshold.
 func (mu *GenericMultiplier[E]) breakEvenTile() int {
 	mu.breakEvenOnce.Do(func() {
 		mu.breakEven = model.BreakEvenSquare(mu.arch, defaultCandidates())
@@ -461,67 +461,52 @@ func (mu *GenericMultiplier[E]) breakEvenTile() int {
 	return mu.breakEven
 }
 
-// shardRoute is how MulAdd cuts one product: the grid, and the tile floor it
-// was cut at — 0 when the product is never considered for sharding (Threads
-// < 2, or a negative ShardThreshold).
-type shardRoute struct {
-	shard.Spec
-	floor int
-}
-
 // shardSpec decides whether C(m×n) += A(m×k)·B(k×n) should be sharded and,
-// if so, how. Sharding needs a pool to feed (Threads ≥ 2), sharding left on
-// (ShardThreshold ≥ 0), and room for at least two tiles above a tile floor,
-// tried in turn:
+// if so, how. Sharding needs a pool to feed (Threads ≥ 2) and sharding left on
+// (ShardThreshold ≥ 0). Tiles ≥ MC; K slabs ≥ break-even at or above the
+// threshold; the cheaper grid wins:
 //
-//   - At or above the threshold in some dimension, half the threshold when
-//     it is below the break-even and the grid cut there is 2-D and gives
-//     every thread a tile (measured only at Threads = 2; the tile-per-thread
-//     condition keeps wider pools off it until it is measured there).
-//   - At or above the threshold, the model's fast-algorithm break-even, where
-//     the K dimension may be split too.
-//   - Below the threshold, or where neither fits, Config.MC with K whole: a
-//     tile still fills at least one Ã block of the GEMM it runs.
+//   - the 2-D grid with K whole, every cut side at least Config.MC, so a tile
+//     still fills at least one Ã block of the GEMM it runs;
+//   - only where max(m,k,n) ≥ ShardThreshold, also the grid that may cut K,
+//     every cut dimension at least the model's fast-algorithm break-even.
 //
-// Independent width-1 tiles outrun one product's in-call loop whichever
-// plan serves the product, and the tiles run the product's own plan, so the
-// grid never changes which plan runs. Candidate grids are scored with the
-// performance model's makespan (model.ShardMakespan on this multiplier's
-// arch), so K is split only when the slab products' smaller operand traffic
-// pays for the reduction folds. A product no floor fits runs whole at width
-// 1 and wakes nobody. It reads no plan table.
-func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shardRoute, bool) {
+// Each grid is the one of least modelled makespan its floor admits
+// (model.ShardMakespan on this multiplier's arch, through shard.Split), and
+// the lower of the two is served, a tie going to K whole — so K is split only
+// when the slab products' smaller operand traffic pays for the reduction
+// folds. Independent width-1 tiles outrun one product's in-call loop
+// whichever plan serves the product, and the tiles run the product's own
+// plan, so the grid never changes which plan runs. A product neither grid
+// fits runs whole at width 1 and wakes nobody. It reads no plan table.
+func (mu *GenericMultiplier[E]) shardSpec(m, k, n int) (shard.Spec, bool) {
 	thr := mu.cfg.shardThreshold()
 	if mu.cfg.Threads < 2 || thr == 0 {
-		return shardRoute{}, false
+		return shard.Spec{}, false
 	}
-	if max(m, k, n) >= thr {
-		breakEven := mu.breakEvenTile()
-		if half := max(thr/2, 1); half < breakEven {
-			route, ok := mu.splitAt(m, k, n, half, true)
-			if ok && route.GridK == 1 && route.NumTiles() >= mu.cfg.Threads {
-				return route, true
-			}
-		}
-		if route, ok := mu.splitAt(m, k, n, breakEven, true); ok {
-			return route, true
-		}
+	tiles, ok := mu.splitAt(m, k, n, mu.cfg.MC, false)
+	if max(m, k, n) < thr {
+		return tiles, ok
 	}
-	return mu.splitAt(m, k, n, mu.cfg.MC, false)
+	slabs, sok := mu.splitAt(m, k, n, mu.breakEvenTile(), true)
+	if sok && (!ok || mu.makespan(slabs) < mu.makespan(tiles)) {
+		return slabs, true
+	}
+	return tiles, ok
 }
 
 // splitAt asks shard.Split for the grid of an m×k×n product at one tile
 // floor, with or without cutting K.
-func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int, kSplit bool) (shardRoute, bool) {
-	spec, ok := shard.Split(m, k, n, shard.Options{
-		Workers: mu.cfg.Threads,
-		MinTile: floor,
-		KSplit:  kSplit,
-		Cost: func(gm, gn, gk int) float64 {
-			return model.ShardMakespan(mu.arch, m, k, n, gm, gn, gk, mu.cfg.Threads)
-		},
-	})
-	return shardRoute{Spec: spec, floor: floor}, ok
+func (mu *GenericMultiplier[E]) splitAt(m, k, n, floor int, kSplit bool) (shard.Spec, bool) {
+	cost := func(gm, gn, gk int) float64 {
+		return mu.makespan(shard.Spec{M: m, K: k, N: n, GridM: gm, GridN: gn, GridK: gk})
+	}
+	return shard.Split(m, k, n, shard.Options{Workers: mu.cfg.Threads, MinTile: floor, KSplit: kSplit, Cost: cost})
+}
+
+// makespan is the modelled time of a grid's tiles on Threads workers.
+func (mu *GenericMultiplier[E]) makespan(s shard.Spec) float64 {
+	return model.ShardMakespan(mu.arch, s.M, s.K, s.N, s.GridM, s.GridN, s.GridK, mu.cfg.Threads)
 }
 
 // grow returns s lengthened to at least n elements, keeping its contents.
@@ -669,13 +654,6 @@ type Explanation struct {
 	// constructor's arch re-priced for the element type and Kernel, or the
 	// calibrated one.
 	Arch Arch
-	// MinTile is the shard tile floor the product was cut at, or would have
-	// been had two tiles fit: at or above the shard threshold, half of it
-	// when it is below the break-even and its grid is 2-D with a tile per
-	// thread, else the model's FMM break-even on Arch; where neither fits,
-	// and below the threshold, Config.MC. 0 when the product is never
-	// considered for sharding (Threads < 2, or a negative ShardThreshold).
-	MinTile int
 	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
 	// is served whole.
 	GridM, GridN, GridK int
@@ -698,12 +676,11 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 	if err != nil {
 		return Explanation{}, err
 	}
-	route, sharded := mu.shardSpec(m, k, n)
-	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, MinTile: route.floor,
-		M: m, K: k, N: n, Plan: p.String()}
+	spec, sharded := mu.shardSpec(m, k, n)
+	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, M: m, K: k, N: n, Plan: p.String()}
 	if sharded {
-		t := route.Tile(0)
-		ex.GridM, ex.GridN, ex.GridK = route.GridM, route.GridN, max(route.GridK, 1)
+		t := spec.Tile(0)
+		ex.GridM, ex.GridN, ex.GridK = spec.GridM, spec.GridN, spec.GridK
 		ex.M, ex.K, ex.N = t.Rows, t.Depth, t.Cols
 	}
 	return ex, nil

@@ -349,7 +349,7 @@ func TestShardedMulAddAllocatesNothing(t *testing.T) {
 		{avx2, 640, 384, 512, "gemm"},
 		{servingCfg(), 96, 64, 256, "gemm"},
 		{servingCfg(), 512, 256, 512, "fmm"},
-		{servingCfg(), 48, 512, 48, "k-split"},
+		{kSplitServingCfg(), 48, 512, 48, "k-split"},
 		{below, 300, 260, 270, "fmm"},
 	} {
 		name := fmt.Sprintf("%s/%dx%dx%d", tc.cfg.Kernel, tc.m, tc.k, tc.n)
@@ -379,11 +379,11 @@ func TestShardedMulAddAllocatesNothing(t *testing.T) {
 			a, b, c := NewMatrix(tc.m, tc.k), NewMatrix(tc.k, tc.n), NewMatrix(tc.m, tc.n)
 			a.FillRand(rng)
 			b.FillRand(rng)
-			// Warm plans, run states and buffers with Threads calls at once: the
-			// engine's free lists grow to the most tiles that ever overlapped,
-			// and one call's tiles overlap by however many helpers the host
-			// happens to wake, so a single warm call can leave a later one
-			// short of a workspace.
+			// Warm plans, run states and buffers with Threads calls at once.
+			// The engine keeps a workspace per worker from its first use, so a
+			// call whose tiles overlap — a helper woken while the caller is
+			// preempted — never builds one; its other free lists grow to
+			// the most calls that ever overlapped.
 			errs := make([]error, tc.cfg.Threads)
 			var wg sync.WaitGroup
 			for i := range errs {

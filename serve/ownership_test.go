@@ -298,6 +298,19 @@ func TestServeAllocationIndependentOfPayload(t *testing.T) {
 				t.Fatalf("%d³ multiply: status %d", n, w.status)
 			}
 		}
+		// Warm with Threads requests at once: a product's tiles overlap by
+		// however many helpers the host happens to wake, so one warm request
+		// can run them all on its caller and leave a measured one to build
+		// the engine's next workspace.
+		var wg sync.WaitGroup
+		for range cfg.Threads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.ServeHTTP(&discard{hdr: make(http.Header)}, httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(frame)))
+			}()
+		}
+		wg.Wait()
 		return allocBytesPerRun(20, run)
 	}
 	small, large := perRequest(32), perRequest(256)

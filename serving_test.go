@@ -18,11 +18,11 @@ import (
 )
 
 // servingCfg is a small-blocking config that shards aggressively so the
-// tests cover the sharded path at test-sized problems: a product reaching 128
-// in some dimension splits with tiles of at least 64 (half the threshold)
-// where that gives each of the four threads a 2-D tile, else at the
-// break-even. It names the reference kernel, whose break-even (~148)
-// test-sized problems clear, so tiles and unsharded products run FMM plans;
+// tests cover the sharded path at test-sized problems: tiles are cut at
+// MC = 16, and a product reaching 128 in some dimension may also be cut into
+// K slabs at the break-even where the model prices them lower. It names the
+// reference kernel, whose break-even (~148) test-sized problems clear, so
+// tiles and unsharded products run FMM plans;
 // TestKernelBackendEndToEnd takes every backend down the same paths.
 func servingCfg() Config {
 	return Config{
@@ -76,7 +76,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shape %v: expected the 2D decomposition, got %v", s, spec)
 		}
 		seq := NewMatrix(m, n)
-		if err := replaySharded(serialTwin(mu), spec.Spec, seq, a, b); err != nil {
+		if err := replaySharded(serialTwin(mu), spec, seq, a, b); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		if d := sharded.MaxAbsDiff(seq); d != 0 {
@@ -199,7 +199,7 @@ func TestShardedTilesRunProductPlan(t *testing.T) {
 			a.FillRand(rng)
 			b.FillRand(rng)
 			want := NewMatrix(tc.m, tc.n)
-			if err := replaySharded(twin, route.Spec, want, a, b); err != nil {
+			if err := replaySharded(twin, route, want, a, b); err != nil {
 				t.Fatal(err)
 			}
 			for run := range 3 {
@@ -250,7 +250,7 @@ func TestShardedKSplit(t *testing.T) {
 			t.Fatalf("shape %v: K-split vs reference diff %g", s, d)
 		}
 		replay := NewMatrix(m, n)
-		if err := replaySharded(serialTwin(mu), spec.Spec, replay, a, b); err != nil {
+		if err := replaySharded(serialTwin(mu), spec, replay, a, b); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		if d := got.MaxAbsDiff(replay); d != 0 {
@@ -277,7 +277,8 @@ func TestShardedKSplit(t *testing.T) {
 // 2-D grids, single-tile and multi-tile K-splits alike — leaves C
 // bit-identical to its replay (replaySharded). Threads is 3, or 4 when wide:
 // with m, n ≤ 400 the model never cuts a multi-tile K-split for three
-// workers, where its six tiles would take two rounds. Shapes that do not
+// workers, where its six tiles would take two rounds, and for four only
+// where M is too thin for MC tiles to win (m = 1). Shapes that do not
 // shard are skipped. The seeds cover the three grid kinds and the MC-floor
 // route below the threshold.
 //
@@ -289,7 +290,7 @@ func TestShardedKSplit(t *testing.T) {
 func FuzzShardedMulAdd(f *testing.F) {
 	f.Add(uint16(256), uint16(96), uint16(200), false, int64(1)) // 3×1 tiles
 	f.Add(uint16(48), uint16(700), uint16(60), false, int64(2))  // one tile, 3 K-slabs
-	f.Add(uint16(70), uint16(300), uint16(300), true, int64(3))  // 1×2 tiles, 2 K-slabs each
+	f.Add(uint16(0), uint16(999), uint16(349), true, int64(3))   // 1×1000×350: 1×2 tiles, 2 K-slabs each
 	f.Add(uint16(100), uint16(60), uint16(90), false, int64(4))  // below the threshold: MC-floor tiles
 	cfg := servingCfg()
 	cfg.Threads = 3
@@ -317,7 +318,7 @@ func FuzzShardedMulAdd(f *testing.F) {
 		if err := mu.MulAdd(c, a, b); err != nil {
 			t.Fatalf("%v: %v", route, err)
 		}
-		if err := replaySharded(twin, route.Spec, want, a, b); err != nil {
+		if err := replaySharded(twin, route, want, a, b); err != nil {
 			t.Fatalf("%v: %v", route, err)
 		}
 		if d := c.MaxAbsDiff(want); d != 0 {
@@ -328,26 +329,22 @@ func FuzzShardedMulAdd(f *testing.F) {
 
 // TestKDominantAcceptanceShape pins the acceptance criterion: the
 // 256×32768×256 inner-product shape on a default parallel config — which a
-// 2-D-only decomposition would leave unsharded on one worker — shards via
-// K-split at the break-even floor (a K-split grid never takes the lower one),
-// every slab at least that deep.
+// 2-D-only decomposition would cut into thin column tiles that each stream all
+// of K — shards via K-split, every slab at least the break-even deep.
 func TestKDominantAcceptanceShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threads = 4
 	mu := NewMultiplier(cfg, PaperArch())
-	route, ok := mu.shardSpec(256, 32768, 256)
+	spec, ok := mu.shardSpec(256, 32768, 256)
 	if !ok {
 		t.Fatal("256×32768×256 must shard on the default parallel config")
 	}
-	if route.GridK < 2 {
-		t.Fatalf("256×32768×256 sharded without K-split: %v", route)
+	if spec.GridK < 2 {
+		t.Fatalf("256×32768×256 sharded without K-split: %v", spec)
 	}
-	if route.floor != mu.breakEvenTile() {
-		t.Fatalf("%v cut at floor %d, want the break-even %d", route, route.floor, mu.breakEvenTile())
-	}
-	for _, tl := range route.Tiles() {
-		if tl.Depth < route.floor {
-			t.Fatalf("%v: slab %+v under the break-even floor %d", route, tl, route.floor)
+	for _, tl := range spec.Tiles() {
+		if tl.Depth < mu.breakEvenTile() {
+			t.Fatalf("%v: slab %+v under the break-even floor %d", spec, tl, mu.breakEvenTile())
 		}
 	}
 }
@@ -356,7 +353,9 @@ func TestKDominantAcceptanceShape(t *testing.T) {
 // products with no room for two tiles at the MC floor (smaller than 2·MC in
 // M and N), and explicitly disabled configs — those calls run their plan
 // whole at width 1. A sub-threshold product with that room is cut at the MC
-// floor, K whole.
+// floor, K whole. At or above the threshold the K-whole grid is still cut at
+// MC, and a default config shards a product at the threshold into a tile per
+// thread at T = 2 and T = 8.
 func TestShardGating(t *testing.T) {
 	single := servingCfg()
 	single.Threads = 1
@@ -368,15 +367,19 @@ func TestShardGating(t *testing.T) {
 	if _, ok := mu.shardSpec(24, 100, 24); ok {
 		t.Fatalf("a product under 2·MC = %d in M and N must not shard", 2*small.MC)
 	}
-	route, ok := mu.shardSpec(100, 100, 100)
-	if !ok || route.floor != small.MC || route.GridK != 1 {
-		t.Fatalf("sub-threshold 100³: route %v at floor %d (sharded %v), want a 2-D grid at MC = %d", route, route.floor, ok, small.MC)
-	}
-	for _, tl := range route.Tiles() {
-		if tl.Rows < small.MC || tl.Cols < small.MC {
-			t.Fatalf("tile %+v under the MC floor %d", tl, small.MC)
+	checkFloor := func(spec shard.Spec, floor int) {
+		t.Helper()
+		for _, tl := range spec.Tiles() {
+			if tl.Rows < floor && spec.GridM > 1 || tl.Cols < floor && spec.GridN > 1 {
+				t.Fatalf("%v: tile %+v under the MC floor %d", spec, tl, floor)
+			}
 		}
 	}
+	spec, ok := mu.shardSpec(100, 100, 100)
+	if !ok || spec.GridK != 1 {
+		t.Fatalf("sub-threshold 100³: %v (sharded %v), want a 2-D grid at MC = %d", spec, ok, small.MC)
+	}
+	checkFloor(spec, small.MC)
 	off := servingCfg()
 	off.ShardThreshold = -1
 	for _, side := range []int{100, 4096} {
@@ -384,36 +387,48 @@ func TestShardGating(t *testing.T) {
 			t.Fatalf("ShardThreshold<0 must disable sharding, %d³ shards", side)
 		}
 	}
-	// Default knobs derive the tile floor from the model's break-even, and a
-	// product with room for two tiles at or above the floor it was cut at
-	// shards out of the box. At T = 2 a product at the threshold splits at the
-	// lower of half the threshold and the break-even: its 2-D halves give
-	// each thread a tile, and either GEMM serves it or the break-even is
-	// already lower. At T = 8 a product twice the break-even shards at one
-	// of the two floors.
 	def := DefaultConfig()
-	def.Threads = 2
-	breakEven := NewMultiplier(def, PaperArch()).breakEvenTile()
-	if breakEven < 64 || breakEven > 1<<15 {
-		t.Fatalf("model break-even %d out of range", breakEven)
+	for _, threads := range []int{2, 8} {
+		def.Threads = threads
+		spec, ok := NewMultiplier(def, PaperArch()).shardSpec(DefaultShardThreshold, DefaultShardThreshold, DefaultShardThreshold)
+		if !ok || spec.GridK != 1 || spec.NumTiles() < threads {
+			t.Fatalf("default config at T=%d: %d³ shards as %v (sharded %v), want a 2-D tile per thread", threads, DefaultShardThreshold, spec, ok)
+		}
+		checkFloor(spec, def.MC)
 	}
-	half := DefaultShardThreshold / 2
-	for _, tc := range []struct{ threads, side int }{
-		{2, DefaultShardThreshold},
-		{8, max(2*breakEven, DefaultShardThreshold)},
-	} {
-		def.Threads = tc.threads
-		route, ok := NewMultiplier(def, PaperArch()).shardSpec(tc.side, tc.side, tc.side)
-		if !ok {
-			t.Fatalf("default config at T=%d must shard a %d³ problem (floor %d)", tc.threads, tc.side, route.floor)
-		}
-		if route.floor != half && route.floor != breakEven ||
-			tc.threads == 2 && route.floor != min(half, breakEven) {
-			t.Fatalf("%d³ at T=%d cut at floor %d (half the threshold %d, break-even %d)", tc.side, tc.threads, route.floor, half, breakEven)
-		}
-		for _, tl := range route.Tiles() {
-			if tl.Rows < route.floor || tl.Cols < route.floor {
-				t.Fatalf("tile %+v under the applied floor %d", tl, route.floor)
+}
+
+// TestNoKCutBelowThreshold: below Config.ShardThreshold no product is cut
+// along K. On every registered kernel at T = 2, 3 and 4, over a grid of
+// sub-threshold shapes from thin to square, Explain reports at most one K
+// slab, so tiles write disjoint regions of C and nothing is folded — what
+// TestGEMMServedBitsIndependentOfThreads rests on.
+func TestNoKCutBelowThreshold(t *testing.T) {
+	dims := []int{1, 16, 48, 95, 96, 191, 192, 300, 384, 512, 640, 768, 1000, DefaultShardThreshold - 1}
+	for _, kern := range Kernels() {
+		for _, threads := range []int{2, 3, 4} {
+			cfg := DefaultConfig()
+			cfg.Kernel, cfg.Threads = kern, threads
+			mu := NewMultiplier(cfg, PaperArch())
+			sharded := 0
+			for _, m := range dims {
+				for _, k := range dims {
+					for _, n := range dims {
+						ex, err := mu.Explain(m, k, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ex.GridK > 1 {
+							t.Errorf("%s T=%d: %d×%d×%d below the threshold is cut into %d×%d×%d", kern, threads, m, k, n, ex.GridM, ex.GridN, ex.GridK)
+						}
+						if ex.GridM > 0 {
+							sharded++
+						}
+					}
+				}
+			}
+			if sharded == 0 {
+				t.Errorf("%s T=%d: no shape of the sweep sharded", kern, threads)
 			}
 		}
 	}
