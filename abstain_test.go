@@ -13,13 +13,15 @@ import (
 	"fmmfam/internal/model"
 )
 
-// archOf is the Arch a multiplier built from PaperArch prices (kern, dtype)
-// with; ok is false when kern is not registered on this host/build (avx2 off
-// amd64, under -tags purego, or without the CPU feature), where the model
-// would silently price the default backend instead.
+// archOf is the Arch a multiplier built from PaperArch and DefaultConfig's
+// blocking prices (kern, dtype) with; ok is false when kern is not registered
+// on this host/build (avx2 off amd64, under -tags purego, or without the CPU
+// feature), where the model would silently price the default backend instead.
 func archOf(kern string, dt matrix.Dtype) (Arch, bool) {
 	_, ok := kernel.ResolveNameFor(kern, dt)
-	return model.ArchForKernel(model.ArchForDtype(PaperArch(), dt), kern), ok
+	arch, cfg := PaperArch(), DefaultConfig()
+	arch.MC, arch.KC, arch.NC = cfg.MC, cfg.KC, cfg.NC
+	return model.ArchForKernel(model.ArchForDtype(arch, dt), kern), ok
 }
 
 // TestRecommendAbstains pins the win-or-abstain decision at the paper's
@@ -43,7 +45,7 @@ func TestRecommendAbstains(t *testing.T) {
 		{kernel.AVX2Backend, matrix.Float64, 2880, 480, 2880, "<2,2,2> ABC"},
 		{kernel.AVX2Backend, matrix.Float32, 104, 104, 104, gemm},
 		{kernel.AVX512Backend, matrix.Float64, 1024, 1024, 1024, gemm}, // default_square where avx512 is the fastest registered
-		{kernel.AVX512Backend, matrix.Float64, 2048, 2048, 2048, gemm}, // below the break-even, 3841
+		{kernel.AVX512Backend, matrix.Float64, 2048, 2048, 2048, gemm}, // below the break-even, 3524
 		{kernel.AVX512Backend, matrix.Float64, 2880, 480, 2880, gemm},
 		{kernel.DefaultBackend, matrix.Float64, 64, 64, 64, gemm},
 		{kernel.DefaultBackend, matrix.Float64, 1024, 1024, 512, "<2,2,2>+<2,2,2> ABC"}, // default_square's tiles
@@ -81,7 +83,7 @@ func TestBestMatchesRank(t *testing.T) {
 	for s := 64; s <= 8192; s *= 2 {
 		shapes = append(shapes, [3]int{s, s, s})
 	}
-	for _, be := range []int{148, 1793, 3841} {
+	for _, be := range []int{148, 1793, 3524} {
 		shapes = append(shapes, [3]int{be - 1, be - 1, be - 1}, [3]int{be, be, be})
 	}
 	shapes = append(shapes,
@@ -206,7 +208,8 @@ func TestPlanForAboveBreakEvenUnchanged(t *testing.T) {
 // T = 4 and 8), also below the threshold (wire_mix's big class: avx2 384³
 // and 640×384×512). The K-slab grid at the break-even wins only where the
 // model prices it lower (256×16384×256, 1×1×2 on every kernel). A product
-// with no room for two MC tiles (avx2 160³) runs whole. On every sharded row
+// with no room for two MC tiles (avx2 160³) runs whole. Every benchmark
+// workload's shapes are pinned at T = 2 on every kernel. On every sharded row
 // Explain names PlanFor's plan.
 func TestDefaultSquareRoute(t *testing.T) {
 	for _, tc := range []struct {
@@ -234,6 +237,39 @@ func TestDefaultSquareRoute(t *testing.T) {
 		{kernel.AVX2Backend, 2, 384, 384, 384, "1×2×1", fmmexec.GEMMName},
 		{kernel.AVX2Backend, 2, 640, 384, 512, "2×1×1", fmmexec.GEMMName},
 		{kernel.AVX2Backend, 2, 160, 160, 160, "", fmmexec.GEMMName},
+		// Every benchmark workload's shapes at T = 2 on every kernel, so a
+		// pricing change has to show which routes it moves: square_large
+		// (2048³), rankk (2880×480×2880), small_batch (16³ to 192³), wire_mix
+		// (128³ small, 384–640 big) and 4096³; default_square and kdom_shard
+		// are above.
+		{kernel.DefaultBackend, 2, 2048, 2048, 2048, "1×2×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 2048, 2048, 2048, "1×2×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 2880, 480, 2880, "1×2×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 2880, 480, 2880, "1×2×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 4096, 4096, 4096, "1×2×1", "<2,2,2>+<2,2,2> AB"},
+		{kernel.AVX2Backend, 2, 4096, 4096, 4096, "1×2×1", "<2,2,2> AB"},
+		{kernel.DefaultBackend, 2, 16, 16, 16, "", fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 16, 16, 16, "", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 16, 16, 16, "", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 128, 128, 128, "", fmmexec.GEMMName},
+		{kernel.AVX2Backend, 2, 128, 128, 128, "", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 128, 128, 128, "", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 192, 192, 192, "1×2×1", "<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 192, 192, 192, "1×2×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 192, 192, 192, "1×2×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 384, 384, 384, "1×2×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 384, 384, 384, "1×2×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 640, 384, 512, "2×1×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX512Backend, 2, 640, 384, 512, "2×1×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 640, 640, 640, "1×2×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 640, 640, 640, "1×2×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 640, 640, 640, "1×2×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 512, 469, 435, "2×1×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 512, 469, 435, "2×1×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 512, 469, 435, "2×1×1", fmmexec.GEMMName},
+		{kernel.DefaultBackend, 2, 576, 412, 538, "2×1×1", "<2,2,2>+<2,2,2> ABC"},
+		{kernel.AVX2Backend, 2, 576, 412, 538, "2×1×1", fmmexec.GEMMName},
+		{kernel.AVX512Backend, 2, 576, 412, 538, "2×1×1", fmmexec.GEMMName},
 	} {
 		if _, ok := archOf(tc.kern, matrix.Float64); !ok {
 			continue

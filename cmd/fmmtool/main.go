@@ -264,7 +264,7 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 	thr := cmp.Or(cfg.ShardThreshold, fmmfam.DefaultShardThreshold)
 	fmt.Printf("problem\t%d×%d×%d %s, %d threads\n", m, k, n, dt, cfg.Threads)
 	fmt.Printf("kernel\t%s (%s)\n", ex.Kernel, how)
-	fmt.Printf("arch\tpaper Ivy Bridge priced for %s/%s: tau_a=%.3g s/flop tau_b=%.3g s/elem lambda=%.2f MC=%d KC=%d NC=%d; FMM break-even %d³\n",
+	fmt.Printf("arch\tpaper Ivy Bridge at the engine's blocking, priced for %s/%s: tau_a=%.3g s/flop tau_b=%.3g s/elem lambda=%.2f MC=%d KC=%d NC=%d; FMM break-even %d³\n",
 		ex.Kernel, dt, arch.TauA, arch.TauB, arch.Lambda, arch.MC, arch.KC, arch.NC, breakEven)
 	fmt.Printf("threshold\t%d: tiles ≥ MC=%d; K slabs ≥ break-even %d at or above the threshold; the cheaper grid wins\n", thr, cfg.MC, breakEven)
 	if cfg.Threads < 2 {

@@ -63,8 +63,9 @@ func TestCLIModel(t *testing.T) {
 	}
 }
 
-// TestCLIExplain: one product explained on each backend. The reference kernel,
-// by name, shards default_square's 1024³ into two tiles: its K-whole grid at
+// TestCLIExplain: one product explained on each backend, priced at the
+// blocking the engine runs (DefaultConfig's). The reference kernel, by name,
+// shards default_square's 1024³ into two tiles: its K-whole grid at
 // MC and its K-slab grid at the break-even are both 1×2×1 and tie, so K-whole
 // is served, and each tile runs the product's two-level plan. The fastest
 // assembly backend the host registered (avx512, else avx2) is what an empty
@@ -92,7 +93,7 @@ func TestCLIExplain(t *testing.T) {
 	out, err := run(t, "explain", "1024", "1024", "1024", "-kernel", "go4x4", "-threads", "2")
 	for _, want := range []string{
 		"kernel\tgo4x4 (named)",
-		"priced for go4x4/float64: tau_a=", "FMM break-even 148³",
+		"priced for go4x4/float64: tau_a=", "MC=96 KC=256 NC=2048; FMM break-even 148³",
 		"threshold\t1024: tiles ≥ MC=96; K slabs ≥ break-even 148 at or above the threshold; the cheaper grid wins\n",
 		"sharding\t1×2×1 grid", "tiles of up to 1024×1024×512, each running the product's plan at width 1",
 		"serves\t<2,2,2>+<2,2,2> ABC",
@@ -120,7 +121,7 @@ func TestCLIExplain(t *testing.T) {
 	var order, breakEven string
 	switch {
 	case strings.Contains(out, "kernel\tavx512 "):
-		order, breakEven = "avx512 > avx2 > go4x4", "3841"
+		order, breakEven = "avx512 > avx2 > go4x4", "3524"
 	case strings.Contains(out, "kernel\tavx2 "):
 		order, breakEven = "avx2 > go4x4", "1793"
 	default:

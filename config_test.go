@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"fmmfam/internal/matrix"
 )
@@ -234,55 +233,4 @@ func TestBackendsClosedSet(t *testing.T) {
 			t.Fatalf("%s registered for %v, want both dtypes", st.Name, st.Dtypes)
 		}
 	}
-}
-
-// TestServeParams pins the serve-knob resolution: set fields pass through,
-// zero fields fill defaults, and a negative window disables coalescing.
-func TestServeParams(t *testing.T) {
-	base := Config{MC: 96, KC: 256, NC: 2048, Threads: 1}
-
-	t.Run("defaults", func(t *testing.T) {
-		p, err := base.ServeParams()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ServeParams{
-			CoalesceWindow:  DefaultCoalesceWindow,
-			CoalesceMaxJobs: DefaultCoalesceMaxJobs,
-			AdmissionDepth:  DefaultAdmissionDepth,
-		}
-		if p != want {
-			t.Fatalf("ServeParams() = %+v, want %+v", p, want)
-		}
-		if !p.Coalesce() {
-			t.Fatal("default params must enable coalescing")
-		}
-	})
-
-	t.Run("fields", func(t *testing.T) {
-		cfg := base
-		cfg.CoalesceWindow = 250 * time.Microsecond
-		cfg.CoalesceMaxJobs = 8
-		cfg.AdmissionDepth = 4
-		p, err := cfg.ServeParams()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ServeParams{CoalesceWindow: 250 * time.Microsecond, CoalesceMaxJobs: 8, AdmissionDepth: 4}
-		if p != want {
-			t.Fatalf("ServeParams() = %+v, want %+v", p, want)
-		}
-	})
-
-	t.Run("negative window disables coalescing", func(t *testing.T) {
-		cfg := base
-		cfg.CoalesceWindow = -1
-		p, err := cfg.ServeParams()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Coalesce() {
-			t.Fatalf("Coalesce() = true with window %v", p.CoalesceWindow)
-		}
-	})
 }

@@ -49,7 +49,6 @@
 package fmmfam
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"runtime"
@@ -170,14 +169,6 @@ type Config struct {
 	// kernel's accept backlog). 0 means DefaultAdmissionDepth; Validate
 	// rejects negatives.
 	AdmissionDepth int
-
-	// Calibrate, when set, replaces the Arch passed to NewMultiplier with
-	// machine constants measured at construction time (model.Calibrate:
-	// a GEMM probe for τa through the configured kernel and a bandwidth
-	// sweep for τb, both at this multiplier's element type), cached
-	// process-wide per (kernel, dtype) so repeated constructions measure
-	// once. First-time calibration of a pair costs ~100ms.
-	Calibrate bool
 }
 
 // Serving-layer defaults for the zero Config knobs.
@@ -203,39 +194,6 @@ const (
 	DefaultAdmissionDepth = 256
 )
 
-// ServeParams is the resolved wire-serving configuration: Config's serve
-// knobs with their defaults filled. Build one with Config.ServeParams;
-// package serve and cmd/fmmserve consume it.
-type ServeParams struct {
-	// CoalesceWindow is the resolved window duration; ≤ 0 means coalescing
-	// is disabled (see Coalesce).
-	CoalesceWindow time.Duration
-	// CoalesceMaxJobs is the resolved per-window job cap.
-	CoalesceMaxJobs int
-	// AdmissionDepth is the resolved in-flight work bound.
-	AdmissionDepth int
-}
-
-// Coalesce reports whether small-request coalescing is enabled.
-func (p ServeParams) Coalesce() bool { return p.CoalesceWindow > 0 }
-
-// ServeParams range-checks the serve knobs (CoalesceWindow,
-// CoalesceMaxJobs, AdmissionDepth) and fills their defaults. The error is
-// the one Validate reports for the same fields.
-func (c Config) ServeParams() (ServeParams, error) {
-	if c.CoalesceMaxJobs < 0 {
-		return ServeParams{}, fmt.Errorf("fmmfam: CoalesceMaxJobs=%d, need ≥ 0 (0 = default %d; disable coalescing with a negative CoalesceWindow)", c.CoalesceMaxJobs, DefaultCoalesceMaxJobs)
-	}
-	if c.AdmissionDepth < 0 {
-		return ServeParams{}, fmt.Errorf("fmmfam: AdmissionDepth=%d, need ≥ 0 (0 = default %d)", c.AdmissionDepth, DefaultAdmissionDepth)
-	}
-	return ServeParams{
-		CoalesceWindow:  cmp.Or(c.CoalesceWindow, DefaultCoalesceWindow),
-		CoalesceMaxJobs: cmp.Or(c.CoalesceMaxJobs, DefaultCoalesceMaxJobs),
-		AdmissionDepth:  cmp.Or(c.AdmissionDepth, DefaultAdmissionDepth),
-	}, nil
-}
-
 // DefaultConfig returns the single-threaded default blocking with default
 // serving knobs.
 func DefaultConfig() Config {
@@ -259,10 +217,9 @@ func (c Config) gemmConfig() gemm.Config {
 // reports the ones that are not); the empty name is the fastest backend the
 // host registered for E. Each construction asks once — resolveConfig for a
 // multiplier, newPlan for a plan — and stores the answer back into its Config,
-// so everything after — model pricing, the calibration cache, the engine,
-// Stats — reads one field. Below this
-// package the empty name keeps meaning the reference kernel (kernel.Resolve,
-// gemm.Config).
+// so everything after — model pricing, the engine, Stats — reads one field.
+// Below this package the empty name keeps meaning the reference kernel
+// (kernel.Resolve, gemm.Config).
 func kernelFor[E matrix.Element](name string) string {
 	if name == "" {
 		return kernel.Fastest(matrix.DtypeOf[E]())
@@ -302,8 +259,13 @@ func resolveConfig[E matrix.Element](c Config) (Config, error) {
 	if c.QueueDepth < 0 {
 		return c, fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
 	}
-	_, err := c.ServeParams()
-	return c, err
+	if c.CoalesceMaxJobs < 0 {
+		return c, fmt.Errorf("fmmfam: CoalesceMaxJobs=%d, need ≥ 0 (0 = default %d; disable coalescing with a negative CoalesceWindow)", c.CoalesceMaxJobs, DefaultCoalesceMaxJobs)
+	}
+	if c.AdmissionDepth < 0 {
+		return c, fmt.Errorf("fmmfam: AdmissionDepth=%d, need ≥ 0 (0 = default %d)", c.AdmissionDepth, DefaultAdmissionDepth)
+	}
+	return c, nil
 }
 
 // EnvKernel returns the backend the FMMFAM_KERNEL environment variable

@@ -34,20 +34,20 @@ func TestHostileEnvironmentChangesNothing(t *testing.T) {
 	// observe builds everything from cfg and reports all the environment
 	// could have moved.
 	observe := func() string {
-		params, errServe := cfg.ServeParams()
 		mu := fmmfam.NewMultiplier(cfg, fmmfam.PaperArch())
 		sel, errSel := mu.PlanFor(256, 256, 256)
 		c, cd := fmmfam.NewMatrix(256, 256), fmmfam.NewMatrix(256, 256)
 		errMul := mu.MulAdd(c, a, b)
 		direct, errPlan := fmmfam.NewPlan(cfg, fmmfam.ABC, fmmfam.Strassen())
 		srv, errSrv := serve.New(cfg, fmmfam.PaperArch())
-		if err := errors.Join(cfg.Validate(), errServe, errSel, errMul, errPlan, errSrv); err != nil {
+		if err := errors.Join(cfg.Validate(), errSel, errMul, errPlan, errSrv); err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		direct.MulAdd(cd, a, b)
-		return fmt.Sprintf("%+v | %v %+v %x | %x",
-			params, sel, mu.Stats(), c.Fingerprint(), cd.Fingerprint())
+		st := srv.Stats() // the serve knobs as /v1/stats reports them
+		return fmt.Sprintf("%+v %+v %d | %v %+v %x | %x",
+			st.Coalesce64, st.Coalesce32, st.Admission.Depth, sel, mu.Stats(), c.Fingerprint(), cd.Fingerprint())
 	}
 
 	for name := range hostile {

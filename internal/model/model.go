@@ -27,7 +27,8 @@ import (
 // Arch holds the architecture parameters of the model (Figure 4): τa is the
 // reciprocal of peak flops/s, τb the amortized seconds per element moved
 // from DRAM, λ ∈ [0.5,1] the prefetch efficiency of the C micro-tile
-// traffic, and {MC,KC,NC} the cache blocking of Figure 1.
+// traffic, and {MC,KC,NC} the cache blocking of Figure 1 — the blocking the
+// priced products run with (a multiplier sets it to its Config's).
 //
 // τa is a property of the micro-kernel as much as of the machine — the paper
 // bakes its assembly kernel's efficiency into the constant, and we bake in
@@ -55,9 +56,11 @@ type Arch struct {
 }
 
 // PaperIvyBridge returns the machine of §5.1: one core of a Xeon E5-2680 v2
-// at 3.54 GHz (28.32 GFLOPS peak) with 59.7 GB/s peak bandwidth and the BLIS
-// blocking kC=256, nC=4096 (mC=96). λ defaults to 0.7, mid-range of the
-// paper's [0.5, 1].
+// at 3.54 GHz (28.32 GFLOPS peak) with 59.7 GB/s peak bandwidth and the
+// paper's BLIS blocking kC=256, nC=4096 (mC=96). λ defaults to 0.7,
+// mid-range of the paper's [0.5, 1]. A multiplier keeps the τ constants and
+// λ and replaces the blocking with the one its engine runs (nC=2048 by
+// default).
 func PaperIvyBridge() Arch {
 	return Arch{
 		TauA:   1 / 28.32e9,
@@ -88,9 +91,9 @@ type effKey struct {
 // accumulators on zmm, twice that again (24×, measured 1.8–2.1× avx2); each
 // float32 kernel doubles its float64 rate — twice the lanes per register.
 // The ratios describe the rank-kc loop alone (12 FMAs per k-step on the
-// 6×8 / 6×16 / 6×32 tile), not packing or the C update. Calibrate
-// supersedes the table with a live measurement whenever it runs, so the
-// constants only steer selection until calibration happens.
+// 6×8 / 6×16 / 6×32 tile), not packing or the C update. An Arch from
+// Calibrate carries a measured τa for its backend instead, which
+// ArchForKernel leaves as it is.
 var kernelEff = map[effKey]float64{
 	{kernel.DefaultBackend, matrix.Float64}: 1.0,
 	{kernel.DefaultBackend, matrix.Float32}: 1.0,
@@ -435,10 +438,12 @@ func BreakEvenSquare(arch Arch, cands []Candidate) int {
 // products' smaller operand-packing traffic pays for the extra reduction
 // traffic (the Benson–Ballard trade for K-dominant shapes).
 //
-// Tiles are priced with the plain-GEMM column: per-tile plan selection
-// happens later and shifts all candidate grids about equally, while the
-// GEMM column already captures what the grid search needs — the balance of
-// compute volume against per-tile operand traffic.
+// Tiles are priced with the plain-GEMM column, whatever plan runs on them:
+// the grid search needs the balance of compute volume against per-tile
+// operand traffic, which the GEMM column captures. Every tile runs the
+// product's plan, so where that plan is a fast algorithm the column
+// misprices each tile by the plan's gain over GEMM at the tile's shape,
+// which differs between a grid's K-whole tiles and its K slabs.
 func ShardMakespan(arch Arch, m, k, n, gm, gn, gk, workers int) float64 {
 	if workers < 1 {
 		workers = 1

@@ -162,14 +162,7 @@ func TestLoneWorkerClaimsInDescendingCostOrder(t *testing.T) {
 // other job (exactly once) before the long job finishes, which requires
 // that no job is reserved for the blocked worker.
 func TestStealDistributionRaggedGrid(t *testing.T) {
-	spec, ok := shard.Split(3000, 2000, 900, shard.Options{Workers: 8, MinTile: 96, KSplit: true})
-	if !ok {
-		t.Fatal("expected the ragged problem to shard")
-	}
-	tiles := spec.Tiles()
-	if len(tiles) < 8 {
-		t.Fatalf("want a ragged grid with ≥ 8 tiles, got %d (%v)", len(tiles), spec)
-	}
+	tiles := shard.Spec{M: 3000, K: 2000, N: 900, GridM: 4, GridN: 2, GridK: 1}.Tiles()
 
 	const workers = 2
 	// jobs[0] gets the largest cost, so it is claimed first; its worker

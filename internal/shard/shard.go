@@ -21,18 +21,16 @@
 // that the executor folds into C in ascending slab order, so results stay
 // run-to-run deterministic even though scheduling is not.
 //
-// The grid is chosen by minimizing a modelled makespan of scheduling the
-// tiles on Workers equal workers — by default ⌈tiles/Workers⌉ rounds of the
-// largest tile's volume plus a reduction surcharge of M·N·(GridK−1) element
-// folds for K-split grids, or the caller's Options.Cost hook (typically the
-// performance model's ShardMakespan, which prices the same schedule in
-// seconds) — subject to every cut dimension staying at or above a
-// caller-given floor. Ties go to the grid with the largest minimum
-// output-tile side, then the fewest tiles, then the fewest K slabs: bigger
-// tiles keep the product's plan near the shapes it was chosen for and
-// amortize packing, worker-aligned tile counts avoid the straggler round a
-// 9-tiles-on-4-workers schedule pays, and K stays whole unless splitting it
-// actually wins.
+// The grid is chosen by minimizing the caller's Options.Cost, a modelled
+// makespan of scheduling the tiles on Workers equal workers (the performance
+// model's ShardMakespan, which prices ⌈tiles/Workers⌉ rounds of the largest
+// tile plus the reduction folds of a K-split grid, in seconds), subject to
+// every cut dimension staying at or above a caller-given floor. Ties go to
+// the grid with the largest minimum output-tile side, then the fewest tiles,
+// then the fewest K slabs: bigger tiles keep the product's plan near the
+// shapes it was chosen for and amortize packing, worker-aligned tile counts
+// avoid the straggler round a 9-tiles-on-4-workers schedule pays, and K
+// stays whole unless splitting it actually wins.
 //
 // The multiplier asks Split for two grids and serves the one of lower
 // makespan: tiles ≥ MC; K slabs ≥ break-even at or above the threshold; the
@@ -50,12 +48,6 @@ import "fmt"
 // find those without searching absurd grids.
 const DefaultOversub = 2
 
-// defaultReduceCost weighs one reduction-fold element (read slab buffer,
-// read C, write C — bandwidth bound) against one unit of tile volume (a
-// fused multiply-add — compute bound) in the built-in makespan score:
-// roughly 3·τb / (2·τa) on the paper's machine.
-const defaultReduceCost = 6
-
 // Options controls Split.
 type Options struct {
 	// Workers is the scheduling width the shards will be fed to (≥1).
@@ -67,14 +59,13 @@ type Options struct {
 	MinTile int
 	// KSplit permits cutting the K dimension into GridK slabs. The executor
 	// then needs per-slab reduction buffers, and results are run-to-run
-	// deterministic rather than bit-identical to the 2D path, so the score
-	// charges K-split grids for the extra reduction traffic and K stays
-	// whole unless splitting it wins.
+	// deterministic rather than bit-identical to the 2D path, so Cost
+	// should charge K-split grids for the extra reduction traffic.
 	KSplit bool
-	// Cost, when non-nil, scores a candidate GridM×GridN×GridK grid (lower
-	// is better; typically the performance model's ShardMakespan in
-	// seconds). Nil selects the built-in volume-based score. The hook must
-	// be deterministic — Split's choice is part of the determinism contract.
+	// Cost scores a candidate GridM×GridN×GridK grid, lower being better:
+	// typically the performance model's ShardMakespan in seconds. It is
+	// required — Split panics without one — and must be deterministic, since
+	// Split's choice is part of the determinism contract.
 	Cost func(gm, gn, gk int) float64
 }
 
@@ -103,12 +94,13 @@ type Spec struct {
 // and no grid.
 //
 // Every admissible grid up to Workers×DefaultOversub tiles is scored by
-// o.Cost (or the built-in volume-based makespan — ⌈tiles/Workers⌉ rounds of the
-// largest tile's volume, plus m·n·(gk−1) weighted reduction folds for
-// K-split grids) and the minimum wins. Ties prefer the larger minimum
-// output-tile side, then fewer tiles, then fewer K slabs; see the package
-// comment for why.
+// o.Cost and the minimum wins. Ties prefer the larger minimum output-tile
+// side, then fewer tiles, then fewer K slabs; see the package comment for
+// why. A nil o.Cost panics.
 func Split(m, k, n int, o Options) (Spec, bool) {
+	if o.Cost == nil {
+		panic("shard: Split needs Options.Cost")
+	}
 	refused := Spec{M: m, K: k, N: n}
 	if m < 1 || k < 1 || n < 1 {
 		return refused, false
@@ -118,10 +110,6 @@ func Split(m, k, n int, o Options) (Spec, bool) {
 	}
 	if o.MinTile < 1 {
 		o.MinTile = 1
-	}
-	cost := o.Cost
-	if cost == nil {
-		cost = func(gm, gn, gk int) float64 { return defaultCost(m, k, n, gm, gn, gk, o.Workers) }
 	}
 	gmMax := m / o.MinTile
 	if gmMax < 1 {
@@ -154,7 +142,7 @@ func Split(m, k, n int, o Options) (Spec, bool) {
 				if tiles < 2 {
 					continue
 				}
-				c := cost(gm, gn, gk)
+				c := o.Cost(gm, gn, gk)
 				// Smallest output-tile side under balanced cuts.
 				side := int64(ceilDiv(m, gm))
 				if tc := int64(ceilDiv(n, gn)); tc < side {
@@ -177,20 +165,6 @@ func Split(m, k, n int, o Options) (Spec, bool) {
 		return refused, false
 	}
 	return Spec{M: m, K: k, N: n, GridM: bestM, GridN: bestN, GridK: bestK}, true
-}
-
-// defaultCost is the built-in makespan score: ⌈tiles/workers⌉ rounds of the
-// largest tile's volume, plus — for K-split grids — the reduction surcharge
-// of folding the gk−1 extra slab buffers into C, m·n·(gk−1) element folds
-// at defaultReduceCost volume units each. All quantities stay well under
-// 2^53, so the float comparisons in Split are exact.
-func defaultCost(m, k, n, gm, gn, gk, workers int) float64 {
-	vol := int64(ceilDiv(m, gm)) * int64(ceilDiv(n, gn)) * int64(ceilDiv(k, gk))
-	c := float64(int64(ceilDiv(gm*gn*gk, workers)) * vol)
-	if gk > 1 {
-		c += defaultReduceCost * float64(m) * float64(n) * float64(gk-1)
-	}
-	return c
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -6,6 +6,38 @@ import (
 	"testing"
 )
 
+// split is Split scored by volumeCost, the tests' explicit grid score.
+func split(m, k, n int, o Options) (Spec, bool) {
+	o.Cost = volumeCost(m, k, n, o.Workers)
+	return Split(m, k, n, o)
+}
+
+// volumeCost is a makespan in units of one fused multiply-add:
+// ⌈tiles/workers⌉ rounds of the largest tile's volume, plus, for a K-split
+// grid, the m·n·(gk−1) reduction-fold elements at six units each (one fold
+// moves three elements; roughly 3·τb / (2·τa) on the paper's machine).
+func volumeCost(m, k, n, workers int) func(gm, gn, gk int) float64 {
+	return func(gm, gn, gk int) float64 {
+		vol := int64(ceilDiv(m, gm)) * int64(ceilDiv(n, gn)) * int64(ceilDiv(k, gk))
+		c := float64(int64(ceilDiv(gm*gn*gk, max(workers, 1))) * vol)
+		if gk > 1 {
+			c += 6 * float64(m) * float64(n) * float64(gk-1)
+		}
+		return c
+	}
+}
+
+// TestSplitNeedsCost: a Split without a Cost panics with a message naming
+// the field.
+func TestSplitNeedsCost(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Options.Cost") {
+			t.Fatalf("Split without a Cost recovered %v, want a panic naming Options.Cost", r)
+		}
+	}()
+	Split(256, 256, 256, Options{Workers: 2, MinTile: 64})
+}
+
 // TestTilesPartitionExactly verifies that for a sweep of problem shapes and
 // options, the tiles cover every (i, j) of the M×N output exactly once and
 // never stray out of bounds — the property that makes sharded execution
@@ -24,7 +56,7 @@ func TestTilesPartitionExactly(t *testing.T) {
 		{1 << 14, 8, 1 << 14, Options{Workers: 64, MinTile: 100}},
 	}
 	for _, tc := range cases {
-		spec, ok := Split(tc.m, tc.k, tc.n, tc.o)
+		spec, ok := split(tc.m, tc.k, tc.n, tc.o)
 		if !ok {
 			t.Fatalf("Split(%d,%d,%d,%+v) refused to shard", tc.m, tc.k, tc.n, tc.o)
 		}
@@ -60,7 +92,7 @@ func TestTilesPartitionExactly(t *testing.T) {
 // TestTilesBalanced: within each dimension tile sides differ by at most one,
 // so no worker inherits a straggler tile much larger than the rest.
 func TestTilesBalanced(t *testing.T) {
-	spec, ok := Split(1000, 300, 700, Options{Workers: 5, MinTile: 50})
+	spec, ok := split(1000, 300, 700, Options{Workers: 5, MinTile: 50})
 	if !ok {
 		t.Fatal("refused to shard")
 	}
@@ -100,7 +132,7 @@ func TestSplitRefusals(t *testing.T) {
 		{10, 0, 10, Options{Workers: 4, MinTile: 1}},
 	}
 	for _, tc := range cases {
-		spec, ok := Split(tc.m, tc.k, tc.n, tc.o)
+		spec, ok := split(tc.m, tc.k, tc.n, tc.o)
 		if ok {
 			t.Fatalf("Split(%d,%d,%d,%+v) sharded as %v, want refusal", tc.m, tc.k, tc.n, tc.o, spec)
 		}
@@ -118,15 +150,15 @@ func TestSplitRefusals(t *testing.T) {
 // and a square problem with room to spare lands on a worker-aligned grid of
 // the largest possible near-square tiles (minimum modelled makespan).
 func TestSplitShapeAffinity(t *testing.T) {
-	tall, ok := Split(4096, 256, 200, Options{Workers: 4, MinTile: 100})
+	tall, ok := split(4096, 256, 200, Options{Workers: 4, MinTile: 100})
 	if !ok || tall.GridN != 1 || tall.GridM != 4 {
 		t.Fatalf("tall split: %v ok=%v, want 4×1 (one tile per worker, cuts along M)", tall, ok)
 	}
-	wide, ok := Split(200, 256, 4096, Options{Workers: 4, MinTile: 100})
+	wide, ok := split(200, 256, 4096, Options{Workers: 4, MinTile: 100})
 	if !ok || wide.GridM != 1 || wide.GridN != 4 {
 		t.Fatalf("wide split: %v ok=%v, want 1×4 (one tile per worker, cuts along N)", wide, ok)
 	}
-	sq, ok := Split(4096, 4096, 4096, Options{Workers: 8, MinTile: 148})
+	sq, ok := split(4096, 4096, 4096, Options{Workers: 8, MinTile: 148})
 	if !ok || sq.NumTiles() != 8 || sq.NumTiles()%8 != 0 {
 		t.Fatalf("square split: %v ok=%v, want exactly one tile per worker", sq, ok)
 	}
@@ -136,7 +168,7 @@ func TestSplitShapeAffinity(t *testing.T) {
 		}
 	}
 	// Determinism: the same inputs always produce the same spec.
-	sq2, _ := Split(4096, 4096, 4096, Options{Workers: 8, MinTile: 148})
+	sq2, _ := split(4096, 4096, 4096, Options{Workers: 8, MinTile: 148})
 	if sq != sq2 {
 		t.Fatalf("split not deterministic: %v vs %v", sq, sq2)
 	}
@@ -148,7 +180,7 @@ func TestSplitShapeAffinity(t *testing.T) {
 // and must keep refusing when KSplit is off (the PR 2 behavior).
 func TestSplitKDominant(t *testing.T) {
 	o := Options{Workers: 4, MinTile: 150, KSplit: true}
-	spec, ok := Split(256, 32768, 256, o)
+	spec, ok := split(256, 32768, 256, o)
 	if !ok {
 		t.Fatal("K-dominant problem refused to shard with KSplit on")
 	}
@@ -164,7 +196,7 @@ func TestSplitKDominant(t *testing.T) {
 		}
 	}
 	o.KSplit = false
-	if spec, ok := Split(256, 32768, 256, o); ok {
+	if spec, ok := split(256, 32768, 256, o); ok {
 		t.Fatalf("KSplit off still sharded as %v", spec)
 	}
 }
@@ -173,7 +205,7 @@ func TestSplitKDominant(t *testing.T) {
 // reduction surcharge must keep K whole, preserving the bit-identical 2D
 // path for output-dominant problems.
 func TestSplitPrefersKWhole(t *testing.T) {
-	spec, ok := Split(4096, 4096, 4096, Options{Workers: 8, MinTile: 148, KSplit: true})
+	spec, ok := split(4096, 4096, 4096, Options{Workers: 8, MinTile: 148, KSplit: true})
 	if !ok {
 		t.Fatal("refused to shard")
 	}
@@ -196,7 +228,7 @@ func TestTilesPartition3D(t *testing.T) {
 		{100, 999, 70, Options{Workers: 8, MinTile: 33, KSplit: true}},
 	}
 	for _, tc := range cases {
-		spec, ok := Split(tc.m, tc.k, tc.n, tc.o)
+		spec, ok := split(tc.m, tc.k, tc.n, tc.o)
 		if !ok {
 			t.Fatalf("Split(%d,%d,%d,%+v) refused to shard", tc.m, tc.k, tc.n, tc.o)
 		}
@@ -290,7 +322,7 @@ func FuzzTilesPartition(f *testing.F) {
 		}
 		m, k, n = clamp(m, 1, 96), clamp(k, 1, 96), clamp(n, 1, 96)
 		workers, minTile = clamp(workers, 1, 8), clamp(minTile, 1, 64)
-		spec, ok := Split(m, k, n, Options{Workers: workers, MinTile: minTile, KSplit: kSplit})
+		spec, ok := split(m, k, n, Options{Workers: workers, MinTile: minTile, KSplit: kSplit})
 		if !ok {
 			return
 		}

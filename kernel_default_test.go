@@ -93,7 +93,7 @@ func TestEmptyKernelResolvesToFastest(t *testing.T) {
 // multiplier that names the same backend, bit for bit, at both element types.
 // The direct product is under 2·MC in M and N, so it runs whole. A K-split
 // slab is at least the break-even deep, so the K-split product's k = 8192
-// clears twice the largest one (avx512's ~3841).
+// clears twice the largest one (avx512's ~1889 at this blocking).
 func TestEmptyKernelBitIdenticalToNamed(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { emptyKernelBitIdentical[float64](t) })
 	t.Run("float32", func(t *testing.T) { emptyKernelBitIdentical[float32](t) })

@@ -63,13 +63,13 @@ import (
 // A product's shape class (each dimension rounded up to a power of two) is
 // priced at its upper corner, so where the class's corner is below the
 // kernel's break-even (model.BreakEvenSquare: ~148 on go4x4, ~1793 on avx2,
-// ~3841 on avx512 at the paper's machine constants) the multiplier serves
-// GEMM, bit-identical to a bare gemm.Context, and above it the fast plan the
-// model ranks first there. There is no size threshold and no second code
-// path: the only thing deciding GEMM versus FMM is model.Best (the head of
-// model.Rank) on this multiplier's Arch, and every route to a plan abstains
-// the same way — a direct call, each batch job, each shard tile and K-split
-// slab, each async job and coalesced wire request.
+// ~3524 on avx512 at the paper's machine constants and the default blocking)
+// the multiplier serves GEMM, bit-identical to a bare gemm.Context, and above
+// it the fast plan the model ranks first there. There is no size threshold
+// and no second code path: the only thing deciding GEMM versus FMM is
+// model.Best (the head of model.Rank) on this multiplier's Arch, and every
+// route to a plan abstains the same way — a direct call, each batch job, each
+// shard tile and K-split slab, each async job and coalesced wire request.
 //
 // One plan table: one slot per family member, built once on first use, and
 // a class is only an index into it — a pure function of (kernel, dtype,
@@ -129,68 +129,21 @@ type Multiplier = GenericMultiplier[float64]
 // instantiated at single precision.
 type Multiplier32 = GenericMultiplier[float32]
 
-// archCache memoizes measured machine constants per (kernel, dtype) pair,
-// process-wide: every multiplier constructed with calibration enabled for
-// the same pair reuses one measurement (the probes cost ~100ms and allocate
-// a bandwidth-sweep buffer, so per-construction measurement would make
-// servers and tests pay repeatedly for identical numbers).
-var archCache = struct {
-	sync.Mutex
-	m map[archKey]Arch
-}{m: make(map[archKey]Arch)}
-
-type archKey struct {
-	kernel string
-	dtype  matrix.Dtype
-}
-
-// calibrateProbe is the square GEMM size the opt-in construction-time
-// calibration measures τa with: large enough that the five loops and packing
-// run at steady state, small enough to keep NewMultiplier under ~100ms the
-// first time a (kernel, dtype) pair is seen.
-const calibrateProbe = 256
-
-// calibratedArch returns the measured Arch for a validated cfg's (kernel,
-// dtype) pair, measuring on first use and caching process-wide. The probe runs
-// single-threaded regardless of cfg.Threads so τa stays a per-core constant,
-// exactly as the paper's model defines it.
-func calibratedArch[E matrix.Element](gcfg gemm.Config) (Arch, error) {
-	key := archKey{kernel: gcfg.Kernel, dtype: matrix.DtypeOf[E]()}
-	archCache.Lock()
-	defer archCache.Unlock()
-	if a, ok := archCache.m[key]; ok {
-		return a, nil
-	}
-	gcfg.Threads = 1
-	a, err := model.Calibrate[E](gcfg, calibrateProbe)
-	if err != nil {
-		return Arch{}, err
-	}
-	archCache.m[key] = a
-	return a, nil
-}
-
 // NewGenericMultiplier returns a multiplier for element type E using the
 // given blocking/threads and machine parameters for selection. An empty
 // cfg.Kernel is resolved here, once, to the fastest backend registered for E
-// (resolveConfig) and stored. The arch is
-// re-priced for E (model.ArchForDtype — float32 halves the per-element
-// bandwidth cost τb) and for cfg.Kernel's backend (model.ArchForKernel), so
-// plan selection, the shard tile floor, and the shard grid score all price
-// the (kernel, dtype) pair actually in use; an arch from model.Calibrate[E]
-// with the same cfg.Kernel passes through unchanged. With Config.Calibrate
-// set, the provided arch's τ constants are replaced by measured ones, cached
-// process-wide per (kernel, dtype). An invalid cfg is reported by every entry
-// point's first call (see Config.Validate).
+// (resolveConfig) and stored. The arch is the model's machine with this
+// multiplier's engine in it: its blocking is replaced by cfg's MC, KC and NC,
+// the blocking every plan runs, and it is re-priced for E
+// (model.ArchForDtype — float32 halves the per-element bandwidth cost τb)
+// and for cfg.Kernel's backend (model.ArchForKernel), so plan selection, the
+// K-slab floor, and the shard grid score all price the blocking and the
+// (kernel, dtype) pair actually in use; τa and τb from model.Calibrate[E]
+// with the same cfg.Kernel pass through unchanged. An invalid cfg is
+// reported by every entry point's first call (see Config.Validate).
 func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMultiplier[E] {
 	cfg, cfgErr := resolveConfig[E](cfg)
-	if cfgErr == nil && cfg.Calibrate {
-		if measured, err := calibratedArch[E](cfg.gemmConfig()); err == nil {
-			arch = measured
-		} else {
-			cfgErr = err
-		}
-	}
+	arch.MC, arch.KC, arch.NC = cfg.MC, cfg.KC, cfg.NC
 	return &GenericMultiplier[E]{
 		cfg:       cfg,
 		arch:      model.ArchForKernel(model.ArchForDtype(arch, matrix.DtypeOf[E]()), cfg.Kernel),
@@ -201,9 +154,9 @@ func NewGenericMultiplier[E matrix.Element](cfg Config, arch Arch) *GenericMulti
 	}
 }
 
-// NewMultiplier returns a float64 Multiplier; see NewGenericMultiplier. Use
-// PaperArch() when no calibration is available; relative rankings transfer
-// well across machines.
+// NewMultiplier returns a float64 Multiplier; see NewGenericMultiplier.
+// PaperArch() is the machine every built-in multiplier prices with; relative
+// rankings transfer well across machines.
 func NewMultiplier(cfg Config, arch Arch) *Multiplier {
 	return NewGenericMultiplier[float64](cfg, arch)
 }
@@ -651,8 +604,8 @@ type Explanation struct {
 	// Kernel is the backend the engine runs on (Stats().Kernel).
 	Kernel string
 	// Arch holds the machine constants the selector prices with: the
-	// constructor's arch re-priced for the element type and Kernel, or the
-	// calibrated one.
+	// constructor's arch with the Config's MC, KC and NC, re-priced for the
+	// element type and Kernel.
 	Arch Arch
 	// GridM×GridN×GridK is the shard grid (M×N×K); all zero when the product
 	// is served whole.

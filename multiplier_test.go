@@ -16,6 +16,7 @@ import (
 	"fmmfam/internal/fmmexec"
 	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
+	"fmmfam/internal/model"
 )
 
 func TestMultiplierCorrectAcrossShapes(t *testing.T) {
@@ -38,7 +39,9 @@ func TestMultiplierCorrectAcrossShapes(t *testing.T) {
 }
 
 func TestMultiplierCachesPlans(t *testing.T) {
-	mu := NewMultiplier(Config{MC: 16, KC: 16, NC: 32, Threads: 1, Kernel: "go4x4"}, PaperArch()) // gemm and an FMM plan
+	// At the default blocking go4x4 serves 100³ GEMM and 1000×100×1000 a
+	// fast plan; a multiplier prices the blocking it runs.
+	mu := NewMultiplier(Config{MC: 96, KC: 256, NC: 2048, Threads: 1, Kernel: "go4x4"}, PaperArch())
 	p1, err := mu.PlanFor(100, 100, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -505,6 +508,33 @@ func classPlanIndependentOfHistory[E matrix.Element](t *testing.T) {
 					t.Errorf("%s %v: results differ by %g between the two fill orders", kern, s, d)
 				}
 			}
+		}
+	}
+}
+
+// TestMultiplierPricesItsBlocking: a multiplier prices the blocking its
+// engine runs. For a blocking other than the paper's (MC=48, KC=128,
+// NC=1024), on every registered kernel at both element types, the Arch
+// Explain reports carries the Config's MC, KC and NC, and the K-slab floor is
+// the model's break-even on that Arch.
+func TestMultiplierPricesItsBlocking(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { pricesItsBlocking[float64](t) })
+	t.Run("float32", func(t *testing.T) { pricesItsBlocking[float32](t) })
+}
+
+func pricesItsBlocking[E matrix.Element](t *testing.T) {
+	for _, kern := range kernel.BackendsFor(matrix.DtypeOf[E]()) {
+		cfg := Config{MC: 48, KC: 128, NC: 1024, Threads: 2, Kernel: kern}
+		mu := NewGenericMultiplier[E](cfg, PaperArch())
+		ex, err := mu.Explain(1024, 1024, 1024)
+		if err != nil {
+			t.Fatalf("%s: %v", kern, err)
+		}
+		if a := ex.Arch; a.MC != cfg.MC || a.KC != cfg.KC || a.NC != cfg.NC {
+			t.Errorf("%s: priced MC=%d KC=%d NC=%d, the engine runs %d/%d/%d", kern, a.MC, a.KC, a.NC, cfg.MC, cfg.KC, cfg.NC)
+		}
+		if got, want := mu.breakEvenTile(), model.BreakEvenSquare(ex.Arch, model.DefaultCandidates()); got != want {
+			t.Errorf("%s: K-slab floor %d, the break-even on the priced Arch is %d", kern, got, want)
 		}
 	}
 }

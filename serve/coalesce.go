@@ -30,7 +30,7 @@ const coalesceSizeLimit = 128
 // window is running collect in the one open window, which is dispatched as a
 // single MulAddBatch — amortizing plan lookup and pool scheduling across it —
 // as soon as a running window completes, when CoalesceMaxJobs requests have
-// joined, or when ServeParams.CoalesceWindow has passed since it opened,
+// joined, or when Config.CoalesceWindow has passed since it opened,
 // whichever comes first. The hold is therefore never pure waiting: a window
 // stays open only while earlier work occupies the engine, and CoalesceWindow
 // is the upper bound of the hold, not its length.
@@ -79,8 +79,8 @@ type coalesceWindow[E matrix.Element] struct {
 	err   error
 }
 
-func newCoalescer[E matrix.Element](mul *fmmfam.GenericMultiplier[E], p fmmfam.ServeParams) *coalescer[E] {
-	return &coalescer[E]{batch: mul.MulAddBatch, window: p.CoalesceWindow, maxJobs: p.CoalesceMaxJobs}
+func newCoalescer[E matrix.Element](mul *fmmfam.GenericMultiplier[E], window time.Duration, maxJobs int) *coalescer[E] {
+	return &coalescer[E]{batch: mul.MulAddBatch, window: window, maxJobs: maxJobs}
 }
 
 // submit computes c += a·b through a window and blocks until that window's

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -38,17 +39,16 @@ const retryAfterSeconds = 1
 // http.Server (or servetest.Start), shut that down first, then call Close
 // to drain compute. See the package comment for the endpoint map.
 type Server struct {
-	params fmmfam.ServeParams
-	l64    lane[float64]
-	l32    lane[float32]
-	mux    *http.ServeMux
+	l64 lane[float64]
+	l32 lane[float32]
+	mux *http.ServeMux
 
 	// admit is the admission gate: a slot is held for the duration of every
 	// compute request (for async, until its Future resolves), and an empty
 	// channel means the next request is refused with 429 + Retry-After —
 	// the async queue's backpressure semantics, with rejection in place of
 	// blocking (a blocked handler would just hide the queue in the TCP
-	// accept backlog).
+	// accept backlog). Its capacity is the resolved Config.AdmissionDepth.
 	admit    chan struct{}
 	admitted atomic.Uint64
 	rejected atomic.Uint64
@@ -86,11 +86,13 @@ type lane[E matrix.Element] struct {
 	mats matLender[E]
 }
 
-func newLane[E matrix.Element](cfg fmmfam.Config, arch fmmfam.Arch, params fmmfam.ServeParams) lane[E] {
+// newLane builds one precision's lane from a Config whose serve knobs New
+// has resolved: a positive CoalesceWindow puts a coalescer in front.
+func newLane[E matrix.Element](cfg fmmfam.Config, arch fmmfam.Arch) lane[E] {
 	mul := fmmfam.NewGenericMultiplier[E](cfg, arch)
 	ln := lane[E]{mul: mul, mats: mul}
-	if params.Coalesce() {
-		ln.co = newCoalescer(mul, params)
+	if cfg.CoalesceWindow > 0 {
+		ln.co = newCoalescer(mul, cfg.CoalesceWindow, cfg.CoalesceMaxJobs)
 	}
 	return ln
 }
@@ -107,26 +109,24 @@ type pendingAsync struct {
 
 // New builds a Server from cfg: both engines (the same blocking, threads,
 // and serving knobs at each precision), the per-dtype coalescers, and the
-// admission gate, with the serve knobs' defaults filled by cfg.ServeParams.
-// cfg.QueueDepth is floored to the admission depth so the wire layer's 429
-// gate always trips before MulAddAsync's blocking backpressure — a wire
-// client is never silently parked on the internal queue.
+// admission gate. cfg's serve knobs (CoalesceWindow, CoalesceMaxJobs,
+// AdmissionDepth) take their defaults here, a zero knob meaning its
+// fmmfam.Default* constant; Validate has range-checked them. cfg.QueueDepth
+// is floored to the admission depth so the wire layer's 429 gate always trips
+// before MulAddAsync's blocking backpressure — a wire client is never
+// silently parked on the internal queue.
 func New(cfg fmmfam.Config, arch fmmfam.Arch) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	params, err := cfg.ServeParams()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.QueueDepth < params.AdmissionDepth {
-		cfg.QueueDepth = params.AdmissionDepth
-	}
+	cfg.CoalesceWindow = cmp.Or(cfg.CoalesceWindow, fmmfam.DefaultCoalesceWindow)
+	cfg.CoalesceMaxJobs = cmp.Or(cfg.CoalesceMaxJobs, fmmfam.DefaultCoalesceMaxJobs)
+	cfg.AdmissionDepth = cmp.Or(cfg.AdmissionDepth, fmmfam.DefaultAdmissionDepth)
+	cfg.QueueDepth = max(cfg.QueueDepth, cfg.AdmissionDepth)
 	s := &Server{
-		params: params,
-		l64:    newLane[float64](cfg, arch, params),
-		l32:    newLane[float32](cfg, arch, params),
-		admit:  make(chan struct{}, params.AdmissionDepth),
+		l64:   newLane[float64](cfg, arch),
+		l32:   newLane[float32](cfg, arch),
+		admit: make(chan struct{}, cfg.AdmissionDepth),
 		hist: map[string]*histogram{
 			"multiply":      new(histogram),
 			"batch":         new(histogram),
@@ -192,7 +192,7 @@ func (s *Server) acquire(w http.ResponseWriter) bool {
 		s.admitted.Add(1)
 		return true
 	default:
-		s.refuse(w, fmt.Errorf("serve: admission queue full (depth %d); retry after %ds", s.params.AdmissionDepth, retryAfterSeconds))
+		s.refuse(w, fmt.Errorf("serve: admission queue full (depth %d); retry after %ds", cap(s.admit), retryAfterSeconds))
 		return false
 	}
 }
@@ -559,7 +559,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // that never collect cannot grow server memory without bound; at the cap,
 // submissions are refused with 429 like an admission failure, before any
 // work is queued.
-func (s *Server) asyncPendingCap() int { return 4 * s.params.AdmissionDepth }
+func (s *Server) asyncPendingCap() int { return 4 * cap(s.admit) }
 
 // reserveAsync claims a place in the pending table and returns its id (ids
 // start at 1), or 0 and the uncollected count when the table is at its cap.
@@ -708,7 +708,7 @@ func (s *Server) Stats() Stats {
 		Completed:    s.completed.Load(),
 		Errors:       s.errcount.Load(),
 		Endpoints:    make(map[string]HistogramSnapshot, len(s.hist)),
-		Admission:    AdmissionStats{Depth: s.params.AdmissionDepth, Admitted: s.admitted.Load(), Rejected: s.rejected.Load(), InFlight: len(s.admit)},
+		Admission:    AdmissionStats{Depth: cap(s.admit), Admitted: s.admitted.Load(), Rejected: s.rejected.Load(), InFlight: len(s.admit)},
 		Multiplier:   s.l64.mul.Stats(),
 		Multiplier32: s.l32.mul.Stats(),
 		CPU:          fmmfam.HostCPU(),
