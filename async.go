@@ -3,18 +3,18 @@ package fmmfam
 // Async serving: MulAddAsync submits one C += A·B to a bounded queue and
 // returns a Future immediately, so latency-insensitive callers submit many
 // products and collect results when they need them. The queue bound is the
-// backpressure: when QueueDepth jobs are waiting, submitters block until a
+// backpressure: when 4×Threads jobs are waiting, submitters block until a
 // drainer frees a slot, so a burst of traffic cannot queue unbounded work.
-// The queue is only a queue: its Threads drainers are ordinary callers of
-// the multiplier (each job runs its width-1 plan, as a MulAddBatch job
-// does) and schedule nothing themselves. Each multiplier instantiation
-// (float64 or float32) owns its own queue.
+// The queue is only a queue: its Threads drainers are ordinary MulAdd
+// callers — each job is cut on the grid a direct call would cut it on, its
+// tiles running on whatever pool tokens are free, so it gets MulAdd's bits
+// whatever the load — and schedule nothing themselves. Each multiplier
+// instantiation (float64 or float32) owns its own queue.
 
 import (
 	"errors"
 	"sync"
 
-	"fmmfam/internal/gemm"
 	"fmmfam/internal/matrix"
 )
 
@@ -65,18 +65,20 @@ type asyncQueue[E matrix.Element] struct {
 	closed bool
 }
 
-// startAsync makes the QueueDepth-bounded channel and starts the Threads
-// drainers — the library's only goroutines outside internal/sched: a drainer
-// waits on the queue, which a pool job cannot do.
+// startAsync makes the 4×Threads-bounded channel — a few products waiting
+// per drainer, so a burst is absorbed without blocking while backpressure
+// still bites long before memory does — and starts the Threads drainers, the
+// library's only goroutines outside internal/sched: a drainer waits on the
+// queue, which a pool job cannot do.
 func (mu *GenericMultiplier[E]) startAsync() {
 	p := &mu.async
-	p.q = make(chan asyncJob[E], mu.cfg.queueDepth())
+	p.q = make(chan asyncJob[E], 4*mu.cfg.Threads)
 	p.wg.Add(mu.cfg.Threads)
 	for w := 0; w < mu.cfg.Threads; w++ {
-		go func() { //fmm:go-ok queue drainer: blocks on the channel until Close, computes only through mulAdd
+		go func() { //fmm:go-ok queue drainer: blocks on the channel until Close, computes only through MulAdd
 			defer p.wg.Done()
 			for j := range p.q {
-				j.f.err = mu.mulAdd(j.c, j.a, j.b, gemm.Operands[E]{})
+				j.f.err = mu.MulAdd(j.c, j.a, j.b)
 				close(j.f.done)
 			}
 		}()
@@ -85,7 +87,8 @@ func (mu *GenericMultiplier[E]) startAsync() {
 
 // MulAddAsync submits c += a·b to the multiplier's bounded queue and returns
 // a Future immediately; call Wait (or select on Done) to collect the result.
-// Submissions block when the queue is full — that bound is the serving
+// A drainer runs the product through MulAdd, so c gets MulAdd's bits.
+// Submissions block while 4×Threads are queued — that bound is the serving
 // layer's backpressure. Dimension errors resolve the returned Future
 // immediately without occupying a queue slot. The caller must not touch c
 // (nor mutate a or b) until the Future completes. Safe for concurrent

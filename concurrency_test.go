@@ -159,12 +159,13 @@ func TestMulAddBatch(t *testing.T) {
 
 // TestGoroutineCeiling pins the multiplier's goroutine invariant — live
 // compute goroutines ≤ callers + Threads − 1 helpers, plus the Threads queue
-// drainers once MulAddAsync has been used — under the worst mix: concurrent
-// callers of MulAdd run whole on distinct shape classes, sharded MulAdd (2-D
-// tiles at the MC floor and above the threshold, and K-split slabs) and
-// MulAddBatch, all on one Threads=4 multiplier, while a sampler counts the
-// goroutines in runtime.Stack that are callers or helpers still claiming
-// jobs.
+// drainers once MulAddAsync has been used, each an ordinary MulAdd caller
+// whose sharded products take helpers from the same pool — under the worst
+// mix: concurrent callers of MulAdd run whole on distinct shape classes,
+// sharded MulAdd (2-D tiles at the MC floor and above the threshold, and
+// K-split slabs) and MulAddBatch, all on one Threads=4 multiplier, while a
+// sampler counts the goroutines in runtime.Stack that are callers or
+// helpers still claiming jobs.
 func TestGoroutineCeiling(t *testing.T) {
 	const threads = 4
 	cfg := servingCfg() // Threads 4, ShardThreshold 128, MC 16

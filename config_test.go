@@ -28,7 +28,7 @@ func TestConfigValidate(t *testing.T) {
 		{"avx2 kernel iff the host has it", func(c *Config) { c.Kernel = "avx2" }, hasAVX2},
 		{"avx512 kernel iff the host has it", func(c *Config) { c.Kernel = "avx512" }, HostCPU().AVX512},
 		{"serving knobs at defaults", func(c *Config) {
-			c.ShardThreshold, c.QueueDepth = 0, 0
+			c.ShardThreshold = 0
 		}, true},
 		{"negative sentinels allowed", func(c *Config) {
 			c.ShardThreshold, c.CoalesceWindow = -1, -1
@@ -45,7 +45,6 @@ func TestConfigValidate(t *testing.T) {
 		{"MC=4 ok for go4x4", func(c *Config) { c.MC = 4; c.Kernel = "go4x4" }, true},
 		{"MC=4 below avx2 MR", func(c *Config) { c.MC = 4; c.Kernel = "avx2" }, false},
 		{"MC=4 with an empty kernel fits iff go4x4 is the fastest here", func(c *Config) { c.MC = 4 }, !hasAVX2},
-		{"negative QueueDepth", func(c *Config) { c.QueueDepth = -2 }, false},
 		{"serve knobs set", func(c *Config) {
 			c.CoalesceWindow, c.CoalesceMaxJobs, c.AdmissionDepth = 250e3, 16, 8
 		}, true},

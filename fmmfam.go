@@ -43,9 +43,10 @@
 // results), or, for K-dominant problems at or above Config.ShardThreshold,
 // the inner dimension into reduction slabs (run-to-run deterministic
 // results, fixed fold order) — and any other product runs whole, every plan
-// at width 1; MulAddAsync submits work to a bounded queue and returns a
-// Future; a Multiplier builds at most one plan per family member, so
-// servers with diverse shapes stay bounded.
+// at width 1; MulAddAsync submits work to a bounded queue, whose drainers
+// run each product through MulAdd, and returns a Future; a Multiplier
+// builds at most one plan per family member, so servers with diverse shapes
+// stay bounded.
 package fmmfam
 
 import (
@@ -97,18 +98,19 @@ const (
 
 // Config configures a Multiplier or Plan: the GEMM driver's cache blocking
 // {MC,KC,NC} and worker count, plus the serving-layer knobs (shard
-// threshold, async queue, wire coalescing and admission). The zero value of
-// every serving knob selects a sensible default; the blocking fields must be
-// set (use DefaultConfig). A Config is the whole input: nothing built from one reads
+// threshold, wire coalescing and admission). The zero value of every
+// serving knob selects a sensible default; the blocking fields must be set
+// (use DefaultConfig). A Config is the whole input: nothing built from one reads
 // the process environment.
 type Config struct {
 	// MC, KC, NC are the cache blocking parameters of Figure 1.
 	MC, KC, NC int
 	// Threads is the worker budget: the size of the one pool a Multiplier
 	// runs everything on — shard tiles and batch jobs, each a width-1 plan —
-	// and the MulAddAsync drainer count. A directly built Plan (NewPlan)
-	// spends it within one call instead, its GEMM splitting row panels and
-	// B̃ packing across that many workers.
+	// and the MulAddAsync drainer count (its queue holds 4×Threads
+	// submissions). A directly built Plan (NewPlan) spends it within one
+	// call instead, its GEMM splitting row panels and B̃ packing across that
+	// many workers.
 	Threads int
 
 	// Kernel selects the micro-kernel backend by registry name (see
@@ -140,10 +142,6 @@ type Config struct {
 	// product neither grid fits runs whole at width 1. 0 means
 	// DefaultShardThreshold; negative serves every product whole at width 1.
 	ShardThreshold int
-
-	// QueueDepth bounds the MulAddAsync submission queue; submitters block
-	// when it is full (backpressure). 0 means 4×Threads.
-	QueueDepth int
 
 	// CoalesceWindow bounds how long the wire front-end holds a small
 	// request open waiting for others to share a MulAddBatch dispatch with.
@@ -232,8 +230,8 @@ func kernelFor[E matrix.Element](name string) string {
 // must be registered for the dtype, the blocking must fit that
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
-// source — and the serving knobs that have no negative sentinel (QueueDepth,
-// CoalesceMaxJobs, AdmissionDepth) must be non-negative. The result depends
+// source — and the serving knobs that have no negative sentinel
+// (CoalesceMaxJobs, AdmissionDepth) must be non-negative. The result depends
 // on the Config alone. NewMultiplier (and
 // NewMultiplier32, which validates against the float32 registry instead)
 // records the result and surfaces it from every entry point, so an invalid
@@ -255,9 +253,6 @@ func resolveConfig[E matrix.Element](c Config) (Config, error) {
 			return c, fmt.Errorf("fmmfam: %w (an empty Config.Kernel resolved to %q, the fastest backend this host registered; Kernel: %q pins the reference kernel)", err, c.Kernel, kernel.DefaultBackend)
 		}
 		return c, fmt.Errorf("fmmfam: %w", err)
-	}
-	if c.QueueDepth < 0 {
-		return c, fmt.Errorf("fmmfam: QueueDepth=%d, need ≥ 0 (0 = 4×Threads)", c.QueueDepth)
 	}
 	if c.CoalesceMaxJobs < 0 {
 		return c, fmt.Errorf("fmmfam: CoalesceMaxJobs=%d, need ≥ 0 (0 = default %d; disable coalescing with a negative CoalesceWindow)", c.CoalesceMaxJobs, DefaultCoalesceMaxJobs)
@@ -338,13 +333,6 @@ func (c Config) shardThreshold() int {
 	default:
 		return c.ShardThreshold
 	}
-}
-
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 4 * c.Threads
 }
 
 // Plan is a ready-to-run float64 FMM implementation; see NewPlan.

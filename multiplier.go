@@ -55,7 +55,8 @@ import (
 //
 //	live compute goroutines ≤ callers + (Threads − 1) helpers,
 //
-// the MulAddAsync queue counting as at most Threads callers (its drainers).
+// the MulAddAsync queue counting as at most Threads callers (its drainers,
+// each an ordinary MulAdd caller).
 //
 // Win or abstain: plain GEMM is candidate zero of the family the model ranks
 // (model.DefaultCandidates), priced by the model's own GEMM column, and its
@@ -84,13 +85,14 @@ import (
 // Serving behavior: with Threads ≥ 2 a MulAdd is cut into independent block
 // products where a grid of at least two tiles fits (shardSpec), and
 // otherwise served whole at width 1; MulAddAsync submits work to a bounded
-// queue and returns a Future. Tiles ≥ MC; K slabs ≥ break-even at or above
-// Config.ShardThreshold; the cheaper grid wins: a 2-D grid with K whole is
-// cut at Config.MC, at or above the threshold a grid that may also cut the
-// inner dimension at the model's break-even, and the model's makespan picks
-// between them. The product's plan is chosen once, at its own shape class,
-// and every tile runs it: sharding decides how a plan is parallelised, never
-// which plan runs (shardSpec, mulAddSharded).
+// queue whose drainers call MulAdd, and returns a Future. Tiles ≥ MC; K
+// slabs ≥ break-even at or above Config.ShardThreshold; the cheaper grid
+// wins: a 2-D grid with K whole is cut at Config.MC, at or above the
+// threshold a grid that may also cut the inner dimension at the model's
+// break-even, and the model's makespan picks between them. The product's
+// plan is chosen once, at its own shape class, and every tile runs it:
+// sharding decides how a plan is parallelised, never which plan runs
+// (shardSpec, mulAddSharded).
 type GenericMultiplier[E matrix.Element] struct {
 	cfg  Config
 	arch Arch
@@ -203,7 +205,7 @@ func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 }
 
 // mulAdd is c += a·b served whole: its class's plan, at width 1. MulAdd
-// calls it for a product it does not shard; batch and async jobs always do.
+// calls it for a product it does not shard; batch jobs always do.
 // next names the product the caller runs after this one (a batch worker's
 // claimed-ahead job), handed to the plan as its successor hint
 // (fmmexec.Plan.MulAddNext); the zero Operands names none.

@@ -654,7 +654,7 @@ func TestPlanForAndExplainRejectBadArgs(t *testing.T) {
 	if _, err := mu.Explain(0, 5, 5); err != nil {
 		t.Fatalf("Explain(0, 5, 5): %v", err)
 	}
-	for _, cfg := range []Config{{MC: 16, KC: 16, NC: 32, Threads: 0}, {MC: 16, KC: 16, NC: 32, Threads: 2, QueueDepth: -1}} {
+	for _, cfg := range []Config{{MC: 16, KC: 16, NC: 32, Threads: 0}, {MC: 16, KC: 16, NC: 32, Threads: 2, AdmissionDepth: -1}} {
 		bad := NewMultiplier(cfg, PaperArch())
 		if bad.cfgErr == nil {
 			t.Fatalf("%+v passed validation", cfg)

@@ -7,6 +7,7 @@
 package serve_test
 
 import (
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -76,8 +77,9 @@ type refProduct32 struct {
 // multiplies that route through auto-sharding MulAdd, wire batches, and
 // async submissions, all against one live server. Small-multiply and batch
 // results must be bit-identical to a serial reference (they execute the
-// engine's width-1 plans); large and async results go through parallel plan
-// execution and are checked to the serving tolerance. After the clients
+// engine's width-1 plans); large and async results run MulAdd, which cuts
+// them into tiles on the engine's pool, and are checked to the serving
+// tolerance. After the clients
 // finish, /v1/stats must account for the traffic, and shutdown must leak
 // nothing.
 func TestServeIntegration(t *testing.T) {
@@ -296,6 +298,59 @@ func TestServeCoalesceDisabled(t *testing.T) {
 	}
 	if st.Completed != 1 {
 		t.Errorf("Completed = %d, want 1", st.Completed)
+	}
+}
+
+// TestServeAsyncBitsMatchMultiply pins the wire bits contract for single
+// products: on one go4x4 server at Threads 2, a 512³ frame the engine cuts
+// into tiles comes back from /v1/multiply and from /v1/async with the same
+// bits, and they are a local MulAdd's on the same Config.
+func TestServeAsyncBitsMatchMultiply(t *testing.T) {
+	const dim = 512
+	cfg := fmmfam.DefaultConfig()
+	cfg.Threads, cfg.Kernel = 2, "go4x4"
+	local := fmmfam.NewMultiplier(cfg, fmmfam.PaperArch())
+	defer local.Close()
+	if ex, err := local.Explain(dim, dim, dim); err != nil || ex.GridM*ex.GridN*ex.GridK < 2 {
+		t.Fatalf("Explain(%d³) = %+v, %v; want a sharded product", dim, ex, err)
+	}
+	h := startHarness(t, cfg)
+	defer h.Close()
+	cl := h.Client()
+
+	rng := rand.New(rand.NewSource(47))
+	a, b := fmmfam.NewMatrix(dim, dim), fmmfam.NewMatrix(dim, dim)
+	a.FillRand(rng)
+	b.FillRand(rng)
+	want := fmmfam.NewMatrix(dim, dim)
+	if err := local.MulAdd(want, a, b); err != nil {
+		t.Fatal(err)
+	}
+	direct := fmmfam.NewMatrix(dim, dim)
+	if err := cl.Multiply(direct, a, b); err != nil {
+		t.Fatalf("/v1/multiply: %v", err)
+	}
+	async := fmmfam.NewMatrix(dim, dim)
+	ah, err := cl.SubmitAsync(async, a, b)
+	if err != nil {
+		t.Fatalf("/v1/async: %v", err)
+	}
+	if err := ah.Collect(); err != nil {
+		t.Fatalf("/v1/async collect: %v", err)
+	}
+	for _, got := range []struct {
+		route string
+		c     fmmfam.Matrix
+	}{{"/v1/multiply", direct}, {"/v1/async", async}} {
+		n := 0
+		for i, v := range got.c.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				n++
+			}
+		}
+		if n != 0 {
+			t.Errorf("%s: %d of %d elements differ from MulAdd's", got.route, n, len(want.Data))
+		}
 	}
 }
 

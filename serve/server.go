@@ -44,7 +44,7 @@ type Server struct {
 	mux *http.ServeMux
 
 	// admit is the admission gate: a slot is held for the duration of every
-	// compute request (for async, until its Future resolves), and an empty
+	// compute request (for async, until the product has run), and an empty
 	// channel means the next request is refused with 429 + Retry-After —
 	// the async queue's backpressure semantics, with rejection in place of
 	// blocking (a blocked handler would just hide the queue in the TCP
@@ -58,7 +58,7 @@ type Server struct {
 	hist      map[string]*histogram // fixed keys after construction; values are atomic
 
 	closed   atomic.Bool
-	watchers sync.WaitGroup // async future-watcher goroutines
+	watchers sync.WaitGroup // /v1/async watcher goroutines
 
 	asyncs struct {
 		sync.Mutex
@@ -97,13 +97,15 @@ func newLane[E matrix.Element](cfg fmmfam.Config, arch fmmfam.Arch) lane[E] {
 	return ln
 }
 
-// pendingAsync is one submitted-but-uncollected async result: the engine
-// future and what to do with its C once resolved.
+// pendingAsync is one submitted-but-uncollected async result: the channel
+// its watcher closes once the product has run, the product's error, and what
+// to do with its C then.
 type pendingAsync struct {
-	f *fmmfam.Future
+	done chan struct{}
+	err  error // written by the watcher before done is closed
 	// reply streams C's result frame to w — nil when the product failed and
 	// there is nothing to send — and returns C to the scratch list. Called at
-	// most once, after f has resolved.
+	// most once, after done is closed.
 	reply func(w http.ResponseWriter)
 }
 
@@ -111,10 +113,9 @@ type pendingAsync struct {
 // and serving knobs at each precision), the per-dtype coalescers, and the
 // admission gate. cfg's serve knobs (CoalesceWindow, CoalesceMaxJobs,
 // AdmissionDepth) take their defaults here, a zero knob meaning its
-// fmmfam.Default* constant; Validate has range-checked them. cfg.QueueDepth
-// is floored to the admission depth so the wire layer's 429 gate always trips
-// before MulAddAsync's blocking backpressure — a wire client is never
-// silently parked on the internal queue.
+// fmmfam.Default* constant; Validate has range-checked them. No handler
+// calls MulAddAsync: /v1/async's watcher goroutine submits, so a full async
+// queue parks only watchers, which the admission gate bounds.
 func New(cfg fmmfam.Config, arch fmmfam.Arch) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -122,7 +123,6 @@ func New(cfg fmmfam.Config, arch fmmfam.Arch) (*Server, error) {
 	cfg.CoalesceWindow = cmp.Or(cfg.CoalesceWindow, fmmfam.DefaultCoalesceWindow)
 	cfg.CoalesceMaxJobs = cmp.Or(cfg.CoalesceMaxJobs, fmmfam.DefaultCoalesceMaxJobs)
 	cfg.AdmissionDepth = cmp.Or(cfg.AdmissionDepth, fmmfam.DefaultAdmissionDepth)
-	cfg.QueueDepth = max(cfg.QueueDepth, cfg.AdmissionDepth)
 	s := &Server{
 		l64:   newLane[float64](cfg, arch),
 		l32:   newLane[float32](cfg, arch),
@@ -154,7 +154,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close drains the server's compute: the open coalescing windows flush (their
-// waiters complete normally), async future watchers are waited out, and both
+// waiters complete normally), async watchers are waited out, and both
 // engines' async queues drain through Multiplier.Close. Submissions racing
 // or following Close fail with ErrServerClosed (HTTP 503) instead of
 // hanging. Close does not touch the HTTP listener — the owner shuts its
@@ -623,12 +623,12 @@ func submitOn[E matrix.Element](s *Server, ln *lane[E], w http.ResponseWriter, b
 		ln.mats.ReturnMat(b)
 		return
 	}
-	// The admission slot is held until the Future resolves, not until this
+	// The admission slot is held until the product has run, not until this
 	// handler returns — async work in flight is still in-flight work — and so
 	// are the operands. C stays with the pending entry until it is collected.
 	c := rentResult(ln, a, b)
 	p := &pendingAsync{
-		f: ln.mul.MulAddAsync(c, a, b),
+		done: make(chan struct{}),
 		reply: func(w http.ResponseWriter) {
 			if w != nil {
 				startResults(w, resultLen(c))
@@ -638,27 +638,19 @@ func submitOn[E matrix.Element](s *Server, ln *lane[E], w http.ResponseWriter, b
 		},
 	}
 	s.settleAsync(id, p)
-	s.watchAsync(p.f, func() {
+	s.watchers.Add(1)
+	go func() { //fmm:go-ok: service-lifecycle watcher, bounded by AdmissionDepth and joined by Close — not compute fan-out
+		defer s.watchers.Done()
+		p.err = ln.mul.MulAddAsync(c, a, b).Wait()
+		close(p.done)
 		ln.mats.ReturnMat(a)
 		ln.mats.ReturnMat(b)
-	})
+		s.release()
+	}()
 	s.finish("async-submit", start, nil)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{"id": strconv.FormatUint(id, 10)})
-}
-
-// watchAsync returns the submission's operands (done) and releases its
-// admission slot when its Future resolves. The watcher is counted so Close
-// can wait every slot release out before draining the engines.
-func (s *Server) watchAsync(f *fmmfam.Future, done func()) {
-	s.watchers.Add(1)
-	go func() { //fmm:go-ok: service-lifecycle watcher, bounded by AdmissionDepth and joined by Close — not compute fan-out
-		defer s.watchers.Done()
-		<-f.Done()
-		done()
-		s.release()
-	}()
 }
 
 func (s *Server) handleAsyncCollect(w http.ResponseWriter, r *http.Request) {
@@ -682,7 +674,7 @@ func (s *Server) handleAsyncCollect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case <-p.f.Done():
+	case <-p.done:
 	case <-r.Context().Done():
 		// Client went away mid-wait; the result is already detached and is
 		// dropped (collect-once), the engine work completes regardless — and
@@ -691,11 +683,10 @@ func (s *Server) handleAsyncCollect(w http.ResponseWriter, r *http.Request) {
 		s.finish("async-collect", start, r.Context().Err())
 		return
 	}
-	err = p.f.Wait()
-	s.finish("async-collect", start, err)
-	if err != nil {
+	s.finish("async-collect", start, p.err)
+	if p.err != nil {
 		p.reply(nil)
-		writeError(w, computeStatus(err), err)
+		writeError(w, computeStatus(p.err), p.err)
 		return
 	}
 	p.reply(w)

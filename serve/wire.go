@@ -34,8 +34,9 @@
 // no longer read or write it — MulAdd, MulAddBatch and a coalescing window
 // all return only after the product has run — and it returns the matrix on
 // every path out, refusals and broken connections included. /v1/async hands
-// the operands to the Future's watcher, which returns them when the Future
-// resolves, and C to the pending table, which returns it at collect; a
+// the operands to its watcher, which submits the product to MulAddAsync and
+// returns them once it has run, and C to the pending table, which returns it
+// at collect; a
 // result nobody collects is left to the garbage collector. Nothing read from
 // a rented matrix is ever what it held before: operands are overwritten in
 // full, C is zeroed.

@@ -468,12 +468,14 @@ func TestMulAddBatchIndependentOfThreads(t *testing.T) {
 }
 
 // TestMulAddAsyncConcurrentSubmitters hammers one multiplier's async queue
-// from many goroutines with mixed shapes through a deliberately tiny queue
-// (so submitters block on backpressure) and verifies every future resolves
-// with the right product. Under -race this proves the submission path shares
-// no unsynchronized state.
+// from many goroutines with mixed shapes. Each submitter makes all five of
+// its submissions before waiting on any, and the 30 are more than the
+// 4×Threads = 12 the queue holds plus the 3 its drainers run, so submitters
+// block on backpressure whenever the drainers fall behind. Every future must
+// resolve with the right product. Under -race this proves the submission
+// path shares no unsynchronized state.
 func TestMulAddAsyncConcurrentSubmitters(t *testing.T) {
-	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 3, QueueDepth: 2}
+	cfg := Config{MC: 16, KC: 16, NC: 32, Threads: 3}
 	mu := NewMultiplier(cfg, PaperArch())
 	defer mu.Close()
 	refs := makeRefProducts(5)
@@ -613,23 +615,33 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 }
 
 // TestMulAddAsyncLargeJobSharded is the end-to-end serving flow: an async
-// submission whose problem is big enough to shard still returns the right
-// answer (the queue drainer executes it at width 1, so it must not
-// recursively re-shard into a deadlock).
+// submission big enough to shard is cut by its drainer, an ordinary MulAdd
+// caller, into tiles on the multiplier's pool. Pool.Run runs the tiles on
+// the drainer itself when no token is free, so the drainer cannot deadlock
+// on the pool it feeds; the result is the right answer with MulAdd's bits.
 func TestMulAddAsyncLargeJobSharded(t *testing.T) {
 	mu := NewMultiplier(servingCfg(), PaperArch())
 	defer mu.Close()
+	if _, ok := mu.shardSpec(192, 64, 192); !ok {
+		t.Fatal("192×64×192 does not shard: no test")
+	}
 	rng := rand.New(rand.NewSource(13))
 	a, b := NewMatrix(192, 64), NewMatrix(64, 192)
 	a.FillRand(rng)
 	b.FillRand(rng)
-	want := NewMatrix(192, 192)
+	want, direct := NewMatrix(192, 192), NewMatrix(192, 192)
 	matrix.MulAdd(want, a, b)
+	if err := mu.MulAdd(direct, a, b); err != nil {
+		t.Fatal(err)
+	}
 	c := NewMatrix(192, 192)
 	if err := mu.MulAddAsync(c, a, b).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.MaxAbsDiff(want); d > 1e-9 {
 		t.Fatalf("diff %g", d)
+	}
+	if n := bitsDiffer(c, direct); n != 0 {
+		t.Fatalf("%d of %d elements differ from MulAdd's", n, len(c.Data))
 	}
 }
