@@ -16,7 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,26 +225,49 @@ func benchMicros(b *testing.B, runs []*microRun) {
 	}
 }
 
+// l3Size is where Linux reports the size of the last-level cache cpu0 sees.
+const l3Size = "/sys/devices/system/cpu/cpu0/cache/index3/size"
+
 // coldWorkingSet is the operand bytes BenchmarkMulAddBatchCold's batch spans:
-// twice the 32 MiB L3 of the AMD EPYC host it was written on, so every job's
-// operands have left the cache by the time the next round reaches them.
-const coldWorkingSet = 64 << 20
+// twice the host's L3 (l3Size, e.g. "307200K"), so every job's operands have
+// left the cache by the time the next round reaches them, or 64 MiB where
+// the size cannot be read.
+func coldWorkingSet() int {
+	raw, err := os.ReadFile(l3Size)
+	s := strings.TrimSpace(string(raw))
+	unit := 1
+	switch {
+	case strings.HasSuffix(s, "K"):
+		s, unit = strings.TrimSuffix(s, "K"), 1<<10
+	case strings.HasSuffix(s, "M"):
+		s, unit = strings.TrimSuffix(s, "M"), 1<<20
+	}
+	n, perr := strconv.Atoi(s)
+	if err != nil || perr != nil || n <= 0 {
+		return 64 << 20
+	}
+	return 2 * n * unit
+}
 
 // BenchmarkMulAddBatchCold measures what the cache costs a batch of small
 // products whose operands do not fit in it, per float64 backend: the
 // fmmbench small_batch workload's Halton shape grid (every dimension in
 // 16…192, jobs alternating float64 and float32), extended until the operands
-// span coldWorkingSet bytes, on a Threads=1 multiplier. One iteration runs
-// one MulAddBatch per dtype (batch-GF/s), then the warm reference
-// (warm-GF/s): the same jobs one by one through MulAdd, the same width-1
-// plans, each job's A, B and C read untimed just before it runs. cold/warm is
-// the share of the warm rate the batch keeps — what MulAddBatch's
-// claim-ahead prefetch of each job's successor is there to raise.
+// span coldWorkingSet bytes, on a Threads=1 multiplier. Every job's C is
+// written when the jobs are built, so no round pays its first-touch page
+// faults. One iteration runs one MulAddBatch per dtype (batch-GF/s), then
+// the warm reference (warm-GF/s): the same jobs one by one through MulAdd,
+// the same width-1 plans, each job's A, B and C read untimed just before it
+// runs. cold/warm is the share of the warm rate the batch keeps — what
+// MulAddBatch's claim-ahead prefetch of each job's successor is there to
+// raise.
 func BenchmarkMulAddBatchCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var j64 []BatchJob
 	var j32 []BatchJob32
-	for i, bytes := 0, 0; bytes < coldWorkingSet; i++ {
+	set := coldWorkingSet()
+	b.Logf("operand working set %d MiB", set>>20)
+	for i, bytes := 0, 0; bytes < set; i++ {
 		span := float64(192 - 16 + 1)
 		m, k, n := 16+int(halton(i, 2)*span), 16+int(halton(i, 3)*span), 16+int(halton(i, 5)*span)
 		if i%2 == 0 {
@@ -289,7 +315,9 @@ func coldJob[E matrix.Element](rng *rand.Rand, m, k, n int) GenericBatchJob[E] {
 	a, bm := matrix.New[E](m, k), matrix.New[E](k, n)
 	a.FillRand(rng)
 	bm.FillRand(rng)
-	return GenericBatchJob[E]{C: matrix.New[E](m, n), A: a, B: bm}
+	c := matrix.New[E](m, n)
+	c.Zero() // fault its pages in now, not in the first timed round
+	return GenericBatchJob[E]{C: c, A: a, B: bm}
 }
 
 func batchFlops[E matrix.Element](jobs []GenericBatchJob[E]) (f float64) {

@@ -59,6 +59,7 @@ import (
 
 	"fmmfam/internal/core"
 	"fmmfam/internal/gemm"
+	"fmmfam/internal/kernel"
 	"fmmfam/internal/matrix"
 	"fmmfam/internal/sched"
 )
@@ -228,6 +229,14 @@ func (p *Plan[E]) Context() *gemm.Context[E] { return p.ctx }
 
 // MulAdd computes c += a·b. Arbitrary sizes are supported via dynamic
 // peeling; inputs may be views. c must not alias a or b.
+//
+// Before anything reads c, the call write-touches it on the calling
+// goroutine (kernel.TouchPages, which also fixes the order): one integer
+// add of zero to one byte of every 4 KiB page c's rows cover. It changes no
+// bit and writes nothing outside c's rows, and a fresh page of c then
+// faults once, not twice (a read fault on the zero page, then a
+// copy-on-write one). Every route that runs a plan — a whole product, a
+// tile or K slab, a batch or async job — reaches it here.
 func (p *Plan[E]) MulAdd(c, a, b matrix.Mat[E]) {
 	p.MulAddNext(c, a, b, gemm.Operands[E]{})
 }
@@ -247,6 +256,7 @@ func (p *Plan[E]) MulAddNext(c, a, b matrix.Mat[E], next gemm.Operands[E]) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
+	kernel.TouchPages(c) // a fresh C faults once per page, on this goroutine
 	if len(p.Levels) == 0 {
 		p.ctx.MulAddNext(c, a, b, next) // the zero-level plan is plain GEMM
 		return

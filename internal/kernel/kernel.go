@@ -55,6 +55,60 @@ func Prefetch[E matrix.Element](s []E) {
 	prefetchLines(unsafe.Pointer(&s[0]), uintptr(len(s))*unsafe.Sizeof(s[0]))
 }
 
+// pageSize is the page granule TouchPages walks: 4 KiB, the base page of
+// every platform the module builds for.
+const pageSize = 4096
+
+// TouchPages write-touches m before a product reads it: it adds an integer
+// zero to one byte of every 4 KiB page that m's rows cover — unlocked on
+// amd64 (touchPages), a sync/atomic add of zero to a 4-byte word elsewhere.
+// A fresh, never-written page of C otherwise faults twice: the
+// micro-kernel's first load maps the shared zero page and the store after it
+// takes a copy-on-write fault. Touched first, it faults once, on the
+// goroutine that runs the product. The add is on the element's bits, never a
+// float add, so no bit changes (−0, NaN payloads and subnormals included),
+// and it writes only inside m's rows, never in the gaps of a strided view,
+// which may belong to another goroutine's tile.
+//
+// The walk has two passes. The pages that begin inside a row go first, in
+// address order, each touched at its first byte. Then, in descending order,
+// each page a row starts in that begins before that row, in the gap or in
+// another tile's columns, is touched at the row's first byte. Two tiles side
+// by side share such pages; the one holding a page's first byte reaches it
+// on its ascending pass and the other on its descending one, so they meet
+// once instead of faulting every shared page together in lockstep, which
+// counts each fault twice. On a warm C the walk costs one store per page.
+//
+//fmm:hotpath
+func TouchPages[E matrix.Element](m matrix.Mat[E]) {
+	if m.Rows <= 0 || m.Cols <= 0 {
+		return
+	}
+	_ = m.Data[(m.Rows-1)*m.Stride+m.Cols-1] // the view's last element
+	sz := unsafe.Sizeof(m.Data[0])
+	base := unsafe.Pointer(&m.Data[0])
+	rowBytes, stride := uintptr(m.Cols)*sz, uintptr(m.Stride)*sz
+	rows := m.Rows
+	if m.Stride == m.Cols { // no gaps: the rows are one range
+		rowBytes, rows = uintptr(m.Rows)*rowBytes, 1
+	}
+	// Offsets are from the start of base's page; base is at in0.
+	in0 := uintptr(base) & (pageSize - 1)
+	for i := 0; i < rows; i++ {
+		lo, hi := in0+uintptr(i)*stride, in0+uintptr(i)*stride+rowBytes
+		if lo = (lo + pageSize - 1) &^ (pageSize - 1); lo < hi {
+			touchPages(unsafe.Add(base, lo-in0), hi-lo)
+		}
+	}
+	for i := rows - 1; i >= 0; i-- {
+		lo := in0 + uintptr(i)*stride
+		page := lo &^ (pageSize - 1)
+		if page != lo && (i == 0 || page >= lo-stride+rowBytes) {
+			touchPages(unsafe.Add(base, lo-in0), 1)
+		}
+	}
+}
+
 // Term is one weighted operand of a fused linear combination: Coef·M. All
 // terms of a list have identical dimensions.
 type Term[E matrix.Element] struct {

@@ -520,12 +520,14 @@ func Calibrate[E matrix.Element](cfg gemm.Config, probe int) (Arch, error) {
 	// Bandwidth probe: stream-add over a buffer far larger than cache (the
 	// same element count as the historical float64 probe, so the float32
 	// sweep moves half the bytes — which is exactly the per-element economics
-	// τb should price). The untimed sweep touches every page first so the
+	// τb should price). The untimed sweep writes every page first so the
 	// timed sweeps measure steady-state bandwidth, not first-touch page
-	// faults.
+	// faults; it stores without loading, because a read of a fresh page maps
+	// the shared zero page and the store after it takes a second,
+	// copy-on-write fault.
 	buf := make([]E, 1<<24) // 128 MiB of float64s, 64 MiB of float32s
 	for i := range buf {
-		buf[i] += 1
+		buf[i] = 1
 	}
 	best = math.Inf(1)
 	for rep := 0; rep < calibrateReps; rep++ {
