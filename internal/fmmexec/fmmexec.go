@@ -231,8 +231,8 @@ func (p *Plan[E]) Context() *gemm.Context[E] { return p.ctx }
 // peeling; inputs may be views. c must not alias a or b.
 //
 // Before anything reads c, the call write-touches it on the calling
-// goroutine (kernel.TouchPages, which also fixes the order): one integer
-// add of zero to one byte of every 4 KiB page c's rows cover. It changes no
+// goroutine (kernel.TouchPages): one integer add of zero to a 4-byte word
+// of every 4 KiB page c's rows cover, in address order. It changes no
 // bit and writes nothing outside c's rows, and a fresh page of c then
 // faults once, not twice (a read fault on the zero page, then a
 // copy-on-write one). Every route that runs a plan — a whole product, a

@@ -37,6 +37,7 @@
 package kernel
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"fmmfam/internal/matrix"
@@ -59,25 +60,19 @@ func Prefetch[E matrix.Element](s []E) {
 // every platform the module builds for.
 const pageSize = 4096
 
-// TouchPages write-touches m before a product reads it: it adds an integer
-// zero to one byte of every 4 KiB page that m's rows cover — unlocked on
-// amd64 (touchPages), a sync/atomic add of zero to a 4-byte word elsewhere.
+// TouchPages write-touches m before a product reads it: row by row, in
+// address order, it adds zero (sync/atomic) to the 4-byte word that starts
+// the row and to the first word of every 4 KiB page that begins inside it.
 // A fresh, never-written page of C otherwise faults twice: the
 // micro-kernel's first load maps the shared zero page and the store after it
 // takes a copy-on-write fault. Touched first, it faults once, on the
 // goroutine that runs the product. The add is on the element's bits, never a
-// float add, so no bit changes (−0, NaN payloads and subnormals included),
-// and it writes only inside m's rows, never in the gaps of a strided view,
-// which may belong to another goroutine's tile.
-//
-// The walk has two passes. The pages that begin inside a row go first, in
-// address order, each touched at its first byte. Then, in descending order,
-// each page a row starts in that begins before that row, in the gap or in
-// another tile's columns, is touched at the row's first byte. Two tiles side
-// by side share such pages; the one holding a page's first byte reaches it
-// on its ascending pass and the other on its descending one, so they meet
-// once instead of faulting every shared page together in lockstep, which
-// counts each fault twice. On a warm C the walk costs one store per page.
+// float add, so no bit changes (−0, NaN payloads and subnormals included).
+// Every word touched lies inside a row — a row starts and ends on an element
+// boundary, and elements are at least 4-byte aligned — so nothing in the
+// gaps of a strided view, which may belong to another goroutine's tile, is
+// written. A page two tiles share can still fault once per tile when both
+// touch it at the same moment. On a warm C the walk costs one add per page.
 //
 //fmm:hotpath
 func TouchPages[E matrix.Element](m matrix.Mat[E]) {
@@ -92,19 +87,11 @@ func TouchPages[E matrix.Element](m matrix.Mat[E]) {
 	if m.Stride == m.Cols { // no gaps: the rows are one range
 		rowBytes, rows = uintptr(m.Rows)*rowBytes, 1
 	}
-	// Offsets are from the start of base's page; base is at in0.
-	in0 := uintptr(base) & (pageSize - 1)
 	for i := 0; i < rows; i++ {
-		lo, hi := in0+uintptr(i)*stride, in0+uintptr(i)*stride+rowBytes
-		if lo = (lo + pageSize - 1) &^ (pageSize - 1); lo < hi {
-			touchPages(unsafe.Add(base, lo-in0), hi-lo)
-		}
-	}
-	for i := rows - 1; i >= 0; i-- {
-		lo := in0 + uintptr(i)*stride
-		page := lo &^ (pageSize - 1)
-		if page != lo && (i == 0 || page >= lo-stride+rowBytes) {
-			touchPages(unsafe.Add(base, lo-in0), 1)
+		row := unsafe.Add(base, uintptr(i)*stride)
+		// off steps from the row's start to each next page boundary.
+		for off := uintptr(0); off < rowBytes; off = (uintptr(row)+off)&^(pageSize-1) + pageSize - uintptr(row) {
+			atomic.AddUint32((*uint32)(unsafe.Add(row, off)), 0)
 		}
 	}
 }

@@ -9,10 +9,3 @@ import "unsafe"
 //
 //go:noescape
 func prefetchLines(p unsafe.Pointer, n uintptr)
-
-// touchPages adds zero to the byte at p and to the first byte of every
-// 4 KiB page that starts inside (p, p+n), in address order, with an
-// unlocked ADDB (prefetch_amd64.s). It keeps no pointer past the call.
-//
-//go:noescape
-func touchPages(p unsafe.Pointer, n uintptr)

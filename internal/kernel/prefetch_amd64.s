@@ -22,27 +22,3 @@ loop:
 
 done:
 	RET
-
-// func touchPages(p unsafe.Pointer, n uintptr)
-//
-// ADDB $0 on the byte at p, then on the first byte of every 4 KiB page that
-// starts inside (p, p+n). The add writes, so a fresh page takes its one
-// write fault here instead of a read fault on the zero page and a second,
-// copy-on-write one on the first store; it changes no bit. It is unlocked:
-// the caller owns the bytes.
-TEXT ·touchPages(SB), NOSPLIT, $0-16
-	MOVQ  p+0(FP), SI
-	MOVQ  n+8(FP), CX
-	TESTQ CX, CX
-	JZ    tdone
-	LEAQ  (SI)(CX*1), DX
-
-tloop:
-	ADDB  $0, (SI)
-	ANDQ  $-4096, SI
-	ADDQ  $4096, SI
-	CMPQ  SI, DX
-	JB    tloop
-
-tdone:
-	RET

@@ -2,21 +2,7 @@
 
 package kernel
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "unsafe"
 
 // prefetchLines is a no-op without amd64 assembly: Prefetch is a hint.
 func prefetchLines(unsafe.Pointer, uintptr) {}
-
-// touchPages adds zero to the 4-byte word at p and to the first word of
-// every 4 KiB page that starts inside (p, p+n), in address order — the
-// assembly walk's contract, with an atomic add standing in for the unlocked
-// byte add. p is the start of a float32 or float64 element and p+n the end
-// of its row, so every word touched lies inside that row.
-func touchPages(p unsafe.Pointer, n uintptr) {
-	for off := uintptr(0); off < n; off = (uintptr(p)+off)&^(pageSize-1) + pageSize - uintptr(p) {
-		atomic.AddUint32((*uint32)(unsafe.Add(p, off)), 0)
-	}
-}

@@ -37,6 +37,10 @@ func checkTouchPagesFaultsRowsOnly[E matrix.Element](t *testing.T) {
 		t.Skipf("anonymous mmap: %v", err)
 	}
 	defer syscall.Munmap(mem)
+	// Base pages only: a transparent huge page would make gap pages resident.
+	if err := syscall.Madvise(mem, syscall.MADV_NOHUGEPAGE); err != nil {
+		t.Skipf("madvise(MADV_NOHUGEPAGE): %v", err)
+	}
 	data := unsafe.Slice((*E)(unsafe.Pointer(&mem[0])), len(mem)/sz)
 	v := matrix.Mat[E]{Rows: rows, Cols: cols, Stride: stride, Data: data[start:]}
 	TouchPages(v)

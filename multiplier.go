@@ -189,9 +189,9 @@ func dimsAgree[E matrix.Element](c, a, b matrix.Mat[E]) bool {
 // for concurrent callers.
 //
 // Before a plan reads c, the goroutine running it write-touches the part of
-// c it computes (fmmexec.Plan.MulAdd): one integer add of zero to one byte
-// of every 4 KiB page of c's rows, so a freshly allocated c faults once per
-// page instead of twice, and a sharded product's tiles fault in in
+// c it computes (fmmexec.Plan.MulAdd): one integer add of zero to a 4-byte
+// word of every 4 KiB page of c's rows, so a freshly allocated c faults once
+// per page instead of twice, and a sharded product's tiles fault in in
 // parallel. No bit of c changes and nothing outside its rows is written.
 func (mu *GenericMultiplier[E]) MulAdd(c, a, b matrix.Mat[E]) error {
 	if mu.cfgErr != nil {
