@@ -287,7 +287,8 @@ func TestDefaultSquareRoute(t *testing.T) {
 			t.Errorf("%s shards as %q, want %q", name, got, tc.grid)
 		}
 		// Explain reports that route: the grid, the floor it was cut at, the
-		// largest tile or the product, and the product's plan.
+		// largest tile or the product, and the product's plan with the class
+		// corner it was picked at.
 		ex, err := mu.Explain(tc.m, tc.k, tc.n)
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +302,8 @@ func TestDefaultSquareRoute(t *testing.T) {
 				t.Errorf("%s: Explain names %q, PlanFor %q", name, ex.Plan, p)
 			}
 		}
-		want := Explanation{Kernel: tc.kern, Arch: mu.arch, M: tc.m, K: tc.k, N: tc.n, Plan: tc.plan}
+		want := Explanation{Kernel: tc.kern, Arch: mu.arch, M: tc.m, K: tc.k, N: tc.n, Plan: tc.plan,
+			ClassM: bucket(tc.m), ClassK: bucket(tc.k), ClassN: bucket(tc.n)}
 		if ok {
 			tl := route.Tile(0)
 			want.GridM, want.GridN, want.GridK = route.GridM, route.GridN, route.GridK

@@ -7,7 +7,7 @@
 // handler.
 //
 //	fmmserve [-addr :8077] [-threads N] [-kernel avx2] \
-//	         [-coalesce-window 500µs] [-coalesce-maxjobs 32] [-admission-depth 256]
+//	         [-coalesce-window 500µs] [-admission-depth 256]
 //
 // The flags are the whole deployment surface; FMMFAM_KERNEL is the default of
 // -kernel and no other variable is read; with neither, both engines run on
@@ -79,9 +79,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", ":8077", "listen address")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = all CPUs)")
 	kernelName := fs.String("kernel", fmmfam.EnvKernel(), "micro-kernel backend for both engines (default $FMMFAM_KERNEL, else the fastest backend this host registered; go4x4 pins the bit-stable reference kernel)")
-	window := fs.Duration("coalesce-window", 0, "coalescing window for small requests (0 = engine default, negative disables)")
-	maxJobs := fs.Int("coalesce-maxjobs", 0, "max requests per coalescing window (0 = engine default)")
-	depth := fs.Int("admission-depth", 0, "max in-flight requests before 429 (0 = engine default)")
+	window := fs.Duration("coalesce-window", 0, "coalescing window for small requests (0 = default 500µs, negative disables)")
+	depth := fs.Int("admission-depth", 0, "max in-flight requests before 429 (0 = default 256)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,10 +94,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg.Kernel = *kernelName
 	cfg.CoalesceWindow = *window
-	cfg.CoalesceMaxJobs = *maxJobs
-	cfg.AdmissionDepth = *depth
 
-	srv, err := serve.New(cfg, fmmfam.PaperArch())
+	srv, err := serve.New(cfg, fmmfam.PaperArch(), serve.Options{AdmissionDepth: *depth})
 	if err != nil {
 		return err
 	}

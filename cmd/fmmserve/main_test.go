@@ -97,14 +97,19 @@ func TestRunBootServeShutdown(t *testing.T) {
 }
 
 // TestRunFlagErrors pins the failure modes that must not boot a listener.
+// -coalesce-maxjobs is no flag: the window's job cap is a server constant.
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-no-such-flag"},
-		{"stray-positional"},
-		{"-addr", "127.0.0.1:0", "-admission-depth", "-3"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"stray-positional"}, "unexpected arguments"},
+		{[]string{"-addr", "127.0.0.1:0", "-admission-depth", "-3"}, "AdmissionDepth=-3"},
+		{[]string{"-addr", "127.0.0.1:0", "-coalesce-maxjobs", "32"}, "flag provided but not defined: -coalesce-maxjobs"},
 	} {
-		if err := run(context.Background(), args, io.Discard); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		if err := run(context.Background(), tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -282,14 +282,15 @@ func explain[E matrix.Element](cfg fmmfam.Config, m, k, n int) {
 	}
 	fmt.Printf("serves\t%s\n", ex.Plan)
 	// The ranking the plan came from: the model's full Rank, whose head is
-	// what the selector's Best picked, on the multiplier's Arch and the
-	// product, whose plan runs whole or on every tile.
-	fmt.Printf("ranking\t%d×%d×%d, one core of the model's machine\n", m, k, n)
+	// what the selector's Best picked, on the multiplier's Arch at the
+	// corner it priced — the product's class's, not the product's own.
+	cm, ck, cn := ex.ClassM, ex.ClassK, ex.ClassN
+	fmt.Printf("ranking\t%d×%d×%d, the upper corner of the product's shape class, where the plan was picked; one core of the model's machine\n", cm, ck, cn)
 	fmt.Println("rank\timpl\tTa_s\tTm_s\tpredicted_s\teff_GFLOPS")
-	for i, r := range model.Rank(arch, model.DefaultCandidates(), m, k, n)[:3] {
-		b := model.Predict(arch, r.Candidate.Stats(), r.Candidate.Variant, m, k, n)
+	for i, r := range model.Rank(arch, model.DefaultCandidates(), cm, ck, cn)[:3] {
+		b := model.Predict(arch, r.Candidate.Stats(), r.Candidate.Variant, cm, ck, cn)
 		fmt.Printf("%d\t%s\t%.4g\t%.4g\t%.4g\t%.2f\n", i+1, r.Candidate.Name(), b.Ta, b.Tm, b.Total(),
-			model.EffectiveGFLOPS(m, k, n, b.Total()))
+			model.EffectiveGFLOPS(cm, ck, cn, b.Total()))
 	}
 }
 

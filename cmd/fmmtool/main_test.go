@@ -160,6 +160,20 @@ func TestCLIExplain(t *testing.T) {
 		t.Fatalf("explain 2048³ on avx2: want the K-whole 1×2×1 grid served:\n%s", out)
 	}
 
+	// 1500³ is served its class's plan, picked at the class's corner 2048³,
+	// where the ranking is printed; at 1500³ itself the model ranks gemm
+	// first.
+	out, err = run(t, "explain", "-kernel", "avx2", "-threads", "2", "1500", "1500", "1500")
+	for _, want := range []string{
+		"serves\t<2,2,2> ABC\n",
+		"ranking\t2048×2048×2048, the upper corner of the product's shape class",
+		"\n1\t<2,2,2> ABC\t",
+	} {
+		if err != nil || !strings.Contains(out, want) {
+			t.Fatalf("explain 1500³ on avx2: %v, output lacks %q:\n%s", err, want, out)
+		}
+	}
+
 	for _, tc := range []struct {
 		args          []string
 		want          []string

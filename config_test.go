@@ -45,12 +45,8 @@ func TestConfigValidate(t *testing.T) {
 		{"MC=4 ok for go4x4", func(c *Config) { c.MC = 4; c.Kernel = "go4x4" }, true},
 		{"MC=4 below avx2 MR", func(c *Config) { c.MC = 4; c.Kernel = "avx2" }, false},
 		{"MC=4 with an empty kernel fits iff go4x4 is the fastest here", func(c *Config) { c.MC = 4 }, !hasAVX2},
-		{"serve knobs set", func(c *Config) {
-			c.CoalesceWindow, c.CoalesceMaxJobs, c.AdmissionDepth = 250e3, 16, 8
-		}, true},
+		{"serve knobs set", func(c *Config) { c.CoalesceWindow = 250e3 }, true},
 		{"coalescing disabled by negative window", func(c *Config) { c.CoalesceWindow = -1 }, true},
-		{"negative CoalesceMaxJobs", func(c *Config) { c.CoalesceMaxJobs = -1 }, false},
-		{"negative AdmissionDepth", func(c *Config) { c.AdmissionDepth = -3 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

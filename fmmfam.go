@@ -46,7 +46,8 @@
 // at width 1; MulAddAsync submits work to a bounded queue, whose drainers
 // run each product through MulAdd, and returns a Future; a Multiplier
 // builds at most one plan per family member, so servers with diverse shapes
-// stay bounded.
+// stay bounded. The HTTP front-end over a multiplier pair is fmmfam/serve;
+// its admission bound is a serve.Options setting, not an engine one.
 package fmmfam
 
 import (
@@ -97,11 +98,12 @@ const (
 )
 
 // Config configures a Multiplier or Plan: the GEMM driver's cache blocking
-// {MC,KC,NC} and worker count, plus the serving-layer knobs (shard
-// threshold, wire coalescing and admission). The zero value of every
-// serving knob selects a sensible default; the blocking fields must be set
-// (use DefaultConfig). A Config is the whole input: nothing built from one reads
-// the process environment.
+// {MC,KC,NC}, worker count and micro-kernel, plus the shard threshold — and
+// CoalesceWindow, a wire front-end setting that stays here only for the
+// benchmark (see its comment). The zero value of ShardThreshold and
+// CoalesceWindow selects a sensible default; the blocking fields must be set
+// (use DefaultConfig). A Config is the whole input: nothing built from one
+// reads the process environment.
 type Config struct {
 	// MC, KC, NC are the cache blocking parameters of Figure 1.
 	MC, KC, NC int
@@ -143,33 +145,17 @@ type Config struct {
 	// DefaultShardThreshold; negative serves every product whole at width 1.
 	ShardThreshold int
 
-	// CoalesceWindow bounds how long the wire front-end holds a small
-	// request open waiting for others to share a MulAddBatch dispatch with.
-	// Coalescing is group-commit: a request that finds the engine idle runs
-	// at once; one that arrives while a window is running opens (or joins)
-	// the next window, which flushes when the running one completes, when
-	// CoalesceMaxJobs requests have joined, or when this long has passed
-	// since it opened, whichever is first — the upper bound of the hold,
-	// not its length. 0 means DefaultCoalesceWindow; negative disables coalescing
-	// (every request dispatches individually).
+	// CoalesceWindow bounds how long the wire front-end (fmmfam/serve)
+	// holds a small request open for others to share a MulAddBatch with:
+	// a window flushes when the one running before it completes, at 32
+	// jobs, or this long after it opened. 0 means DefaultCoalesceWindow;
+	// negative disables coalescing. No Multiplier reads it. It is the one
+	// front-end setting left on Config (the rest are serve.Options) because
+	// the benchmark (fmmbench) sets it to -1 here for its uncoalesced probe.
 	CoalesceWindow time.Duration
-	// CoalesceMaxJobs caps how many requests one coalescing window collects
-	// before flushing regardless of the timer. 0 means
-	// DefaultCoalesceMaxJobs; Validate rejects negatives (disable
-	// coalescing with a negative CoalesceWindow instead).
-	CoalesceMaxJobs int
-	// AdmissionDepth bounds the wire front-end's in-flight work — requests
-	// admitted to compute (or queued async) but not yet completed. At the
-	// bound, new work is refused with HTTP 429 and a Retry-After hint
-	// instead of queueing unbounded: the same backpressure contract as the
-	// async layer's bounded queue, except rejecting instead of blocking
-	// (a blocked HTTP handler would just move the unbounded queue into the
-	// kernel's accept backlog). 0 means DefaultAdmissionDepth; Validate
-	// rejects negatives.
-	AdmissionDepth int
 }
 
-// Serving-layer defaults for the zero Config knobs.
+// Defaults for the zero ShardThreshold and CoalesceWindow.
 const (
 	// DefaultShardThreshold is the problem size — max(m,k,n) — from which
 	// MulAdd may also cut K. Tiles ≥ MC; K slabs ≥ break-even at or above
@@ -183,17 +169,10 @@ const (
 	// by count, short enough that a request stuck behind a long-running
 	// window pays well under a millisecond of added latency.
 	DefaultCoalesceWindow = 500 * time.Microsecond
-	// DefaultCoalesceMaxJobs is the default per-window job cap — sized so a
-	// full window amortizes one pool dispatch across a few dozen small
-	// products without the flush's MulAddBatch becoming a latency cliff.
-	DefaultCoalesceMaxJobs = 32
-	// DefaultAdmissionDepth is the default bound on the wire front-end's
-	// in-flight work before it starts refusing with 429.
-	DefaultAdmissionDepth = 256
 )
 
-// DefaultConfig returns the single-threaded default blocking with default
-// serving knobs.
+// DefaultConfig returns the single-threaded default blocking, with
+// ShardThreshold and CoalesceWindow at their defaults.
 func DefaultConfig() Config {
 	g := gemm.DefaultConfig()
 	return Config{MC: g.MC, KC: g.KC, NC: g.NC, Threads: g.Threads}
@@ -230,9 +209,9 @@ func kernelFor[E matrix.Element](name string) string {
 // must be registered for the dtype, the blocking must fit that
 // backend's micro-tile (MC ≥ MR, KC ≥ 1, NC ≥ NR) with at least one worker —
 // those driver-facing rules are checked by gemm.ValidateFor, the single
-// source — and the serving knobs that have no negative sentinel
-// (CoalesceMaxJobs, AdmissionDepth) must be non-negative. The result depends
-// on the Config alone. NewMultiplier (and
+// source. It reads only those engine fields: ShardThreshold and
+// CoalesceWindow take every value (negative is a sentinel). The result
+// depends on the Config alone. NewMultiplier (and
 // NewMultiplier32, which validates against the float32 registry instead)
 // records the result and surfaces it from every entry point, so an invalid
 // config fails fast instead of computing with nonsense parameters.
@@ -253,12 +232,6 @@ func resolveConfig[E matrix.Element](c Config) (Config, error) {
 			return c, fmt.Errorf("fmmfam: %w (an empty Config.Kernel resolved to %q, the fastest backend this host registered; Kernel: %q pins the reference kernel)", err, c.Kernel, kernel.DefaultBackend)
 		}
 		return c, fmt.Errorf("fmmfam: %w", err)
-	}
-	if c.CoalesceMaxJobs < 0 {
-		return c, fmt.Errorf("fmmfam: CoalesceMaxJobs=%d, need ≥ 0 (0 = default %d; disable coalescing with a negative CoalesceWindow)", c.CoalesceMaxJobs, DefaultCoalesceMaxJobs)
-	}
-	if c.AdmissionDepth < 0 {
-		return c, fmt.Errorf("fmmfam: AdmissionDepth=%d, need ≥ 0 (0 = default %d)", c.AdmissionDepth, DefaultAdmissionDepth)
 	}
 	return c, nil
 }

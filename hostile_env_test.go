@@ -25,7 +25,8 @@ func TestHostileEnvironmentChangesNothing(t *testing.T) {
 		"FMMFAM_COALESCE_MAXJOBS": "many",
 		"FMMFAM_ADMISSION_DEPTH":  "-2",
 	}
-	cfg := fmmfam.Config{MC: 32, KC: 32, NC: 64, Threads: 4, AdmissionDepth: 5, Kernel: "go4x4"} // 256³ selects an FMM plan on go4x4
+	cfg := fmmfam.Config{MC: 32, KC: 32, NC: 64, Threads: 4, Kernel: "go4x4"} // 256³ selects an FMM plan on go4x4
+	opts := serve.Options{AdmissionDepth: 5}
 	rng := rand.New(rand.NewSource(20))
 	a, b := fmmfam.NewMatrix(256, 256), fmmfam.NewMatrix(256, 256)
 	a.FillRand(rng)
@@ -39,7 +40,7 @@ func TestHostileEnvironmentChangesNothing(t *testing.T) {
 		c, cd := fmmfam.NewMatrix(256, 256), fmmfam.NewMatrix(256, 256)
 		errMul := mu.MulAdd(c, a, b)
 		direct, errPlan := fmmfam.NewPlan(cfg, fmmfam.ABC, fmmfam.Strassen())
-		srv, errSrv := serve.New(cfg, fmmfam.PaperArch())
+		srv, errSrv := serve.New(cfg, fmmfam.PaperArch(), opts)
 		if err := errors.Join(cfg.Validate(), errSel, errMul, errPlan, errSrv); err != nil {
 			t.Fatal(err)
 		}

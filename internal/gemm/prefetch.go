@@ -15,7 +15,11 @@ import (
 // at 216 KiB successors, +4–6 % at 864 KiB, +1–3 % at 1.2–1.9 MiB, nothing
 // at 2.4–2.9 MiB, and −1 to −3 % from 3.4 MiB on, where the successor's lines
 // evict the running call's own panels and C before it is done with them.
-// Every job of a 16…192 batch fits (192³ float64 is 864 KiB).
+// Every job of a 16…192 batch fits (192³ float64 is 864 KiB). Whether the
+// hint pays at all was re-measured on a 2-vCPU Xeon host in 16 s alternating
+// fmmbench pairs: with it off (workers claiming one job at a time, no hint),
+// small_batch fell from 76.4 to 70.1 GFLOP/s (−8.2 %, off ahead in 1 of 10
+// pairs) and its speedup over GEMM from 1.086 to 1.007.
 const prefetchBudget = 2 << 20
 
 // cacheLine is the line size Prefetch spreads in.

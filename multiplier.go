@@ -624,6 +624,10 @@ type Explanation struct {
 	// Plan names the plan MulAdd runs, as PlanFor does: the family member
 	// the product's shape class picks, whole or on every shard tile.
 	Plan string
+	// ClassM, ClassK and ClassN are the upper corner of that shape class —
+	// each dimension rounded up to a power of two — where the selector
+	// priced the family: model.Rank on Arch at this corner puts Plan first.
+	ClassM, ClassK, ClassN int
 }
 
 // Explain reports what MulAdd would do with an m×k×n product, without
@@ -638,7 +642,8 @@ func (mu *GenericMultiplier[E]) Explain(m, k, n int) (Explanation, error) {
 		return Explanation{}, err
 	}
 	spec, sharded := mu.shardSpec(m, k, n)
-	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, M: m, K: k, N: n, Plan: p.String()}
+	ex := Explanation{Kernel: mu.cfg.Kernel, Arch: mu.arch, M: m, K: k, N: n, Plan: p.String(),
+		ClassM: bucket(m), ClassK: bucket(k), ClassN: bucket(n)}
 	if sharded {
 		t := spec.Tile(0)
 		ex.GridM, ex.GridN, ex.GridK = spec.GridM, spec.GridN, spec.GridK

@@ -595,6 +595,36 @@ func TestExplainMatchesServedPlan(t *testing.T) {
 	}
 }
 
+// TestExplainRanksAtItsCorner: the ranking Explain's corner yields puts the
+// served plan first — over a 16³ grid of float64 products that spans the
+// break-even of every registered kernel, at the paper's constants — and the
+// corner is the product's shape class. Ranking at the product's own shape
+// instead disagrees with the served plan on about a quarter of the grid on
+// avx2 and go4x4.
+func TestExplainRanksAtItsCorner(t *testing.T) {
+	dims := []int{100, 200, 300, 480, 600, 700, 1000, 1200, 1500, 1800, 2200, 2880, 3000, 4500, 6000, 9000}
+	cands := defaultCandidates()
+	for _, name := range kernel.BackendsFor(matrix.Float64) {
+		mu := NewMultiplier(Config{MC: 96, KC: 256, NC: 2048, Threads: 1, Kernel: name}, PaperArch())
+		for _, m := range dims {
+			for _, k := range dims {
+				for _, n := range dims {
+					ex, err := mu.Explain(m, k, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := (planKey{ex.ClassM, ex.ClassK, ex.ClassN}); got != shapeClass(m, k, n) {
+						t.Fatalf("%s %d×%d×%d: Explain's corner %v, want the class %v", name, m, k, n, got, shapeClass(m, k, n))
+					}
+					if top := model.Rank(ex.Arch, cands, ex.ClassM, ex.ClassK, ex.ClassN)[0].Candidate.Name(); top != ex.Plan {
+						t.Fatalf("%s %d×%d×%d: ranking at %d×%d×%d puts %s first, served %s", name, m, k, n, ex.ClassM, ex.ClassK, ex.ClassN, top, ex.Plan)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConcurrentFirstFill: goroutines hitting distinct sizes of one new
 // class at once all get one plan, and the table builds it once (run it under
 // -race).
@@ -654,7 +684,7 @@ func TestPlanForAndExplainRejectBadArgs(t *testing.T) {
 	if _, err := mu.Explain(0, 5, 5); err != nil {
 		t.Fatalf("Explain(0, 5, 5): %v", err)
 	}
-	for _, cfg := range []Config{{MC: 16, KC: 16, NC: 32, Threads: 0}, {MC: 16, KC: 16, NC: 32, Threads: 2, AdmissionDepth: -1}} {
+	for _, cfg := range []Config{{MC: 16, KC: 16, NC: 32, Threads: 0}, {MC: 16, KC: 16, NC: 32, Threads: 2, Kernel: "no-such-kernel"}} {
 		bad := NewMultiplier(cfg, PaperArch())
 		if bad.cfgErr == nil {
 			t.Fatalf("%+v passed validation", cfg)

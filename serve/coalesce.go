@@ -25,11 +25,15 @@ var ErrServerClosed = errors.New("serve: server closed")
 // width 1 either way.
 const coalesceSizeLimit = 128
 
+// coalesceMaxJobs is how many requests fill a window, which then flushes
+// without waiting for the timer.
+const coalesceMaxJobs = 32
+
 // coalescer group-commits small multiply requests: while the engine is idle
 // a request runs at once, as a window of one; requests that arrive while a
 // window is running collect in the one open window, which is dispatched as a
 // single MulAddBatch — amortizing plan lookup and pool scheduling across it —
-// as soon as a running window completes, when CoalesceMaxJobs requests have
+// as soon as a running window completes, when coalesceMaxJobs requests have
 // joined, or when Config.CoalesceWindow has passed since it opened,
 // whichever comes first. The hold is therefore never pure waiting: a window
 // stays open only while earlier work occupies the engine, and CoalesceWindow
@@ -51,9 +55,8 @@ const coalesceSizeLimit = 128
 // invalid engine config), not one job's bad input taking out its
 // neighbours.
 type coalescer[E matrix.Element] struct {
-	batch   func([]fmmfam.GenericBatchJob[E]) error // the engine's MulAddBatch
-	window  time.Duration
-	maxJobs int
+	batch  func([]fmmfam.GenericBatchJob[E]) error // the engine's MulAddBatch
+	window time.Duration
 
 	mtx     sync.Mutex
 	closed  bool
@@ -63,7 +66,7 @@ type coalescer[E matrix.Element] struct {
 	// Observability counters, read by Stats.
 	batches      atomic.Uint64 // windows dispatched
 	jobs         atomic.Uint64 // requests that went through a window
-	sizeFlushes  atomic.Uint64 // windows flushed by reaching maxJobs
+	sizeFlushes  atomic.Uint64 // windows flushed by reaching coalesceMaxJobs
 	timerFlushes atomic.Uint64 // windows flushed by the timer
 	idleFlushes  atomic.Uint64 // windows flushed because the engine had room: run at once, or released by a completing window
 }
@@ -77,10 +80,6 @@ type coalesceWindow[E matrix.Element] struct {
 	start chan struct{}
 	done  chan struct{}
 	err   error
-}
-
-func newCoalescer[E matrix.Element](mul *fmmfam.GenericMultiplier[E], window time.Duration, maxJobs int) *coalescer[E] {
-	return &coalescer[E]{batch: mul.MulAddBatch, window: window, maxJobs: maxJobs}
 }
 
 // submit computes c += a·b through a window and blocks until that window's
@@ -109,7 +108,7 @@ func (co *coalescer[E]) submit(c, a, b matrix.Mat[E]) error {
 		co.open = w
 	}
 	w.jobs = append(w.jobs, job)
-	full := len(w.jobs) >= co.maxJobs
+	full := len(w.jobs) >= coalesceMaxJobs
 	co.mtx.Unlock()
 	if full {
 		co.flush(w, &co.sizeFlushes)
@@ -178,7 +177,6 @@ func (co *coalescer[E]) snapshot() CoalesceStats {
 	return CoalesceStats{
 		Enabled:      true,
 		WindowNS:     co.window.Nanoseconds(),
-		MaxJobs:      co.maxJobs,
 		Batches:      co.batches.Load(),
 		Jobs:         co.jobs.Load(),
 		SizeFlushes:  co.sizeFlushes.Load(),

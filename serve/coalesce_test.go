@@ -28,8 +28,8 @@ func (g *gatedEngine) batch(jobs []fmmfam.GenericBatchJob[float64]) error {
 	return nil
 }
 
-func newTestCoalescer(g *gatedEngine, window time.Duration, maxJobs int) *coalescer[float64] {
-	return &coalescer[float64]{batch: g.batch, window: window, maxJobs: maxJobs}
+func newTestCoalescer(g *gatedEngine, window time.Duration) *coalescer[float64] {
+	return &coalescer[float64]{batch: g.batch, window: window}
 }
 
 // submitN starts n submitters and returns a WaitGroup that completes when all
@@ -70,7 +70,7 @@ func waitOpen(co *coalescer[float64], n int) {
 // hold bound here is an hour.
 func TestCoalesceIdleRunsAtOnce(t *testing.T) {
 	g := newGatedEngine()
-	co := newTestCoalescer(g, time.Hour, 8)
+	co := newTestCoalescer(g, time.Hour)
 	wg := submitN(t, co, 1)
 	if n := <-g.entered; n != 1 {
 		t.Fatalf("idle request dispatched as a window of %d", n)
@@ -88,7 +88,7 @@ func TestCoalesceIdleRunsAtOnce(t *testing.T) {
 // single batch — again with the timer an hour away.
 func TestCoalesceGroupCommit(t *testing.T) {
 	g := newGatedEngine()
-	co := newTestCoalescer(g, time.Hour, 8)
+	co := newTestCoalescer(g, time.Hour)
 	wg := submitN(t, co, 1)
 	<-g.entered // the first request is running
 	wg3 := submitN(t, co, 3)
@@ -107,17 +107,17 @@ func TestCoalesceGroupCommit(t *testing.T) {
 }
 
 // TestCoalesceSizeAndTimerBoundTheHold: a window waiting behind a running one
-// is still dispatched at CoalesceMaxJobs and at CoalesceWindow, alongside the
+// is still dispatched at coalesceMaxJobs and at CoalesceWindow, alongside the
 // window that is running.
 func TestCoalesceSizeAndTimerBoundTheHold(t *testing.T) {
 	t.Run("size", func(t *testing.T) {
 		g := newGatedEngine()
-		co := newTestCoalescer(g, time.Hour, 2)
+		co := newTestCoalescer(g, time.Hour)
 		wg := submitN(t, co, 1)
 		<-g.entered
-		wg2 := submitN(t, co, 2)
-		if n := <-g.entered; n != 2 { // dispatched while the first still runs
-			t.Fatalf("full window dispatched with %d jobs, want 2", n)
+		wg2 := submitN(t, co, coalesceMaxJobs)
+		if n := <-g.entered; n != coalesceMaxJobs { // dispatched while the first still runs
+			t.Fatalf("full window dispatched with %d jobs, want %d", n, coalesceMaxJobs)
 		}
 		g.release <- struct{}{}
 		g.release <- struct{}{}
@@ -129,7 +129,7 @@ func TestCoalesceSizeAndTimerBoundTheHold(t *testing.T) {
 	})
 	t.Run("timer", func(t *testing.T) {
 		g := newGatedEngine()
-		co := newTestCoalescer(g, time.Millisecond, 8)
+		co := newTestCoalescer(g, time.Millisecond)
 		wg := submitN(t, co, 1)
 		<-g.entered
 		wg1 := submitN(t, co, 1)
@@ -150,7 +150,7 @@ func TestCoalesceSizeAndTimerBoundTheHold(t *testing.T) {
 // it has run; later submits are refused.
 func TestCoalesceClose(t *testing.T) {
 	g := newGatedEngine()
-	co := newTestCoalescer(g, time.Hour, 8)
+	co := newTestCoalescer(g, time.Hour)
 	wg := submitN(t, co, 1)
 	<-g.entered
 	wg2 := submitN(t, co, 2)

@@ -202,10 +202,9 @@ func checkMatsReturned(t *testing.T, mats func() (rents, returns int64)) {
 // client honoring the hint eventually gets through once the gate drains.
 func TestServeAdmissionControl(t *testing.T) {
 	cfg := serveCfg()
-	cfg.AdmissionDepth = 2
 	cfg.CoalesceWindow = -1 // direct dispatch keeps slot accounting deterministic
 	cfg.Threads = 1         // one worker: the second job queues behind the first
-	h := startHarness(t, cfg)
+	h := startHarness(t, cfg, serve.Options{AdmissionDepth: 2})
 	defer h.Close()
 	cl := h.Client()
 
@@ -265,13 +264,12 @@ func TestServeAdmissionControl(t *testing.T) {
 }
 
 // TestServeAsyncPendingCap fills the uncollected-results table (4×
-// AdmissionDepth) and checks that the next submission is refused before it
+// Options.AdmissionDepth) and checks that the next submission is refused before it
 // costs anything: no admission slot taken, and — the refused product has a
 // shape class of its own — no plan built for it, so the engine never ran it.
 func TestServeAsyncPendingCap(t *testing.T) {
-	cfg := serveCfg()
-	cfg.AdmissionDepth = 1
-	h := startHarness(t, cfg)
+	const depth = 1
+	h := startHarness(t, serveCfg(), serve.Options{AdmissionDepth: depth})
 	defer h.Close()
 	cl := h.Client()
 	cl.Retry429 = 50 // depth 1: each submission waits out the one before it
@@ -300,7 +298,7 @@ func TestServeAsyncPendingCap(t *testing.T) {
 	a.FillRand(rng)
 	b.FillRand(rng)
 	var handles []*serve.AsyncHandle
-	for i := 0; i < 4*cfg.AdmissionDepth; i++ {
+	for i := 0; i < 4*depth; i++ {
 		hnd, err := cl.SubmitAsync(fmmfam.NewMatrix(8, 8), a, b)
 		if err != nil {
 			t.Fatalf("SubmitAsync %d: %v", i, err)

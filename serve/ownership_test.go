@@ -159,10 +159,9 @@ func TestServePoisonedScratch(t *testing.T) {
 // well-formed requests of all three kinds.
 func TestServeRentsAreReturned(t *testing.T) {
 	cfg := serveCfg()
-	cfg.AdmissionDepth = 1
 	cfg.CoalesceWindow = -1 // direct dispatch keeps slot accounting deterministic
 	cfg.Threads = 1
-	h := startHarness(t, cfg)
+	h := startHarness(t, cfg, serve.Options{AdmissionDepth: 1})
 	defer h.Close()
 	mats := serve.CountMats(h.Server)
 	hc := http.DefaultClient
@@ -274,7 +273,7 @@ func allocBytesPerRun(runs int, f func()) float64 {
 func TestServeAllocationIndependentOfPayload(t *testing.T) {
 	cfg := fmmfam.DefaultConfig()
 	cfg.Threads = 2
-	s, err := serve.New(cfg, fmmfam.PaperArch())
+	s, err := serve.New(cfg, fmmfam.PaperArch(), serve.Options{})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}

@@ -2,7 +2,7 @@
 // engines fill their plan tables on served traffic and a poller hammers
 // /v1/stats. This is the serving-layer extension of the engine's
 // stats_race_test — same idea, but through real sockets with the coalescer's
-// timer/size flush race in the loop.
+// timer and idle flushes racing in the loop.
 package serve_test
 
 import (
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fmmfam"
+	"fmmfam/serve"
 )
 
 func TestServeRaceCoalesceStats(t *testing.T) {
@@ -22,10 +23,9 @@ func TestServeRaceCoalesceStats(t *testing.T) {
 	cfg := fmmfam.Config{
 		MC: 16, KC: 16, NC: 32, Threads: 2,
 		ShardThreshold: 128,
-		CoalesceWindow: 100 * time.Microsecond, CoalesceMaxJobs: 4,
-		AdmissionDepth: 32,
+		CoalesceWindow: 100 * time.Microsecond,
 	}
-	h := startHarness(t, cfg)
+	h := startHarness(t, cfg, serve.Options{AdmissionDepth: 32})
 	closed := false
 	defer func() {
 		if !closed {

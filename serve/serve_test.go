@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fmmfam"
+	"fmmfam/serve"
 	"fmmfam/serve/servetest"
 )
 
@@ -29,15 +30,14 @@ func serveCfg() fmmfam.Config {
 	return fmmfam.Config{
 		MC: 16, KC: 16, NC: 32, Threads: 4, Kernel: "go4x4",
 		ShardThreshold: 128,
-		CoalesceWindow: 200 * time.Microsecond, CoalesceMaxJobs: 8,
-		AdmissionDepth: 64,
+		CoalesceWindow: 200 * time.Microsecond,
 	}
 }
 
 // startHarness wraps servetest.Start with test plumbing.
-func startHarness(t *testing.T, cfg fmmfam.Config) *servetest.Harness {
+func startHarness(t *testing.T, cfg fmmfam.Config, opts ...serve.Options) *servetest.Harness {
 	t.Helper()
-	h, err := servetest.Start(cfg, fmmfam.PaperArch())
+	h, err := servetest.Start(cfg, fmmfam.PaperArch(), opts...)
 	if err != nil {
 		t.Fatalf("servetest.Start: %v", err)
 	}
@@ -85,7 +85,7 @@ type refProduct32 struct {
 func TestServeIntegration(t *testing.T) {
 	beforeGoroutines := runtime.NumGoroutine()
 	cfg := serveCfg()
-	h := startHarness(t, cfg)
+	h := startHarness(t, cfg, serve.Options{AdmissionDepth: 64})
 	closed := false
 	defer func() {
 		if !closed {

@@ -28,6 +28,18 @@ const maxBodyBytes = int64(8*MaxFrameElems) + int64(headerLen)*(maxBatchFrames+1
 // hostile count prefix from sizing a huge allocation.
 const maxBatchFrames = 4096
 
+// DefaultAdmissionDepth is the in-flight bound when Options sets none.
+const DefaultAdmissionDepth = 256
+
+// Options holds the front-end's own settings; the engines' are New's
+// fmmfam.Config. The zero value is the default server.
+type Options struct {
+	// AdmissionDepth bounds the requests admitted to compute (or queued
+	// async) and not yet completed; past it, work is refused with 429 (see
+	// Server.admit). 0 means DefaultAdmissionDepth; New refuses a negative.
+	AdmissionDepth int
+}
+
 // retryAfterSeconds is the Retry-After hint sent with every 429: long
 // enough for a window's worth of in-flight work to drain on any plausible
 // machine, short enough that honoring it doesn't idle a client.
@@ -48,7 +60,7 @@ type Server struct {
 	// channel means the next request is refused with 429 + Retry-After —
 	// the async queue's backpressure semantics, with rejection in place of
 	// blocking (a blocked handler would just hide the queue in the TCP
-	// accept backlog). Its capacity is the resolved Config.AdmissionDepth.
+	// accept backlog). Its capacity is the resolved Options.AdmissionDepth.
 	admit    chan struct{}
 	admitted atomic.Uint64
 	rejected atomic.Uint64
@@ -86,13 +98,13 @@ type lane[E matrix.Element] struct {
 	mats matLender[E]
 }
 
-// newLane builds one precision's lane from a Config whose serve knobs New
-// has resolved: a positive CoalesceWindow puts a coalescer in front.
+// newLane builds one precision's lane from a Config whose CoalesceWindow New
+// has resolved: a positive window puts a coalescer in front.
 func newLane[E matrix.Element](cfg fmmfam.Config, arch fmmfam.Arch) lane[E] {
 	mul := fmmfam.NewGenericMultiplier[E](cfg, arch)
 	ln := lane[E]{mul: mul, mats: mul}
 	if cfg.CoalesceWindow > 0 {
-		ln.co = newCoalescer(mul, cfg.CoalesceWindow, cfg.CoalesceMaxJobs)
+		ln.co = &coalescer[E]{batch: mul.MulAddBatch, window: cfg.CoalesceWindow}
 	}
 	return ln
 }
@@ -109,24 +121,25 @@ type pendingAsync struct {
 	reply func(w http.ResponseWriter)
 }
 
-// New builds a Server from cfg: both engines (the same blocking, threads,
-// and serving knobs at each precision), the per-dtype coalescers, and the
-// admission gate. cfg's serve knobs (CoalesceWindow, CoalesceMaxJobs,
-// AdmissionDepth) take their defaults here, a zero knob meaning its
-// fmmfam.Default* constant; Validate has range-checked them. No handler
-// calls MulAddAsync: /v1/async's watcher goroutine submits, so a full async
-// queue parks only watchers, which the admission gate bounds.
-func New(cfg fmmfam.Config, arch fmmfam.Arch) (*Server, error) {
+// New builds a Server from cfg and opts: both engines (the same blocking,
+// threads and kernel at each precision), the per-dtype coalescers, and the
+// admission gate. cfg.CoalesceWindow and opts.AdmissionDepth take their
+// defaults here, zero meaning fmmfam.DefaultCoalesceWindow and
+// DefaultAdmissionDepth. No handler calls MulAddAsync: /v1/async's watcher
+// goroutine submits, so a full async queue parks only watchers, which the
+// admission gate bounds.
+func New(cfg fmmfam.Config, arch fmmfam.Arch, opts Options) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.AdmissionDepth < 0 {
+		return nil, fmt.Errorf("serve: Options.AdmissionDepth=%d, need ≥ 0 (0 = default %d)", opts.AdmissionDepth, DefaultAdmissionDepth)
+	}
 	cfg.CoalesceWindow = cmp.Or(cfg.CoalesceWindow, fmmfam.DefaultCoalesceWindow)
-	cfg.CoalesceMaxJobs = cmp.Or(cfg.CoalesceMaxJobs, fmmfam.DefaultCoalesceMaxJobs)
-	cfg.AdmissionDepth = cmp.Or(cfg.AdmissionDepth, fmmfam.DefaultAdmissionDepth)
 	s := &Server{
 		l64:   newLane[float64](cfg, arch),
 		l32:   newLane[float32](cfg, arch),
-		admit: make(chan struct{}, cfg.AdmissionDepth),
+		admit: make(chan struct{}, cmp.Or(opts.AdmissionDepth, DefaultAdmissionDepth)),
 		hist: map[string]*histogram{
 			"multiply":      new(histogram),
 			"batch":         new(histogram),

@@ -32,11 +32,13 @@ type Harness struct {
 	closeErr  error
 }
 
-// Start builds a serve.Server from cfg and serves it on an ephemeral
-// loopback port, so test harnesses never collide on a fixed one. The returned harness is
-// ready: the listener is accepting before Start returns.
-func Start(cfg fmmfam.Config, arch fmmfam.Arch) (*Harness, error) {
-	s, err := serve.New(cfg, arch)
+// Start builds a serve.Server from cfg and the first of opts (none: the zero
+// serve.Options) and serves it on an ephemeral loopback port, so test
+// harnesses never collide on a fixed one. The returned harness is ready: the
+// listener is accepting before Start returns. opts is variadic only so that
+// fmmbench's Start(cfg, arch) calls keep compiling.
+func Start(cfg fmmfam.Config, arch fmmfam.Arch, opts ...serve.Options) (*Harness, error) {
+	s, err := serve.New(cfg, arch, append(opts, serve.Options{})[0])
 	if err != nil {
 		return nil, err
 	}

@@ -94,15 +94,14 @@ func (h *histogram) snapshot() HistogramSnapshot {
 type CoalesceStats struct {
 	// Enabled reports whether coalescing is on (CoalesceWindow > 0).
 	Enabled bool
-	// WindowNS and MaxJobs are the resolved knobs.
+	// WindowNS is the resolved Config.CoalesceWindow.
 	WindowNS int64
-	MaxJobs  int
 	// Batches and Jobs count dispatched windows and the requests they
 	// carried; Jobs/Batches is the realized amortization factor.
 	Batches uint64
 	Jobs    uint64
 	// SizeFlushes, TimerFlushes and IdleFlushes split Batches by what
-	// dispatched the window: CoalesceMaxJobs reached, CoalesceWindow passed,
+	// dispatched the window: its job cap (32) reached, CoalesceWindow passed,
 	// or the engine had room — the request found nothing running and ran at
 	// once as a window of one, or a running window completed and released
 	// the one that had collected behind it.

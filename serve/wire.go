@@ -5,7 +5,8 @@
 // Retry-After instead of queueing unbounded work, async submit/collect on
 // top of MulAddAsync, graceful shutdown that drains in-flight work through
 // Multiplier.Close, and a /stats endpoint exposing Multiplier.Stats plus
-// per-endpoint latency histograms.
+// per-endpoint latency histograms. New takes the engines' fmmfam.Config and
+// the front-end's own Options.
 //
 // The wire format is deliberately dumb: a fixed little-endian header naming
 // the element type and dimensions, followed by the operands' row-major
